@@ -61,8 +61,11 @@ class WeightSlicedComplex:
     """A finite sequence of graded slices with exact rational differentials.
 
     ``basis[(degree, weight)]`` lists the labels of that slice in a fixed
-    order; ``diffs[(degree, weight)]`` is the matrix of the differential
-    into ``(degree + 1, weight)`` with respect to those bases.
+    order.  ``diffs[(degree, weight)]`` is the matrix of the differential
+    into ``(degree + 1, weight)`` with respect to those bases, stored as
+    sparse rows: one ``dict`` per target label, mapping the position of a
+    source label to a nonzero Fraction.  Zeros are never stored, so two
+    differentials are equal exactly when they are equal as matrices.
     """
 
     label: str
@@ -70,7 +73,7 @@ class WeightSlicedComplex:
     degree_range: tuple[int, int]
     weight_cap: int
     basis: dict[tuple[int, int], list[Label]] = field(default_factory=dict)
-    diffs: dict[tuple[int, int], list[list[Fraction]]] = field(default_factory=dict)
+    diffs: dict[tuple[int, int], list[linalg.Row]] = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
 
     def slice_dim(self, degree: int, weight: int) -> int:
@@ -102,19 +105,23 @@ def _monomials(nvars: int, total: int) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
-def _assemble_matrix(source: list[Label], target: list[Label], images) -> list[list[Fraction]]:
-    """Matrix of a map given by ``images(label) -> iterable of (label, c)``."""
+def _assemble_matrix(source: list[Label], target: list[Label], images) -> list[linalg.Row]:
+    """Sparse rows of a map given by ``images(label) -> iterable of (label, c)``."""
     index = {lab: i for i, lab in enumerate(target)}
-    mat = linalg.zeros(len(target), len(source))
+    mat: list[linalg.Row] = [{} for _ in target]
     for col, lab in enumerate(source):
         for lab2, c in images(lab):
             try:
-                row = index[lab2]
+                row = mat[index[lab2]]
             except KeyError:
                 raise AssertionError(
                     f"differential left the weight slice: {lab} -> {lab2}"
                 ) from None
-            mat[row][col] += c
+            val = row.get(col, 0) + c
+            if val:
+                row[col] = val
+            else:
+                row.pop(col, None)
     return mat
 
 
@@ -463,11 +470,8 @@ def _dphi_signs(machine: _PlusMachine, iset: IndexSet) -> dict[int, Fraction]:
     keys = sorted({lab for form in [lhs, *candidates] for lab, _ in _flatten(form)})
     key_index = {lab: r for r, lab in enumerate(keys)}
 
-    def as_vector(form):
-        vec = [Fraction(0)] * len(keys)
-        for lab, c in _flatten(form):
-            vec[key_index[lab]] = c
-        return vec
+    def as_vector(form) -> linalg.Row:
+        return {key_index[lab]: c for lab, c in _flatten(form)}
 
     sol = linalg.solve_columns([as_vector(c) for c in candidates], as_vector(lhs))
     if sol is None:
@@ -540,20 +544,20 @@ def build_qi(
     return GradedPieceQI(iset, cx, signs, components)
 
 
-def _class_vector(machine: _PlusMachine, iset, kset, exps, slice_labels) -> list[Fraction]:
-    """Coordinates, in the monomial slice basis, of the class of
+def _class_vector(machine: _PlusMachine, iset, kset, exps, slice_labels) -> linalg.Row:
+    """Sparse coordinates, in the monomial slice basis, of the class of
     phi_I ^ x^E eta_K (through the sharp identification)."""
     vs = machine.vs
     base = vector_monomial(machine.coord, iset, LaurentPoly.monomial(vs, exps, 1))
     for t in kset:
         base = base.wedge(machine.sharp_eta(t))
     index = {lab: i for i, lab in enumerate(slice_labels)}
-    vec = [Fraction(0)] * len(slice_labels)
+    vec: linalg.Row = {}
     for lab, c in _flatten(base):
         jdx, e2 = lab
         if _level_set(vs, jdx, e2) != iset:
             raise AssertionError("class representative left the graded piece")
-        vec[index[lab]] += c
+        vec[index[lab]] = c
     return vec
 
 
@@ -574,7 +578,7 @@ def _qi_components(machine, iset, cx, weight_cap, max_degree, signs) -> dict:
             ftot = w + i_len
             if ftot < 0:
                 continue
-            class_rows: list[tuple[tuple, list[Fraction]]] = []
+            class_rows: list[tuple[tuple, linalg.Row]] = []
             for kset in itertools.combinations(range(1, nv + 1), k):
                 jpart = tuple(i for i in kset if i in iset)
                 for fexp in _monomials(len(rest), ftot):
@@ -636,17 +640,19 @@ def _twisted_shape_check(machine, iset, cx, degree, w, signs) -> bool:
                 for e2 in poly.terms:
                     if any(e2[r - 1] != 0 for r in iset):
                         return False
-            chi_vec = [Fraction(0)] * len(target)
+            chi_vec: linalg.Row = {}
             for cidx, cpoly in chi.terms.items():
                 for e2, c2 in cpoly.terms.items():
                     vec = _class_vector(machine, iset, cidx, e2, target)
-                    chi_vec = [a + c2 * b for a, b in zip(chi_vec, vec)]
+                    for r, b in vec.items():
+                        chi_vec[r] = chi_vec.get(r, 0) + c2 * b
             psi_vec = _class_vector(machine, iset, kset, exps, labels)
-            dvec = [
-                sum(dmat[r][c] * psi_vec[c] for c in range(len(labels)))
-                for r in range(len(target))
-            ]
-            if dvec != chi_vec:
+            dvec = {}
+            for r, row in enumerate(dmat):
+                val = sum(row[c] * x for c, x in psi_vec.items() if c in row)
+                if val:
+                    dvec[r] = val
+            if dvec != {r: val for r, val in chi_vec.items() if val}:
                 return False
     return True
 
@@ -792,10 +798,7 @@ def filtration_report(p: PoissonStructure, level: int, weight_cap: int, max_degr
                         )
                         for t in kset:
                             base = base.wedge(machine.sharp_eta(t))
-                        vec = [Fraction(0)] * len(union_basis)
-                        for lab, c in _flatten(base):
-                            vec[index[lab]] += c
-                        vecs.append(vec)
+                        vecs.append({index[lab]: c for lab, c in _flatten(base)})
                 r = linalg.rank(vecs) if vecs else 0
                 per_piece.append(r)
                 all_vecs.extend(vecs)

@@ -1,16 +1,20 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, on sparse rows.
 
-Matrices are plain lists of lists of Fraction.  Everything here is a
-straightforward fraction-free-of-surprises Gaussian elimination; sizes at
-desk scale are small enough that no pivoting strategy beyond "first nonzero"
-is needed.
+A row is a ``dict[int, Fraction]`` from column index to a nonzero value.
+Dense rows (lists) are accepted as well, and entries may be ints: every
+row is copied into a sparse row of Fractions on entry, so results stay
+exact.  One elimination loop, ``_eliminate``, serves ``rank``, ``det``,
+``inverse`` and ``solve_columns``.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterable
 from fractions import Fraction
 
 Matrix = list[list[Fraction]]
+Row = dict[int, Fraction]
 
 
 def zeros(nrows: int, ncols: int) -> Matrix:
@@ -24,148 +28,143 @@ def identity(n: int) -> Matrix:
     return out
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if a and b and len(a[0]) != len(b):
-        raise ValueError("matrix dimensions do not match")
-    n, k = len(a), len(b)
-    m = len(b[0]) if b else 0
-    out = zeros(n, m)
-    for i in range(n):
-        for t in range(k):
-            x = a[i][t]
-            if x == 0:
-                continue
-            row_b = b[t]
-            row_o = out[i]
-            for j in range(m):
-                if row_b[j]:
-                    row_o[j] += x * row_b[j]
+def _sparse(row) -> Row:
+    """A fresh sparse copy of a dense or sparse row, with Fraction values."""
+    items = row.items() if isinstance(row, dict) else enumerate(row)
+    return {c: Fraction(v) for c, v in items if v}
+
+
+def _add_multiple(row: Row, f: Fraction, other: Row) -> None:
+    """``row += f * other`` in place, dropping the entries that cancel."""
+    for c, v in other.items():
+        x = row.get(c)
+        if x is None:
+            row[c] = f * v
+        else:
+            x += f * v
+            if x:
+                row[c] = x
+            else:
+                del row[c]
+
+
+def _eliminate(rows: Iterable, column_order=None, reduced: bool = False) -> dict[int, Row]:
+    """Exact Gaussian elimination of ``rows``; returns the pivots.
+
+    Only the columns in ``column_order`` (default: every column, in
+    increasing order) can become pivots.  Each incoming row is cleared of the
+    existing pivot columns, lowest first; if a column in the order is left,
+    the first one becomes the row's pivot.  The result maps each pivot
+    column to its row, in the order of the input rows that produced them.
+    Pivot rows are not normalised: ``pivots[c][c]`` is the pivot value.
+
+    With ``reduced`` each new pivot is also cleared from the older pivot
+    rows, so every pivot row is zero in all other pivot columns.
+    """
+    pos = None if column_order is None else {c: i for i, c in enumerate(column_order)}
+    key = None if pos is None else pos.__getitem__
+    pivots: dict[int, Row] = {}
+    for row in rows:
+        row = _sparse(row)
+        while hits := [c for c in row if c in pivots]:
+            c = min(hits, key=key)
+            _add_multiple(row, -row[c] / pivots[c][c], pivots[c])
+        live = row if pos is None else [c for c in row if c in pos]
+        if not live:
+            continue
+        lead = min(live, key=key)
+        if reduced:
+            for other in pivots.values():
+                if lead in other:
+                    _add_multiple(other, -other[lead] / row[lead], row)
+        pivots[lead] = row
+    return pivots
+
+
+def mat_mul(a, b) -> list[Row]:
+    """The product as sparse rows."""
+    b = [_sparse(row) for row in b]
+    out = []
+    for row in a:
+        acc: Row = {}
+        for t, x in _sparse(row).items():
+            _add_multiple(acc, x, b[t])
+        out.append(acc)
     return out
 
 
-def is_zero_matrix(a: Matrix) -> bool:
-    return all(x == 0 for row in a for x in row)
+def is_zero_matrix(a) -> bool:
+    return not any(_sparse(row) for row in a)
 
 
-def rank(a: Matrix, column_order: list[int] | None = None) -> int:
-    """Rank by Gaussian elimination.
+def rank(a, column_order: list[int] | None = None) -> int:
+    """Rank by exact elimination.
 
     `column_order` permutes the elimination order of the columns; the result
     is of course the same, which makes a reversed order a cheap independent
     cross-check of the elimination code.
     """
-    if not a or not a[0]:
-        return 0
-    nrows, ncols = len(a), len(a[0])
-    cols = column_order if column_order is not None else list(range(ncols))
-    work = [row[:] for row in a]
-    r = 0
-    for j in cols:
-        pivot = None
-        for i in range(r, nrows):
-            if work[i][j] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        pv = work[r][j]
-        work[r] = [x / pv for x in work[r]]
-        for i in range(nrows):
-            if i != r and work[i][j] != 0:
-                f = work[i][j]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        r += 1
-        if r == nrows:
-            break
-    return r
+    return len(_eliminate(a, column_order))
 
 
-def inverse(a: Matrix) -> Matrix:
+def _square_size(a) -> int:
+    """The number of rows, checked to equal the width of every row."""
     n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("matrix is not square")
-    work = [row[:] + ident_row for row, ident_row in zip(a, identity(n))]
-    r = 0
-    for j in range(n):
-        pivot = None
-        for i in range(r, n):
-            if work[i][j] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        work[r], work[pivot] = work[pivot], work[r]
-        pv = work[r][j]
-        work[r] = [x / pv for x in work[r]]
-        for i in range(n):
-            if i != r and work[i][j] != 0:
-                f = work[i][j]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        r += 1
-    return [row[n:] for row in work]
+    for row in a:
+        fits = all(0 <= c < n for c in row) if isinstance(row, dict) else len(row) == n
+        if not fits:
+            raise ValueError("matrix is not square")
+    return n
 
 
-def det(a: Matrix) -> Fraction:
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("matrix is not square")
-    work = [row[:] for row in a]
-    result = Fraction(1)
-    for j in range(n):
-        pivot = None
-        for i in range(j, n):
-            if work[i][j] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != j:
-            work[j], work[pivot] = work[pivot], work[j]
-            result = -result
-        result *= work[j][j]
-        pv = work[j][j]
-        for i in range(j + 1, n):
-            if work[i][j] != 0:
-                f = work[i][j] / pv
-                work[i] = [x - f * y for x, y in zip(work[i], work[j])]
-    return result
+def det(a) -> Fraction:
+    n = _square_size(a)
+    pivots = _eliminate(a, range(n))
+    if len(pivots) < n:
+        return Fraction(0)
+    # row i changed only by multiples of the rows before it, and is zero left
+    # of its pivot cols[i]: a row permutation of a triangular matrix
+    cols = list(pivots)
+    inversions = sum(cols[j] > cols[i] for i in range(n) for j in range(i))
+    return Fraction((-1) ** inversions * math.prod(pivots[c][c] for c in cols))
 
 
-def solve_columns(columns: list[list[Fraction]], target: list[Fraction]) -> list[Fraction] | None:
+def inverse(a) -> Matrix:
+    n = _square_size(a)
+    augmented = (_sparse(row) | {n + i: 1} for i, row in enumerate(a))
+    pivots = _eliminate(augmented, range(n), reduced=True)
+    if len(pivots) < n:
+        raise ValueError("matrix is singular")
+    # reduced, pivot row c is (d e_c | d * row c of the inverse)
+    out = zeros(n, n)
+    for c, row in pivots.items():
+        for j, v in row.items():
+            if j >= n:
+                out[c][j - n] = v / row[c]
+    return out
+
+
+def solve_columns(columns: list, target) -> list[Fraction] | None:
     """Express `target` as a linear combination of `columns`, or None.
 
-    Returns one exact coefficient vector (free coefficients set to zero)
-    when the system is consistent.
+    Columns and target may be dense or sparse.  Returns one exact
+    coefficient vector (free coefficients set to zero) when the system is
+    consistent.
     """
-    ncols = len(columns)
-    nrows = len(target)
-    if any(len(c) != nrows for c in columns):
+    vectors = [*columns, target]
+    if len({len(v) for v in vectors if not isinstance(v, dict)}) > 1:
         raise ValueError("column length mismatch")
-    work = [[columns[j][i] for j in range(ncols)] + [target[i]] for i in range(nrows)]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for j in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if work[i][j] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        pv = work[r][j]
-        work[r] = [x / pv for x in work[r]]
-        for i in range(nrows):
-            if i != r and work[i][j] != 0:
-                f = work[i][j]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots.append((r, j))
-        r += 1
-    for i in range(r, nrows):
-        if work[i][ncols] != 0:
-            return None
-    coeffs = [Fraction(0)] * ncols
-    for i, j in pivots:
-        coeffs[j] = work[i][ncols]
-    return coeffs
+    ncols = len(columns)
+    rows: dict[int, Row] = {}
+    for j, vec in enumerate(vectors):
+        for i, v in _sparse(vec).items():
+            rows.setdefault(i, {})[j] = v
+    # the target column comes last in the order: it becomes a pivot exactly
+    # when it is not in the span of the others
+    pivots = _eliminate(rows.values(), range(ncols + 1), reduced=True)
+    if ncols in pivots:
+        return None
+    return [
+        pivots[j].get(ncols, 0) / pivots[j][j] if j in pivots else Fraction(0)
+        for j in range(ncols)
+    ]

@@ -61,7 +61,7 @@ class TestLogComplex:
         labels = cx.basis[(1, 0)]
         col = labels.index(((1,), (0, 0, 0, 0)))
         mat = cx.diffs[(1, 0)]
-        assert all(row[col] == 0 for row in mat)
+        assert all(row.get(col, 0) == 0 for row in mat)
 
     def test_h0_weight0_constants(self):
         for vs in (VarSpec(2, 2), VarSpec(4, 2), VarSpec(4, 0)):
@@ -99,7 +99,7 @@ class TestLogComplex:
             expected = DiffForm(lg, k + 1, {})
             if mat:
                 out = [
-                    sum(mat[r][c] * coeffs[c] for c in range(len(labels)))
+                    sum(mat[r].get(c, 0) * coeffs[c] for c in range(len(labels)))
                     for r in range(len(target))
                 ]
                 for val, (idx, exps) in zip(out, target):
@@ -143,15 +143,15 @@ class TestLogPlus:
             for col, (idx, exps) in enumerate(src):
                 via_plus = machine.reconstruct_from_phi(
                     [
-                        (tgt_plus[r], mat_plus[r][col])
+                        (tgt_plus[r], mat_plus[r].get(col, 0))
                         for r in range(len(tgt_plus))
-                        if mat_plus[r][col] != 0
+                        if mat_plus[r].get(col, 0) != 0
                     ],
                     1,
                 )
                 via_log = DiffForm(coordinate_frame(VS), 1, {})
                 for r, (lidx, lexps) in enumerate(tgt_log):
-                    c = mat_log[r][col]
+                    c = mat_log[r].get(col, 0)
                     if c == 0:
                         continue
                     via_log = via_log + change_frame(
@@ -264,13 +264,13 @@ class TestGradedPieces:
         gamma_vec = _class_vector(machine, iset, gamma[0], gamma[1], labels1)
         mat1 = q.complex.diffs[(1, 0)]
         z = [
-            sum(mat1[r][c] * gamma_vec[c] for c in range(len(labels1)))
+            sum(mat1[r].get(c, 0) * gamma_vec.get(c, 0) for c in range(len(labels1)))
             for r in range(len(labels2))
         ]
         assert any(v != 0 for v in z)
         mat2 = q.complex.diffs[(2, 0)]
         dz = [
-            sum(mat2[r][c] * z[c] for c in range(len(labels2)))
+            sum(mat2[r].get(c, 0) * z[c] for c in range(len(labels2)))
             for r in range(len(q.complex.basis[(3, 0)]))
         ]
         assert all(v == 0 for v in dz)
@@ -279,9 +279,12 @@ class TestGradedPieces:
         vec_dpsi = _class_vector(machine, iset, (2,), (0, 1, 0, 0), labels2)
         vec_eta1psi = _class_vector(machine, iset, (1,), (0, 1, 0, 0), labels2)
         assert q.dphi_signs[1] == Fraction(-1)
-        expected = [-a + b for a, b in zip(vec_dpsi, vec_eta1psi)]
+        expected = [
+            -vec_dpsi.get(c, 0) + vec_eta1psi.get(c, 0) for c in range(len(labels2))
+        ]
         assert z == expected
-        assert any(v != 0 for v in vec_dpsi) and any(v != 0 for v in vec_eta1psi)
+        assert any(v != 0 for v in vec_dpsi.values())
+        assert any(v != 0 for v in vec_eta1psi.values())
 
     def test_invalid_index_sets(self, toric):
         with pytest.raises(ValueError):
@@ -293,11 +296,24 @@ class TestGradedPieces:
 class TestCohomologyMachinery:
     def test_rank_cross_checked_by_reversed_elimination(self, toric):
         cx = build_logplus_complex(toric, 2)
-        for mat in cx.diffs.values():
-            if not mat or not mat[0]:
-                continue
-            cols = list(range(len(mat[0])))
+        for (k, w), mat in cx.diffs.items():
+            cols = list(range(cx.slice_dim(k, w)))
             assert linalg.rank(mat) == linalg.rank(mat, cols[::-1])
+
+    def test_stored_rows_hold_no_zeros(self, toric, plus_w2):
+        complexes = [
+            build_log_complex(VarSpec(4, 2), 2),
+            plus_w2,
+            build_bracket_complex(toric, 2),
+            build_qi(toric, (1, 2), 2).complex,
+        ]
+        for cx in complexes:
+            for (k, w), mat in cx.diffs.items():
+                assert len(mat) == cx.slice_dim(k + 1, w)
+                for row in mat:
+                    assert isinstance(row, dict)
+                    assert all(0 <= c < cx.slice_dim(k, w) for c in row)
+                    assert all(type(v) is Fraction and v != 0 for v in row.values())
 
     def test_zero_complex_exact(self):
         cx = WeightSlicedComplex("zero", VS, (0, 1), 2)
