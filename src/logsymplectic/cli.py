@@ -3,9 +3,7 @@
 Commands: jacobi, pfaffian, genpos, verify-exactness, toric-report.
 Exit codes: 0 success / verdict true, 1 verdict false, 2 input error.
 Reports are canonical JSON (sorted keys, no floats, no timestamps), so
-identical inputs produce byte-identical files.  The environment variable
-LOGSYMPLECTIC_WORKERS sets the worker count for the column-subset
-enumeration in the general-position test.
+identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations

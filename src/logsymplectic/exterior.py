@@ -417,7 +417,7 @@ def _inverse_poly_matrix(rows, vs: VarSpec):
         grid = [[p.constant_term() for p in row] for row in rows]
         inv = linalg.inverse(grid)
         return [[LaurentPoly.const(vs, c) for c in row] for row in inv]
-    determinant = _poly_det([list(row) for row in rows], vs)
+    determinant = poly_det([list(row) for row in rows], vs)
     if determinant.is_zero():
         raise ValueError("matrix is singular")
     out = []
@@ -427,7 +427,7 @@ def _inverse_poly_matrix(rows, vs: VarSpec):
             minor = [
                 [rows[r][c] for c in range(n) if c != i] for r in range(n) if r != j
             ]
-            cof = _poly_det(minor, vs)
+            cof = poly_det(minor, vs)
             if (i + j) % 2 == 1:
                 cof = -cof
             out_row.append(cof.divide_exact(determinant))
@@ -435,7 +435,9 @@ def _inverse_poly_matrix(rows, vs: VarSpec):
     return out
 
 
-def _poly_det(rows, vs: VarSpec) -> LaurentPoly:
+def poly_det(rows, vs: VarSpec) -> LaurentPoly:
+    """Determinant of a square matrix of polynomials, by cofactor expansion
+    along the first row (O(n!) products)."""
     n = len(rows)
     if n == 0:
         return LaurentPoly.const(vs, 1)
@@ -446,7 +448,7 @@ def _poly_det(rows, vs: VarSpec) -> LaurentPoly:
         if rows[0][c].is_zero():
             continue
         minor = [[rows[r][cc] for cc in range(n) if cc != c] for r in range(1, n)]
-        term = rows[0][c] * _poly_det(minor, vs)
+        term = rows[0][c] * poly_det(minor, vs)
         total = total + (term if c % 2 == 0 else -term)
     return total
 

@@ -2,25 +2,29 @@
 
 A pair of k x k matrices M, N is in relative t-general position when every
 t columns of the block matrix [M | N] admit t rows whose t x t minor is a
-unit of the local ring at the origin (nonzero constant term).  Minors are
-computed exactly as polynomials and only their constant terms inspected.
+unit of the local ring at the origin (nonzero constant term).  Evaluation
+at the origin is a ring homomorphism, so a minor of a pole-free matrix is a
+unit iff the same minor of the constant-term matrix [M(0) | N(0)] is
+nonzero: the test is one exact elimination of each column set of that
+rational matrix, which has rank t iff some t x t minor is nonzero.
 
 Columns of [M | N] are numbered 1..2k, the first k coming from M.
 Verdicts come with re-checkable certificates: a witness row set per passing
 column set, and the list of failing column sets (lexicographic order)
-otherwise.
+otherwise.  A witness is the set of pivot rows of the elimination, that is
+the greedy independent rows, which is the lexicographically first row set
+with a nonzero minor.  ``verify_certificate`` recomputes the claimed minors
+as polynomials, independently of the elimination.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass, field
 
+from . import linalg
 from .ring import LaurentPoly, VarSpec
 from .poisson import PoissonStructure, SkewMatrix, log_matrix
-
-WORKERS_ENV = "LOGSYMPLECTIC_WORKERS"
 
 
 @dataclass(frozen=True)
@@ -55,33 +59,17 @@ def _as_rows(mat) -> list[list[LaurentPoly]]:
 
 
 def _poly_minor(rows: list[list[LaurentPoly]], row_idx, col_idx, vs: VarSpec) -> LaurentPoly:
-    from .exterior import _poly_det
+    from .exterior import poly_det
 
     sub = [[rows[r][c] for c in col_idx] for r in row_idx]
-    return _poly_det(sub, vs)
+    return poly_det(sub, vs)
 
 
-def _identity_rows(vs: VarSpec, k: int) -> list[list[LaurentPoly]]:
+def identity_rows(vs: VarSpec, k: int) -> list[list[LaurentPoly]]:
+    """The k x k identity matrix as rows of constant polynomials."""
     one = LaurentPoly.const(vs, 1)
     zero = LaurentPoly.zero(vs)
     return [[one if i == j else zero for j in range(k)] for i in range(k)]
-
-
-def _check_column_set(args):
-    block, cols, t, vs, k = args
-    for row_idx in itertools.combinations(range(k), t):
-        minor = _poly_minor(block, row_idx, cols, vs)
-        if minor.constant_term() != 0:
-            return cols, tuple(r + 1 for r in row_idx)
-    return cols, None
-
-
-def _worker_count() -> int:
-    raw = os.environ.get(WORKERS_ENV, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def is_relative_t_general(m, n, t: int) -> GenPosCertificate:
@@ -103,34 +91,19 @@ def is_relative_t_general(m, n, t: int) -> GenPosCertificate:
             if p.var_spec != vs:
                 raise ValueError("var_spec mismatch among entries")
     block = [m_rows[i] + n_rows[i] for i in range(k)]
-
-    subsets = [
-        tuple(c + 1 for c in cols) for cols in itertools.combinations(range(2 * k), t)
+    # column j of [M(0) | N(0)] as a sparse row {matrix row r: constant term}
+    columns = [
+        {r: row[j].constant_term() for r, row in enumerate(block)} for j in range(2 * k)
     ]
-    tasks = [(block, tuple(c - 1 for c in cols), t, vs, k) for cols in subsets]
-
-    workers = _worker_count()
-    results: list[tuple[tuple[int, ...], tuple[int, ...] | None]] = []
-    if workers > 1 and len(tasks) > 1:
-        try:
-            import concurrent.futures
-
-            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_check_column_set, tasks))
-        except OSError:
-            results = []
-    if not results:
-        results = [_check_column_set(task) for task in tasks]
-
     witnesses: dict[tuple[int, ...], tuple[int, ...]] = {}
     failures: list[tuple[int, ...]] = []
-    for (cols0, rows), labeled in zip(results, subsets):
+    for cols0 in itertools.combinations(range(2 * k), t):
         cols = tuple(c + 1 for c in cols0)
-        assert cols == labeled
-        if rows is None:
-            failures.append(cols)
+        pivots = linalg._eliminate(columns[c] for c in cols0)
+        if len(pivots) == t:
+            witnesses[cols] = tuple(sorted(r + 1 for r in pivots))
         else:
-            witnesses[cols] = rows
+            failures.append(cols)
     return GenPosCertificate(
         verdict=not failures,
         t=t,
@@ -144,7 +117,7 @@ def is_standard_t_general(m, t: int) -> GenPosCertificate:
     """t-general position of M: relative t-general position of (M, identity)."""
     m_rows = _as_rows(m)
     vs = m_rows[0][0].var_spec
-    return is_relative_t_general(m_rows, _identity_rows(vs, len(m_rows)), t)
+    return is_relative_t_general(m_rows, identity_rows(vs, len(m_rows)), t)
 
 
 def poisson_t_general(p: PoissonStructure, t: int) -> GenPosCertificate:
@@ -154,12 +127,27 @@ def poisson_t_general(p: PoissonStructure, t: int) -> GenPosCertificate:
 
 
 def verify_certificate(m, n, cert: GenPosCertificate) -> bool:
-    """Recompute every claim in a certificate: witness minors must be units,
-    failing column sets must admit no unit minor at all."""
+    """Recompute every claim in a certificate: each witness must be t rows in
+    increasing order whose minor is a unit, failing column sets must admit no
+    unit minor at all, and together they must cover every column set."""
     m_rows, n_rows = _as_rows(m), _as_rows(n)
     k = len(m_rows)
     vs = m_rows[0][0].var_spec
     block = [m_rows[i] + n_rows[i] for i in range(k)]
+    if cert.column_count != 2 * k or not 1 <= cert.t <= k:
+        return False
+    expected = {
+        tuple(c + 1 for c in cols)
+        for cols in itertools.combinations(range(2 * k), cert.t)
+    }
+    row_sets = set(itertools.combinations(range(1, k + 1), cert.t))
+    covered = set(cert.witnesses) | set(cert.failures)
+    if (
+        covered != expected
+        or cert.verdict != (not cert.failures)
+        or any(tuple(rows) not in row_sets for rows in cert.witnesses.values())
+    ):
+        return False
     for cols, rows in cert.witnesses.items():
         minor = _poly_minor(
             block, [r - 1 for r in rows], [c - 1 for c in cols], vs
@@ -171,9 +159,4 @@ def verify_certificate(m, n, cert: GenPosCertificate) -> bool:
             minor = _poly_minor(block, row_idx, [c - 1 for c in cols], vs)
             if minor.constant_term() != 0:
                 return False
-    expected = {
-        tuple(c + 1 for c in cols)
-        for cols in itertools.combinations(range(2 * k), cert.t)
-    }
-    covered = set(cert.witnesses) | set(cert.failures)
-    return covered == expected and cert.verdict == (not cert.failures)
+    return True

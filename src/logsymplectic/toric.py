@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exterior import MultiVector, coordinate_frame
-from .genpos import is_standard_t_general, verify_certificate, _identity_rows
+from .genpos import is_standard_t_general, verify_certificate, identity_rows
 from .poisson import (
     DegenerateStructureError,
     PoissonStructure,
@@ -89,7 +89,7 @@ def certify(t: ToricStructure) -> dict:
         report["degeneracy_divisor"] = None
 
     a = log_matrix(t.structure)
-    ident = _identity_rows(t.structure.var_spec, size)
+    ident = identity_rows(t.structure.var_spec, size)
     verdicts = {}
     certified = True
     ts = sorted({1, 2, 3, size} & set(range(1, size + 1)))

@@ -28,7 +28,7 @@ from logsymplectic.exterior import (
     wedge,
 )
 from logsymplectic.genpos import (
-    _identity_rows,
+    identity_rows,
     is_standard_t_general,
     poisson_t_general,
     verify_certificate,
@@ -207,7 +207,7 @@ def test_c08_general_position_suite(general_fixtures):
         rows = [[LaurentPoly.const(VarSpec(4, 4), x) for x in row] for row in grid]
         cert = is_standard_t_general(rows, 4)
         ok = ok and not cert.verdict
-        ok = ok and verify_certificate(rows, _identity_rows(VarSpec(4, 4), 4), cert)
+        ok = ok and verify_certificate(rows, identity_rows(VarSpec(4, 4), 4), cert)
     # (b) a product of two surface factors is not 3-general
     block = toric_structure(
         [[0, 2, 0, 0], [-2, 0, 0, 0], [0, 0, 0, 3], [0, 0, -3, 0]]
@@ -215,7 +215,7 @@ def test_c08_general_position_suite(general_fixtures):
     cert_b = poisson_t_general(block, 3)
     a_rows = log_matrix(block)
     ok = ok and not cert_b.verdict
-    ok = ok and verify_certificate(a_rows, _identity_rows(block.var_spec, 4), cert_b)
+    ok = ok and verify_certificate(a_rows, identity_rows(block.var_spec, 4), cert_b)
     # (c) the explicit integer matrix passes t = 2
     explicit = toric_structure(
         [[0, 1, 2, 3], [-1, 0, 4, 5], [-2, -4, 0, 6], [-3, -5, -6, 0]]
@@ -223,7 +223,7 @@ def test_c08_general_position_suite(general_fixtures):
     cert_c = poisson_t_general(explicit, 2)
     ok = ok and cert_c.verdict
     ok = ok and verify_certificate(
-        log_matrix(explicit), _identity_rows(explicit.var_spec, 4), cert_c
+        log_matrix(explicit), identity_rows(explicit.var_spec, 4), cert_c
     )
     _report(
         8,

@@ -1,5 +1,4 @@
 import itertools
-import os
 import random
 from fractions import Fraction
 
@@ -8,11 +7,12 @@ import pytest
 from logsymplectic import linalg
 from logsymplectic.genpos import (
     GenPosCertificate,
+    identity_rows,
     is_relative_t_general,
     is_standard_t_general,
     poisson_t_general,
     verify_certificate,
-    _identity_rows,
+    _poly_minor,
 )
 from logsymplectic.poisson import log_matrix
 from logsymplectic.ring import LaurentPoly, VarSpec, poly_from_string
@@ -44,24 +44,64 @@ def origin_rank_oracle(m_rows, n_rows, t):
     return True
 
 
+def lex_scan_oracle(m_rows, n_rows, t):
+    """Independent certificate: for each column set, the first row set in
+    lexicographic order whose polynomial minor has a nonzero constant term."""
+    k = len(m_rows)
+    block = [m_rows[i] + n_rows[i] for i in range(k)]
+    vs = block[0][0].var_spec
+    witnesses, failures = {}, []
+    for cols in itertools.combinations(range(2 * k), t):
+        label = tuple(c + 1 for c in cols)
+        for rows in itertools.combinations(range(k), t):
+            if _poly_minor(block, rows, cols, vs).constant_term() != 0:
+                witnesses[label] = tuple(r + 1 for r in rows)
+                break
+        else:
+            failures.append(label)
+    return GenPosCertificate(
+        verdict=not failures,
+        t=t,
+        column_count=2 * k,
+        witnesses=witnesses,
+        failures=tuple(failures),
+    )
+
+
+def random_local_rows(rng, vs, k):
+    """A k x k pole-free matrix: sparse constant terms plus a degree-1 term."""
+    nvars = vs.total_vars
+    rows = []
+    for _ in range(k):
+        row = []
+        for _ in range(k):
+            terms = {(0,) * nvars: Fraction(rng.choice([0, 0, 1, -1, 2]))}
+            bump = [0] * nvars
+            bump[rng.randrange(nvars)] = 1
+            terms[tuple(bump)] = Fraction(rng.randint(-2, 2))
+            row.append(LaurentPoly(vs, terms))
+        rows.append(row)
+    return rows
+
+
 TWO_BY_TWO = [[0, 1], [-1, 0]]
 VS2 = VarSpec(2, 2)
 
 
 class TestRelative:
     def test_repeated_column_fails(self):
-        ident = _identity_rows(VS2, 2)
+        ident = identity_rows(VS2, 2)
         cert = is_relative_t_general(ident, ident, 2)
         assert not cert.verdict
         assert cert.first_failure is not None
 
     def test_single_columns_nonzero(self):
-        cert = is_relative_t_general(const_rows(TWO_BY_TWO, VS2), _identity_rows(VS2, 2), 1)
+        cert = is_relative_t_general(const_rows(TWO_BY_TWO, VS2), identity_rows(VS2, 2), 1)
         assert cert.verdict
         assert len(cert.witnesses) == 4
 
     def test_parallel_columns_fail_t2(self):
-        cert = is_relative_t_general(const_rows(TWO_BY_TWO, VS2), _identity_rows(VS2, 2), 2)
+        cert = is_relative_t_general(const_rows(TWO_BY_TWO, VS2), identity_rows(VS2, 2), 2)
         assert not cert.verdict
         # column 1 of M is (0,-1), column 4 is e_2: rank 1 together
         assert (1, 4) in cert.failures
@@ -76,12 +116,11 @@ class TestRelative:
     def test_pole_rejected(self):
         rows = poly_rows([["x1^-1", "0"], ["0", "1"]], VS2)
         with pytest.raises(ValueError):
-            is_relative_t_general(rows, _identity_rows(VS2, 2), 1)
+            is_relative_t_general(rows, identity_rows(VS2, 2), 1)
 
     def test_matches_origin_rank_oracle(self, rng):
         for _ in range(10):
             k = rng.choice([2, 3])
-            vs = VarSpec(2 * ((k + 1) // 2) + (0 if k % 2 == 0 else 0), 0)
             vs = VarSpec(4, 2)
             m_rows = [
                 [
@@ -97,7 +136,7 @@ class TestRelative:
                 ]
                 for _ in range(k)
             ]
-            n_rows = _identity_rows(vs, k)
+            n_rows = identity_rows(vs, k)
             for t in range(1, k + 1):
                 cert = is_relative_t_general(m_rows, n_rows, t)
                 assert cert.verdict == origin_rank_oracle(m_rows, n_rows, t)
@@ -109,7 +148,7 @@ class TestStandard:
         cert = is_standard_t_general(const_rows(EXPLICIT_GRID), 2)
         assert cert.verdict
         assert verify_certificate(
-            const_rows(EXPLICIT_GRID), _identity_rows(VS, 4), cert
+            const_rows(EXPLICIT_GRID), identity_rows(VS, 4), cert
         )
 
     def test_skew_never_full_general(self, rng):
@@ -117,7 +156,7 @@ class TestStandard:
             grid = random_skew_grid(rng, 4)
             cert = is_standard_t_general(const_rows(grid), 4)
             assert not cert.verdict
-            assert verify_certificate(const_rows(grid), _identity_rows(VS, 4), cert)
+            assert verify_certificate(const_rows(grid), identity_rows(VS, 4), cert)
 
     def test_generic_three_general(self):
         rng = random.Random(424)
@@ -125,7 +164,7 @@ class TestStandard:
         for _ in range(5):
             grid = random_skew_grid(rng, 4)
             cert = is_standard_t_general(const_rows(grid), 3)
-            assert verify_certificate(const_rows(grid), _identity_rows(VS, 4), cert)
+            assert verify_certificate(const_rows(grid), identity_rows(VS, 4), cert)
             hits += cert.verdict
         assert hits >= 4
 
@@ -172,7 +211,7 @@ class TestPoissonWiring:
         cert = poisson_t_general(toric_structure(grid), 3)
         assert not cert.verdict
         a = log_matrix(toric_structure(grid))
-        assert verify_certificate(a, _identity_rows(VS, 4), cert)
+        assert verify_certificate(a, identity_rows(VS, 4), cert)
 
     def test_zero_column_fails_t1(self):
         grid = [
@@ -200,7 +239,7 @@ class TestPoissonWiring:
 class TestCertificates:
     def test_tampered_witness_detected(self):
         rows = const_rows(EXPLICIT_GRID)
-        ident = _identity_rows(VS, 4)
+        ident = identity_rows(VS, 4)
         cert = is_standard_t_general(rows, 2)
         assert verify_certificate(rows, ident, cert)
         # columns (1, 5) on rows (2, 3): minor [[-1, 0], [-2, 0]] vanishes
@@ -215,7 +254,7 @@ class TestCertificates:
 
     def test_fabricated_failure_detected(self):
         rows = const_rows(EXPLICIT_GRID)
-        ident = _identity_rows(VS, 4)
+        ident = identity_rows(VS, 4)
         cert = is_standard_t_general(rows, 2)
         bad = GenPosCertificate(
             verdict=False,
@@ -223,6 +262,58 @@ class TestCertificates:
             column_count=8,
             witnesses={k: v for k, v in cert.witnesses.items() if k != (1, 2)},
             failures=((1, 2),) + cert.failures,
+        )
+        assert not verify_certificate(rows, ident, bad)
+
+    @pytest.mark.parametrize(
+        "cols, witness",
+        [
+            # one row: the "determinant" of the 1 x 2 slice is its first entry
+            pytest.param((1, 2), (1,), id="too_short"),
+            pytest.param((1, 2), (1, 1, 2), id="too_long"),
+            pytest.param((3, 4), (2, 1), id="not_increasing"),
+            pytest.param((1, 3), (0, 1), id="row_below_1"),
+            pytest.param((1, 3), (1, 3), id="row_above_k"),
+        ],
+    )
+    def test_malformed_witness_rejected(self, cols, witness):
+        rows = const_rows([[1, 1], [1, 1]], VS2)
+        ident = identity_rows(VS2, 2)
+        cert = is_relative_t_general(rows, ident, 2)
+        assert cert.failures == ((1, 2),)
+        assert verify_certificate(rows, ident, cert)
+        failures = tuple(f for f in cert.failures if f != cols)
+        forged = GenPosCertificate(
+            verdict=not failures,
+            t=2,
+            column_count=4,
+            witnesses={**cert.witnesses, cols: witness},
+            failures=failures,
+        )
+        assert verify_certificate(rows, ident, forged) is False
+
+    @pytest.mark.parametrize(
+        "t, witnesses",
+        [(-1, {}), (0, {(): ()}), (5, {})],
+        ids=["t_negative", "t_zero", "t_past_2k"],
+    )
+    def test_t_out_of_range_rejected(self, t, witnesses):
+        rows = const_rows(TWO_BY_TWO, VS2)
+        forged = GenPosCertificate(
+            verdict=True, t=t, column_count=4, witnesses=witnesses, failures=()
+        )
+        assert not verify_certificate(rows, identity_rows(VS2, 2), forged)
+
+    def test_wrong_column_count_rejected(self):
+        rows = const_rows(EXPLICIT_GRID)
+        ident = identity_rows(VS, 4)
+        cert = is_standard_t_general(rows, 2)
+        bad = GenPosCertificate(
+            verdict=cert.verdict,
+            t=cert.t,
+            column_count=9,
+            witnesses=cert.witnesses,
+            failures=cert.failures,
         )
         assert not verify_certificate(rows, ident, bad)
 
@@ -236,15 +327,26 @@ class TestCertificates:
         assert doc["failures"] == []
 
 
-class TestWorkerEnv:
-    def test_parallel_matches_serial(self, monkeypatch):
-        rows = const_rows(EXPLICIT_GRID)
-        serial = is_standard_t_general(rows, 2)
-        monkeypatch.setenv("LOGSYMPLECTIC_WORKERS", "2")
-        parallel = is_standard_t_general(rows, 2)
-        assert serial == parallel
+class TestLexScanEquality:
+    """The elimination route writes the same certificates as the polynomial
+    lexicographic scan of row sets."""
 
-    def test_bad_env_value_ignored(self, monkeypatch):
-        monkeypatch.setenv("LOGSYMPLECTIC_WORKERS", "lots")
-        cert = is_standard_t_general(const_rows(EXPLICIT_GRID), 1)
-        assert cert.verdict
+    def test_random_local_pairs(self, rng):
+        vs = VarSpec(4, 2)
+        for _ in range(12):
+            k = rng.choice([2, 3, 4])
+            m_rows = random_local_rows(rng, vs, k)
+            n_rows = random_local_rows(rng, vs, k)
+            for t in range(1, k + 1):
+                cert = is_relative_t_general(m_rows, n_rows, t)
+                oracle = lex_scan_oracle(m_rows, n_rows, t)
+                assert cert.serialize() == oracle.serialize()
+
+    def test_toric_full_t(self):
+        grid = random_skew_grid(random.Random(6), 6)
+        a = log_matrix(toric_structure(grid))
+        ident = identity_rows(a.rows[0][0].var_spec, 6)
+        cert = is_relative_t_general(a, ident, 6)
+        assert cert.failures
+        oracle = lex_scan_oracle([list(row) for row in a.rows], ident, 6)
+        assert cert.serialize() == oracle.serialize()
