@@ -67,7 +67,11 @@ def _load_matrix(path: str) -> list[list[Fraction]]:
     try:
         size = int(doc["size"])
         entries = doc["entries"]
+        if any(isinstance(x, float) for row in entries for x in row):
+            raise ValueError('entries must be integers or strings such as "1/2", not floats')
         grid = [[Fraction(x) for x in row] for row in entries]
+    except ZeroDivisionError as exc:
+        raise InputError(f"bad matrix file {path}: zero denominator") from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad matrix file {path}: {exc}") from exc
     if len(grid) != size or any(len(r) != size for r in grid):

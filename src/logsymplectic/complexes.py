@@ -50,7 +50,7 @@ from .exterior import (
     wedge,
 )
 from .poisson import PoissonStructure, inverse_log_matrix, log_matrix, schouten
-from .ring import LaurentPoly, VarSpec
+from .ring import LaurentPoly, VarSpec, add_product
 
 IndexSet = tuple[int, ...]
 Label = tuple[IndexSet, tuple[int, ...]]  # (frame indices, coefficient exponents)
@@ -263,16 +263,8 @@ class _PlusMachine:
         for indices, coeff in form.terms.items():
             image = self.sharp_wedge(indices)
             for midx, mpoly in image.terms.items():
-                bucket = acc.setdefault(midx, {})
-                for e1, c1 in coeff.terms.items():
-                    for e2, c2 in mpoly.terms.items():
-                        key = tuple(a + b for a, b in zip(e1, e2))
-                        val = bucket.get(key, Fraction(0)) + c1 * c2
-                        if val:
-                            bucket[key] = val
-                        elif key in bucket:
-                            del bucket[key]
-        terms = {midx: LaurentPoly(self.vs, emap) for midx, emap in acc.items() if emap}
+                add_product(acc.setdefault(midx, {}), coeff, mpoly, False)
+        terms = {midx: LaurentPoly._from_sums(self.vs, sums) for midx, sums in acc.items()}
         return MultiVector(self.coord, form.degree, terms)
 
     def reconstruct_from_phi(self, coords, degree: int) -> DiffForm:

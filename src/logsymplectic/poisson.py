@@ -39,7 +39,7 @@ from .exterior import (
     merge_indices,
     phi_frame,
 )
-from .ring import LaurentPoly, VarSpec, poly_from_string, poly_to_string
+from .ring import LaurentPoly, VarSpec, add_product, poly_from_string, poly_to_string
 
 
 class SkewMatrix:
@@ -169,30 +169,38 @@ def schouten(p: MultiVector, q: MultiVector) -> MultiVector:
     dp, dq = p.degree, q.degree
     out_degree = max(dp + dq - 1, 0)
     twist = -1 if ((dp - 1) * (dq - 1)) % 2 == 1 else 1
-    out: dict[tuple[int, ...], LaurentPoly] = {}
+    acc: dict[tuple[int, ...], dict] = {}
+    # Each partial derivative of a coefficient is taken once per call.
+    q_partials: dict[tuple[tuple[int, ...], int], LaurentPoly] = {}
+    p_partials: dict[tuple[tuple[int, ...], int], LaurentPoly] = {}
 
-    def accumulate(sign: int, left: tuple[int, ...], right: tuple[int, ...], coeff: LaurentPoly):
+    def accumulate(sign: int, left: tuple[int, ...], right: tuple[int, ...],
+                   f: LaurentPoly, g: LaurentPoly):
         merged = merge_indices(left, right)
-        if merged is None or coeff.is_zero():
+        if merged is None:
             return
         msign, key = merged
-        contrib = coeff if sign * msign > 0 else -coeff
-        out[key] = out[key] + contrib if key in out else contrib
+        add_product(acc.setdefault(key, {}), f, g, sign * msign < 0)
 
     for pi, pc in p.terms.items():
         for qi, qc in q.terms.items():
             for a in pi:
-                dg = qc.partial(a)
+                dg = q_partials.get((qi, a))
+                if dg is None:
+                    dg = q_partials[(qi, a)] = qc.partial(a)
                 if dg.is_zero():
                     continue
                 sgn, rest = _strip_right(pi, a)
-                accumulate(twist * sgn, rest, qi, pc * dg)
+                accumulate(twist * sgn, rest, qi, pc, dg)
             for b in qi:
-                df = pc.partial(b)
+                df = p_partials.get((pi, b))
+                if df is None:
+                    df = p_partials[(pi, b)] = pc.partial(b)
                 if df.is_zero():
                     continue
                 sgn, rest = _strip_right(qi, b)
-                accumulate(-sgn, rest, pi, qc * df)
+                accumulate(-sgn, rest, pi, qc, df)
+    out = {key: LaurentPoly._from_sums(vs, sums) for key, sums in acc.items()}
     return MultiVector(p.frame, out_degree, out)
 
 

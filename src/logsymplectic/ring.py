@@ -9,6 +9,12 @@ equal term by term.
 
 Variables are numbered 1..2n in the public interface; exponent vectors are
 0-indexed tuples of length 2n.
+
+Validation happens where terms enter from outside: the constructor, `const`,
+`monomial`, `variable`, and `shift`/`divide_monomial`/`divide_exact`, which
+can create poles.  Sums, differences, negatives, products, powers and
+partial derivatives of ring elements stay in the ring, so they skip the
+per-term checks and build their results with `LaurentPoly._from_sums`.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 Rational = Fraction
 
@@ -55,6 +62,8 @@ class LaurentPoly:
         clean: dict[Exponents, Fraction] = {}
         nv, m = var_spec.total_vars, var_spec.divisor_vars
         for exps, coeff in (terms or {}).items():
+            if isinstance(coeff, float):
+                raise TypeError(f"inexact float coefficient {coeff!r}; use a Fraction or a string")
             coeff = Fraction(coeff)
             if coeff == 0:
                 continue
@@ -65,9 +74,19 @@ class LaurentPoly:
                     raise ValueError(
                         f"negative exponent in non-divisor variable x{pos + 1}: {exps}"
                     )
-            clean[tuple(exps)] = Fraction(coeff)
+            clean[tuple(exps)] = coeff
         object.__setattr__(self, "var_spec", var_spec)
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _from_sums(cls, var_spec: VarSpec, sums: dict[Exponents, Fraction]) -> "LaurentPoly":
+        """Trusted constructor for term sums of ring elements of `var_spec`
+        (their sums, negatives, products and partial derivatives): keeps the
+        dict's nonzero Fractions without the per-term checks of __init__."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "var_spec", var_spec)
+        object.__setattr__(self, "terms", {e: c for e, c in sums.items() if c})
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -83,7 +102,7 @@ class LaurentPoly:
 
     @classmethod
     def const(cls, vs: VarSpec, c) -> "LaurentPoly":
-        return cls(vs, {(0,) * vs.total_vars: Fraction(c)})
+        return cls(vs, {(0,) * vs.total_vars: c})
 
     @classmethod
     def variable(cls, vs: VarSpec, i: int, power: int = 1) -> "LaurentPoly":
@@ -96,7 +115,7 @@ class LaurentPoly:
 
     @classmethod
     def monomial(cls, vs: VarSpec, exps, coeff=1) -> "LaurentPoly":
-        return cls(vs, {tuple(exps): Fraction(coeff)})
+        return cls(vs, {tuple(exps): coeff})
 
     # -- queries -----------------------------------------------------------
 
@@ -150,13 +169,14 @@ class LaurentPoly:
         other = self._coerce(other)
         out = dict(self.terms)
         for exps, coeff in other.terms.items():
-            out[exps] = out.get(exps, Fraction(0)) + coeff
-        return LaurentPoly(self.var_spec, out)
+            prev = out.get(exps)
+            out[exps] = coeff if prev is None else prev + coeff
+        return LaurentPoly._from_sums(self.var_spec, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.var_spec, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._from_sums(self.var_spec, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "LaurentPoly":
         return self + (-self._coerce(other))
@@ -167,11 +187,8 @@ class LaurentPoly:
     def __mul__(self, other) -> "LaurentPoly":
         other = self._coerce(other)
         out: dict[Exponents, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return LaurentPoly(self.var_spec, out)
+        add_product(out, self, other, False)
+        return LaurentPoly._from_sums(self.var_spec, out)
 
     __rmul__ = __mul__
 
@@ -203,9 +220,8 @@ class LaurentPoly:
             e = exps[pos]
             if e == 0:
                 continue
-            key = exps[:pos] + (e - 1,) + exps[pos + 1 :]
-            out[key] = out.get(key, Fraction(0)) + coeff * e
-        return LaurentPoly(self.var_spec, out)
+            out[exps[:pos] + (e - 1,) + exps[pos + 1 :]] = coeff * e
+        return LaurentPoly._from_sums(self.var_spec, out)
 
     def shift(self, exps: Exponents) -> "LaurentPoly":
         """Multiply by the monomial x**exps (exps may be negative in divisor
@@ -256,6 +272,20 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly({poly_to_string(self)!r})"
+
+
+def add_product(out: dict[Exponents, Fraction], p: LaurentPoly, q: LaurentPoly, negate: bool):
+    """out += p*q (out -= p*q if `negate`), in place on a term dict.  Sums
+    that cancel stay as zero entries; `LaurentPoly._from_sums` drops them."""
+    get = out.get
+    q_terms = q.terms.items()
+    for e1, c1 in p.terms.items():
+        if negate:
+            c1 = -c1
+        for e2, c2 in q_terms:
+            key = tuple(map(add, e1, e2))
+            prev = get(key)
+            out[key] = c1 * c2 if prev is None else prev + c1 * c2
 
 
 # -- spec-level operation names --------------------------------------------
@@ -316,8 +346,11 @@ def poly_from_string(s: str, vs: VarSpec) -> LaurentPoly:
     """Parse the serialization format of :func:`poly_to_string`.
 
     Accepts "+"/"-" separated monomials, each a "*"-separated list of an
-    optional rational coefficient and powers ``xK^E``.
+    optional rational coefficient and powers ``xK^E``.  Raises TypeError on a
+    non-string and ValueError on a zero denominator.
     """
+    if not isinstance(s, str):
+        raise TypeError(f"polynomial must be given as a string, not {type(s).__name__}")
     text = s.strip()
     if not text:
         raise ValueError("empty polynomial string")
@@ -338,7 +371,10 @@ def poly_from_string(s: str, vs: VarSpec) -> LaurentPoly:
             if not factor:
                 raise ValueError(f"malformed monomial in {s!r}")
             if _RATIONAL.match(factor):
-                coeff *= Fraction(factor)
+                try:
+                    coeff *= Fraction(factor)
+                except ZeroDivisionError:
+                    raise ValueError(f"zero denominator in {factor!r} in {s!r}") from None
                 continue
             mv = _MONO_VAR.match(factor)
             if not mv:

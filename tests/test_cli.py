@@ -99,6 +99,49 @@ class TestPfaffian:
         assert main(["pfaffian", "--matrix", str(bad)]) == 2
 
 
+
+class TestInexactOrBrokenNumbers:
+    """Input errors exit 2 with a one-line message, not a traceback."""
+
+    def write(self, files, name, doc):
+        path = files["tmp"] / name
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def assert_input_error(self, argv, capsys, needle):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert needle in err
+
+    def test_zero_denominator_in_structure(self, files, capsys):
+        doc = dict(TORIC_STRUCTURE, terms=[{"i": 1, "j": 2, "coeff": "3/0*x1*x2"}])
+        path = self.write(files, "zero_den_structure.json", doc)
+        self.assert_input_error(["jacobi", "--structure", path], capsys, "zero denominator")
+
+    def test_zero_denominator_in_matrix(self, files, capsys):
+        doc = {"size": 2, "entries": [["0", "1/0"], ["-1", "0"]]}
+        path = self.write(files, "zero_den_matrix.json", doc)
+        self.assert_input_error(["pfaffian", "--matrix", path], capsys, "zero denominator")
+
+    def test_float_matrix_entries_rejected(self, files, capsys):
+        doc = {"size": 2, "entries": [[0, 0.5], [-0.5, 0]]}
+        path = self.write(files, "float_matrix.json", doc)
+        self.assert_input_error(["pfaffian", "--matrix", path], capsys, "not floats")
+        self.assert_input_error(["toric-report", "--matrix", path], capsys, "not floats")
+
+    def test_integer_matrix_entries_accepted(self, files):
+        doc = {"size": 2, "entries": [[0, 2], [-2, 0]]}
+        path = self.write(files, "int_matrix.json", doc)
+        assert main(["pfaffian", "--matrix", path, "--out", files["out"]]) == 0
+        assert json.loads(Path(files["out"]).read_text())["pfaffian"] == "2"
+
+    def test_float_structure_coefficient_rejected(self, files, capsys):
+        doc = dict(TORIC_STRUCTURE, terms=[{"i": 1, "j": 2, "coeff": 0.5}])
+        path = self.write(files, "float_structure.json", doc)
+        self.assert_input_error(["jacobi", "--structure", path], capsys, "string")
+
+
 class TestGenpos:
     def test_pass(self, files):
         assert main(["genpos", "--structure", files["toric_structure"], "--t", "2", "--out", files["out"]]) == 0

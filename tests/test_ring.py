@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from logsymplectic.ring import (
@@ -207,3 +207,84 @@ class TestSerialization:
             poly("x1^^2")
         with pytest.raises(ValueError):
             poly("")
+
+    def test_zero_denominator(self):
+        with pytest.raises(ValueError, match="zero denominator"):
+            poly("3/0*x1*x2")
+
+    def test_non_string_rejected(self):
+        with pytest.raises(TypeError):
+            poly_from_string(0.5, VS)
+
+
+class TestExactInput:
+    def test_float_coefficients_rejected(self):
+        with pytest.raises(TypeError):
+            LaurentPoly.const(VS, 0.1)
+        with pytest.raises(TypeError):
+            LaurentPoly.monomial(VS, (1, 0, 0, 0), 0.5)
+        with pytest.raises(TypeError):
+            LaurentPoly(VS, {(0, 0, 0, 0): 2.0})
+        with pytest.raises(TypeError):
+            LaurentPoly.variable(VS, 1) + 0.5
+
+    def test_exact_coefficients_accepted(self):
+        assert LaurentPoly.const(VS, "1/10").terms == {(0, 0, 0, 0): Fraction(1, 10)}
+        assert LaurentPoly.const(VS, 3) == LaurentPoly.const(VS, Fraction(3))
+
+
+def assert_canonical(r: LaurentPoly, vs: VarSpec = VS):
+    """What the validating constructor would have produced."""
+    assert r.var_spec == vs
+    assert LaurentPoly(vs, r.terms) == r
+    for exps, c in r.terms.items():
+        assert type(c) is Fraction and c != 0
+        assert len(exps) == vs.total_vars
+        assert all(e >= 0 for e in exps[vs.divisor_vars:])
+
+
+MONOMIAL_EXPONENTS = st.tuples(
+    *(st.integers(-2 if pos < VS.divisor_vars else 0, 2) for pos in range(VS.total_vars))
+)
+
+
+class TestClosedOperations:
+    """Closed operations skip the constructor's checks; their results must
+    still be canonical, cancellations included."""
+
+    @given(laurent_polys(max_terms=4), laurent_polys(max_terms=4), st.integers(1, 4),
+           st.integers(0, 3), MONOMIAL_EXPONENTS)
+    @settings(max_examples=60, deadline=None)
+    def test_results_are_canonical(self, p, q, i, k, m_exps):
+        m = LaurentPoly.monomial(VS, m_exps)
+        results = [
+            p + q, p - q, -p, p * q, p ** k, p.partial(i),
+            p + 1, 2 * p, p - Fraction(1, 2), 1 - p,
+            p + (-p), p - p, p * (q - q),
+            (p + m) * (p - m),  # the cross terms p*m cancel
+            p + (-p.partial(i) + p.partial(i)),
+        ]
+        for r in results:
+            assert_canonical(r)
+        assert (p + (-p)).is_zero() and (p - p).is_zero()
+        assert (p + m) * (p - m) == p * p - m * m
+
+    def test_cancelling_product(self):
+        x1, x2 = LaurentPoly.variable(VS, 1), LaurentPoly.variable(VS, 2)
+        r = (x1 + x2) * (x1 - x2)
+        assert_canonical(r)
+        assert r.terms == {(2, 0, 0, 0): Fraction(1), (0, 2, 0, 0): Fraction(-1)}
+
+    @given(laurent_polys(max_terms=4), st.integers(3, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_pole_creating_operations_still_raise(self, p, i):
+        assume(not p.is_zero())
+        pos = i - 1
+        top = max(e[pos] for e in p.terms)
+        exps = tuple(-(top + 1) if j == pos else 0 for j in range(VS.total_vars))
+        with pytest.raises(ValueError):
+            p.shift(exps)
+        with pytest.raises(ValueError):
+            p.divide_monomial(tuple(-e for e in exps))
+        with pytest.raises(ValueError):
+            p.divide_exact(LaurentPoly.monomial(VS, tuple(-e for e in exps)))
