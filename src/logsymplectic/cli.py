@@ -65,7 +65,9 @@ def _load_structure(path: str) -> PoissonStructure:
 def _load_matrix(path: str) -> list[list[Fraction]]:
     doc = _load_json(path)
     try:
-        size = int(doc["size"])
+        size = doc["size"]
+        if type(size) is not int:
+            raise TypeError(f"'size' must be an integer, not {type(size).__name__}")
         entries = doc["entries"]
         if any(isinstance(x, float) for row in entries for x in row):
             raise ValueError('entries must be integers or strings such as "1/2", not floats')
@@ -153,6 +155,9 @@ def cmd_verify_exactness(args) -> int:
         raise InputError("weight-cap must be >= 0")
     p = _load_structure(args.structure)
     iset = _parse_index_set(args.index_set)
+    nv = p.var_spec.total_vars
+    if args.max_degree is not None and not len(iset) <= args.max_degree <= nv:
+        raise InputError(f"max-degree must lie in {len(iset)}..{nv} (|I|..2n)")
     try:
         piece = build_qi(p, iset, args.weight_cap)
     except ValueError as exc:

@@ -27,6 +27,41 @@ Three families are built:
 Desk-scale restriction: the log-plus and graded-piece builders require a
 constant invertible log-basis matrix with every variable on the divisor
 (the invariant local models), where the weight bookkeeping above is exact.
+
+The bracket differential in closed form
+---------------------------------------
+
+On these models the bivector is Pi = sum_{i<j} A[i][j] v_i ^ v_j with
+v_i = x_i d_i and A = log_matrix(p) constant.  Write the label (M, E) as
+x^E d_M = x^F v_M with F = E - 1_M (so F >= -1, and F_i = -1 exactly on
+the i in M with E_i = 0).  With the Schouten convention of poisson.py:
+
+* the v_i commute and Pi has constant coefficients in them, so
+  [Pi, v_M] = 0, and the Leibniz rule with graded skew symmetry gives
+  [x^F v_M, Pi] = [x^F, Pi] ^ v_M;
+* [f, Pi] = -sum_b (Pi <-d_b) df/dx_b, which on f = x^F and
+  Pi <-d_b = sum_a A[a][b] x_a x_b d_a is
+  x^F sum_j lambda_j v_j with lambda_j = sum_i F_i A[i][j] (A is skew);
+* v_j ^ x^F v_M = s_j x^(E + e_j) d_(M + {j}) for j not in M, where s_j is
+  the sign of ``merge_indices((j,), M)``.
+
+So the differential maps the label (M, E) to
+
+    sum_{j not in M} s_j lambda_j (M + {j}, E + e_j),
+
+O(2n) entries per column with no bracket to evaluate.
+``build_bracket_complex`` and ``build_qi`` assemble their matrices from
+this formula; the Schouten bracket stays as the test oracle for it, and
+``conjugation_report`` compares it with the certified log-plus derivative.
+
+Block splitting: E + e_j - 1_(M + {j}) = F, so F is invariant, and the
+weight |E| - |M| equals |F|.  Each weight slice is thus a direct sum of
+blocks, one per F, and the block of F is the Koszul complex "wedge with
+lambda_F" on v_S ^ Lambda(v_j : j not in S), S = {i : F_i = -1}.  It is
+acyclic unless lambda_F vanishes off S, and then adds C(2n - |S|, k - |S|)
+in degree k (Eisenbud, Commutative Algebra, ch. 17).  The graded piece of
+I is the sum of the blocks with S = I, since S is the level set of the
+label.
 """
 
 from __future__ import annotations
@@ -49,7 +84,7 @@ from .exterior import (
     vector_monomial,
     wedge,
 )
-from .poisson import PoissonStructure, inverse_log_matrix, log_matrix, schouten
+from .poisson import PoissonStructure, inverse_log_matrix, log_matrix
 from .ring import LaurentPoly, VarSpec, add_product
 
 IndexSet = tuple[int, ...]
@@ -333,25 +368,68 @@ def build_logplus_complex(p: PoissonStructure, weight_cap: int) -> WeightSlicedC
     return cx
 
 
+def _koszul_images(p: PoissonStructure):
+    """Closed-form images of the bracket differential on labels (M, E).
+
+    The label (M, E) maps to sum_{j not in M} s_j lambda_j (M + {j}, E + e_j)
+    with F = E - 1_M, lambda_j = sum_i F_i A[i][j] and s_j the sign of
+    ``merge_indices((j,), M)``; the module docstring derives it.  lambda_F
+    is computed once per F, since all labels of one Koszul block share it.
+    Raises ValueError unless the log matrix A is constant.
+    """
+    a = log_matrix(p)
+    if not a.is_constant():
+        raise ValueError("the bracket differential needs a constant log matrix")
+    grid = a.constant_grid()
+    nv = p.var_spec.total_vars
+    lambdas: dict[tuple[int, ...], list[Fraction]] = {}
+
+    def images(lab: Label) -> list[tuple[Label, Fraction]]:
+        indices, exps = lab
+        f = list(exps)
+        for i in indices:
+            f[i - 1] -= 1
+        f = tuple(f)
+        lam = lambdas.get(f)
+        if lam is None:
+            lam = lambdas[f] = [
+                sum((f[i] * grid[i][j] for i in range(nv) if f[i]), Fraction(0))
+                for j in range(nv)
+            ]
+        out = []
+        for j in range(1, nv + 1):
+            c = lam[j - 1]
+            if not c:
+                continue
+            merged = merge_indices((j,), indices)
+            if merged is None:
+                continue
+            sign, key = merged
+            target = (key, exps[: j - 1] + (exps[j - 1] + 1,) + exps[j:])
+            out.append((target, c if sign > 0 else -c))
+        return out
+
+    return images
+
+
 def build_bracket_complex(p: PoissonStructure, weight_cap: int) -> WeightSlicedComplex:
     """Polynomial multivectors with the bracket-with-the-bivector
-    differential, on the basis x^E d_I (labels match the log-plus complex)."""
+    differential, on the basis x^E d_I (labels match the log-plus complex).
+
+    The columns come from the closed form of the module docstring; the
+    Schouten bracket itself is the test oracle for it.
+    """
     vs = p.var_spec
     if vs.divisor_vars != vs.total_vars:
         raise ValueError("bracket complex expects the invariant toric-type chart")
+    images = _koszul_images(p)
     nv = vs.total_vars
-    coord = coordinate_frame(vs)
     cx = WeightSlicedComplex("bracket", vs, (0, nv), weight_cap)
     for k in range(nv + 1):
         for w in range(-k, weight_cap + 1):
             labels = _plus_basis(vs, k, w)
             if labels:
                 cx.basis[(k, w)] = labels
-
-    def images(lab: Label):
-        indices, exps = lab
-        v = vector_monomial(coord, indices, LaurentPoly.monomial(vs, exps, 1))
-        return _flatten(schouten(v, p.bivector))
 
     for k in range(nv):
         for w in range(-k, weight_cap + 1):
@@ -367,7 +445,8 @@ def conjugation_report(p: PoissonStructure, weight_cap: int, max_degree: int) ->
     basis with the bracket matrices on the matching multivector basis.
 
     The two sides come from unrelated code paths (meromorphic derivative
-    plus certified coefficient extraction vs. the Schouten bracket).
+    plus certified coefficient extraction vs. the closed-form bracket
+    differential).
     """
     plus = build_logplus_complex(p, weight_cap)
     bracket = build_bracket_complex(p, weight_cap)
@@ -482,8 +561,9 @@ def build_qi(
 
     Monomial model: the slice at degree D, weight w is spanned by x^E d_M
     with I inside M, E vanishing exactly on I among the divisor indices of
-    M, and |E| = w + D.  The differential is the bracket with the bivector;
-    the builder fails loudly if any generator's bracket leaves the slice.
+    M, and |E| = w + D.  The differential is the bracket with the bivector,
+    in the closed form of the module docstring; the builder fails loudly if
+    any generator's image leaves the slice.
 
     ``top_degree`` truncates the construction (basis through that degree,
     differentials below it); cohomology is then available up to one degree
@@ -505,13 +585,11 @@ def build_qi(
             labels = _qi_basis(vs, iset, degree, w)
             if labels:
                 cx.basis[(degree, w)] = labels
-    coord = coordinate_frame(vs)
+    bracket_images = _koszul_images(p)
 
     def images(lab: Label):
-        indices, exps = lab
-        v = vector_monomial(coord, indices, LaurentPoly.monomial(vs, exps, 1))
         out = []
-        for lab2, c in _flatten(schouten(v, p.bivector)):
+        for lab2, c in bracket_images(lab):
             jdx, e2 = lab2
             if _level_set(vs, jdx, e2) != iset:
                 raise AssertionError(

@@ -123,10 +123,10 @@ class PoissonStructure:
 
     @classmethod
     def from_json(cls, doc: dict) -> "PoissonStructure":
-        vs = VarSpec(int(doc["dimension"]), int(doc["divisor_vars"]))
+        vs = VarSpec(_int_field(doc, "dimension"), _int_field(doc, "divisor_vars"))
         terms: dict[tuple[int, ...], LaurentPoly] = {}
         for item in doc["terms"]:
-            i, j = int(item["i"]), int(item["j"])
+            i, j = _int_field(item, "i"), _int_field(item, "j")
             coeff = poly_from_string(item["coeff"], vs)
             if i == j:
                 raise ValueError("bivector term with i == j")
@@ -147,6 +147,15 @@ class PoissonStructure:
                 for k, v in sorted(self.bivector.terms.items())
             ],
         }
+
+
+def _int_field(doc: dict, key: str) -> int:
+    """An integer field of an input document; floats and bools are refused,
+    not truncated."""
+    value = doc[key]
+    if type(value) is not int:
+        raise TypeError(f"{key!r} must be an integer, not {type(value).__name__}")
+    return value
 
 
 # -- Schouten bracket ---------------------------------------------------------

@@ -141,6 +141,28 @@ class TestInexactOrBrokenNumbers:
         path = self.write(files, "float_structure.json", doc)
         self.assert_input_error(["jacobi", "--structure", path], capsys, "string")
 
+    @pytest.mark.parametrize("size", [2.7, 2.0, True, "2"])
+    def test_non_integer_matrix_size_rejected(self, files, capsys, size):
+        doc = {"size": size, "entries": [["0", "1"], ["-1", "0"]]}
+        path = self.write(files, "bad_size_matrix.json", doc)
+        self.assert_input_error(["pfaffian", "--matrix", path], capsys, "'size' must be an integer")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("i", 1.9), ("j", 2.0), ("i", True), ("dimension", 4.0), ("divisor_vars", True)],
+    )
+    def test_non_integer_structure_field_rejected(self, files, capsys, field, value):
+        term = {"i": 1, "j": 2, "coeff": "x1*x2"}
+        doc = dict(TORIC_STRUCTURE, terms=[term])
+        if field in term:
+            term[field] = value
+        else:
+            doc[field] = value
+        path = self.write(files, "bad_field_structure.json", doc)
+        self.assert_input_error(
+            ["jacobi", "--structure", path], capsys, f"'{field}' must be an integer"
+        )
+
 
 class TestGenpos:
     def test_pass(self, files):
@@ -187,6 +209,30 @@ class TestVerifyExactness:
             "--I", "1", "--max-degree", "2", "--weight-cap", "0",
         ])
         assert code == 0
+
+    @pytest.mark.parametrize("iset, max_degree", [("1,2", "1"), ("1", "0"), ("1", "5"), ("1,2", "9")])
+    def test_max_degree_outside_range(self, files, capsys, iset, max_degree):
+        code = main([
+            "verify-exactness", "--structure", files["toric_structure"],
+            "--I", iset, "--max-degree", max_degree, "--weight-cap", "1",
+            "--out", files["out"],
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: max-degree must lie in") and err.count("\n") == 1
+        assert not Path(files["out"]).exists()
+
+    @pytest.mark.parametrize("max_degree", ["2", "4"])
+    def test_max_degree_at_range_ends(self, files, max_degree):
+        code = main([
+            "verify-exactness", "--structure", files["toric_structure"],
+            "--I", "1,2", "--max-degree", max_degree, "--weight-cap", "1",
+            "--out", files["out"],
+        ])
+        assert code in (0, 1)
+        doc = json.loads(Path(files["out"]).read_text())
+        assert doc["max_degree"] == int(max_degree)
+        assert doc["table"]
 
     def test_bad_index_set(self, files):
         assert main([

@@ -1,5 +1,9 @@
+import itertools
+import json
+import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +13,8 @@ from logsymplectic.complexes import (
     WeightSlicedComplex,
     _PlusMachine,
     _class_vector,
+    _flatten,
+    _monomials,
     build_bracket_complex,
     build_log_complex,
     build_logplus_complex,
@@ -33,8 +39,17 @@ from logsymplectic.exterior import (
     vector_monomial,
     wedge,
 )
-from logsymplectic.poisson import PoissonStructure, phi_forms, pi_sharp, schouten
+from logsymplectic.genpos import is_standard_t_general
+from logsymplectic.poisson import (
+    PoissonStructure,
+    log_matrix,
+    pfaffian,
+    phi_forms,
+    pi_sharp,
+    schouten,
+)
 from logsymplectic.ring import LaurentPoly, VarSpec, poly_from_string
+from logsymplectic.toric import random_2general_toric
 
 from conftest import EXPLICIT_GRID, toric_structure
 
@@ -374,3 +389,141 @@ class TestFiltration:
         assert all(len(g) <= 2 for g in gens)
         with pytest.raises(ValueError):
             FiltrationLevel(-1, VS)
+
+
+# -- the closed-form bracket differential ---------------------------------------
+
+FIXTURE_STRUCTURE = Path(__file__).resolve().parent.parent / "fixtures" / "toric_structure.json"
+
+
+def fractional_2general_structure(seed: int, size: int = 4) -> PoissonStructure:
+    """A nonsingular 2-general invariant structure whose log matrix has
+    non-integer Fraction entries."""
+    rng = random.Random(seed)
+    while True:
+        grid = [[Fraction(0)] * size for _ in range(size)]
+        for i in range(size):
+            for j in range(i + 1, size):
+                v = Fraction(rng.choice([-7, -5, -3, -2, -1, 1, 2, 3, 5, 7]), rng.randint(1, 4))
+                grid[i][j], grid[j][i] = v, -v
+        if pfaffian(grid) == 0 or all(c.denominator == 1 for row in grid for c in row):
+            continue
+        p = toric_structure(grid)
+        if is_standard_t_general(log_matrix(p), 2).verdict:
+            return p
+
+
+def assert_columns_match_schouten(cx, p) -> int:
+    """Every column of every stored differential equals the flattened
+    Schouten bracket of its source label with the bivector."""
+    vs = p.var_spec
+    coord = coordinate_frame(vs)
+    checked = 0
+    for (k, w), mat in cx.diffs.items():
+        target = cx.basis.get((k + 1, w), [])
+        columns: dict[int, dict] = {}
+        for r, row in enumerate(mat):
+            for c, val in row.items():
+                columns.setdefault(c, {})[target[r]] = val
+        for c, (indices, exps) in enumerate(cx.basis[(k, w)]):
+            v = vector_monomial(coord, indices, LaurentPoly.monomial(vs, exps, 1))
+            assert columns.get(c, {}) == dict(_flatten(schouten(v, p.bivector))), (indices, exps)
+            checked += 1
+    return checked
+
+
+def seeded_structures_2n4() -> list[PoissonStructure]:
+    return [
+        toric_structure(EXPLICIT_GRID),
+        *(random_2general_toric(random.Random(seed), 2).structure for seed in (1, 2, 3)),
+        fractional_2general_structure(11),
+    ]
+
+
+class TestClosedFormBracket:
+    def test_bracket_columns_match_schouten_2n4(self):
+        for p in seeded_structures_2n4():
+            assert assert_columns_match_schouten(build_bracket_complex(p, 2), p) > 0
+
+    def test_bracket_columns_match_schouten_2n6(self):
+        p = random_2general_toric(random.Random(3), 3).structure
+        assert assert_columns_match_schouten(build_bracket_complex(p, 0), p) == 8065
+
+    def test_qi_columns_match_schouten(self):
+        # at 2n = 4 the piece of (1, 2, 3, 4) has no differential, so that
+        # index set is checked at 2n = 6
+        for p in (toric_structure(EXPLICIT_GRID), fractional_2general_structure(11)):
+            for iset in [(1,), (1, 2)]:
+                assert assert_columns_match_schouten(build_qi(p, iset, 2).complex, p) > 0
+        p = random_2general_toric(random.Random(3), 3).structure
+        for iset in [(1,), (1, 2), (1, 2, 3, 4)]:
+            q = build_qi(p, iset, 1, component_max_degree=0)
+            assert assert_columns_match_schouten(q.complex, p) > 0
+
+    def test_nonconstant_log_matrix_rejected(self):
+        vs = VarSpec(4, 4)
+        terms = {
+            (1, 2): poly_from_string("x1*x2 + x1*x2*x3", vs),
+            (3, 4): poly_from_string("x3*x4", vs),
+        }
+        p = PoissonStructure(vs, MultiVector(coordinate_frame(vs), 2, terms))
+        with pytest.raises(ValueError, match="constant log matrix"):
+            build_bracket_complex(p, 1)
+
+
+def koszul_block_dims(p: PoissonStructure, weight_cap: int) -> dict[tuple[int, int], int]:
+    """(degree, weight) -> cohomology dimension counted block by block.
+
+    For each F >= -1 with |F| = w <= cap, S = {i : F_i = -1}; the block of F
+    is the Koszul complex of lambda_F = F.A on Lambda(S^c), which is acyclic
+    unless lambda_F vanishes on S^c and then adds C(2n - |S|, k - |S|) in
+    degree k.
+    """
+    grid = log_matrix(p).constant_grid()
+    nv = len(grid)
+    out: dict[tuple[int, int], int] = {}
+    for s_len in range(nv + 1):
+        for s in itertools.combinations(range(nv), s_len):
+            rest = [i for i in range(nv) if i not in s]
+            for w in range(-s_len, weight_cap + 1):
+                for g in _monomials(len(rest), w + s_len):
+                    f = [-1] * nv
+                    for pos, i in enumerate(rest):
+                        f[i] = g[pos]
+                    if any(sum(f[i] * grid[i][j] for i in range(nv)) for j in rest):
+                        continue
+                    for k in range(s_len, nv + 1):
+                        key = (k, w)
+                        out[key] = out.get(key, 0) + math.comb(nv - s_len, k - s_len)
+    return out
+
+
+def nonzero_cohomology(cx) -> dict[tuple[int, int], int]:
+    nv = cx.var_spec.total_vars
+    return {
+        (k, w): h
+        for k in range(nv + 1)
+        for w, h in cohomology_dims(cx, k).items()
+        if h
+    }
+
+
+class TestKoszulBlockCount:
+    def test_fixture_cap3(self):
+        p = PoissonStructure.from_json(json.loads(FIXTURE_STRUCTURE.read_text()))
+        predicted = koszul_block_dims(p, 3)
+        assert nonzero_cohomology(build_bracket_complex(p, 3)) == predicted
+        # F = 0 alone gives the weight-0 row 1, 4, 6, 4, 1; the resonant F
+        # of this matrix carry cohomology in 13 more slices
+        assert len(predicted) == 18
+        assert [predicted[(k, 0)] for k in range(3)] == [1, 4, 6]
+        assert any(w != 0 for (_k, w) in predicted)
+
+    def test_seeded_2n4_cap3(self):
+        # the first structure has the fixture's grid, checked above
+        for p in seeded_structures_2n4()[1:]:
+            assert nonzero_cohomology(build_bracket_complex(p, 3)) == koszul_block_dims(p, 3)
+
+    def test_seeded_2n6_cap1(self):
+        p = random_2general_toric(random.Random(3), 3).structure
+        assert nonzero_cohomology(build_bracket_complex(p, 1)) == koszul_block_dims(p, 1)
