@@ -3,24 +3,43 @@
 A pair of k x k matrices M, N is in relative t-general position when every
 t columns of the block matrix [M | N] admit t rows whose t x t minor is a
 unit of the local ring at the origin (nonzero constant term).  Evaluation
-at the origin is a ring homomorphism, so a minor of a pole-free matrix is a
-unit iff the same minor of the constant-term matrix [M(0) | N(0)] is
-nonzero: the test is one exact elimination of each column set of that
-rational matrix, which has rank t iff some t x t minor is nonzero.
+at the origin is a ring homomorphism of the local ring, so for pole-free
+entries a minor is a unit iff the same minor of the constant-term matrix
+[M(0) | N(0)] is nonzero.  Both routes below work on that rational matrix.
 
 Columns of [M | N] are numbered 1..2k, the first k coming from M.
 Verdicts come with re-checkable certificates: a witness row set per passing
 column set, and the list of failing column sets (lexicographic order)
-otherwise.  A witness is the set of pivot rows of the elimination, that is
-the greedy independent rows, which is the lexicographically first row set
-with a nonzero minor.  ``verify_certificate`` recomputes the claimed minors
-as polynomials, independently of the elimination.
+otherwise.
+
+*Verdict* (``is_relative_t_general``): exact elimination.  A column set
+passes iff its columns have rank t.  The column sets are walked in
+lexicographic order as a depth-first search over the tree of their
+prefixes, and each child extends its prefix's pivots by one column, so a
+shared prefix is eliminated once.  A column that reduces to zero against
+its prefix makes every completion of that prefix a failure, without further
+elimination.  A witness is the set of pivot rows, that is the greedy
+independent rows, which is the lexicographically first row set with a
+nonzero minor.
+
+*Check* (``verify_certificate``): minors.  It rejects entries with a pole or
+a foreign ``var_spec`` and shapes other than k x 2k, then recomputes each
+claimed minor of [M(0) | N(0)] by one memoized Laplace expansion, local to
+the call: every witness minor must be nonzero, and every minor of a failing
+column set zero.  The check shares no arithmetic with the verdict; in
+particular it never calls ``linalg``.  Deciding t = 2n by the same minors would be
+cheap for skew matrices (a column set S of A with identity columns T has
+minor +-det A[T^c, S]), but the check would then repeat the verdict's
+computation instead of confirming it, so the two routes stay apart at
+every t.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from . import linalg
 from .ring import LaurentPoly, VarSpec
@@ -58,13 +77,6 @@ def _as_rows(mat) -> list[list[LaurentPoly]]:
     return [list(row) for row in mat]
 
 
-def _poly_minor(rows: list[list[LaurentPoly]], row_idx, col_idx, vs: VarSpec) -> LaurentPoly:
-    from .exterior import poly_det
-
-    sub = [[rows[r][c] for c in col_idx] for r in row_idx]
-    return poly_det(sub, vs)
-
-
 def identity_rows(vs: VarSpec, k: int) -> list[list[LaurentPoly]]:
     """The k x k identity matrix as rows of constant polynomials."""
     one = LaurentPoly.const(vs, 1)
@@ -97,13 +109,29 @@ def is_relative_t_general(m, n, t: int) -> GenPosCertificate:
     ]
     witnesses: dict[tuple[int, ...], tuple[int, ...]] = {}
     failures: list[tuple[int, ...]] = []
-    for cols0 in itertools.combinations(range(2 * k), t):
-        cols = tuple(c + 1 for c in cols0)
-        pivots = linalg._eliminate(columns[c] for c in cols0)
-        if len(pivots) == t:
-            witnesses[cols] = tuple(sorted(r + 1 for r in pivots))
-        else:
-            failures.append(cols)
+
+    def label(cols0) -> tuple[int, ...]:
+        return tuple(c + 1 for c in cols0)
+
+    def grow(prefix: tuple[int, ...], pivots) -> None:
+        # the children of a prefix in lexicographic order, each leaving room
+        # for the columns that complete it to t
+        first = prefix[-1] + 1 if prefix else 0
+        for c in range(first, 2 * k - t + len(prefix) + 1):
+            cols0 = prefix + (c,)
+            grown = linalg._eliminate([columns[c]], start=pivots)
+            if len(grown) < len(cols0):
+                # column c depends on the prefix, in every completion too
+                failures.extend(
+                    label(cols0 + rest)
+                    for rest in itertools.combinations(range(c + 1, 2 * k), t - len(cols0))
+                )
+            elif len(cols0) < t:
+                grow(cols0, grown)
+            else:
+                witnesses[label(cols0)] = tuple(sorted(r + 1 for r in grown))
+
+    grow((), {})
     return GenPosCertificate(
         verdict=not failures,
         t=t,
@@ -126,14 +154,67 @@ def poisson_t_general(p: PoissonStructure, t: int) -> GenPosCertificate:
     return is_standard_t_general(log_matrix(p), t)
 
 
+def _laplace_minors(grid):
+    """``minor(rows, cols)``: the determinant of a rational grid restricted to
+    the given distinct rows and columns, each taken in increasing order.
+
+    One Laplace expansion along the first row computes every minor: an r x r
+    minor comes from the (r - 1) x (r - 1) minors of the remaining rows, and
+    each minor is memoized for the life of the returned function, so column
+    sets that share columns share work.  Each row is scaled by the common
+    denominator of its entries, so that the table holds integers; a minor is
+    its scaled value over the scales of its rows.
+    """
+    width = max((len(row) for row in grid), default=0)
+    scales = [math.lcm(*(Fraction(x).denominator for x in row)) for row in grid]
+    ints = [[int(x * s) for x in row] for row, s in zip(grid, scales)]
+    # row and column sets are bit masks; the key of a minor is rows << width | cols
+    table: dict[int, int] = {}
+
+    def scaled(rows: int, cols: int) -> int:
+        if not rows:
+            return 1
+        key = rows << width | cols
+        value = table.get(key)
+        if value is None:
+            head = ints[(rows & -rows).bit_length() - 1]
+            rest = rows & (rows - 1)
+            value, sign, left = 0, 1, cols
+            while left:
+                low = left & -left
+                c = low.bit_length() - 1
+                if head[c]:
+                    value += sign * head[c] * scaled(rest, cols ^ low)
+                sign, left = -sign, left ^ low
+            table[key] = value
+        return value
+
+    def minor(rows, cols) -> Fraction:
+        rows, cols = set(rows), set(cols)
+        if len(rows) != len(cols):
+            raise ValueError("a minor needs as many rows as columns")
+        value = scaled(sum(1 << r for r in rows), sum(1 << c for c in cols))
+        return Fraction(value, math.prod(scales[r] for r in rows))
+
+    return minor
+
+
 def verify_certificate(m, n, cert: GenPosCertificate) -> bool:
-    """Recompute every claim in a certificate: each witness must be t rows in
-    increasing order whose minor is a unit, failing column sets must admit no
-    unit minor at all, and together they must cover every column set."""
+    """Recompute every claim in a certificate, on minors of [M(0) | N(0)]
+    and independently of the elimination: each witness must be t rows in
+    increasing order whose minor is nonzero, failing column sets must have
+    no nonzero minor at all, and together they must cover every column set.
+    Entries with a pole or a foreign ``var_spec``, and M or N not k x k,
+    are rejected, because the constant-term test is sound only on the local
+    ring."""
     m_rows, n_rows = _as_rows(m), _as_rows(n)
     k = len(m_rows)
-    vs = m_rows[0][0].var_spec
+    if k == 0 or len(n_rows) != k or any(len(row) != k for row in m_rows + n_rows):
+        return False
     block = [m_rows[i] + n_rows[i] for i in range(k)]
+    vs = block[0][0].var_spec
+    if any(p.var_spec != vs or p.has_negative_exponents() for row in block for p in row):
+        return False
     if cert.column_count != 2 * k or not 1 <= cert.t <= k:
         return False
     expected = {
@@ -148,15 +229,12 @@ def verify_certificate(m, n, cert: GenPosCertificate) -> bool:
         or any(tuple(rows) not in row_sets for rows in cert.witnesses.values())
     ):
         return False
+    minor = _laplace_minors([[p.constant_term() for p in row] for row in block])
     for cols, rows in cert.witnesses.items():
-        minor = _poly_minor(
-            block, [r - 1 for r in rows], [c - 1 for c in cols], vs
-        )
-        if minor.constant_term() == 0:
+        if minor([r - 1 for r in rows], [c - 1 for c in cols]) == 0:
             return False
     for cols in cert.failures:
         for row_idx in itertools.combinations(range(k), cert.t):
-            minor = _poly_minor(block, row_idx, [c - 1 for c in cols], vs)
-            if minor.constant_term() != 0:
+            if minor(row_idx, [c - 1 for c in cols]) != 0:
                 return False
     return True

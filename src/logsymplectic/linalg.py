@@ -48,7 +48,9 @@ def _add_multiple(row: Row, f: Fraction, other: Row) -> None:
                 del row[c]
 
 
-def _eliminate(rows: Iterable, column_order=None, reduced: bool = False) -> dict[int, Row]:
+def _eliminate(
+    rows: Iterable, column_order=None, reduced: bool = False, start: dict[int, Row] | None = None
+) -> dict[int, Row]:
     """Exact Gaussian elimination of ``rows``; returns the pivots.
 
     Only the columns in ``column_order`` (default: every column, in
@@ -60,10 +62,16 @@ def _eliminate(rows: Iterable, column_order=None, reduced: bool = False) -> dict
 
     With ``reduced`` each new pivot is also cleared from the older pivot
     rows, so every pivot row is zero in all other pivot columns.
+
+    ``start``, the pivots of an earlier call with the same ``column_order``,
+    continues that elimination: the result is a new dict that begins with
+    them, as if their rows had come first.  Without ``reduced`` the rows of
+    ``start`` are shared but never changed, so one ``start`` can be extended
+    in several ways; ``reduced`` changes them in place.
     """
     pos = None if column_order is None else {c: i for i, c in enumerate(column_order)}
     key = None if pos is None else pos.__getitem__
-    pivots: dict[int, Row] = {}
+    pivots: dict[int, Row] = dict(start) if start else {}
     for row in rows:
         row = _sparse(row)
         while hits := [c for c in row if c in pivots]:

@@ -3,8 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logsymplectic import linalg
+from logsymplectic.exterior import poly_det
 from logsymplectic.genpos import (
     GenPosCertificate,
     identity_rows,
@@ -12,7 +15,7 @@ from logsymplectic.genpos import (
     is_standard_t_general,
     poisson_t_general,
     verify_certificate,
-    _poly_minor,
+    _laplace_minors,
 )
 from logsymplectic.poisson import log_matrix
 from logsymplectic.ring import LaurentPoly, VarSpec, poly_from_string
@@ -54,11 +57,37 @@ def lex_scan_oracle(m_rows, n_rows, t):
     for cols in itertools.combinations(range(2 * k), t):
         label = tuple(c + 1 for c in cols)
         for rows in itertools.combinations(range(k), t):
-            if _poly_minor(block, rows, cols, vs).constant_term() != 0:
+            sub = [[block[r][c] for c in cols] for r in rows]
+            if poly_det(sub, vs).constant_term() != 0:
                 witnesses[label] = tuple(r + 1 for r in rows)
                 break
         else:
             failures.append(label)
+    return GenPosCertificate(
+        verdict=not failures,
+        t=t,
+        column_count=2 * k,
+        witnesses=witnesses,
+        failures=tuple(failures),
+    )
+
+
+def from_scratch_reference(m_rows, n_rows, t):
+    """The verdict without shared prefixes: one ``_eliminate`` of every
+    column set of [M(0) | N(0)] from scratch, in lexicographic order."""
+    k = len(m_rows)
+    block = [m_rows[i] + n_rows[i] for i in range(k)]
+    columns = [
+        {r: row[j].constant_term() for r, row in enumerate(block)} for j in range(2 * k)
+    ]
+    witnesses, failures = {}, []
+    for cols0 in itertools.combinations(range(2 * k), t):
+        cols = tuple(c + 1 for c in cols0)
+        pivots = linalg._eliminate(columns[c] for c in cols0)
+        if len(pivots) == t:
+            witnesses[cols] = tuple(sorted(r + 1 for r in pivots))
+        else:
+            failures.append(cols)
     return GenPosCertificate(
         verdict=not failures,
         t=t,
@@ -317,6 +346,53 @@ class TestCertificates:
         )
         assert not verify_certificate(rows, ident, bad)
 
+    def test_pole_rejected(self):
+        # the minor x1^-1 * x1 of columns (1, 2) has constant term 1, but
+        # x1^-1 is no element of the local ring
+        m_rows = poly_rows([["x1^-1", "0"], ["0", "x1"]], VS2)
+        ident = identity_rows(VS2, 2)
+        with pytest.raises(ValueError):
+            is_relative_t_general(m_rows, ident, 2)
+        forged = GenPosCertificate(
+            verdict=False,
+            t=2,
+            column_count=4,
+            witnesses={(1, 2): (1, 2), (3, 4): (1, 2)},
+            failures=((1, 3), (1, 4), (2, 3), (2, 4)),
+        )
+        assert verify_certificate(m_rows, ident, forged) is False
+
+    def test_pole_beside_a_unit_rejected(self):
+        # M(0) is the identity, so the constant terms alone would pass
+        m_rows = poly_rows([["1+x1^-1", "0"], ["0", "1"]], VS2)
+        ident = identity_rows(VS2, 2)
+        cert = is_relative_t_general(ident, ident, 2)
+        assert verify_certificate(ident, ident, cert)
+        assert verify_certificate(m_rows, ident, cert) is False
+
+    def test_mixed_var_specs_rejected(self):
+        rows = const_rows(TWO_BY_TWO, VS2)
+        cert = is_relative_t_general(rows, identity_rows(VS2, 2), 2)
+        foreign = identity_rows(VarSpec(2, 1), 2)
+        assert verify_certificate(rows, foreign, cert) is False
+
+    @pytest.mark.parametrize(
+        "shape",
+        ["n_missing_row", "n_short_rows", "m_long_row", "empty"],
+    )
+    def test_not_square_rejected(self, shape):
+        rows = const_rows(TWO_BY_TWO, VS2)
+        ident = identity_rows(VS2, 2)
+        cert = is_relative_t_general(rows, ident, 2)
+        zero = LaurentPoly.zero(VS2)
+        m_rows, n_rows = {
+            "n_missing_row": (rows, ident[:1]),
+            "n_short_rows": (rows, [row[:1] for row in ident]),
+            "m_long_row": ([rows[0] + [zero], rows[1]], ident),
+            "empty": ([], []),
+        }[shape]
+        assert verify_certificate(m_rows, n_rows, cert) is False
+
     def test_serialize_shape(self):
         cert = is_standard_t_general(const_rows(EXPLICIT_GRID), 2)
         doc = cert.serialize()
@@ -329,7 +405,8 @@ class TestCertificates:
 
 class TestLexScanEquality:
     """The elimination route writes the same certificates as the polynomial
-    lexicographic scan of row sets."""
+    lexicographic scan of row sets, and its walk over shared prefixes the
+    same as eliminating every column set from scratch."""
 
     def test_random_local_pairs(self, rng):
         vs = VarSpec(4, 2)
@@ -341,6 +418,8 @@ class TestLexScanEquality:
                 cert = is_relative_t_general(m_rows, n_rows, t)
                 oracle = lex_scan_oracle(m_rows, n_rows, t)
                 assert cert.serialize() == oracle.serialize()
+                reference = from_scratch_reference(m_rows, n_rows, t)
+                assert cert.serialize() == reference.serialize()
 
     def test_toric_full_t(self):
         grid = random_skew_grid(random.Random(6), 6)
@@ -350,3 +429,100 @@ class TestLexScanEquality:
         assert cert.failures
         oracle = lex_scan_oracle([list(row) for row in a.rows], ident, 6)
         assert cert.serialize() == oracle.serialize()
+
+
+def toric_rows(size, seed):
+    """The log matrix of a seeded invariant structure, with the identity."""
+    a = log_matrix(toric_structure(random_skew_grid(random.Random(seed), size)))
+    return [list(row) for row in a.rows], identity_rows(a.rows[0][0].var_spec, size)
+
+
+class TestPrefixSharedWalk:
+    """At 2n = 8, where the polynomial scan is too slow, the walk is checked
+    against eliminating every column set from scratch."""
+
+    @pytest.mark.parametrize("t", [3, 8])
+    def test_toric_2n8(self, t):
+        m_rows, ident = toric_rows(8, 11)
+        cert = is_relative_t_general(m_rows, ident, t)
+        assert cert.serialize() == from_scratch_reference(m_rows, ident, t).serialize()
+        assert verify_certificate(m_rows, ident, cert)
+
+
+class TestSkewTopT:
+    """t = 2n for a skew A: the column set S of A with the identity columns T
+    has minor +-det A[T^c, S], so the failures are the zero square minors."""
+
+    @pytest.mark.parametrize("size, seed", [(4, 3), (6, 4), (8, 5)])
+    def test_diagonal_sets_fail(self, size, seed):
+        m_rows, ident = toric_rows(size, seed)
+        cert = is_relative_t_general(m_rows, ident, size)
+        assert not cert.verdict
+        for i in range(1, size + 1):
+            # column i of A with e_j for j != i: the minor is +-A_ii = 0
+            cols = tuple(sorted({i} | {size + j for j in range(1, size + 1) if j != i}))
+            assert cols in cert.failures
+
+    @pytest.mark.parametrize("size, seed", [(4, 3), (6, 4), (6, 9)])
+    def test_failures_are_zero_minors(self, size, seed):
+        grid = random_skew_grid(random.Random(seed), size)
+        m_rows, ident = toric_rows(size, seed)
+        cert = is_relative_t_general(m_rows, ident, size)
+        zero_minors = sum(
+            linalg.det([[grid[r][c] for c in cols] for r in rows]) == 0
+            for s in range(1, size + 1)
+            for rows in itertools.combinations(range(size), s)
+            for cols in itertools.combinations(range(size), s)
+        )
+        assert len(cert.failures) == zero_minors
+
+
+# small rationals with zero drawn often, so that singular minors are common
+ENTRY = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)),
+)
+
+
+class TestLaplaceMinors:
+    """The certificate check's minors agree with the elimination kernel and
+    with polynomial cofactor expansion, and the check never eliminates."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 6), st.data())
+    def test_matches_det(self, nrows, ncols, data):
+        grid = data.draw(
+            st.lists(st.lists(ENTRY, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows)
+        )
+        size = data.draw(st.integers(0, min(nrows, ncols)))
+        rows = data.draw(st.lists(st.integers(0, nrows - 1), min_size=size, max_size=size, unique=True))
+        cols = data.draw(st.lists(st.integers(0, ncols - 1), min_size=size, max_size=size, unique=True))
+        rows, cols = sorted(rows), sorted(cols)
+        minor = _laplace_minors(grid)
+        assert minor(rows, cols) == linalg.det([[grid[r][c] for c in cols] for r in rows])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4), st.randoms(use_true_random=False))
+    def test_matches_constant_term_of_poly_det(self, k, rnd):
+        vs = VarSpec(4, 2)
+        rows = random_local_rows(rnd, vs, k)
+        grid = [[p.constant_term() for p in row] for row in rows]
+        assert _laplace_minors(grid)(range(k), range(k)) == poly_det(rows, vs).constant_term()
+
+    def test_unequal_sizes_rejected(self):
+        with pytest.raises(ValueError):
+            _laplace_minors([[1, 2], [3, 4]])([0], [0, 1])
+
+    def test_check_never_eliminates(self, monkeypatch):
+        cases = [(*toric_rows(6, 4), t) for t in (2, 6)]
+        cases.append((*toric_rows(4, 3), 3))
+        certs = [is_relative_t_general(m, n, t) for m, n, t in cases]
+
+        def no_elimination(*args, **kwargs):
+            raise AssertionError("verify_certificate eliminated")
+
+        monkeypatch.setattr(linalg, "_eliminate", no_elimination)
+        with pytest.raises(AssertionError):
+            is_relative_t_general(*cases[0])
+        for (m, n, _), cert in zip(cases, certs):
+            assert verify_certificate(m, n, cert)

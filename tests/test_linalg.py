@@ -170,3 +170,15 @@ class TestKernelProperties:
         assert linalg.is_zero_matrix(linalg.mat_mul(a, b)) == all(
             v == 0 for row in dense for v in row
         )
+
+    @settings(max_examples=150, deadline=None)
+    @given(matrices(min_rows=1), st.data())
+    def test_start_continues_an_elimination(self, a, data):
+        split = data.draw(st.integers(0, len(a)))
+        prefix = linalg._eliminate(a[:split])
+        frozen = {c: dict(row) for c, row in prefix.items()}
+        continued = linalg._eliminate(a[split:], start=prefix)
+        assert continued == linalg._eliminate(a)
+        assert list(continued) == list(linalg._eliminate(a))
+        # without reduction the rows of start are shared and left unchanged
+        assert prefix == frozen
