@@ -109,7 +109,6 @@ class WeightSlicedComplex:
     weight_cap: int
     basis: dict[tuple[int, int], list[Label]] = field(default_factory=dict)
     diffs: dict[tuple[int, int], list[linalg.Row]] = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
 
     def slice_dim(self, degree: int, weight: int) -> int:
         return len(self.basis.get((degree, weight), []))
@@ -160,6 +159,26 @@ def _assemble_matrix(source: list[Label], target: list[Label], images) -> list[l
     return mat
 
 
+def _fill_slices(cx: WeightSlicedComplex, basis, images) -> WeightSlicedComplex:
+    """Fill ``cx.basis`` from ``basis(degree, weight) -> sorted labels`` over
+    its degree range and weights -degree..cap (no label weighs less than
+    minus its degree), then ``cx.diffs`` from ``images`` below the top."""
+    if cx.weight_cap < 0:
+        raise ValueError("weight_cap must be >= 0")
+    lo, top = cx.degree_range
+    for degree in range(lo, top + 1):
+        for w in range(-degree, cx.weight_cap + 1):
+            labels = basis(degree, w)
+            if labels:
+                cx.basis[(degree, w)] = labels
+    for (degree, w), src in cx.basis.items():
+        if degree < top:
+            cx.diffs[(degree, w)] = _assemble_matrix(
+                src, cx.basis.get((degree + 1, w), []), images
+            )
+    return cx
+
+
 def _flatten(element) -> list[tuple[Label, Fraction]]:
     out = []
     for indices, poly in element.terms.items():
@@ -177,19 +196,14 @@ def build_log_complex(vs: VarSpec, weight_cap: int) -> WeightSlicedComplex:
     Labels (I, E) stand for x^E eta_I; eta_i over a divisor index has
     weight 0, the remaining dx_i weight 1.
     """
-    if weight_cap < 0:
-        raise ValueError("weight_cap must be >= 0")
     nv, m = vs.total_vars, vs.divisor_vars
-    cx = WeightSlicedComplex("log", vs, (0, nv), weight_cap)
-    for k in range(nv + 1):
-        for w in range(weight_cap + 1):
-            labels: list[Label] = []
-            for indices in itertools.combinations(range(1, nv + 1), k):
-                frame_wt = sum(1 for i in indices if i > m)
-                for exps in _monomials(nv, w - frame_wt):
-                    labels.append((indices, exps))
-            if labels:
-                cx.basis[(k, w)] = sorted(labels)
+
+    def basis(k: int, w: int) -> list[Label]:
+        return sorted(
+            (indices, exps)
+            for indices in itertools.combinations(range(1, nv + 1), k)
+            for exps in _monomials(nv, w - sum(1 for i in indices if i > m))
+        )
 
     def images(lab: Label):
         indices, exps = lab
@@ -206,13 +220,7 @@ def build_log_complex(vs: VarSpec, weight_cap: int) -> WeightSlicedComplex:
             new_exps = exps if t <= m else exps[: t - 1] + (e - 1,) + exps[t:]
             yield (key, new_exps), Fraction(sign * e)
 
-    for k in range(nv):
-        for w in range(weight_cap + 1):
-            src = cx.basis.get((k, w))
-            if not src:
-                continue
-            cx.diffs[(k, w)] = _assemble_matrix(src, cx.basis.get((k + 1, w), []), images)
-    return cx
+    return _fill_slices(WeightSlicedComplex("log", vs, (0, nv), weight_cap), basis, images)
 
 
 # -- shared machinery for the log-plus side -----------------------------------
@@ -332,40 +340,22 @@ def build_logplus_complex(p: PoissonStructure, weight_cap: int) -> WeightSlicedC
     """
     machine = _PlusMachine(p)
     vs = p.var_spec
-    nv = vs.total_vars
-    cx = WeightSlicedComplex("logplus", vs, (0, nv), weight_cap)
-    for k in range(nv + 1):
-        for w in range(-k, weight_cap + 1):
-            labels = _plus_basis(vs, k, w)
-            if labels:
-                cx.basis[(k, w)] = labels
 
-    def images_for(k: int):
-        def images(lab: Label):
-            indices, exps = lab
-            omega = machine.phi_wedge(indices).scale(LaurentPoly.monomial(vs, exps, 1))
-            domega = exterior_derivative(omega)
-            rho = machine.sharp_form(domega)
-            coords = _flatten(rho)
-            for (_jdx, e2), _c in coords:
-                if any(e < 0 for e in e2):
-                    raise AssertionError("derivative left the polynomial log-plus span")
-            if machine.reconstruct_from_phi(coords, k + 1) != domega:
-                raise AssertionError("phi-coefficient extraction failed to certify")
-            return coords
+    def images(lab: Label):
+        indices, exps = lab
+        omega = machine.phi_wedge(indices).scale(LaurentPoly.monomial(vs, exps, 1))
+        domega = exterior_derivative(omega)
+        rho = machine.sharp_form(domega)
+        coords = _flatten(rho)
+        for (_jdx, e2), _c in coords:
+            if any(e < 0 for e in e2):
+                raise AssertionError("derivative left the polynomial log-plus span")
+        if machine.reconstruct_from_phi(coords, len(indices) + 1) != domega:
+            raise AssertionError("phi-coefficient extraction failed to certify")
+        return coords
 
-        return images
-
-    for k in range(nv):
-        for w in range(-k, weight_cap + 1):
-            src = cx.basis.get((k, w))
-            if not src:
-                continue
-            cx.diffs[(k, w)] = _assemble_matrix(
-                src, cx.basis.get((k + 1, w), []), images_for(k)
-            )
-    cx.meta["structure"] = p.to_json()
-    return cx
+    cx = WeightSlicedComplex("logplus", vs, (0, vs.total_vars), weight_cap)
+    return _fill_slices(cx, lambda k, w: _plus_basis(vs, k, w), images)
 
 
 def _koszul_images(p: PoissonStructure):
@@ -423,21 +413,8 @@ def build_bracket_complex(p: PoissonStructure, weight_cap: int) -> WeightSlicedC
     if vs.divisor_vars != vs.total_vars:
         raise ValueError("bracket complex expects the invariant toric-type chart")
     images = _koszul_images(p)
-    nv = vs.total_vars
-    cx = WeightSlicedComplex("bracket", vs, (0, nv), weight_cap)
-    for k in range(nv + 1):
-        for w in range(-k, weight_cap + 1):
-            labels = _plus_basis(vs, k, w)
-            if labels:
-                cx.basis[(k, w)] = labels
-
-    for k in range(nv):
-        for w in range(-k, weight_cap + 1):
-            src = cx.basis.get((k, w))
-            if not src:
-                continue
-            cx.diffs[(k, w)] = _assemble_matrix(src, cx.basis.get((k + 1, w), []), images)
-    return cx
+    cx = WeightSlicedComplex("bracket", vs, (0, vs.total_vars), weight_cap)
+    return _fill_slices(cx, lambda k, w: _plus_basis(vs, k, w), images)
 
 
 def conjugation_report(p: PoissonStructure, weight_cap: int, max_degree: int) -> dict:
@@ -480,25 +457,33 @@ def _level_set(vs: VarSpec, indices: IndexSet, exps: tuple[int, ...]) -> tuple[i
     return tuple(i for i in indices if vs.is_divisor_index(i) and exps[i - 1] == 0)
 
 
-def _qi_basis(vs: VarSpec, iset: IndexSet, degree: int, w: int) -> list[Label]:
-    nv = vs.total_vars
+def _class_labels(nv: int, iset: IndexSet, degree: int, w: int):
+    """Labels (K, E) of the classes phi_I ^ x^E eta_K at (degree, w) of the
+    piece of I: |K| = degree - |I|, E vanishes on I and |E| = w + |I|."""
     k = degree - len(iset)
-    if k < 0 or degree > nv:
-        return []
+    if k < 0:
+        return
     rest = [i for i in range(1, nv + 1) if i not in iset]
-    ftot = w + len(iset)
-    if ftot < 0:
-        return []
-    labels = []
-    for kp in itertools.combinations(rest, k):
-        mset = tuple(sorted(iset + kp))
-        for fexp in _monomials(len(rest), ftot):
+    fexps = _monomials(len(rest), w + len(iset))
+    for kset in itertools.combinations(range(1, nv + 1), k):
+        for fexp in fexps:
             exps = [0] * nv
             for pos, var in enumerate(rest):
                 exps[var - 1] = fexp[pos]
-            for var in kp:
-                exps[var - 1] += 1
-            labels.append((mset, tuple(exps)))
+            yield kset, tuple(exps)
+
+
+def _qi_basis(vs: VarSpec, iset: IndexSet, degree: int, w: int) -> list[Label]:
+    """Monomial model of the slice: x^(E + 1_K) d_(I + K) for the class
+    labels (K, E) with K disjoint from I."""
+    labels = []
+    for kset, exps in _class_labels(vs.total_vars, iset, degree, w):
+        if any(i in iset for i in kset):
+            continue
+        e = list(exps)
+        for var in kset:
+            e[var - 1] += 1
+        labels.append((tuple(sorted(iset + kset)), tuple(e)))
     return sorted(labels)
 
 
@@ -507,54 +492,43 @@ class GradedPieceQI:
     """One graded piece of the filtration, in degrees >= |I|.
 
     ``complex`` is the weight-sliced subquotient in its monomial model;
-    ``dphi_signs`` records the computed constants c_i in
-    d(phi_I) = sum_{i in I} c_i eta_i ^ phi_I; ``components`` reports, per
-    (degree, weight), the spans of the classes labelled by the divisor
-    differentials they carry, together with the twisted-differential shape
-    check.
+    ``dphi_signs`` records the constants c_i of
+    d(phi_I) = sum_{i in I} c_i eta_i ^ phi_I, all -1 since
+    phi_i = x_i^-1 theta_i with theta_i closed (checked exactly by
+    ``_dphi_signs``).  The per-slice class span report is a separate call,
+    ``_qi_components``, on a built piece.
     """
 
     index_set: IndexSet
     complex: WeightSlicedComplex
     dphi_signs: dict[int, Fraction]
-    components: dict = field(default_factory=dict)
 
 
 def _dphi_signs(machine: _PlusMachine, iset: IndexSet) -> dict[int, Fraction]:
-    """Solve d(phi_I) = sum_{i in I} c_i eta_i ^ phi_I for exact constants,
-    from honest coordinate expansions.
+    """Check d(phi_I) = -sum_{i in I} eta_i ^ phi_I exactly, on honest
+    coordinate expansions, and return the signs {i: -1}.
 
-    The uniform candidate c_i = -1 is verified first (it keeps the recorded
-    signs canonical when the candidate forms are linearly dependent and the
-    solution is not unique); a general exact solve is the fallback.
+    On the models ``_PlusMachine`` accepts, phi_i = x_i^-1 theta_i with
+    theta_i a closed log 1-form with constant coefficients, so
+    d(phi_i) = -eta_i ^ phi_i; in the Leibniz expansion of d(phi_I), moving
+    eta_i to the front cancels the Leibniz sign.  Raises AssertionError if
+    the expansions disagree.
     """
     if not iset:
         return {}
     phi_i = machine.phi_wedge(iset)
-    lhs = exterior_derivative(phi_i)
-    candidates = [wedge(machine.eta_coord[i - 1], phi_i) for i in iset]
-    uniform = DiffForm(machine.coord, len(iset) + 1, {})
-    for cand in candidates:
-        uniform = uniform + cand.scale(Fraction(-1))
-    if uniform == lhs:
-        return {i: Fraction(-1) for i in iset}
-    keys = sorted({lab for form in [lhs, *candidates] for lab, _ in _flatten(form)})
-    key_index = {lab: r for r, lab in enumerate(keys)}
-
-    def as_vector(form) -> linalg.Row:
-        return {key_index[lab]: c for lab, c in _flatten(form)}
-
-    sol = linalg.solve_columns([as_vector(c) for c in candidates], as_vector(lhs))
-    if sol is None:
-        raise AssertionError("d(phi_I) is not a combination of eta_i ^ phi_I")
-    return {i: sol[pos] for pos, i in enumerate(iset)}
+    expected = DiffForm(machine.coord, len(iset) + 1, {})
+    for i in iset:
+        expected = expected - wedge(machine.eta_coord[i - 1], phi_i)
+    if exterior_derivative(phi_i) != expected:
+        raise AssertionError("d(phi_I) is not -sum_{i in I} eta_i ^ phi_I")
+    return {i: Fraction(-1) for i in iset}
 
 
 def build_qi(
     p: PoissonStructure,
     index_set,
     weight_cap: int,
-    component_max_degree: int | None = None,
     top_degree: int | None = None,
 ) -> GradedPieceQI:
     """Graded piece of the filtration for a set of divisor indices.
@@ -563,7 +537,9 @@ def build_qi(
     with I inside M, E vanishing exactly on I among the divisor indices of
     M, and |E| = w + D.  The differential is the bracket with the bivector,
     in the closed form of the module docstring; the builder fails loudly if
-    any generator's image leaves the slice.
+    any generator's image leaves the slice.  The signs of d(phi_I) are
+    checked (``_dphi_signs``); the class span report is not built here
+    (``_qi_components``).
 
     ``top_degree`` truncates the construction (basis through that degree,
     differentials below it); cohomology is then available up to one degree
@@ -577,14 +553,7 @@ def build_qi(
         raise ValueError("index set has repeats")
     machine = _PlusMachine(p)
     nv = vs.total_vars
-    i_len = len(iset)
     top = nv if top_degree is None else min(top_degree, nv)
-    cx = WeightSlicedComplex(f"Q{list(iset)}", vs, (i_len, top), weight_cap)
-    for degree in range(i_len, top + 1):
-        for w in range(-i_len, weight_cap + 1):
-            labels = _qi_basis(vs, iset, degree, w)
-            if labels:
-                cx.basis[(degree, w)] = labels
     bracket_images = _koszul_images(p)
 
     def images(lab: Label):
@@ -598,30 +567,19 @@ def build_qi(
             out.append((lab2, c))
         return out
 
-    for degree in range(i_len, top):
-        for w in range(-i_len, weight_cap + 1):
-            src = cx.basis.get((degree, w))
-            if not src:
-                continue
-            cx.diffs[(degree, w)] = _assemble_matrix(
-                src, cx.basis.get((degree + 1, w), []), images
-            )
-
-    signs = _dphi_signs(machine, iset)
-    if component_max_degree is None:
-        component_max_degree = min(top, i_len + 2)
-    components = _qi_components(machine, iset, cx, weight_cap, component_max_degree, signs)
-    return GradedPieceQI(iset, cx, signs, components)
+    cx = WeightSlicedComplex(f"Q{list(iset)}", vs, (len(iset), top), weight_cap)
+    cx = _fill_slices(cx, lambda degree, w: _qi_basis(vs, iset, degree, w), images)
+    return GradedPieceQI(iset, cx, _dphi_signs(machine, iset))
 
 
-def _class_vector(machine: _PlusMachine, iset, kset, exps, slice_labels) -> linalg.Row:
-    """Sparse coordinates, in the monomial slice basis, of the class of
-    phi_I ^ x^E eta_K (through the sharp identification)."""
+def _class_vector(machine: _PlusMachine, iset, kset, exps, index) -> linalg.Row:
+    """Sparse coordinates, in the monomial slice basis with label positions
+    ``index``, of the class of phi_I ^ x^E eta_K (through the sharp
+    identification)."""
     vs = machine.vs
     base = vector_monomial(machine.coord, iset, LaurentPoly.monomial(vs, exps, 1))
     for t in kset:
         base = base.wedge(machine.sharp_eta(t))
-    index = {lab: i for i, lab in enumerate(slice_labels)}
     vec: linalg.Row = {}
     for lab, c in _flatten(base):
         jdx, e2 = lab
@@ -631,32 +589,23 @@ def _class_vector(machine: _PlusMachine, iset, kset, exps, slice_labels) -> lina
     return vec
 
 
-def _qi_components(machine, iset, cx, weight_cap, max_degree, signs) -> dict:
-    """Per-slice report: spans of the eta-labelled classes grouped by their
-    divisor-differential label, plus the twisted-differential shape check."""
-    vs = machine.vs
-    nv = vs.total_vars
-    rest = [i for i in range(1, nv + 1) if i not in iset]
-    i_len = len(iset)
+def _qi_components(p: PoissonStructure, piece: GradedPieceQI, max_degree: int) -> dict:
+    """Per-slice report on a built piece, through ``max_degree``: spans of
+    the eta-labelled classes grouped by their divisor-differential label,
+    plus the twisted-differential shape check."""
+    machine = _PlusMachine(p)
+    iset, cx = piece.index_set, piece.complex
+    nv = machine.vs.total_vars
     report: dict = {}
-    for degree in range(i_len, min(max_degree, nv) + 1):
-        k = degree - i_len
+    for degree in range(len(iset), min(max_degree, nv) + 1):
         for w in cx.weights_at(degree):
-            if w > weight_cap:
-                continue
             labels = cx.basis[(degree, w)]
-            ftot = w + i_len
-            if ftot < 0:
-                continue
+            index = {lab: i for i, lab in enumerate(labels)}
             class_rows: list[tuple[tuple, linalg.Row]] = []
-            for kset in itertools.combinations(range(1, nv + 1), k):
+            for kset, exps in _class_labels(nv, iset, degree, w):
                 jpart = tuple(i for i in kset if i in iset)
-                for fexp in _monomials(len(rest), ftot):
-                    exps = [0] * nv
-                    for pos, var in enumerate(rest):
-                        exps[var - 1] = fexp[pos]
-                    vec = _class_vector(machine, iset, kset, tuple(exps), labels)
-                    class_rows.append(((jpart, kset, tuple(exps)), vec))
+                vec = _class_vector(machine, iset, kset, exps, index)
+                class_rows.append(((jpart, kset, exps), vec))
             all_vecs = [vec for _, vec in class_rows]
             span_dim = linalg.rank(all_vecs) if all_vecs else 0
             per_j: dict[tuple, int] = {}
@@ -671,7 +620,7 @@ def _qi_components(machine, iset, cx, weight_cap, max_degree, signs) -> dict:
                 "label_rank_sum": sum(per_j.values()),
                 "direct": sum(per_j.values()) == span_dim,
                 "twisted_shape_verified": _twisted_shape_check(
-                    machine, iset, cx, degree, w, signs
+                    machine, iset, cx, degree, w, piece.dphi_signs
                 ),
             }
     return report
@@ -683,47 +632,40 @@ def _twisted_shape_check(machine, iset, cx, degree, w, signs) -> bool:
     with the computed signs: the differential of a lifted representative,
     projected back, has the predicted two-component shape."""
     vs = machine.vs
-    nv = vs.total_vars
     i_len = len(iset)
     k = degree - i_len
     labels = cx.basis.get((degree, w), [])
     dmat = cx.diffs.get((degree, w))
     if not labels or dmat is None:
         return True
-    target = cx.basis.get((degree + 1, w), [])
+    index = {lab: i for i, lab in enumerate(labels)}
+    target = {lab: i for i, lab in enumerate(cx.basis.get((degree + 1, w), []))}
     lg = log_frame(vs)
-    rest = [i for i in range(1, nv + 1) if i not in iset]
-    ftot = w + i_len
     sign_i = Fraction(-1) if i_len % 2 else Fraction(1)
-    for kset in itertools.combinations(range(1, nv + 1), k):
-        for fexp in _monomials(len(rest), ftot):
-            exps = [0] * nv
-            for pos, var in enumerate(rest):
-                exps[var - 1] = fexp[pos]
-            exps = tuple(exps)
-            psi = DiffForm(lg, k, {kset: LaurentPoly.monomial(vs, exps, 1)})
-            chi = exterior_derivative(psi)
-            for i in iset:
-                chi = chi + wedge(log_one_form(vs, i), psi).scale(signs[i])
-            chi = chi.scale(sign_i)
-            for poly in chi.terms.values():
-                for e2 in poly.terms:
-                    if any(e2[r - 1] != 0 for r in iset):
-                        return False
-            chi_vec: linalg.Row = {}
-            for cidx, cpoly in chi.terms.items():
-                for e2, c2 in cpoly.terms.items():
-                    vec = _class_vector(machine, iset, cidx, e2, target)
-                    for r, b in vec.items():
-                        chi_vec[r] = chi_vec.get(r, 0) + c2 * b
-            psi_vec = _class_vector(machine, iset, kset, exps, labels)
-            dvec = {}
-            for r, row in enumerate(dmat):
-                val = sum(row[c] * x for c, x in psi_vec.items() if c in row)
-                if val:
-                    dvec[r] = val
-            if dvec != {r: val for r, val in chi_vec.items() if val}:
-                return False
+    for kset, exps in _class_labels(vs.total_vars, iset, degree, w):
+        psi = DiffForm(lg, k, {kset: LaurentPoly.monomial(vs, exps, 1)})
+        chi = exterior_derivative(psi)
+        for i in iset:
+            chi = chi + wedge(log_one_form(vs, i), psi).scale(signs[i])
+        chi = chi.scale(sign_i)
+        for poly in chi.terms.values():
+            for e2 in poly.terms:
+                if any(e2[r - 1] != 0 for r in iset):
+                    return False
+        chi_vec: linalg.Row = {}
+        for cidx, cpoly in chi.terms.items():
+            for e2, c2 in cpoly.terms.items():
+                vec = _class_vector(machine, iset, cidx, e2, target)
+                for r, b in vec.items():
+                    chi_vec[r] = chi_vec.get(r, 0) + c2 * b
+        psi_vec = _class_vector(machine, iset, kset, exps, index)
+        dvec = {}
+        for r, row in enumerate(dmat):
+            val = sum(row[c] * x for c, x in psi_vec.items() if c in row)
+            if val:
+                dvec[r] = val
+        if dvec != {r: val for r, val in chi_vec.items() if val}:
+            return False
     return True
 
 
@@ -835,11 +777,14 @@ def filtration_report(p: PoissonStructure, level: int, weight_cap: int, max_degr
     level are collected; directness holds iff the combined rank equals the
     sum of the per-piece ranks.  The annihilator check multiplies each
     piece's generator class by its divisor variables and confirms the class
-    leaves the piece (drops filtration level).
+    leaves the piece (drops filtration level).  Raises ValueError unless
+    0 <= level <= 2n.
     """
     machine = _PlusMachine(p)
     vs = p.var_spec
     nv = vs.total_vars
+    if not 0 <= level <= nv:
+        raise ValueError(f"filtration level must lie in 0..{nv}")
     isets = list(itertools.combinations(range(1, nv + 1), level))
     slices = []
     ok = True
@@ -854,21 +799,10 @@ def filtration_report(p: PoissonStructure, level: int, weight_cap: int, max_degr
             index = {lab: i for i, lab in enumerate(union_basis)}
             all_vecs = []
             for iset in isets:
-                k = degree - level
-                rest = [i for i in range(1, nv + 1) if i not in iset]
-                ftot = w + level
-                vecs = []
-                for kset in itertools.combinations(range(1, nv + 1), k):
-                    for fexp in _monomials(len(rest), ftot):
-                        exps = [0] * nv
-                        for pos, var in enumerate(rest):
-                            exps[var - 1] = fexp[pos]
-                        base = vector_monomial(
-                            machine.coord, iset, LaurentPoly.monomial(vs, tuple(exps), 1)
-                        )
-                        for t in kset:
-                            base = base.wedge(machine.sharp_eta(t))
-                        vecs.append({index[lab]: c for lab, c in _flatten(base)})
+                vecs = [
+                    _class_vector(machine, iset, kset, exps, index)
+                    for kset, exps in _class_labels(nv, iset, degree, w)
+                ]
                 r = linalg.rank(vecs) if vecs else 0
                 per_piece.append(r)
                 all_vecs.extend(vecs)

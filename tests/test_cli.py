@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
+from logsymplectic import complexes, linalg
 from logsymplectic.cli import canonical_json, main
+from test_golden import CASES, GOLDEN
 
 TORIC_MATRIX = {
     "size": 4,
@@ -221,6 +223,20 @@ class TestVerifyExactness:
         err = capsys.readouterr().err
         assert err.startswith("error: max-degree must lie in") and err.count("\n") == 1
         assert not Path(files["out"]).exists()
+
+    def test_report_builds_no_component_reports(self, tmp_path, monkeypatch):
+        # the report must not need the Q_I class span report or a linear solve
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify-exactness computed a component report")
+
+        monkeypatch.setattr(complexes, "_qi_components", refuse)
+        monkeypatch.setattr(complexes, "_twisted_shape_check", refuse)
+        monkeypatch.setattr(linalg, "solve_columns", refuse)
+        name = "verify_exactness_I1"
+        argv = next(argv for case, argv, _code in CASES if case == name)
+        out = tmp_path / f"{name}.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
 
     @pytest.mark.parametrize("max_degree", ["2", "4"])
     def test_max_degree_at_range_ends(self, files, max_degree):

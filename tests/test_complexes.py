@@ -13,8 +13,10 @@ from logsymplectic.complexes import (
     WeightSlicedComplex,
     _PlusMachine,
     _class_vector,
+    _dphi_signs,
     _flatten,
     _monomials,
+    _qi_components,
     build_bracket_complex,
     build_log_complex,
     build_logplus_complex,
@@ -125,9 +127,20 @@ class TestLogComplex:
                     )
             assert image == expected
 
-    def test_weight_cap_guard(self):
-        with pytest.raises(ValueError):
-            build_log_complex(VS, -1)
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda p, cap: build_log_complex(p.var_spec, cap),
+            build_logplus_complex,
+            build_bracket_complex,
+            lambda p, cap: build_qi(p, (1,), cap),
+        ],
+        ids=["log", "logplus", "bracket", "qi"],
+    )
+    def test_weight_cap_guard(self, toric, build):
+        for cap in (-1, -2):
+            with pytest.raises(ValueError, match="weight_cap"):
+                build(toric, cap)
 
 
 @pytest.fixture(scope="module")
@@ -232,6 +245,17 @@ class TestGradedPieces:
         for iset in [(1,), (2, 4), (1, 2, 3)]:
             q = build_qi(toric, iset, 2)
             assert q.dphi_signs == {i: Fraction(-1) for i in iset}
+        # _dphi_signs raises unless d(phi_I) = -sum_{i in I} eta_i ^ phi_I
+        # holds exactly; check every nonempty I at 2n = 4 and 2n = 6
+        structures = [toric] + [
+            random_2general_toric(random.Random(seed), 3).structure for seed in (3, 5)
+        ]
+        for p in structures:
+            machine = _PlusMachine(p)
+            nv = p.var_spec.total_vars
+            for size in range(1, nv + 1):
+                for iset in itertools.combinations(range(1, nv + 1), size):
+                    assert _dphi_signs(machine, iset) == {i: Fraction(-1) for i in iset}
 
     def test_exact_in_low_degrees(self, toric):
         for iset in [(1,), (3,), (1, 2), (2, 4)]:
@@ -251,8 +275,8 @@ class TestGradedPieces:
         assert rep["table"] == [{"degree": 4, "weight": -4, "dim_cohomology": 1}]
 
     def test_components_span_and_shape(self, toric):
-        q = build_qi(toric, (1,), 2, component_max_degree=2)
-        for key, comp in q.components.items():
+        components = _qi_components(toric, build_qi(toric, (1,), 2), 2)
+        for key, comp in components.items():
             assert comp["spanning"], key
             assert comp["twisted_shape_verified"], key
             assert comp["direct"], key
@@ -261,8 +285,7 @@ class TestGradedPieces:
         # at one degree above the bottom the plain-label classes satisfy one
         # relation per coefficient monomial: the span is smaller than the
         # label count (4 classes of rank 3 split as 2 + 1)
-        q = build_qi(toric, (1,), 2, component_max_degree=2)
-        comp = q.components[(2, -1)]
+        comp = _qi_components(toric, build_qi(toric, (1,), 2), 2)[(2, -1)]
         assert comp["module_dim"] == 3
         assert comp["per_label_rank"] == {(): 2, (1,): 1}
 
@@ -275,8 +298,10 @@ class TestGradedPieces:
         q = build_qi(toric, iset, 2)
         labels1 = q.complex.basis[(1, 0)]
         labels2 = q.complex.basis[(2, 0)]
+        index1 = {lab: i for i, lab in enumerate(labels1)}
+        index2 = {lab: i for i, lab in enumerate(labels2)}
         gamma = ((), (0, 1, 0, 0))  # the class of x2 * phi_1
-        gamma_vec = _class_vector(machine, iset, gamma[0], gamma[1], labels1)
+        gamma_vec = _class_vector(machine, iset, gamma[0], gamma[1], index1)
         mat1 = q.complex.diffs[(1, 0)]
         z = [
             sum(mat1[r].get(c, 0) * gamma_vec.get(c, 0) for c in range(len(labels1)))
@@ -291,8 +316,8 @@ class TestGradedPieces:
         assert all(v == 0 for v in dz)
         # predicted shape: z = class of -(d psi) + class of eta_1 ^ psi for
         # psi = x2, using the computed sign c_1 = -1
-        vec_dpsi = _class_vector(machine, iset, (2,), (0, 1, 0, 0), labels2)
-        vec_eta1psi = _class_vector(machine, iset, (1,), (0, 1, 0, 0), labels2)
+        vec_dpsi = _class_vector(machine, iset, (2,), (0, 1, 0, 0), index2)
+        vec_eta1psi = _class_vector(machine, iset, (1,), (0, 1, 0, 0), index2)
         assert q.dphi_signs[1] == Fraction(-1)
         expected = [
             -vec_dpsi.get(c, 0) + vec_eta1psi.get(c, 0) for c in range(len(labels2))
@@ -381,6 +406,12 @@ class TestFiltration:
         assert rep2["direct"]
         assert rep2["annihilator_ok"]
 
+    @pytest.mark.parametrize("level", [-1, 5, 7])
+    def test_report_rejects_level_outside_range(self, toric, level):
+        # 2n = 4: above level 4 there are no pieces, so the report would be vacuous
+        with pytest.raises(ValueError, match="filtration level"):
+            filtration_report(toric, level, 1, 4)
+
     def test_level_generators(self):
         level = FiltrationLevel(2, VS)
         gens = level.generator_sets()
@@ -457,7 +488,7 @@ class TestClosedFormBracket:
                 assert assert_columns_match_schouten(build_qi(p, iset, 2).complex, p) > 0
         p = random_2general_toric(random.Random(3), 3).structure
         for iset in [(1,), (1, 2), (1, 2, 3, 4)]:
-            q = build_qi(p, iset, 1, component_max_degree=0)
+            q = build_qi(p, iset, 1)
             assert assert_columns_match_schouten(q.complex, p) > 0
 
     def test_nonconstant_log_matrix_rejected(self):
