@@ -69,8 +69,10 @@ def _load_matrix(path: str) -> list[list[Fraction]]:
         if type(size) is not int:
             raise TypeError(f"'size' must be an integer, not {type(size).__name__}")
         entries = doc["entries"]
-        if any(isinstance(x, float) for row in entries for x in row):
-            raise ValueError('entries must be integers or strings such as "1/2", not floats')
+        if any(isinstance(x, (float, bool)) for row in entries for x in row):
+            raise ValueError(
+                'entries must be integers or strings such as "1/2", not floats or booleans'
+            )
         grid = [[Fraction(x) for x in row] for row in entries]
     except ZeroDivisionError as exc:
         raise InputError(f"bad matrix file {path}: zero denominator") from exc

@@ -77,6 +77,7 @@ from .exterior import (
     MultiVector,
     change_frame,
     coordinate_frame,
+    coordinate_one_form,
     exterior_derivative,
     log_frame,
     log_one_form,
@@ -84,7 +85,7 @@ from .exterior import (
     vector_monomial,
     wedge,
 )
-from .poisson import PoissonStructure, inverse_log_matrix, log_matrix
+from .poisson import PoissonStructure, log_matrix, phi_forms, pi_sharp
 from .ring import LaurentPoly, VarSpec, add_product
 
 IndexSet = tuple[int, ...]
@@ -237,49 +238,20 @@ class _PlusMachine:
                 "log-plus machinery needs every variable on the divisor "
                 "(invariant toric-type chart)"
             )
-        a = log_matrix(p)
-        if not a.is_constant():
+        if not log_matrix(p).is_constant():
             raise ValueError("desk scale supports constant log matrices only")
         self.p = p
         self.vs = vs
-        self.a_grid = a.constant_grid()
-        self.b = inverse_log_matrix(p)  # raises when singular
         self.coord = coordinate_frame(vs)
         nv = vs.total_vars
-        self.phi: list[DiffForm] = []
-        for i in range(1, nv + 1):
-            terms: dict[IndexSet, LaurentPoly] = {}
-            for j in range(1, nv + 1):
-                bij = self.b.rows[i - 1][j - 1]
-                if bij.is_zero():
-                    continue
-                exps = [0] * nv
-                exps[i - 1] -= 1
-                exps[j - 1] -= 1
-                terms[(j,)] = bij.shift(tuple(exps))
-            self.phi.append(DiffForm(self.coord, 1, terms))
-        self._sharp_dx: list[MultiVector] = []
-        self._sharp_eta: list[MultiVector] = []
-        for t in range(1, nv + 1):
-            terms_eta = {}
-            terms_dx = {}
-            for j in range(1, nv + 1):
-                atj = self.a_grid[t - 1][j - 1]
-                if atj == 0:
-                    continue
-                exps = [0] * nv
-                exps[j - 1] += 1
-                terms_eta[(j,)] = LaurentPoly.monomial(vs, tuple(exps), atj)
-                exps_dx = list(exps)
-                exps_dx[t - 1] += 1
-                terms_dx[(j,)] = LaurentPoly.monomial(vs, tuple(exps_dx), atj)
-            self._sharp_eta.append(MultiVector(self.coord, 1, terms_eta))
-            self._sharp_dx.append(MultiVector(self.coord, 1, terms_dx))
-        self._phi_wedges: dict[IndexSet, DiffForm] = {}
-        self._sharp_wedges: dict[IndexSet, MultiVector] = {}
+        self.phi = phi_forms(p)  # raises when A is singular
         self.eta_coord = [
             change_frame(log_one_form(vs, i), self.coord) for i in range(1, nv + 1)
         ]
+        self._sharp_dx = [pi_sharp(p, coordinate_one_form(vs, t)) for t in range(1, nv + 1)]
+        self._sharp_eta = [pi_sharp(p, eta) for eta in self.eta_coord]
+        self._phi_wedges: dict[IndexSet, DiffForm] = {}
+        self._sharp_wedges: dict[IndexSet, MultiVector] = {}
 
     def sharp_eta(self, t: int) -> MultiVector:
         return self._sharp_eta[t - 1]

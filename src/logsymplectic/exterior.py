@@ -1,14 +1,13 @@
 """Exterior algebra of forms and multivector fields over LaurentPoly.
 
-Three frames are supported:
+Two frames are supported:
 
 * ``coordinate``: basis dx_i for forms, d/dx_i for vector fields;
 * ``log``: basis eta_i (= dx_i/x_i for divisor variables, dx_i otherwise)
-  and its dual v_i (= x_i d/dx_i for divisor variables, d/dx_i otherwise);
-* ``phi``: the basis of 1-forms obtained by applying the inverse of a
-  nondegenerate bivector to the coordinate vector fields.  A phi frame
-  carries the skew matrix B through which each phi_i expands as
-  x_i^{-1} * sum_j B[i][j] eta_j over divisor indices (plain sum beyond).
+  and its dual v_i (= x_i d/dx_i for divisor variables, d/dx_i otherwise).
+
+The 1-forms phi_i = Pi^{-1}(d/dx_i) of a Poisson structure are coordinate
+forms built by ``poisson.phi_forms``; they are not a frame here.
 
 Frozen sign conventions (used consistently everywhere):
 
@@ -24,8 +23,7 @@ preserves it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 from .ring import LaurentPoly, VarSpec
 
@@ -33,20 +31,16 @@ IndexSet = tuple[int, ...]
 
 COORDINATE = "coordinate"
 LOG = "log"
-PHI = "phi"
 
 
 @dataclass(frozen=True, eq=True)
 class Frame:
     kind: str
     var_spec: VarSpec
-    phi_matrix: tuple[tuple[LaurentPoly, ...], ...] | None = field(default=None, compare=True)
 
     def __post_init__(self):
-        if self.kind not in (COORDINATE, LOG, PHI):
+        if self.kind not in (COORDINATE, LOG):
             raise ValueError(f"unknown frame kind {self.kind!r}")
-        if self.kind == PHI and self.phi_matrix is None:
-            raise ValueError("phi frame requires its basis matrix B")
 
     __hash__ = None
 
@@ -57,13 +51,6 @@ def coordinate_frame(vs: VarSpec) -> Frame:
 
 def log_frame(vs: VarSpec) -> Frame:
     return Frame(LOG, vs)
-
-
-def phi_frame(vs: VarSpec, b_rows) -> Frame:
-    rows = tuple(tuple(row) for row in b_rows)
-    if len(rows) != vs.total_vars or any(len(r) != vs.total_vars for r in rows):
-        raise ValueError("B must be square of size total_vars")
-    return Frame(PHI, vs, rows)
 
 
 def merge_indices(left: IndexSet, right: IndexSet) -> tuple[int, IndexSet] | None:
@@ -215,12 +202,7 @@ class DiffForm(_GradedElement):
 
 
 class MultiVector(_GradedElement):
-    """Multivector field; only coordinate and log frames make sense."""
-
-    def __init__(self, frame, degree, terms=None):
-        if frame.kind == PHI:
-            raise ValueError("multivectors have no phi frame")
-        super().__init__(frame, degree, terms)
+    """Multivector field, in the coordinate or log frame."""
 
 
 def wedge(a, b):
@@ -237,10 +219,6 @@ def form_monomial(frame: Frame, indices, coeff: LaurentPoly) -> DiffForm:
 
 def vector_monomial(frame: Frame, indices, coeff: LaurentPoly) -> MultiVector:
     return MultiVector(frame, len(tuple(indices)), {tuple(indices): coeff})
-
-
-def function_element(vs: VarSpec, coeff: LaurentPoly, kind=COORDINATE) -> MultiVector:
-    return MultiVector(Frame(kind, vs), 0, {(): coeff})
 
 
 def coordinate_one_form(vs: VarSpec, i: int) -> DiffForm:
@@ -270,16 +248,8 @@ def frame_element_weight(frame: Frame, indices: IndexSet, is_form: bool) -> int:
     vs = frame.var_spec
     total = 0
     for i in indices:
-        div = vs.is_divisor_index(i)
-        if frame.kind == COORDINATE:
+        if frame.kind == COORDINATE or not vs.is_divisor_index(i):
             total += 1 if is_form else -1
-        elif frame.kind == LOG:
-            if not div:
-                total += 1 if is_form else -1
-        else:  # phi
-            if vs.divisor_vars != vs.total_vars:
-                raise ValueError("phi-frame weights need all variables on the divisor")
-            total += -1
     return total
 
 
@@ -317,152 +287,31 @@ def _log_scaling(vs: VarSpec, indices: IndexSet, sign: int) -> tuple[int, ...]:
     return tuple(exps)
 
 
-def phi_one_form_in_coordinates(frame: Frame, i: int) -> DiffForm:
-    """Expand phi_i in the coordinate frame through the frame's matrix B."""
-    vs = frame.var_spec
-    row = frame.phi_matrix[i - 1]
-    terms: dict[IndexSet, LaurentPoly] = {}
-    pole = [0] * vs.total_vars
-    if vs.is_divisor_index(i):
-        pole[i - 1] = -1
-    for j in range(1, vs.total_vars + 1):
-        b = row[j - 1]
-        if b.is_zero():
-            continue
-        exps = list(pole)
-        if vs.is_divisor_index(j):
-            exps[j - 1] -= 1
-        coeff = b.shift(tuple(exps))
-        key = (j,)
-        terms[key] = terms[key] + coeff if key in terms else coeff
-    return DiffForm(coordinate_frame(vs), 1, terms)
-
-
 def change_frame(x, target: Frame):
-    """Re-express a form or multivector in another frame.
+    """Re-express a form or multivector in the other frame.
 
-    coordinate <-> log is a diagonal rescaling over the localized ring;
-    phi -> coordinate expands through B; coordinate -> phi uses the inverse
-    expansion, whose matrix is polynomial (it only involves B^{-1} scaled
-    by divisor variables).  Round trips are exact identities.
+    coordinate <-> log is a diagonal rescaling over the localized ring, so
+    round trips are exact identities.
     """
     if x.frame == target:
         return x
     vs = x.frame.var_spec
     if vs != target.var_spec:
         raise ValueError("var_spec mismatch")
-    is_form = isinstance(x, DiffForm)
-
-    if {x.frame.kind, target.kind} == {COORDINATE, LOG}:
-        to_log = target.kind == LOG
-        sign = (1 if to_log else -1) * (1 if is_form else -1)
-        out = {
-            indices: coeff.shift(_log_scaling(vs, indices, sign))
-            for indices, coeff in x.terms.items()
-        }
-        return type(x)(target, x.degree, out)
-
-    if x.frame.kind == PHI:
-        coord = coordinate_frame(vs)
-        basis = [phi_one_form_in_coordinates(x.frame, i) for i in range(1, vs.total_vars + 1)]
-        acc = DiffForm(coord, x.degree, {})
-        for indices, coeff in x.terms.items():
-            prod = DiffForm(coord, 0, {(): LaurentPoly.const(vs, 1)})
-            for i in indices:
-                prod = prod.wedge(basis[i - 1])
-            acc = acc + prod.scale(coeff)
-        if target.kind == COORDINATE:
-            return acc
-        return change_frame(acc, target)
-
-    if target.kind == PHI:
-        if not is_form:
-            raise ValueError("multivectors have no phi frame")
-        coord = change_frame(x, coordinate_frame(vs)) if x.frame.kind == LOG else x
-        # dx_j = sum_t x_j^{d_j} A[j][t] x_t^{d_t} phi_t  with A = B^{-1};
-        # the scaled matrix has polynomial entries.
-        a_rows = _inverse_poly_matrix(target.phi_matrix, vs)
-        dx_in_phi: list[DiffForm] = []
-        for j in range(1, vs.total_vars + 1):
-            terms: dict[IndexSet, LaurentPoly] = {}
-            for t in range(1, vs.total_vars + 1):
-                a = a_rows[j - 1][t - 1]
-                if a.is_zero():
-                    continue
-                exps = [0] * vs.total_vars
-                if vs.is_divisor_index(j):
-                    exps[j - 1] += 1
-                if vs.is_divisor_index(t):
-                    exps[t - 1] += 1
-                terms[(t,)] = a.shift(tuple(exps))
-            dx_in_phi.append(DiffForm(target, 1, terms))
-        acc = DiffForm(target, x.degree, {})
-        for indices, coeff in coord.terms.items():
-            prod = DiffForm(target, 0, {(): LaurentPoly.const(vs, 1)})
-            for j in indices:
-                prod = prod.wedge(dx_in_phi[j - 1])
-            acc = acc + prod.scale(coeff)
-        return acc
-
-    raise ValueError(f"unsupported frame change {x.frame.kind} -> {target.kind}")
-
-
-def _inverse_poly_matrix(rows, vs: VarSpec):
-    """Inverse of a matrix of LaurentPoly entries, via Fraction inversion in
-    the constant case and adjugate/exact-division otherwise."""
-    from . import linalg
-
-    n = len(rows)
-    if all(p.is_constant() for row in rows for p in row):
-        grid = [[p.constant_term() for p in row] for row in rows]
-        inv = linalg.inverse(grid)
-        return [[LaurentPoly.const(vs, c) for c in row] for row in inv]
-    determinant = poly_det([list(row) for row in rows], vs)
-    if determinant.is_zero():
-        raise ValueError("matrix is singular")
-    out = []
-    for i in range(n):
-        out_row = []
-        for j in range(n):
-            minor = [
-                [rows[r][c] for c in range(n) if c != i] for r in range(n) if r != j
-            ]
-            cof = poly_det(minor, vs)
-            if (i + j) % 2 == 1:
-                cof = -cof
-            out_row.append(cof.divide_exact(determinant))
-        out.append(out_row)
-    return out
-
-
-def poly_det(rows, vs: VarSpec) -> LaurentPoly:
-    """Determinant of a square matrix of polynomials, by cofactor expansion
-    along the first row (O(n!) products)."""
-    n = len(rows)
-    if n == 0:
-        return LaurentPoly.const(vs, 1)
-    if n == 1:
-        return rows[0][0]
-    total = LaurentPoly.zero(vs)
-    for c in range(n):
-        if rows[0][c].is_zero():
-            continue
-        minor = [[rows[r][cc] for cc in range(n) if cc != c] for r in range(1, n)]
-        term = rows[0][c] * poly_det(minor, vs)
-        total = total + (term if c % 2 == 0 else -term)
-    return total
+    sign = (1 if target.kind == LOG else -1) * (1 if isinstance(x, DiffForm) else -1)
+    out = {
+        indices: coeff.shift(_log_scaling(vs, indices, sign))
+        for indices, coeff in x.terms.items()
+    }
+    return type(x)(target, x.degree, out)
 
 
 # -- differential and contraction ---------------------------------------------
 
 
 def exterior_derivative(w: DiffForm) -> DiffForm:
-    """Exterior derivative; log and phi inputs are handled through their
-    coordinate expansions and returned in the input frame."""
+    """Exterior derivative in the frame of its input (d eta_i = 0)."""
     vs = w.frame.var_spec
-    if w.frame.kind == PHI:
-        coord = change_frame(w, coordinate_frame(vs))
-        return change_frame(exterior_derivative(coord), w.frame)
     out: dict[IndexSet, LaurentPoly] = {}
     is_log = w.frame.kind == LOG
     for indices, coeff in w.terms.items():

@@ -36,8 +36,8 @@ from .exterior import (
     change_frame,
     contract,
     coordinate_frame,
+    coordinate_vector,
     merge_indices,
-    phi_frame,
 )
 from .ring import LaurentPoly, VarSpec, add_product, poly_from_string, poly_to_string
 
@@ -348,8 +348,12 @@ def pi_sharp(p: PoissonStructure, w: DiffForm) -> MultiVector:
 
 
 def inverse_log_matrix(p: PoissonStructure) -> SkewMatrix:
-    """B = A^{-1} over the fraction field; entries are verified to lie in the
-    localized ring (exact division), which is automatic for constant A."""
+    """B = A^{-1}, the only place the log matrix is inverted.
+
+    Constant A goes through ``linalg.inverse``.  Otherwise B is the adjugate
+    times (det A)^{-1}, which has entries in the ring exactly when det A is
+    a unit there (a monomial in the divisor variables); ValueError if not.
+    """
     a = log_matrix(p)
     vs = p.var_spec
     if a.is_constant():
@@ -361,10 +365,41 @@ def inverse_log_matrix(p: PoissonStructure) -> SkewMatrix:
         return SkewMatrix(
             vs, [[LaurentPoly.const(vs, c) for c in row] for row in inv]
         )
-    from .exterior import _inverse_poly_matrix
+    rows, n = a.rows, a.size
+    det = poly_det(rows, vs)
+    try:
+        inv_det = LaurentPoly.const(vs, 1).divide_exact(det)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(
+            f"log matrix A is not invertible over the ring: det A = {det} is not a unit"
+        ) from None
 
-    rows = _inverse_poly_matrix(a.rows, vs)
-    return SkewMatrix(vs, rows)
+    def adjugate_entry(i: int, j: int) -> LaurentPoly:
+        minor = [[rows[r][c] for c in range(n) if c != i] for r in range(n) if r != j]
+        cofactor = poly_det(minor, vs)
+        return cofactor if (i + j) % 2 == 0 else -cofactor
+
+    return SkewMatrix(
+        vs, [[adjugate_entry(i, j) * inv_det for j in range(n)] for i in range(n)]
+    )
+
+
+def poly_det(rows, vs: VarSpec) -> LaurentPoly:
+    """Determinant of a square matrix of polynomials, by cofactor expansion
+    along the first row (O(n!) products)."""
+    n = len(rows)
+    if n == 0:
+        return LaurentPoly.const(vs, 1)
+    if n == 1:
+        return rows[0][0]
+    total = LaurentPoly.zero(vs)
+    for c in range(n):
+        if rows[0][c].is_zero():
+            continue
+        minor = [[rows[r][cc] for cc in range(n) if cc != c] for r in range(1, n)]
+        term = rows[0][c] * poly_det(minor, vs)
+        total = total + (term if c % 2 == 0 else -term)
+    return total
 
 
 def pi_flat(p: PoissonStructure, v: MultiVector) -> DiffForm:
@@ -375,10 +410,13 @@ def pi_flat(p: PoissonStructure, v: MultiVector) -> DiffForm:
     """
     if v.degree != 1:
         raise ValueError("pi_flat expects a 1-vector")
-    vs = p.var_spec
+    return _flat(p.var_spec, inverse_log_matrix(p), v)
+
+
+def _flat(vs: VarSpec, b: SkewMatrix, v: MultiVector) -> DiffForm:
+    """pi_flat of a 1-vector, given B = A^{-1}."""
     if v.frame.kind == LOG:
         v = change_frame(v, coordinate_frame(vs))
-    b = inverse_log_matrix(p)
     out = DiffForm(coordinate_frame(vs), 1, {})
     for (i,), coeff in v.terms.items():
         # v_i-coordinate of the input: divide by x_i on divisor indices.
@@ -401,15 +439,8 @@ def _unit_shift(vs: VarSpec, i: int, amount: int) -> tuple[int, ...]:
 
 
 def phi_forms(p: PoissonStructure) -> list[DiffForm]:
-    """The 1-forms phi_i = pi_flat(d/dx_i), i = 1..2n, in coordinates."""
+    """The 1-forms phi_i = pi_flat(d/dx_i), i = 1..2n, in coordinates; A is
+    inverted once for all of them."""
     vs = p.var_spec
-    out = []
-    for i in range(1, vs.total_vars + 1):
-        vec = MultiVector(coordinate_frame(vs), 1, {(i,): LaurentPoly.const(vs, 1)})
-        out.append(pi_flat(p, vec))
-    return out
-
-
-def phi_frame_of(p: PoissonStructure):
-    """Frame object for the phi basis of this structure."""
-    return phi_frame(p.var_spec, inverse_log_matrix(p).rows)
+    b = inverse_log_matrix(p)
+    return [_flat(vs, b, coordinate_vector(vs, i)) for i in range(1, vs.total_vars + 1)]

@@ -129,9 +129,6 @@ class LaurentPoly:
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * self.var_spec.total_vars, Fraction(0))
 
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
     def has_negative_exponents(self) -> bool:
         return any(e < 0 for exps in self.terms for e in exps)
 

@@ -127,10 +127,15 @@ class TestInexactOrBrokenNumbers:
         self.assert_input_error(["pfaffian", "--matrix", path], capsys, "zero denominator")
 
     def test_float_matrix_entries_rejected(self, files, capsys):
-        doc = {"size": 2, "entries": [[0, 0.5], [-0.5, 0]]}
-        path = self.write(files, "float_matrix.json", doc)
-        self.assert_input_error(["pfaffian", "--matrix", path], capsys, "not floats")
-        self.assert_input_error(["toric-report", "--matrix", path], capsys, "not floats")
+        # JSON booleans are ints to Python; true must not be read as 1.
+        for name, entries, needle in [
+            ("float_matrix.json", [[0, 0.5], [-0.5, 0]], "not floats"),
+            ("bool_matrix.json", [[0, True], [-1, 0]], "booleans"),
+            ("bool_false_matrix.json", [[False, 1], [-1, 0]], "booleans"),
+        ]:
+            path = self.write(files, name, {"size": 2, "entries": entries})
+            self.assert_input_error(["pfaffian", "--matrix", path], capsys, needle)
+            self.assert_input_error(["toric-report", "--matrix", path], capsys, needle)
 
     def test_integer_matrix_entries_accepted(self, files):
         doc = {"size": 2, "entries": [[0, 2], [-2, 0]]}

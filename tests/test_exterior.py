@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from logsymplectic.exterior import (
     DiffForm,
+    Frame,
     MultiVector,
     change_frame,
     contract,
@@ -20,12 +21,12 @@ from logsymplectic.exterior import (
     log_one_form,
     log_vector,
     merge_indices,
-    phi_frame,
     term_weight,
     vector_monomial,
     wedge,
     weight_decomposition,
 )
+from logsymplectic.poisson import PoissonStructure, phi_forms, pi_flat, pi_sharp
 from logsymplectic.ring import LaurentPoly, VarSpec, poly_from_string
 
 VS = VarSpec(4, 2)
@@ -35,6 +36,12 @@ LOGF = log_frame(VS)
 
 def poly(s, vs=VS):
     return poly_from_string(s, vs)
+
+
+def block_structure(vs, coeff):
+    """The bivector coeff * d1 ^ d2."""
+    biv = vector_monomial(coordinate_frame(vs), (1, 2), poly_from_string(coeff, vs))
+    return PoissonStructure(vs, biv)
 
 
 def rand_form(rng, vs=VS, degree=None, max_terms=2):
@@ -183,29 +190,17 @@ class TestChangeFrame:
 
     def test_phi_expansion_block_case(self):
         # one symplectic block in dimension 2, both variables divisorial:
-        # the first phi form expands through B as b/(x1 x2) dx2.
+        # A = -1/3, so B = 3 and phi_1 = x1^-1 * 3 eta_2 = 3/(x1 x2) dx2.
         vs2 = VarSpec(2, 2)
-        b = Fraction(3)
-        zero = LaurentPoly.zero(vs2)
-        bmat = (
-            (zero, LaurentPoly.const(vs2, b)),
-            (LaurentPoly.const(vs2, -b), zero),
-        )
-        frame = phi_frame(vs2, bmat)
-        phi1 = form_monomial(frame, (1,), LaurentPoly.const(vs2, 1))
-        coord = change_frame(phi1, coordinate_frame(vs2))
+        phi1 = phi_forms(block_structure(vs2, "-1/3*x1*x2"))[0]
         expected = form_monomial(
             coordinate_frame(vs2), (2,), poly_from_string("3*x1^-1*x2^-1", vs2)
         )
-        assert coord == expected
+        assert phi1 == expected
 
     def test_phi_round_trip(self):
         vs2 = VarSpec(2, 2)
-        bmat = (
-            (LaurentPoly.zero(vs2), LaurentPoly.const(vs2, Fraction(5, 7))),
-            (LaurentPoly.const(vs2, Fraction(-5, 7)), LaurentPoly.zero(vs2)),
-        )
-        frame = phi_frame(vs2, bmat)
+        p = block_structure(vs2, "-7/5*x1*x2")
         rng = random.Random(13)
         for _ in range(10):
             terms = {}
@@ -213,31 +208,20 @@ class TestChangeFrame:
                 exps = (rng.randint(-1, 2), rng.randint(-1, 2))
                 terms[idx] = LaurentPoly.monomial(vs2, exps, Fraction(rng.randint(-3, 3)))
             w = DiffForm(coordinate_frame(vs2), 1, terms)
-            back = change_frame(change_frame(w, frame), coordinate_frame(vs2))
-            assert back == w
+            assert pi_flat(p, pi_sharp(p, w)) == w
 
     def test_multivector_has_no_phi_frame(self):
-        vs2 = VarSpec(2, 2)
-        bmat = (
-            (LaurentPoly.zero(vs2), LaurentPoly.const(vs2, 1)),
-            (LaurentPoly.const(vs2, -1), LaurentPoly.zero(vs2)),
-        )
+        # phi forms live in the coordinate frame; there is no phi frame.
         with pytest.raises(ValueError):
-            MultiVector(phi_frame(vs2, bmat), 1, {})
+            Frame("phi", VarSpec(2, 2))
 
     def test_exterior_derivative_in_phi_frame(self):
-        # d computed on a phi-frame element agrees with the coordinate route
+        # d(phi_1) = -eta_1 ^ phi_1, computed on the coordinate expansion
         vs2 = VarSpec(2, 2)
-        bmat = (
-            (LaurentPoly.zero(vs2), LaurentPoly.const(vs2, Fraction(2))),
-            (LaurentPoly.const(vs2, Fraction(-2)), LaurentPoly.zero(vs2)),
-        )
-        frame = phi_frame(vs2, bmat)
-        phi1 = form_monomial(frame, (1,), LaurentPoly.const(vs2, 1))
-        d_phi = exterior_derivative(phi1)
-        assert d_phi.frame == frame
         coord = coordinate_frame(vs2)
-        assert change_frame(d_phi, coord) == exterior_derivative(change_frame(phi1, coord))
+        phi1 = phi_forms(block_structure(vs2, "-1/2*x1*x2"))[0]
+        eta1 = change_frame(log_one_form(vs2, 1), coord)
+        assert exterior_derivative(phi1) == -wedge(eta1, phi1)
 
 
 class TestWeights:

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logsymplectic import linalg
-from logsymplectic.exterior import poly_det
 from logsymplectic.genpos import (
     GenPosCertificate,
     identity_rows,
@@ -17,7 +16,7 @@ from logsymplectic.genpos import (
     verify_certificate,
     _laplace_minors,
 )
-from logsymplectic.poisson import log_matrix
+from logsymplectic.poisson import log_matrix, poly_det
 from logsymplectic.ring import LaurentPoly, VarSpec, poly_from_string
 
 from conftest import EXPLICIT_GRID, random_skew_grid, toric_structure

@@ -386,6 +386,35 @@ class TestMusicalMaps:
         with pytest.raises(ValueError):
             pi_flat(p, coordinate_vector(VS, 1))
 
+    @staticmethod
+    def polynomial_log_matrix_structure(c12):
+        """c12 on d1^d2, x3*x4 on d3^d4 and x1*x2*x3 on d1^d3: A13 = x2."""
+        terms = {(1, 2): c12, (3, 4): "x3*x4", (1, 3): "x1*x2*x3"}
+        biv = MultiVector(COORD, 2, {k: poly_from_string(c, VS) for k, c in terms.items()})
+        return PoissonStructure(VS, biv)
+
+    def test_inverse_of_polynomial_log_matrix(self):
+        # Pf = A12*A34 - A13*A24 + A14*A23 = 1, so B = A^-1 is polynomial.
+        p = self.polynomial_log_matrix_structure("x1*x2")
+        x2 = poly_from_string("x2", VS)
+        one, zero = LaurentPoly.const(VS, 1), LaurentPoly.zero(VS)
+        expected = [
+            [zero, -one, zero, zero],
+            [one, zero, zero, x2],
+            [zero, zero, zero, -one],
+            [zero, -x2, one, zero],
+        ]
+        assert inverse_log_matrix(p) == SkewMatrix(VS, expected)
+        for i in range(1, 5):
+            v = coordinate_vector(VS, i)
+            assert pi_sharp(p, pi_flat(p, v)) == v
+
+    def test_inverse_needs_unit_determinant(self):
+        # Pf = 1 + x3: A is invertible over the fraction field only.
+        p = self.polynomial_log_matrix_structure("x1*x2 + x1*x2*x3")
+        with pytest.raises(ValueError, match="not invertible over the ring"):
+            inverse_log_matrix(p)
+
     def test_phi_forms_closed_identities(self, explicit_toric):
         phis = phi_forms(explicit_toric)
         for i, phi in enumerate(phis, start=1):
