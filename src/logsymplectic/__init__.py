@@ -48,7 +48,6 @@ from .genpos import (
     verify_certificate,
 )
 from .complexes import (
-    FiltrationLevel,
     GradedPieceQI,
     WeightSlicedComplex,
     build_bracket_complex,

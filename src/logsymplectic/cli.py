@@ -160,13 +160,15 @@ def cmd_verify_exactness(args) -> int:
     nv = p.var_spec.total_vars
     if args.max_degree is not None and not len(iset) <= args.max_degree <= nv:
         raise InputError(f"max-degree must lie in {len(iset)}..{nv} (|I|..2n)")
+    # cohomology through degree D needs the slices through D + 1
+    top_degree = None if args.max_degree is None else args.max_degree + 1
     try:
-        piece = build_qi(p, iset, args.weight_cap)
+        piece = build_qi(p, iset, args.weight_cap, top_degree)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     k_min, k_max = piece.complex.degree_range
     top = k_max if args.max_degree is None else args.max_degree
-    report = verify_exactness(piece.complex, range(k_min, top + 1), args.weight_cap)
+    report = verify_exactness(piece.complex, range(k_min, top + 1))
     report = {
         "command": "verify-exactness",
         "index_set": list(iset),
@@ -250,6 +252,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "verify-exactness",
         help="cohomology table of one graded piece of the log-plus filtration",
+        description="Cohomology table of the graded piece Q_I in degrees |I|..--max-degree "
+        "(default 2n) and weights up to --weight-cap.  Q_I is exact for |I| = 1, and for "
+        "|I| = 2 unless I is a 2-resonant pair of the log matrix A (F.A vanishes off I for an "
+        "integer F that is -1 on I and >= 0 off I).  So exactness rests on no 2-resonance, not "
+        "on 2-general position: fixtures/resonant_structure.json is 2-general, yet Q_(3,4) is "
+        "not exact.  That the paper's general position means no 2-resonance is a conjecture.",
     )
     p.add_argument("--structure", required=True)
     p.add_argument("--I", dest="index_set", required=True, help="comma-separated divisor indices")

@@ -11,22 +11,22 @@ Three families are built:
 
 * the log complex: basis eta_I * monomials, with the exterior derivative
   expressed in that basis;
-* the log-plus complex: the image of the polynomial multivector algebra
-  under the inverse of the bivector, with basis phi_I * monomials.  Its
-  differential matrix is computed from an honest meromorphic exterior
-  derivative, and every column is certified by re-expanding the extracted
+* the log-plus complex, the image of the polynomial multivector algebra
+  under the inverse of the bivector with basis phi_I * monomials, and its
+  conjugate, the bracket complex on x^E d_I with the bracket with the
+  bivector.  The log-plus matrix comes from an honest meromorphic exterior
+  derivative, every column certified by re-expanding the extracted
   coefficients and comparing with the original derivative;
 * the graded pieces of the filtration of the log-plus complex by number of
   phi factors.  On the multivector side the filtration splits monomially:
   x^E d_M sits at level #{divisor indices of M with vanishing exponent in
   E}, and the piece attached to a subset I is spanned by the monomials
   where that set is exactly I.  The induced differential is the bracket
-  with the bivector; the builder fails loudly if any generator's bracket
-  leaves the slice.
+  with the bivector; assembly fails loudly if an image leaves the slice.
 
-Desk-scale restriction: the log-plus and graded-piece builders require a
-constant invertible log-basis matrix with every variable on the divisor
-(the invariant local models), where the weight bookkeeping above is exact.
+Desk-scale restriction: all but the log complex need the invariant local
+model (constant invertible log matrix A, every variable on the divisor),
+where the weight bookkeeping above is exact; ``_invariant_grid`` is its gate.
 
 The bracket differential in closed form
 ---------------------------------------
@@ -61,11 +61,14 @@ lambda_F" on v_S ^ Lambda(v_j : j not in S), S = {i : F_i = -1}.  It is
 acyclic unless lambda_F vanishes off S, and then adds C(2n - |S|, k - |S|)
 in degree k (Eisenbud, Commutative Algebra, ch. 17).  The graded piece of
 I is the sum of the blocks with S = I, since S is the level set of the
-label.
+label.  So Q_I is exact for |I| = 1 (A nonsingular), and for |I| = 2 unless
+I is a 2-resonant pair, some F having lambda_F vanish off I; 2-general
+position does not exclude one (fixtures/resonant_structure.json).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -74,11 +77,13 @@ from . import linalg
 from .exterior import (
     COORDINATE,
     DiffForm,
+    Frame,
     MultiVector,
     change_frame,
     coordinate_frame,
     coordinate_one_form,
     exterior_derivative,
+    frame_element_weight,
     log_frame,
     log_one_form,
     merge_indices,
@@ -102,6 +107,8 @@ class WeightSlicedComplex:
     sparse rows: one ``dict`` per target label, mapping the position of a
     source label to a nonzero Fraction.  Zeros are never stored, so two
     differentials are equal exactly when they are equal as matrices.
+    ``rank`` ranks each differential once; a complex made by
+    ``dataclasses.replace`` starts with no stored ranks.
     """
 
     label: str
@@ -110,6 +117,7 @@ class WeightSlicedComplex:
     weight_cap: int
     basis: dict[tuple[int, int], list[Label]] = field(default_factory=dict)
     diffs: dict[tuple[int, int], list[linalg.Row]] = field(default_factory=dict)
+    _ranks: dict[tuple[int, int], int] = field(default_factory=dict, init=False, compare=False)
 
     def slice_dim(self, degree: int, weight: int) -> int:
         return len(self.basis.get((degree, weight), []))
@@ -120,13 +128,22 @@ class WeightSlicedComplex:
     def dims(self, degree: int) -> dict[int, int]:
         return {w: self.slice_dim(degree, w) for w in self.weights_at(degree)}
 
+    def rank(self, degree: int, weight: int) -> int:
+        """Rank of the differential out of (degree, weight), 0 if none; kept."""
+        key = (degree, weight)
+        if key not in self._ranks:
+            mat = self.diffs.get(key)
+            self._ranks[key] = linalg.rank(mat) if mat is not None else 0
+        return self._ranks[key]
 
-def _monomials(nvars: int, total: int) -> list[tuple[int, ...]]:
+
+@functools.cache
+def _monomials(nvars: int, total: int) -> tuple[tuple[int, ...], ...]:
     """All exponent vectors >= 0 of the given total degree, sorted."""
     if total < 0:
-        return []
+        return ()
     if nvars == 0:
-        return [()] if total == 0 else []
+        return ((),) if total == 0 else ()
     out: list[tuple[int, ...]] = []
 
     def rec(prefix: list[int], remaining: int, slots: int):
@@ -137,7 +154,23 @@ def _monomials(nvars: int, total: int) -> list[tuple[int, ...]]:
             rec(prefix + [e], remaining - e, slots - 1)
 
     rec([], total, nvars)
-    return sorted(out)
+    return tuple(sorted(out))
+
+
+def _frame_basis(frame: Frame, is_form: bool):
+    """The weight rule: ``basis(k, w)`` lists the labels (I, E), |I| = k, of
+    x^E times the frame element of I with |E| = w minus that element's
+    weight (``exterior.frame_element_weight``), in sorted order."""
+    nv = frame.var_spec.total_vars
+
+    def basis(k: int, w: int) -> list[Label]:
+        return [
+            (indices, exps)
+            for indices in itertools.combinations(range(1, nv + 1), k)
+            for exps in _monomials(nv, w - frame_element_weight(frame, indices, is_form))
+        ]
+
+    return basis
 
 
 def _assemble_matrix(source: list[Label], target: list[Label], images) -> list[linalg.Row]:
@@ -149,9 +182,7 @@ def _assemble_matrix(source: list[Label], target: list[Label], images) -> list[l
             try:
                 row = mat[index[lab2]]
             except KeyError:
-                raise AssertionError(
-                    f"differential left the weight slice: {lab} -> {lab2}"
-                ) from None
+                raise AssertionError(f"differential left the slice: {lab} -> {lab2}") from None
             val = row.get(col, 0) + c
             if val:
                 row[col] = val
@@ -199,13 +230,6 @@ def build_log_complex(vs: VarSpec, weight_cap: int) -> WeightSlicedComplex:
     """
     nv, m = vs.total_vars, vs.divisor_vars
 
-    def basis(k: int, w: int) -> list[Label]:
-        return sorted(
-            (indices, exps)
-            for indices in itertools.combinations(range(1, nv + 1), k)
-            for exps in _monomials(nv, w - sum(1 for i in indices if i > m))
-        )
-
     def images(lab: Label):
         indices, exps = lab
         for t in range(1, nv + 1):
@@ -221,10 +245,23 @@ def build_log_complex(vs: VarSpec, weight_cap: int) -> WeightSlicedComplex:
             new_exps = exps if t <= m else exps[: t - 1] + (e - 1,) + exps[t:]
             yield (key, new_exps), Fraction(sign * e)
 
-    return _fill_slices(WeightSlicedComplex("log", vs, (0, nv), weight_cap), basis, images)
+    cx = WeightSlicedComplex("log", vs, (0, nv), weight_cap)
+    return _fill_slices(cx, _frame_basis(log_frame(vs), True), images)
 
 
 # -- shared machinery for the log-plus side -----------------------------------
+
+
+def _invariant_grid(p: PoissonStructure) -> list[list[Fraction]]:
+    """The model gate: the constant grid of the log matrix A.  Raises
+    ValueError unless every variable is on the divisor and A is constant."""
+    vs = p.var_spec
+    if vs.divisor_vars != vs.total_vars:
+        raise ValueError("the invariant model needs every variable on the divisor")
+    a = log_matrix(p)
+    if not a.is_constant():
+        raise ValueError("the invariant model needs a constant log matrix")
+    return a.constant_grid()
 
 
 class _PlusMachine:
@@ -232,14 +269,8 @@ class _PlusMachine:
     of the bivector contraction to arbitrary coordinate forms."""
 
     def __init__(self, p: PoissonStructure):
+        _invariant_grid(p)
         vs = p.var_spec
-        if vs.divisor_vars != vs.total_vars:
-            raise ValueError(
-                "log-plus machinery needs every variable on the divisor "
-                "(invariant toric-type chart)"
-            )
-        if not log_matrix(p).is_constant():
-            raise ValueError("desk scale supports constant log matrices only")
         self.p = p
         self.vs = vs
         self.coord = coordinate_frame(vs)
@@ -291,18 +322,6 @@ class _PlusMachine:
         return acc
 
 
-def _plus_basis(vs: VarSpec, k: int, w: int) -> list[Label]:
-    total = w + k
-    if total < 0:
-        return []
-    nv = vs.total_vars
-    return sorted(
-        (indices, exps)
-        for indices in itertools.combinations(range(1, nv + 1), k)
-        for exps in _monomials(nv, total)
-    )
-
-
 def build_logplus_complex(p: PoissonStructure, weight_cap: int) -> WeightSlicedComplex:
     """The span of the x^E phi_I with the honest exterior derivative.
 
@@ -327,7 +346,7 @@ def build_logplus_complex(p: PoissonStructure, weight_cap: int) -> WeightSlicedC
         return coords
 
     cx = WeightSlicedComplex("logplus", vs, (0, vs.total_vars), weight_cap)
-    return _fill_slices(cx, lambda k, w: _plus_basis(vs, k, w), images)
+    return _fill_slices(cx, _frame_basis(machine.coord, False), images)
 
 
 def _koszul_images(p: PoissonStructure):
@@ -337,12 +356,9 @@ def _koszul_images(p: PoissonStructure):
     with F = E - 1_M, lambda_j = sum_i F_i A[i][j] and s_j the sign of
     ``merge_indices((j,), M)``; the module docstring derives it.  lambda_F
     is computed once per F, since all labels of one Koszul block share it.
-    Raises ValueError unless the log matrix A is constant.
+    Raises ValueError outside the invariant model (``_invariant_grid``).
     """
-    a = log_matrix(p)
-    if not a.is_constant():
-        raise ValueError("the bracket differential needs a constant log matrix")
-    grid = a.constant_grid()
+    grid = _invariant_grid(p)
     nv = p.var_spec.total_vars
     lambdas: dict[tuple[int, ...], list[Fraction]] = {}
 
@@ -382,11 +398,9 @@ def build_bracket_complex(p: PoissonStructure, weight_cap: int) -> WeightSlicedC
     Schouten bracket itself is the test oracle for it.
     """
     vs = p.var_spec
-    if vs.divisor_vars != vs.total_vars:
-        raise ValueError("bracket complex expects the invariant toric-type chart")
     images = _koszul_images(p)
     cx = WeightSlicedComplex("bracket", vs, (0, vs.total_vars), weight_cap)
-    return _fill_slices(cx, lambda k, w: _plus_basis(vs, k, w), images)
+    return _fill_slices(cx, _frame_basis(coordinate_frame(vs), False), images)
 
 
 def conjugation_report(p: PoissonStructure, weight_cap: int, max_degree: int) -> dict:
@@ -401,22 +415,18 @@ def conjugation_report(p: PoissonStructure, weight_cap: int, max_degree: int) ->
     bracket = build_bracket_complex(p, weight_cap)
     slices = []
     all_equal = True
-    for k in range(0, max_degree + 1):
-        for w in range(-k, weight_cap + 1):
-            dim_s = plus.slice_dim(k, w)
-            if dim_s == 0:
-                continue
-            equal = plus.diffs.get((k, w)) == bracket.diffs.get((k, w))
-            all_equal = all_equal and equal
-            slices.append(
-                {
-                    "degree": k,
-                    "weight": w,
-                    "dim_source": dim_s,
-                    "dim_target": plus.slice_dim(k + 1, w),
-                    "equal": equal,
-                }
-            )
+    for k, w in sorted(kw for kw in plus.basis if kw[0] <= max_degree):
+        equal = plus.diffs.get((k, w)) == bracket.diffs.get((k, w))
+        all_equal = all_equal and equal
+        slices.append(
+            {
+                "degree": k,
+                "weight": w,
+                "dim_source": plus.slice_dim(k, w),
+                "dim_target": plus.slice_dim(k + 1, w),
+                "equal": equal,
+            }
+        )
     return {"slices": slices, "verdict": all_equal, "weight_cap": weight_cap}
 
 
@@ -508,7 +518,7 @@ def build_qi(
     Monomial model: the slice at degree D, weight w is spanned by x^E d_M
     with I inside M, E vanishing exactly on I among the divisor indices of
     M, and |E| = w + D.  The differential is the bracket with the bivector,
-    in the closed form of the module docstring; the builder fails loudly if
+    in the closed form of the module docstring; assembly fails loudly if
     any generator's image leaves the slice.  The signs of d(phi_I) are
     checked (``_dphi_signs``); the class span report is not built here
     (``_qi_components``).
@@ -526,21 +536,8 @@ def build_qi(
     machine = _PlusMachine(p)
     nv = vs.total_vars
     top = nv if top_degree is None else min(top_degree, nv)
-    bracket_images = _koszul_images(p)
-
-    def images(lab: Label):
-        out = []
-        for lab2, c in bracket_images(lab):
-            jdx, e2 = lab2
-            if _level_set(vs, jdx, e2) != iset:
-                raise AssertionError(
-                    f"graded differential leaked out of the piece: {lab} -> {lab2}"
-                )
-            out.append((lab2, c))
-        return out
-
     cx = WeightSlicedComplex(f"Q{list(iset)}", vs, (len(iset), top), weight_cap)
-    cx = _fill_slices(cx, lambda degree, w: _qi_basis(vs, iset, degree, w), images)
+    cx = _fill_slices(cx, lambda degree, w: _qi_basis(vs, iset, degree, w), _koszul_images(p))
     return GradedPieceQI(iset, cx, _dphi_signs(machine, iset))
 
 
@@ -649,12 +646,7 @@ def cohomology_dims(cx: WeightSlicedComplex, degree: int) -> dict[int, int]:
     rank-nullity per weight slice."""
     out: dict[int, int] = {}
     for w in cx.weights_at(degree):
-        dim = cx.slice_dim(degree, w)
-        mat = cx.diffs.get((degree, w))
-        rank_out = linalg.rank(mat) if mat is not None else 0
-        mat_in = cx.diffs.get((degree - 1, w))
-        rank_in = linalg.rank(mat_in) if mat_in is not None else 0
-        h = dim - rank_out - rank_in
+        h = cx.slice_dim(degree, w) - cx.rank(degree, w) - cx.rank(degree - 1, w)
         if h < 0:
             raise AssertionError("rank bookkeeping produced a negative dimension")
         out[w] = h
@@ -672,48 +664,25 @@ def verify_d_squared(cx: WeightSlicedComplex) -> bool:
     return True
 
 
-def verify_exactness(cx: WeightSlicedComplex, degrees, weight_cap: int | None = None) -> dict:
-    """Cohomology table over the requested degrees; verdict "exact" iff all
-    reported dimensions vanish (empty tables count as exact)."""
-    cap = cx.weight_cap if weight_cap is None else min(weight_cap, cx.weight_cap)
+def verify_exactness(cx: WeightSlicedComplex, degrees) -> dict:
+    """Cohomology table over the requested degrees and all weights; verdict
+    "exact" iff all reported dimensions vanish (empty tables count as exact)."""
     table = []
     exact = True
     for k in degrees:
         dims = cohomology_dims(cx, k)
         for w in sorted(dims):
-            if w > cap or cx.slice_dim(k, w) == 0:
-                continue
             table.append({"degree": k, "weight": w, "dim_cohomology": dims[w]})
             exact = exact and dims[w] == 0
     return {
         "complex_id": cx.label,
-        "weight_cap": cap,
+        "weight_cap": cx.weight_cap,
         "table": table,
         "verdict": "exact" if exact else "not_exact",
     }
 
 
 # -- filtration membership ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FiltrationLevel:
-    """Level i of the ascending filtration of the log-plus complex: the span,
-    over log forms, of products of at most i phi factors."""
-
-    level: int
-    var_spec: VarSpec
-
-    def __post_init__(self):
-        if self.level < 0:
-            raise ValueError("filtration level must be >= 0")
-
-    def generator_sets(self) -> list[IndexSet]:
-        m = self.var_spec.divisor_vars
-        out: list[IndexSet] = []
-        for size in range(self.level + 1):
-            out.extend(itertools.combinations(range(1, m + 1), size))
-        return out
 
 
 def filtration_level_of(p: PoissonStructure, form: DiffForm) -> int | None:

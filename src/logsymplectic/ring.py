@@ -91,9 +91,6 @@ class LaurentPoly:
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
 
-    def __reduce__(self):
-        return (LaurentPoly, (self.var_spec, self.terms))
-
     # -- constructors ------------------------------------------------------
 
     @classmethod

@@ -169,7 +169,7 @@ def test_c06_graded_pieces_exact_in_low_degrees(general_fixtures):
         for size in (1, 2, 3):
             for iset in itertools.combinations(range(1, 5), size):
                 piece = build_qi(p, iset, weight_cap=4, top_degree=3)
-                rep = verify_exactness(piece.complex, range(size, 3), 4)
+                rep = verify_exactness(piece.complex, range(size, 3))
                 ok = ok and rep["verdict"] == "exact"
     elapsed = time.monotonic() - start
     ok = ok and elapsed < 60.0
@@ -186,7 +186,7 @@ def test_c07_single_group_has_full_cohomology(general_fixtures):
         piece = build_qi(p, (1, 2, 3, 4), weight_cap=4)
         cx = piece.complex
         dims = cx.dims(4)
-        rep = verify_exactness(cx, range(4, 5), 4)
+        rep = verify_exactness(cx, range(4, 5))
         coh = {row["weight"]: row["dim_cohomology"] for row in rep["table"]}
         ok = ok and dims == {-4: 1} and coh == dims and rep["verdict"] == "not_exact"
         for degree in range(5, 9):

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from logsymplectic import complexes, linalg
+from logsymplectic import cli, complexes, linalg
 from logsymplectic.cli import canonical_json, main
 from test_golden import CASES, GOLDEN
 
@@ -39,6 +39,13 @@ BROKEN_STRUCTURE = {
     ],
 }
 
+RESONANT_FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "resonant_structure.json"
+
+RESONANT_MATRIX = {
+    "size": 4,
+    "entries": [[0, -4, -6, 6], [4, 0, 2, -2], [6, -2, 0, -3], [-6, 2, 3, 0]],
+}
+
 BLOCK_MATRIX = {
     "size": 4,
     "entries": [
@@ -58,6 +65,7 @@ def files(tmp_path):
         ("toric_structure", TORIC_STRUCTURE),
         ("broken_structure", BROKEN_STRUCTURE),
         ("block_matrix", BLOCK_MATRIX),
+        ("resonant_matrix", RESONANT_MATRIX),
     ]:
         p = tmp_path / f"{name}.json"
         p.write_text(json.dumps(doc))
@@ -255,6 +263,31 @@ class TestVerifyExactness:
         assert doc["max_degree"] == int(max_degree)
         assert doc["table"]
 
+    @pytest.mark.parametrize("max_degree", [1, 2])
+    def test_max_degree_builds_through_next_degree(self, files, monkeypatch, max_degree):
+        # cohomology through degree D needs the slices through D + 1 only
+        built = []
+
+        def recording_build_qi(*args, **kwargs):
+            piece = complexes.build_qi(*args, **kwargs)
+            built.append(piece.complex.degree_range)
+            return piece
+
+        monkeypatch.setattr(cli, "build_qi", recording_build_qi)
+        assert main([
+            "verify-exactness", "--structure", files["toric_structure"],
+            "--I", "1", "--max-degree", str(max_degree), "--weight-cap", "1",
+        ]) == 0
+        assert built == [(1, max_degree + 1)]
+
+    def test_resonant_fixture_not_exact(self, capsys):
+        # 2-general, but {3, 4} is a 2-resonant pair
+        assert main([
+            "verify-exactness", "--structure", str(RESONANT_FIXTURE), "--I", "3,4",
+            "--weight-cap", "2",
+        ]) == 1
+        assert "degree 2 weight -2: dim H = 1" in capsys.readouterr().out
+
     def test_bad_index_set(self, files):
         assert main([
             "verify-exactness", "--structure", files["toric_structure"],
@@ -269,6 +302,13 @@ class TestToricReport:
         assert doc["dimension_table"]["betti"] == [1, 4, 6, 4, 1]
         assert doc["dimension_table"]["deformation_tangent"] == 6
         assert doc["general_position"]["2"] is True
+
+    def test_resonant_matrix_passes(self, files):
+        # passes every check of the report, although Q_(3,4) is not exact
+        assert main(["toric-report", "--matrix", files["resonant_matrix"], "--out", files["out"]]) == 0
+        doc = json.loads(Path(files["out"]).read_text())
+        assert doc["pfaffian"] == "12"
+        assert doc["general_position"] == {"1": True, "2": True, "3": True, "4": False}
 
     def test_block_matrix_fails_overall(self, files):
         code = main(["toric-report", "--matrix", files["block_matrix"], "--out", files["out"]])

@@ -9,7 +9,6 @@ import pytest
 
 from logsymplectic import linalg
 from logsymplectic.complexes import (
-    FiltrationLevel,
     WeightSlicedComplex,
     _PlusMachine,
     _class_vector,
@@ -41,7 +40,7 @@ from logsymplectic.exterior import (
     vector_monomial,
     wedge,
 )
-from logsymplectic.genpos import is_standard_t_general
+from logsymplectic.genpos import is_standard_t_general, poisson_t_general
 from logsymplectic.poisson import (
     PoissonStructure,
     log_matrix,
@@ -261,7 +260,7 @@ class TestGradedPieces:
         for iset in [(1,), (3,), (1, 2), (2, 4)]:
             q = build_qi(toric, iset, 3)
             assert verify_d_squared(q.complex)
-            rep = verify_exactness(q.complex, range(len(iset), 3), 3)
+            rep = verify_exactness(q.complex, range(len(iset), 3))
             assert rep["verdict"] == "exact"
 
     def test_single_group_full_index_set(self, toric):
@@ -270,7 +269,7 @@ class TestGradedPieces:
         for degree in range(5, 9):
             assert q.complex.weights_at(degree) == []
         assert cohomology_dims(q.complex, 4) == {-4: 1}
-        rep = verify_exactness(q.complex, range(4, 5), 4)
+        rep = verify_exactness(q.complex, range(4, 5))
         assert rep["verdict"] == "not_exact"
         assert rep["table"] == [{"degree": 4, "weight": -4, "dim_cohomology": 1}]
 
@@ -357,14 +356,38 @@ class TestCohomologyMachinery:
 
     def test_zero_complex_exact(self):
         cx = WeightSlicedComplex("zero", VS, (0, 1), 2)
-        rep = verify_exactness(cx, range(0, 2), 2)
+        rep = verify_exactness(cx, range(0, 2))
         assert rep["verdict"] == "exact"
         assert rep["table"] == []
 
     def test_weight_cap_zero_run(self, toric):
         q = build_qi(toric, (1,), 0)
-        rep = verify_exactness(q.complex, range(1, 3), 0)
+        rep = verify_exactness(q.complex, range(1, 3))
         assert rep["verdict"] == "exact"
+
+    def test_each_differential_ranked_once(self, toric, monkeypatch):
+        # a walk over all degrees meets every interior differential twice,
+        # as outgoing and as incoming map; it must be ranked only once
+        cx = build_bracket_complex(toric, 2)
+
+        def stored_rank(k, w):
+            return linalg.rank(cx.diffs[(k, w)]) if (k, w) in cx.diffs else 0
+
+        expected = {
+            k: {w: cx.slice_dim(k, w) - stored_rank(k, w) - stored_rank(k - 1, w)
+                for w in cx.weights_at(k)}
+            for k in range(5)
+        }
+        ranked = []
+        rank = linalg.rank
+
+        def counting_rank(a, *args, **kwargs):
+            ranked.append(id(a))
+            return rank(a, *args, **kwargs)
+
+        monkeypatch.setattr(linalg, "rank", counting_rank)
+        assert {k: cohomology_dims(cx, k) for k in range(5)} == expected
+        assert sorted(ranked) == sorted(id(m) for m in cx.diffs.values())
 
     def test_all_dims_nonnegative(self, toric):
         q = build_qi(toric, (1, 2), 2)
@@ -411,15 +434,6 @@ class TestFiltration:
         # 2n = 4: above level 4 there are no pieces, so the report would be vacuous
         with pytest.raises(ValueError, match="filtration level"):
             filtration_report(toric, level, 1, 4)
-
-    def test_level_generators(self):
-        level = FiltrationLevel(2, VS)
-        gens = level.generator_sets()
-        assert () in gens
-        assert (1,) in gens and (3, 4) in gens
-        assert all(len(g) <= 2 for g in gens)
-        with pytest.raises(ValueError):
-            FiltrationLevel(-1, VS)
 
 
 # -- the closed-form bracket differential ---------------------------------------
@@ -537,6 +551,31 @@ def nonzero_cohomology(cx) -> dict[tuple[int, int], int]:
         for w, h in cohomology_dims(cx, k).items()
         if h
     }
+
+
+RESONANT_STRUCTURE = FIXTURE_STRUCTURE.parent / "resonant_structure.json"
+RESONANT_GRID = [[0, -4, -6, 6], [4, 0, 2, -2], [6, -2, 0, -3], [-6, 2, 3, 0]]
+
+
+class TestResonantGrid:
+    """A grid in 1-, 2- and 3-general position with a 2-resonant pair: rows
+    3 and 4 of A cancel off {3, 4}, so Q_(3,4) carries d_3 ^ d_4 at weight
+    -2.  Exactness of the graded pieces needs "no 2-resonance", which
+    2-general position does not give."""
+
+    @pytest.fixture(scope="class")
+    def resonant(self):
+        return PoissonStructure.from_json(json.loads(RESONANT_STRUCTURE.read_text()))
+
+    def test_fixture_is_t_general(self, resonant):
+        assert log_matrix(resonant).constant_grid() == RESONANT_GRID
+        assert pfaffian(RESONANT_GRID) == 12
+        assert all(poisson_t_general(resonant, t).verdict for t in (1, 2, 3))
+
+    def test_resonant_piece_not_exact(self, resonant):
+        q34 = build_qi(resonant, (3, 4), 2).complex
+        assert nonzero_cohomology(q34) == {(2, -2): 1, (3, -2): 2, (4, -2): 1}
+        assert nonzero_cohomology(build_qi(resonant, (1, 2), 2).complex) == {}
 
 
 class TestKoszulBlockCount:
