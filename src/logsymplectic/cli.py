@@ -17,8 +17,7 @@ from pathlib import Path
 
 from .complexes import build_qi, verify_exactness
 from .genpos import poisson_t_general
-from .poisson import PoissonStructure, SkewMatrix, pfaffian, schouten
-from .ring import poly_to_string
+from .poisson import PoissonStructure, _int_field, pfaffian, schouten
 from .toric import (
     betti_torus,
     certify,
@@ -65,9 +64,7 @@ def _load_structure(path: str) -> PoissonStructure:
 def _load_matrix(path: str) -> list[list[Fraction]]:
     doc = _load_json(path)
     try:
-        size = doc["size"]
-        if type(size) is not int:
-            raise TypeError(f"'size' must be an integer, not {type(size).__name__}")
+        size = _int_field(doc, "size")
         entries = doc["entries"]
         if any(isinstance(x, (float, bool)) for row in entries for x in row):
             raise ValueError(
@@ -91,20 +88,15 @@ def cmd_jacobi(args) -> int:
         "command": "jacobi",
         "structure": p.to_json(),
         "jacobi_holds": holds,
-        "self_bracket": None
-        if holds
-        else [
-            {"indices": list(k), "coeff": poly_to_string(v)}
-            for k, v in sorted(bracket.terms.items())
-        ],
+        "self_bracket": None if holds else bracket.serialize()["terms"],
     }
     _emit(report, args.out)
     if holds:
         print("jacobi: PASS ([Pi,Pi] = 0)")
     else:
         print(f"jacobi: FAIL ([Pi,Pi] has {len(bracket.terms)} nonzero components)")
-        for k, v in sorted(bracket.terms.items()):
-            print(f"  {list(k)}: {poly_to_string(v)}")
+        for term in report["self_bracket"]:
+            print(f"  {term['indices']}: {term['coeff']}")
     return EXIT_TRUE if holds else EXIT_FALSE
 
 
@@ -189,13 +181,16 @@ def cmd_verify_exactness(args) -> int:
 
 
 def cmd_toric_report(args) -> int:
+    if args.matrix and args.random:
+        raise InputError("--matrix and --random exclude each other")
+    if args.n is not None and not args.random:
+        raise InputError("--n needs --random")
     if args.matrix:
         grid = _load_matrix(args.matrix)
+    elif args.random and args.n is not None:
+        grid = random_skew(random.Random(args.seed), 2 * args.n)
     else:
-        if args.n is None:
-            raise InputError("either --matrix or --random with --n is required")
-        rng = random.Random(args.seed)
-        grid = random_skew(rng, 2 * args.n)
+        raise InputError("either --matrix or --random with --n is required")
     try:
         t = make_toric(grid)
     except ValueError as exc:
@@ -210,7 +205,7 @@ def cmd_toric_report(args) -> int:
         dims["deformation_tangent"] = deformation_tangent_dim(t.n)
     report = {
         "command": "toric-report",
-        "matrix": SkewMatrix.from_rationals(t.structure.var_spec, grid).serialize(),
+        "matrix": t.matrix.serialize(),
         "dimension_table": dims,
         **report,
     }

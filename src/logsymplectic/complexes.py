@@ -139,22 +139,15 @@ class WeightSlicedComplex:
 
 @functools.cache
 def _monomials(nvars: int, total: int) -> tuple[tuple[int, ...], ...]:
-    """All exponent vectors >= 0 of the given total degree, sorted."""
-    if total < 0:
-        return ()
-    if nvars == 0:
-        return ((),) if total == 0 else ()
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: list[int], remaining: int, slots: int):
-        if slots == 1:
-            out.append(tuple(prefix + [remaining]))
-            return
-        for e in range(remaining + 1):
-            rec(prefix + [e], remaining - e, slots - 1)
-
-    rec([], total, nvars)
-    return tuple(sorted(out))
+    """All exponent vectors >= 0 of the given total degree, sorted: stars and
+    bars, whose bar positions in lexicographic order give sorted vectors."""
+    if total < 0 or nvars == 0:
+        return ((),) if total == nvars == 0 else ()
+    end = (total + nvars - 1,)
+    return tuple(
+        tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + end))
+        for bars in itertools.combinations(range(end[0]), nvars - 1)
+    )
 
 
 def _frame_basis(frame: Frame, is_form: bool):
@@ -271,21 +264,13 @@ class _PlusMachine:
     def __init__(self, p: PoissonStructure):
         _invariant_grid(p)
         vs = p.var_spec
-        self.p = p
         self.vs = vs
         self.coord = coordinate_frame(vs)
         nv = vs.total_vars
         self.phi = phi_forms(p)  # raises when A is singular
-        self.eta_coord = [
-            change_frame(log_one_form(vs, i), self.coord) for i in range(1, nv + 1)
-        ]
         self._sharp_dx = [pi_sharp(p, coordinate_one_form(vs, t)) for t in range(1, nv + 1)]
-        self._sharp_eta = [pi_sharp(p, eta) for eta in self.eta_coord]
         self._phi_wedges: dict[IndexSet, DiffForm] = {}
         self._sharp_wedges: dict[IndexSet, MultiVector] = {}
-
-    def sharp_eta(self, t: int) -> MultiVector:
-        return self._sharp_eta[t - 1]
 
     def phi_wedge(self, indices: IndexSet) -> DiffForm:
         if indices not in self._phi_wedges:
@@ -303,23 +288,28 @@ class _PlusMachine:
             self._sharp_wedges[indices] = acc
         return self._sharp_wedges[indices]
 
+    def _combine(self, cls, degree: int, pairs):
+        """Sum of coeff * image over the (coeff, image) pairs, accumulated
+        in term dicts and built once."""
+        acc: dict[IndexSet, dict[tuple[int, ...], Fraction]] = {}
+        for coeff, image in pairs:
+            for idx, poly in image.terms.items():
+                add_product(acc.setdefault(idx, {}), coeff, poly, False)
+        terms = {idx: LaurentPoly._from_sums(self.vs, sums) for idx, sums in acc.items()}
+        return cls(self.coord, degree, terms)
+
     def sharp_form(self, form: DiffForm) -> MultiVector:
         """Degree-preserving extension of the bivector contraction."""
-        acc: dict[IndexSet, dict[tuple[int, ...], Fraction]] = {}
-        for indices, coeff in form.terms.items():
-            image = self.sharp_wedge(indices)
-            for midx, mpoly in image.terms.items():
-                add_product(acc.setdefault(midx, {}), coeff, mpoly, False)
-        terms = {midx: LaurentPoly._from_sums(self.vs, sums) for midx, sums in acc.items()}
-        return MultiVector(self.coord, form.degree, terms)
+        pairs = ((coeff, self.sharp_wedge(indices)) for indices, coeff in form.terms.items())
+        return self._combine(MultiVector, form.degree, pairs)
 
     def reconstruct_from_phi(self, coords, degree: int) -> DiffForm:
         """Sum of c * x^E phi_J as a coordinate form (for certification)."""
-        acc = DiffForm(self.coord, degree, {})
-        for (indices, exps), c in coords:
-            piece = self.phi_wedge(indices).scale(LaurentPoly.monomial(self.vs, exps, c))
-            acc = acc + piece
-        return acc
+        pairs = (
+            (LaurentPoly.monomial(self.vs, exps, c), self.phi_wedge(indices))
+            for (indices, exps), c in coords
+        )
+        return self._combine(DiffForm, degree, pairs)
 
 
 def build_logplus_complex(p: PoissonStructure, weight_cap: int) -> WeightSlicedComplex:
@@ -499,10 +489,10 @@ def _dphi_signs(machine: _PlusMachine, iset: IndexSet) -> dict[int, Fraction]:
     if not iset:
         return {}
     phi_i = machine.phi_wedge(iset)
-    expected = DiffForm(machine.coord, len(iset) + 1, {})
-    for i in iset:
-        expected = expected - wedge(machine.eta_coord[i - 1], phi_i)
-    if exterior_derivative(phi_i) != expected:
+    one = LaurentPoly.const(machine.vs, 1)
+    eta_sum = DiffForm(log_frame(machine.vs), 1, {(i,): one for i in iset})
+    eta_sum = change_frame(eta_sum, machine.coord)
+    if exterior_derivative(phi_i) != -wedge(eta_sum, phi_i):
         raise AssertionError("d(phi_I) is not -sum_{i in I} eta_i ^ phi_I")
     return {i: Fraction(-1) for i in iset}
 
@@ -544,18 +534,23 @@ def build_qi(
 def _class_vector(machine: _PlusMachine, iset, kset, exps, index) -> linalg.Row:
     """Sparse coordinates, in the monomial slice basis with label positions
     ``index``, of the class of phi_I ^ x^E eta_K (through the sharp
-    identification)."""
+    identification).  eta_t = x_t^-1 dx_t, so the sharp of x^E eta_K is
+    x^(E - 1_K) times the cached sharp wedge of K."""
     vs = machine.vs
-    base = vector_monomial(machine.coord, iset, LaurentPoly.monomial(vs, exps, 1))
-    for t in kset:
-        base = base.wedge(machine.sharp_eta(t))
+    shifted = tuple(e - 1 if t in kset else e for t, e in enumerate(exps, 1))
+    coeff = LaurentPoly.monomial(vs, shifted, 1)
+    base = vector_monomial(machine.coord, iset, coeff).wedge(machine.sharp_wedge(kset))
     vec: linalg.Row = {}
-    for lab, c in _flatten(base):
-        jdx, e2 = lab
+    for (jdx, e2), c in _flatten(base):
         if _level_set(vs, jdx, e2) != iset:
             raise AssertionError("class representative left the graded piece")
-        vec[index[lab]] = c
+        vec[index[(jdx, e2)]] = c
     return vec
+
+
+def _group_ranks(groups: list[list[linalg.Row]]) -> tuple[list[int], int]:
+    """The rank of each group of vectors and the rank of their union."""
+    return [linalg.rank(g) for g in groups], linalg.rank([v for g in groups for v in g])
 
 
 def _qi_components(p: PoissonStructure, piece: GradedPieceQI, max_degree: int) -> dict:
@@ -564,70 +559,67 @@ def _qi_components(p: PoissonStructure, piece: GradedPieceQI, max_degree: int) -
     plus the twisted-differential shape check."""
     machine = _PlusMachine(p)
     iset, cx = piece.index_set, piece.complex
-    nv = machine.vs.total_vars
+    vs = machine.vs
+    classes: dict[tuple[int, int], dict[Label, linalg.Row]] = {}
+
+    def slice_classes(degree: int, w: int) -> dict[Label, linalg.Row]:
+        """Class label -> class vector on one slice, computed once."""
+        if (degree, w) not in classes:
+            index = {lab: i for i, lab in enumerate(cx.basis.get((degree, w), []))}
+            classes[(degree, w)] = {
+                (kset, exps): _class_vector(machine, iset, kset, exps, index)
+                for kset, exps in _class_labels(vs.total_vars, iset, degree, w)
+            }
+        return classes[(degree, w)]
+
     report: dict = {}
-    for degree in range(len(iset), min(max_degree, nv) + 1):
+    for degree in range(len(iset), min(max_degree, vs.total_vars) + 1):
         for w in cx.weights_at(degree):
-            labels = cx.basis[(degree, w)]
-            index = {lab: i for i, lab in enumerate(labels)}
-            class_rows: list[tuple[tuple, linalg.Row]] = []
-            for kset, exps in _class_labels(nv, iset, degree, w):
-                jpart = tuple(i for i in kset if i in iset)
-                vec = _class_vector(machine, iset, kset, exps, index)
-                class_rows.append(((jpart, kset, exps), vec))
-            all_vecs = [vec for _, vec in class_rows]
-            span_dim = linalg.rank(all_vecs) if all_vecs else 0
-            per_j: dict[tuple, int] = {}
-            for jpart in sorted({lab[0] for lab, _ in class_rows}):
-                vecs = [vec for lab, vec in class_rows if lab[0] == jpart]
-                per_j[jpart] = linalg.rank(vecs)
+            vecs = slice_classes(degree, w)
+            groups: dict[IndexSet, list[linalg.Row]] = {}
+            for (kset, _exps), vec in vecs.items():
+                groups.setdefault(tuple(i for i in kset if i in iset), []).append(vec)
+            jparts = sorted(groups)
+            ranks, span_dim = _group_ranks([groups[j] for j in jparts])
+            per_j = dict(zip(jparts, ranks))
+            module_dim = cx.slice_dim(degree, w)
+            dmat = cx.diffs.get((degree, w))
             report[(degree, w)] = {
-                "module_dim": len(labels),
+                "module_dim": module_dim,
                 "class_span_dim": span_dim,
-                "spanning": span_dim == len(labels),
+                "spanning": span_dim == module_dim,
                 "per_label_rank": per_j,
-                "label_rank_sum": sum(per_j.values()),
-                "direct": sum(per_j.values()) == span_dim,
-                "twisted_shape_verified": _twisted_shape_check(
-                    machine, iset, cx, degree, w, piece.dphi_signs
+                "label_rank_sum": sum(ranks),
+                "direct": sum(ranks) == span_dim,
+                "twisted_shape_verified": dmat is None or _twisted_shape_check(
+                    vs, iset, dmat, vecs, slice_classes(degree + 1, w), piece.dphi_signs
                 ),
             }
     return report
 
 
-def _twisted_shape_check(machine, iset, cx, degree, w, signs) -> bool:
-    """Certify that on every class phi_I ^ psi in the slice the induced
-    differential equals the class of (-1)^{|I|} (d psi + sum_i c_i eta_i psi)
-    with the computed signs: the differential of a lifted representative,
-    projected back, has the predicted two-component shape."""
-    vs = machine.vs
-    i_len = len(iset)
-    k = degree - i_len
-    labels = cx.basis.get((degree, w), [])
-    dmat = cx.diffs.get((degree, w))
-    if not labels or dmat is None:
-        return True
-    index = {lab: i for i, lab in enumerate(labels)}
-    target = {lab: i for i, lab in enumerate(cx.basis.get((degree + 1, w), []))}
+def _twisted_shape_check(vs, iset, dmat, classes, target, signs) -> bool:
+    """Certify that on every class phi_I ^ psi of a slice the induced
+    differential ``dmat`` equals the class of (-1)^{|I|} (d psi + sum_i c_i
+    eta_i psi) with the computed signs: the differential of a lifted
+    representative, projected back, has the predicted two-component shape.
+    ``classes`` and ``target`` map the class labels of the slice and of the
+    next one to their class vectors."""
     lg = log_frame(vs)
-    sign_i = Fraction(-1) if i_len % 2 else Fraction(1)
-    for kset, exps in _class_labels(vs.total_vars, iset, degree, w):
-        psi = DiffForm(lg, k, {kset: LaurentPoly.monomial(vs, exps, 1)})
+    sign_i = Fraction(-1) if len(iset) % 2 else Fraction(1)
+    for (kset, exps), psi_vec in classes.items():
+        psi = DiffForm(lg, len(kset), {kset: LaurentPoly.monomial(vs, exps, 1)})
         chi = exterior_derivative(psi)
         for i in iset:
             chi = chi + wedge(log_one_form(vs, i), psi).scale(signs[i])
         chi = chi.scale(sign_i)
-        for poly in chi.terms.values():
-            for e2 in poly.terms:
-                if any(e2[r - 1] != 0 for r in iset):
-                    return False
         chi_vec: linalg.Row = {}
         for cidx, cpoly in chi.terms.items():
             for e2, c2 in cpoly.terms.items():
-                vec = _class_vector(machine, iset, cidx, e2, target)
-                for r, b in vec.items():
+                if any(e2[r - 1] != 0 for r in iset):
+                    return False
+                for r, b in target[(cidx, e2)].items():
                     chi_vec[r] = chi_vec.get(r, 0) + c2 * b
-        psi_vec = _class_vector(machine, iset, kset, exps, index)
         dvec = {}
         for r, row in enumerate(dmat):
             val = sum(row[c] * x for c, x in psi_vec.items() if c in row)
@@ -731,23 +723,19 @@ def filtration_report(p: PoissonStructure, level: int, weight_cap: int, max_degr
     ok = True
     for degree in range(level, min(max_degree, nv) + 1):
         for w in range(-level, weight_cap + 1):
-            per_piece = []
             union_basis: list[Label] = []
             for iset in isets:
                 union_basis.extend(_qi_basis(vs, iset, degree, w))
             if not union_basis:
                 continue
             index = {lab: i for i, lab in enumerate(union_basis)}
-            all_vecs = []
-            for iset in isets:
-                vecs = [
+            per_piece, combined = _group_ranks([
+                [
                     _class_vector(machine, iset, kset, exps, index)
                     for kset, exps in _class_labels(nv, iset, degree, w)
                 ]
-                r = linalg.rank(vecs) if vecs else 0
-                per_piece.append(r)
-                all_vecs.extend(vecs)
-            combined = linalg.rank(all_vecs) if all_vecs else 0
+                for iset in isets
+            ])
             direct = combined == sum(per_piece)
             ok = ok and direct
             slices.append(
@@ -759,18 +747,11 @@ def filtration_report(p: PoissonStructure, level: int, weight_cap: int, max_degr
                     "direct": direct,
                 }
             )
-    # annihilator: multiplying a piece's generator by one of its divisor
-    # variables drops the filtration level of every monomial.
-    ann_ok = True
-    for iset in isets:
-        if not iset:
-            continue
-        gen = vector_monomial(
-            machine.coord, iset, LaurentPoly.const(vs, 1)
-        )
-        for r in iset:
-            shifted = gen.scale(LaurentPoly.variable(vs, r))
-            for lab, _c in _flatten(shifted):
-                if _level_set(vs, lab[0], lab[1]) == iset:
-                    ann_ok = False
+    # annihilator: multiplying a piece's generator d_I by one of its divisor
+    # variables x_r gives the label (I, e_r), which must drop the level.
+    ann_ok = all(
+        _level_set(vs, iset, tuple(int(t == r) for t in range(1, nv + 1))) != iset
+        for iset in isets
+        for r in iset
+    )
     return {"level": level, "slices": slices, "direct": ok, "annihilator_ok": ann_ok}

@@ -23,6 +23,8 @@ preserves it.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 from .ring import LaurentPoly, VarSpec
@@ -76,13 +78,10 @@ def merge_indices(left: IndexSet, right: IndexSet) -> tuple[int, IndexSet] | Non
     return sign, tuple(out)
 
 
-def _validate_indices(indices: IndexSet, vs: VarSpec, degree: int):
-    if len(indices) != degree:
-        raise ValueError(f"index set {indices} has length != degree {degree}")
-    if any(not 1 <= i <= vs.total_vars for i in indices):
-        raise ValueError(f"index out of range in {indices}")
-    if any(indices[t] >= indices[t + 1] for t in range(len(indices) - 1)):
-        raise ValueError(f"index set {indices} is not strictly increasing")
+@functools.cache
+def _index_sets(nv: int, degree: int) -> frozenset[IndexSet]:
+    """The valid index sets of a degree: strictly increasing tuples in 1..nv."""
+    return frozenset(itertools.combinations(range(1, nv + 1), degree))
 
 
 class _GradedElement:
@@ -99,15 +98,18 @@ class _GradedElement:
             degree, terms = vs.total_vars, {}
         if degree < 0:
             raise ValueError(f"degree {degree} out of range")
+        valid = _index_sets(vs.total_vars, degree)
         clean: dict[IndexSet, LaurentPoly] = {}
         for indices, coeff in (terms or {}).items():
             indices = tuple(indices)
-            _validate_indices(indices, vs, degree)
+            if indices not in valid:
+                raise ValueError(
+                    f"index set {indices} is not {degree} increasing indices in 1..{vs.total_vars}"
+                )
             if coeff.var_spec != vs:
                 raise ValueError("coefficient var_spec mismatch")
             if not coeff.is_zero():
-                clean[indices] = clean[indices] + coeff if indices in clean else coeff
-        clean = {k: v for k, v in clean.items() if not v.is_zero()}
+                clean[indices] = coeff
         object.__setattr__(self, "frame", frame)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "terms", clean)

@@ -135,11 +135,11 @@ def deformation_tangent_dim(n: int) -> int:
     return math.comb(2 * n, 2)
 
 
-def random_skew(rng: random.Random, size: int, lo: int = -9, hi: int = 9) -> list[list[Fraction]]:
-    """Uniform random constant skew matrix with nonzero integer entries
-    above the diagonal."""
+def random_skew(rng: random.Random, size: int) -> list[list[Fraction]]:
+    """Uniform random constant skew matrix with nonzero integer entries in
+    -9..9 above the diagonal."""
     grid = [[Fraction(0)] * size for _ in range(size)]
-    choices = [v for v in range(lo, hi + 1) if v != 0]
+    choices = [v for v in range(-9, 10) if v != 0]
     for i in range(size):
         for j in range(i + 1, size):
             v = Fraction(rng.choice(choices))

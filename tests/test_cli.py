@@ -323,6 +323,22 @@ class TestToricReport:
     def test_random_needs_n(self, files):
         assert main(["toric-report", "--random"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            (["--matrix", "MATRIX", "--random", "--n", "2"], "exclude each other"),
+            (["--n", "2"], "--n needs --random"),
+            ([], "either --matrix or --random"),
+        ],
+        ids=["matrix-and-random", "n-without-random", "neither"],
+    )
+    def test_matrix_or_random_refused(self, files, capsys, argv, needle):
+        argv = [files["toric_matrix"] if a == "MATRIX" else a for a in argv]
+        assert main(["toric-report", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert needle in err
+
 
 class TestDeterminism:
     def test_byte_identical_reports(self, files):

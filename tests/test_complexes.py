@@ -11,10 +11,12 @@ from logsymplectic import linalg
 from logsymplectic.complexes import (
     WeightSlicedComplex,
     _PlusMachine,
+    _class_labels,
     _class_vector,
     _dphi_signs,
     _flatten,
     _monomials,
+    _qi_basis,
     _qi_components,
     build_bracket_complex,
     build_log_complex,
@@ -55,6 +57,14 @@ from logsymplectic.toric import random_2general_toric
 from conftest import EXPLICIT_GRID, toric_structure
 
 VS = VarSpec(4, 4)
+
+
+class TestMonomials:
+    @pytest.mark.parametrize("nvars", range(7))
+    def test_stars_and_bars_match_brute_force(self, nvars):
+        for total in range(-1, 6):
+            brute = [e for e in itertools.product(range(total + 1), repeat=nvars) if sum(e) == total]
+            assert _monomials(nvars, total) == tuple(sorted(brute))
 
 
 class TestLogComplex:
@@ -324,6 +334,42 @@ class TestGradedPieces:
         assert z == expected
         assert any(v != 0 for v in vec_dpsi.values())
         assert any(v != 0 for v in vec_eta1psi.values())
+
+    @pytest.mark.parametrize("case", ["fixture", "2n6"])
+    def test_class_vectors_match_eta_wedges(self, toric, case):
+        # oracle: x^E d_I wedged with the |K|-fold wedge of the pi_sharp(eta_t),
+        # t in K, against x^(E - 1_K) d_I ^ (cached sharp wedge of the dx_t)
+        if case == "fixture":
+            p, cap = toric, 2
+        else:
+            p, cap = random_2general_toric(random.Random(3), 3).structure, 1
+        machine = _PlusMachine(p)
+        vs = p.var_spec
+        nv = vs.total_vars
+        coord = coordinate_frame(vs)
+        sharp_eta = [
+            pi_sharp(p, change_frame(log_one_form(vs, t), coord)) for t in range(1, nv + 1)
+        ]
+        eta_wedges = {}
+        checked = 0
+        for size in range(3):
+            for iset in itertools.combinations(range(1, nv + 1), size):
+                for degree in range(size, nv + 1):
+                    for w in range(-size, cap + 1):
+                        labels = _qi_basis(vs, iset, degree, w)
+                        index = {lab: i for i, lab in enumerate(labels)}
+                        for kset, exps in _class_labels(nv, iset, degree, w):
+                            if kset not in eta_wedges:
+                                acc = MultiVector(coord, 0, {(): LaurentPoly.const(vs, 1)})
+                                for t in kset:
+                                    acc = acc.wedge(sharp_eta[t - 1])
+                                eta_wedges[kset] = acc
+                            base = vector_monomial(coord, iset, LaurentPoly.monomial(vs, exps, 1))
+                            base = base.wedge(eta_wedges[kset])
+                            oracle = {index[lab]: c for lab, c in _flatten(base)}
+                            assert _class_vector(machine, iset, kset, exps, index) == oracle
+                            checked += 1
+        assert checked > 0
 
     def test_invalid_index_sets(self, toric):
         with pytest.raises(ValueError):

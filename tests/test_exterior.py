@@ -261,6 +261,18 @@ class TestWeights:
                 assert set(weight_decomposition(dw)) == {wt}
 
 
+class TestIndexSets:
+    @pytest.mark.parametrize("cls", [DiffForm, MultiVector])
+    @pytest.mark.parametrize(
+        "degree, indices",
+        [(2, (1,)), (1, (1, 2)), (1, (0,)), (1, (5,)), (2, (3, 1)), (2, (2, 2))],
+        ids=["too-short", "too-long", "index-0", "index-above-2n", "decreasing", "repeated"],
+    )
+    def test_malformed_index_tuple_raises(self, cls, degree, indices):
+        with pytest.raises(ValueError):
+            cls(COORD, degree, {indices: poly("1")})
+
+
 class TestSerialization:
     def test_frame_tagged_term_list(self):
         w = form_monomial(COORD, (1, 3), poly("x2")) + form_monomial(
