@@ -185,10 +185,12 @@ def cmd_toric_report(args) -> int:
         raise InputError("--matrix and --random exclude each other")
     if args.n is not None and not args.random:
         raise InputError("--n needs --random")
+    if args.seed is not None and not args.random:
+        raise InputError("--seed needs --random")
     if args.matrix:
         grid = _load_matrix(args.matrix)
     elif args.random and args.n is not None:
-        grid = random_skew(random.Random(args.seed), 2 * args.n)
+        grid = random_skew(random.Random(args.seed or 0), 2 * args.n)
     else:
         raise InputError("either --matrix or --random with --n is required")
     try:
@@ -266,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix")
     p.add_argument("--random", action="store_true", help="draw a random matrix instead")
     p.add_argument("--n", type=int, default=None, help="half-dimension for --random")
-    p.add_argument("--seed", type=int, default=0, help="seed for --random")
+    p.add_argument("--seed", type=int, default=None, help="seed for --random (default 0)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_toric_report)
     return ap

@@ -15,8 +15,10 @@ Three families are built:
   under the inverse of the bivector with basis phi_I * monomials, and its
   conjugate, the bracket complex on x^E d_I with the bracket with the
   bivector.  The log-plus matrix comes from an honest meromorphic exterior
-  derivative, every column certified by re-expanding the extracted
-  coefficients and comparing with the original derivative;
+  derivative, taken once per index set I on the pieces d(phi_I) and
+  eta_i ^ phi_I; every piece is certified by re-expanding its extracted
+  coefficients and comparing with the piece, and each column follows from
+  the Leibniz rule d(x^E phi_I) = x^E (d(phi_I) + sum_i E_i eta_i ^ phi_I);
 * the graded pieces of the filtration of the log-plus complex by number of
   phi factors.  On the multivector side the filtration splits monomially:
   x^E d_M sits at level #{divisor indices of M with vanishing exponent in
@@ -315,24 +317,47 @@ class _PlusMachine:
 def build_logplus_complex(p: PoissonStructure, weight_cap: int) -> WeightSlicedComplex:
     """The span of the x^E phi_I with the honest exterior derivative.
 
-    Every matrix column is certified: the coordinate expansion of
-    d(x^E phi_I) is reconstructed from the extracted phi-basis coefficients
-    and compared for exact equality.
+    The meromorphic derivative is taken once per index set, not once per
+    column.  Its pieces are the coordinate expansions of d(phi_I) and of
+    eta_i ^ phi_I (eta_i = dx_i/x_i); every piece is certified: the
+    phi-basis coefficients extracted through the sharp map are re-expanded
+    and compared with the piece for exact equality.  Each column then
+    follows from the Leibniz rule
+
+        d(x^E phi_I) = x^E (d(phi_I) + sum_i E_i eta_i ^ phi_I)
+
+    as a shifted sum of certified coefficients, and must stay in the
+    polynomial span.
     """
     machine = _PlusMachine(p)
     vs = p.var_spec
+    etas = [change_frame(log_one_form(vs, i), machine.coord) for i in range(1, vs.total_vars + 1)]
+    pieces: dict[tuple[int, IndexSet], list[tuple[Label, Fraction]]] = {}
+
+    def piece(i: int, indices: IndexSet) -> list[tuple[Label, Fraction]]:
+        """Certified phi-coordinates of d(phi_I) (i = 0) or eta_i ^ phi_I."""
+        key = (i, indices)
+        if key not in pieces:
+            phi = machine.phi_wedge(indices)
+            form = etas[i - 1].wedge(phi) if i else exterior_derivative(phi)
+            coords = _flatten(machine.sharp_form(form))
+            if machine.reconstruct_from_phi(coords, len(indices) + 1) != form:
+                raise AssertionError("phi-coefficient extraction failed to certify")
+            pieces[key] = coords
+        return pieces[key]
 
     def images(lab: Label):
         indices, exps = lab
-        omega = machine.phi_wedge(indices).scale(LaurentPoly.monomial(vs, exps, 1))
-        domega = exterior_derivative(omega)
-        rho = machine.sharp_form(domega)
-        coords = _flatten(rho)
+        acc: dict[Label, Fraction] = {}
+        for i, factor in [(0, 1), *((i, e) for i, e in enumerate(exps, 1) if e)]:
+            for (jdx, e2), c in piece(i, indices):
+                target = (jdx, tuple(a + b for a, b in zip(e2, exps)))
+                term = c * factor
+                acc[target] = acc[target] + term if target in acc else term
+        coords = [(target, c) for target, c in acc.items() if c]
         for (_jdx, e2), _c in coords:
             if any(e < 0 for e in e2):
                 raise AssertionError("derivative left the polynomial log-plus span")
-        if machine.reconstruct_from_phi(coords, len(indices) + 1) != domega:
-            raise AssertionError("phi-coefficient extraction failed to certify")
         return coords
 
     cx = WeightSlicedComplex("logplus", vs, (0, vs.total_vars), weight_cap)
@@ -398,8 +423,8 @@ def conjugation_report(p: PoissonStructure, weight_cap: int, max_degree: int) ->
     basis with the bracket matrices on the matching multivector basis.
 
     The two sides come from unrelated code paths (meromorphic derivative
-    plus certified coefficient extraction vs. the closed-form bracket
-    differential).
+    of certified pieces, combined by the Leibniz rule, vs. the closed-form
+    bracket differential).
     """
     plus = build_logplus_complex(p, weight_cap)
     bracket = build_bracket_complex(p, weight_cap)
@@ -684,7 +709,11 @@ def filtration_level_of(p: PoissonStructure, form: DiffForm) -> int | None:
     Through the sharp identification the filtration splits monomially, so
     this is a direct inspection of the multivector expansion.
     """
-    machine = _PlusMachine(p)
+    return _level_of(_PlusMachine(p), form)
+
+
+def _level_of(machine: _PlusMachine, form: DiffForm) -> int | None:
+    """``filtration_level_of`` with the structure's machine already built."""
     if form.frame.kind != COORDINATE:
         form = change_frame(form, machine.coord)
     mv = machine.sharp_form(form)
@@ -693,7 +722,7 @@ def filtration_level_of(p: PoissonStructure, form: DiffForm) -> int | None:
         for exps in poly.terms:
             if any(e < 0 for e in exps):
                 return None
-            level = max(level, len(_level_set(p.var_spec, indices, exps)))
+            level = max(level, len(_level_set(machine.vs, indices, exps)))
     return level
 
 
@@ -708,10 +737,11 @@ def filtration_report(p: PoissonStructure, level: int, weight_cap: int, max_degr
 
     For each (degree, weight) the class vectors of all pieces with |I| =
     level are collected; directness holds iff the combined rank equals the
-    sum of the per-piece ranks.  The annihilator check multiplies each
-    piece's generator class by its divisor variables and confirms the class
-    leaves the piece (drops filtration level).  Raises ValueError unless
-    0 <= level <= 2n.
+    sum of the per-piece ranks.  The annihilator check computes filtration
+    levels (``filtration_level_of``) of each piece's generator phi_I and of
+    x_r phi_I for r in I: the first must be |I|, and each multiple must drop
+    to |I| - 1, so x_r kills the class of phi_I in the graded quotient.
+    Raises ValueError unless 0 <= level <= 2n.
     """
     machine = _PlusMachine(p)
     vs = p.var_spec
@@ -747,11 +777,13 @@ def filtration_report(p: PoissonStructure, level: int, weight_cap: int, max_degr
                     "direct": direct,
                 }
             )
-    # annihilator: multiplying a piece's generator d_I by one of its divisor
-    # variables x_r gives the label (I, e_r), which must drop the level.
     ann_ok = all(
-        _level_set(vs, iset, tuple(int(t == r) for t in range(1, nv + 1))) != iset
+        _level_of(machine, machine.phi_wedge(iset)) == len(iset)
+        and all(
+            _level_of(machine, machine.phi_wedge(iset).scale(LaurentPoly.variable(vs, r)))
+            == len(iset) - 1
+            for r in iset
+        )
         for iset in isets
-        for r in iset
     )
     return {"level": level, "slices": slices, "direct": ok, "annihilator_ok": ann_ok}

@@ -148,6 +148,20 @@ def test_c04_conjugation_matrices_agree(general_fixtures):
     )
 
 
+def test_c04_conjugation_matrices_agree_2n6():
+    rng = random.Random(SEED + 2)
+    grid = random_rational_skew(rng, 6)
+    while pfaffian(grid) == 0:
+        grid = random_rational_skew(rng, 6)
+    rep = conjugation_report(toric_structure(grid), weight_cap=1, max_degree=5)
+    ok = rep["verdict"] and len(rep["slices"]) == 27 and all(s["equal"] for s in rep["slices"])
+    _report(
+        4,
+        ok,
+        "derivative and bracket matrices agree entrywise in degrees 0-5, weights <= 1, at 2n = 6",
+    )
+
+
 def test_c05_closed_form_differentials(general_fixtures):
     ok = True
     for _grid, p in general_fixtures:

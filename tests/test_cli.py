@@ -320,6 +320,12 @@ class TestToricReport:
     def test_random_seeded(self, files):
         assert main(["toric-report", "--random", "--n", "2", "--seed", "5", "--out", files["out"]]) in (0, 1)
 
+    def test_random_seed_defaults_to_zero(self, files):
+        out0 = str(files["tmp"] / "seed0.json")
+        assert main(["toric-report", "--random", "--n", "2", "--seed", "0", "--out", out0]) in (0, 1)
+        assert main(["toric-report", "--random", "--n", "2", "--out", files["out"]]) in (0, 1)
+        assert Path(files["out"]).read_bytes() == Path(out0).read_bytes()
+
     def test_random_needs_n(self, files):
         assert main(["toric-report", "--random"]) == 2
 
@@ -328,9 +334,10 @@ class TestToricReport:
         [
             (["--matrix", "MATRIX", "--random", "--n", "2"], "exclude each other"),
             (["--n", "2"], "--n needs --random"),
+            (["--matrix", "MATRIX", "--seed", "5"], "--seed needs --random"),
             ([], "either --matrix or --random"),
         ],
-        ids=["matrix-and-random", "n-without-random", "neither"],
+        ids=["matrix-and-random", "n-without-random", "seed-without-random", "neither"],
     )
     def test_matrix_or_random_refused(self, files, capsys, argv, needle):
         argv = [files["toric_matrix"] if a == "MATRIX" else a for a in argv]

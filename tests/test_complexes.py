@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from logsymplectic import linalg
+from logsymplectic import complexes, linalg
 from logsymplectic.complexes import (
     WeightSlicedComplex,
     _PlusMachine,
@@ -220,6 +220,81 @@ class TestLogPlus:
         grid = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
         with pytest.raises(ValueError):
             build_logplus_complex(toric_structure(grid), 1)
+
+
+def matrix_columns(cx, k: int, w: int) -> list[dict]:
+    """The columns of the differential out of (k, w), each as a dict from
+    target label to nonzero value."""
+    target = cx.basis.get((k + 1, w), [])
+    columns: list[dict] = [{} for _ in cx.basis[(k, w)]]
+    for r, row in enumerate(cx.diffs[(k, w)]):
+        for c, val in row.items():
+            columns[c][target[r]] = val
+    return columns
+
+
+def logplus_column_oracle(machine: _PlusMachine, lab) -> dict:
+    """The per-column route: phi-coordinates of d(x^E phi_I), taken by the
+    meromorphic derivative of the whole column and certified by
+    re-expansion, with the polynomial-span check."""
+    indices, exps = lab
+    omega = machine.phi_wedge(indices).scale(LaurentPoly.monomial(machine.vs, exps, 1))
+    domega = exterior_derivative(omega)
+    coords = _flatten(machine.sharp_form(domega))
+    assert all(e >= 0 for (_jdx, e2), _c in coords for e in e2), lab
+    assert machine.reconstruct_from_phi(coords, len(indices) + 1) == domega, lab
+    return dict(coords)
+
+
+class TestLogPlusLeibniz:
+    """The log-plus columns come from certified per-I pieces and the Leibniz
+    rule; the per-column derivative is their oracle."""
+
+    def test_sampled_columns_match_oracle_cap4(self, toric):
+        cx = build_logplus_complex(toric, 4)
+        machine = _PlusMachine(toric)
+        rng = random.Random(41)
+        checked = 0
+        for k, w in cx.diffs:
+            source = cx.basis[(k, w)]
+            columns = matrix_columns(cx, k, w)
+            for c in sorted(rng.sample(range(len(source)), min(8, len(source)))):
+                assert columns[c] == logplus_column_oracle(machine, source[c]), source[c]
+                checked += 1
+        assert len(cx.diffs) == 26 and checked == 187
+
+    def test_full_slice_matches_oracle_2n6(self):
+        # degree 3: |I| is odd, so the order of eta_i ^ phi_I shows in the sign
+        p = random_2general_toric(random.Random(3), 3).structure
+        cx = build_logplus_complex(p, 0)
+        machine = _PlusMachine(p)
+        source = cx.basis[(3, -1)]
+        assert len(source) == 420
+        for lab, column in zip(source, matrix_columns(cx, 3, -1)):
+            assert column == logplus_column_oracle(machine, lab), lab
+
+    @pytest.mark.parametrize("kind", ["d_phi", "eta_phi"])
+    def test_every_piece_is_certified(self, toric, monkeypatch, kind):
+        # corrupt the coefficient extraction of one kind of piece only; the
+        # pieces d(phi_I) are the forms that exterior_derivative returned
+        derived = []
+        real_d, real_sharp = complexes.exterior_derivative, _PlusMachine.sharp_form
+
+        def recording_d(form):
+            derived.append(real_d(form))
+            return derived[-1]
+
+        def corrupt_sharp(machine, form):
+            mv = real_sharp(machine, form)
+            if mv.terms and any(form is f for f in derived) == (kind == "d_phi"):
+                idx, poly = next(iter(mv.terms.items()))
+                mv = MultiVector(mv.frame, mv.degree, {**mv.terms, idx: poly + poly})
+            return mv
+
+        monkeypatch.setattr(complexes, "exterior_derivative", recording_d)
+        monkeypatch.setattr(_PlusMachine, "sharp_form", corrupt_sharp)
+        with pytest.raises(AssertionError, match="failed to certify"):
+            build_logplus_complex(toric, 1)
 
 
 class TestConjugation:
@@ -475,6 +550,19 @@ class TestFiltration:
         assert rep2["direct"]
         assert rep2["annihilator_ok"]
 
+    def test_annihilator_check_can_fail(self, toric, monkeypatch):
+        # with each phi_i replaced by x_i phi_i the generators sit at level 0
+        real = complexes.phi_forms
+        monkeypatch.setattr(
+            complexes,
+            "phi_forms",
+            lambda p: [
+                phi.scale(LaurentPoly.variable(p.var_spec, i)) for i, phi in enumerate(real(p), 1)
+            ],
+        )
+        for level in (1, 2):
+            assert not filtration_report(toric, level, 0, 2)["annihilator_ok"]
+
     @pytest.mark.parametrize("level", [-1, 5, 7])
     def test_report_rejects_level_outside_range(self, toric, level):
         # 2n = 4: above level 4 there are no pieces, so the report would be vacuous
@@ -510,15 +598,10 @@ def assert_columns_match_schouten(cx, p) -> int:
     vs = p.var_spec
     coord = coordinate_frame(vs)
     checked = 0
-    for (k, w), mat in cx.diffs.items():
-        target = cx.basis.get((k + 1, w), [])
-        columns: dict[int, dict] = {}
-        for r, row in enumerate(mat):
-            for c, val in row.items():
-                columns.setdefault(c, {})[target[r]] = val
-        for c, (indices, exps) in enumerate(cx.basis[(k, w)]):
+    for k, w in cx.diffs:
+        for (indices, exps), column in zip(cx.basis[(k, w)], matrix_columns(cx, k, w)):
             v = vector_monomial(coord, indices, LaurentPoly.monomial(vs, exps, 1))
-            assert columns.get(c, {}) == dict(_flatten(schouten(v, p.bivector))), (indices, exps)
+            assert column == dict(_flatten(schouten(v, p.bivector))), (indices, exps)
             checked += 1
     return checked
 
