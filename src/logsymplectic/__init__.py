@@ -42,6 +42,7 @@ from .poisson import (
 )
 from .genpos import (
     GenPosCertificate,
+    first_failure_t_general,
     is_relative_t_general,
     is_standard_t_general,
     poisson_t_general,

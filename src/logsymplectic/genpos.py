@@ -9,11 +9,19 @@ entries a minor is a unit iff the same minor of the constant-term matrix
 
 Columns of [M | N] are numbered 1..2k, the first k coming from M.
 Verdicts come with re-checkable certificates: a witness row set per passing
-column set, and the list of failing column sets (lexicographic order)
-otherwise.
+column set, and the failing column sets in lexicographic order.
 
-*Verdict* (``is_relative_t_general``): exact elimination.  A column set
-passes iff its columns have rank t.  The column sets are walked in
+A *complete* certificate (``is_relative_t_general``) lists every failing
+column set.  A *truncated* one (``first_failure_t_general``,
+``complete=False``) stops at the first failing column set in lexicographic
+order and holds it with the witnesses of every column set before it: its
+entries are a lexicographic prefix of the complete certificate's.  One
+failing column set proves a false verdict, and the witnesses before it prove
+that it is the first; a true verdict has no failure to stop at, so its
+certificate is complete in both modes and keeps every witness.
+
+*Verdict* (both functions): exact elimination.  A column set passes iff
+its columns have rank t.  The column sets are walked in
 lexicographic order as a depth-first search over the tree of their
 prefixes, and each child extends its prefix's pivots by one column, so a
 shared prefix is eliminated once.  A column that reduces to zero against
@@ -26,12 +34,16 @@ nonzero minor.
 a foreign ``var_spec`` and shapes other than k x 2k, then recomputes each
 claimed minor of [M(0) | N(0)] by one memoized Laplace expansion, local to
 the call: every witness minor must be nonzero, and every minor of a failing
-column set zero.  The check shares no arithmetic with the verdict; in
-particular it never calls ``linalg``.  Deciding t = 2n by the same minors would be
-cheap for skew matrices (a column set S of A with identity columns T has
-minor +-det A[T^c, S]), but the check would then repeat the verdict's
-computation instead of confirming it, so the two routes stay apart at
-every t.
+column set zero.  A complete certificate must cover all C(2k, t) column
+sets.  A truncated one must have a false verdict and at least one failure,
+and its witnesses must be exactly the column sets before its first
+failure: they are counted against the lexicographic rank of that failure,
+so the C(2k, t) column sets are never listed.  The check shares no
+arithmetic with the verdict; in particular it never calls ``linalg``.
+Deciding t = 2n by the same minors would be cheap for skew matrices (a
+column set S of A with identity columns T has minor +-det A[T^c, S]), but
+the check would then repeat the verdict's computation instead of
+confirming it, so the two routes stay apart at every t.
 """
 
 from __future__ import annotations
@@ -53,13 +65,14 @@ class GenPosCertificate:
     column_count: int
     witnesses: dict[tuple[int, ...], tuple[int, ...]] = field(default_factory=dict)
     failures: tuple[tuple[int, ...], ...] = ()
+    complete: bool = True
 
     @property
     def first_failure(self) -> tuple[int, ...] | None:
         return self.failures[0] if self.failures else None
 
     def serialize(self) -> dict:
-        return {
+        doc = {
             "verdict": self.verdict,
             "t": self.t,
             "column_count": self.column_count,
@@ -69,6 +82,9 @@ class GenPosCertificate:
             ],
             "failures": [list(cols) for cols in self.failures],
         }
+        if not self.complete:
+            doc["complete"] = False
+        return doc
 
 
 def _as_rows(mat) -> list[list[LaurentPoly]]:
@@ -85,7 +101,19 @@ def identity_rows(vs: VarSpec, k: int) -> list[list[LaurentPoly]]:
 
 
 def is_relative_t_general(m, n, t: int) -> GenPosCertificate:
-    """Relative t-general position of (M, N); see the module docstring."""
+    """Relative t-general position of (M, N), with every failing column set;
+    see the module docstring."""
+    return _walk(m, n, t, all_failures=True)
+
+
+def first_failure_t_general(m, n, t: int) -> GenPosCertificate:
+    """The verdict of ``is_relative_t_general``, with a certificate that
+    stops at the first failing column set (``complete=False``) when the
+    verdict is false; see the module docstring."""
+    return _walk(m, n, t, all_failures=False)
+
+
+def _walk(m, n, t: int, all_failures: bool) -> GenPosCertificate:
     m_rows, n_rows = _as_rows(m), _as_rows(n)
     k = len(m_rows)
     if len(n_rows) != k:
@@ -113,7 +141,8 @@ def is_relative_t_general(m, n, t: int) -> GenPosCertificate:
     def label(cols0) -> tuple[int, ...]:
         return tuple(c + 1 for c in cols0)
 
-    def grow(prefix: tuple[int, ...], pivots) -> None:
+    def grow(prefix: tuple[int, ...], pivots) -> bool:
+        """Walk the completions of a prefix; True once the walk must stop."""
         # the children of a prefix in lexicographic order, each leaving room
         # for the columns that complete it to t
         first = prefix[-1] + 1 if prefix else 0
@@ -122,14 +151,17 @@ def is_relative_t_general(m, n, t: int) -> GenPosCertificate:
             grown = linalg._eliminate([columns[c]], start=pivots)
             if len(grown) < len(cols0):
                 # column c depends on the prefix, in every completion too
-                failures.extend(
-                    label(cols0 + rest)
-                    for rest in itertools.combinations(range(c + 1, 2 * k), t - len(cols0))
-                )
+                rests = itertools.combinations(range(c + 1, 2 * k), t - len(cols0))
+                if not all_failures:
+                    failures.append(label(cols0 + next(rests)))
+                    return True
+                failures.extend(label(cols0 + rest) for rest in rests)
             elif len(cols0) < t:
-                grow(cols0, grown)
+                if grow(cols0, grown):
+                    return True
             else:
                 witnesses[label(cols0)] = tuple(sorted(r + 1 for r in grown))
+        return False
 
     grow((), {})
     return GenPosCertificate(
@@ -138,6 +170,7 @@ def is_relative_t_general(m, n, t: int) -> GenPosCertificate:
         column_count=2 * k,
         witnesses=witnesses,
         failures=tuple(failures),
+        complete=all_failures or not failures,
     )
 
 
@@ -199,14 +232,39 @@ def _laplace_minors(grid):
     return minor
 
 
+def _increasing(seq, t: int, top: int) -> bool:
+    """Whether ``seq`` is t strictly increasing integers in 1..top (t >= 1)."""
+    seq = tuple(seq)
+    return (
+        len(seq) == t
+        and all(isinstance(x, int) for x in seq)
+        and all(a < b for a, b in zip(seq, seq[1:]))
+        and 1 <= seq[0]
+        and seq[-1] <= top
+    )
+
+
+def _lex_rank(cols: tuple[int, ...], top: int) -> int:
+    """The number of increasing tuples of len(cols) integers in 1..top that
+    come before ``cols`` in lexicographic order."""
+    rank, prev, left = 0, 0, len(cols)
+    for c in cols:
+        left -= 1
+        rank += sum(math.comb(top - v, left) for v in range(prev + 1, c))
+        prev = c
+    return rank
+
+
 def verify_certificate(m, n, cert: GenPosCertificate) -> bool:
     """Recompute every claim in a certificate, on minors of [M(0) | N(0)]
     and independently of the elimination: each witness must be t rows in
-    increasing order whose minor is nonzero, failing column sets must have
-    no nonzero minor at all, and together they must cover every column set.
-    Entries with a pole or a foreign ``var_spec``, and M or N not k x k,
-    are rejected, because the constant-term test is sound only on the local
-    ring."""
+    increasing order whose minor is nonzero, failing column sets must come
+    in strictly increasing lexicographic order and have no nonzero minor at
+    all.  A complete certificate must cover every column set; a truncated
+    one must have a false verdict, and its witnesses must be the column sets
+    before its first failure (see the module docstring).  Entries with a pole
+    or a foreign ``var_spec``, and M or N not k x k, are rejected, because
+    the constant-term test is sound only on the local ring."""
     m_rows, n_rows = _as_rows(m), _as_rows(n)
     k = len(m_rows)
     if k == 0 or len(n_rows) != k or any(len(row) != k for row in m_rows + n_rows):
@@ -217,24 +275,35 @@ def verify_certificate(m, n, cert: GenPosCertificate) -> bool:
         return False
     if cert.column_count != 2 * k or not 1 <= cert.t <= k:
         return False
-    expected = {
-        tuple(c + 1 for c in cols)
-        for cols in itertools.combinations(range(2 * k), cert.t)
-    }
-    row_sets = set(itertools.combinations(range(1, k + 1), cert.t))
-    covered = set(cert.witnesses) | set(cert.failures)
+    t, width = cert.t, 2 * k
+    failures = [tuple(cols) for cols in cert.failures]
     if (
-        covered != expected
-        or cert.verdict != (not cert.failures)
-        or any(tuple(rows) not in row_sets for rows in cert.witnesses.values())
+        cert.verdict != (not failures)
+        or any(not _increasing(rows, t, k) for rows in cert.witnesses.values())
+        or any(a >= b for a, b in zip(failures, failures[1:]))
+    ):
+        return False
+    if cert.complete:
+        expected = {
+            tuple(c + 1 for c in cols) for cols in itertools.combinations(range(width), t)
+        }
+        if set(cert.witnesses) | set(failures) != expected:
+            return False
+    elif (
+        cert.verdict  # a truncated certificate proves only a false verdict
+        or any(not _increasing(cols, t, width) for cols in [*failures, *cert.witnesses])
+        or any(tuple(cols) >= failures[0] for cols in cert.witnesses)
+        # distinct column sets, all before the first failure: as many as
+        # precede it means every one that precedes it
+        or len(cert.witnesses) != _lex_rank(failures[0], width)
     ):
         return False
     minor = _laplace_minors([[p.constant_term() for p in row] for row in block])
     for cols, rows in cert.witnesses.items():
         if minor([r - 1 for r in rows], [c - 1 for c in cols]) == 0:
             return False
-    for cols in cert.failures:
-        for row_idx in itertools.combinations(range(k), cert.t):
+    for cols in failures:
+        for row_idx in itertools.combinations(range(k), t):
             if minor(row_idx, [c - 1 for c in cols]) != 0:
                 return False
     return True

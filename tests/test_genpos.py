@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from logsymplectic import linalg
 from logsymplectic.genpos import (
     GenPosCertificate,
+    first_failure_t_general,
     identity_rows,
     is_relative_t_general,
     is_standard_t_general,
@@ -265,6 +266,17 @@ class TestPoissonWiring:
 
 
 class TestCertificates:
+    @staticmethod
+    def three_failures():
+        """M = I + (-1 at (1, 4)): at t = 2, column i of M equals e_i, column
+        4 + i, for i = 1, 2, 3, and every other pair of columns passes."""
+        rows = const_rows([[1, 0, 0, -1], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+        ident = identity_rows(VS, 4)
+        cert = is_relative_t_general(rows, ident, 2)
+        assert cert.failures == ((1, 5), (2, 6), (3, 7))
+        assert verify_certificate(rows, ident, cert)
+        return rows, ident, cert
+
     def test_tampered_witness_detected(self):
         rows = const_rows(EXPLICIT_GRID)
         ident = identity_rows(VS, 4)
@@ -292,6 +304,30 @@ class TestCertificates:
             failures=((1, 2),) + cert.failures,
         )
         assert not verify_certificate(rows, ident, bad)
+
+    @pytest.mark.parametrize("order", ["repeated", "swapped"])
+    def test_failure_order_checked(self, order):
+        rows, ident, cert = self.three_failures()
+        failures = {
+            "repeated": (cert.failures[0],) + cert.failures,
+            "swapped": (cert.failures[1], cert.failures[0]) + cert.failures[2:],
+        }[order]
+        forged = GenPosCertificate(
+            verdict=False, t=2, column_count=8, witnesses=cert.witnesses, failures=failures
+        )
+        assert verify_certificate(rows, ident, forged) is False
+
+    def test_dropped_failure_rejected(self):
+        rows, ident, cert = self.three_failures()
+        for i in range(len(cert.failures)):
+            forged = GenPosCertificate(
+                verdict=False,
+                t=2,
+                column_count=8,
+                witnesses=cert.witnesses,
+                failures=cert.failures[:i] + cert.failures[i + 1:],
+            )
+            assert verify_certificate(rows, ident, forged) is False
 
     @pytest.mark.parametrize(
         "cols, witness",
@@ -446,6 +482,125 @@ class TestPrefixSharedWalk:
         cert = is_relative_t_general(m_rows, ident, t)
         assert cert.serialize() == from_scratch_reference(m_rows, ident, t).serialize()
         assert verify_certificate(m_rows, ident, cert)
+
+
+def assert_truncated_prefix(m_rows, n_rows, t):
+    """The first-failure certificate against the complete one: same verdict,
+    the complete one's first failure, and its witnesses before that
+    failure; a true verdict keeps the whole complete certificate."""
+    full = is_relative_t_general(m_rows, n_rows, t)
+    cert = first_failure_t_general(m_rows, n_rows, t)
+    assert cert.verdict == full.verdict
+    if full.verdict:
+        assert cert.complete and cert.serialize() == full.serialize()
+    else:
+        first = full.failures[0]
+        assert not cert.complete
+        assert cert.failures == (first,)
+        assert cert.witnesses == {c: r for c, r in full.witnesses.items() if c < first}
+    assert verify_certificate(m_rows, n_rows, cert)
+    return cert
+
+
+class TestFirstFailure:
+    """``first_failure_t_general`` writes a lexicographic prefix of the
+    complete certificate, and the check accepts nothing else as truncated."""
+
+    @pytest.mark.parametrize("size, seed", [(4, 3), (4, 21), (6, 4), (8, 11)])
+    def test_toric_grids(self, size, seed):
+        m_rows, ident = toric_rows(size, seed)
+        certs = [assert_truncated_prefix(m_rows, ident, t) for t in (1, 2, 3, size)]
+        assert not certs[-1].verdict
+        # the first failure at t = 2n: columns 1..2n-1 of A with e_2n
+        assert certs[-1].failures == (tuple(range(1, size)) + (2 * size,),)
+
+    def test_block_diagonal_fails_t3(self):
+        grid = [[0, 2, 0, 0], [-2, 0, 0, 0], [0, 0, 0, 3], [0, 0, -3, 0]]
+        a = log_matrix(toric_structure(grid))
+        cert = assert_truncated_prefix([list(row) for row in a.rows], identity_rows(VS, 4), 3)
+        assert not cert.verdict
+
+    def test_random_local_pairs(self, rng):
+        vs = VarSpec(4, 2)
+        falses = 0
+        for _ in range(12):
+            k = rng.choice([2, 3, 4])
+            m_rows = random_local_rows(rng, vs, k)
+            n_rows = random_local_rows(rng, vs, k)
+            for t in range(1, k + 1):
+                falses += not assert_truncated_prefix(m_rows, n_rows, t).verdict
+        assert falses
+
+    @staticmethod
+    def truncated():
+        m_rows, ident = toric_rows(4, 3)
+        cert = first_failure_t_general(m_rows, ident, 4)
+        assert not cert.complete and verify_certificate(m_rows, ident, cert)
+        return m_rows, ident, cert
+
+    def forge(self, **changes):
+        m_rows, ident, cert = self.truncated()
+        fields = dict(
+            verdict=False,
+            t=cert.t,
+            column_count=cert.column_count,
+            witnesses=cert.witnesses,
+            failures=cert.failures,
+            complete=False,
+        )
+        return verify_certificate(m_rows, ident, GenPosCertificate(**{**fields, **changes}))
+
+    def test_true_verdict_rejected(self):
+        m_rows, ident = toric_rows(4, 3)
+        full = is_relative_t_general(m_rows, ident, 2)
+        assert full.verdict
+        forged = GenPosCertificate(
+            verdict=True, t=2, column_count=8, witnesses=full.witnesses, complete=False
+        )
+        assert verify_certificate(m_rows, ident, forged) is False
+
+    def test_no_failure_rejected(self):
+        assert self.forge(failures=()) is False
+        assert self.forge(verdict=True, failures=()) is False
+
+    def test_nonzero_failure_rejected(self):
+        # the last witness passes, so its column set is no failure
+        _, _, cert = self.truncated()
+        last = max(cert.witnesses)
+        witnesses = {c: r for c, r in cert.witnesses.items() if c != last}
+        assert self.forge(witnesses=witnesses, failures=(last,)) is False
+
+    @pytest.mark.parametrize(
+        "cols",
+        [
+            pytest.param((1, 2, 3, 4, 5), id="too_long"),
+            pytest.param((1, 2, 3), id="too_short"),
+            pytest.param((1, 2, 4, 3), id="not_increasing"),
+            pytest.param((1, 2, 2, 3), id="repeated"),
+            pytest.param((0, 1, 2, 3), id="column_below_1"),
+            pytest.param((1, 2, 3, 9), id="column_above_2k"),
+        ],
+    )
+    def test_malformed_failure_rejected(self, cols):
+        _, _, cert = self.truncated()
+        assert self.forge(failures=(cols,)) is False
+        assert self.forge(failures=cert.failures + (cols,)) is False
+
+    def test_witness_prefix_checked(self):
+        m_rows, ident, cert = self.truncated()
+        first = cert.failures[0]
+        dropped = dict(list(cert.witnesses.items())[1:])
+        assert self.forge(witnesses=dropped) is False
+        # a true witness after the first failure, in place of one before it
+        full = is_relative_t_general(m_rows, ident, 4)
+        later = min(c for c in full.witnesses if c > first)
+        assert self.forge(witnesses={**dropped, later: full.witnesses[later]}) is False
+
+    def test_serialize_marks_truncation(self):
+        _, _, cert = self.truncated()
+        assert cert.serialize()["complete"] is False
+        m_rows, ident = toric_rows(4, 3)
+        assert "complete" not in is_relative_t_general(m_rows, ident, 4).serialize()
 
 
 class TestSkewTopT:

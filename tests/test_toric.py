@@ -1,9 +1,12 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from logsymplectic.poisson import pfaffian
+from logsymplectic.cli import main
+from logsymplectic.genpos import identity_rows, is_standard_t_general, verify_certificate
+from logsymplectic.poisson import log_matrix, pfaffian
 from logsymplectic.ring import LaurentPoly, VarSpec, poly_from_string
 from logsymplectic.toric import (
     betti_torus,
@@ -84,6 +87,47 @@ class TestCertify:
             assert rep["certificates_verified"]
             hits += rep["general_position"]["2"]
         assert hits >= int(draws * 0.95)
+
+
+class TestCertifyAtScale:
+    """``certify`` decides each t on first-failure certificates; complete
+    certificates give the same verdicts and verify too."""
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            pytest.param(random_skew(random.Random(1), 4), id="2n4_seed1"),
+            pytest.param(random_skew(random.Random(5), 4), id="2n4_seed5"),
+            pytest.param(
+                [[0, 2, 0, 0], [-2, 0, 0, 0], [0, 0, 0, 3], [0, 0, -3, 0]], id="2n4_blocks"
+            ),
+            pytest.param(random_skew(random.Random(2), 6), id="2n6_seed2"),
+            pytest.param(random_skew(random.Random(3), 8), id="2n8_seed3"),
+        ],
+    )
+    def test_matches_complete_certificates(self, grid):
+        t = make_toric(grid)
+        size = len(grid)
+        a = log_matrix(t.structure)
+        ident = identity_rows(t.structure.var_spec, size)
+        verdicts, verified = {}, True
+        for tt in (1, 2, 3, size):
+            cert = is_standard_t_general(a, tt)
+            verdicts[str(tt)] = cert.verdict
+            verified = verified and verify_certificate(a, ident, cert)
+        rep = certify(t)
+        assert rep["general_position"] == verdicts
+        assert verified and rep["certificates_verified"] is True
+
+    def test_toric_report_n5(self, tmp_path):
+        # C(20, 10) = 184,756 column sets at t = 10; the first fails
+        # after 10 witnesses
+        out = tmp_path / "n5.json"
+        code = main(["toric-report", "--random", "--n", "5", "--seed", "1", "--out", str(out)])
+        assert code == 0
+        rep = json.loads(out.read_text())
+        assert rep["general_position"]["10"] is False
+        assert rep["certificates_verified"] is True
 
 
 class TestDimensionBookkeeping:
