@@ -492,8 +492,8 @@ class GradedPieceQI:
     ``dphi_signs`` records the constants c_i of
     d(phi_I) = sum_{i in I} c_i eta_i ^ phi_I, all -1 since
     phi_i = x_i^-1 theta_i with theta_i closed (checked exactly by
-    ``_dphi_signs``).  The per-slice class span report is a separate call,
-    ``_qi_components``, on a built piece.
+    ``_dphi_signs``).  ``filtration_report`` ranks the class vectors of
+    the piece in its monomial slices.
     """
 
     index_set: IndexSet
@@ -535,8 +535,7 @@ def build_qi(
     M, and |E| = w + D.  The differential is the bracket with the bivector,
     in the closed form of the module docstring; assembly fails loudly if
     any generator's image leaves the slice.  The signs of d(phi_I) are
-    checked (``_dphi_signs``); the class span report is not built here
-    (``_qi_components``).
+    checked (``_dphi_signs``).
 
     ``top_degree`` truncates the construction (basis through that degree,
     differentials below it); cohomology is then available up to one degree
@@ -571,88 +570,6 @@ def _class_vector(machine: _PlusMachine, iset, kset, exps, index) -> linalg.Row:
             raise AssertionError("class representative left the graded piece")
         vec[index[(jdx, e2)]] = c
     return vec
-
-
-def _group_ranks(groups: list[list[linalg.Row]]) -> tuple[list[int], int]:
-    """The rank of each group of vectors and the rank of their union."""
-    return [linalg.rank(g) for g in groups], linalg.rank([v for g in groups for v in g])
-
-
-def _qi_components(p: PoissonStructure, piece: GradedPieceQI, max_degree: int) -> dict:
-    """Per-slice report on a built piece, through ``max_degree``: spans of
-    the eta-labelled classes grouped by their divisor-differential label,
-    plus the twisted-differential shape check."""
-    machine = _PlusMachine(p)
-    iset, cx = piece.index_set, piece.complex
-    vs = machine.vs
-    classes: dict[tuple[int, int], dict[Label, linalg.Row]] = {}
-
-    def slice_classes(degree: int, w: int) -> dict[Label, linalg.Row]:
-        """Class label -> class vector on one slice, computed once."""
-        if (degree, w) not in classes:
-            index = {lab: i for i, lab in enumerate(cx.basis.get((degree, w), []))}
-            classes[(degree, w)] = {
-                (kset, exps): _class_vector(machine, iset, kset, exps, index)
-                for kset, exps in _class_labels(vs.total_vars, iset, degree, w)
-            }
-        return classes[(degree, w)]
-
-    report: dict = {}
-    for degree in range(len(iset), min(max_degree, vs.total_vars) + 1):
-        for w in cx.weights_at(degree):
-            vecs = slice_classes(degree, w)
-            groups: dict[IndexSet, list[linalg.Row]] = {}
-            for (kset, _exps), vec in vecs.items():
-                groups.setdefault(tuple(i for i in kset if i in iset), []).append(vec)
-            jparts = sorted(groups)
-            ranks, span_dim = _group_ranks([groups[j] for j in jparts])
-            per_j = dict(zip(jparts, ranks))
-            module_dim = cx.slice_dim(degree, w)
-            dmat = cx.diffs.get((degree, w))
-            report[(degree, w)] = {
-                "module_dim": module_dim,
-                "class_span_dim": span_dim,
-                "spanning": span_dim == module_dim,
-                "per_label_rank": per_j,
-                "label_rank_sum": sum(ranks),
-                "direct": sum(ranks) == span_dim,
-                "twisted_shape_verified": dmat is None or _twisted_shape_check(
-                    vs, iset, dmat, vecs, slice_classes(degree + 1, w), piece.dphi_signs
-                ),
-            }
-    return report
-
-
-def _twisted_shape_check(vs, iset, dmat, classes, target, signs) -> bool:
-    """Certify that on every class phi_I ^ psi of a slice the induced
-    differential ``dmat`` equals the class of (-1)^{|I|} (d psi + sum_i c_i
-    eta_i psi) with the computed signs: the differential of a lifted
-    representative, projected back, has the predicted two-component shape.
-    ``classes`` and ``target`` map the class labels of the slice and of the
-    next one to their class vectors."""
-    lg = log_frame(vs)
-    sign_i = Fraction(-1) if len(iset) % 2 else Fraction(1)
-    for (kset, exps), psi_vec in classes.items():
-        psi = DiffForm(lg, len(kset), {kset: LaurentPoly.monomial(vs, exps, 1)})
-        chi = exterior_derivative(psi)
-        for i in iset:
-            chi = chi + wedge(log_one_form(vs, i), psi).scale(signs[i])
-        chi = chi.scale(sign_i)
-        chi_vec: linalg.Row = {}
-        for cidx, cpoly in chi.terms.items():
-            for e2, c2 in cpoly.terms.items():
-                if any(e2[r - 1] != 0 for r in iset):
-                    return False
-                for r, b in target[(cidx, e2)].items():
-                    chi_vec[r] = chi_vec.get(r, 0) + c2 * b
-        dvec = {}
-        for r, row in enumerate(dmat):
-            val = sum(row[c] * x for c, x in psi_vec.items() if c in row)
-            if val:
-                dvec[r] = val
-        if dvec != {r: val for r, val in chi_vec.items() if val}:
-            return False
-    return True
 
 
 # -- cohomology ----------------------------------------------------------------
@@ -735,46 +652,47 @@ def filtration_report(p: PoissonStructure, level: int, weight_cap: int, max_degr
     """Rank-counting check that the graded quotient at this level is the
     direct sum of its pieces, with the expected annihilators.
 
-    For each (degree, weight) the class vectors of all pieces with |I| =
-    level are collected; directness holds iff the combined rank equals the
-    sum of the per-piece ranks.  The annihilator check computes filtration
-    levels (``filtration_level_of``) of each piece's generator phi_I and of
-    x_r phi_I for r in I: the first must be |I|, and each multiple must drop
-    to |I| - 1, so x_r kills the class of phi_I in the graded quotient.
-    Raises ValueError unless 0 <= level <= 2n.
+    For each (degree, weight) the class vectors of each piece Q_I with
+    |I| = level are indexed in that piece's own slice (``_qi_basis``) and
+    ranked once.  ``_class_vector`` refuses a class with a term outside its
+    piece, so the vectors of different pieces sit on disjoint labels and
+    their combined rank is the sum of the per-piece ranks: that support
+    check certifies directness, and the report raises AssertionError
+    instead of returning one that is not direct.  The annihilator check
+    computes filtration levels (``filtration_level_of``) of each piece's
+    generator phi_I and of x_r phi_I for r in I: the first must be |I|,
+    and each multiple must drop to |I| - 1, so x_r kills the class of
+    phi_I in the graded quotient.
+    Raises ValueError unless 0 <= level <= 2n and weight_cap >= 0.
     """
     machine = _PlusMachine(p)
     vs = p.var_spec
     nv = vs.total_vars
     if not 0 <= level <= nv:
         raise ValueError(f"filtration level must lie in 0..{nv}")
+    if weight_cap < 0:
+        raise ValueError("weight_cap must be >= 0")
     isets = list(itertools.combinations(range(1, nv + 1), level))
     slices = []
-    ok = True
     for degree in range(level, min(max_degree, nv) + 1):
         for w in range(-level, weight_cap + 1):
-            union_basis: list[Label] = []
-            for iset in isets:
-                union_basis.extend(_qi_basis(vs, iset, degree, w))
-            if not union_basis:
+            bases = [_qi_basis(vs, iset, degree, w) for iset in isets]
+            if not any(bases):
                 continue
-            index = {lab: i for i, lab in enumerate(union_basis)}
-            per_piece, combined = _group_ranks([
-                [
+            per_piece = []
+            for iset, basis in zip(isets, bases):
+                index = {lab: i for i, lab in enumerate(basis)}
+                per_piece.append(linalg.rank([
                     _class_vector(machine, iset, kset, exps, index)
                     for kset, exps in _class_labels(nv, iset, degree, w)
-                ]
-                for iset in isets
-            ])
-            direct = combined == sum(per_piece)
-            ok = ok and direct
+                ]))
             slices.append(
                 {
                     "degree": degree,
                     "weight": w,
                     "per_piece_rank": per_piece,
-                    "combined_rank": combined,
-                    "direct": direct,
+                    "combined_rank": sum(per_piece),
+                    "direct": True,
                 }
             )
     ann_ok = all(
@@ -786,4 +704,4 @@ def filtration_report(p: PoissonStructure, level: int, weight_cap: int, max_degr
         )
         for iset in isets
     )
-    return {"level": level, "slices": slices, "direct": ok, "annihilator_ok": ann_ok}
+    return {"level": level, "slices": slices, "direct": True, "annihilator_ok": ann_ok}

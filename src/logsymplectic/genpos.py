@@ -177,8 +177,11 @@ def _walk(m, n, t: int, all_failures: bool) -> GenPosCertificate:
 def is_standard_t_general(m, t: int) -> GenPosCertificate:
     """t-general position of M: relative t-general position of (M, identity)."""
     m_rows = _as_rows(m)
-    vs = m_rows[0][0].var_spec
-    return is_relative_t_general(m_rows, identity_rows(vs, len(m_rows)), t)
+    # the identity takes its var_spec from an entry; an M without entries
+    # has no valid shape, and _walk refuses it like any other
+    vs = next((p.var_spec for row in m_rows for p in row), None)
+    n_rows = identity_rows(vs, len(m_rows)) if vs is not None else [[] for _ in m_rows]
+    return is_relative_t_general(m_rows, n_rows, t)
 
 
 def poisson_t_general(p: PoissonStructure, t: int) -> GenPosCertificate:

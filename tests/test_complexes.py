@@ -17,7 +17,6 @@ from logsymplectic.complexes import (
     _flatten,
     _monomials,
     _qi_basis,
-    _qi_components,
     build_bracket_complex,
     build_log_complex,
     build_logplus_complex,
@@ -324,6 +323,83 @@ class TestConjugation:
         assert verify_d_squared(build_bracket_complex(toric, 2))
 
 
+def qi_components(p: PoissonStructure, piece, max_degree: int) -> dict:
+    """Oracle: per-slice report on a built piece, through ``max_degree``:
+    spans of the eta-labelled classes grouped by their divisor-differential
+    label, plus the twisted-differential shape check (``twisted_shape_check``)."""
+    machine = _PlusMachine(p)
+    iset, cx = piece.index_set, piece.complex
+    vs = machine.vs
+    classes: dict = {}
+
+    def slice_classes(degree: int, w: int) -> dict:
+        """Class label -> class vector on one slice, computed once."""
+        if (degree, w) not in classes:
+            index = {lab: i for i, lab in enumerate(cx.basis.get((degree, w), []))}
+            classes[(degree, w)] = {
+                (kset, exps): _class_vector(machine, iset, kset, exps, index)
+                for kset, exps in _class_labels(vs.total_vars, iset, degree, w)
+            }
+        return classes[(degree, w)]
+
+    report: dict = {}
+    for degree in range(len(iset), min(max_degree, vs.total_vars) + 1):
+        for w in cx.weights_at(degree):
+            vecs = slice_classes(degree, w)
+            groups: dict = {}
+            for (kset, _exps), vec in vecs.items():
+                groups.setdefault(tuple(i for i in kset if i in iset), []).append(vec)
+            jparts = sorted(groups)
+            ranks = [linalg.rank(groups[j]) for j in jparts]
+            span_dim = linalg.rank(list(vecs.values()))
+            module_dim = cx.slice_dim(degree, w)
+            dmat = cx.diffs.get((degree, w))
+            report[(degree, w)] = {
+                "module_dim": module_dim,
+                "class_span_dim": span_dim,
+                "spanning": span_dim == module_dim,
+                "per_label_rank": dict(zip(jparts, ranks)),
+                "label_rank_sum": sum(ranks),
+                "direct": sum(ranks) == span_dim,
+                "twisted_shape_verified": dmat is None or twisted_shape_check(
+                    vs, iset, dmat, vecs, slice_classes(degree + 1, w), piece.dphi_signs
+                ),
+            }
+    return report
+
+
+def twisted_shape_check(vs, iset, dmat, classes, target, signs) -> bool:
+    """Certify that on every class phi_I ^ psi of a slice the induced
+    differential ``dmat`` equals the class of (-1)^{|I|} (d psi + sum_i c_i
+    eta_i psi) with the computed signs: the differential of a lifted
+    representative, projected back, has the predicted two-component shape.
+    ``classes`` and ``target`` map the class labels of the slice and of the
+    next one to their class vectors."""
+    lg = log_frame(vs)
+    sign_i = Fraction(-1) if len(iset) % 2 else Fraction(1)
+    for (kset, exps), psi_vec in classes.items():
+        psi = DiffForm(lg, len(kset), {kset: LaurentPoly.monomial(vs, exps, 1)})
+        chi = exterior_derivative(psi)
+        for i in iset:
+            chi = chi + wedge(log_one_form(vs, i), psi).scale(signs[i])
+        chi = chi.scale(sign_i)
+        chi_vec: dict = {}
+        for cidx, cpoly in chi.terms.items():
+            for e2, c2 in cpoly.terms.items():
+                if any(e2[r - 1] != 0 for r in iset):
+                    return False
+                for r, b in target[(cidx, e2)].items():
+                    chi_vec[r] = chi_vec.get(r, 0) + c2 * b
+        dvec = {}
+        for r, row in enumerate(dmat):
+            val = sum(row[c] * x for c, x in psi_vec.items() if c in row)
+            if val:
+                dvec[r] = val
+        if dvec != {r: val for r, val in chi_vec.items() if val}:
+            return False
+    return True
+
+
 class TestGradedPieces:
     def test_signs_are_uniform(self, toric):
         for iset in [(1,), (2, 4), (1, 2, 3)]:
@@ -359,7 +435,7 @@ class TestGradedPieces:
         assert rep["table"] == [{"degree": 4, "weight": -4, "dim_cohomology": 1}]
 
     def test_components_span_and_shape(self, toric):
-        components = _qi_components(toric, build_qi(toric, (1,), 2), 2)
+        components = qi_components(toric, build_qi(toric, (1,), 2), 2)
         for key, comp in components.items():
             assert comp["spanning"], key
             assert comp["twisted_shape_verified"], key
@@ -369,7 +445,7 @@ class TestGradedPieces:
         # at one degree above the bottom the plain-label classes satisfy one
         # relation per coefficient monomial: the span is smaller than the
         # label count (4 classes of rank 3 split as 2 + 1)
-        comp = _qi_components(toric, build_qi(toric, (1,), 2), 2)[(2, -1)]
+        comp = qi_components(toric, build_qi(toric, (1,), 2), 2)[(2, -1)]
         assert comp["module_dim"] == 3
         assert comp["per_label_rank"] == {(): 2, (1,): 1}
 
@@ -563,11 +639,40 @@ class TestFiltration:
         for level in (1, 2):
             assert not filtration_report(toric, level, 0, 2)["annihilator_ok"]
 
+    def test_report_refuses_class_outside_its_piece(self, toric, monkeypatch):
+        # with every level set moved onto the next piece each class vector
+        # leaves its own piece: the report raises instead of reporting direct
+        real = complexes._level_set
+        monkeypatch.setattr(
+            complexes,
+            "_level_set",
+            lambda vs, indices, exps: tuple(i % 4 + 1 for i in real(vs, indices, exps)),
+        )
+        with pytest.raises(AssertionError, match="left the graded piece"):
+            filtration_report(toric, 1, 0, 2)
+
+    def test_report_2n6_pieces_span_their_slices(self):
+        p = random_2general_toric(random.Random(3), 3).structure
+        rep = filtration_report(p, 1, 0, 6)
+        isets = list(itertools.combinations(range(1, 7), 1))
+        assert rep["slices"]
+        for s in rep["slices"]:
+            assert s["combined_rank"] == sum(s["per_piece_rank"])
+            assert s["per_piece_rank"] == [
+                len(_qi_basis(p.var_spec, iset, s["degree"], s["weight"])) for iset in isets
+            ]
+        assert rep["direct"]
+        assert rep["annihilator_ok"]
+
     @pytest.mark.parametrize("level", [-1, 5, 7])
     def test_report_rejects_level_outside_range(self, toric, level):
         # 2n = 4: above level 4 there are no pieces, so the report would be vacuous
         with pytest.raises(ValueError, match="filtration level"):
             filtration_report(toric, level, 1, 4)
+
+    def test_report_rejects_negative_cap(self, toric):
+        with pytest.raises(ValueError, match="weight_cap"):
+            filtration_report(toric, 1, -1, 4)
 
 
 # -- the closed-form bracket differential ---------------------------------------

@@ -197,6 +197,13 @@ class TestStandard:
             hits += cert.verdict
         assert hits >= 4
 
+    @pytest.mark.parametrize("shape", [[], [[]], [[], [1]], [[1, 0], [0]]])
+    def test_malformed_matrix_rejected(self, shape):
+        # an M without entries, or a ragged one, is malformed input
+        rows = [[LaurentPoly.const(VS, x) for x in row] for row in shape]
+        with pytest.raises(ValueError):
+            is_standard_t_general(rows, 1)
+
     def test_monotone_in_t(self, rng):
         # a unit t-minor restricts to a unit minor on any smaller column set
         for size in (4, 6):
