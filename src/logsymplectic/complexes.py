@@ -26,6 +26,13 @@ Three families are built:
   where that set is exactly I.  The induced differential is the bracket
   with the bivector; assembly fails loudly if an image leaves the slice.
 
+Columns are generated in integer arithmetic and stored as Fractions.  The
+bracket columns scale A once by its common denominator, so lambda_F below
+is an integer vector, computed once per Koszul block; a certified log-plus
+piece is kept as integer numerators over the lcm of its denominators, and a
+column sums them over the lcm of the pieces it uses.  Each stored entry is
+one Fraction, and an entry that several blocks share is one shared object.
+
 Desk-scale restriction: all but the log complex need the invariant local
 model (constant invertible log matrix A, every variable on the divisor),
 where the weight bookkeeping above is exact; ``_invariant_grid`` is its gate.
@@ -72,6 +79,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -107,8 +116,12 @@ class WeightSlicedComplex:
     order.  ``diffs[(degree, weight)]`` is the matrix of the differential
     into ``(degree + 1, weight)`` with respect to those bases, stored as
     sparse rows: one ``dict`` per target label, mapping the position of a
-    source label to a nonzero Fraction.  Zeros are never stored, so two
-    differentials are equal exactly when they are equal as matrices.
+    source label to a nonzero Fraction (always a Fraction: the integer
+    numerators of column generation never reach a stored row).  Zeros are
+    never stored, so two differentials are equal exactly when they are
+    equal as matrices.  Values may be shared between rows and complexes,
+    which is safe because Fractions are immutable and ``linalg`` copies
+    every row before it changes one.
     ``rank`` ranks each differential once; a complex made by
     ``dataclasses.replace`` starts with no stored ranks.
     """
@@ -169,7 +182,9 @@ def _frame_basis(frame: Frame, is_form: bool):
 
 
 def _assemble_matrix(source: list[Label], target: list[Label], images) -> list[linalg.Row]:
-    """Sparse rows of a map given by ``images(label) -> iterable of (label, c)``."""
+    """Sparse rows of a map given by ``images(label) -> iterable of (label, c)``
+    with nonzero Fractions c.  The first c of a column in a row is stored as
+    it is; only a repeated target is summed, and a sum of zero is dropped."""
     index = {lab: i for i, lab in enumerate(target)}
     mat: list[linalg.Row] = [{} for _ in target]
     for col, lab in enumerate(source):
@@ -178,11 +193,12 @@ def _assemble_matrix(source: list[Label], target: list[Label], images) -> list[l
                 row = mat[index[lab2]]
             except KeyError:
                 raise AssertionError(f"differential left the slice: {lab} -> {lab2}") from None
-            val = row.get(col, 0) + c
-            if val:
+            if col not in row:
+                row[col] = c
+            elif val := row[col] + c:
                 row[col] = val
             else:
-                row.pop(col, None)
+                del row[col]
     return mat
 
 
@@ -321,43 +337,49 @@ def build_logplus_complex(p: PoissonStructure, weight_cap: int) -> WeightSlicedC
     column.  Its pieces are the coordinate expansions of d(phi_I) and of
     eta_i ^ phi_I (eta_i = dx_i/x_i); every piece is certified: the
     phi-basis coefficients extracted through the sharp map are re-expanded
-    and compared with the piece for exact equality.  Each column then
-    follows from the Leibniz rule
+    and compared with the piece for exact equality.  A certified piece is
+    then kept as integer numerators over one denominator, the lcm of its
+    coefficients' denominators.  Each column follows from the Leibniz rule
 
         d(x^E phi_I) = x^E (d(phi_I) + sum_i E_i eta_i ^ phi_I)
 
-    as a shifted sum of certified coefficients, and must stay in the
-    polynomial span.
+    as a shifted sum of those numerators over the lcm of the denominators
+    of the pieces it uses, with one Fraction per nonzero entry, and must
+    stay in the polynomial span.
     """
     machine = _PlusMachine(p)
     vs = p.var_spec
     etas = [change_frame(log_one_form(vs, i), machine.coord) for i in range(1, vs.total_vars + 1)]
-    pieces: dict[tuple[int, IndexSet], list[tuple[Label, Fraction]]] = {}
 
-    def piece(i: int, indices: IndexSet) -> list[tuple[Label, Fraction]]:
-        """Certified phi-coordinates of d(phi_I) (i = 0) or eta_i ^ phi_I."""
-        key = (i, indices)
-        if key not in pieces:
-            phi = machine.phi_wedge(indices)
-            form = etas[i - 1].wedge(phi) if i else exterior_derivative(phi)
-            coords = _flatten(machine.sharp_form(form))
-            if machine.reconstruct_from_phi(coords, len(indices) + 1) != form:
-                raise AssertionError("phi-coefficient extraction failed to certify")
-            pieces[key] = coords
-        return pieces[key]
+    @functools.cache
+    def piece(i: int, indices: IndexSet) -> tuple[int, list[tuple[Label, int]]]:
+        """Certified phi-coordinates of d(phi_I) (i = 0) or eta_i ^ phi_I,
+        as (D, [(label, D * c)]) with D the lcm of their denominators."""
+        phi = machine.phi_wedge(indices)
+        form = etas[i - 1].wedge(phi) if i else exterior_derivative(phi)
+        coords = _flatten(machine.sharp_form(form))
+        if machine.reconstruct_from_phi(coords, len(indices) + 1) != form:
+            raise AssertionError("phi-coefficient extraction failed to certify")
+        den = math.lcm(*(c.denominator for _lab, c in coords))
+        return den, [(lab, c.numerator * (den // c.denominator)) for lab, c in coords]
 
-    def images(lab: Label):
+    def images(lab: Label) -> list[tuple[Label, Fraction]]:
         indices, exps = lab
-        acc: dict[Label, Fraction] = {}
-        for i, factor in [(0, 1), *((i, e) for i, e in enumerate(exps, 1) if e)]:
-            for (jdx, e2), c in piece(i, indices):
-                target = (jdx, tuple(a + b for a, b in zip(e2, exps)))
-                term = c * factor
-                acc[target] = acc[target] + term if target in acc else term
-        coords = [(target, c) for target, c in acc.items() if c]
-        for (_jdx, e2), _c in coords:
-            if any(e < 0 for e in e2):
-                raise AssertionError("derivative left the polynomial log-plus span")
+        terms = [(1, piece(0, indices))]
+        terms += [(e, piece(i, indices)) for i, e in enumerate(exps, 1) if e]
+        den = math.lcm(*(d for _factor, (d, _nums) in terms))
+        acc: dict[Label, int] = {}
+        for factor, (d, nums) in terms:
+            scale = factor * (den // d)
+            for (jdx, e2), num in nums:
+                target = (jdx, tuple(map(operator.add, e2, exps)))
+                acc[target] = acc.get(target, 0) + scale * num
+        coords = []
+        for target, num in acc.items():
+            if num:
+                if min(target[1]) < 0:
+                    raise AssertionError("derivative left the polynomial log-plus span")
+                coords.append((target, Fraction(num, den)))
         return coords
 
     cx = WeightSlicedComplex("logplus", vs, (0, vs.total_vars), weight_cap)
@@ -369,37 +391,52 @@ def _koszul_images(p: PoissonStructure):
 
     The label (M, E) maps to sum_{j not in M} s_j lambda_j (M + {j}, E + e_j)
     with F = E - 1_M, lambda_j = sum_i F_i A[i][j] and s_j the sign of
-    ``merge_indices((j,), M)``; the module docstring derives it.  lambda_F
-    is computed once per F, since all labels of one Koszul block share it.
+    ``merge_indices((j,), M)``; the module docstring derives it.  A is
+    scaled once by its common denominator D, so D lambda_F is a vector of
+    integer sums, computed once per F, since all labels of one Koszul block
+    share it; each nonzero value becomes the Fractions +-(D lambda_j) / D
+    once, shared by every entry that carries it.  The insertion table
+    [(j, s_j, M + {j})] is built once per index set M.
     Raises ValueError outside the invariant model (``_invariant_grid``).
     """
     grid = _invariant_grid(p)
     nv = p.var_spec.total_vars
-    lambdas: dict[tuple[int, ...], list[Fraction]] = {}
+    den = math.lcm(*(c.denominator for row in grid for c in row))
+    scaled = [[int(c * den) for c in row] for row in grid]
+
+    @functools.cache
+    def value(lam: int) -> tuple[Fraction, Fraction]:
+        return Fraction(lam, den), Fraction(-lam, den)
+
+    @functools.cache
+    def block(f: tuple[int, ...]) -> list[tuple[Fraction, Fraction] | None]:
+        """(lambda_j, -lambda_j) for each j, None where lambda_j = 0."""
+        rows = [(fi, scaled[i]) for i, fi in enumerate(f) if fi]
+        lams = (sum(fi * row[j] for fi, row in rows) for j in range(nv))
+        return [value(lam) if lam else None for lam in lams]
+
+    @functools.cache
+    def insertions(indices: IndexSet) -> list[tuple[int, bool, IndexSet]]:
+        """(j, s_j < 0, M + {j}) for each j not in M."""
+        table = []
+        for j in range(1, nv + 1):
+            merged = merge_indices((j,), indices)
+            if merged is not None:
+                sign, key = merged
+                table.append((j, sign < 0, key))
+        return table
 
     def images(lab: Label) -> list[tuple[Label, Fraction]]:
         indices, exps = lab
         f = list(exps)
         for i in indices:
             f[i - 1] -= 1
-        f = tuple(f)
-        lam = lambdas.get(f)
-        if lam is None:
-            lam = lambdas[f] = [
-                sum((f[i] * grid[i][j] for i in range(nv) if f[i]), Fraction(0))
-                for j in range(nv)
-            ]
+        lam = block(tuple(f))
         out = []
-        for j in range(1, nv + 1):
+        for j, negative, key in insertions(indices):
             c = lam[j - 1]
-            if not c:
-                continue
-            merged = merge_indices((j,), indices)
-            if merged is None:
-                continue
-            sign, key = merged
-            target = (key, exps[: j - 1] + (exps[j - 1] + 1,) + exps[j:])
-            out.append((target, c if sign > 0 else -c))
+            if c is not None:
+                out.append(((key, exps[: j - 1] + (exps[j - 1] + 1,) + exps[j:]), c[negative]))
         return out
 
     return images

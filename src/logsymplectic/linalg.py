@@ -3,8 +3,11 @@
 A row is a ``dict[int, Fraction]`` from column index to a nonzero value.
 Dense rows (lists) are accepted as well, and entries may be ints: every
 row is copied into a sparse row of Fractions on entry, so results stay
-exact.  One elimination loop, ``_eliminate``, serves ``rank``, ``det``,
-``inverse`` and ``solve_columns``.
+exact and the caller's rows are never changed.  Values that already are
+Fractions go into the copy as they are (Fractions are immutable), so
+ranking a stored differential builds no new value until elimination does.
+One elimination loop, ``_eliminate``, serves ``rank``, ``det``, ``inverse``
+and ``solve_columns``.
 """
 
 from __future__ import annotations
@@ -29,9 +32,11 @@ def identity(n: int) -> Matrix:
 
 
 def _sparse(row) -> Row:
-    """A fresh sparse copy of a dense or sparse row, with Fraction values."""
+    """A fresh sparse copy of a dense or sparse row, with Fraction values.
+    Values that already are Fractions are shared, not rebuilt: they are
+    immutable, and only the row dict is ever changed in place."""
     items = row.items() if isinstance(row, dict) else enumerate(row)
-    return {c: Fraction(v) for c, v in items if v}
+    return {c: v if type(v) is Fraction else Fraction(v) for c, v in items if v}
 
 
 def _add_multiple(row: Row, f: Fraction, other: Row) -> None:

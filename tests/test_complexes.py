@@ -1,3 +1,4 @@
+import copy
 import itertools
 import json
 import math
@@ -11,6 +12,7 @@ from logsymplectic import complexes, linalg
 from logsymplectic.complexes import (
     WeightSlicedComplex,
     _PlusMachine,
+    _assemble_matrix,
     _class_labels,
     _class_vector,
     _dphi_signs,
@@ -272,6 +274,32 @@ class TestLogPlusLeibniz:
         for lab, column in zip(source, matrix_columns(cx, 3, -1)):
             assert column == logplus_column_oracle(machine, lab), lab
 
+    def test_fractional_matrix_columns_match_oracle(self):
+        # A has denominators 2 and 4, so the pieces of one index set carry
+        # different denominators and meet in the common one of a column
+        p = fractional_2general_structure(11)
+        machine = _PlusMachine(p)
+        etas = [change_frame(log_one_form(VS, i), machine.coord) for i in range(1, 5)]
+
+        def denominator(form):
+            return math.lcm(*(c.denominator for _lab, c in _flatten(machine.sharp_form(form))))
+
+        phi = machine.phi_wedge((1, 2, 4))
+        dens = [denominator(exterior_derivative(phi))] + [denominator(e.wedge(phi)) for e in etas]
+        assert dens == [2, 2, 2, 1, 2]
+        cx = build_logplus_complex(p, 2)
+        rng = random.Random(43)
+        fractional = 0
+        for k, w in cx.diffs:
+            source = cx.basis[(k, w)]
+            columns = matrix_columns(cx, k, w)
+            for c in sorted(rng.sample(range(len(source)), min(8, len(source)))):
+                assert columns[c] == logplus_column_oracle(machine, source[c]), source[c]
+                fractional += any(v.denominator > 1 for v in columns[c].values())
+        assert fractional > 0
+        rep = conjugation_report(p, 2, 4)
+        assert rep["verdict"] and len(rep["slices"]) == 25
+
     @pytest.mark.parametrize("kind", ["d_phi", "eta_phi"])
     def test_every_piece_is_certified(self, toric, monkeypatch, kind):
         # corrupt the coefficient extraction of one kind of piece only; the
@@ -529,6 +557,32 @@ class TestGradedPieces:
             build_qi(toric, (1, 1), 1)
 
 
+class TestAssembleMatrix:
+    SOURCE = [((1,), (0, 0)), ((2,), (0, 0))]
+    TARGET = [((1, 2), (1, 0)), ((1, 2), (0, 1))]
+
+    def assemble(self, table, target=TARGET):
+        return _assemble_matrix(self.SOURCE, target, lambda lab: table.get(lab, []))
+
+    def test_repeated_target_is_summed(self):
+        a, b = self.TARGET
+        table = {self.SOURCE[0]: [(a, Fraction(1, 2)), (b, Fraction(3)), (a, Fraction(1, 4))]}
+        assert self.assemble(table) == [{0: Fraction(3, 4)}, {0: Fraction(3)}]
+
+    def test_repeated_target_summing_to_zero_is_dropped(self):
+        a, b = self.TARGET
+        table = {
+            self.SOURCE[0]: [(a, Fraction(2, 3)), (a, Fraction(-2, 3))],
+            self.SOURCE[1]: [(a, Fraction(5)), (b, Fraction(-1)), (b, Fraction(1))],
+        }
+        assert self.assemble(table) == [{1: Fraction(5)}, {}]
+
+    def test_target_outside_slice_raises(self):
+        table = {self.SOURCE[1]: [(self.TARGET[1], Fraction(1))]}
+        with pytest.raises(AssertionError, match="left the slice"):
+            self.assemble(table, self.TARGET[:1])
+
+
 class TestCohomologyMachinery:
     def test_rank_cross_checked_by_reversed_elimination(self, toric):
         cx = build_logplus_complex(toric, 2)
@@ -537,11 +591,17 @@ class TestCohomologyMachinery:
             assert linalg.rank(mat) == linalg.rank(mat, cols[::-1])
 
     def test_stored_rows_hold_no_zeros(self, toric, plus_w2):
+        # columns are summed as integer numerators; only Fractions, and no
+        # zeros, may reach the stored rows, on integer and fractional A
+        fractional = fractional_2general_structure(11)
         complexes = [
             build_log_complex(VarSpec(4, 2), 2),
             plus_w2,
             build_bracket_complex(toric, 2),
             build_qi(toric, (1, 2), 2).complex,
+            build_logplus_complex(fractional, 2),
+            build_bracket_complex(fractional, 2),
+            build_qi(fractional, (1, 2), 2).complex,
         ]
         for cx in complexes:
             for (k, w), mat in cx.diffs.items():
@@ -550,6 +610,13 @@ class TestCohomologyMachinery:
                     assert isinstance(row, dict)
                     assert all(0 <= c < cx.slice_dim(k, w) for c in row)
                     assert all(type(v) is Fraction and v != 0 for v in row.values())
+
+    def test_ranking_leaves_stored_rows_unchanged(self, toric):
+        cx = build_bracket_complex(toric, 2)
+        before = copy.deepcopy(cx.diffs)
+        for k in range(5):
+            cohomology_dims(cx, k)
+        assert cx.diffs == before and verify_d_squared(cx)
 
     def test_zero_complex_exact(self):
         cx = WeightSlicedComplex("zero", VS, (0, 1), 2)

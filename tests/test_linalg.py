@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 from fractions import Fraction
@@ -170,6 +171,21 @@ class TestKernelProperties:
         assert linalg.is_zero_matrix(linalg.mat_mul(a, b)) == all(
             v == 0 for row in dense for v in row
         )
+
+    @settings(max_examples=100, deadline=None)
+    @given(square())
+    def test_inputs_left_unchanged(self, a):
+        # the kernel shares Fraction values with its input but copies every
+        # row, so the caller's dense and sparse rows never change: stored
+        # differentials are ranked and read again afterwards
+        for given_a in (a, sparse(a)):
+            before = copy.deepcopy(given_a)
+            linalg.rank(given_a)
+            linalg.rank(given_a, list(range(len(a)))[::-1])
+            if linalg.det(given_a):
+                linalg.inverse(given_a)
+            linalg.mat_mul(given_a, given_a)
+            assert given_a == before
 
     @settings(max_examples=150, deadline=None)
     @given(matrices(min_rows=1), st.data())
