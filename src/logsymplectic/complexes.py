@@ -275,36 +275,31 @@ def _invariant_grid(p: PoissonStructure) -> list[list[Fraction]]:
     return a.constant_grid()
 
 
+def _wedges(cls, frame: Frame, factors):
+    """``product(I)``: the wedge of factors[i - 1] over i in I, in order,
+    memoized with every prefix of I."""
+
+    @functools.cache
+    def product(indices: IndexSet):
+        if not indices:
+            return cls(frame, 0, {(): LaurentPoly.const(frame.var_spec, 1)})
+        return product(indices[:-1]).wedge(factors[indices[-1] - 1])
+
+    return product
+
+
 class _PlusMachine:
-    """Per-structure caches: phi expansions, their wedges, and the extension
-    of the bivector contraction to arbitrary coordinate forms."""
+    """Per-structure caches: the wedges of phi forms and of the sharps of the
+    dx_t, and the bivector contraction extended to coordinate forms."""
 
     def __init__(self, p: PoissonStructure):
         _invariant_grid(p)
         vs = p.var_spec
         self.vs = vs
         self.coord = coordinate_frame(vs)
-        nv = vs.total_vars
-        self.phi = phi_forms(p)  # raises when A is singular
-        self._sharp_dx = [pi_sharp(p, coordinate_one_form(vs, t)) for t in range(1, nv + 1)]
-        self._phi_wedges: dict[IndexSet, DiffForm] = {}
-        self._sharp_wedges: dict[IndexSet, MultiVector] = {}
-
-    def phi_wedge(self, indices: IndexSet) -> DiffForm:
-        if indices not in self._phi_wedges:
-            acc = DiffForm(self.coord, 0, {(): LaurentPoly.const(self.vs, 1)})
-            for i in indices:
-                acc = acc.wedge(self.phi[i - 1])
-            self._phi_wedges[indices] = acc
-        return self._phi_wedges[indices]
-
-    def sharp_wedge(self, indices: IndexSet) -> MultiVector:
-        if indices not in self._sharp_wedges:
-            acc = MultiVector(self.coord, 0, {(): LaurentPoly.const(self.vs, 1)})
-            for t in indices:
-                acc = acc.wedge(self._sharp_dx[t - 1])
-            self._sharp_wedges[indices] = acc
-        return self._sharp_wedges[indices]
+        self.phi_wedge = _wedges(DiffForm, self.coord, phi_forms(p))  # raises when A is singular
+        sharp_dx = [pi_sharp(p, coordinate_one_form(vs, t)) for t in range(1, vs.total_vars + 1)]
+        self.sharp_wedge = _wedges(MultiVector, self.coord, sharp_dx)
 
     def _combine(self, cls, degree: int, pairs):
         """Sum of coeff * image over the (coeff, image) pairs, accumulated
@@ -461,8 +456,11 @@ def conjugation_report(p: PoissonStructure, weight_cap: int, max_degree: int) ->
 
     The two sides come from unrelated code paths (meromorphic derivative
     of certified pieces, combined by the Leibniz rule, vs. the closed-form
-    bracket differential).
+    bracket differential).  A negative ``max_degree`` compares nothing and
+    raises ValueError.
     """
+    if max_degree < 0:
+        raise ValueError("max_degree must be >= 0")
     plus = build_logplus_complex(p, weight_cap)
     bracket = build_bracket_complex(p, weight_cap)
     slices = []
@@ -576,7 +574,7 @@ def build_qi(
 
     ``top_degree`` truncates the construction (basis through that degree,
     differentials below it); cohomology is then available up to one degree
-    less.
+    less.  A ``top_degree`` below |I| leaves no slice and raises ValueError.
     """
     iset = tuple(sorted(index_set))
     vs = p.var_spec
@@ -584,6 +582,8 @@ def build_qi(
         raise ValueError("index set must consist of divisor indices")
     if len(set(iset)) != len(iset):
         raise ValueError("index set has repeats")
+    if top_degree is not None and top_degree < len(iset):
+        raise ValueError(f"top_degree must be >= |I| = {len(iset)}")
     machine = _PlusMachine(p)
     nv = vs.total_vars
     top = nv if top_degree is None else min(top_degree, nv)
@@ -700,7 +700,8 @@ def filtration_report(p: PoissonStructure, level: int, weight_cap: int, max_degr
     generator phi_I and of x_r phi_I for r in I: the first must be |I|,
     and each multiple must drop to |I| - 1, so x_r kills the class of
     phi_I in the graded quotient.
-    Raises ValueError unless 0 <= level <= 2n and weight_cap >= 0.
+    Raises ValueError unless 0 <= level <= 2n, weight_cap >= 0 and
+    max_degree >= level.
     """
     machine = _PlusMachine(p)
     vs = p.var_spec
@@ -709,6 +710,8 @@ def filtration_report(p: PoissonStructure, level: int, weight_cap: int, max_degr
         raise ValueError(f"filtration level must lie in 0..{nv}")
     if weight_cap < 0:
         raise ValueError("weight_cap must be >= 0")
+    if max_degree < level:
+        raise ValueError(f"max_degree must be >= the filtration level {level}")
     isets = list(itertools.combinations(range(1, nv + 1), level))
     slices = []
     for degree in range(level, min(max_degree, nv) + 1):

@@ -34,11 +34,10 @@ nonzero minor.
 a foreign ``var_spec`` and shapes other than k x 2k, then recomputes each
 claimed minor of [M(0) | N(0)] by one memoized Laplace expansion, local to
 the call: every witness minor must be nonzero, and every minor of a failing
-column set zero.  A complete certificate must cover all C(2k, t) column
-sets.  A truncated one must have a false verdict and at least one failure,
-and its witnesses must be exactly the column sets before its first
-failure: they are counted against the lexicographic rank of that failure,
-so the C(2k, t) column sets are never listed.  The check shares no
+column set zero.  Coverage is one comparison for both kinds: the witnessed
+and failing column sets, sorted, must be the first that many column sets in
+lexicographic order, all of them if the certificate is complete, and if it
+is truncated those up to its single failure.  The check shares no
 arithmetic with the verdict; in particular it never calls ``linalg``.
 Deciding t = 2n by the same minors would be cheap for skew matrices (a
 column set S of A with identity columns T has minor +-det A[T^c, S]), but
@@ -48,6 +47,7 @@ confirming it, so the two routes stay apart at every t.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -201,28 +201,23 @@ def _laplace_minors(grid):
     denominator of its entries, so that the table holds integers; a minor is
     its scaled value over the scales of its rows.
     """
-    width = max((len(row) for row in grid), default=0)
     scales = [math.lcm(*(Fraction(x).denominator for x in row)) for row in grid]
     ints = [[int(x * s) for x in row] for row, s in zip(grid, scales)]
-    # row and column sets are bit masks; the key of a minor is rows << width | cols
-    table: dict[int, int] = {}
 
+    # row and column sets are bit masks
+    @functools.cache
     def scaled(rows: int, cols: int) -> int:
         if not rows:
             return 1
-        key = rows << width | cols
-        value = table.get(key)
-        if value is None:
-            head = ints[(rows & -rows).bit_length() - 1]
-            rest = rows & (rows - 1)
-            value, sign, left = 0, 1, cols
-            while left:
-                low = left & -left
-                c = low.bit_length() - 1
-                if head[c]:
-                    value += sign * head[c] * scaled(rest, cols ^ low)
-                sign, left = -sign, left ^ low
-            table[key] = value
+        head = ints[(rows & -rows).bit_length() - 1]
+        rest = rows & (rows - 1)
+        value, sign, left = 0, 1, cols
+        while left:
+            low = left & -left
+            c = low.bit_length() - 1
+            if head[c]:
+                value += sign * head[c] * scaled(rest, cols ^ low)
+            sign, left = -sign, left ^ low
         return value
 
     def minor(rows, cols) -> Fraction:
@@ -247,25 +242,14 @@ def _increasing(seq, t: int, top: int) -> bool:
     )
 
 
-def _lex_rank(cols: tuple[int, ...], top: int) -> int:
-    """The number of increasing tuples of len(cols) integers in 1..top that
-    come before ``cols`` in lexicographic order."""
-    rank, prev, left = 0, 0, len(cols)
-    for c in cols:
-        left -= 1
-        rank += sum(math.comb(top - v, left) for v in range(prev + 1, c))
-        prev = c
-    return rank
-
-
 def verify_certificate(m, n, cert: GenPosCertificate) -> bool:
     """Recompute every claim in a certificate, on minors of [M(0) | N(0)]
     and independently of the elimination: each witness must be t rows in
     increasing order whose minor is nonzero, failing column sets must come
     in strictly increasing lexicographic order and have no nonzero minor at
-    all.  A complete certificate must cover every column set; a truncated
-    one must have a false verdict, and its witnesses must be the column sets
-    before its first failure (see the module docstring).  Entries with a pole
+    all.  Sorted together, the claimed column sets must be the first ones
+    in lexicographic order: all C(2k, t) if the certificate is complete,
+    and up to its single failure if it is truncated.  Entries with a pole
     or a foreign ``var_spec``, and M or N not k x k, are rejected, because
     the constant-term test is sound only on the local ring."""
     m_rows, n_rows = _as_rows(m), _as_rows(n)
@@ -280,26 +264,22 @@ def verify_certificate(m, n, cert: GenPosCertificate) -> bool:
         return False
     t, width = cert.t, 2 * k
     failures = [tuple(cols) for cols in cert.failures]
+    claimed = [*cert.witnesses, *failures]
     if (
         cert.verdict != (not failures)
         or any(not _increasing(rows, t, k) for rows in cert.witnesses.values())
         or any(a >= b for a, b in zip(failures, failures[1:]))
+        or any(not _increasing(cols, t, width) for cols in claimed)
     ):
         return False
+    claimed.sort()
+    column_sets = itertools.combinations(range(1, width + 1), t)
+    if claimed != list(itertools.islice(column_sets, len(claimed))):
+        return False
     if cert.complete:
-        expected = {
-            tuple(c + 1 for c in cols) for cols in itertools.combinations(range(width), t)
-        }
-        if set(cert.witnesses) | set(failures) != expected:
+        if next(column_sets, None) is not None:
             return False
-    elif (
-        cert.verdict  # a truncated certificate proves only a false verdict
-        or any(not _increasing(cols, t, width) for cols in [*failures, *cert.witnesses])
-        or any(tuple(cols) >= failures[0] for cols in cert.witnesses)
-        # distinct column sets, all before the first failure: as many as
-        # precede it means every one that precedes it
-        or len(cert.witnesses) != _lex_rank(failures[0], width)
-    ):
+    elif not failures or claimed[-1] != failures[0]:
         return False
     minor = _laplace_minors([[p.constant_term() for p in row] for row in block])
     for cols, rows in cert.witnesses.items():

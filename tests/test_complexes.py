@@ -330,6 +330,11 @@ class TestConjugation:
         assert rep["verdict"]
         assert all(s["equal"] for s in rep["slices"])
 
+    def test_negative_max_degree_rejected(self, toric):
+        # no slice would be compared, and the verdict would be vacuously true
+        with pytest.raises(ValueError, match="max_degree"):
+            conjugation_report(toric, 2, max_degree=-1)
+
     def test_chain_map_on_log_subcomplex(self, toric):
         # sharp intertwines d with the bracket differential on log forms
         rng = random.Random(29)
@@ -556,6 +561,12 @@ class TestGradedPieces:
         with pytest.raises(ValueError):
             build_qi(toric, (1, 1), 1)
 
+    def test_top_degree_below_index_set_rejected(self, toric):
+        # the piece of I starts in degree |I|: below it the complex is empty,
+        # and verify_exactness would call it exact
+        with pytest.raises(ValueError, match="top_degree"):
+            build_qi(toric, (1, 2), 2, top_degree=1)
+
 
 class TestAssembleMatrix:
     SOURCE = [((1,), (0, 0)), ((2,), (0, 0))]
@@ -740,6 +751,11 @@ class TestFiltration:
     def test_report_rejects_negative_cap(self, toric):
         with pytest.raises(ValueError, match="weight_cap"):
             filtration_report(toric, 1, -1, 4)
+
+    def test_report_rejects_max_degree_below_level(self, toric):
+        # the pieces at level 2 start in degree 2, so no slice would be ranked
+        with pytest.raises(ValueError, match="max_degree"):
+            filtration_report(toric, 2, 1, max_degree=0)
 
 
 # -- the closed-form bracket differential ---------------------------------------

@@ -603,6 +603,40 @@ class TestFirstFailure:
         later = min(c for c in full.witnesses if c > first)
         assert self.forge(witnesses={**dropped, later: full.witnesses[later]}) is False
 
+    @staticmethod
+    def full():
+        m_rows, ident = toric_rows(4, 3)
+        return is_relative_t_general(m_rows, ident, 4)
+
+    def test_nothing_covered_rejected(self):
+        assert self.forge(verdict=True, witnesses={}, failures=()) is False
+
+    def test_second_failure_rejected(self):
+        # a truncated certificate holds exactly one failure, even when a
+        # second one is genuine
+        _, _, cert = self.truncated()
+        full = self.full()
+        assert full.failures[0] == cert.failures[0]
+        assert self.forge(failures=full.failures[:2]) is False
+        # the complete certificate's prefix through its second failure
+        second = full.failures[1]
+        witnesses = {c: r for c, r in full.witnesses.items() if c < second}
+        assert self.forge(witnesses=witnesses, failures=full.failures[:2]) is False
+
+    def test_truncated_marked_complete_rejected(self):
+        assert self.forge(complete=True) is False
+
+    def test_complete_witness_as_failure_rejected(self):
+        full = self.full()
+        failures = tuple(sorted([*full.failures, min(full.witnesses)]))
+        assert self.forge(witnesses=full.witnesses, failures=full.failures, complete=True)
+        assert self.forge(witnesses=full.witnesses, failures=failures, complete=True) is False
+
+    def test_non_integer_column_rejected(self):
+        full = self.full()
+        witnesses = {**full.witnesses, (1, "2", 3, 4): (1, 2, 3, 4)}
+        assert self.forge(witnesses=witnesses, failures=full.failures, complete=True) is False
+
     def test_serialize_marks_truncation(self):
         _, _, cert = self.truncated()
         assert cert.serialize()["complete"] is False
