@@ -5,9 +5,7 @@ from .ring import (
     Rational,
     VarSpec,
     is_unit_local,
-    partial_derivative,
     poly_from_string,
-    poly_mul,
     poly_to_string,
 )
 from .exterior import (
@@ -57,9 +55,11 @@ from .complexes import (
     build_qi,
     cohomology_dims,
     conjugation_report,
+    exactness_report,
     filtration_level_of,
     filtration_report,
     is_in_filtration_level,
+    qi_cohomology,
     verify_d_squared,
     verify_exactness,
 )

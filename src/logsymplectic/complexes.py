@@ -70,9 +70,11 @@ lambda_F" on v_S ^ Lambda(v_j : j not in S), S = {i : F_i = -1}.  It is
 acyclic unless lambda_F vanishes off S, and then adds C(2n - |S|, k - |S|)
 in degree k (Eisenbud, Commutative Algebra, ch. 17).  The graded piece of
 I is the sum of the blocks with S = I, since S is the level set of the
-label.  So Q_I is exact for |I| = 1 (A nonsingular), and for |I| = 2 unless
-I is a 2-resonant pair, some F having lambda_F vanish off I; 2-general
-position does not exclude one (fixtures/resonant_structure.json).
+label; ``qi_cohomology`` counts Q_I's cohomology this way, without a
+matrix, against ``build_qi`` and its ranks as the oracle.  So Q_I is exact
+for |I| = 1 (A nonsingular), and for |I| = 2 unless I is a 2-resonant pair,
+some F having lambda_F vanish off I; 2-general position does not exclude
+one (fixtures/resonant_structure.json).
 """
 
 from __future__ import annotations
@@ -536,6 +538,16 @@ class GradedPieceQI:
     dphi_signs: dict[int, Fraction]
 
 
+def _index_set(vs: VarSpec, index_set) -> IndexSet:
+    """The sorted index set; ValueError unless of distinct divisor indices."""
+    iset = tuple(sorted(index_set))
+    if any(not vs.is_divisor_index(i) for i in iset):
+        raise ValueError("index set must consist of divisor indices")
+    if len(set(iset)) != len(iset):
+        raise ValueError("index set has repeats")
+    return iset
+
+
 def _dphi_signs(machine: _PlusMachine, iset: IndexSet) -> dict[int, Fraction]:
     """Check d(phi_I) = -sum_{i in I} eta_i ^ phi_I exactly, on honest
     coordinate expansions, and return the signs {i: -1}.
@@ -576,12 +588,8 @@ def build_qi(
     differentials below it); cohomology is then available up to one degree
     less.  A ``top_degree`` below |I| leaves no slice and raises ValueError.
     """
-    iset = tuple(sorted(index_set))
     vs = p.var_spec
-    if any(not vs.is_divisor_index(i) for i in iset):
-        raise ValueError("index set must consist of divisor indices")
-    if len(set(iset)) != len(iset):
-        raise ValueError("index set has repeats")
+    iset = _index_set(vs, index_set)
     if top_degree is not None and top_degree < len(iset):
         raise ValueError(f"top_degree must be >= |I| = {len(iset)}")
     machine = _PlusMachine(p)
@@ -590,6 +598,32 @@ def build_qi(
     cx = WeightSlicedComplex(f"Q{list(iset)}", vs, (len(iset), top), weight_cap)
     cx = _fill_slices(cx, lambda degree, w: _qi_basis(vs, iset, degree, w), _koszul_images(p))
     return GradedPieceQI(iset, cx, _dphi_signs(machine, iset))
+
+
+def qi_cohomology(p: PoissonStructure, index_set, weight_cap: int) -> dict[tuple[int, int], int]:
+    """(degree, weight) -> cohomology dimension of Q_I at every slice it has,
+    zeros included, by the block rule of the module docstring and without a
+    matrix: each F = -1 on I, F >= 0 off I, |F| <= cap, whose lambda_F
+    vanishes off I adds C(2n - |I|, k - |I|) in degree k = |I|..2n.
+    Refuses what ``build_qi`` refuses, except a singular A."""
+    iset = _index_set(p.var_spec, index_set)
+    if weight_cap < 0:
+        raise ValueError("weight_cap must be >= 0")
+    grid = _invariant_grid(p)
+    nv, size = p.var_spec.total_vars, len(iset)
+    rest = [i for i in range(1, nv + 1) if i not in iset]
+    out = {}
+    for w in range(-size, weight_cap + 1):
+        fs = _monomials(len(rest), w + size)
+        if not fs:
+            continue
+        kept = 0
+        for g in fs:
+            f = dict.fromkeys(iset, -1) | dict(zip(rest, g))
+            kept += not any(sum(fi * grid[i - 1][j - 1] for i, fi in f.items()) for j in rest)
+        for k in range(size, nv + 1):
+            out[(k, w)] = kept * math.comb(nv - size, k - size)
+    return out
 
 
 def _class_vector(machine: _PlusMachine, iset, kset, exps, index) -> linalg.Row:
@@ -636,20 +670,22 @@ def verify_d_squared(cx: WeightSlicedComplex) -> bool:
 
 
 def verify_exactness(cx: WeightSlicedComplex, degrees) -> dict:
-    """Cohomology table over the requested degrees and all weights; verdict
-    "exact" iff all reported dimensions vanish (empty tables count as exact)."""
-    table = []
-    exact = True
-    for k in degrees:
-        dims = cohomology_dims(cx, k)
-        for w in sorted(dims):
-            table.append({"degree": k, "weight": w, "dim_cohomology": dims[w]})
-            exact = exact and dims[w] == 0
+    """``exactness_report`` of the cohomology over the requested degrees and
+    all weights, by ranks."""
+    dims = {(k, w): h for k in degrees for w, h in cohomology_dims(cx, k).items()}
+    return exactness_report(cx.label, cx.weight_cap, dims)
+
+
+def exactness_report(complex_id: str, weight_cap: int, dims: dict[tuple[int, int], int]) -> dict:
+    """Report of a (degree, weight) -> cohomology dimension table, sorted;
+    verdict "exact" iff every dimension vanishes (an empty table is exact)."""
     return {
-        "complex_id": cx.label,
-        "weight_cap": cx.weight_cap,
-        "table": table,
-        "verdict": "exact" if exact else "not_exact",
+        "complex_id": complex_id,
+        "weight_cap": weight_cap,
+        "table": [
+            {"degree": k, "weight": w, "dim_cohomology": h} for (k, w), h in sorted(dims.items())
+        ],
+        "verdict": "not_exact" if any(dims.values()) else "exact",
     }
 
 
@@ -681,6 +717,8 @@ def _level_of(machine: _PlusMachine, form: DiffForm) -> int | None:
 
 
 def is_in_filtration_level(p: PoissonStructure, form: DiffForm, level: int) -> bool:
+    """Whether the form lies in the given filtration level.  Public API with
+    no library caller."""
     actual = filtration_level_of(p, form)
     return actual is not None and actual <= level
 

@@ -239,7 +239,7 @@ def log_one_form(vs: VarSpec, i: int) -> DiffForm:
 
 
 def log_vector(vs: VarSpec, i: int) -> MultiVector:
-    """v_i in the log frame."""
+    """v_i in the log frame.  Public API with no library caller."""
     return vector_monomial(log_frame(vs), (i,), LaurentPoly.const(vs, 1))
 
 
@@ -256,12 +256,14 @@ def frame_element_weight(frame: Frame, indices: IndexSet, is_form: bool) -> int:
 
 
 def term_weight(frame: Frame, indices: IndexSet, exps, is_form: bool = True) -> int:
-    """Weight of one monomial term: coefficient degree plus frame weight."""
+    """Weight of one monomial term: coefficient degree plus frame weight.
+    Public API with no library caller."""
     return sum(exps) + frame_element_weight(frame, tuple(indices), is_form)
 
 
 def weight_decomposition(x) -> dict[int, "DiffForm | MultiVector"]:
-    """Split an element into weight-homogeneous pieces."""
+    """Split an element into weight-homogeneous pieces.  Public API with no
+    library caller."""
     is_form = isinstance(x, DiffForm)
     buckets: dict[int, dict] = {}
     for indices, coeff in x.terms.items():

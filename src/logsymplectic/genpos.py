@@ -231,10 +231,10 @@ def _laplace_minors(grid):
 
 
 def _increasing(seq, t: int, top: int) -> bool:
-    """Whether ``seq`` is t strictly increasing integers in 1..top (t >= 1)."""
-    seq = tuple(seq)
+    """Whether ``seq`` is a tuple of t >= 1 strictly increasing integers in 1..top."""
     return (
-        len(seq) == t
+        isinstance(seq, tuple)
+        and len(seq) == t
         and all(isinstance(x, int) for x in seq)
         and all(a < b for a, b in zip(seq, seq[1:]))
         and 1 <= seq[0]
@@ -263,13 +263,12 @@ def verify_certificate(m, n, cert: GenPosCertificate) -> bool:
     if cert.column_count != 2 * k or not 1 <= cert.t <= k:
         return False
     t, width = cert.t, 2 * k
-    failures = [tuple(cols) for cols in cert.failures]
-    claimed = [*cert.witnesses, *failures]
+    claimed = [*cert.witnesses, *cert.failures]
     if (
-        cert.verdict != (not failures)
+        any(not _increasing(cols, t, width) for cols in claimed)
         or any(not _increasing(rows, t, k) for rows in cert.witnesses.values())
-        or any(a >= b for a, b in zip(failures, failures[1:]))
-        or any(not _increasing(cols, t, width) for cols in claimed)
+        or cert.verdict != (not cert.failures)
+        or any(a >= b for a, b in zip(cert.failures, cert.failures[1:]))
     ):
         return False
     claimed.sort()
@@ -279,13 +278,13 @@ def verify_certificate(m, n, cert: GenPosCertificate) -> bool:
     if cert.complete:
         if next(column_sets, None) is not None:
             return False
-    elif not failures or claimed[-1] != failures[0]:
+    elif not cert.failures or claimed[-1] != cert.failures[0]:
         return False
     minor = _laplace_minors([[p.constant_term() for p in row] for row in block])
     for cols, rows in cert.witnesses.items():
         if minor([r - 1 for r in rows], [c - 1 for c in cols]) == 0:
             return False
-    for cols in failures:
+    for cols in cert.failures:
         for row_idx in itertools.combinations(range(k), t):
             if minor(row_idx, [c - 1 for c in cols]) != 0:
                 return False

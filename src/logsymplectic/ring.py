@@ -282,22 +282,11 @@ def add_product(out: dict[Exponents, Fraction], p: LaurentPoly, q: LaurentPoly, 
             out[key] = c1 * c2 if prev is None else prev + c1 * c2
 
 
-# -- spec-level operation names --------------------------------------------
-
-
-def poly_mul(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
-    """Exact sparse product (var_spec mismatch raises)."""
-    return p * q
-
-
-def partial_derivative(p: LaurentPoly, i: int) -> LaurentPoly:
-    return p.partial(i)
-
-
 def is_unit_local(p: LaurentPoly) -> bool:
     """Unit of the local ring at the origin: nonzero constant term.
 
-    Only meaningful (and only allowed) for elements without poles.
+    Only meaningful (and only allowed) for elements without poles.  Public
+    API with no library caller.
     """
     if p.has_negative_exponents():
         raise ValueError("element has poles; not in the local ring")

@@ -38,13 +38,15 @@ class ToricStructure:
     n: int
     matrix: SkewMatrix
     structure: PoissonStructure
+    jacobi_holds: bool
 
 
 def make_toric(a) -> ToricStructure:
     """Build the invariant structure of a constant skew matrix.
 
     Accepts a SkewMatrix or a plain grid of rationals.  The Jacobi identity
-    is verified rather than assumed (it holds for every constant A).
+    is verified rather than assumed (it holds for every constant A), once:
+    ``certify`` reports this check.
     """
     if isinstance(a, SkewMatrix):
         grid = a.constant_grid()
@@ -68,7 +70,7 @@ def make_toric(a) -> ToricStructure:
     structure = PoissonStructure(vs, MultiVector(coordinate_frame(vs), 2, terms))
     if not jacobi_holds(structure):
         raise AssertionError("invariant bivector failed the Jacobi identity")
-    return ToricStructure(n=size // 2, matrix=matrix, structure=structure)
+    return ToricStructure(n=size // 2, matrix=matrix, structure=structure, jacobi_holds=True)
 
 
 def certify(t: ToricStructure) -> dict:
@@ -90,7 +92,7 @@ def certify(t: ToricStructure) -> dict:
         "n": t.n,
         "pfaffian": str(pf),
         "nonsingular": pf != 0,
-        "jacobi_holds": jacobi_holds(t.structure),
+        "jacobi_holds": t.jacobi_holds,
     }
     try:
         div = degeneracy_divisor(t.structure)

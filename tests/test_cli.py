@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from logsymplectic import cli, complexes, linalg
+from logsymplectic import complexes, linalg, poisson
 from logsymplectic.cli import canonical_json, main
 from test_golden import CASES, GOLDEN
 
@@ -262,22 +262,30 @@ class TestVerifyExactness:
         assert doc["max_degree"] == int(max_degree)
         assert doc["table"]
 
-    @pytest.mark.parametrize("max_degree", [1, 2])
-    def test_max_degree_builds_through_next_degree(self, files, monkeypatch, max_degree):
-        # cohomology through degree D needs the slices through D + 1 only
-        built = []
+    @pytest.mark.parametrize("name", ["verify_exactness_I1", "verify_exactness_I1_2"])
+    def test_report_counts_blocks_without_ranks(self, tmp_path, monkeypatch, name):
+        # the table comes from complexes.qi_cohomology: no matrix is assembled
+        # and nothing is ranked; the one elimination left is the inverse of A
+        # behind the d(phi_I) check (linalg.inverse, the only reduced caller)
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify-exactness assembled a matrix")
 
-        def recording_build_qi(*args, **kwargs):
-            piece = complexes.build_qi(*args, **kwargs)
-            built.append(piece.complex.degree_range)
-            return piece
+        inversions = []
+        eliminate = linalg._eliminate
 
-        monkeypatch.setattr(cli, "build_qi", recording_build_qi)
-        assert main([
-            "verify-exactness", "--structure", files["toric_structure"],
-            "--I", "1", "--max-degree", str(max_degree), "--weight-cap", "1",
-        ]) == 0
-        assert built == [(1, max_degree + 1)]
+        def inverse_only(rows, column_order=None, reduced=False, start=None):
+            if not reduced:
+                raise AssertionError("verify-exactness ranked a matrix")
+            inversions.append(column_order)
+            return eliminate(rows, column_order, reduced, start)
+
+        monkeypatch.setattr(complexes, "_assemble_matrix", refuse)
+        monkeypatch.setattr(linalg, "_eliminate", inverse_only)
+        argv = next(argv for case, argv, _code in CASES if case == name)
+        out = tmp_path / f"{name}.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+        assert inversions == [range(4)]
 
     def test_resonant_fixture_not_exact(self, capsys):
         # 2-general, but {3, 4} is a 2-resonant pair
@@ -315,6 +323,21 @@ class TestToricReport:
         assert doc["general_position"]["3"] is False
         assert code in (0, 1)
         assert (code == 0) == doc["log_symplectic_2_general"]
+
+    def test_jacobi_checked_once(self, files, monkeypatch):
+        # make_toric checks Jacobi and certify reports that check
+        self_brackets = []
+        schouten = poisson.schouten
+
+        def counting_schouten(a, b):
+            if a is b:
+                self_brackets.append(a)
+            return schouten(a, b)
+
+        monkeypatch.setattr(poisson, "schouten", counting_schouten)
+        assert main(["toric-report", "--matrix", files["toric_matrix"], "--out", files["out"]]) == 0
+        assert json.loads(Path(files["out"]).read_text())["jacobi_holds"] is True
+        assert len(self_brackets) == 1
 
     def test_random_seeded(self, files):
         assert main(["toric-report", "--random", "--n", "2", "--seed", "5", "--out", files["out"]]) in (0, 1)

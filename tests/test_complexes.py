@@ -28,6 +28,7 @@ from logsymplectic.complexes import (
     filtration_level_of,
     filtration_report,
     is_in_filtration_level,
+    qi_cohomology,
     verify_d_squared,
     verify_exactness,
 )
@@ -53,7 +54,7 @@ from logsymplectic.poisson import (
     schouten,
 )
 from logsymplectic.ring import LaurentPoly, VarSpec, poly_from_string
-from logsymplectic.toric import random_2general_toric
+from logsymplectic.toric import make_toric, random_2general_toric
 
 from conftest import EXPLICIT_GRID, toric_structure
 
@@ -833,33 +834,6 @@ class TestClosedFormBracket:
             build_bracket_complex(p, 1)
 
 
-def koszul_block_dims(p: PoissonStructure, weight_cap: int) -> dict[tuple[int, int], int]:
-    """(degree, weight) -> cohomology dimension counted block by block.
-
-    For each F >= -1 with |F| = w <= cap, S = {i : F_i = -1}; the block of F
-    is the Koszul complex of lambda_F = F.A on Lambda(S^c), which is acyclic
-    unless lambda_F vanishes on S^c and then adds C(2n - |S|, k - |S|) in
-    degree k.
-    """
-    grid = log_matrix(p).constant_grid()
-    nv = len(grid)
-    out: dict[tuple[int, int], int] = {}
-    for s_len in range(nv + 1):
-        for s in itertools.combinations(range(nv), s_len):
-            rest = [i for i in range(nv) if i not in s]
-            for w in range(-s_len, weight_cap + 1):
-                for g in _monomials(len(rest), w + s_len):
-                    f = [-1] * nv
-                    for pos, i in enumerate(rest):
-                        f[i] = g[pos]
-                    if any(sum(f[i] * grid[i][j] for i in range(nv)) for j in rest):
-                        continue
-                    for k in range(s_len, nv + 1):
-                        key = (k, w)
-                        out[key] = out.get(key, 0) + math.comb(nv - s_len, k - s_len)
-    return out
-
-
 def nonzero_cohomology(cx) -> dict[tuple[int, int], int]:
     nv = cx.var_spec.total_vars
     return {
@@ -871,6 +845,7 @@ def nonzero_cohomology(cx) -> dict[tuple[int, int], int]:
 
 
 RESONANT_STRUCTURE = FIXTURE_STRUCTURE.parent / "resonant_structure.json"
+BLOCK_MATRIX = FIXTURE_STRUCTURE.parent / "block_matrix.json"
 RESONANT_GRID = [[0, -4, -6, 6], [4, 0, 2, -2], [6, -2, 0, -3], [-6, 2, 3, 0]]
 
 
@@ -893,24 +868,111 @@ class TestResonantGrid:
         q34 = build_qi(resonant, (3, 4), 2).complex
         assert nonzero_cohomology(q34) == {(2, -2): 1, (3, -2): 2, (4, -2): 1}
         assert nonzero_cohomology(build_qi(resonant, (1, 2), 2).complex) == {}
+        # the block count agrees with the ranks
+        assert nonzero(qi_cohomology(resonant, (3, 4), 2)) == nonzero_cohomology(q34)
+        assert nonzero(qi_cohomology(resonant, (1, 2), 2)) == {}
+
+
+def nonzero(dims: dict) -> dict:
+    return {kw: h for kw, h in dims.items() if h}
+
+
+def summed_block_count(p: PoissonStructure, weight_cap: int) -> dict[tuple[int, int], int]:
+    """The nonzero cohomology of the whole bracket complex by the block
+    rule: ``qi_cohomology`` summed over all 2^(2n) index sets, the empty one
+    included, since every Koszul block belongs to the piece of its S."""
+    nv = p.var_spec.total_vars
+    out: dict[tuple[int, int], int] = {}
+    for size in range(nv + 1):
+        for iset in itertools.combinations(range(1, nv + 1), size):
+            for kw, h in qi_cohomology(p, iset, weight_cap).items():
+                out[kw] = out.get(kw, 0) + h
+    return nonzero(out)
+
+
+def assert_pieces_match_ranks(p: PoissonStructure, weight_cap: int) -> None:
+    """For every index set, the empty one included, ``qi_cohomology`` has
+    exactly the slices of ``build_qi`` and their rank-nullity dimensions."""
+    nv = p.var_spec.total_vars
+    for size in range(nv + 1):
+        for iset in itertools.combinations(range(1, nv + 1), size):
+            counted = qi_cohomology(p, iset, weight_cap)
+            cx = build_qi(p, iset, weight_cap).complex
+            for k in range(nv + 1):
+                by_rank = cohomology_dims(cx, k)
+                assert {w: h for (k2, w), h in counted.items() if k2 == k} == by_rank, (iset, k)
+
+
+def fixture_structures() -> list[PoissonStructure]:
+    return [
+        PoissonStructure.from_json(json.loads(path.read_text()))
+        for path in (FIXTURE_STRUCTURE, RESONANT_STRUCTURE)
+    ] + [make_toric(json.loads(BLOCK_MATRIX.read_text())["entries"]).structure]
 
 
 class TestKoszulBlockCount:
+    """``qi_cohomology`` against the built complexes and their ranks."""
+
     def test_fixture_cap3(self):
         p = PoissonStructure.from_json(json.loads(FIXTURE_STRUCTURE.read_text()))
-        predicted = koszul_block_dims(p, 3)
+        predicted = summed_block_count(p, 3)
         assert nonzero_cohomology(build_bracket_complex(p, 3)) == predicted
         # F = 0 alone gives the weight-0 row 1, 4, 6, 4, 1; the resonant F
         # of this matrix carry cohomology in 13 more slices
         assert len(predicted) == 18
         assert [predicted[(k, 0)] for k in range(3)] == [1, 4, 6]
         assert any(w != 0 for (_k, w) in predicted)
+        assert sum(predicted.values()) == 31
 
     def test_seeded_2n4_cap3(self):
         # the first structure has the fixture's grid, checked above
         for p in seeded_structures_2n4()[1:]:
-            assert nonzero_cohomology(build_bracket_complex(p, 3)) == koszul_block_dims(p, 3)
+            assert nonzero_cohomology(build_bracket_complex(p, 3)) == summed_block_count(p, 3)
 
     def test_seeded_2n6_cap1(self):
         p = random_2general_toric(random.Random(3), 3).structure
-        assert nonzero_cohomology(build_bracket_complex(p, 1)) == koszul_block_dims(p, 1)
+        predicted = summed_block_count(p, 1)
+        assert nonzero_cohomology(build_bracket_complex(p, 1)) == predicted
+        assert sum(predicted.values()) == 69
+
+    def test_every_piece_matches_ranks_2n4(self):
+        # the first seeded structure has the fixture's grid
+        for p in fixture_structures() + seeded_structures_2n4()[1:]:
+            for cap in range(4):
+                assert_pieces_match_ranks(p, cap)
+
+    def test_every_piece_matches_ranks_2n6(self):
+        assert_pieces_match_ranks(random_2general_toric(random.Random(3), 3).structure, 1)
+
+    def test_singular_log_matrix(self):
+        # no inverse bivector, so build_qi refuses; the bracket complex is
+        # still the sum of the Koszul blocks, and now |S| = 1 contributes
+        p = make_toric([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]).structure
+        predicted = summed_block_count(p, 2)
+        assert nonzero_cohomology(build_bracket_complex(p, 2)) == predicted
+        # F = -e_3 and F = e_4 - e_3 have lambda_F = 0
+        row = {1: 1, 2: 3, 3: 3, 4: 1}
+        assert qi_cohomology(p, (3,), 0) == {(k, w): h for w in (-1, 0) for k, h in row.items()}
+
+    def test_no_matrix_and_no_elimination(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the block count built or ranked a matrix")
+
+        p = random_2general_toric(random.Random(3), 4).structure
+        monkeypatch.setattr(complexes, "_assemble_matrix", refuse)
+        monkeypatch.setattr(linalg, "_eliminate", refuse)
+        assert nonzero(qi_cohomology(p, (1, 2), 4)) == {}
+
+    def test_refusals(self):
+        p = PoissonStructure.from_json(json.loads(FIXTURE_STRUCTURE.read_text()))
+        for iset, message in [((5,), "divisor indices"), ((0,), "divisor indices"),
+                              ((1, 1), "repeats")]:
+            with pytest.raises(ValueError, match=message):
+                qi_cohomology(p, iset, 1)
+        with pytest.raises(ValueError, match="weight_cap"):
+            qi_cohomology(p, (1,), -1)
+        vs = VarSpec(4, 2)
+        terms = {(1, 2): poly_from_string("x1*x2", vs), (3, 4): poly_from_string("1", vs)}
+        mixed = PoissonStructure(vs, MultiVector(coordinate_frame(vs), 2, terms))
+        with pytest.raises(ValueError, match="every variable on the divisor"):
+            qi_cohomology(mixed, (1,), 1)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -19,6 +20,7 @@ from logsymplectic.genpos import (
 )
 from logsymplectic.poisson import log_matrix, poly_det
 from logsymplectic.ring import LaurentPoly, VarSpec, poly_from_string
+from logsymplectic.toric import random_2general_toric
 
 from conftest import EXPLICIT_GRID, random_skew_grid, toric_structure
 
@@ -434,6 +436,21 @@ class TestCertificates:
             "empty": ([], []),
         }[shape]
         assert verify_certificate(m_rows, n_rows, cert) is False
+
+    @pytest.mark.parametrize("case", ["witness_rows_int", "witness_key_int", "failure_int"])
+    def test_non_tuple_entries_rejected_without_raising(self, case):
+        rng = random.Random(1)
+        m_rows = log_matrix(random_2general_toric(rng, 2).structure)
+        ident = identity_rows(VS, 4)
+        cert = is_relative_t_general(m_rows, ident, 2)
+        assert cert.verdict and verify_certificate(m_rows, ident, cert)
+        first = next(iter(cert.witnesses))
+        forged = {
+            "witness_rows_int": dataclasses.replace(cert, witnesses={**cert.witnesses, first: 3}),
+            "witness_key_int": dataclasses.replace(cert, witnesses={**cert.witnesses, 7: (1, 2)}),
+            "failure_int": dataclasses.replace(cert, failures=(5,)),
+        }[case]
+        assert verify_certificate(m_rows, ident, forged) is False
 
     def test_serialize_shape(self):
         cert = is_standard_t_general(const_rows(EXPLICIT_GRID), 2)
