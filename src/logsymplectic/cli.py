@@ -66,6 +66,8 @@ def _load_matrix(path: str) -> list[list[Fraction]]:
     try:
         size = _int_field(doc, "size")
         entries = doc["entries"]
+        if not isinstance(entries, list) or not all(isinstance(row, list) for row in entries):
+            raise ValueError("'entries' must be an array of arrays")
         if any(isinstance(x, (float, bool)) for row in entries for x in row):
             raise ValueError(
                 'entries must be integers or strings such as "1/2", not floats or booleans'

@@ -70,11 +70,12 @@ lambda_F" on v_S ^ Lambda(v_j : j not in S), S = {i : F_i = -1}.  It is
 acyclic unless lambda_F vanishes off S, and then adds C(2n - |S|, k - |S|)
 in degree k (Eisenbud, Commutative Algebra, ch. 17).  The graded piece of
 I is the sum of the blocks with S = I, since S is the level set of the
-label; ``qi_cohomology`` counts Q_I's cohomology this way, without a
-matrix, against ``build_qi`` and its ranks as the oracle.  So Q_I is exact
-for |I| = 1 (A nonsingular), and for |I| = 2 unless I is a 2-resonant pair,
-some F having lambda_F vanish off I; 2-general position does not exclude
-one (fixtures/resonant_structure.json).
+label.  Each such block has one bottom label, (I, F + 1_I) in degree |I|,
+whose image is empty exactly when lambda_F vanishes off I; ``qi_cohomology``
+counts those labels, without a matrix, against ``build_qi`` and its ranks
+as the oracle.  So Q_I is exact for |I| = 1 (A nonsingular), and for
+|I| = 2 unless I is a 2-resonant pair, some F having lambda_F vanish off
+I; 2-general position does not exclude one (fixtures/resonant_structure.json).
 """
 
 from __future__ import annotations
@@ -485,10 +486,10 @@ def conjugation_report(p: PoissonStructure, weight_cap: int, max_degree: int) ->
 # -- graded pieces of the phi-count filtration ---------------------------------
 
 
-def _level_set(vs: VarSpec, indices: IndexSet, exps: tuple[int, ...]) -> tuple[int, ...]:
-    """Divisor indices of the frame monomial whose coefficient exponent
-    vanishes; its size is the filtration level of x^E d_M."""
-    return tuple(i for i in indices if vs.is_divisor_index(i) and exps[i - 1] == 0)
+def _level_set(indices: IndexSet, exps: tuple[int, ...]) -> tuple[int, ...]:
+    """Indices of the frame monomial whose coefficient exponent vanishes (all
+    on the divisor on the invariant model): the filtration level of x^E d_M."""
+    return tuple(i for i in indices if exps[i - 1] == 0)
 
 
 def _class_labels(nv: int, iset: IndexSet, degree: int, w: int):
@@ -569,33 +570,20 @@ def _dphi_signs(machine: _PlusMachine, iset: IndexSet) -> dict[int, Fraction]:
     return {i: Fraction(-1) for i in iset}
 
 
-def build_qi(
-    p: PoissonStructure,
-    index_set,
-    weight_cap: int,
-    top_degree: int | None = None,
-) -> GradedPieceQI:
+def build_qi(p: PoissonStructure, index_set, weight_cap: int) -> GradedPieceQI:
     """Graded piece of the filtration for a set of divisor indices.
 
-    Monomial model: the slice at degree D, weight w is spanned by x^E d_M
-    with I inside M, E vanishing exactly on I among the divisor indices of
-    M, and |E| = w + D.  The differential is the bracket with the bivector,
-    in the closed form of the module docstring; assembly fails loudly if
-    any generator's image leaves the slice.  The signs of d(phi_I) are
-    checked (``_dphi_signs``).
-
-    ``top_degree`` truncates the construction (basis through that degree,
-    differentials below it); cohomology is then available up to one degree
-    less.  A ``top_degree`` below |I| leaves no slice and raises ValueError.
+    Monomial model in degrees D = |I|..2n: the slice at degree D, weight w
+    is spanned by x^E d_M with I inside M, E vanishing exactly on I among
+    the indices of M, and |E| = w + D.  The differential is the bracket
+    with the bivector, in the closed form of the module docstring; assembly
+    fails loudly if any generator's image leaves the slice.  The signs of
+    d(phi_I) are checked (``_dphi_signs``).
     """
     vs = p.var_spec
     iset = _index_set(vs, index_set)
-    if top_degree is not None and top_degree < len(iset):
-        raise ValueError(f"top_degree must be >= |I| = {len(iset)}")
     machine = _PlusMachine(p)
-    nv = vs.total_vars
-    top = nv if top_degree is None else min(top_degree, nv)
-    cx = WeightSlicedComplex(f"Q{list(iset)}", vs, (len(iset), top), weight_cap)
+    cx = WeightSlicedComplex(f"Q{list(iset)}", vs, (len(iset), vs.total_vars), weight_cap)
     cx = _fill_slices(cx, lambda degree, w: _qi_basis(vs, iset, degree, w), _koszul_images(p))
     return GradedPieceQI(iset, cx, _dphi_signs(machine, iset))
 
@@ -603,26 +591,22 @@ def build_qi(
 def qi_cohomology(p: PoissonStructure, index_set, weight_cap: int) -> dict[tuple[int, int], int]:
     """(degree, weight) -> cohomology dimension of Q_I at every slice it has,
     zeros included, by the block rule of the module docstring and without a
-    matrix: each F = -1 on I, F >= 0 off I, |F| <= cap, whose lambda_F
-    vanishes off I adds C(2n - |I|, k - |I|) in degree k = |I|..2n.
-    Refuses what ``build_qi`` refuses, except a singular A."""
-    iset = _index_set(p.var_spec, index_set)
+    matrix: each bottom label of weight w whose closed-form image
+    (``_koszul_images``) is empty adds C(2n - |I|, k - |I|) in degree
+    k = |I|..2n.  Refuses what ``build_qi`` refuses, except a singular A."""
+    vs = p.var_spec
+    iset = _index_set(vs, index_set)
     if weight_cap < 0:
         raise ValueError("weight_cap must be >= 0")
-    grid = _invariant_grid(p)
-    nv, size = p.var_spec.total_vars, len(iset)
-    rest = [i for i in range(1, nv + 1) if i not in iset]
+    images = _koszul_images(p)
+    nv, size = vs.total_vars, len(iset)
     out = {}
     for w in range(-size, weight_cap + 1):
-        fs = _monomials(len(rest), w + size)
-        if not fs:
-            continue
-        kept = 0
-        for g in fs:
-            f = dict.fromkeys(iset, -1) | dict(zip(rest, g))
-            kept += not any(sum(fi * grid[i - 1][j - 1] for i, fi in f.items()) for j in rest)
-        for k in range(size, nv + 1):
-            out[(k, w)] = kept * math.comb(nv - size, k - size)
+        bottoms = _qi_basis(vs, iset, size, w)
+        if bottoms:
+            kept = sum(not images(lab) for lab in bottoms)
+            for k in range(size, nv + 1):
+                out[(k, w)] = kept * math.comb(nv - size, k - size)
     return out
 
 
@@ -637,7 +621,7 @@ def _class_vector(machine: _PlusMachine, iset, kset, exps, index) -> linalg.Row:
     base = vector_monomial(machine.coord, iset, coeff).wedge(machine.sharp_wedge(kset))
     vec: linalg.Row = {}
     for (jdx, e2), c in _flatten(base):
-        if _level_set(vs, jdx, e2) != iset:
+        if _level_set(jdx, e2) != iset:
             raise AssertionError("class representative left the graded piece")
         vec[index[(jdx, e2)]] = c
     return vec
@@ -712,7 +696,7 @@ def _level_of(machine: _PlusMachine, form: DiffForm) -> int | None:
         for exps in poly.terms:
             if any(e < 0 for e in exps):
                 return None
-            level = max(level, len(_level_set(machine.vs, indices, exps)))
+            level = max(level, len(_level_set(indices, exps)))
     return level
 
 

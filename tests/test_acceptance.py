@@ -182,7 +182,7 @@ def test_c06_graded_pieces_exact_in_low_degrees(general_fixtures):
     for _grid, p in general_fixtures:
         for size in (1, 2, 3):
             for iset in itertools.combinations(range(1, 5), size):
-                piece = build_qi(p, iset, weight_cap=4, top_degree=3)
+                piece = build_qi(p, iset, weight_cap=4)
                 rep = verify_exactness(piece.complex, range(size, 3))
                 ok = ok and rep["verdict"] == "exact"
     elapsed = time.monotonic() - start

@@ -145,6 +145,17 @@ class TestInexactOrBrokenNumbers:
             self.assert_input_error(["pfaffian", "--matrix", path], capsys, needle)
             self.assert_input_error(["toric-report", "--matrix", path], capsys, needle)
 
+    def test_string_rows_rejected(self, files, capsys):
+        # a row given as a string would otherwise be read one character at a time
+        for name, doc in [
+            ("string_row_matrix.json",
+             {"size": 4, "entries": ["0123", ["-1", 0, 4, 5], [-2, -4, 0, 6], [-3, -5, -6, 0]]}),
+            ("string_rows_matrix.json", {"size": 2, "entries": ["00", "00"]}),
+        ]:
+            path = self.write(files, name, doc)
+            self.assert_input_error(["pfaffian", "--matrix", path], capsys, "array of arrays")
+            self.assert_input_error(["toric-report", "--matrix", path], capsys, "array of arrays")
+
     def test_integer_matrix_entries_accepted(self, files):
         doc = {"size": 2, "entries": [[0, 2], [-2, 0]]}
         path = self.write(files, "int_matrix.json", doc)

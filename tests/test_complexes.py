@@ -562,12 +562,6 @@ class TestGradedPieces:
         with pytest.raises(ValueError):
             build_qi(toric, (1, 1), 1)
 
-    def test_top_degree_below_index_set_rejected(self, toric):
-        # the piece of I starts in degree |I|: below it the complex is empty,
-        # and verify_exactness would call it exact
-        with pytest.raises(ValueError, match="top_degree"):
-            build_qi(toric, (1, 2), 2, top_degree=1)
-
 
 class TestAssembleMatrix:
     SOURCE = [((1,), (0, 0)), ((2,), (0, 0))]
@@ -725,7 +719,7 @@ class TestFiltration:
         monkeypatch.setattr(
             complexes,
             "_level_set",
-            lambda vs, indices, exps: tuple(i % 4 + 1 for i in real(vs, indices, exps)),
+            lambda indices, exps: tuple(i % 4 + 1 for i in real(indices, exps)),
         )
         with pytest.raises(AssertionError, match="left the graded piece"):
             filtration_report(toric, 1, 0, 2)
@@ -940,6 +934,17 @@ class TestKoszulBlockCount:
         for p in fixture_structures() + seeded_structures_2n4()[1:]:
             for cap in range(4):
                 assert_pieces_match_ranks(p, cap)
+
+    def test_every_piece_matches_ranks_fractional_2n4(self):
+        # A with denominators: the count reads lambda_F from the columns'
+        # integer scaling of A by its common denominator.  Seeds 15 and 18
+        # have resonant blocks with |I| = 3 and |I| = 2 within cap 2.
+        for seed in (5, 15, 18):
+            p = fractional_2general_structure(seed)
+            for cap in range(3):
+                assert_pieces_match_ranks(p, cap)
+        assert nonzero(qi_cohomology(fractional_2general_structure(15), (1, 2, 4), 2))
+        assert nonzero(qi_cohomology(fractional_2general_structure(18), (2, 3), 2))
 
     def test_every_piece_matches_ranks_2n6(self):
         assert_pieces_match_ranks(random_2general_toric(random.Random(3), 3).structure, 1)
