@@ -48,9 +48,12 @@ def _emit(report: dict, out: str | None):
 def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read JSON from {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InputError(f"{path}: the top-level JSON value must be an object")
+    return doc
 
 
 def _load_structure(path: str) -> PoissonStructure:

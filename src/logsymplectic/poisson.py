@@ -30,13 +30,13 @@ from fractions import Fraction
 from . import linalg
 from .exterior import (
     COORDINATE,
-    LOG,
     DiffForm,
     MultiVector,
     change_frame,
     contract,
     coordinate_frame,
     coordinate_vector,
+    log_frame,
     merge_indices,
 )
 from .ring import LaurentPoly, VarSpec, add_product, poly_from_string, poly_to_string
@@ -124,8 +124,11 @@ class PoissonStructure:
     @classmethod
     def from_json(cls, doc: dict) -> "PoissonStructure":
         vs = VarSpec(_int_field(doc, "dimension"), _int_field(doc, "divisor_vars"))
+        items = doc["terms"]
+        if not isinstance(items, list) or not all(isinstance(t, dict) for t in items):
+            raise ValueError("'terms' must be an array of objects")
         terms: dict[tuple[int, ...], LaurentPoly] = {}
-        for item in doc["terms"]:
+        for item in items:
             i, j = _int_field(item, "i"), _int_field(item, "j")
             coeff = poly_from_string(item["coeff"], vs)
             if i == j:
@@ -308,31 +311,22 @@ def degeneracy_divisor(p: PoissonStructure) -> DivisorReport:
 
 
 def log_matrix(p: PoissonStructure) -> SkewMatrix:
-    """Matrix A of the bivector in the log basis: the coefficient of
-    d_i ^ d_j must be divisible by x_i (i on the divisor) and x_j (j on the
-    divisor); failure means the bivector is not tangent to the divisor."""
+    """Matrix A of the bivector in the log frame: A_ij is the coefficient of
+    v_i ^ v_j in ``change_frame(Pi, log_frame)``.  A pole there means the
+    coefficient of d_i ^ d_j is not divisible by its divisor variables: the
+    bivector is not tangent to the divisor."""
     vs = p.var_spec
     nv = vs.total_vars
     zero = LaurentPoly.zero(vs)
-    entries = [[zero for _ in range(nv)] for _ in range(nv)]
-    for i in range(1, nv + 1):
-        for j in range(i + 1, nv + 1):
-            coeff = p.bivector.coefficient((i, j))
-            if coeff.is_zero():
-                continue
-            shift = [0] * nv
-            if vs.is_divisor_index(i):
-                shift[i - 1] = -1
-            if vs.is_divisor_index(j):
-                shift[j - 1] = -1
-            a = coeff.shift(tuple(shift))
-            if a.has_negative_exponents():
-                raise ValueError(
-                    f"coefficient of d_{i}^d_{j} is not divisible by its divisor "
-                    "variables; the bivector does not lie in the log tangent sheaf"
-                )
-            entries[i - 1][j - 1] = a
-            entries[j - 1][i - 1] = -a
+    entries = [[zero] * nv for _ in range(nv)]
+    for (i, j), a in sorted(change_frame(p.bivector, log_frame(vs)).terms.items()):
+        if a.has_negative_exponents():
+            raise ValueError(
+                f"coefficient of d_{i}^d_{j} is not divisible by its divisor "
+                "variables; the bivector does not lie in the log tangent sheaf"
+            )
+        entries[i - 1][j - 1] = a
+        entries[j - 1][i - 1] = -a
     return SkewMatrix(vs, entries)
 
 
@@ -340,11 +334,7 @@ def pi_sharp(p: PoissonStructure, w: DiffForm) -> MultiVector:
     """Interior multiplication of a 1-form into the bivector."""
     if w.degree != 1:
         raise ValueError("pi_sharp expects a 1-form")
-    if w.frame.kind != COORDINATE:
-        w = change_frame(w, coordinate_frame(p.var_spec))
-    if w.is_zero():
-        return MultiVector(coordinate_frame(p.var_spec), 1, {})
-    return contract(w, p.bivector)
+    return contract(change_frame(w, coordinate_frame(p.var_spec)), p.bivector)
 
 
 def inverse_log_matrix(p: PoissonStructure) -> SkewMatrix:
@@ -362,9 +352,7 @@ def inverse_log_matrix(p: PoissonStructure) -> SkewMatrix:
             inv = linalg.inverse(grid)
         except ValueError:
             raise ValueError("log matrix is singular; no inverse bivector") from None
-        return SkewMatrix(
-            vs, [[LaurentPoly.const(vs, c) for c in row] for row in inv]
-        )
+        return SkewMatrix.from_rationals(vs, inv)
     rows, n = a.rows, a.size
     det = poly_det(rows, vs)
     try:
@@ -414,28 +402,17 @@ def pi_flat(p: PoissonStructure, v: MultiVector) -> DiffForm:
 
 
 def _flat(vs: VarSpec, b: SkewMatrix, v: MultiVector) -> DiffForm:
-    """pi_flat of a 1-vector, given B = A^{-1}."""
-    if v.frame.kind == LOG:
-        v = change_frame(v, coordinate_frame(vs))
-    out = DiffForm(coordinate_frame(vs), 1, {})
-    for (i,), coeff in v.terms.items():
-        # v_i-coordinate of the input: divide by x_i on divisor indices.
-        g = coeff.shift(_unit_shift(vs, i, -1)) if vs.is_divisor_index(i) else coeff
-        for j in range(1, vs.total_vars + 1):
-            bij = b.rows[i - 1][j - 1]
+    """pi_flat of a 1-vector, given B = A^{-1}, read in the log frame: the
+    v_i-coefficients g_i of v give sum_j (sum_i g_i B_ij) eta_j, which is
+    returned in the coordinate frame."""
+    terms: dict[tuple[int, ...], LaurentPoly] = {}
+    for (i,), g in change_frame(v, log_frame(vs)).terms.items():
+        for j, bij in enumerate(b.rows[i - 1], 1):
             if bij.is_zero():
                 continue
             c = g * bij
-            if vs.is_divisor_index(j):
-                c = c.shift(_unit_shift(vs, j, -1))
-            out = out + DiffForm(coordinate_frame(vs), 1, {(j,): c})
-    return out
-
-
-def _unit_shift(vs: VarSpec, i: int, amount: int) -> tuple[int, ...]:
-    exps = [0] * vs.total_vars
-    exps[i - 1] = amount
-    return tuple(exps)
+            terms[(j,)] = terms[(j,)] + c if (j,) in terms else c
+    return change_frame(DiffForm(log_frame(vs), 1, terms), coordinate_frame(vs))
 
 
 def phi_forms(p: PoissonStructure) -> list[DiffForm]:

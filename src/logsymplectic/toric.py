@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exterior import MultiVector, coordinate_frame
+from .exterior import MultiVector, change_frame, coordinate_frame, log_frame
 from .genpos import (
     first_failure_t_general,
     identity_rows,
@@ -30,7 +30,7 @@ from .poisson import (
     log_matrix,
     pfaffian,
 )
-from .ring import LaurentPoly, VarSpec, poly_to_string
+from .ring import VarSpec, poly_to_string
 
 
 @dataclass(frozen=True)
@@ -57,17 +57,10 @@ def make_toric(a) -> ToricStructure:
         raise ValueError("toric structures need even dimension")
     vs = VarSpec(size, size)
     matrix = SkewMatrix.from_rationals(vs, grid)
-    terms = {}
-    for i in range(1, size + 1):
-        for j in range(i + 1, size + 1):
-            c = grid[i - 1][j - 1]
-            if c == 0:
-                continue
-            exps = [0] * size
-            exps[i - 1] = 1
-            exps[j - 1] = 1
-            terms[(i, j)] = LaurentPoly.monomial(vs, exps, c)
-    structure = PoissonStructure(vs, MultiVector(coordinate_frame(vs), 2, terms))
+    log_biv = MultiVector(log_frame(vs), 2, {
+        (i + 1, j + 1): matrix.rows[i][j] for i in range(size) for j in range(i + 1, size)
+    })
+    structure = PoissonStructure(vs, change_frame(log_biv, coordinate_frame(vs)))
     if not jacobi_holds(structure):
         raise AssertionError("invariant bivector failed the Jacobi identity")
     return ToricStructure(n=size // 2, matrix=matrix, structure=structure, jacobi_holds=True)

@@ -156,6 +156,32 @@ class TestInexactOrBrokenNumbers:
             self.assert_input_error(["pfaffian", "--matrix", path], capsys, "array of arrays")
             self.assert_input_error(["toric-report", "--matrix", path], capsys, "array of arrays")
 
+    @pytest.mark.parametrize("doc", [[1, 2], "x", None], ids=["array", "string", "null"])
+    @pytest.mark.parametrize("argv", [
+        ["pfaffian", "--matrix"],
+        ["toric-report", "--matrix"],
+        ["jacobi", "--structure"],
+        ["genpos", "--t", "2", "--structure"],
+        ["verify-exactness", "--I", "1", "--structure"],
+    ], ids=lambda argv: argv[0])
+    def test_non_object_document_rejected(self, files, capsys, argv, doc):
+        path = self.write(files, "non_object.json", doc)
+        self.assert_input_error(argv + [path], capsys, "must be an object")
+
+    @pytest.mark.parametrize(
+        "terms", [{}, {"i": 1}, [["1", "2", "x1*x2"]], "x1*x2", None],
+        ids=["empty-object", "object", "array-of-arrays", "string", "null"],
+    )
+    @pytest.mark.parametrize("argv", [
+        ["jacobi", "--structure"],
+        ["genpos", "--t", "2", "--structure"],
+        ["verify-exactness", "--I", "1", "--structure"],
+    ], ids=lambda argv: argv[0])
+    def test_terms_must_be_an_array_of_objects(self, files, capsys, argv, terms):
+        # {} would otherwise be read as the zero bivector
+        path = self.write(files, "bad_terms.json", dict(TORIC_STRUCTURE, terms=terms))
+        self.assert_input_error(argv + [path], capsys, "'terms' must be an array of objects")
+
     def test_integer_matrix_entries_accepted(self, files):
         doc = {"size": 2, "entries": [[0, 2], [-2, 0]]}
         path = self.write(files, "int_matrix.json", doc)

@@ -321,6 +321,70 @@ class TestLogMatrix:
         with pytest.raises(ValueError):
             log_matrix(p)
 
+    def test_divisibility_failure_names_first_pair(self):
+        # d_1^d_3 and d_2^d_4 carry no divisor factors; d_1^d_3 comes first.
+        terms = {(1, 2): "x1*x2", (1, 3): "1", (2, 4): "1", (3, 4): "x3*x4"}
+        biv = MultiVector(COORD, 2, {k: poly(c) for k, c in terms.items()})
+        message = (
+            "coefficient of d_1^d_3 is not divisible by its divisor variables; "
+            "the bivector does not lie in the log tangent sheaf"
+        )
+        with pytest.raises(ValueError) as info:
+            log_matrix(PoissonStructure(VS, biv))
+        assert str(info.value) == message
+
+
+# A nonsingular fractional grid: Pf = 1/2 * 4 - 3 * 1 + 2 * 5/3 = 7/3.
+PARTIAL_GRID = [
+    [Fraction(0), Fraction(1, 2), Fraction(-3), Fraction(2)],
+    [Fraction(-1, 2), Fraction(0), Fraction(5, 3), Fraction(-1)],
+    [Fraction(3), Fraction(-5, 3), Fraction(0), Fraction(4)],
+    [Fraction(-2), Fraction(1), Fraction(-4), Fraction(0)],
+]
+
+
+def partial_divisor_structure(m: int) -> PoissonStructure:
+    """sum_{i<j} c_ij x_i^[i<=m] x_j^[j<=m] d_i ^ d_j on VarSpec(4, m): only
+    the first m variables are divisor variables."""
+    vs = VarSpec(4, m)
+    terms = {}
+    for i in range(1, 5):
+        for j in range(i + 1, 5):
+            exps = tuple(int(k in (i, j) and k <= m) for k in range(1, 5))
+            terms[(i, j)] = LaurentPoly.monomial(vs, exps, PARTIAL_GRID[i - 1][j - 1])
+    return PoissonStructure(vs, MultiVector(coordinate_frame(vs), 2, terms))
+
+
+@pytest.mark.parametrize("m", range(5))
+class TestPartialDivisor:
+    """log_matrix, pi_flat, pi_sharp and phi_forms with variables off the
+    divisor: only x_1..x_m are rescaled."""
+
+    def test_log_matrix_is_the_grid(self, m):
+        assert log_matrix(partial_divisor_structure(m)).constant_grid() == PARTIAL_GRID
+
+    def test_musical_maps_are_inverse(self, m):
+        p = partial_divisor_structure(m)
+        for i in range(1, 5):
+            d_i = coordinate_vector(p.var_spec, i)
+            assert pi_sharp(p, pi_flat(p, d_i)) == d_i
+            dx_i = coordinate_one_form(p.var_spec, i)
+            assert pi_flat(p, pi_sharp(p, dx_i)) == dx_i
+
+    def test_phi_forms_have_poles_on_the_divisor_only(self, m):
+        # phi_i = sum_j B_ij x_i^-[i<=m] x_j^-[j<=m] dx_j, B = A^-1.
+        p = partial_divisor_structure(m)
+        vs = p.var_spec
+        b = linalg.inverse(PARTIAL_GRID)
+        poles = set()
+        for i, phi in enumerate(phi_forms(p), start=1):
+            for j in range(1, 5):
+                exps = tuple(-int(k in (i, j) and k <= m) for k in range(1, 5))
+                coeff = phi.coefficient((j,))
+                assert coeff == LaurentPoly.monomial(vs, exps, b[i - 1][j - 1])
+                poles |= {k + 1 for e in coeff.terms for k, x in enumerate(e) if x < 0}
+        assert poles == set(range(1, m + 1))
+
 
 class TestMusicalMaps:
     def test_sharp_on_eta_matches_log_matrix(self, explicit_toric):

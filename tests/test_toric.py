@@ -18,7 +18,7 @@ from logsymplectic.toric import (
     random_skew,
 )
 
-from conftest import EXPLICIT_GRID
+from conftest import EXPLICIT_GRID, toric_structure
 
 
 class TestMakeToric:
@@ -40,6 +40,27 @@ class TestMakeToric:
     def test_odd_size_rejected(self):
         with pytest.raises(ValueError):
             make_toric([[0]])
+
+    @staticmethod
+    def fractional_grid(seed: int, size: int) -> list[list[Fraction]]:
+        """Seeded skew grid of fractions; about a third of the entries are 0."""
+        rng = random.Random(seed)
+        grid = [[Fraction(0)] * size for _ in range(size)]
+        for i in range(size):
+            for j in range(i + 1, size):
+                v = Fraction(rng.randint(-6, 6), rng.randint(1, 5)) if rng.randrange(3) else Fraction(0)
+                grid[i][j], grid[j][i] = v, -v
+        return grid
+
+    @pytest.mark.parametrize("size", [2, 4, 6])
+    def test_log_frame_round_trip(self, size):
+        grids = [self.fractional_grid(seed, size) for seed in range(6)]
+        entries = [g[i][j] for g in grids for i in range(size) for j in range(i + 1, size)]
+        assert 0 in entries and any(x.denominator > 1 for x in entries)
+        for grid in grids:
+            structure = make_toric(grid).structure
+            assert structure == toric_structure(grid)
+            assert log_matrix(structure).constant_grid() == grid
 
 
 class TestCertify:
