@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .complexes import _dphi_signs, _PlusMachine, exactness_report, qi_cohomology
 from .genpos import poisson_t_general
-from .poisson import PoissonStructure, _int_field, pfaffian, schouten
+from .poisson import PoissonStructure, _field, _int_field, pfaffian, schouten
 from .toric import (
     betti_torus,
     certify,
@@ -68,7 +68,7 @@ def _load_matrix(path: str) -> list[list[Fraction]]:
     doc = _load_json(path)
     try:
         size = _int_field(doc, "size")
-        entries = doc["entries"]
+        entries = _field(doc, "entries")
         if not isinstance(entries, list) or not all(isinstance(row, list) for row in entries):
             raise ValueError("'entries' must be an array of arrays")
         if any(isinstance(x, (float, bool)) for row in entries for x in row):
@@ -189,6 +189,8 @@ def cmd_toric_report(args) -> int:
         raise InputError("--n needs --random")
     if args.seed is not None and not args.random:
         raise InputError("--seed needs --random")
+    if args.n is not None and args.n < 1:
+        raise InputError("n must be >= 1")
     if args.matrix:
         grid = _load_matrix(args.matrix)
     elif args.random and args.n is not None:

@@ -101,7 +101,6 @@ from .exterior import (
     log_frame,
     log_one_form,
     merge_indices,
-    vector_monomial,
     wedge,
 )
 from .poisson import PoissonStructure, log_matrix, phi_forms, pi_sharp
@@ -492,33 +491,23 @@ def _level_set(indices: IndexSet, exps: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(i for i in indices if exps[i - 1] == 0)
 
 
-def _class_labels(nv: int, iset: IndexSet, degree: int, w: int):
-    """Labels (K, E) of the classes phi_I ^ x^E eta_K at (degree, w) of the
-    piece of I: |K| = degree - |I|, E vanishes on I and |E| = w + |I|."""
-    k = degree - len(iset)
-    if k < 0:
-        return
-    rest = [i for i in range(1, nv + 1) if i not in iset]
-    fexps = _monomials(len(rest), w + len(iset))
-    for kset in itertools.combinations(range(1, nv + 1), k):
-        for fexp in fexps:
-            exps = [0] * nv
-            for pos, var in enumerate(rest):
-                exps[var - 1] = fexp[pos]
-            yield kset, tuple(exps)
-
-
 def _qi_basis(vs: VarSpec, iset: IndexSet, degree: int, w: int) -> list[Label]:
-    """Monomial model of the slice: x^(E + 1_K) d_(I + K) for the class
-    labels (K, E) with K disjoint from I."""
+    """Monomial model of the slice, sorted: the labels x^(E + 1_K) d_(I + K)
+    of the classes phi_I ^ x^E eta_K with K disjoint from I,
+    |K| = degree - |I|, E vanishing on I and |E| = w + |I|."""
+    if degree < len(iset):
+        return []
+    nv = vs.total_vars
+    rest = [i for i in range(1, nv + 1) if i not in iset]
     labels = []
-    for kset, exps in _class_labels(vs.total_vars, iset, degree, w):
-        if any(i in iset for i in kset):
-            continue
-        e = list(exps)
-        for var in kset:
-            e[var - 1] += 1
-        labels.append((tuple(sorted(iset + kset)), tuple(e)))
+    for kset in itertools.combinations(rest, degree - len(iset)):
+        for fexp in _monomials(len(rest), w + len(iset)):
+            e = [0] * nv
+            for var, x in zip(rest, fexp):
+                e[var - 1] = x
+            for var in kset:
+                e[var - 1] += 1
+            labels.append((tuple(sorted(iset + kset)), tuple(e)))
     return sorted(labels)
 
 
@@ -530,8 +519,8 @@ class GradedPieceQI:
     ``dphi_signs`` records the constants c_i of
     d(phi_I) = sum_{i in I} c_i eta_i ^ phi_I, all -1 since
     phi_i = x_i^-1 theta_i with theta_i closed (checked exactly by
-    ``_dphi_signs``).  ``filtration_report`` ranks the class vectors of
-    the piece in its monomial slices.
+    ``_dphi_signs``).  ``filtration_report`` counts the slices, which the
+    classes phi_I ^ x^E eta_K span.
     """
 
     index_set: IndexSet
@@ -608,23 +597,6 @@ def qi_cohomology(p: PoissonStructure, index_set, weight_cap: int) -> dict[tuple
             for k in range(size, nv + 1):
                 out[(k, w)] = kept * math.comb(nv - size, k - size)
     return out
-
-
-def _class_vector(machine: _PlusMachine, iset, kset, exps, index) -> linalg.Row:
-    """Sparse coordinates, in the monomial slice basis with label positions
-    ``index``, of the class of phi_I ^ x^E eta_K (through the sharp
-    identification).  eta_t = x_t^-1 dx_t, so the sharp of x^E eta_K is
-    x^(E - 1_K) times the cached sharp wedge of K."""
-    vs = machine.vs
-    shifted = tuple(e - 1 if t in kset else e for t, e in enumerate(exps, 1))
-    coeff = LaurentPoly.monomial(vs, shifted, 1)
-    base = vector_monomial(machine.coord, iset, coeff).wedge(machine.sharp_wedge(kset))
-    vec: linalg.Row = {}
-    for (jdx, e2), c in _flatten(base):
-        if _level_set(jdx, e2) != iset:
-            raise AssertionError("class representative left the graded piece")
-        vec[index[(jdx, e2)]] = c
-    return vec
 
 
 # -- cohomology ----------------------------------------------------------------
@@ -708,22 +680,34 @@ def is_in_filtration_level(p: PoissonStructure, form: DiffForm, level: int) -> b
 
 
 def filtration_report(p: PoissonStructure, level: int, weight_cap: int, max_degree: int) -> dict:
-    """Rank-counting check that the graded quotient at this level is the
-    direct sum of its pieces, with the expected annihilators.
+    """The graded quotient at this level as the direct sum of its pieces
+    Q_I, |I| = level, slice by slice, with the expected annihilators.
 
-    For each (degree, weight) the class vectors of each piece Q_I with
-    |I| = level are indexed in that piece's own slice (``_qi_basis``) and
-    ranked once.  ``_class_vector`` refuses a class with a term outside its
-    piece, so the vectors of different pieces sit on disjoint labels and
-    their combined rank is the sum of the per-piece ranks: that support
-    check certifies directness, and the report raises AssertionError
-    instead of returning one that is not direct.  The annihilator check
-    computes filtration levels (``filtration_level_of``) of each piece's
-    generator phi_I and of x_r phi_I for r in I: the first must be |I|,
-    and each multiple must drop to |I| - 1, so x_r kills the class of
-    phi_I in the graded quotient.
-    Raises ValueError unless 0 <= level <= 2n, weight_cap >= 0 and
-    max_degree >= level.
+    The slice of Q_I at (degree, w) is ``_qi_basis``: the labels
+    (I + J, E + 1_J) with J disjoint from I, |J| = degree - |I| =: k, E
+    vanishing on I and |E| = w + |I|.  The classes phi_I ^ x^E eta_K,
+    |K| = k, span it, so each piece's rank is its slice size:
+
+    * pi_sharp(phi_i) = d_i and pi_sharp(eta_t) = sum_j A[t][j] v_j, so
+      the class of phi_I ^ x^E eta_K is sum_J +-det A[K, J] at the label
+      (I + J, E + 1_J), over J disjoint from I with |J| = k;
+    * for a fixed E these vectors are the rows of the k-th compound of the
+      columns of A off I, with signs on its columns; A is nonsingular
+      (``_PlusMachine`` refuses it otherwise), so those columns are
+      independent and the compound has rank C(2n - |I|, k);
+    * different E, and different I, land on disjoint labels, since every
+      label has level set I (``_level_set``).
+
+    So each piece at (degree, w) has rank
+    len(_monomials(2n - |I|, w + |I|)) * C(2n - |I|, k), the same for every
+    I at this level, and a slice is listed when that number is nonzero;
+    the pieces are direct by construction.  The class vectors themselves
+    are a test oracle.  The annihilator check computes filtration levels
+    (``filtration_level_of``) of each piece's generator phi_I and of
+    x_r phi_I for r in I: the first must be |I|, and each multiple must drop
+    to |I| - 1, so x_r kills the class of phi_I in the graded quotient.
+    Raises ValueError unless A is nonsingular, 0 <= level <= 2n,
+    weight_cap >= 0 and max_degree >= level.
     """
     machine = _PlusMachine(p)
     vs = p.var_spec
@@ -735,28 +719,21 @@ def filtration_report(p: PoissonStructure, level: int, weight_cap: int, max_degr
     if max_degree < level:
         raise ValueError(f"max_degree must be >= the filtration level {level}")
     isets = list(itertools.combinations(range(1, nv + 1), level))
+    rest = nv - level
     slices = []
     for degree in range(level, min(max_degree, nv) + 1):
         for w in range(-level, weight_cap + 1):
-            bases = [_qi_basis(vs, iset, degree, w) for iset in isets]
-            if not any(bases):
-                continue
-            per_piece = []
-            for iset, basis in zip(isets, bases):
-                index = {lab: i for i, lab in enumerate(basis)}
-                per_piece.append(linalg.rank([
-                    _class_vector(machine, iset, kset, exps, index)
-                    for kset, exps in _class_labels(nv, iset, degree, w)
-                ]))
-            slices.append(
-                {
-                    "degree": degree,
-                    "weight": w,
-                    "per_piece_rank": per_piece,
-                    "combined_rank": sum(per_piece),
-                    "direct": True,
-                }
-            )
+            rank = len(_monomials(rest, w + level)) * math.comb(rest, degree - level)
+            if rank:
+                slices.append(
+                    {
+                        "degree": degree,
+                        "weight": w,
+                        "per_piece_rank": [rank] * len(isets),
+                        "combined_rank": rank * len(isets),
+                        "direct": True,
+                    }
+                )
     ann_ok = all(
         _level_of(machine, machine.phi_wedge(iset)) == len(iset)
         and all(

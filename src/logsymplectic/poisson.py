@@ -124,13 +124,13 @@ class PoissonStructure:
     @classmethod
     def from_json(cls, doc: dict) -> "PoissonStructure":
         vs = VarSpec(_int_field(doc, "dimension"), _int_field(doc, "divisor_vars"))
-        items = doc["terms"]
+        items = _field(doc, "terms")
         if not isinstance(items, list) or not all(isinstance(t, dict) for t in items):
             raise ValueError("'terms' must be an array of objects")
         terms: dict[tuple[int, ...], LaurentPoly] = {}
         for item in items:
             i, j = _int_field(item, "i"), _int_field(item, "j")
-            coeff = poly_from_string(item["coeff"], vs)
+            coeff = poly_from_string(_field(item, "coeff"), vs)
             if i == j:
                 raise ValueError("bivector term with i == j")
             if i > j:
@@ -152,10 +152,18 @@ class PoissonStructure:
         }
 
 
+def _field(doc: dict, key: str):
+    """A required field of an input document; ValueError names a missing one."""
+    try:
+        return doc[key]
+    except KeyError:
+        raise ValueError(f"missing field {key!r}") from None
+
+
 def _int_field(doc: dict, key: str) -> int:
     """An integer field of an input document; floats and bools are refused,
     not truncated."""
-    value = doc[key]
+    value = _field(doc, key)
     if type(value) is not int:
         raise TypeError(f"{key!r} must be an integer, not {type(value).__name__}")
     return value

@@ -179,18 +179,19 @@ def test_c06_graded_pieces_exact_in_low_degrees(general_fixtures):
     ok = True
     import itertools
 
+    # |I| = 1, 2 are the only sizes with a degree <= 2
     for _grid, p in general_fixtures:
-        for size in (1, 2, 3):
+        for size in (1, 2):
             for iset in itertools.combinations(range(1, 5), size):
                 piece = build_qi(p, iset, weight_cap=4)
                 rep = verify_exactness(piece.complex, range(size, 3))
-                ok = ok and rep["verdict"] == "exact"
+                ok = ok and bool(rep["table"]) and rep["verdict"] == "exact"
     elapsed = time.monotonic() - start
     ok = ok and elapsed < 60.0
     _report(
         6,
         ok,
-        f"all graded pieces with 1 <= |I| <= 3 exact in degrees <= 2, weights <= 4 ({elapsed:.1f}s < 60s)",
+        f"all graded pieces with 1 <= |I| <= 2 exact in degrees <= 2, weights <= 4 ({elapsed:.1f}s < 60s)",
     )
 
 

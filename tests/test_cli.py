@@ -215,6 +215,26 @@ class TestInexactOrBrokenNumbers:
             ["jacobi", "--structure", path], capsys, f"'{field}' must be an integer"
         )
 
+    @pytest.mark.parametrize("field", ["size", "entries"])
+    def test_missing_matrix_field_named(self, files, capsys, field):
+        doc = dict(TORIC_MATRIX)
+        del doc[field]
+        path = self.write(files, "missing_field_matrix.json", doc)
+        for command in ("pfaffian", "toric-report"):
+            self.assert_input_error(
+                [command, "--matrix", path], capsys, f"missing field '{field}'"
+            )
+
+    @pytest.mark.parametrize("field", ["dimension", "divisor_vars", "terms", "i", "j", "coeff"])
+    def test_missing_structure_field_named(self, files, capsys, field):
+        term = {"i": 1, "j": 2, "coeff": "x1*x2"}
+        doc = dict(TORIC_STRUCTURE, terms=[term])
+        del (term if field in term else doc)[field]
+        path = self.write(files, "missing_field_structure.json", doc)
+        self.assert_input_error(
+            ["jacobi", "--structure", path], capsys, f"missing field '{field}'"
+        )
+
 
 class TestGenpos:
     def test_pass(self, files):
@@ -387,6 +407,11 @@ class TestToricReport:
 
     def test_random_needs_n(self, files):
         assert main(["toric-report", "--random"]) == 2
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_n_below_one_refused(self, capsys, n):
+        assert main(["toric-report", "--random", "--n", n]) == 2
+        assert capsys.readouterr().err == "error: n must be >= 1\n"
 
     @pytest.mark.parametrize(
         "argv, needle",

@@ -1,4 +1,5 @@
 import copy
+import functools
 import itertools
 import json
 import math
@@ -13,8 +14,6 @@ from logsymplectic.complexes import (
     WeightSlicedComplex,
     _PlusMachine,
     _assemble_matrix,
-    _class_labels,
-    _class_vector,
     _dphi_signs,
     _flatten,
     _monomials,
@@ -357,13 +356,60 @@ class TestConjugation:
         assert verify_d_squared(build_bracket_complex(toric, 2))
 
 
+def class_labels(nv: int, iset, degree: int, w: int):
+    """Labels (K, E) of the classes phi_I ^ x^E eta_K at (degree, w) of the
+    piece of I: |K| = degree - |I| (K may meet I), E vanishes on I and
+    |E| = w + |I|."""
+    rest = [i for i in range(1, nv + 1) if i not in iset]
+    for kset in itertools.combinations(range(1, nv + 1), degree - len(iset)):
+        for fexp in _monomials(len(rest), w + len(iset)):
+            exps = [0] * nv
+            for var, e in zip(rest, fexp):
+                exps[var - 1] = e
+            yield kset, tuple(exps)
+
+
+def class_vectors(p: PoissonStructure):
+    """Oracle: ``vector(iset, kset, exps, index)`` is the sparse coordinate
+    vector, in a slice basis with label positions ``index``, of the class of
+    phi_I ^ x^E eta_K through the sharp identification: x^E d_I wedged with
+    the |K|-fold wedge of the pi_sharp(eta_t), t in K.  Asserts that every
+    term keeps the level set I, i.e. stays in the graded piece of I."""
+    vs = p.var_spec
+    coord = coordinate_frame(vs)
+    one = LaurentPoly.const(vs, 1)
+    sharp_eta = [
+        pi_sharp(p, change_frame(log_one_form(vs, t), coord))
+        for t in range(1, vs.total_vars + 1)
+    ]
+
+    @functools.cache
+    def base(iset, kset) -> list:
+        acc = vector_monomial(coord, iset, one)
+        for t in kset:
+            acc = acc.wedge(sharp_eta[t - 1])
+        return _flatten(acc)
+
+    def vector(iset, kset, exps, index) -> dict:
+        vec = {}
+        for (jdx, e0), c in base(iset, kset):
+            e2 = tuple(map(sum, zip(e0, exps)))
+            assert tuple(i for i in jdx if e2[i - 1] == 0) == iset, (
+                "class representative left the graded piece"
+            )
+            vec[index[(jdx, e2)]] = c
+        return vec
+
+    return vector
+
+
 def qi_components(p: PoissonStructure, piece, max_degree: int) -> dict:
     """Oracle: per-slice report on a built piece, through ``max_degree``:
     spans of the eta-labelled classes grouped by their divisor-differential
     label, plus the twisted-differential shape check (``twisted_shape_check``)."""
-    machine = _PlusMachine(p)
     iset, cx = piece.index_set, piece.complex
-    vs = machine.vs
+    vs = p.var_spec
+    vector = class_vectors(p)
     classes: dict = {}
 
     def slice_classes(degree: int, w: int) -> dict:
@@ -371,8 +417,8 @@ def qi_components(p: PoissonStructure, piece, max_degree: int) -> dict:
         if (degree, w) not in classes:
             index = {lab: i for i, lab in enumerate(cx.basis.get((degree, w), []))}
             classes[(degree, w)] = {
-                (kset, exps): _class_vector(machine, iset, kset, exps, index)
-                for kset, exps in _class_labels(vs.total_vars, iset, degree, w)
+                (kset, exps): vector(iset, kset, exps, index)
+                for kset, exps in class_labels(vs.total_vars, iset, degree, w)
             }
         return classes[(degree, w)]
 
@@ -487,7 +533,7 @@ class TestGradedPieces:
         # the differential of a bottom class gamma is a cocycle whose two
         # labelled components are exactly (d gamma, +/- gamma); conversely
         # any such pair with exact leading part is this boundary
-        machine = _PlusMachine(toric)
+        vector = class_vectors(toric)
         iset = (1,)
         q = build_qi(toric, iset, 2)
         labels1 = q.complex.basis[(1, 0)]
@@ -495,7 +541,7 @@ class TestGradedPieces:
         index1 = {lab: i for i, lab in enumerate(labels1)}
         index2 = {lab: i for i, lab in enumerate(labels2)}
         gamma = ((), (0, 1, 0, 0))  # the class of x2 * phi_1
-        gamma_vec = _class_vector(machine, iset, gamma[0], gamma[1], index1)
+        gamma_vec = vector(iset, gamma[0], gamma[1], index1)
         mat1 = q.complex.diffs[(1, 0)]
         z = [
             sum(mat1[r].get(c, 0) * gamma_vec.get(c, 0) for c in range(len(labels1)))
@@ -510,8 +556,8 @@ class TestGradedPieces:
         assert all(v == 0 for v in dz)
         # predicted shape: z = class of -(d psi) + class of eta_1 ^ psi for
         # psi = x2, using the computed sign c_1 = -1
-        vec_dpsi = _class_vector(machine, iset, (2,), (0, 1, 0, 0), index2)
-        vec_eta1psi = _class_vector(machine, iset, (1,), (0, 1, 0, 0), index2)
+        vec_dpsi = vector(iset, (2,), (0, 1, 0, 0), index2)
+        vec_eta1psi = vector(iset, (1,), (0, 1, 0, 0), index2)
         assert q.dphi_signs[1] == Fraction(-1)
         expected = [
             -vec_dpsi.get(c, 0) + vec_eta1psi.get(c, 0) for c in range(len(labels2))
@@ -519,42 +565,6 @@ class TestGradedPieces:
         assert z == expected
         assert any(v != 0 for v in vec_dpsi.values())
         assert any(v != 0 for v in vec_eta1psi.values())
-
-    @pytest.mark.parametrize("case", ["fixture", "2n6"])
-    def test_class_vectors_match_eta_wedges(self, toric, case):
-        # oracle: x^E d_I wedged with the |K|-fold wedge of the pi_sharp(eta_t),
-        # t in K, against x^(E - 1_K) d_I ^ (cached sharp wedge of the dx_t)
-        if case == "fixture":
-            p, cap = toric, 2
-        else:
-            p, cap = random_2general_toric(random.Random(3), 3).structure, 1
-        machine = _PlusMachine(p)
-        vs = p.var_spec
-        nv = vs.total_vars
-        coord = coordinate_frame(vs)
-        sharp_eta = [
-            pi_sharp(p, change_frame(log_one_form(vs, t), coord)) for t in range(1, nv + 1)
-        ]
-        eta_wedges = {}
-        checked = 0
-        for size in range(3):
-            for iset in itertools.combinations(range(1, nv + 1), size):
-                for degree in range(size, nv + 1):
-                    for w in range(-size, cap + 1):
-                        labels = _qi_basis(vs, iset, degree, w)
-                        index = {lab: i for i, lab in enumerate(labels)}
-                        for kset, exps in _class_labels(nv, iset, degree, w):
-                            if kset not in eta_wedges:
-                                acc = MultiVector(coord, 0, {(): LaurentPoly.const(vs, 1)})
-                                for t in kset:
-                                    acc = acc.wedge(sharp_eta[t - 1])
-                                eta_wedges[kset] = acc
-                            base = vector_monomial(coord, iset, LaurentPoly.monomial(vs, exps, 1))
-                            base = base.wedge(eta_wedges[kset])
-                            oracle = {index[lab]: c for lab, c in _flatten(base)}
-                            assert _class_vector(machine, iset, kset, exps, index) == oracle
-                            checked += 1
-        assert checked > 0
 
     def test_invalid_index_sets(self, toric):
         with pytest.raises(ValueError):
@@ -666,6 +676,37 @@ class TestCohomologyMachinery:
                 assert dim >= 0
 
 
+def oracle_slices(p: PoissonStructure, level: int, weight_cap: int, max_degree: int) -> list:
+    """``filtration_report``'s slices from the class-vector oracle: the
+    classes of each piece Q_I, |I| = level, ranked in its own slice
+    (``_qi_basis``), and asserted to span it."""
+    nv = p.var_spec.total_vars
+    vector = class_vectors(p)
+    isets = list(itertools.combinations(range(1, nv + 1), level))
+    slices = []
+    for degree in range(level, min(max_degree, nv) + 1):
+        for w in range(-level, weight_cap + 1):
+            bases = [_qi_basis(p.var_spec, iset, degree, w) for iset in isets]
+            if not any(bases):
+                continue
+            ranks = []
+            for iset, basis in zip(isets, bases):
+                index = {lab: i for i, lab in enumerate(basis)}
+                vecs = [vector(iset, *lab, index) for lab in class_labels(nv, iset, degree, w)]
+                ranks.append(linalg.rank(vecs))
+            assert ranks == [len(basis) for basis in bases], (degree, w)
+            slices.append(
+                {
+                    "degree": degree,
+                    "weight": w,
+                    "per_piece_rank": ranks,
+                    "combined_rank": sum(ranks),
+                    "direct": True,
+                }
+            )
+    return slices
+
+
 class TestFiltration:
     def test_log_forms_are_level_zero(self, toric):
         omega = change_frame(log_one_form(VS, 1), coordinate_frame(VS))
@@ -712,17 +753,30 @@ class TestFiltration:
         for level in (1, 2):
             assert not filtration_report(toric, level, 0, 2)["annihilator_ok"]
 
-    def test_report_refuses_class_outside_its_piece(self, toric, monkeypatch):
-        # with every level set moved onto the next piece each class vector
-        # leaves its own piece: the report raises instead of reporting direct
-        real = complexes._level_set
-        monkeypatch.setattr(
-            complexes,
-            "_level_set",
-            lambda indices, exps: tuple(i % 4 + 1 for i in real(indices, exps)),
-        )
-        with pytest.raises(AssertionError, match="left the graded piece"):
-            filtration_report(toric, 1, 0, 2)
+    @pytest.mark.parametrize("case", ["fixtures", "fractional", "2n6"])
+    def test_report_slices_match_oracle_ranks(self, case):
+        # the counted report against the class vectors ranked piece by piece
+        if case == "fixtures":
+            runs = [(p, level, 2) for p in fixture_structures() for level in range(5)]
+        elif case == "fractional":
+            runs = [(fractional_2general_structure(11), level, 2) for level in range(5)]
+        else:
+            p = random_2general_toric(random.Random(3), 3).structure
+            runs = [(p, 1, 1), (p, 2, 0)]
+        for p, level, cap in runs:
+            nv = p.var_spec.total_vars
+            rep = filtration_report(p, level, cap, nv)
+            assert rep["slices"] == oracle_slices(p, level, cap, nv), level
+            assert rep["direct"] and rep["annihilator_ok"]
+
+    def test_report_ranks_nothing(self, toric, monkeypatch):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("filtration_report ranked a matrix")
+
+        monkeypatch.setattr(linalg, "rank", refuse)
+        for level in range(5):
+            rep = filtration_report(toric, level, 2, 4)
+            assert rep["slices"] and rep["annihilator_ok"]
 
     def test_report_2n6_pieces_span_their_slices(self):
         p = random_2general_toric(random.Random(3), 3).structure
