@@ -47,7 +47,6 @@ from .genpos import (
     verify_certificate,
 )
 from .complexes import (
-    GradedPieceQI,
     WeightSlicedComplex,
     build_bracket_complex,
     build_log_complex,
@@ -58,7 +57,6 @@ from .complexes import (
     exactness_report,
     filtration_level_of,
     filtration_report,
-    is_in_filtration_level,
     qi_cohomology,
     verify_d_squared,
     verify_exactness,

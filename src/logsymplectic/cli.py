@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .complexes import _dphi_signs, _PlusMachine, exactness_report, qi_cohomology
+from .complexes import _dphi_signs, exactness_report, qi_cohomology
 from .genpos import poisson_t_general
 from .poisson import PoissonStructure, _field, _int_field, pfaffian, schouten
 from .toric import (
@@ -159,7 +159,7 @@ def cmd_verify_exactness(args) -> int:
         raise InputError(f"max-degree must lie in {len(iset)}..{nv} (|I|..2n)")
     try:
         dims = qi_cohomology(p, iset, args.weight_cap)
-        signs = _dphi_signs(_PlusMachine(p), iset)  # refuses a singular A
+        signs = _dphi_signs(p, iset)  # refuses a singular A
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     top = nv if args.max_degree is None else args.max_degree

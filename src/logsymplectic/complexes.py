@@ -89,7 +89,6 @@ from fractions import Fraction
 
 from . import linalg
 from .exterior import (
-    COORDINATE,
     DiffForm,
     Frame,
     MultiVector,
@@ -291,7 +290,8 @@ def _wedges(cls, frame: Frame, factors):
 
 
 class _PlusMachine:
-    """Per-structure caches: the wedges of phi forms and of the sharps of the
+    """Per-structure caches of ``build_logplus_complex`` and
+    ``filtration_level_of``: the wedges of phi forms and of the sharps of the
     dx_t, and the bivector contraction extended to coordinate forms."""
 
     def __init__(self, p: PoissonStructure):
@@ -511,23 +511,6 @@ def _qi_basis(vs: VarSpec, iset: IndexSet, degree: int, w: int) -> list[Label]:
     return sorted(labels)
 
 
-@dataclass
-class GradedPieceQI:
-    """One graded piece of the filtration, in degrees >= |I|.
-
-    ``complex`` is the weight-sliced subquotient in its monomial model;
-    ``dphi_signs`` records the constants c_i of
-    d(phi_I) = sum_{i in I} c_i eta_i ^ phi_I, all -1 since
-    phi_i = x_i^-1 theta_i with theta_i closed (checked exactly by
-    ``_dphi_signs``).  ``filtration_report`` counts the slices, which the
-    classes phi_I ^ x^E eta_K span.
-    """
-
-    index_set: IndexSet
-    complex: WeightSlicedComplex
-    dphi_signs: dict[int, Fraction]
-
-
 def _index_set(vs: VarSpec, index_set) -> IndexSet:
     """The sorted index set; ValueError unless of distinct divisor indices."""
     iset = tuple(sorted(index_set))
@@ -538,28 +521,32 @@ def _index_set(vs: VarSpec, index_set) -> IndexSet:
     return iset
 
 
-def _dphi_signs(machine: _PlusMachine, iset: IndexSet) -> dict[int, Fraction]:
+def _dphi_signs(p: PoissonStructure, iset: IndexSet) -> dict[int, Fraction]:
     """Check d(phi_I) = -sum_{i in I} eta_i ^ phi_I exactly, on honest
     coordinate expansions, and return the signs {i: -1}.
 
-    On the models ``_PlusMachine`` accepts, phi_i = x_i^-1 theta_i with
+    On the invariant model with A nonsingular, phi_i = x_i^-1 theta_i with
     theta_i a closed log 1-form with constant coefficients, so
     d(phi_i) = -eta_i ^ phi_i; in the Leibniz expansion of d(phi_I), moving
-    eta_i to the front cancels the Leibniz sign.  Raises AssertionError if
-    the expansions disagree.
+    eta_i to the front cancels the Leibniz sign.  Raises ValueError outside
+    the model (``_invariant_grid``) or when A is singular (``phi_forms``),
+    for the empty I too, and AssertionError if the expansions disagree.
     """
+    _invariant_grid(p)
+    vs = p.var_spec
+    coord = coordinate_frame(vs)
+    phi_wedge = _wedges(DiffForm, coord, phi_forms(p))
     if not iset:
         return {}
-    phi_i = machine.phi_wedge(iset)
-    one = LaurentPoly.const(machine.vs, 1)
-    eta_sum = DiffForm(log_frame(machine.vs), 1, {(i,): one for i in iset})
-    eta_sum = change_frame(eta_sum, machine.coord)
+    phi_i = phi_wedge(iset)
+    one = LaurentPoly.const(vs, 1)
+    eta_sum = change_frame(DiffForm(log_frame(vs), 1, {(i,): one for i in iset}), coord)
     if exterior_derivative(phi_i) != -wedge(eta_sum, phi_i):
         raise AssertionError("d(phi_I) is not -sum_{i in I} eta_i ^ phi_I")
     return {i: Fraction(-1) for i in iset}
 
 
-def build_qi(p: PoissonStructure, index_set, weight_cap: int) -> GradedPieceQI:
+def build_qi(p: PoissonStructure, index_set, weight_cap: int) -> WeightSlicedComplex:
     """Graded piece of the filtration for a set of divisor indices.
 
     Monomial model in degrees D = |I|..2n: the slice at degree D, weight w
@@ -567,14 +554,14 @@ def build_qi(p: PoissonStructure, index_set, weight_cap: int) -> GradedPieceQI:
     the indices of M, and |E| = w + D.  The differential is the bracket
     with the bivector, in the closed form of the module docstring; assembly
     fails loudly if any generator's image leaves the slice.  The signs of
-    d(phi_I) are checked (``_dphi_signs``).
+    d(phi_I) are checked first (``_dphi_signs``, which also refuses a
+    singular A); they are all -1, so the complex alone is returned.
     """
     vs = p.var_spec
     iset = _index_set(vs, index_set)
-    machine = _PlusMachine(p)
+    _dphi_signs(p, iset)
     cx = WeightSlicedComplex(f"Q{list(iset)}", vs, (len(iset), vs.total_vars), weight_cap)
-    cx = _fill_slices(cx, lambda degree, w: _qi_basis(vs, iset, degree, w), _koszul_images(p))
-    return GradedPieceQI(iset, cx, _dphi_signs(machine, iset))
+    return _fill_slices(cx, lambda degree, w: _qi_basis(vs, iset, degree, w), _koszul_images(p))
 
 
 def qi_cohomology(p: PoissonStructure, index_set, weight_cap: int) -> dict[tuple[int, int], int]:
@@ -653,16 +640,15 @@ def filtration_level_of(p: PoissonStructure, form: DiffForm) -> int | None:
     not in the polynomial log-plus span at all.
 
     Through the sharp identification the filtration splits monomially, so
-    this is a direct inspection of the multivector expansion.
+    this is a direct inspection of the multivector expansion (``_level``).
     """
-    return _level_of(_PlusMachine(p), form)
+    machine = _PlusMachine(p)
+    return _level(machine.sharp_form(change_frame(form, machine.coord)))
 
 
-def _level_of(machine: _PlusMachine, form: DiffForm) -> int | None:
-    """``filtration_level_of`` with the structure's machine already built."""
-    if form.frame.kind != COORDINATE:
-        form = change_frame(form, machine.coord)
-    mv = machine.sharp_form(form)
+def _level(mv: MultiVector) -> int | None:
+    """The largest level set (``_level_set``) among the terms of a
+    coordinate multivector, or None if a coefficient exponent is negative."""
     level = 0
     for indices, poly in mv.terms.items():
         for exps in poly.terms:
@@ -670,13 +656,6 @@ def _level_of(machine: _PlusMachine, form: DiffForm) -> int | None:
                 return None
             level = max(level, len(_level_set(indices, exps)))
     return level
-
-
-def is_in_filtration_level(p: PoissonStructure, form: DiffForm, level: int) -> bool:
-    """Whether the form lies in the given filtration level.  Public API with
-    no library caller."""
-    actual = filtration_level_of(p, form)
-    return actual is not None and actual <= level
 
 
 def filtration_report(p: PoissonStructure, level: int, weight_cap: int, max_degree: int) -> dict:
@@ -693,7 +672,7 @@ def filtration_report(p: PoissonStructure, level: int, weight_cap: int, max_degr
       (I + J, E + 1_J), over J disjoint from I with |J| = k;
     * for a fixed E these vectors are the rows of the k-th compound of the
       columns of A off I, with signs on its columns; A is nonsingular
-      (``_PlusMachine`` refuses it otherwise), so those columns are
+      (``phi_forms`` refuses it otherwise), so those columns are
       independent and the compound has rank C(2n - |I|, k);
     * different E, and different I, land on disjoint labels, since every
       label has level set I (``_level_set``).
@@ -703,15 +682,21 @@ def filtration_report(p: PoissonStructure, level: int, weight_cap: int, max_degr
     I at this level, and a slice is listed when that number is nonzero;
     the pieces are direct by construction.  The class vectors themselves
     are a test oracle.  The annihilator check computes filtration levels
-    (``filtration_level_of``) of each piece's generator phi_I and of
-    x_r phi_I for r in I: the first must be |I|, and each multiple must drop
-    to |I| - 1, so x_r kills the class of phi_I in the graded quotient.
-    Raises ValueError unless A is nonsingular, 0 <= level <= 2n,
-    weight_cap >= 0 and max_degree >= level.
+    (``_level``) of each piece's generator phi_I and of x_r phi_I for r in
+    I through the sharp map: the first must be |I|, and each multiple must
+    drop to |I| - 1, so x_r kills the class of phi_I in the graded quotient.
+    The sharp map extended to forms is multiplicative, so pi_sharp(phi_I)
+    is the wedge of the pi_sharp(phi_i), and pi_sharp(x_r phi_I) is x_r
+    times it.  Raises ValueError outside the invariant model, when A is
+    singular (``phi_forms``), and unless 0 <= level <= 2n, weight_cap >= 0
+    and max_degree >= level, in that order.
     """
-    machine = _PlusMachine(p)
+    _invariant_grid(p)
     vs = p.var_spec
     nv = vs.total_vars
+    sharp_phi = _wedges(
+        MultiVector, coordinate_frame(vs), [pi_sharp(p, phi) for phi in phi_forms(p)]
+    )
     if not 0 <= level <= nv:
         raise ValueError(f"filtration level must lie in 0..{nv}")
     if weight_cap < 0:
@@ -735,10 +720,9 @@ def filtration_report(p: PoissonStructure, level: int, weight_cap: int, max_degr
                     }
                 )
     ann_ok = all(
-        _level_of(machine, machine.phi_wedge(iset)) == len(iset)
+        _level(sharp_phi(iset)) == len(iset)
         and all(
-            _level_of(machine, machine.phi_wedge(iset).scale(LaurentPoly.variable(vs, r)))
-            == len(iset) - 1
+            _level(sharp_phi(iset).scale(LaurentPoly.variable(vs, r))) == len(iset) - 1
             for r in iset
         )
         for iset in isets

@@ -24,6 +24,7 @@ the convention against.  It satisfies
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -234,7 +235,9 @@ def jacobi_holds(p: PoissonStructure) -> bool:
 
 def pfaffian(a) -> Fraction:
     """Pfaffian of a constant skew matrix, as the signed sum over perfect
-    matchings.  Satisfies pfaffian(A)**2 == det(A)."""
+    matchings, expanded along the first remaining index and memoized on the
+    indices left, so each subset is expanded once.  Satisfies
+    pfaffian(A)**2 == det(A)."""
     if isinstance(a, SkewMatrix):
         grid = a.constant_grid()
     else:
@@ -249,6 +252,7 @@ def pfaffian(a) -> Fraction:
             if grid[i][j] != -grid[j][i]:
                 raise ValueError("matrix is not skew-symmetric")
 
+    @functools.cache
     def rec(indices: tuple[int, ...]) -> Fraction:
         if not indices:
             return Fraction(1)

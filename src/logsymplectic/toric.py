@@ -53,8 +53,8 @@ def make_toric(a) -> ToricStructure:
     else:
         grid = [[Fraction(x) for x in row] for row in a]
     size = len(grid)
-    if size % 2 != 0:
-        raise ValueError("toric structures need even dimension")
+    if size < 2 or size % 2 != 0:
+        raise ValueError("toric structures need even dimension >= 2")
     vs = VarSpec(size, size)
     matrix = SkewMatrix.from_rationals(vs, grid)
     log_biv = MultiVector(log_frame(vs), 2, {

@@ -184,7 +184,7 @@ def test_c06_graded_pieces_exact_in_low_degrees(general_fixtures):
         for size in (1, 2):
             for iset in itertools.combinations(range(1, 5), size):
                 piece = build_qi(p, iset, weight_cap=4)
-                rep = verify_exactness(piece.complex, range(size, 3))
+                rep = verify_exactness(piece, range(size, 3))
                 ok = ok and bool(rep["table"]) and rep["verdict"] == "exact"
     elapsed = time.monotonic() - start
     ok = ok and elapsed < 60.0
@@ -198,8 +198,7 @@ def test_c06_graded_pieces_exact_in_low_degrees(general_fixtures):
 def test_c07_single_group_has_full_cohomology(general_fixtures):
     ok = True
     for _grid, p in general_fixtures:
-        piece = build_qi(p, (1, 2, 3, 4), weight_cap=4)
-        cx = piece.complex
+        cx = build_qi(p, (1, 2, 3, 4), weight_cap=4)
         dims = cx.dims(4)
         rep = verify_exactness(cx, range(4, 5))
         coh = {row["weight"]: row["dim_cohomology"] for row in rep["table"]}

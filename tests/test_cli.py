@@ -344,6 +344,34 @@ class TestVerifyExactness:
         assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
         assert inversions == [range(4)]
 
+    def test_report_builds_no_plus_machine(self, tmp_path, monkeypatch):
+        # d(phi_I) is checked on phi_forms alone; the log-plus machine is
+        # not built
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify-exactness built the log-plus machine")
+
+        monkeypatch.setattr(complexes, "_PlusMachine", refuse)
+        for name, argv, code in CASES:
+            if name.startswith("verify_exactness"):
+                out = tmp_path / f"{name}.json"
+                assert main(argv + ["--out", str(out)]) == code
+                assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+    def test_singular_log_matrix_refused(self, files, capsys):
+        doc = {
+            "dimension": 4,
+            "divisor_vars": 4,
+            "terms": [{"i": 1, "j": 2, "coeff": "x1*x2"}],
+        }
+        path = files["tmp"] / "singular_structure.json"
+        path.write_text(json.dumps(doc))
+        assert main([
+            "verify-exactness", "--structure", str(path), "--I", "1", "--weight-cap", "1",
+            "--out", files["out"],
+        ]) == 2
+        assert capsys.readouterr().err == "error: log matrix is singular; no inverse bivector\n"
+        assert not Path(files["out"]).exists()
+
     def test_resonant_fixture_not_exact(self, capsys):
         # 2-general, but {3, 4} is a 2-resonant pair
         assert main([
@@ -412,6 +440,13 @@ class TestToricReport:
     def test_n_below_one_refused(self, capsys, n):
         assert main(["toric-report", "--random", "--n", n]) == 2
         assert capsys.readouterr().err == "error: n must be >= 1\n"
+
+    @pytest.mark.parametrize("size", [0, 1, 3])
+    def test_matrix_below_even_two_refused(self, files, capsys, size):
+        path = files["tmp"] / "small_matrix.json"
+        path.write_text(json.dumps({"size": size, "entries": [[0] * size] * size}))
+        assert main(["toric-report", "--matrix", str(path)]) == 2
+        assert capsys.readouterr().err == "error: toric structures need even dimension >= 2\n"
 
     @pytest.mark.parametrize(
         "argv, needle",

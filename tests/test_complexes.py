@@ -26,7 +26,6 @@ from logsymplectic.complexes import (
     conjugation_report,
     filtration_level_of,
     filtration_report,
-    is_in_filtration_level,
     qi_cohomology,
     verify_d_squared,
     verify_exactness,
@@ -403,11 +402,13 @@ def class_vectors(p: PoissonStructure):
     return vector
 
 
-def qi_components(p: PoissonStructure, piece, max_degree: int) -> dict:
-    """Oracle: per-slice report on a built piece, through ``max_degree``:
-    spans of the eta-labelled classes grouped by their divisor-differential
-    label, plus the twisted-differential shape check (``twisted_shape_check``)."""
-    iset, cx = piece.index_set, piece.complex
+def qi_components(p: PoissonStructure, iset, weight_cap: int, max_degree: int) -> dict:
+    """Oracle: per-slice report on the piece of ``iset`` built at
+    ``weight_cap``, through ``max_degree``: spans of the eta-labelled classes
+    grouped by their divisor-differential label, plus the
+    twisted-differential shape check (``twisted_shape_check``)."""
+    cx = build_qi(p, iset, weight_cap)
+    signs = _dphi_signs(p, iset)
     vs = p.var_spec
     vector = class_vectors(p)
     classes: dict = {}
@@ -442,7 +443,7 @@ def qi_components(p: PoissonStructure, piece, max_degree: int) -> dict:
                 "label_rank_sum": sum(ranks),
                 "direct": sum(ranks) == span_dim,
                 "twisted_shape_verified": dmat is None or twisted_shape_check(
-                    vs, iset, dmat, vecs, slice_classes(degree + 1, w), piece.dphi_signs
+                    vs, iset, dmat, vecs, slice_classes(degree + 1, w), signs
                 ),
             }
     return report
@@ -483,39 +484,37 @@ def twisted_shape_check(vs, iset, dmat, classes, target, signs) -> bool:
 class TestGradedPieces:
     def test_signs_are_uniform(self, toric):
         for iset in [(1,), (2, 4), (1, 2, 3)]:
-            q = build_qi(toric, iset, 2)
-            assert q.dphi_signs == {i: Fraction(-1) for i in iset}
+            assert _dphi_signs(toric, iset) == {i: Fraction(-1) for i in iset}
         # _dphi_signs raises unless d(phi_I) = -sum_{i in I} eta_i ^ phi_I
         # holds exactly; check every nonempty I at 2n = 4 and 2n = 6
         structures = [toric] + [
             random_2general_toric(random.Random(seed), 3).structure for seed in (3, 5)
         ]
         for p in structures:
-            machine = _PlusMachine(p)
             nv = p.var_spec.total_vars
             for size in range(1, nv + 1):
                 for iset in itertools.combinations(range(1, nv + 1), size):
-                    assert _dphi_signs(machine, iset) == {i: Fraction(-1) for i in iset}
+                    assert _dphi_signs(p, iset) == {i: Fraction(-1) for i in iset}
 
     def test_exact_in_low_degrees(self, toric):
         for iset in [(1,), (3,), (1, 2), (2, 4)]:
             q = build_qi(toric, iset, 3)
-            assert verify_d_squared(q.complex)
-            rep = verify_exactness(q.complex, range(len(iset), 3))
+            assert verify_d_squared(q)
+            rep = verify_exactness(q, range(len(iset), 3))
             assert rep["verdict"] == "exact"
 
     def test_single_group_full_index_set(self, toric):
         q = build_qi(toric, (1, 2, 3, 4), 4)
-        assert q.complex.dims(4) == {-4: 1}
+        assert q.dims(4) == {-4: 1}
         for degree in range(5, 9):
-            assert q.complex.weights_at(degree) == []
-        assert cohomology_dims(q.complex, 4) == {-4: 1}
-        rep = verify_exactness(q.complex, range(4, 5))
+            assert q.weights_at(degree) == []
+        assert cohomology_dims(q, 4) == {-4: 1}
+        rep = verify_exactness(q, range(4, 5))
         assert rep["verdict"] == "not_exact"
         assert rep["table"] == [{"degree": 4, "weight": -4, "dim_cohomology": 1}]
 
     def test_components_span_and_shape(self, toric):
-        components = qi_components(toric, build_qi(toric, (1,), 2), 2)
+        components = qi_components(toric, (1,), 2, 2)
         for key, comp in components.items():
             assert comp["spanning"], key
             assert comp["twisted_shape_verified"], key
@@ -525,7 +524,7 @@ class TestGradedPieces:
         # at one degree above the bottom the plain-label classes satisfy one
         # relation per coefficient monomial: the span is smaller than the
         # label count (4 classes of rank 3 split as 2 + 1)
-        comp = qi_components(toric, build_qi(toric, (1,), 2), 2)[(2, -1)]
+        comp = qi_components(toric, (1,), 2, 2)[(2, -1)]
         assert comp["module_dim"] == 3
         assert comp["per_label_rank"] == {(): 2, (1,): 1}
 
@@ -536,29 +535,29 @@ class TestGradedPieces:
         vector = class_vectors(toric)
         iset = (1,)
         q = build_qi(toric, iset, 2)
-        labels1 = q.complex.basis[(1, 0)]
-        labels2 = q.complex.basis[(2, 0)]
+        labels1 = q.basis[(1, 0)]
+        labels2 = q.basis[(2, 0)]
         index1 = {lab: i for i, lab in enumerate(labels1)}
         index2 = {lab: i for i, lab in enumerate(labels2)}
         gamma = ((), (0, 1, 0, 0))  # the class of x2 * phi_1
         gamma_vec = vector(iset, gamma[0], gamma[1], index1)
-        mat1 = q.complex.diffs[(1, 0)]
+        mat1 = q.diffs[(1, 0)]
         z = [
             sum(mat1[r].get(c, 0) * gamma_vec.get(c, 0) for c in range(len(labels1)))
             for r in range(len(labels2))
         ]
         assert any(v != 0 for v in z)
-        mat2 = q.complex.diffs[(2, 0)]
+        mat2 = q.diffs[(2, 0)]
         dz = [
             sum(mat2[r].get(c, 0) * z[c] for c in range(len(labels2)))
-            for r in range(len(q.complex.basis[(3, 0)]))
+            for r in range(len(q.basis[(3, 0)]))
         ]
         assert all(v == 0 for v in dz)
         # predicted shape: z = class of -(d psi) + class of eta_1 ^ psi for
         # psi = x2, using the computed sign c_1 = -1
         vec_dpsi = vector(iset, (2,), (0, 1, 0, 0), index2)
         vec_eta1psi = vector(iset, (1,), (0, 1, 0, 0), index2)
-        assert q.dphi_signs[1] == Fraction(-1)
+        assert _dphi_signs(toric, iset)[1] == Fraction(-1)
         expected = [
             -vec_dpsi.get(c, 0) + vec_eta1psi.get(c, 0) for c in range(len(labels2))
         ]
@@ -614,10 +613,10 @@ class TestCohomologyMachinery:
             build_log_complex(VarSpec(4, 2), 2),
             plus_w2,
             build_bracket_complex(toric, 2),
-            build_qi(toric, (1, 2), 2).complex,
+            build_qi(toric, (1, 2), 2),
             build_logplus_complex(fractional, 2),
             build_bracket_complex(fractional, 2),
-            build_qi(fractional, (1, 2), 2).complex,
+            build_qi(fractional, (1, 2), 2),
         ]
         for cx in complexes:
             for (k, w), mat in cx.diffs.items():
@@ -642,7 +641,7 @@ class TestCohomologyMachinery:
 
     def test_weight_cap_zero_run(self, toric):
         q = build_qi(toric, (1,), 0)
-        rep = verify_exactness(q.complex, range(1, 3))
+        rep = verify_exactness(q, range(1, 3))
         assert rep["verdict"] == "exact"
 
     def test_each_differential_ranked_once(self, toric, monkeypatch):
@@ -672,7 +671,7 @@ class TestCohomologyMachinery:
     def test_all_dims_nonnegative(self, toric):
         q = build_qi(toric, (1, 2), 2)
         for degree in range(2, 5):
-            for dim in cohomology_dims(q.complex, degree).values():
+            for dim in cohomology_dims(q, degree).values():
                 assert dim >= 0
 
 
@@ -715,8 +714,6 @@ class TestFiltration:
     def test_phi_level_one(self, toric):
         phi1 = phi_forms(toric)[0]
         assert filtration_level_of(toric, phi1) == 1
-        assert is_in_filtration_level(toric, phi1, 1)
-        assert not is_in_filtration_level(toric, phi1, 0)
 
     def test_product_level_two_and_annihilator(self, toric):
         phis = phi_forms(toric)
@@ -752,6 +749,50 @@ class TestFiltration:
         )
         for level in (1, 2):
             assert not filtration_report(toric, level, 0, 2)["annihilator_ok"]
+
+    def test_annihilator_check_fails_with_corrupted_sharp(self, toric, monkeypatch):
+        # pi_sharp scaled by x_1 sends phi_I to x_1^|I| d_I, whose level drops
+        # to |I| - 1 when 1 is in I; level 0 has no generator to corrupt
+        real = complexes.pi_sharp
+        x1 = LaurentPoly.variable(VS, 1)
+        monkeypatch.setattr(complexes, "pi_sharp", lambda p, w: real(p, w).scale(x1))
+        for level in range(1, 5):
+            assert not filtration_report(toric, level, 0, 4)["annihilator_ok"], level
+        assert filtration_report(toric, 0, 0, 4)["annihilator_ok"]
+
+    def test_graded_side_builds_no_plus_machine(self, toric, monkeypatch):
+        isets = [(1,), (2, 4), (1, 2, 3), (1, 2, 3, 4)]
+        reports = [filtration_report(toric, level, 2, 4) for level in range(5)]
+        pieces = [build_qi(toric, iset, 2) for iset in isets]
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("the graded-piece side built the log-plus machine")
+
+        monkeypatch.setattr(complexes, "_PlusMachine", refuse)
+        assert [filtration_report(toric, level, 2, 4) for level in range(5)] == reports
+        assert all(rep["slices"] and rep["annihilator_ok"] for rep in reports)
+        assert [build_qi(toric, iset, 2) for iset in isets] == pieces
+        assert _dphi_signs(toric, (1, 3)) == {1: Fraction(-1), 3: Fraction(-1)}
+
+    def test_singular_matrix_refused_first(self):
+        # the gate, then A's inverse, come before every argument check, and
+        # the empty index set is no exception
+        p = make_toric([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]).structure
+        refusals = [
+            lambda: filtration_report(p, 7, -1, 0),
+            lambda: build_qi(p, (1,), -1),
+            lambda: _dphi_signs(p, ()),
+        ]
+        for refusal in refusals:
+            with pytest.raises(ValueError, match="log matrix is singular; no inverse bivector"):
+                refusal()
+        vs = VarSpec(4, 2)
+        mixed = PoissonStructure(
+            vs, MultiVector(coordinate_frame(vs), 2, {(1, 2): poly_from_string("x1*x2", vs)})
+        )
+        for refusal in (lambda: filtration_report(mixed, 7, -1, 0), lambda: _dphi_signs(mixed, ())):
+            with pytest.raises(ValueError, match="every variable on the divisor"):
+                refusal()
 
     @pytest.mark.parametrize("case", ["fixtures", "fractional", "2n6"])
     def test_report_slices_match_oracle_ranks(self, case):
@@ -865,11 +906,10 @@ class TestClosedFormBracket:
         # index set is checked at 2n = 6
         for p in (toric_structure(EXPLICIT_GRID), fractional_2general_structure(11)):
             for iset in [(1,), (1, 2)]:
-                assert assert_columns_match_schouten(build_qi(p, iset, 2).complex, p) > 0
+                assert assert_columns_match_schouten(build_qi(p, iset, 2), p) > 0
         p = random_2general_toric(random.Random(3), 3).structure
         for iset in [(1,), (1, 2), (1, 2, 3, 4)]:
-            q = build_qi(p, iset, 1)
-            assert assert_columns_match_schouten(q.complex, p) > 0
+            assert assert_columns_match_schouten(build_qi(p, iset, 1), p) > 0
 
     def test_nonconstant_log_matrix_rejected(self):
         vs = VarSpec(4, 4)
@@ -913,9 +953,9 @@ class TestResonantGrid:
         assert all(poisson_t_general(resonant, t).verdict for t in (1, 2, 3))
 
     def test_resonant_piece_not_exact(self, resonant):
-        q34 = build_qi(resonant, (3, 4), 2).complex
+        q34 = build_qi(resonant, (3, 4), 2)
         assert nonzero_cohomology(q34) == {(2, -2): 1, (3, -2): 2, (4, -2): 1}
-        assert nonzero_cohomology(build_qi(resonant, (1, 2), 2).complex) == {}
+        assert nonzero_cohomology(build_qi(resonant, (1, 2), 2)) == {}
         # the block count agrees with the ranks
         assert nonzero(qi_cohomology(resonant, (3, 4), 2)) == nonzero_cohomology(q34)
         assert nonzero(qi_cohomology(resonant, (1, 2), 2)) == {}
@@ -945,7 +985,7 @@ def assert_pieces_match_ranks(p: PoissonStructure, weight_cap: int) -> None:
     for size in range(nv + 1):
         for iset in itertools.combinations(range(1, nv + 1), size):
             counted = qi_cohomology(p, iset, weight_cap)
-            cx = build_qi(p, iset, weight_cap).complex
+            cx = build_qi(p, iset, weight_cap)
             for k in range(nv + 1):
                 by_rank = cohomology_dims(cx, k)
                 assert {w: h for (k2, w), h in counted.items() if k2 == k} == by_rank, (iset, k)

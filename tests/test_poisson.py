@@ -229,6 +229,12 @@ class TestPfaffian:
                 grid = random_skew_grid(rng, size)
                 assert pfaffian(grid) ** 2 == linalg.det(grid)
 
+    @pytest.mark.parametrize("size", [16, 20])
+    def test_square_is_determinant_large(self, size):
+        # (size - 1)!! matchings: memoized on the indices left, not expanded
+        grid = random_skew_grid(random.Random(size), size)
+        assert pfaffian(grid) ** 2 == linalg.det(grid)
+
     def test_skew_validated(self):
         with pytest.raises(ValueError):
             pfaffian([[0, 1], [1, 0]])
