@@ -26,12 +26,14 @@ Three families are built:
   where that set is exactly I.  The induced differential is the bracket
   with the bivector; assembly fails loudly if an image leaves the slice.
 
-Columns are generated in integer arithmetic and stored as Fractions.  The
-bracket columns scale A once by its common denominator, so lambda_F below
-is an integer vector, computed once per Koszul block; a certified log-plus
-piece is kept as integer numerators over the lcm of its denominators, and a
-column sums them over the lcm of the pieces it uses.  Each stored entry is
-one Fraction, and an entry that several blocks share is one shared object.
+Columns are generated in integer arithmetic and stored as exact values in
+the normal form of ``linalg.exact``: an int when integral, otherwise a
+Fraction.  The bracket columns scale A once by its common denominator, so
+lambda_F below is an integer vector, computed once per Koszul block; a
+certified log-plus piece is kept as integer numerators over the lcm of its
+denominators, and a column sums them over the lcm of the pieces it uses.
+On integral A every stored entry is an int, and ``linalg`` ranks such rows
+without building a Fraction.
 
 Desk-scale restriction: all but the log complex need the invariant local
 model (constant invertible log matrix A, every variable on the divisor),
@@ -117,12 +119,12 @@ class WeightSlicedComplex:
     order.  ``diffs[(degree, weight)]`` is the matrix of the differential
     into ``(degree + 1, weight)`` with respect to those bases, stored as
     sparse rows: one ``dict`` per target label, mapping the position of a
-    source label to a nonzero Fraction (always a Fraction: the integer
-    numerators of column generation never reach a stored row).  Zeros are
-    never stored, so two differentials are equal exactly when they are
-    equal as matrices.  Values may be shared between rows and complexes,
-    which is safe because Fractions are immutable and ``linalg`` copies
-    every row before it changes one.
+    source label to a nonzero exact value in normal form (``linalg.exact``:
+    an int when integral, otherwise a Fraction, never a Fraction with
+    denominator 1).  Zeros are never stored, so two differentials are equal
+    exactly when they are equal as matrices.  Values may be shared between
+    rows and complexes, which is safe because ints and Fractions are
+    immutable and ``linalg`` copies every row before it changes one.
     ``rank`` ranks each differential once; a complex made by
     ``dataclasses.replace`` starts with no stored ranks.
     """
@@ -184,8 +186,9 @@ def _frame_basis(frame: Frame, is_form: bool):
 
 def _assemble_matrix(source: list[Label], target: list[Label], images) -> list[linalg.Row]:
     """Sparse rows of a map given by ``images(label) -> iterable of (label, c)``
-    with nonzero Fractions c.  The first c of a column in a row is stored as
-    it is; only a repeated target is summed, and a sum of zero is dropped."""
+    with nonzero exact values c in normal form.  The first c of a column in
+    a row is stored as it is; only a repeated target is summed, a sum of
+    zero is dropped, and any other sum is put in normal form."""
     index = {lab: i for i, lab in enumerate(target)}
     mat: list[linalg.Row] = [{} for _ in target]
     for col, lab in enumerate(source):
@@ -197,7 +200,7 @@ def _assemble_matrix(source: list[Label], target: list[Label], images) -> list[l
             if col not in row:
                 row[col] = c
             elif val := row[col] + c:
-                row[col] = val
+                row[col] = linalg.exact(val.numerator, val.denominator)
             else:
                 del row[col]
     return mat
@@ -255,7 +258,7 @@ def build_log_complex(vs: VarSpec, weight_cap: int) -> WeightSlicedComplex:
             # dx_t = x_t eta_t on divisor indices, so the exponent stays put
             # there and drops by one otherwise.
             new_exps = exps if t <= m else exps[: t - 1] + (e - 1,) + exps[t:]
-            yield (key, new_exps), Fraction(sign * e)
+            yield (key, new_exps), linalg.exact(sign * e)
 
     cx = WeightSlicedComplex("log", vs, (0, nv), weight_cap)
     return _fill_slices(cx, _frame_basis(log_frame(vs), True), images)
@@ -341,8 +344,8 @@ def build_logplus_complex(p: PoissonStructure, weight_cap: int) -> WeightSlicedC
         d(x^E phi_I) = x^E (d(phi_I) + sum_i E_i eta_i ^ phi_I)
 
     as a shifted sum of those numerators over the lcm of the denominators
-    of the pieces it uses, with one Fraction per nonzero entry, and must
-    stay in the polynomial span.
+    of the pieces it uses, with one exact value (``linalg.exact``) per
+    nonzero entry, and must stay in the polynomial span.
     """
     machine = _PlusMachine(p)
     vs = p.var_spec
@@ -360,7 +363,7 @@ def build_logplus_complex(p: PoissonStructure, weight_cap: int) -> WeightSlicedC
         den = math.lcm(*(c.denominator for _lab, c in coords))
         return den, [(lab, c.numerator * (den // c.denominator)) for lab, c in coords]
 
-    def images(lab: Label) -> list[tuple[Label, Fraction]]:
+    def images(lab: Label) -> list[tuple[Label, int | Fraction]]:
         indices, exps = lab
         terms = [(1, piece(0, indices))]
         terms += [(e, piece(i, indices)) for i, e in enumerate(exps, 1) if e]
@@ -376,7 +379,7 @@ def build_logplus_complex(p: PoissonStructure, weight_cap: int) -> WeightSlicedC
             if num:
                 if min(target[1]) < 0:
                     raise AssertionError("derivative left the polynomial log-plus span")
-                coords.append((target, Fraction(num, den)))
+                coords.append((target, linalg.exact(num, den)))
         return coords
 
     cx = WeightSlicedComplex("logplus", vs, (0, vs.total_vars), weight_cap)
@@ -391,9 +394,9 @@ def _koszul_images(p: PoissonStructure):
     ``merge_indices((j,), M)``; the module docstring derives it.  A is
     scaled once by its common denominator D, so D lambda_F is a vector of
     integer sums, computed once per F, since all labels of one Koszul block
-    share it; each nonzero value becomes the Fractions +-(D lambda_j) / D
-    once, shared by every entry that carries it.  The insertion table
-    [(j, s_j, M + {j})] is built once per index set M.
+    share it; each nonzero value becomes the exact values +-(D lambda_j) / D
+    (``linalg.exact``) once, shared by every entry that carries it.  The
+    insertion table [(j, s_j, M + {j})] is built once per index set M.
     Raises ValueError outside the invariant model (``_invariant_grid``).
     """
     grid = _invariant_grid(p)
@@ -402,11 +405,11 @@ def _koszul_images(p: PoissonStructure):
     scaled = [[int(c * den) for c in row] for row in grid]
 
     @functools.cache
-    def value(lam: int) -> tuple[Fraction, Fraction]:
-        return Fraction(lam, den), Fraction(-lam, den)
+    def value(lam: int) -> tuple[int | Fraction, int | Fraction]:
+        return linalg.exact(lam, den), linalg.exact(-lam, den)
 
     @functools.cache
-    def block(f: tuple[int, ...]) -> list[tuple[Fraction, Fraction] | None]:
+    def block(f: tuple[int, ...]) -> list[tuple[int | Fraction, int | Fraction] | None]:
         """(lambda_j, -lambda_j) for each j, None where lambda_j = 0."""
         rows = [(fi, scaled[i]) for i, fi in enumerate(f) if fi]
         lams = (sum(fi * row[j] for fi, row in rows) for j in range(nv))
@@ -423,7 +426,7 @@ def _koszul_images(p: PoissonStructure):
                 table.append((j, sign < 0, key))
         return table
 
-    def images(lab: Label) -> list[tuple[Label, Fraction]]:
+    def images(lab: Label) -> list[tuple[Label, int | Fraction]]:
         indices, exps = lab
         f = list(exps)
         for i in indices:

@@ -131,9 +131,12 @@ def _walk(m, n, t: int, all_failures: bool) -> GenPosCertificate:
             if p.var_spec != vs:
                 raise ValueError("var_spec mismatch among entries")
     block = [m_rows[i] + n_rows[i] for i in range(k)]
-    # column j of [M(0) | N(0)] as a sparse row {matrix row r: constant term}
+    # column j of [M(0) | N(0)] as a sparse row {matrix row r: numerator},
+    # built once in the kernel's integer form: the walk reads only pivot
+    # positions, and a column's numerators span the same line as the column
     columns = [
-        {r: row[j].constant_term() for r, row in enumerate(block)} for j in range(2 * k)
+        linalg._scaled({r: row[j].constant_term() for r, row in enumerate(block)})[0]
+        for j in range(2 * k)
     ]
     witnesses: dict[tuple[int, ...], tuple[int, ...]] = {}
     failures: list[tuple[int, ...]] = []

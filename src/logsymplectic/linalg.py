@@ -1,23 +1,43 @@
-"""Exact linear algebra over the rationals, on sparse rows.
+"""Exact linear algebra over the rationals, on sparse rows, in integers.
 
-A row is a ``dict[int, Fraction]`` from column index to a nonzero value.
-Dense rows (lists) are accepted as well, and entries may be ints: every
-row is copied into a sparse row of Fractions on entry, so results stay
-exact and the caller's rows are never changed.  Values that already are
-Fractions go into the copy as they are (Fractions are immutable), so
-ranking a stored differential builds no new value until elimination does.
-One elimination loop, ``_eliminate``, serves ``rank``, ``det``, ``inverse``
-and ``solve_columns``.
+Values are exact rationals in one normal form, the one ``exact`` returns:
+an ``int`` when the value is integral, otherwise a ``Fraction``, never a
+Fraction with denominator 1.  A row is a ``dict[int, value]`` from column
+index to a nonzero value.  Dense rows (lists) are accepted as well, and
+entries may be any ints or Fractions, zeros included.
+
+Inside the kernel a row is a ``Scaled`` row: integer numerators over one
+positive denominator, divided by their gcd after every update, so its
+integers are no larger than the reduced Fractions of the same row would
+be, and no Fraction is built while eliminating.  Every row is copied into
+that form on entry, so the caller's rows are never changed; a row of ints
+is copied as it is, with denominator 1, which is the path the stored
+differentials of ``complexes`` take on an integral log matrix.  One
+elimination loop, ``_eliminate``, serves ``rank``, ``det``, ``inverse`` and
+``solve_columns``; ``mat_mul`` multiplies Scaled rows and builds a value
+only for a nonzero product entry.  ``det``, ``inverse`` and
+``solve_columns`` return Fractions.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterable
 from fractions import Fraction
 
 Matrix = list[list[Fraction]]
-Row = dict[int, Fraction]
+Row = dict[int, int | Fraction]
+Scaled = tuple[dict[int, int], int]  # (numerators, positive denominator)
+
+
+def exact(num: int, den: int = 1) -> int | Fraction:
+    """The rational num / den (integers, den nonzero) in normal form: an int
+    when it is integral, otherwise a Fraction."""
+    if den == 1:
+        return num
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
 
 
 def zeros(nrows: int, ncols: int) -> Matrix:
@@ -31,83 +51,141 @@ def identity(n: int) -> Matrix:
     return out
 
 
-def _sparse(row) -> Row:
-    """A fresh sparse copy of a dense or sparse row, with Fraction values.
-    Values that already are Fractions are shared, not rebuilt: they are
-    immutable, and only the row dict is ever changed in place."""
+def _nonzero(row) -> dict:
+    """The nonzero entries of a dense or sparse row, as a new dict."""
     items = row.items() if isinstance(row, dict) else enumerate(row)
-    return {c: v if type(v) is Fraction else Fraction(v) for c, v in items if v}
+    return {c: v for c, v in items if v}
 
 
-def _add_multiple(row: Row, f: Fraction, other: Row) -> None:
-    """``row += f * other`` in place, dropping the entries that cancel."""
-    for c, v in other.items():
-        x = row.get(c)
-        if x is None:
-            row[c] = f * v
+def _scaled(row) -> Scaled:
+    """A fresh Scaled copy of a dense or sparse row of ints and Fractions.
+    The denominator is the lcm of the entries' reduced denominators, so the
+    numerators and it have no common factor.  A row of ints (its sum is an
+    int: a Fraction term makes it a Fraction) is only copied."""
+    vals = row.values() if isinstance(row, dict) else row
+    if type(sum(vals)) is int:
+        if 0 in vals:
+            return _nonzero(row), 1
+        return dict(row) if isinstance(row, dict) else dict(enumerate(row)), 1
+    nums = _nonzero(row)
+    den = math.lcm(*(v.denominator for v in nums.values()))
+    return {c: v.numerator * (den // v.denominator) for c, v in nums.items()}, den
+
+
+def _view(row) -> Scaled:
+    """A row as a Scaled row for reading only: a dict of ints is returned
+    itself, zeros and all, since a zero term adds nothing to a product; any
+    other row is copied by ``_scaled``."""
+    if isinstance(row, dict) and type(sum(row.values())) is int:
+        return row, 1
+    return _scaled(row)
+
+
+def _clear(nums: dict[int, int], den: int, c: int, pivot: Scaled) -> int:
+    """``nums / den -= (nums[c] / pivot[c]) * pivot`` in place, dropping the
+    entries that cancel (c among them); returns the new denominator, after
+    dividing the row by the gcd of its numerators and denominator.
+
+    With x = pivot[c], y = nums[c] and g = gcd(x, y) the new row is
+    ((x / g) * nums - (y / g) * pivot numerators) / ((x / g) * den): the
+    pivot's own denominator cancels."""
+    pnums = pivot[0]
+    x, y = pnums[c], nums[c]
+    g = math.gcd(x, y)
+    a, b = x // g, y // g
+    if a < 0:
+        a, b = -a, -b
+    if a != 1:
+        for k in nums:
+            nums[k] *= a
+        den *= a
+    for k, v in pnums.items():
+        w = nums.get(k, 0) - b * v
+        if w:
+            nums[k] = w
         else:
-            x += f * v
-            if x:
-                row[c] = x
-            else:
-                del row[c]
+            del nums[k]
+    if den != 1:
+        g = math.gcd(den, *nums.values())
+        if g != 1:
+            for k in nums:
+                nums[k] //= g
+            den //= g
+    return den
 
 
 def _eliminate(
-    rows: Iterable, column_order=None, reduced: bool = False, start: dict[int, Row] | None = None
-) -> dict[int, Row]:
+    rows: Iterable, column_order=None, reduced: bool = False, start: dict[int, Scaled] | None = None
+) -> dict[int, Scaled]:
     """Exact Gaussian elimination of ``rows``; returns the pivots.
 
     Only the columns in ``column_order`` (default: every column, in
     increasing order) can become pivots.  Each incoming row is cleared of the
     existing pivot columns, lowest first; if a column in the order is left,
     the first one becomes the row's pivot.  The result maps each pivot
-    column to its row, in the order of the input rows that produced them.
-    Pivot rows are not normalised: ``pivots[c][c]`` is the pivot value.
+    column to its row as a ``Scaled`` row (numerators, denominator), in the
+    order of the input rows that produced them.  Pivot rows are not
+    normalised: ``nums[c] / den`` is the pivot value of ``pivots[c]``.
 
     With ``reduced`` each new pivot is also cleared from the older pivot
     rows, so every pivot row is zero in all other pivot columns.
 
     ``start``, the pivots of an earlier call with the same ``column_order``,
     continues that elimination: the result is a new dict that begins with
-    them, as if their rows had come first.  Without ``reduced`` the rows of
-    ``start`` are shared but never changed, so one ``start`` can be extended
-    in several ways; ``reduced`` changes them in place.
+    them, as if their rows had come first.  The rows of ``start`` are
+    shared but never changed (a reduced update replaces the row in the new
+    dict), so one ``start`` can be extended in several ways.
     """
-    pos = None if column_order is None else {c: i for i, c in enumerate(column_order)}
-    key = None if pos is None else pos.__getitem__
-    pivots: dict[int, Row] = dict(start) if start else {}
+    if column_order is None:
+        pos, first = None, min
+    else:
+        pos = {c: i for i, c in enumerate(column_order)}
+        first = functools.partial(min, key=pos.__getitem__)
+    pivots: dict[int, Scaled] = dict(start) if start else {}
     for row in rows:
-        row = _sparse(row)
-        while hits := [c for c in row if c in pivots]:
-            c = min(hits, key=key)
-            _add_multiple(row, -row[c] / pivots[c][c], pivots[c])
-        live = row if pos is None else [c for c in row if c in pos]
+        nums, den = _scaled(row)
+        while hits := nums.keys() & pivots.keys():
+            c = first(hits)
+            den = _clear(nums, den, c, pivots[c])
+        live = nums if pos is None else nums.keys() & pos.keys()
         if not live:
             continue
-        lead = min(live, key=key)
+        lead = first(live)
+        new = (nums, den)
         if reduced:
-            for other in pivots.values():
-                if lead in other:
-                    _add_multiple(other, -other[lead] / row[lead], row)
-        pivots[lead] = row
+            for c, (onums, oden) in pivots.items():
+                if lead in onums:
+                    onums = dict(onums)
+                    pivots[c] = onums, _clear(onums, oden, lead, new)
+        pivots[lead] = new
     return pivots
 
 
 def mat_mul(a, b) -> list[Row]:
-    """The product as sparse rows."""
-    b = [_sparse(row) for row in b]
+    """The product as sparse rows of values in normal form (``exact``).
+    Products are summed as integers over one denominator per output row,
+    and only nonzero sums become values."""
+    b = [_view(row) for row in b]
+    integral = all(d == 1 for _n, d in b)
     out = []
     for row in a:
-        acc: Row = {}
-        for t, x in _sparse(row).items():
-            _add_multiple(acc, x, b[t])
-        out.append(acc)
+        nums, den = _view(row)
+        common = 1 if integral else math.lcm(*[b[t][1] for t in nums])
+        acc: dict[int, int] = {}
+        get = acc.get
+        for t, x in nums.items():
+            bnums, d = b[t]
+            if d != common:
+                x *= common // d
+            for k, v in bnums.items():
+                acc[k] = get(k, 0) + x * v
+        den *= common
+        out.append({k: exact(v, den) for k, v in acc.items() if v})
     return out
 
 
 def is_zero_matrix(a) -> bool:
-    return not any(_sparse(row) for row in a)
+    return not any(any(row.values() if isinstance(row, dict) else row) for row in a)
 
 
 def rank(a, column_order: list[int] | None = None) -> int:
@@ -139,21 +217,22 @@ def det(a) -> Fraction:
     # of its pivot cols[i]: a row permutation of a triangular matrix
     cols = list(pivots)
     inversions = sum(cols[j] > cols[i] for i in range(n) for j in range(i))
-    return Fraction((-1) ** inversions * math.prod(pivots[c][c] for c in cols))
+    num = math.prod(pivots[c][0][c] for c in cols)
+    return Fraction((-1) ** inversions * num, math.prod(pivots[c][1] for c in cols))
 
 
 def inverse(a) -> Matrix:
     n = _square_size(a)
-    augmented = (_sparse(row) | {n + i: 1} for i, row in enumerate(a))
+    augmented = (_nonzero(row) | {n + i: 1} for i, row in enumerate(a))
     pivots = _eliminate(augmented, range(n), reduced=True)
     if len(pivots) < n:
         raise ValueError("matrix is singular")
     # reduced, pivot row c is (d e_c | d * row c of the inverse)
     out = zeros(n, n)
-    for c, row in pivots.items():
-        for j, v in row.items():
+    for c, (nums, _den) in pivots.items():
+        for j, v in nums.items():
             if j >= n:
-                out[c][j - n] = v / row[c]
+                out[c][j - n] = Fraction(v, nums[c])
     return out
 
 
@@ -170,7 +249,7 @@ def solve_columns(columns: list, target) -> list[Fraction] | None:
     ncols = len(columns)
     rows: dict[int, Row] = {}
     for j, vec in enumerate(vectors):
-        for i, v in _sparse(vec).items():
+        for i, v in _nonzero(vec).items():
             rows.setdefault(i, {})[j] = v
     # the target column comes last in the order: it becomes a pivot exactly
     # when it is not in the span of the others
@@ -178,6 +257,6 @@ def solve_columns(columns: list, target) -> list[Fraction] | None:
     if ncols in pivots:
         return None
     return [
-        pivots[j].get(ncols, 0) / pivots[j][j] if j in pivots else Fraction(0)
+        Fraction(pivots[j][0].get(ncols, 0), pivots[j][0][j]) if j in pivots else Fraction(0)
         for j in range(ncols)
     ]

@@ -13,7 +13,6 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -43,7 +42,6 @@ from logsymplectic.poisson import (
     top_power,
 )
 from logsymplectic.ring import LaurentPoly, VarSpec
-from logsymplectic.toric import make_toric
 
 from conftest import toric_structure
 

@@ -592,6 +592,15 @@ class TestAssembleMatrix:
         }
         assert self.assemble(table) == [{1: Fraction(5)}, {}]
 
+    def test_repeated_target_sum_in_normal_form(self):
+        # a sum that comes out integral is stored as an int, as ``linalg.exact``
+        # stores every value
+        a, b = self.TARGET
+        table = {self.SOURCE[0]: [(a, Fraction(1, 2)), (a, Fraction(3, 2)), (b, Fraction(1, 3))]}
+        rows = self.assemble(table)
+        assert rows == [{0: 2}, {0: Fraction(1, 3)}]
+        assert type(rows[0][0]) is int and type(rows[1][0]) is Fraction
+
     def test_target_outside_slice_raises(self):
         table = {self.SOURCE[1]: [(self.TARGET[1], Fraction(1))]}
         with pytest.raises(AssertionError, match="left the slice"):
@@ -606,7 +615,8 @@ class TestCohomologyMachinery:
             assert linalg.rank(mat) == linalg.rank(mat, cols[::-1])
 
     def test_stored_rows_hold_no_zeros(self, toric, plus_w2):
-        # columns are summed as integer numerators; only Fractions, and no
+        # columns are summed as integer numerators; only values in normal
+        # form (an int exactly when integral, else a Fraction), and no
         # zeros, may reach the stored rows, on integer and fractional A
         fractional = fractional_2general_structure(11)
         complexes = [
@@ -624,7 +634,9 @@ class TestCohomologyMachinery:
                 for row in mat:
                     assert isinstance(row, dict)
                     assert all(0 <= c < cx.slice_dim(k, w) for c in row)
-                    assert all(type(v) is Fraction and v != 0 for v in row.values())
+                    for v in row.values():
+                        assert v != 0
+                        assert type(v) is (Fraction if Fraction(v).denominator > 1 else int)
 
     def test_ranking_leaves_stored_rows_unchanged(self, toric):
         cx = build_bracket_complex(toric, 2)

@@ -17,24 +17,40 @@ ENTRY = st.one_of(
 )
 
 
-def matrices(min_rows=0, max_rows=5, min_cols=0, max_cols=5):
+# every kind of value the kernel takes: ints, Fractions with denominator 1
+# and proper Fractions, with zero drawn often
+MIXED = st.one_of(
+    st.just(0),
+    st.integers(-6, 6),
+    st.integers(-6, 6).map(Fraction),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(2, 5)),
+)
+
+
+def matrices(min_rows=0, max_rows=5, min_cols=0, max_cols=5, entry=ENTRY):
     return st.integers(min_rows, max_rows).flatmap(
         lambda n: st.integers(min_cols, max_cols).flatmap(
             lambda m: st.lists(
-                st.lists(ENTRY, min_size=m, max_size=m), min_size=n, max_size=n
+                st.lists(entry, min_size=m, max_size=m), min_size=n, max_size=n
             )
         )
     )
 
 
-def square(max_size=4):
+def square(max_size=4, entry=ENTRY):
     return st.integers(0, max_size).flatmap(
-        lambda n: st.lists(st.lists(ENTRY, min_size=n, max_size=n), min_size=n, max_size=n)
+        lambda n: st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
     )
 
 
 def sparse(a):
     return [{c: v for c, v in enumerate(row) if v} for row in a]
+
+
+def forms(a):
+    """The same matrix as dense rows, sparse rows, and dicts that keep
+    their zero entries."""
+    return [a, sparse(a), [dict(enumerate(row)) for row in a]]
 
 
 def transpose(a, ncols):
@@ -192,9 +208,114 @@ class TestKernelProperties:
     def test_start_continues_an_elimination(self, a, data):
         split = data.draw(st.integers(0, len(a)))
         prefix = linalg._eliminate(a[:split])
-        frozen = {c: dict(row) for c, row in prefix.items()}
+        frozen = {c: (dict(nums), den) for c, (nums, den) in prefix.items()}
         continued = linalg._eliminate(a[split:], start=prefix)
         assert continued == linalg._eliminate(a)
         assert list(continued) == list(linalg._eliminate(a))
-        # without reduction the rows of start are shared and left unchanged
+        # the rows of start are shared and left unchanged
         assert prefix == frozen
+        # each pivot row is nonzero int numerators over a positive
+        # denominator with no common factor, nonzero in its pivot column
+        for c, (nums, den) in continued.items():
+            assert nums[c] and all(type(v) is int and v for v in nums.values())
+            assert type(den) is int and den > 0 and math.gcd(den, *nums.values()) == 1
+
+
+def gauss(a):
+    """(rank, determinant) by dense Gaussian elimination over Fractions, the
+    textbook route; the determinant is None unless the matrix is square."""
+    m = [[Fraction(v) for v in row] for row in a]
+    nrows, ncols = len(m), len(m[0]) if m else 0
+    r, det = 0, Fraction(1)
+    for c in range(ncols):
+        p = next((i for i in range(r, nrows) if m[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            m[r], m[p] = m[p], m[r]
+            det = -det
+        det *= m[r][c]
+        for i in range(r + 1, nrows):
+            f = m[i][c] / m[r][c]
+            m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        r += 1
+    if nrows != ncols:
+        return r, None
+    return r, det if r == nrows else Fraction(0)
+
+
+def gauss_jordan_inverse(a):
+    """The inverse of a nonsingular matrix by dense Gauss-Jordan elimination
+    over Fractions."""
+    n = len(a)
+    m = [
+        [Fraction(v) for v in row] + [Fraction(i == j) for j in range(n)]
+        for i, row in enumerate(a)
+    ]
+    for c in range(n):
+        p = next(i for i in range(c, n) if m[i][c])
+        m[c], m[p] = m[p], m[c]
+        m[c] = [x / m[c][c] for x in m[c]]
+        for i in range(n):
+            if i != c:
+                m[i] = [x - m[i][c] * y for x, y in zip(m[i], m[c])]
+    return [row[n:] for row in m]
+
+
+def in_normal_form(v):
+    """A stored value: nonzero, an int exactly when it is integral."""
+    return v != 0 and type(v) is (int if Fraction(v).denominator == 1 else Fraction)
+
+
+class TestIntegerKernelOracle:
+    """The integer kernel against dense Fraction elimination, on rows that
+    mix ints, Fractions with denominator 1 and proper Fractions."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(matrices(entry=MIXED))
+    def test_rank_and_det_match_gauss(self, a):
+        r, d = gauss(a)
+        for given_a in forms(a):
+            assert linalg.rank(given_a) == r
+            if d is not None:
+                det = linalg.det(given_a)
+                assert det == d and type(det) is Fraction
+
+    @settings(max_examples=150, deadline=None)
+    @given(square(5, entry=MIXED))
+    def test_inverse_matches_gauss_jordan(self, a):
+        if gauss(a)[1] == 0:
+            for given_a in forms(a):
+                with pytest.raises(ValueError):
+                    linalg.inverse(given_a)
+            return
+        expected = gauss_jordan_inverse(a)
+        for given_a in forms(a):
+            inv = linalg.inverse(given_a)
+            assert inv == expected
+            assert all(type(x) is Fraction for row in inv for x in row)
+
+    @settings(max_examples=150, deadline=None)
+    @given(matrices(min_rows=1, entry=MIXED), st.data())
+    def test_rank_unchanged_by_scaling_a_row(self, a, data):
+        i = data.draw(st.integers(0, len(a) - 1))
+        factor = data.draw(MIXED.filter(bool))
+        scaled = [row if j != i else [factor * v for v in row] for j, row in enumerate(a)]
+        r = linalg.rank(a)
+        assert linalg.rank(scaled) == r
+        assert linalg.rank(sparse(scaled), list(range(len(a[0])))[::-1]) == r
+
+    @settings(max_examples=150, deadline=None)
+    @given(matrices(min_rows=1, min_cols=1, entry=MIXED), st.data())
+    def test_mat_mul_matches_dense_product_in_normal_form(self, a, data):
+        inner = len(a[0])
+        b = data.draw(matrices(inner, inner, 0, 4, entry=MIXED))
+        ncols = len(b[0]) if b else 0
+        dense = [
+            [sum(Fraction(a[i][t]) * b[t][j] for t in range(inner)) for j in range(ncols)]
+            for i in range(len(a))
+        ]
+        for given_a, given_b in zip(forms(a), forms(b)):
+            product = linalg.mat_mul(given_a, given_b)
+            assert product == sparse(dense)
+            assert all(in_normal_form(v) for row in product for v in row.values())
