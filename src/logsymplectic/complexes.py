@@ -16,9 +16,10 @@ Three families are built:
   conjugate, the bracket complex on x^E d_I with the bracket with the
   bivector.  The log-plus matrix comes from an honest meromorphic exterior
   derivative, taken once per index set I on the pieces d(phi_I) and
-  eta_i ^ phi_I; every piece is certified by re-expanding its extracted
-  coefficients and comparing with the piece, and each column follows from
-  the Leibniz rule d(x^E phi_I) = x^E (d(phi_I) + sum_i E_i eta_i ^ phi_I);
+  eta_i ^ phi_I; the phi-coordinates of every piece are extracted in the
+  log frame (below) and certified by re-expanding them through the phi
+  forms and comparing with the piece, and each column follows from the
+  Leibniz rule d(x^E phi_I) = x^E (d(phi_I) + sum_i E_i eta_i ^ phi_I);
 * the graded pieces of the filtration of the log-plus complex by number of
   phi factors.  On the multivector side the filtration splits monomially:
   x^E d_M sits at level #{divisor indices of M with vanishing exponent in
@@ -28,12 +29,15 @@ Three families are built:
 
 Columns are generated in integer arithmetic and stored as exact values in
 the normal form of ``linalg.exact``: an int when integral, otherwise a
-Fraction.  The bracket columns scale A once by its common denominator, so
-lambda_F below is an integer vector, computed once per Koszul block; a
-certified log-plus piece is kept as integer numerators over the lcm of its
-denominators, and a column sums them over the lcm of the pieces it uses.
-On integral A every stored entry is an int, and ``linalg`` ranks such rows
-without building a Fraction.
+Fraction.  Both sides scale A once by its common denominator D.  The
+bracket columns take D lambda below as a difference of two integer vectors,
+one cached per exponent vector and one per index set; a certified log-plus
+piece is integer numerators over the lcm of its denominators, and the
+pieces a column uses are merged once per index set and support of E over
+the lcm of theirs.  Since ``linalg.exact`` normalises, the common
+denominator does not show in the stored values.  On integral A every
+stored entry is an int, and ``linalg`` ranks such rows without building a
+Fraction.
 
 Desk-scale restriction: all but the log complex need the invariant local
 model (constant invertible log matrix A, every variable on the divisor),
@@ -60,7 +64,15 @@ So the differential maps the label (M, E) to
 
     sum_{j not in M} s_j lambda_j (M + {j}, E + e_j),
 
-O(2n) entries per column with no bracket to evaluate.
+O(2n) entries per column with no bracket to evaluate.  lambda is linear in
+F = E - 1_M, so
+
+    lambda = F A = E A - 1_M A:
+
+the first term depends on the exponent vector alone and the second on the
+index set alone, so ``_koszul_images`` caches D E A (with the raised vectors
+E + e_j) per E and folds D 1_M A into the insertion table of M; an entry is
+one integer subtraction.
 ``build_bracket_complex`` and ``build_qi`` assemble their matrices from
 this formula; the Schouten bracket stays as the test oracle for it, and
 ``conjugation_report`` compares it with the certified log-plus derivative.
@@ -78,6 +90,28 @@ counts those labels, without a matrix, against ``build_qi`` and its ranks
 as the oracle.  So Q_I is exact for |I| = 1 (A nonsingular), and for
 |I| = 2 unless I is a 2-resonant pair, some F having lambda_F vanish off
 I; 2-general position does not exclude one (fixtures/resonant_structure.json).
+
+The phi-coordinates in the log frame
+------------------------------------
+
+pi_sharp is contraction into the bivector; it is linear over functions and
+extends to forms as a multiplicative map.  It sends phi_i to d_i, so it sends
+x^E phi_J to x^E d_J: the phi-coordinates of a form are the coefficients of
+its sharp in the coordinate frame.  In the log frame the sharp is constant:
+
+* pi_sharp(eta_t) = sum_j A[t][j] v_j, since dx_t = x_t eta_t and the
+  coefficient of d_t ^ d_j is A[t][j] x_t x_j;
+* so pi_sharp(eta_J) = sum_K det A[J, K] v_K over |K| = |J|, the |J|-th
+  compound of A (rows J, columns K);
+* a form sum_J g_J eta_J goes to sum_K (sum_J g_J det A[J, K]) v_K, and
+  v_K = x^(1_K) d_K.
+
+``_PlusMachine.sharp_numerators`` is this recipe: ``change_frame`` to the
+log frame, for each monomial of the coefficients one integer product of
+its row of numerators with the compound of D A (``_compounds``, built once
+per degree), and ``change_frame`` back.  It extracts; it does not certify.
+The certificate re-expands the coordinates through ``phi_forms`` and
+compares with the piece; it reads neither A nor the compound.
 """
 
 from __future__ import annotations
@@ -96,7 +130,6 @@ from .exterior import (
     MultiVector,
     change_frame,
     coordinate_frame,
-    coordinate_one_form,
     exterior_derivative,
     frame_element_weight,
     log_frame,
@@ -267,8 +300,9 @@ def build_log_complex(vs: VarSpec, weight_cap: int) -> WeightSlicedComplex:
 # -- shared machinery for the log-plus side -----------------------------------
 
 
-def _invariant_grid(p: PoissonStructure) -> list[list[Fraction]]:
-    """The model gate: the constant grid of the log matrix A.  Raises
+def _invariant_grid(p: PoissonStructure) -> tuple[int, list[list[int]]]:
+    """The model gate: the constant log matrix A as (D, D * A), an integer
+    grid over D, the least common denominator of A's entries.  Raises
     ValueError unless every variable is on the divisor and A is constant."""
     vs = p.var_spec
     if vs.divisor_vars != vs.total_vars:
@@ -276,7 +310,9 @@ def _invariant_grid(p: PoissonStructure) -> list[list[Fraction]]:
     a = log_matrix(p)
     if not a.is_constant():
         raise ValueError("the invariant model needs a constant log matrix")
-    return a.constant_grid()
+    grid = a.constant_grid()
+    den = math.lcm(*(c.denominator for row in grid for c in row))
+    return den, [[int(c * den) for c in row] for row in grid]
 
 
 def _wedges(cls, frame: Frame, factors):
@@ -292,42 +328,94 @@ def _wedges(cls, frame: Frame, factors):
     return product
 
 
+def _compounds(scaled: list[list[int]]):
+    """``compound(k)``: the k-th compound of the integer matrix M, as the
+    position of each row index set J in sorted order and the columns
+    [(K, (det M[J, K] for each J))].  det M[J, K] is the coefficient of v_K
+    in the wedge over t in J, in order, of sum_j M[t][j] v_j, memoized with
+    every prefix of J."""
+    nv = len(scaled)
+
+    @functools.cache
+    def minors(indices: IndexSet) -> dict[IndexSet, int]:
+        if not indices:
+            return {(): 1}
+        row = scaled[indices[-1] - 1]
+        out: dict[IndexSet, int] = {}
+        for key, minor in minors(indices[:-1]).items():
+            for j, a in enumerate(row, 1):
+                if a and (merged := merge_indices(key, (j,))) is not None:
+                    sign, longer = merged
+                    out[longer] = out.get(longer, 0) + sign * a * minor
+        return out
+
+    @functools.cache
+    def compound(k: int) -> tuple[dict[IndexSet, int], list[tuple[IndexSet, tuple[int, ...]]]]:
+        sets = list(itertools.combinations(range(1, nv + 1), k))
+        rows = [minors(jdx) for jdx in sets]
+        columns = [(kdx, tuple(row.get(kdx, 0) for row in rows)) for kdx in sets]
+        return {jdx: pos for pos, jdx in enumerate(sets)}, columns
+
+    return compound
+
+
 class _PlusMachine:
     """Per-structure caches of ``build_logplus_complex`` and
-    ``filtration_level_of``: the wedges of phi forms and of the sharps of the
-    dx_t, and the bivector contraction extended to coordinate forms."""
+    ``filtration_level_of``: the wedges of phi forms, for the certificate,
+    and the compounds of D * A, for the phi-coordinate extraction."""
 
     def __init__(self, p: PoissonStructure):
-        _invariant_grid(p)
+        den, scaled = _invariant_grid(p)
         vs = p.var_spec
         self.vs = vs
         self.coord = coordinate_frame(vs)
+        self.log = log_frame(vs)
         self.phi_wedge = _wedges(DiffForm, self.coord, phi_forms(p))  # raises when A is singular
-        sharp_dx = [pi_sharp(p, coordinate_one_form(vs, t)) for t in range(1, vs.total_vars + 1)]
-        self.sharp_wedge = _wedges(MultiVector, self.coord, sharp_dx)
+        self.den = den
+        self.compound = _compounds(scaled)
 
-    def _combine(self, cls, degree: int, pairs):
-        """Sum of coeff * image over the (coeff, image) pairs, accumulated
-        in term dicts and built once."""
-        acc: dict[IndexSet, dict[tuple[int, ...], Fraction]] = {}
-        for coeff, image in pairs:
-            for idx, poly in image.terms.items():
-                add_product(acc.setdefault(idx, {}), coeff, poly, False)
-        terms = {idx: LaurentPoly._from_sums(self.vs, sums) for idx, sums in acc.items()}
-        return cls(self.coord, degree, terms)
-
-    def sharp_form(self, form: DiffForm) -> MultiVector:
-        """Degree-preserving extension of the bivector contraction."""
-        pairs = ((coeff, self.sharp_wedge(indices)) for indices, coeff in form.terms.items())
-        return self._combine(MultiVector, form.degree, pairs)
+    def sharp_numerators(self, form: DiffForm) -> tuple[int, MultiVector]:
+        """(N, N * pi_sharp(form)) in the coordinate frame, with int
+        coefficients and the least N > 0 that makes them integral; the
+        coefficient of x^E d_J is N times the coefficient of x^E phi_J in
+        the form.  In the log frame pi_sharp is the constant compound of A
+        (module docstring), so this is ``change_frame`` to it, one integer
+        product of each monomial's row of numerators with ``compound`` and
+        ``change_frame`` back."""
+        log = change_frame(form, self.log)
+        num_den = math.lcm(*(c.denominator for g in log.terms.values() for c in g.terms.values()))
+        position, columns = self.compound(form.degree)
+        rows: dict[tuple[int, ...], list[int]] = {}
+        for jdx, g in log.terms.items():
+            pos = position[jdx]
+            for e, c in g.terms.items():
+                if e not in rows:
+                    rows[e] = [0] * len(position)
+                rows[e][pos] = c.numerator * (num_den // c.denominator)
+        acc: dict[IndexSet, dict[tuple[int, ...], int]] = {}
+        for e, row in rows.items():
+            for kdx, column in columns:
+                if n := sum(map(operator.mul, row, column)):
+                    acc.setdefault(kdx, {})[e] = n
+        den = num_den * self.den**form.degree
+        g = math.gcd(den, *(n for sums in acc.values() for n in sums.values()))
+        terms = {
+            kdx: LaurentPoly._from_sums(self.vs, {e: n // g for e, n in sums.items()})
+            for kdx, sums in acc.items()
+        }
+        return den // g, change_frame(MultiVector(self.log, form.degree, terms), self.coord)
 
     def reconstruct_from_phi(self, coords, degree: int) -> DiffForm:
-        """Sum of c * x^E phi_J as a coordinate form (for certification)."""
-        pairs = (
-            (LaurentPoly.monomial(self.vs, exps, c), self.phi_wedge(indices))
-            for (indices, exps), c in coords
-        )
-        return self._combine(DiffForm, degree, pairs)
+        """Sum of c * x^E phi_J over the ((J, E), c) in coords, as a
+        coordinate form (for certification), accumulated in term dicts and
+        built once."""
+        acc: dict[IndexSet, dict[tuple[int, ...], Fraction]] = {}
+        for (indices, exps), c in coords:
+            monomial = LaurentPoly.monomial(self.vs, exps, c)
+            for idx, poly in self.phi_wedge(indices).terms.items():
+                add_product(acc.setdefault(idx, {}), monomial, poly, False)
+        terms = {idx: LaurentPoly._from_sums(self.vs, sums) for idx, sums in acc.items()}
+        return DiffForm(self.coord, degree, terms)
 
 
 def build_logplus_complex(p: PoissonStructure, weight_cap: int) -> WeightSlicedComplex:
@@ -335,21 +423,27 @@ def build_logplus_complex(p: PoissonStructure, weight_cap: int) -> WeightSlicedC
 
     The meromorphic derivative is taken once per index set, not once per
     column.  Its pieces are the coordinate expansions of d(phi_I) and of
-    eta_i ^ phi_I (eta_i = dx_i/x_i); every piece is certified: the
-    phi-basis coefficients extracted through the sharp map are re-expanded
-    and compared with the piece for exact equality.  A certified piece is
-    then kept as integer numerators over one denominator, the lcm of its
-    coefficients' denominators.  Each column follows from the Leibniz rule
+    eta_i ^ phi_I (eta_i = dx_i/x_i).  Each piece's phi-coordinates are
+    extracted in the log frame (``_PlusMachine.sharp_numerators``) as
+    integer numerators over one denominator, and certified: they are
+    re-expanded through the phi forms and compared with the piece for
+    exact equality.  Each column follows from the Leibniz rule
 
-        d(x^E phi_I) = x^E (d(phi_I) + sum_i E_i eta_i ^ phi_I)
+        d(x^E phi_I) = x^E (d(phi_I) + sum_i E_i eta_i ^ phi_I).
 
-    as a shifted sum of those numerators over the lcm of the denominators
-    of the pieces it uses, with one exact value (``linalg.exact``) per
-    nonzero entry, and must stay in the polynomial span.
+    The pieces a column uses depend on I and on the support of E only, so
+    they are merged once per such pair, over the lcm D of their
+    denominators, into one list of targets (J, E2), each with D c_0 from
+    d(phi_I) and the vector (D c_1, ..., D c_2n) from the eta_i ^ phi_I,
+    zero off the support.  The column then has D c_0 + sum_i E_i D c_i over
+    D (``linalg.exact``) at (J, E2 + E) for each target, one evaluation per
+    target, and must stay in the polynomial span.  Pieces, and merged
+    pieces, are computed only when a column uses them.
     """
     machine = _PlusMachine(p)
     vs = p.var_spec
-    etas = [change_frame(log_one_form(vs, i), machine.coord) for i in range(1, vs.total_vars + 1)]
+    nv = vs.total_vars
+    etas = [change_frame(log_one_form(vs, i), machine.coord) for i in range(1, nv + 1)]
 
     @functools.cache
     def piece(i: int, indices: IndexSet) -> tuple[int, list[tuple[Label, int]]]:
@@ -357,29 +451,37 @@ def build_logplus_complex(p: PoissonStructure, weight_cap: int) -> WeightSlicedC
         as (D, [(label, D * c)]) with D the lcm of their denominators."""
         phi = machine.phi_wedge(indices)
         form = etas[i - 1].wedge(phi) if i else exterior_derivative(phi)
-        coords = _flatten(machine.sharp_form(form))
+        den, sharp = machine.sharp_numerators(form)
+        nums = _flatten(sharp)
+        coords = [(lab, linalg.exact(num, den)) for lab, num in nums]
         if machine.reconstruct_from_phi(coords, len(indices) + 1) != form:
             raise AssertionError("phi-coefficient extraction failed to certify")
-        den = math.lcm(*(c.denominator for _lab, c in coords))
-        return den, [(lab, c.numerator * (den // c.denominator)) for lab, c in coords]
+        return den, nums
+
+    @functools.cache
+    def merged(indices: IndexSet, support: tuple[int, ...]):
+        """(D, [(J, E2, D c_0, (D c_1, ..., D c_2n))]) over the targets of the
+        pieces of I with i = 0 or i in the support, D their lcm; c_i = 0 for
+        the other i."""
+        parts = [(0, piece(0, indices))] + [(i, piece(i, indices)) for i in support]
+        den = math.lcm(*(d for _i, (d, _nums) in parts))
+        acc: dict[Label, list[int]] = {}
+        for i, (d, nums) in parts:
+            scale = den // d
+            for lab, num in nums:
+                acc.setdefault(lab, [0] * (nv + 1))[i] = scale * num
+        return den, [(jdx, e2, cs[0], cs[1:]) for (jdx, e2), cs in acc.items()]
 
     def images(lab: Label) -> list[tuple[Label, int | Fraction]]:
         indices, exps = lab
-        terms = [(1, piece(0, indices))]
-        terms += [(e, piece(i, indices)) for i, e in enumerate(exps, 1) if e]
-        den = math.lcm(*(d for _factor, (d, _nums) in terms))
-        acc: dict[Label, int] = {}
-        for factor, (d, nums) in terms:
-            scale = factor * (den // d)
-            for (jdx, e2), num in nums:
-                target = (jdx, tuple(map(operator.add, e2, exps)))
-                acc[target] = acc.get(target, 0) + scale * num
+        den, targets = merged(indices, tuple(i for i, e in enumerate(exps, 1) if e))
         coords = []
-        for target, num in acc.items():
-            if num:
-                if min(target[1]) < 0:
+        for jdx, e2, c0, parts in targets:
+            if num := c0 + sum(map(operator.mul, exps, parts)):
+                target = tuple(map(operator.add, e2, exps))
+                if min(target) < 0:
                     raise AssertionError("derivative left the polynomial log-plus span")
-                coords.append((target, linalg.exact(num, den)))
+                coords.append(((jdx, target), linalg.exact(num, den)))
         return coords
 
     cx = WeightSlicedComplex("logplus", vs, (0, vs.total_vars), weight_cap)
@@ -390,54 +492,50 @@ def _koszul_images(p: PoissonStructure):
     """Closed-form images of the bracket differential on labels (M, E).
 
     The label (M, E) maps to sum_{j not in M} s_j lambda_j (M + {j}, E + e_j)
-    with F = E - 1_M, lambda_j = sum_i F_i A[i][j] and s_j the sign of
+    with lambda = (E - 1_M) A = E A - 1_M A and s_j the sign of
     ``merge_indices((j,), M)``; the module docstring derives it.  A is
-    scaled once by its common denominator D, so D lambda_F is a vector of
-    integer sums, computed once per F, since all labels of one Koszul block
-    share it; each nonzero value becomes the exact values +-(D lambda_j) / D
-    (``linalg.exact``) once, shared by every entry that carries it.  The
-    insertion table [(j, s_j, M + {j})] is built once per index set M.
-    Raises ValueError outside the invariant model (``_invariant_grid``).
+    scaled once by its common denominator D.  D E A and the raised vectors
+    E + e_j are computed once per exponent vector E; the insertion table
+    [(j, s_j < 0, M + {j}, D (1_M A)_j)] once per index set M.  An entry
+    then costs one integer subtraction, D lambda_j = D (E A)_j - D (1_M A)_j,
+    and one cached pair of exact values +-(D lambda_j) / D
+    (``linalg.exact``), shared by every entry that carries it.  Raises
+    ValueError outside the invariant model (``_invariant_grid``).
     """
-    grid = _invariant_grid(p)
+    den, scaled = _invariant_grid(p)
     nv = p.var_spec.total_vars
-    den = math.lcm(*(c.denominator for row in grid for c in row))
-    scaled = [[int(c * den) for c in row] for row in grid]
 
     @functools.cache
     def value(lam: int) -> tuple[int | Fraction, int | Fraction]:
         return linalg.exact(lam, den), linalg.exact(-lam, den)
 
     @functools.cache
-    def block(f: tuple[int, ...]) -> list[tuple[int | Fraction, int | Fraction] | None]:
-        """(lambda_j, -lambda_j) for each j, None where lambda_j = 0."""
-        rows = [(fi, scaled[i]) for i, fi in enumerate(f) if fi]
-        lams = (sum(fi * row[j] for fi, row in rows) for j in range(nv))
-        return [value(lam) if lam else None for lam in lams]
+    def raised(exps: tuple[int, ...]) -> tuple[list[int], list[tuple[int, ...]]]:
+        """(D E A, [E + e_j for each j]) of the exponent vector E."""
+        rows = [(e, scaled[i]) for i, e in enumerate(exps) if e]
+        lams = [sum(e * row[j] for e, row in rows) for j in range(nv)]
+        return lams, [exps[:j] + (exps[j] + 1,) + exps[j + 1 :] for j in range(nv)]
 
     @functools.cache
-    def insertions(indices: IndexSet) -> list[tuple[int, bool, IndexSet]]:
-        """(j, s_j < 0, M + {j}) for each j not in M."""
+    def insertions(indices: IndexSet) -> list[tuple[int, bool, IndexSet, int]]:
+        """(j - 1, s_j < 0, M + {j}, D (1_M A)_j) for each j not in M."""
         table = []
         for j in range(1, nv + 1):
             merged = merge_indices((j,), indices)
             if merged is not None:
                 sign, key = merged
-                table.append((j, sign < 0, key))
+                shift = sum(scaled[i - 1][j - 1] for i in indices)
+                table.append((j - 1, sign < 0, key, shift))
         return table
 
     def images(lab: Label) -> list[tuple[Label, int | Fraction]]:
         indices, exps = lab
-        f = list(exps)
-        for i in indices:
-            f[i - 1] -= 1
-        lam = block(tuple(f))
-        out = []
-        for j, negative, key in insertions(indices):
-            c = lam[j - 1]
-            if c is not None:
-                out.append(((key, exps[: j - 1] + (exps[j - 1] + 1,) + exps[j:]), c[negative]))
-        return out
+        lams, targets = raised(exps)
+        return [
+            ((key, targets[j]), value(lam)[negative])
+            for j, negative, key, shift in insertions(indices)
+            if (lam := lams[j] - shift)
+        ]
 
     return images
 
@@ -645,8 +743,7 @@ def filtration_level_of(p: PoissonStructure, form: DiffForm) -> int | None:
     Through the sharp identification the filtration splits monomially, so
     this is a direct inspection of the multivector expansion (``_level``).
     """
-    machine = _PlusMachine(p)
-    return _level(machine.sharp_form(change_frame(form, machine.coord)))
+    return _level(_PlusMachine(p).sharp_numerators(form)[1])
 
 
 def _level(mv: MultiVector) -> int | None:

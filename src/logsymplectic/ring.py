@@ -13,7 +13,8 @@ Variables are numbered 1..2n in the public interface; exponent vectors are
 Validation happens where terms enter from outside: the constructor, `const`,
 `monomial`, `variable`, and `shift`/`divide_monomial`/`divide_exact`, which
 can create poles.  Sums, differences, negatives, products, powers and
-partial derivatives of ring elements stay in the ring, so they skip the
+partial derivatives of ring elements stay in the ring, and so does a shift
+with no negative exponent outside the divisor positions, so they skip the
 per-term checks and build their results with `LaurentPoly._from_sums`.
 """
 
@@ -219,11 +220,14 @@ class LaurentPoly:
 
     def shift(self, exps: Exponents) -> "LaurentPoly":
         """Multiply by the monomial x**exps (exps may be negative in divisor
-        positions only, enforced by the constructor)."""
-        return LaurentPoly(
-            self.var_spec,
-            {tuple(a + b for a, b in zip(e, exps)): c for e, c in self.terms.items()},
-        )
+        positions only, enforced by the constructor).  A shift of the right
+        length with no negative entry past the divisor positions keeps every
+        term in the ring, so its result skips the per-term checks."""
+        vs = self.var_spec
+        terms = {tuple(map(add, e, exps)): c for e, c in self.terms.items()}
+        if len(exps) == vs.total_vars and min(exps[vs.divisor_vars :], default=0) >= 0:
+            return LaurentPoly._from_sums(vs, terms)
+        return LaurentPoly(vs, terms)
 
     def divide_monomial(self, exps: Exponents) -> "LaurentPoly":
         """Exact division by the monomial x**exps.  Raises if the quotient

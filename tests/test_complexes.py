@@ -18,6 +18,7 @@ from logsymplectic.complexes import (
     _flatten,
     _monomials,
     _qi_basis,
+    _wedges,
     build_bracket_complex,
     build_log_complex,
     build_logplus_complex,
@@ -35,6 +36,7 @@ from logsymplectic.exterior import (
     MultiVector,
     change_frame,
     coordinate_frame,
+    coordinate_one_form,
     exterior_derivative,
     log_frame,
     log_one_form,
@@ -51,7 +53,7 @@ from logsymplectic.poisson import (
     pi_sharp,
     schouten,
 )
-from logsymplectic.ring import LaurentPoly, VarSpec, poly_from_string
+from logsymplectic.ring import LaurentPoly, VarSpec, add_product, poly_from_string
 from logsymplectic.toric import make_toric, random_2general_toric
 
 from conftest import EXPLICIT_GRID, toric_structure
@@ -233,17 +235,62 @@ def matrix_columns(cx, k: int, w: int) -> list[dict]:
     return columns
 
 
-def logplus_column_oracle(machine: _PlusMachine, lab) -> dict:
+class CoordinateRoute:
+    """The coordinate-frame phi-coordinate extraction, the oracle of
+    ``_PlusMachine.sharp_numerators``: the sharp of a coordinate form is the
+    sum of its coefficients times the wedges of the pi_sharp(dx_t), here
+    with Fraction coefficients."""
+
+    def __init__(self, p: PoissonStructure):
+        vs = p.var_spec
+        self.machine = _PlusMachine(p)
+        sharp_dx = [pi_sharp(p, coordinate_one_form(vs, t)) for t in range(1, vs.total_vars + 1)]
+        self.sharp_wedge = _wedges(MultiVector, coordinate_frame(vs), sharp_dx)
+
+    def sharp(self, form: DiffForm) -> MultiVector:
+        acc: dict = {}
+        for indices, coeff in form.terms.items():
+            for idx, poly in self.sharp_wedge(indices).terms.items():
+                add_product(acc.setdefault(idx, {}), coeff, poly, False)
+        vs = form.frame.var_spec
+        terms = {idx: LaurentPoly._from_sums(vs, sums) for idx, sums in acc.items()}
+        return MultiVector(coordinate_frame(vs), form.degree, terms)
+
+
+def extracted_sharp(machine: _PlusMachine, form: DiffForm) -> MultiVector:
+    """pi_sharp(form) from the log-frame extraction, numerators divided out."""
+    den, sharp = machine.sharp_numerators(form)
+    return sharp.scale(Fraction(1, den))
+
+
+def logplus_column_oracle(route: CoordinateRoute, lab) -> dict:
     """The per-column route: phi-coordinates of d(x^E phi_I), taken by the
-    meromorphic derivative of the whole column and certified by
-    re-expansion, with the polynomial-span check."""
+    meromorphic derivative of the whole column, extracted in the coordinate
+    frame and certified by re-expansion, with the polynomial-span check."""
+    machine = route.machine
     indices, exps = lab
     omega = machine.phi_wedge(indices).scale(LaurentPoly.monomial(machine.vs, exps, 1))
     domega = exterior_derivative(omega)
-    coords = _flatten(machine.sharp_form(domega))
+    coords = _flatten(route.sharp(domega))
     assert all(e >= 0 for (_jdx, e2), _c in coords for e in e2), lab
     assert machine.reconstruct_from_phi(coords, len(indices) + 1) == domega, lab
     return dict(coords)
+
+
+def piece_forms(machine: _PlusMachine):
+    """Every piece of the log-plus build, (I, i) -> d(phi_I) for i = 0 and
+    eta_i ^ phi_I otherwise, over the index sets below the top degree."""
+    vs = machine.vs
+    nv = vs.total_vars
+    etas = [change_frame(log_one_form(vs, i), machine.coord) for i in range(1, nv + 1)]
+    forms = {}
+    for size in range(nv):
+        for iset in itertools.combinations(range(1, nv + 1), size):
+            phi = machine.phi_wedge(iset)
+            forms[(iset, 0)] = exterior_derivative(phi)
+            for i, eta in enumerate(etas, 1):
+                forms[(iset, i)] = eta.wedge(phi)
+    return forms
 
 
 class TestLogPlusLeibniz:
@@ -252,14 +299,14 @@ class TestLogPlusLeibniz:
 
     def test_sampled_columns_match_oracle_cap4(self, toric):
         cx = build_logplus_complex(toric, 4)
-        machine = _PlusMachine(toric)
+        route = CoordinateRoute(toric)
         rng = random.Random(41)
         checked = 0
         for k, w in cx.diffs:
             source = cx.basis[(k, w)]
             columns = matrix_columns(cx, k, w)
             for c in sorted(rng.sample(range(len(source)), min(8, len(source)))):
-                assert columns[c] == logplus_column_oracle(machine, source[c]), source[c]
+                assert columns[c] == logplus_column_oracle(route, source[c]), source[c]
                 checked += 1
         assert len(cx.diffs) == 26 and checked == 187
 
@@ -267,25 +314,28 @@ class TestLogPlusLeibniz:
         # degree 3: |I| is odd, so the order of eta_i ^ phi_I shows in the sign
         p = random_2general_toric(random.Random(3), 3).structure
         cx = build_logplus_complex(p, 0)
-        machine = _PlusMachine(p)
+        route = CoordinateRoute(p)
         source = cx.basis[(3, -1)]
         assert len(source) == 420
         for lab, column in zip(source, matrix_columns(cx, 3, -1)):
-            assert column == logplus_column_oracle(machine, lab), lab
+            assert column == logplus_column_oracle(route, lab), lab
 
     def test_fractional_matrix_columns_match_oracle(self):
         # A has denominators 2 and 4, so the pieces of one index set carry
         # different denominators and meet in the common one of a column
         p = fractional_2general_structure(11)
-        machine = _PlusMachine(p)
+        route = CoordinateRoute(p)
+        machine = route.machine
         etas = [change_frame(log_one_form(VS, i), machine.coord) for i in range(1, 5)]
 
         def denominator(form):
-            return math.lcm(*(c.denominator for _lab, c in _flatten(machine.sharp_form(form))))
+            return math.lcm(*(c.denominator for _lab, c in _flatten(route.sharp(form))))
 
         phi = machine.phi_wedge((1, 2, 4))
-        dens = [denominator(exterior_derivative(phi))] + [denominator(e.wedge(phi)) for e in etas]
-        assert dens == [2, 2, 2, 1, 2]
+        forms = [exterior_derivative(phi)] + [e.wedge(phi) for e in etas]
+        assert [denominator(form) for form in forms] == [2, 2, 2, 1, 2]
+        # the extraction's denominator is the least one
+        assert [machine.sharp_numerators(form)[0] for form in forms] == [2, 2, 2, 1, 2]
         cx = build_logplus_complex(p, 2)
         rng = random.Random(43)
         fractional = 0
@@ -293,7 +343,7 @@ class TestLogPlusLeibniz:
             source = cx.basis[(k, w)]
             columns = matrix_columns(cx, k, w)
             for c in sorted(rng.sample(range(len(source)), min(8, len(source)))):
-                assert columns[c] == logplus_column_oracle(machine, source[c]), source[c]
+                assert columns[c] == logplus_column_oracle(route, source[c]), source[c]
                 fractional += any(v.denominator > 1 for v in columns[c].values())
         assert fractional > 0
         rep = conjugation_report(p, 2, 4)
@@ -304,23 +354,104 @@ class TestLogPlusLeibniz:
         # corrupt the coefficient extraction of one kind of piece only; the
         # pieces d(phi_I) are the forms that exterior_derivative returned
         derived = []
-        real_d, real_sharp = complexes.exterior_derivative, _PlusMachine.sharp_form
+        real_d, real_sharp = complexes.exterior_derivative, _PlusMachine.sharp_numerators
 
         def recording_d(form):
             derived.append(real_d(form))
             return derived[-1]
 
         def corrupt_sharp(machine, form):
-            mv = real_sharp(machine, form)
+            den, mv = real_sharp(machine, form)
             if mv.terms and any(form is f for f in derived) == (kind == "d_phi"):
                 idx, poly = next(iter(mv.terms.items()))
                 mv = MultiVector(mv.frame, mv.degree, {**mv.terms, idx: poly + poly})
-            return mv
+            return den, mv
 
         monkeypatch.setattr(complexes, "exterior_derivative", recording_d)
-        monkeypatch.setattr(_PlusMachine, "sharp_form", corrupt_sharp)
+        monkeypatch.setattr(_PlusMachine, "sharp_numerators", corrupt_sharp)
         with pytest.raises(AssertionError, match="failed to certify"):
             build_logplus_complex(toric, 1)
+
+
+class TestLogFrameExtraction:
+    """The phi-coordinates the build certifies come from the log frame; the
+    coordinate-frame wedges of the pi_sharp(dx_t) are their oracle."""
+
+    def assert_pieces_match(self, p: PoissonStructure) -> int:
+        route = CoordinateRoute(p)
+        machine = route.machine
+        forms = piece_forms(machine)
+        for key, form in forms.items():
+            den, sharp = machine.sharp_numerators(form)
+            oracle = route.sharp(form)
+            assert sharp.scale(Fraction(1, den)) == oracle, key
+            coeffs = [c for poly in oracle.terms.values() for c in poly.terms.values()]
+            assert den == math.lcm(*(c.denominator for c in coeffs)), key
+            assert all(type(c) is int for poly in sharp.terms.values() for c in poly.terms.values())
+        return len(forms)
+
+    def test_every_piece_of_the_fixture(self, toric):
+        assert self.assert_pieces_match(toric) == 15 * 5
+
+    def test_every_piece_2n6(self):
+        p = random_2general_toric(random.Random(3), 3).structure
+        assert self.assert_pieces_match(p) == 63 * 7
+
+    def test_every_piece_fractional(self):
+        assert self.assert_pieces_match(fractional_2general_structure(11)) == 15 * 5
+
+    def test_piece_above_the_top_degree_is_empty(self, toric):
+        # eta_i ^ phi_I with |I| = 2n is the zero form
+        machine = _PlusMachine(toric)
+        eta = change_frame(log_one_form(VS, 1), machine.coord)
+        form = eta.wedge(machine.phi_wedge((1, 2, 3, 4)))
+        assert form.is_zero()
+        den, sharp = machine.sharp_numerators(form)
+        assert den == 1 and sharp.is_zero()
+        assert machine.reconstruct_from_phi([], 5) == form
+
+    def test_filtration_level_reads_the_log_frame(self, toric):
+        # a log-frame input is read without a detour through coordinates
+        phis = phi_forms(toric)
+        prod = wedge(phis[0], phis[2])
+        assert filtration_level_of(toric, change_frame(prod, log_frame(VS))) == 2
+        assert filtration_level_of(toric, prod) == 2
+
+
+class TestEveryLogPlusColumn:
+    """At 2n = 4, cap 2 every column of the build equals the per-column
+    oracle, so every (I, support of E) the merged pieces are keyed on is
+    checked."""
+
+    def assert_every_column(self, p: PoissonStructure) -> list:
+        cx = build_logplus_complex(p, 2)
+        route = CoordinateRoute(p)
+        checked = []
+        for k, w in cx.diffs:
+            for lab, column in zip(cx.basis[(k, w)], matrix_columns(cx, k, w)):
+                assert column == logplus_column_oracle(route, lab), lab
+                checked.append(lab)
+        supports = {(lab[0], tuple(i for i, e in enumerate(lab[1]) if e)) for lab in checked}
+        below_top = sum(math.comb(4, k) for k in range(4))
+        assert len(supports) == below_top * 16 - sum(
+            math.comb(4, k) * sum(math.comb(4, s) for s in range(k + 3, 5)) for k in range(4)
+        )
+        return checked
+
+    @pytest.mark.parametrize("which", ["fixture", "fractional"])
+    def test_every_column(self, toric, which):
+        p = toric if which == "fixture" else fractional_2general_structure(11)
+        checked = self.assert_every_column(p)
+        assert len(checked) == len(set(checked))
+        # E = 0 columns, and a column using the empty piece eta_4 ^ phi_(1,2,3):
+        # pi_sharp sends it to A[4][4] v_4 ^ d_(1,2,3) = 0
+        assert ((1, 3), (0, 0, 0, 0)) in checked and ((), (0, 0, 0, 0)) in checked
+        assert ((1, 2, 3), (0, 0, 0, 1)) in checked
+        machine = _PlusMachine(p)
+        eta4 = change_frame(log_one_form(VS, 4), machine.coord)
+        empty = eta4.wedge(machine.phi_wedge((1, 2, 3)))
+        den, sharp = machine.sharp_numerators(empty)
+        assert empty.is_zero() and den == 1 and sharp.is_zero()
 
 
 class TestConjugation:
@@ -347,8 +478,8 @@ class TestConjugation:
                 coordinate_frame(VS),
             )
             machine = _PlusMachine(toric)
-            lhs = machine.sharp_form(exterior_derivative(omega))
-            rhs = schouten(machine.sharp_form(omega), toric.bivector)
+            lhs = extracted_sharp(machine, exterior_derivative(omega))
+            rhs = schouten(extracted_sharp(machine, omega), toric.bivector)
             assert lhs == rhs
 
     def test_bracket_complex_d_squared(self, toric):

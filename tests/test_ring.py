@@ -267,6 +267,21 @@ class TestClosedOperations:
         assert (p + (-p)).is_zero() and (p - p).is_zero()
         assert (p + m) * (p - m) == p * p - m * m
 
+    @given(laurent_polys(max_terms=4), MONOMIAL_EXPONENTS)
+    @settings(max_examples=40, deadline=None)
+    def test_shift_without_nondivisor_pole_is_canonical(self, p, exps):
+        r = p.shift(exps)
+        assert_canonical(r)
+        assert r == p * LaurentPoly.monomial(VS, exps)
+
+    def test_shift_by_negative_nondivisor_entry_is_checked(self):
+        # terms that keep a nonnegative x3 exponent pass; one that would not raises
+        assert poly("x3^2 + x1*x3").shift((0, 0, -1, 0)) == poly("x3 + x1")
+        with pytest.raises(ValueError, match="non-divisor variable x3"):
+            poly("x3 + x1").shift((0, 0, -1, 0))
+        with pytest.raises(ValueError, match="wrong length"):
+            poly("x3").shift((1, 0, 0))
+
     def test_cancelling_product(self):
         x1, x2 = LaurentPoly.variable(VS, 1), LaurentPoly.variable(VS, 2)
         r = (x1 + x2) * (x1 - x2)
