@@ -109,7 +109,9 @@ its sharp in the coordinate frame.  In the log frame the sharp is constant:
 ``_PlusMachine.sharp_numerators`` is this recipe: ``change_frame`` to the
 log frame, for each monomial of the coefficients one integer product of
 its row of numerators with the compound of D A (``_compounds``, built once
-per degree), and ``change_frame`` back.  It extracts; it does not certify.
+per degree), and the label (K, E + 1_K) for the result at x^E v_K.  It
+returns int numerators over one denominator; it extracts and does not
+certify.
 The certificate re-expands the coordinates through ``phi_forms`` and
 compares with the piece; it reads neither A nor the compound.
 """
@@ -374,14 +376,14 @@ class _PlusMachine:
         self.den = den
         self.compound = _compounds(scaled)
 
-    def sharp_numerators(self, form: DiffForm) -> tuple[int, MultiVector]:
-        """(N, N * pi_sharp(form)) in the coordinate frame, with int
-        coefficients and the least N > 0 that makes them integral; the
-        coefficient of x^E d_J is N times the coefficient of x^E phi_J in
-        the form.  In the log frame pi_sharp is the constant compound of A
-        (module docstring), so this is ``change_frame`` to it, one integer
-        product of each monomial's row of numerators with ``compound`` and
-        ``change_frame`` back."""
+    def sharp_numerators(self, form: DiffForm) -> tuple[int, list[tuple[Label, int]]]:
+        """(N, [((K, E), n)]): the phi-coordinates of the form as int
+        numerators over the least N > 0 that makes them integral; n / N is
+        the coefficient of x^E phi_K in the form, and of x^E d_K in
+        pi_sharp(form).  In the log frame pi_sharp is the constant compound
+        of A (module docstring), so this is ``change_frame`` to it and one
+        integer product of each monomial's row of numerators with
+        ``compound``; x^E v_K = x^(E + 1_K) d_K gives the coordinate label."""
         log = change_frame(form, self.log)
         num_den = math.lcm(*(c.denominator for g in log.terms.values() for c in g.terms.values()))
         position, columns = self.compound(form.degree)
@@ -399,11 +401,11 @@ class _PlusMachine:
                     acc.setdefault(kdx, {})[e] = n
         den = num_den * self.den**form.degree
         g = math.gcd(den, *(n for sums in acc.values() for n in sums.values()))
-        terms = {
-            kdx: LaurentPoly._from_sums(self.vs, {e: n // g for e, n in sums.items()})
-            for kdx, sums in acc.items()
-        }
-        return den // g, change_frame(MultiVector(self.log, form.degree, terms), self.coord)
+        nums = []
+        for kdx, sums in acc.items():
+            ones = [int(i in kdx) for i in range(1, self.vs.total_vars + 1)]
+            nums.extend(((kdx, tuple(map(operator.add, e, ones))), n // g) for e, n in sums.items())
+        return den // g, nums
 
     def reconstruct_from_phi(self, coords, degree: int) -> DiffForm:
         """Sum of c * x^E phi_J over the ((J, E), c) in coords, as a
@@ -451,8 +453,7 @@ def build_logplus_complex(p: PoissonStructure, weight_cap: int) -> WeightSlicedC
         as (D, [(label, D * c)]) with D the lcm of their denominators."""
         phi = machine.phi_wedge(indices)
         form = etas[i - 1].wedge(phi) if i else exterior_derivative(phi)
-        den, sharp = machine.sharp_numerators(form)
-        nums = _flatten(sharp)
+        den, nums = machine.sharp_numerators(form)
         coords = [(lab, linalg.exact(num, den)) for lab, num in nums]
         if machine.reconstruct_from_phi(coords, len(indices) + 1) != form:
             raise AssertionError("phi-coefficient extraction failed to certify")
@@ -741,20 +742,21 @@ def filtration_level_of(p: PoissonStructure, form: DiffForm) -> int | None:
     not in the polynomial log-plus span at all.
 
     Through the sharp identification the filtration splits monomially, so
-    this is a direct inspection of the multivector expansion (``_level``).
+    this is a direct inspection of the labels of the multivector expansion
+    (``_level``).
     """
     return _level(_PlusMachine(p).sharp_numerators(form)[1])
 
 
-def _level(mv: MultiVector) -> int | None:
-    """The largest level set (``_level_set``) among the terms of a
-    coordinate multivector, or None if a coefficient exponent is negative."""
+def _level(coords) -> int | None:
+    """The largest level set (``_level_set``) among the labels of the
+    (label, value) pairs of a coordinate multivector, or None if a
+    coefficient exponent is negative."""
     level = 0
-    for indices, poly in mv.terms.items():
-        for exps in poly.terms:
-            if any(e < 0 for e in exps):
-                return None
-            level = max(level, len(_level_set(indices, exps)))
+    for (indices, exps), _c in coords:
+        if any(e < 0 for e in exps):
+            return None
+        level = max(level, len(_level_set(indices, exps)))
     return level
 
 
@@ -820,9 +822,9 @@ def filtration_report(p: PoissonStructure, level: int, weight_cap: int, max_degr
                     }
                 )
     ann_ok = all(
-        _level(sharp_phi(iset)) == len(iset)
+        _level(_flatten(sharp_phi(iset))) == len(iset)
         and all(
-            _level(sharp_phi(iset).scale(LaurentPoly.variable(vs, r))) == len(iset) - 1
+            _level(_flatten(sharp_phi(iset).scale(LaurentPoly.variable(vs, r)))) == len(iset) - 1
             for r in iset
         )
         for iset in isets

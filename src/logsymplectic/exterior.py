@@ -295,8 +295,7 @@ def change_frame(x, target: Frame):
     """Re-express a form or multivector in the other frame.
 
     coordinate <-> log is a diagonal rescaling over the localized ring, so
-    round trips are exact identities.  A coefficient whose index set has no
-    divisor index is kept as it is.
+    round trips are exact identities.
     """
     if x.frame == target:
         return x
@@ -304,10 +303,10 @@ def change_frame(x, target: Frame):
     if vs != target.var_spec:
         raise ValueError("var_spec mismatch")
     sign = (1 if target.kind == LOG else -1) * (1 if isinstance(x, DiffForm) else -1)
-    out = {}
-    for indices, coeff in x.terms.items():
-        scaling = _log_scaling(vs, indices, sign)
-        out[indices] = coeff.shift(scaling) if any(scaling) else coeff
+    out = {
+        indices: coeff.shift(_log_scaling(vs, indices, sign))
+        for indices, coeff in x.terms.items()
+    }
     return type(x)(target, x.degree, out)
 
 

@@ -182,10 +182,6 @@ class TestChangeFrame:
         eta3 = log_one_form(VS, 3)
         assert change_frame(eta3, COORD) == coordinate_one_form(VS, 3)
 
-    def test_coefficient_without_divisor_index_kept(self):
-        c = poly("x1^-1*x3 + 2*x4")
-        assert change_frame(form_monomial(COORD, (3, 4), c), LOGF).terms[(3, 4)] is c
-
     def test_round_trips(self):
         rng = random.Random(11)
         for _ in range(25):
