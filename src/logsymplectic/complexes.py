@@ -70,9 +70,9 @@ F = E - 1_M, so
     lambda = F A = E A - 1_M A:
 
 the first term depends on the exponent vector alone and the second on the
-index set alone, so ``_koszul_images`` caches D E A (with the raised vectors
-E + e_j) per E and folds D 1_M A into the insertion table of M; an entry is
-one integer subtraction.
+index set alone, so ``_koszul_tables`` computes D E A once per exponent
+vector and folds D 1_M A into the insertion table of M; an entry is one
+integer subtraction.
 ``build_bracket_complex`` and ``build_qi`` assemble their matrices from
 this formula; the Schouten bracket stays as the test oracle for it, and
 ``conjugation_report`` compares it with the certified log-plus derivative.
@@ -112,8 +112,44 @@ its row of numerators with the compound of D A (``_compounds``, built once
 per degree), and the label (K, E + 1_K) for the result at x^E v_K.  It
 returns int numerators over one denominator; it extracts and does not
 certify.
-The certificate re-expands the coordinates through ``phi_forms`` and
-compares with the piece; it reads neither A nor the compound.
+The certificate (``_PlusMachine.certifies``) re-expands the coordinates
+through ``phi_forms`` and compares with the piece, in integers: each phi_J
+as int numerators over one denominator, the sum over their lcm, and the
+piece scaled to match.  It reads neither A nor the compound.
+
+Slice layout
+------------
+
+Slice (k, w) of a frame basis is the concatenation, over I in
+``combinations(2n, k)`` order, of ``_monomials(2n, total(I))`` with
+total(I) = w - ``frame_element_weight(I)``.  So the label (I, E) sits at
+
+    position = offset(I) + rank(E),
+
+offset(I) the number of labels of the index sets before I and rank(E) the
+index of E among the sorted monomials of its total; that is its index in
+the sorted ``basis`` list.  Tables keyed by (2n, total) alone, like
+``_monomials``, give rank(E) (``_ranks``), rank(E + e_j) (``_raised``),
+rank(E - e_t) (``_lowered``) and the support of E (``_supports``), so a
+builder finds the position of every target by integer arithmetic and never
+hashes a label.  ``_fill_slices`` walks the columns (I, E) of a slice in
+order and calls each builder's writer once per index set I, with the
+offsets of the target slice:
+
+* the log complex: per t an insertion (offset(I + {t}), sign), and the
+  rank of E (t on the divisor) or of E - e_t (``_lowered``);
+* the bracket complex: per j the insertion table of ``_koszul_tables``,
+  offset(M + {j}) and the rank of E + e_j (``_raised``);
+* the log-plus complex: per (I, support of E) the merged piece, and per
+  target shift e2 one table of the ranks of E + e2 for the whole slice;
+* ``build_qi``: the bracket writer on the ``_qi_basis`` labels of each
+  bracket slice, into rows that exist only at the positions of those
+  labels, so an image that leaves the piece raises.
+
+``merge_indices`` runs once per (I, j) and slice, not once per entry.  No
+generator emits a target twice in one column (its targets are distinct
+insertions j or t, or distinct labels of a merged piece), so every entry is
+one store and nothing is summed.
 """
 
 from __future__ import annotations
@@ -140,7 +176,7 @@ from .exterior import (
     wedge,
 )
 from .poisson import PoissonStructure, log_matrix, phi_forms, pi_sharp
-from .ring import LaurentPoly, VarSpec, add_product
+from .ring import LaurentPoly, VarSpec
 
 IndexSet = tuple[int, ...]
 Label = tuple[IndexSet, tuple[int, ...]]  # (frame indices, coefficient exponents)
@@ -203,61 +239,137 @@ def _monomials(nvars: int, total: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _frame_basis(frame: Frame, is_form: bool):
-    """The weight rule: ``basis(k, w)`` lists the labels (I, E), |I| = k, of
-    x^E times the frame element of I with |E| = w minus that element's
-    weight (``exterior.frame_element_weight``), in sorted order."""
+@functools.cache
+def _ranks(nvars: int, total: int) -> dict[tuple[int, ...], int]:
+    """The position of each exponent vector in ``_monomials(nvars, total)``."""
+    return {exps: r for r, exps in enumerate(_monomials(nvars, total))}
+
+
+@functools.cache
+def _raised(nvars: int, total: int) -> tuple[tuple[int, ...], ...]:
+    """Per variable j - 1, the rank of E + e_j in ``_monomials(nvars, total + 1)``
+    for each E of ``_monomials(nvars, total)`` in order."""
+    up = _ranks(nvars, total + 1)
+    mons = _monomials(nvars, total)
+    return tuple(tuple(up[e[:j] + (e[j] + 1,) + e[j + 1 :]] for e in mons) for j in range(nvars))
+
+
+@functools.cache
+def _lowered(nvars: int, total: int) -> tuple[tuple[int, ...], ...]:
+    """Per variable t - 1, the rank of E - e_t in ``_monomials(nvars, total - 1)``
+    for each E of ``_monomials(nvars, total)`` in order, -1 where E_t = 0."""
+    down = _ranks(nvars, total - 1)
+    mons = _monomials(nvars, total)
+    return tuple(
+        tuple(down[e[:t] + (e[t] - 1,) + e[t + 1 :]] if e[t] else -1 for e in mons)
+        for t in range(nvars)
+    )
+
+
+@functools.cache
+def _supports(nvars: int, total: int) -> tuple[tuple[int, ...], ...]:
+    """The support {i : E_i > 0} of each E of ``_monomials(nvars, total)``."""
+    return tuple(tuple(i for i, e in enumerate(exps, 1) if e) for exps in _monomials(nvars, total))
+
+
+class _LeftSlice(Exception):
+    """An image landed on a position outside the target slice."""
+
+
+class _Outside:
+    """The row of a layout position that is not in the slice: storing into it
+    raises ``_LeftSlice``, which ``_fill_slices`` reports."""
+
+    def __setitem__(self, col, value):
+        raise _LeftSlice
+
+
+_OUTSIDE = _Outside()
+
+
+@dataclass
+class _Slice:
+    """One slice (k, w) in the slice layout: ``blocks`` maps each index set I
+    with monomials there to (offset(I), total), the labels (I, E) taking the
+    positions offset(I) + rank(E), E in ``_monomials(2n, total)``, in
+    ``size`` positions in all.  ``labels`` are the basis of the slice, a
+    sorted subset of the layout, at ``positions``; ``groups`` lists them as
+    (I, total, first column, ranks of their E)."""
+
+    blocks: dict[IndexSet, tuple[int, int]]
+    size: int
+    labels: list[Label]
+    positions: list[int] | range
+    groups: list[tuple[IndexSet, int, int, list[int] | range]]
+
+
+def _slice(frame: Frame, is_form: bool, k: int, w: int, keep) -> _Slice:
+    """The slice (k, w) of the frame basis (the weight rule of
+    ``exterior.frame_element_weight``), restricted to the sorted labels
+    ``keep(k, w)`` unless ``keep`` is None."""
     nv = frame.var_spec.total_vars
-
-    def basis(k: int, w: int) -> list[Label]:
-        return [
-            (indices, exps)
-            for indices in itertools.combinations(range(1, nv + 1), k)
-            for exps in _monomials(nv, w - frame_element_weight(frame, indices, is_form))
-        ]
-
-    return basis
-
-
-def _assemble_matrix(source: list[Label], target: list[Label], images) -> list[linalg.Row]:
-    """Sparse rows of a map given by ``images(label) -> iterable of (label, c)``
-    with nonzero exact values c in normal form.  The first c of a column in
-    a row is stored as it is; only a repeated target is summed, a sum of
-    zero is dropped, and any other sum is put in normal form."""
-    index = {lab: i for i, lab in enumerate(target)}
-    mat: list[linalg.Row] = [{} for _ in target]
-    for col, lab in enumerate(source):
-        for lab2, c in images(lab):
-            try:
-                row = mat[index[lab2]]
-            except KeyError:
-                raise AssertionError(f"differential left the slice: {lab} -> {lab2}") from None
-            if col not in row:
-                row[col] = c
-            elif val := row[col] + c:
-                row[col] = linalg.exact(val.numerator, val.denominator)
-            else:
-                del row[col]
-    return mat
+    blocks: dict[IndexSet, tuple[int, int]] = {}
+    size = 0
+    for indices in itertools.combinations(range(1, nv + 1), k):
+        total = w - frame_element_weight(frame, indices, is_form)
+        if count := len(_monomials(nv, total)):
+            blocks[indices] = (size, total)
+            size += count
+    if keep is None:
+        labels = [(i, e) for i, (_o, total) in blocks.items() for e in _monomials(nv, total)]
+        groups = [(i, total, o, range(len(_monomials(nv, total)))) for i, (o, total) in blocks.items()]
+        return _Slice(blocks, size, labels, range(size), groups)
+    labels = keep(k, w)
+    positions, groups = [], []
+    for indices, group in itertools.groupby(labels, operator.itemgetter(0)):
+        offset, total = blocks[indices]
+        ranks = [_ranks(nv, total)[e] for _i, e in group]
+        groups.append((indices, total, len(positions), ranks))
+        positions.extend(offset + r for r in ranks)
+    return _Slice(blocks, size, labels, positions, groups)
 
 
-def _fill_slices(cx: WeightSlicedComplex, basis, images) -> WeightSlicedComplex:
-    """Fill ``cx.basis`` from ``basis(degree, weight) -> sorted labels`` over
-    its degree range and weights -degree..cap (no label weighs less than
-    minus its degree), then ``cx.diffs`` from ``images`` below the top."""
+def _fill_slices(cx: WeightSlicedComplex, frame: Frame, is_form: bool, columns, keep=None):
+    """Fill ``cx.basis`` in the slice layout (module docstring) over its
+    degree range and weights -degree..cap (no label weighs less than minus
+    its degree), then ``cx.diffs`` below the top, by position.
+
+    ``columns(blocks)`` is called once per target slice, with that slice's
+    ``_Slice.blocks``, and returns ``write(indices, total, rows, col0,
+    ranks)``: for the i-th rank r in ranks it stores the image of
+    (I, _monomials(2n, total)[r]) as column col0 + i, ``rows[p][col0 + i] =
+    c`` for each target at layout position p, with c nonzero and in normal
+    form (``linalg.exact``).  No generator emits a target twice in one
+    column (its targets are distinct insertions, or distinct labels of a
+    merged piece), so nothing is summed.  A position outside the target's
+    labels (``keep``) raises AssertionError."""
     if cx.weight_cap < 0:
         raise ValueError("weight_cap must be >= 0")
     lo, top = cx.degree_range
-    for degree in range(lo, top + 1):
-        for w in range(-degree, cx.weight_cap + 1):
-            labels = basis(degree, w)
-            if labels:
-                cx.basis[(degree, w)] = labels
-    for (degree, w), src in cx.basis.items():
-        if degree < top:
-            cx.diffs[(degree, w)] = _assemble_matrix(
-                src, cx.basis.get((degree + 1, w), []), images
-            )
+    slices = {
+        (degree, w): _slice(frame, is_form, degree, w, keep)
+        for degree in range(lo, top + 1)
+        for w in range(-degree, cx.weight_cap + 1)
+    }
+    for key, sl in slices.items():
+        if sl.labels:
+            cx.basis[key] = sl.labels
+    for (degree, w), src in slices.items():
+        if degree == top or not src.labels:
+            continue
+        tgt = slices[(degree + 1, w)]
+        rows: list = [_OUTSIDE] * tgt.size
+        for p in tgt.positions:
+            rows[p] = {}
+        write = columns(tgt.blocks)
+        for indices, total, col0, ranks in src.groups:
+            try:
+                write(indices, total, rows, col0, ranks)
+            except _LeftSlice:
+                raise AssertionError(
+                    f"differential left the slice: a column of {indices} in {(degree, w)}"
+                ) from None
+        cx.diffs[(degree, w)] = [rows[p] for p in tgt.positions]
     return cx
 
 
@@ -280,23 +392,26 @@ def build_log_complex(vs: VarSpec, weight_cap: int) -> WeightSlicedComplex:
     """
     nv, m = vs.total_vars, vs.divisor_vars
 
-    def images(lab: Label):
-        indices, exps = lab
-        for t in range(1, nv + 1):
-            e = exps[t - 1]
-            if e == 0:
-                continue
-            merged = merge_indices((t,), indices)
-            if merged is None:
-                continue
-            sign, key = merged
-            # dx_t = x_t eta_t on divisor indices, so the exponent stays put
-            # there and drops by one otherwise.
-            new_exps = exps if t <= m else exps[: t - 1] + (e - 1,) + exps[t:]
-            yield (key, new_exps), linalg.exact(sign * e)
+    def columns(blocks):
+        def write(indices, total, rows, col0, ranks):
+            # d(x^E eta_I) = sum_t E_t x^E eta_t ^ eta_I: dx_t = x_t eta_t on
+            # divisor indices, so E stays put there and drops by e_t otherwise.
+            mons = _monomials(nv, total)
+            for t in range(1, nv + 1):
+                merged = merge_indices((t,), indices)
+                if merged is None or (t > m and total == 0):
+                    continue  # no x_t to lower when |E| = 0: no block of I + {t}
+                sign, key = merged
+                offset = blocks[key][0]
+                target = range(len(mons)) if t <= m else _lowered(nv, total)[t - 1]
+                for col, r in enumerate(ranks, col0):
+                    if e := mons[r][t - 1]:
+                        rows[offset + target[r]][col] = sign * e
+
+        return write
 
     cx = WeightSlicedComplex("log", vs, (0, nv), weight_cap)
-    return _fill_slices(cx, _frame_basis(log_frame(vs), True), images)
+    return _fill_slices(cx, log_frame(vs), True, columns)
 
 
 # -- shared machinery for the log-plus side -----------------------------------
@@ -373,8 +488,18 @@ class _PlusMachine:
         self.coord = coordinate_frame(vs)
         self.log = log_frame(vs)
         self.phi_wedge = _wedges(DiffForm, self.coord, phi_forms(p))  # raises when A is singular
+        self.phi_numerators = functools.cache(self._phi_numerators)
         self.den = den
         self.compound = _compounds(scaled)
+
+    def _phi_numerators(self, indices: IndexSet):
+        """(d, [(idx, [(E, n)])]): phi_I as int numerators n over the least d."""
+        terms = self.phi_wedge(indices).terms
+        d = math.lcm(*(c.denominator for g in terms.values() for c in g.terms.values()))
+        return d, [
+            (idx, [(e, c.numerator * (d // c.denominator)) for e, c in g.terms.items()])
+            for idx, g in terms.items()
+        ]
 
     def sharp_numerators(self, form: DiffForm) -> tuple[int, list[tuple[Label, int]]]:
         """(N, [((K, E), n)]): the phi-coordinates of the form as int
@@ -407,17 +532,37 @@ class _PlusMachine:
             nums.extend(((kdx, tuple(map(operator.add, e, ones))), n // g) for e, n in sums.items())
         return den // g, nums
 
-    def reconstruct_from_phi(self, coords, degree: int) -> DiffForm:
-        """Sum of c * x^E phi_J over the ((J, E), c) in coords, as a
-        coordinate form (for certification), accumulated in term dicts and
-        built once."""
-        acc: dict[IndexSet, dict[tuple[int, ...], Fraction]] = {}
-        for (indices, exps), c in coords:
-            monomial = LaurentPoly.monomial(self.vs, exps, c)
-            for idx, poly in self.phi_wedge(indices).terms.items():
-                add_product(acc.setdefault(idx, {}), monomial, poly, False)
-        terms = {idx: LaurentPoly._from_sums(self.vs, sums) for idx, sums in acc.items()}
-        return DiffForm(self.coord, degree, terms)
+    def certifies(self, form: DiffForm, den: int, nums) -> bool:
+        """Whether sum (n / den) x^E phi_J over the ((J, E), n) in nums
+        equals the coordinate form, in integers: each phi_J is int
+        numerators over one denominator (``phi_numerators``), the sum is
+        accumulated over their lcm L, and the form is scaled by den * L; a
+        coefficient that does not scale to an integer is a mismatch.  It
+        re-expands through ``phi_forms`` and reads neither A nor the
+        compound."""
+        parts = [(lab, n, self.phi_numerators(lab[0])) for lab, n in nums]
+        common = math.lcm(*(d for _lab, _n, (d, _terms) in parts))
+        acc: dict[IndexSet, dict[tuple[int, ...], int]] = {}
+        for (_jdx, exps), n, (d, terms) in parts:
+            n *= common // d
+            for idx, coeffs in terms:
+                sums = acc.setdefault(idx, {})
+                for e, c in coeffs:
+                    key = tuple(map(operator.add, exps, e))
+                    sums[key] = sums.get(key, 0) + n * c
+        scale = den * common
+        want: dict[IndexSet, dict[tuple[int, ...], int]] = {}
+        for idx, poly in form.terms.items():
+            row = {}
+            for e, c in poly.terms.items():
+                q, r = divmod(c.numerator * scale, c.denominator)
+                if r:
+                    return False
+                row[e] = q
+            if row:
+                want[idx] = row
+        got = {idx: row for idx, sums in acc.items() if (row := {e: v for e, v in sums.items() if v})}
+        return got == want
 
 
 def build_logplus_complex(p: PoissonStructure, weight_cap: int) -> WeightSlicedComplex:
@@ -429,7 +574,8 @@ def build_logplus_complex(p: PoissonStructure, weight_cap: int) -> WeightSlicedC
     extracted in the log frame (``_PlusMachine.sharp_numerators``) as
     integer numerators over one denominator, and certified: they are
     re-expanded through the phi forms and compared with the piece for
-    exact equality.  Each column follows from the Leibniz rule
+    exact equality, in integers (``_PlusMachine.certifies``).  Each column
+    follows from the Leibniz rule
 
         d(x^E phi_I) = x^E (d(phi_I) + sum_i E_i eta_i ^ phi_I).
 
@@ -439,8 +585,12 @@ def build_logplus_complex(p: PoissonStructure, weight_cap: int) -> WeightSlicedC
     d(phi_I) and the vector (D c_1, ..., D c_2n) from the eta_i ^ phi_I,
     zero off the support.  The column then has D c_0 + sum_i E_i D c_i over
     D (``linalg.exact``) at (J, E2 + E) for each target, one evaluation per
-    target, and must stay in the polynomial span.  Pieces, and merged
-    pieces, are computed only when a column uses them.
+    target, and must stay in the polynomial span.  The position of
+    (J, E2 + E) is offset(J) plus one table lookup: the ranks of E + E2 are
+    tabulated once per target shift E2 and slice (slice layout, module
+    docstring), and a target of the wrong degree or weight leaves the
+    slice.  Pieces, and merged pieces, are computed only when a column uses
+    them.
     """
     machine = _PlusMachine(p)
     vs = p.var_spec
@@ -454,8 +604,7 @@ def build_logplus_complex(p: PoissonStructure, weight_cap: int) -> WeightSlicedC
         phi = machine.phi_wedge(indices)
         form = etas[i - 1].wedge(phi) if i else exterior_derivative(phi)
         den, nums = machine.sharp_numerators(form)
-        coords = [(lab, linalg.exact(num, den)) for lab, num in nums]
-        if machine.reconstruct_from_phi(coords, len(indices) + 1) != form:
+        if not machine.certifies(form, den, nums):
             raise AssertionError("phi-coefficient extraction failed to certify")
         return den, nums
 
@@ -473,35 +622,58 @@ def build_logplus_complex(p: PoissonStructure, weight_cap: int) -> WeightSlicedC
                 acc.setdefault(lab, [0] * (nv + 1))[i] = scale * num
         return den, [(jdx, e2, cs[0], cs[1:]) for (jdx, e2), cs in acc.items()]
 
-    def images(lab: Label) -> list[tuple[Label, int | Fraction]]:
-        indices, exps = lab
-        den, targets = merged(indices, tuple(i for i, e in enumerate(exps, 1) if e))
-        coords = []
-        for jdx, e2, c0, parts in targets:
-            if num := c0 + sum(map(operator.mul, exps, parts)):
-                target = tuple(map(operator.add, e2, exps))
-                if min(target) < 0:
-                    raise AssertionError("derivative left the polynomial log-plus span")
-                coords.append(((jdx, target), linalg.exact(num, den)))
-        return coords
+    def columns(blocks):
+        shifted: dict[tuple[int, tuple[int, ...]], list[int]] = {}
+
+        def shifted_ranks(total: int, e2: tuple[int, ...]) -> list[int]:
+            """The rank of E + e2 among the target's monomials for each E of
+            the given total, -1 where it has a negative entry."""
+            key = (total, e2)
+            if key not in shifted:
+                ranks = _ranks(nv, total + sum(e2))
+                shifted[key] = [ranks.get(tuple(map(operator.add, e, e2)), -1) for e in _monomials(nv, total)]
+            return shifted[key]
+
+        def write(indices, total, rows, col0, ranks):
+            mons, supports = _monomials(nv, total), _supports(nv, total)
+            columns_of: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+            for col, r in enumerate(ranks, col0):
+                columns_of.setdefault(supports[r], []).append((col, r))
+            for support, cols in columns_of.items():
+                den, targets = merged(indices, support)
+                for jdx, e2, c0, parts in targets:
+                    if jdx not in blocks or blocks[jdx][1] != total + sum(e2):
+                        raise _LeftSlice
+                    offset, shift = blocks[jdx][0], shifted_ranks(total, e2)
+                    for col, r in cols:
+                        if num := c0 + sum(map(operator.mul, mons[r], parts)):
+                            if (pos := shift[r]) < 0:
+                                raise AssertionError("derivative left the polynomial log-plus span")
+                            rows[offset + pos][col] = linalg.exact(num, den)
+
+        return write
 
     cx = WeightSlicedComplex("logplus", vs, (0, vs.total_vars), weight_cap)
-    return _fill_slices(cx, _frame_basis(machine.coord, False), images)
+    return _fill_slices(cx, machine.coord, False, columns)
 
 
-def _koszul_images(p: PoissonStructure):
-    """Closed-form images of the bracket differential on labels (M, E).
+def _koszul_tables(p: PoissonStructure):
+    """The closed form of the bracket differential on labels (M, E), as
+    (lams, insertions, columns).
 
     The label (M, E) maps to sum_{j not in M} s_j lambda_j (M + {j}, E + e_j)
     with lambda = (E - 1_M) A = E A - 1_M A and s_j the sign of
     ``merge_indices((j,), M)``; the module docstring derives it.  A is
-    scaled once by its common denominator D.  D E A and the raised vectors
-    E + e_j are computed once per exponent vector E; the insertion table
-    [(j, s_j < 0, M + {j}, D (1_M A)_j)] once per index set M.  An entry
-    then costs one integer subtraction, D lambda_j = D (E A)_j - D (1_M A)_j,
-    and one cached pair of exact values +-(D lambda_j) / D
-    (``linalg.exact``), shared by every entry that carries it.  Raises
-    ValueError outside the invariant model (``_invariant_grid``).
+    scaled once by its common denominator D.  ``lams(E)`` is D E A, and
+    ``insertions(M)`` the table [(j - 1, s_j < 0, M + {j}, D (1_M A)_j)] for
+    each j not in M, computed once per index set.  ``columns`` is the
+    writer of ``_fill_slices``: D E A per column for every E of a total
+    (computed once), and per entry one integer subtraction,
+    D lambda_j = D (E A)_j - D (1_M A)_j, one store at the position
+    offset(M + {j}) + rank(E + e_j) (``_raised``), and one cached pair of
+    exact values +-(D lambda_j) / D (``linalg.exact``), shared by every entry
+    that carries it.  ``qi_cohomology`` reads ``lams`` and ``insertions``.
+    Raises ValueError outside the invariant model (``_invariant_grid``).
     """
     den, scaled = _invariant_grid(p)
     nv = p.var_spec.total_vars
@@ -510,16 +682,17 @@ def _koszul_images(p: PoissonStructure):
     def value(lam: int) -> tuple[int | Fraction, int | Fraction]:
         return linalg.exact(lam, den), linalg.exact(-lam, den)
 
-    @functools.cache
-    def raised(exps: tuple[int, ...]) -> tuple[list[int], list[tuple[int, ...]]]:
-        """(D E A, [E + e_j for each j]) of the exponent vector E."""
+    def lams(exps: tuple[int, ...]) -> list[int]:
         rows = [(e, scaled[i]) for i, e in enumerate(exps) if e]
-        lams = [sum(e * row[j] for e, row in rows) for j in range(nv)]
-        return lams, [exps[:j] + (exps[j] + 1,) + exps[j + 1 :] for j in range(nv)]
+        return [sum(e * row[j] for e, row in rows) for j in range(nv)]
+
+    @functools.cache
+    def lam_columns(total: int) -> tuple[tuple[int, ...], ...]:
+        """Per j - 1, D (E A)_j for each E of ``_monomials(2n, total)``."""
+        return tuple(zip(*map(lams, _monomials(nv, total))))
 
     @functools.cache
     def insertions(indices: IndexSet) -> list[tuple[int, bool, IndexSet, int]]:
-        """(j - 1, s_j < 0, M + {j}, D (1_M A)_j) for each j not in M."""
         table = []
         for j in range(1, nv + 1):
             merged = merge_indices((j,), indices)
@@ -529,16 +702,18 @@ def _koszul_images(p: PoissonStructure):
                 table.append((j - 1, sign < 0, key, shift))
         return table
 
-    def images(lab: Label) -> list[tuple[Label, int | Fraction]]:
-        indices, exps = lab
-        lams, targets = raised(exps)
-        return [
-            ((key, targets[j]), value(lam)[negative])
-            for j, negative, key, shift in insertions(indices)
-            if (lam := lams[j] - shift)
-        ]
+    def columns(blocks):
+        def write(indices, total, rows, col0, ranks):
+            lam_of, raised = lam_columns(total), _raised(nv, total)
+            for j, negative, key, shift in insertions(indices):
+                offset, lam_j, raised_j = blocks[key][0], lam_of[j], raised[j]
+                for col, r in enumerate(ranks, col0):
+                    if lam := lam_j[r] - shift:
+                        rows[offset + raised_j[r]][col] = value(lam)[negative]
 
-    return images
+        return write
+
+    return lams, insertions, columns
 
 
 def build_bracket_complex(p: PoissonStructure, weight_cap: int) -> WeightSlicedComplex:
@@ -549,9 +724,9 @@ def build_bracket_complex(p: PoissonStructure, weight_cap: int) -> WeightSlicedC
     Schouten bracket itself is the test oracle for it.
     """
     vs = p.var_spec
-    images = _koszul_images(p)
+    columns = _koszul_tables(p)[2]
     cx = WeightSlicedComplex("bracket", vs, (0, vs.total_vars), weight_cap)
-    return _fill_slices(cx, _frame_basis(coordinate_frame(vs), False), images)
+    return _fill_slices(cx, coordinate_frame(vs), False, columns)
 
 
 def conjugation_report(p: PoissonStructure, weight_cap: int, max_degree: int) -> dict:
@@ -663,26 +838,36 @@ def build_qi(p: PoissonStructure, index_set, weight_cap: int) -> WeightSlicedCom
     iset = _index_set(vs, index_set)
     _dphi_signs(p, iset)
     cx = WeightSlicedComplex(f"Q{list(iset)}", vs, (len(iset), vs.total_vars), weight_cap)
-    return _fill_slices(cx, lambda degree, w: _qi_basis(vs, iset, degree, w), _koszul_images(p))
+    return _fill_slices(
+        cx,
+        coordinate_frame(vs),
+        False,
+        _koszul_tables(p)[2],
+        lambda degree, w: _qi_basis(vs, iset, degree, w),
+    )
 
 
 def qi_cohomology(p: PoissonStructure, index_set, weight_cap: int) -> dict[tuple[int, int], int]:
     """(degree, weight) -> cohomology dimension of Q_I at every slice it has,
     zeros included, by the block rule of the module docstring and without a
     matrix: each bottom label of weight w whose closed-form image
-    (``_koszul_images``) is empty adds C(2n - |I|, k - |I|) in degree
+    (``_koszul_tables``) is empty adds C(2n - |I|, k - |I|) in degree
     k = |I|..2n.  Refuses what ``build_qi`` refuses, except a singular A."""
     vs = p.var_spec
     iset = _index_set(vs, index_set)
     if weight_cap < 0:
         raise ValueError("weight_cap must be >= 0")
-    images = _koszul_images(p)
+    lams, insertions = _koszul_tables(p)[:2]
     nv, size = vs.total_vars, len(iset)
+    table = [(j, shift) for j, _negative, _key, shift in insertions(iset)]
     out = {}
     for w in range(-size, weight_cap + 1):
         bottoms = _qi_basis(vs, iset, size, w)
         if bottoms:
-            kept = sum(not images(lab) for lab in bottoms)
+            kept = sum(
+                all(lam[j] == shift for j, shift in table)
+                for lam in (lams(exps) for _i, exps in bottoms)
+            )
             for k in range(size, nv + 1):
                 out[(k, w)] = kept * math.comb(nv - size, k - size)
     return out

@@ -43,6 +43,19 @@ from .exterior import (
 from .ring import LaurentPoly, VarSpec, add_product, poly_from_string, poly_to_string
 
 
+def _negatives(a: LaurentPoly, b: LaurentPoly) -> bool:
+    """a == -b, read off the term dicts without building -b (coefficients
+    are normalised, so numerators and denominators compare exactly)."""
+    return (
+        a.var_spec == b.var_spec
+        and a.terms.keys() == b.terms.keys()
+        and all(
+            c.numerator == -d.numerator and c.denominator == d.denominator
+            for c, d in zip(a.terms.values(), map(b.terms.__getitem__, a.terms))
+        )
+    )
+
+
 class SkewMatrix:
     """Skew-symmetric square matrix of LaurentPoly entries."""
 
@@ -57,7 +70,7 @@ class SkewMatrix:
             if not rows[i][i].is_zero():
                 raise ValueError("diagonal entries must vanish")
             for j in range(i + 1, n):
-                if rows[i][j] != -rows[j][i]:
+                if not _negatives(rows[i][j], rows[j][i]):
                     raise ValueError("matrix is not skew-symmetric")
         object.__setattr__(self, "var_spec", var_spec)
         object.__setattr__(self, "rows", rows)

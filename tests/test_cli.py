@@ -336,7 +336,7 @@ class TestVerifyExactness:
             inversions.append(column_order)
             return eliminate(rows, column_order, reduced, start)
 
-        monkeypatch.setattr(complexes, "_assemble_matrix", refuse)
+        monkeypatch.setattr(complexes, "_fill_slices", refuse)
         monkeypatch.setattr(linalg, "_eliminate", inverse_only)
         argv = next(argv for case, argv, _code in CASES if case == name)
         out = tmp_path / f"{name}.json"

@@ -13,11 +13,14 @@ from logsymplectic import complexes, linalg
 from logsymplectic.complexes import (
     WeightSlicedComplex,
     _PlusMachine,
-    _assemble_matrix,
     _dphi_signs,
     _flatten,
+    _lowered,
     _monomials,
     _qi_basis,
+    _raised,
+    _ranks,
+    _slice,
     _wedges,
     build_bracket_complex,
     build_log_complex,
@@ -180,7 +183,8 @@ class TestLogPlus:
             mat_log = logcx.diffs.get((0, w))
             tgt_log = logcx.basis.get((1, w), [])
             for col, (idx, exps) in enumerate(src):
-                via_plus = machine.reconstruct_from_phi(
+                via_plus = reconstruct_from_phi(
+                    machine,
                     [
                         (tgt_plus[r], mat_plus[r].get(col, 0))
                         for r in range(len(tgt_plus))
@@ -257,6 +261,18 @@ class CoordinateRoute:
         return MultiVector(coordinate_frame(vs), form.degree, terms)
 
 
+def reconstruct_from_phi(machine: _PlusMachine, coords, degree: int) -> DiffForm:
+    """Sum of c * x^E phi_J over the ((J, E), c) in coords as a coordinate
+    form, in Fractions: the oracle of ``_PlusMachine.certifies``."""
+    acc: dict = {}
+    for (indices, exps), c in coords:
+        monomial = LaurentPoly.monomial(machine.vs, exps, c)
+        for idx, poly in machine.phi_wedge(indices).terms.items():
+            add_product(acc.setdefault(idx, {}), monomial, poly, False)
+    terms = {idx: LaurentPoly._from_sums(machine.vs, sums) for idx, sums in acc.items()}
+    return DiffForm(machine.coord, degree, terms)
+
+
 def extracted_sharp(machine: _PlusMachine, form: DiffForm) -> MultiVector:
     """pi_sharp(form) from the log-frame extraction, numerators divided out."""
     den, nums = machine.sharp_numerators(form)
@@ -277,7 +293,7 @@ def logplus_column_oracle(route: CoordinateRoute, lab) -> dict:
     domega = exterior_derivative(omega)
     coords = _flatten(route.sharp(domega))
     assert all(e >= 0 for (_jdx, e2), _c in coords for e in e2), lab
-    assert machine.reconstruct_from_phi(coords, len(indices) + 1) == domega, lab
+    assert reconstruct_from_phi(machine, coords, len(indices) + 1) == domega, lab
     return dict(coords)
 
 
@@ -392,7 +408,37 @@ class TestLogFrameExtraction:
             assert {lab: Fraction(n, den) for lab, n in nums} == dict(oracle), key
             assert den == math.lcm(*(c.denominator for _lab, c in oracle)), key
             assert all(type(n) is int for _lab, n in nums), key
+            # the integer certificate holds, and fails with one numerator off by one
+            assert machine.certifies(form, den, nums), key
+            if nums:
+                (lab, n), *rest = nums
+                assert not machine.certifies(form, den, [(lab, n + 1), *rest]), key
         return len(forms)
+
+    def test_certificate_needs_integral_scaled_coefficients(self):
+        # the piece divided by 7 scales to non-integers against the same
+        # numerators: a mismatch, not an error
+        machine = _PlusMachine(fractional_2general_structure(11))
+        form = exterior_derivative(machine.phi_wedge((1, 2)))
+        den, nums = machine.sharp_numerators(form)
+        assert machine.certifies(form, den, nums)
+        seventh = form.scale(LaurentPoly.const(machine.vs, Fraction(1, 7)))
+        assert not machine.certifies(seventh, den, nums)
+        assert machine.certifies(seventh, 7 * den, nums)
+
+    def test_build_refuses_a_numerator_off_by_one(self, toric, monkeypatch):
+        real_sharp = _PlusMachine.sharp_numerators
+
+        def off_by_one(machine, form):
+            den, nums = real_sharp(machine, form)
+            if nums:
+                (lab, n), *rest = nums
+                nums = [(lab, n + 1), *rest]
+            return den, nums
+
+        monkeypatch.setattr(_PlusMachine, "sharp_numerators", off_by_one)
+        with pytest.raises(AssertionError, match="failed to certify"):
+            build_logplus_complex(toric, 0)
 
     def test_every_piece_of_the_fixture(self, toric):
         assert self.assert_pieces_match(toric) == 15 * 5
@@ -411,7 +457,7 @@ class TestLogFrameExtraction:
         form = eta.wedge(machine.phi_wedge((1, 2, 3, 4)))
         assert form.is_zero()
         assert machine.sharp_numerators(form) == (1, [])
-        assert machine.reconstruct_from_phi([], 5) == form
+        assert machine.certifies(form, 1, [])
 
     def test_filtration_level_reads_the_log_frame(self, toric):
         # a log-frame input is read without a detour through coordinates
@@ -705,39 +751,86 @@ class TestGradedPieces:
             build_qi(toric, (1, 1), 1)
 
 
-class TestAssembleMatrix:
-    SOURCE = [((1,), (0, 0)), ((2,), (0, 0))]
-    TARGET = [((1, 2), (1, 0)), ((1, 2), (0, 1))]
+class TestSliceLayout:
+    """Slice (k, w) lists, for I in combinations order, the monomials of
+    |E| = w minus the frame weight of I: the label (I, E) sits at
+    offset(I) + rank(E), its index in the sorted basis."""
 
-    def assemble(self, table, target=TARGET):
-        return _assemble_matrix(self.SOURCE, target, lambda lab: table.get(lab, []))
+    @pytest.mark.parametrize(
+        "which", ["log_4_2", "log_6_3", "logplus", "bracket", "bracket_2n6"]
+    )
+    def test_position_is_basis_index(self, toric, which):
+        if which.startswith("log_"):
+            nv, m = map(int, which.split("_")[1:])
+            vs = VarSpec(nv, m)
+            cx, frame, is_form = build_log_complex(vs, 2), log_frame(vs), True
+        else:
+            p = random_2general_toric(random.Random(3), 3).structure if which == "bracket_2n6" else toric
+            build = build_logplus_complex if which == "logplus" else build_bracket_complex
+            cx, frame, is_form = build(p, 2), coordinate_frame(p.var_spec), False
+        nv = cx.var_spec.total_vars
+        checked = 0
+        for (k, w), basis in cx.basis.items():
+            blocks = _slice(frame, is_form, k, w, None).blocks
+            for indices, exps in basis:
+                offset, total = blocks[indices]
+                assert sum(exps) == total
+                position = offset + _ranks(nv, total)[exps]
+                assert position == basis.index((indices, exps))
+                checked += 1
+        assert checked == sum(map(len, cx.basis.values())) > 0
 
-    def test_repeated_target_is_summed(self):
-        a, b = self.TARGET
-        table = {self.SOURCE[0]: [(a, Fraction(1, 2)), (b, Fraction(3)), (a, Fraction(1, 4))]}
-        assert self.assemble(table) == [{0: Fraction(3, 4)}, {0: Fraction(3)}]
+    def test_raise_and_lower_tables(self):
+        for nv in range(1, 5):
+            for total in range(4):
+                mons = _monomials(nv, total)
+                for j in range(nv):
+                    up = [_monomials(nv, total + 1)[r] for r in _raised(nv, total)[j]]
+                    assert up == [e[:j] + (e[j] + 1,) + e[j + 1 :] for e in mons]
+                    down = [
+                        _monomials(nv, total - 1)[r] if r >= 0 else None
+                        for r in _lowered(nv, total)[j]
+                    ]
+                    assert down == [
+                        e[:j] + (e[j] - 1,) + e[j + 1 :] if e[j] else None for e in mons
+                    ]
 
-    def test_repeated_target_summing_to_zero_is_dropped(self):
-        a, b = self.TARGET
-        table = {
-            self.SOURCE[0]: [(a, Fraction(2, 3)), (a, Fraction(-2, 3))],
-            self.SOURCE[1]: [(a, Fraction(5)), (b, Fraction(-1)), (b, Fraction(1))],
-        }
-        assert self.assemble(table) == [{1: Fraction(5)}, {}]
+    def test_qi_image_leaving_the_piece_raises(self, toric, monkeypatch):
+        # build_qi keeps the _qi_basis labels of each bracket slice; with the
+        # degree-2 slices of Q_(1) emptied, the images of degree 1 land
+        # outside the kept labels
+        real = complexes._qi_basis
 
-    def test_repeated_target_sum_in_normal_form(self):
-        # a sum that comes out integral is stored as an int, as ``linalg.exact``
-        # stores every value
-        a, b = self.TARGET
-        table = {self.SOURCE[0]: [(a, Fraction(1, 2)), (a, Fraction(3, 2)), (b, Fraction(1, 3))]}
-        rows = self.assemble(table)
-        assert rows == [{0: 2}, {0: Fraction(1, 3)}]
-        assert type(rows[0][0]) is int and type(rows[1][0]) is Fraction
+        def without_degree_2(vs, iset, degree, w):
+            return [] if degree == 2 else real(vs, iset, degree, w)
 
-    def test_target_outside_slice_raises(self):
-        table = {self.SOURCE[1]: [(self.TARGET[1], Fraction(1))]}
+        monkeypatch.setattr(complexes, "_qi_basis", without_degree_2)
         with pytest.raises(AssertionError, match="left the slice"):
-            self.assemble(table, self.TARGET[:1])
+            build_qi(toric, (1,), 1)
+
+    def test_piece_leaving_the_polynomial_span_raises(self, toric, monkeypatch):
+        # one target of each d(phi_I) moved to the label with one exponent
+        # lowered below zero and another raised (same weight, same slice),
+        # and the certificate passed: the column (I, 0) then has a negative
+        # exponent
+        real_sharp = _PlusMachine.sharp_numerators
+
+        def lowered_sharp(machine, form):
+            den, nums = real_sharp(machine, form)
+            if nums:
+                (kdx, exps), n = nums[0]
+                low = exps.index(0)
+                high = (low + 1) % len(exps)
+                moved = list(exps)
+                moved[low] -= 1
+                moved[high] += 1
+                nums = [((kdx, tuple(moved)), n), *nums[1:]]
+            return den, nums
+
+        monkeypatch.setattr(_PlusMachine, "sharp_numerators", lowered_sharp)
+        monkeypatch.setattr(_PlusMachine, "certifies", lambda machine, form, den, nums: True)
+        with pytest.raises(AssertionError, match="left the polynomial log-plus span"):
+            build_logplus_complex(toric, 1)
 
 
 class TestCohomologyMachinery:
@@ -1203,7 +1296,7 @@ class TestKoszulBlockCount:
             raise AssertionError("the block count built or ranked a matrix")
 
         p = random_2general_toric(random.Random(3), 4).structure
-        monkeypatch.setattr(complexes, "_assemble_matrix", refuse)
+        monkeypatch.setattr(complexes, "_fill_slices", refuse)
         monkeypatch.setattr(linalg, "_eliminate", refuse)
         assert nonzero(qi_cohomology(p, (1, 2), 4)) == {}
 

@@ -340,6 +340,39 @@ class TestLogMatrix:
         assert str(info.value) == message
 
 
+class TestSkewMatrixChecks:
+    def test_skew_entries_accepted(self):
+        a, b = poly("x1*x2 - 1/3*x3"), poly("2*x4")
+        zero = LaurentPoly.zero(VS)
+        m = SkewMatrix(VS, [[zero, a, b], [-a, zero, zero], [-b, zero, zero]])
+        assert m.rows[1][0] == -a
+
+    @pytest.mark.parametrize(
+        "lower",
+        ["x1*x2 - 1/3*x3", "-x1*x2", "-x1*x2 + 1/3*x3 + x4", "-x1*x2 + 1/6*x3", "-x1*x2 - 1/3*x3"],
+        ids=["equal", "missing_term", "extra_term", "other_denominator", "one_sign"],
+    )
+    def test_not_skew_refused(self, lower):
+        zero = LaurentPoly.zero(VS)
+        rows = [[zero, poly("x1*x2 - 1/3*x3")], [poly(lower), zero]]
+        with pytest.raises(ValueError) as info:
+            SkewMatrix(VS, rows)
+        assert str(info.value) == "matrix is not skew-symmetric"
+
+    def test_entries_over_other_variables_refused(self):
+        other = VarSpec(4, 2)
+        zero = LaurentPoly.zero(VS)
+        rows = [[zero, LaurentPoly.const(VS, 1)], [LaurentPoly.const(other, -1), zero]]
+        with pytest.raises(ValueError, match="not skew-symmetric"):
+            SkewMatrix(VS, rows)
+
+    def test_nonzero_diagonal_refused(self):
+        zero = LaurentPoly.zero(VS)
+        with pytest.raises(ValueError) as info:
+            SkewMatrix(VS, [[poly("x1"), zero], [zero, zero]])
+        assert str(info.value) == "diagonal entries must vanish"
+
+
 # A nonsingular fractional grid: Pf = 1/2 * 4 - 3 * 1 + 2 * 5/3 = 7/3.
 PARTIAL_GRID = [
     [Fraction(0), Fraction(1, 2), Fraction(-3), Fraction(2)],
