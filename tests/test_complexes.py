@@ -416,12 +416,18 @@ class TestLogFrameExtraction:
         return len(forms)
 
     def test_certificate_needs_integral_scaled_coefficients(self):
-        # the piece divided by 7 scales to non-integers against the same
-        # numerators: a mismatch, not an error
+        # one coefficient of the piece moved by less than the scaled unit:
+        # it scales to a non-integer whose floor is the true value, and is a
+        # mismatch, not an error
         machine = _PlusMachine(fractional_2general_structure(11))
         form = exterior_derivative(machine.phi_wedge((1, 2)))
         den, nums = machine.sharp_numerators(form)
         assert machine.certifies(form, den, nums)
+        idx, poly = next(iter(form.terms.items()))
+        exps = next(iter(poly.terms))
+        tiny = LaurentPoly.monomial(machine.vs, exps, Fraction(1, 10**9 + 7))
+        nudged = form + DiffForm(machine.coord, form.degree, {idx: tiny})
+        assert not machine.certifies(nudged, den, nums)
         seventh = form.scale(LaurentPoly.const(machine.vs, Fraction(1, 7)))
         assert not machine.certifies(seventh, den, nums)
         assert machine.certifies(seventh, 7 * den, nums)
