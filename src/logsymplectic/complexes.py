@@ -150,6 +150,29 @@ offsets of the target slice:
 generator emits a target twice in one column (its targets are distinct
 insertions j or t, or distinct labels of a merged piece), so every entry is
 one store and nothing is summed.
+
+Ranks by clearing
+-----------------
+
+``WeightSlicedComplex.rank`` ranks d_k at weight w after d_(k+1) at the
+same weight, and gives ``linalg`` only the rows of d_k whose index is not a
+pivot column of d_(k+1) (Chen and Kerber, "Persistent homology computation
+with a twist", 2011; Bauer, Kerber and Reininghaus, "Clear and compress",
+2014).  The rows of d_k are indexed by the labels of slice (k + 1, w), which
+are also the columns of d_(k+1).  The rank does not change:
+
+* every pivot row r of the elimination of d_(k+1) is a combination of rows
+  of d_(k+1), so r d_k = 0 when d_(k+1) d_k = 0;
+* a pivot row is zero in the pivot columns found before it and nonzero in
+  its own, so the square block of the pivot rows at the pivot columns P is
+  triangular with a nonzero diagonal, hence invertible;
+* so r d_k = 0 expresses the rows of d_k at P through the other rows, and
+  leaving them out keeps the row space.
+
+Elimination then sees dim(k + 1, w) - rank d_(k+1) = rank d_k + h^(k+1)
+rows of d_k instead of dim(k + 1, w).  The argument needs d o d = 0, which
+``verify_d_squared`` checks; of each elimination the complex keeps the rank
+and, until the rank below is taken, the pivot columns as a set of ints.
 """
 
 from __future__ import annotations
@@ -196,8 +219,10 @@ class WeightSlicedComplex:
     exactly when they are equal as matrices.  Values may be shared between
     rows and complexes, which is safe because ints and Fractions are
     immutable and ``linalg`` copies every row before it changes one.
-    ``rank`` ranks each differential once; a complex made by
-    ``dataclasses.replace`` starts with no stored ranks.
+    ``rank`` ranks each differential once, by clearing (module docstring),
+    and keeps of each elimination only its rank and, until the rank below it
+    is taken, its pivot columns as a set of ints; a complex made by
+    ``dataclasses.replace`` starts with neither.
     """
 
     label: str
@@ -207,6 +232,7 @@ class WeightSlicedComplex:
     basis: dict[tuple[int, int], list[Label]] = field(default_factory=dict)
     diffs: dict[tuple[int, int], list[linalg.Row]] = field(default_factory=dict)
     _ranks: dict[tuple[int, int], int] = field(default_factory=dict, init=False, compare=False)
+    _pivots: dict[tuple[int, int], set[int]] = field(default_factory=dict, init=False, compare=False)
 
     def slice_dim(self, degree: int, weight: int) -> int:
         return len(self.basis.get((degree, weight), []))
@@ -218,11 +244,27 @@ class WeightSlicedComplex:
         return {w: self.slice_dim(degree, w) for w in self.weights_at(degree)}
 
     def rank(self, degree: int, weight: int) -> int:
-        """Rank of the differential out of (degree, weight), 0 if none; kept."""
+        """Rank of the differential out of (degree, weight), 0 if none; kept.
+
+        Ranks by clearing (module docstring): the differential out of
+        (degree + 1, weight) is ranked first, so higher degrees are ranked
+        first, and the rows at its pivot columns are left out.  That assumes
+        d o d = 0, which ``verify_d_squared`` checks; on a complex where it
+        fails the rank can come out short.
+        """
         key = (degree, weight)
         if key not in self._ranks:
             mat = self.diffs.get(key)
-            self._ranks[key] = linalg.rank(mat) if mat is not None else 0
+            if mat is None:
+                self._ranks[key] = 0
+            else:
+                self.rank(degree + 1, weight)
+                cleared = self._pivots.pop((degree + 1, weight), set())
+                rows = [row for i, row in enumerate(mat) if i not in cleared]
+                pivots = linalg.pivot_columns(rows) if rows else []
+                self._ranks[key] = len(pivots)
+                if (degree - 1, weight) in self.diffs:
+                    self._pivots[key] = set(pivots)
         return self._ranks[key]
 
 
@@ -664,11 +706,13 @@ def _koszul_tables(p: PoissonStructure):
     The label (M, E) maps to sum_{j not in M} s_j lambda_j (M + {j}, E + e_j)
     with lambda = (E - 1_M) A = E A - 1_M A and s_j the sign of
     ``merge_indices((j,), M)``; the module docstring derives it.  A is
-    scaled once by its common denominator D.  ``lams(E)`` is D E A, and
-    ``insertions(M)`` the table [(j - 1, s_j < 0, M + {j}, D (1_M A)_j)] for
-    each j not in M, computed once per index set.  ``columns`` is the
-    writer of ``_fill_slices``: D E A per column for every E of a total
-    (computed once), and per entry one integer subtraction,
+    scaled once by its common denominator D.  ``lams(E)`` is D E A, read
+    from a table per total: the row of E is the row of E - e_t (``_lowered``)
+    plus the row t of D A, t the first variable of E, so each row costs one
+    vector addition.  ``insertions(M)`` is the table
+    [(j - 1, s_j < 0, M + {j}, D (1_M A)_j)] for each j not in M, computed
+    once per index set.  ``columns`` is the writer of ``_fill_slices``: the
+    table of a total read per j, and per entry one integer subtraction,
     D lambda_j = D (E A)_j - D (1_M A)_j, one store at the position
     offset(M + {j}) + rank(E + e_j) (``_raised``), and one cached pair of
     exact values +-(D lambda_j) / D (``linalg.exact``), shared by every entry
@@ -682,14 +726,25 @@ def _koszul_tables(p: PoissonStructure):
     def value(lam: int) -> tuple[int | Fraction, int | Fraction]:
         return linalg.exact(lam, den), linalg.exact(-lam, den)
 
-    def lams(exps: tuple[int, ...]) -> list[int]:
-        rows = [(e, scaled[i]) for i, e in enumerate(exps) if e]
-        return [sum(e * row[j] for e, row in rows) for j in range(nv)]
+    @functools.cache
+    def lam_rows(total: int) -> list[tuple[int, ...]]:
+        """D E A for each E of ``_monomials(2n, total)``."""
+        if total == 0:
+            return [(0,) * nv]
+        prev, lowered = lam_rows(total - 1), _lowered(nv, total)
+        return [
+            tuple(map(operator.add, prev[lowered[support[0] - 1][r]], scaled[support[0] - 1]))
+            for r, support in enumerate(_supports(nv, total))
+        ]
+
+    def lams(exps: tuple[int, ...]) -> tuple[int, ...]:
+        total = sum(exps)
+        return lam_rows(total)[_ranks(nv, total)[exps]]
 
     @functools.cache
     def lam_columns(total: int) -> tuple[tuple[int, ...], ...]:
         """Per j - 1, D (E A)_j for each E of ``_monomials(2n, total)``."""
-        return tuple(zip(*map(lams, _monomials(nv, total))))
+        return tuple(zip(*lam_rows(total)))
 
     @functools.cache
     def insertions(indices: IndexSet) -> list[tuple[int, bool, IndexSet, int]]:
@@ -878,7 +933,9 @@ def qi_cohomology(p: PoissonStructure, index_set, weight_cap: int) -> dict[tuple
 
 def cohomology_dims(cx: WeightSlicedComplex, degree: int) -> dict[int, int]:
     """Weight -> cohomology dimension at the given degree, by exact
-    rank-nullity per weight slice."""
+    rank-nullity per weight slice.  The ranks are taken by clearing
+    (``WeightSlicedComplex.rank``), higher degrees first, and assume
+    d o d = 0, which ``verify_d_squared`` checks."""
     out: dict[int, int] = {}
     for w in cx.weights_at(degree):
         h = cx.slice_dim(degree, w) - cx.rank(degree, w) - cx.rank(degree - 1, w)
@@ -889,12 +946,12 @@ def cohomology_dims(cx: WeightSlicedComplex, degree: int) -> dict[int, int]:
 
 
 def verify_d_squared(cx: WeightSlicedComplex) -> bool:
-    """Composition of consecutive differentials vanishes on every slice."""
+    """Composition of consecutive differentials vanishes on every slice,
+    checked row by row without building the product
+    (``linalg.product_is_zero``)."""
     for (k, w), mat in cx.diffs.items():
         nxt = cx.diffs.get((k + 1, w))
-        if nxt is None or not mat or not nxt:
-            continue
-        if not linalg.is_zero_matrix(linalg.mat_mul(nxt, mat)):
+        if nxt and mat and not linalg.product_is_zero(nxt, mat):
             return False
     return True
 

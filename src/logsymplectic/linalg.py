@@ -14,9 +14,10 @@ that form on entry, so the caller's rows are never changed; a row of ints
 is copied as it is, with denominator 1, which is the path the stored
 differentials of ``complexes`` take on an integral log matrix.  One
 elimination loop, ``_eliminate``, serves ``rank``, ``det``, ``inverse`` and
-``solve_columns``; ``mat_mul`` multiplies Scaled rows and builds a value
-only for a nonzero product entry.  ``det``, ``inverse`` and
-``solve_columns`` return Fractions.
+``solve_columns``, and ``pivot_columns`` exposes the pivot columns it
+finds.  ``mat_mul`` multiplies Scaled rows and builds a value only for a
+nonzero product entry; ``product_is_zero`` accumulates the same sums and
+builds none.  ``det``, ``inverse`` and ``solve_columns`` return Fractions.
 """
 
 from __future__ import annotations
@@ -51,10 +52,14 @@ def identity(n: int) -> Matrix:
     return out
 
 
+def _items(row):
+    """The (column, value) pairs of a dense or sparse row."""
+    return row.items() if isinstance(row, dict) else enumerate(row)
+
+
 def _nonzero(row) -> dict:
     """The nonzero entries of a dense or sparse row, as a new dict."""
-    items = row.items() if isinstance(row, dict) else enumerate(row)
-    return {c: v for c, v in items if v}
+    return {c: v for c, v in _items(row) if v}
 
 
 def _scaled(row) -> Scaled:
@@ -188,14 +193,64 @@ def is_zero_matrix(a) -> bool:
     return not any(any(row.values() if isinstance(row, dict) else row) for row in a)
 
 
+def product_is_zero(a, b) -> bool:
+    """Whether the product a b is zero, without building it.
+
+    Scaling b by a nonzero constant, or a row of a by one, does not change
+    which rows of the product are zero.  So b is scaled once by the lcm of
+    its denominators and each row x of a by its own, x b is accumulated as
+    integers, and the check stops at the first row with a nonzero sum.  No
+    value is built, and dict rows of ints are not copied."""
+    a, b = _dicts(a), _dicts(b)
+    if not _integral(a):
+        a = [_scaled(row)[0] for row in a]
+    if not _integral(b):
+        scale = math.lcm(*(v.denominator for row in b for v in row.values()))
+        b = [{k: v.numerator * (scale // v.denominator) for k, v in row.items()} for row in b]
+    for row in a:
+        acc: dict[int, int] = {}
+        get = acc.get
+        for t, x in row.items():
+            for k, v in b[t].items():
+                acc[k] = get(k, 0) + x * v
+        if any(acc.values()):
+            return False
+    return True
+
+
+def _dicts(rows) -> list[dict]:
+    """Dense or sparse rows as a list of dicts; a dict row is not copied."""
+    return [row if isinstance(row, dict) else dict(enumerate(row)) for row in rows]
+
+
+def _integral(rows: list[dict]) -> bool:
+    """Whether every value of the dict rows is an int: a sum with a Fraction
+    term is a Fraction, even one with denominator 1."""
+    return type(sum(map(sum, map(dict.values, rows)))) is int
+
+
+def pivot_columns(a, column_order=None) -> list[int]:
+    """The pivot columns of one exact elimination of the rows of ``a``
+    (``_eliminate``), in the order the rows produced them.  Only columns in
+    ``column_order``, when it is given, can become pivots."""
+    return list(_eliminate(a, column_order))
+
+
 def rank(a, column_order: list[int] | None = None) -> int:
-    """Rank by exact elimination.
+    """Rank by exact elimination: the number of pivot columns.
 
     `column_order` permutes the elimination order of the columns; the result
     is of course the same, which makes a reversed order a cheap independent
-    cross-check of the elimination code.
+    cross-check of the elimination code.  It must hold every column with a
+    nonzero entry, else ValueError: a column outside it never becomes a
+    pivot, and the count would fall short.
     """
-    return len(_eliminate(a, column_order))
+    if column_order is not None:
+        a = list(a)
+        allowed = set(column_order)
+        if any(c not in allowed for row in a for c, v in _items(row) if v):
+            raise ValueError("column_order misses a column that holds a nonzero entry")
+    return len(pivot_columns(a, column_order))
 
 
 def _square_size(a) -> int:

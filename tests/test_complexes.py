@@ -890,27 +890,65 @@ class TestCohomologyMachinery:
 
     def test_each_differential_ranked_once(self, toric, monkeypatch):
         # a walk over all degrees meets every interior differential twice,
-        # as outgoing and as incoming map; it must be ranked only once
+        # as outgoing and as incoming map; it must be eliminated only once,
+        # on the rows that clearing keeps: those of the target labels that
+        # are not pivot columns of the next differential
         cx = build_bracket_complex(toric, 2)
+        plain = {kw: linalg.rank(mat) for kw, mat in cx.diffs.items()}
 
         def stored_rank(k, w):
-            return linalg.rank(cx.diffs[(k, w)]) if (k, w) in cx.diffs else 0
+            return plain.get((k, w), 0)
+
+        def kept_rows(k, w):
+            return cx.slice_dim(k + 1, w) - stored_rank(k + 1, w)
 
         expected = {
             k: {w: cx.slice_dim(k, w) - stored_rank(k, w) - stored_rank(k - 1, w)
                 for w in cx.weights_at(k)}
             for k in range(5)
         }
-        ranked = []
-        rank = linalg.rank
+        eliminated = []
+        pivot_columns = linalg.pivot_columns
 
-        def counting_rank(a, *args, **kwargs):
-            ranked.append(id(a))
-            return rank(a, *args, **kwargs)
+        def counting_pivot_columns(rows, *args, **kwargs):
+            eliminated.append(list(rows))
+            return pivot_columns(rows, *args, **kwargs)
 
-        monkeypatch.setattr(linalg, "rank", counting_rank)
+        monkeypatch.setattr(linalg, "pivot_columns", counting_pivot_columns)
         assert {k: cohomology_dims(cx, k) for k in range(5)} == expected
-        assert sorted(ranked) == sorted(id(m) for m in cx.diffs.values())
+        owner = {id(row): kw for kw, mat in cx.diffs.items() for row in mat}
+        keys = []
+        for rows in eliminated:
+            (kw,) = {owner[id(row)] for row in rows}
+            assert len(rows) == kept_rows(*kw), kw
+            keys.append(kw)
+        assert sorted(keys) == sorted(kw for kw in cx.diffs if kept_rows(*kw))
+        assert any(stored_rank(k + 1, w) for k, w in keys)
+
+    @pytest.mark.parametrize("fractional", [False, True])
+    def test_d_squared_detects_one_changed_entry(self, toric, fractional):
+        # change one stored entry of d_k at (row i, column j) for each k:
+        # d_(k+1) d_k then changes by column i of d_(k+1) in column j
+        p = fractional_2general_structure(11) if fractional else toric
+        changed = 0
+        for k in range(4):
+            cx = build_bracket_complex(p, 2)
+            assert verify_d_squared(cx)
+            for (k2, w), mat in cx.diffs.items():
+                nxt = cx.diffs.get((k2 + 1, w))
+                if k2 != k or not nxt:
+                    continue
+                hit = {i for row in nxt for i in row}
+                i = next((i for i, row in enumerate(mat) if row and i in hit), None)
+                if i is not None:
+                    j = next(iter(mat[i]))
+                    mat[i][j] += Fraction(1, 2) if fractional else 1
+                    break
+            else:
+                continue
+            changed += 1
+            assert not verify_d_squared(cx), (k, w, i, j)
+        assert changed == 3
 
     def test_all_dims_nonnegative(self, toric):
         q = build_qi(toric, (1, 2), 2)
@@ -1319,3 +1357,98 @@ class TestKoszulBlockCount:
         mixed = PoissonStructure(vs, MultiVector(coordinate_frame(vs), 2, terms))
         with pytest.raises(ValueError, match="every variable on the divisor"):
             qi_cohomology(mixed, (1,), 1)
+
+
+# -- ranks by clearing -----------------------------------------------------------
+
+
+def load_structure(path: Path) -> PoissonStructure:
+    return PoissonStructure.from_json(json.loads(path.read_text()))
+
+
+CLEARING_CASES = {
+    "log_4_4_cap4": lambda: build_log_complex(VarSpec(4, 4), 4),
+    "log_4_2_cap4": lambda: build_log_complex(VarSpec(4, 2), 4),
+    "log_6_6_cap2": lambda: build_log_complex(VarSpec(6, 6), 2),
+    "bracket_fixture_cap4": lambda: build_bracket_complex(load_structure(FIXTURE_STRUCTURE), 4),
+    "bracket_resonant_cap4": lambda: build_bracket_complex(load_structure(RESONANT_STRUCTURE), 4),
+    "bracket_fractional_cap3": lambda: build_bracket_complex(fractional_2general_structure(11), 3),
+    "bracket_s3_2n6_cap1": lambda: build_bracket_complex(
+        random_2general_toric(random.Random(3), 3).structure, 1
+    ),
+    "logplus_cap2": lambda: build_logplus_complex(toric_structure(EXPLICIT_GRID), 2),
+}
+
+
+def assert_clearing_matches_plain_ranks(cx: WeightSlicedComplex) -> int:
+    """``cx.rank`` on every slice, lowest degree first (so the first call
+    clears down from the top), equals the plain rank of the stored matrix
+    and its rank in reversed column order; returns the number of slices."""
+    for (k, w), mat in cx.diffs.items():
+        cols = list(range(cx.slice_dim(k, w)))
+        assert cx.rank(k, w) == linalg.rank(mat) == linalg.rank(mat, cols[::-1]), (cx.label, k, w)
+    return len(cx.diffs)
+
+
+def all_degrees(cx: WeightSlicedComplex, degrees) -> dict[int, dict[int, int]]:
+    return {k: cohomology_dims(cx, k) for k in degrees}
+
+
+class TestClearing:
+    """``WeightSlicedComplex.rank`` leaves out the rows of d_k at the pivot
+    columns of d_(k+1); the rank must not change."""
+
+    @pytest.mark.parametrize("case", CLEARING_CASES)
+    def test_ranks_match_plain_elimination(self, case):
+        assert assert_clearing_matches_plain_ranks(CLEARING_CASES[case]())
+
+    @pytest.mark.parametrize("path", [FIXTURE_STRUCTURE, RESONANT_STRUCTURE], ids=["fixture", "resonant"])
+    def test_every_piece_ranks_match_plain_elimination(self, path):
+        p = load_structure(path)
+        isets = [iset for size in range(5) for iset in itertools.combinations(range(1, 5), size)]
+        slices = [assert_clearing_matches_plain_ranks(build_qi(p, iset, 3)) for iset in isets]
+        # only Q_(1,2,3,4), one slice in degree 4, has no differential
+        assert [iset for iset, n in zip(isets, slices) if not n] == [(1, 2, 3, 4)]
+
+    @pytest.mark.parametrize("case", ["bracket_resonant_cap4", "bracket_fractional_cap3", "log_4_2_cap4"])
+    def test_tables_do_not_depend_on_the_order_of_degrees(self, case):
+        lo, hi = CLEARING_CASES[case]().degree_range
+        degrees = range(lo, hi + 1)
+        ascending = all_degrees(CLEARING_CASES[case](), degrees)
+        descending = all_degrees(CLEARING_CASES[case](), reversed(degrees))
+        alone = {k: cohomology_dims(CLEARING_CASES[case](), k) for k in degrees}
+        assert ascending == descending == alone
+        assert any(h for dims in ascending.values() for h in dims.values())
+
+    def test_qi_tables_do_not_depend_on_the_order_of_degrees(self):
+        p = load_structure(RESONANT_STRUCTURE)
+        degrees = range(2, 5)
+        ascending = all_degrees(build_qi(p, (3, 4), 3), degrees)
+        assert ascending == all_degrees(build_qi(p, (3, 4), 3), reversed(degrees))
+        assert ascending == {k: cohomology_dims(build_qi(p, (3, 4), 3), k) for k in degrees}
+        assert nonzero({(k, w): h for k, dims in ascending.items() for w, h in dims.items()}) == {
+            (2, -2): 1, (3, -2): 2, (4, -2): 1,
+        }
+
+    def test_only_pivot_sets_are_kept(self):
+        # after every rank is taken no pivot set is left, and while one is
+        # kept it is a set of ints
+        cx = CLEARING_CASES["bracket_fixture_cap4"]()
+        cohomology_dims(cx, 2)
+        assert cx._pivots and all(
+            type(cols) is set and all(type(c) is int for c in cols) for cols in cx._pivots.values()
+        )
+        all_degrees(cx, range(5))
+        assert cx._pivots == {}
+
+
+class TestLambdaTables:
+    @pytest.mark.parametrize("fractional", [False, True])
+    def test_incremental_rows_match_brute_force(self, fractional):
+        p = fractional_2general_structure(11) if fractional else toric_structure(EXPLICIT_GRID)
+        den, scaled = complexes._invariant_grid(p)
+        lams = complexes._koszul_tables(p)[0]
+        for total in range(6):
+            for exps in _monomials(4, total):
+                brute = tuple(sum(e * scaled[i][j] for i, e in enumerate(exps)) for j in range(4))
+                assert lams(exps) == brute, exps

@@ -102,6 +102,18 @@ class TestShapes:
         with pytest.raises(ValueError):
             linalg.solve_columns([[1, 2]], [1, 2, 3])
 
+    def test_column_order_must_hold_every_nonzero_column(self):
+        # a column left out of the order never becomes a pivot: refused,
+        # where the count would fall short of the true rank 2
+        with pytest.raises(ValueError, match="column_order"):
+            linalg.rank([[1, 2], [3, 4]], [1])
+        with pytest.raises(ValueError, match="column_order"):
+            linalg.rank([{0: 1, 5: 1}, {5: 2}], [0, 1, 2])
+        assert linalg.rank([{0: 1, 5: 1}, {5: 2}], [5, 0]) == 2
+        # columns that hold only zeros may be left out
+        assert linalg.rank([[0, 1], [0, 2]], [1]) == 1
+        assert linalg.rank([{0: 1, 1: 0}], [0]) == 1
+
     def test_empty(self):
         assert linalg.rank([]) == 0
         assert linalg.rank([[], []]) == 0
@@ -201,6 +213,7 @@ class TestKernelProperties:
             if linalg.det(given_a):
                 linalg.inverse(given_a)
             linalg.mat_mul(given_a, given_a)
+            linalg.product_is_zero(given_a, given_a)
             assert given_a == before
 
     @settings(max_examples=150, deadline=None)
@@ -319,3 +332,87 @@ class TestIntegerKernelOracle:
             product = linalg.mat_mul(given_a, given_b)
             assert product == sparse(dense)
             assert all(in_normal_form(v) for row in product for v in row.values())
+
+
+def normal(v):
+    """A rational in the normal form of ``linalg.exact``."""
+    v = Fraction(v)
+    return v.numerator if v.denominator == 1 else v
+
+
+def dense_product(a, b, ncols):
+    return [[sum(Fraction(x) * b[t][j] for t, x in enumerate(row)) for j in range(ncols)] for row in a]
+
+
+def left_kernel(b, ncols):
+    """A basis of the vectors y with y b = 0, by dense Gauss-Jordan
+    elimination of the transpose of b over Fractions."""
+    inner = len(b)
+    m = [[Fraction(b[t][j]) for t in range(inner)] for j in range(ncols)]
+    pivots = []
+    for c in range(inner):
+        r = len(pivots)
+        p = next((i for i in range(r, ncols) if m[i][c]), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(ncols):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    basis = []
+    for free in (c for c in range(inner) if c not in pivots):
+        y = [Fraction(0)] * inner
+        y[free] = Fraction(1)
+        for i, c in enumerate(pivots):
+            y[c] = -m[i][free]
+        basis.append(y)
+    return basis
+
+
+class TestProductIsZero:
+    """``product_is_zero`` against the dense product, on products made zero
+    on purpose (the rows of a from the left kernel of b) and on any."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(matrices(1, 5, 0, 4, entry=MIXED), st.data())
+    def test_rows_from_the_left_kernel(self, b, data):
+        ncols = len(b[0])
+        kernel = left_kernel(b, ncols)
+        coefficients = data.draw(st.lists(
+            st.lists(MIXED, min_size=len(kernel), max_size=len(kernel)), min_size=1, max_size=4,
+        ))
+        a = [
+            [normal(sum(c * y[t] for c, y in zip(cs, kernel))) for t in range(len(b))]
+            for cs in coefficients
+        ]
+        assert not any(any(row) for row in dense_product(a, b, ncols))
+        for given_a, given_b in itertools.product(forms(a), forms(b)):
+            assert linalg.product_is_zero(given_a, given_b)
+        # one entry of a moved off the kernel: compare with the dense product
+        i, t = data.draw(st.integers(0, len(a) - 1)), data.draw(st.integers(0, len(b) - 1))
+        a[i][t] = normal(a[i][t] + data.draw(MIXED.filter(bool)))
+        zero = not any(any(row) for row in dense_product(a, b, ncols))
+        for given_a, given_b in itertools.product(forms(a), forms(b)):
+            assert linalg.product_is_zero(given_a, given_b) == zero
+
+    @settings(max_examples=150, deadline=None)
+    @given(matrices(min_rows=1, min_cols=1, entry=MIXED), st.data())
+    def test_matches_the_dense_product(self, a, data):
+        inner = len(a[0])
+        b = data.draw(matrices(inner, inner, 0, 4, entry=MIXED))
+        ncols = len(b[0]) if b else 0
+        zero = not any(any(row) for row in dense_product(a, b, ncols))
+        for given_a, given_b in itertools.product(forms(a), forms(b)):
+            assert linalg.product_is_zero(given_a, given_b) == zero
+
+    def test_large_integers_and_denominators(self):
+        big = 10**20
+        assert linalg.product_is_zero([[1, -1]], [[big, 1], [big, 1]])
+        assert not linalg.product_is_zero([[1, -1]], [[big + 1, 1], [big, 1]])
+        third = Fraction(1, 3)
+        assert linalg.product_is_zero([{0: third, 1: 1}], [{0: 3}, {0: -1}])
+        assert not linalg.product_is_zero([{0: third, 1: 1}], [{0: 3}, {0: Fraction(-1, big)}])
+        assert linalg.product_is_zero([], [[1]]) and linalg.product_is_zero([[]], [])
