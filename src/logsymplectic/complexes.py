@@ -133,18 +133,20 @@ the sorted ``basis`` list.  Tables keyed by (2n, total) alone, like
 rank(E - e_t) (``_lowered``) and the support of E (``_supports``), so a
 builder finds the position of every target by integer arithmetic and never
 hashes a label.  ``_fill_slices`` walks the columns (I, E) of a slice in
-order and calls each builder's writer once per index set I, with the
-offsets of the target slice:
+order and calls each builder's one writer function once per index set I,
+with the blocks of the target slice:
 
 * the log complex: per t an insertion (offset(I + {t}), sign), and the
   rank of E (t on the divisor) or of E - e_t (``_lowered``);
 * the bracket complex: per j the insertion table of ``_koszul_tables``,
   offset(M + {j}) and the rank of E + e_j (``_raised``);
 * the log-plus complex: per (I, support of E) the merged piece, and per
-  target shift e2 one table of the ranks of E + e2 for the whole slice;
+  total of E and target shift e2 one table of the ranks of E + e2, kept
+  for the whole build;
 * ``build_qi``: the bracket writer on the ``_qi_basis`` labels of each
-  bracket slice, into rows that exist only at the positions of those
-  labels, so an image that leaves the piece raises.
+  bracket slice.  Rows are allocated only at the positions of those
+  labels; every other position shares one spill row, so an image that
+  leaves the piece lands there, and a non-empty spill row raises.
 
 ``merge_indices`` runs once per (I, j) and slice, not once per entry.  No
 generator emits a target twice in one column (its targets are distinct
@@ -314,21 +316,6 @@ def _supports(nvars: int, total: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(i for i, e in enumerate(exps, 1) if e) for exps in _monomials(nvars, total))
 
 
-class _LeftSlice(Exception):
-    """An image landed on a position outside the target slice."""
-
-
-class _Outside:
-    """The row of a layout position that is not in the slice: storing into it
-    raises ``_LeftSlice``, which ``_fill_slices`` reports."""
-
-    def __setitem__(self, col, value):
-        raise _LeftSlice
-
-
-_OUTSIDE = _Outside()
-
-
 @dataclass
 class _Slice:
     """One slice (k, w) in the slice layout: ``blocks`` maps each index set I
@@ -371,20 +358,21 @@ def _slice(frame: Frame, is_form: bool, k: int, w: int, keep) -> _Slice:
     return _Slice(blocks, size, labels, positions, groups)
 
 
-def _fill_slices(cx: WeightSlicedComplex, frame: Frame, is_form: bool, columns, keep=None):
+def _fill_slices(cx: WeightSlicedComplex, frame: Frame, is_form: bool, write, keep=None):
     """Fill ``cx.basis`` in the slice layout (module docstring) over its
     degree range and weights -degree..cap (no label weighs less than minus
     its degree), then ``cx.diffs`` below the top, by position.
 
-    ``columns(blocks)`` is called once per target slice, with that slice's
-    ``_Slice.blocks``, and returns ``write(indices, total, rows, col0,
-    ranks)``: for the i-th rank r in ranks it stores the image of
+    ``write(blocks, indices, total, rows, col0, ranks)`` is called once per
+    group of a source slice, with the target slice's ``_Slice.blocks``: for
+    the i-th rank r in ranks it stores the image of
     (I, _monomials(2n, total)[r]) as column col0 + i, ``rows[p][col0 + i] =
     c`` for each target at layout position p, with c nonzero and in normal
     form (``linalg.exact``).  No generator emits a target twice in one
     column (its targets are distinct insertions, or distinct labels of a
-    merged piece), so nothing is summed.  A position outside the target's
-    labels (``keep``) raises AssertionError."""
+    merged piece), so nothing is summed.  Every position outside the
+    target's labels (``keep``) shares one spill row, and a slice that
+    stores into it raises AssertionError."""
     if cx.weight_cap < 0:
         raise ValueError("weight_cap must be >= 0")
     lo, top = cx.degree_range
@@ -400,17 +388,15 @@ def _fill_slices(cx: WeightSlicedComplex, frame: Frame, is_form: bool, columns, 
         if degree == top or not src.labels:
             continue
         tgt = slices[(degree + 1, w)]
-        rows: list = [_OUTSIDE] * tgt.size
+        spill: linalg.Row = {}
+        rows = [spill] * tgt.size
         for p in tgt.positions:
             rows[p] = {}
-        write = columns(tgt.blocks)
         for indices, total, col0, ranks in src.groups:
-            try:
-                write(indices, total, rows, col0, ranks)
-            except _LeftSlice:
-                raise AssertionError(
-                    f"differential left the slice: a column of {indices} in {(degree, w)}"
-                ) from None
+            write(tgt.blocks, indices, total, rows, col0, ranks)
+        if spill:
+            label = src.labels[min(spill)]
+            raise AssertionError(f"differential left the slice: the column {label} of slice {(degree, w)}")
         cx.diffs[(degree, w)] = [rows[p] for p in tgt.positions]
     return cx
 
@@ -434,26 +420,23 @@ def build_log_complex(vs: VarSpec, weight_cap: int) -> WeightSlicedComplex:
     """
     nv, m = vs.total_vars, vs.divisor_vars
 
-    def columns(blocks):
-        def write(indices, total, rows, col0, ranks):
-            # d(x^E eta_I) = sum_t E_t x^E eta_t ^ eta_I: dx_t = x_t eta_t on
-            # divisor indices, so E stays put there and drops by e_t otherwise.
-            mons = _monomials(nv, total)
-            for t in range(1, nv + 1):
-                merged = merge_indices((t,), indices)
-                if merged is None or (t > m and total == 0):
-                    continue  # no x_t to lower when |E| = 0: no block of I + {t}
-                sign, key = merged
-                offset = blocks[key][0]
-                target = range(len(mons)) if t <= m else _lowered(nv, total)[t - 1]
-                for col, r in enumerate(ranks, col0):
-                    if e := mons[r][t - 1]:
-                        rows[offset + target[r]][col] = sign * e
-
-        return write
+    def write(blocks, indices, total, rows, col0, ranks):
+        # d(x^E eta_I) = sum_t E_t x^E eta_t ^ eta_I: dx_t = x_t eta_t on
+        # divisor indices, so E stays put there and drops by e_t otherwise.
+        mons = _monomials(nv, total)
+        for t in range(1, nv + 1):
+            merged = merge_indices((t,), indices)
+            if merged is None or (t > m and total == 0):
+                continue  # no x_t to lower when |E| = 0: no block of I + {t}
+            sign, key = merged
+            offset = blocks[key][0]
+            target = range(len(mons)) if t <= m else _lowered(nv, total)[t - 1]
+            for col, r in enumerate(ranks, col0):
+                if e := mons[r][t - 1]:
+                    rows[offset + target[r]][col] = sign * e
 
     cx = WeightSlicedComplex("log", vs, (0, nv), weight_cap)
-    return _fill_slices(cx, log_frame(vs), True, columns)
+    return _fill_slices(cx, log_frame(vs), True, write)
 
 
 # -- shared machinery for the log-plus side -----------------------------------
@@ -629,10 +612,10 @@ def build_logplus_complex(p: PoissonStructure, weight_cap: int) -> WeightSlicedC
     D (``linalg.exact``) at (J, E2 + E) for each target, one evaluation per
     target, and must stay in the polynomial span.  The position of
     (J, E2 + E) is offset(J) plus one table lookup: the ranks of E + E2 are
-    tabulated once per target shift E2 and slice (slice layout, module
-    docstring), and a target of the wrong degree or weight leaves the
-    slice.  Pieces, and merged pieces, are computed only when a column uses
-    them.
+    tabulated once per total of E and shift E2 for the whole build (slice
+    layout, module docstring).  A target whose index set J has no block of
+    total |E| + |E2| in the target slice raises AssertionError.  Pieces, and
+    merged pieces, are computed only when a column uses them.
     """
     machine = _PlusMachine(p)
     vs = p.var_spec
@@ -664,44 +647,40 @@ def build_logplus_complex(p: PoissonStructure, weight_cap: int) -> WeightSlicedC
                 acc.setdefault(lab, [0] * (nv + 1))[i] = scale * num
         return den, [(jdx, e2, cs[0], cs[1:]) for (jdx, e2), cs in acc.items()]
 
-    def columns(blocks):
-        shifted: dict[tuple[int, tuple[int, ...]], list[int]] = {}
+    @functools.cache
+    def shifted_ranks(total: int, e2: tuple[int, ...]) -> list[int]:
+        """The rank of E + e2 among the monomials of total + |e2| for each E
+        of the given total, -1 where it has a negative entry."""
+        ranks = _ranks(nv, total + sum(e2))
+        return [ranks.get(tuple(map(operator.add, e, e2)), -1) for e in _monomials(nv, total)]
 
-        def shifted_ranks(total: int, e2: tuple[int, ...]) -> list[int]:
-            """The rank of E + e2 among the target's monomials for each E of
-            the given total, -1 where it has a negative entry."""
-            key = (total, e2)
-            if key not in shifted:
-                ranks = _ranks(nv, total + sum(e2))
-                shifted[key] = [ranks.get(tuple(map(operator.add, e, e2)), -1) for e in _monomials(nv, total)]
-            return shifted[key]
-
-        def write(indices, total, rows, col0, ranks):
-            mons, supports = _monomials(nv, total), _supports(nv, total)
-            columns_of: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-            for col, r in enumerate(ranks, col0):
-                columns_of.setdefault(supports[r], []).append((col, r))
-            for support, cols in columns_of.items():
-                den, targets = merged(indices, support)
-                for jdx, e2, c0, parts in targets:
-                    if jdx not in blocks or blocks[jdx][1] != total + sum(e2):
-                        raise _LeftSlice
-                    offset, shift = blocks[jdx][0], shifted_ranks(total, e2)
-                    for col, r in cols:
-                        if num := c0 + sum(map(operator.mul, mons[r], parts)):
-                            if (pos := shift[r]) < 0:
-                                raise AssertionError("derivative left the polynomial log-plus span")
-                            rows[offset + pos][col] = linalg.exact(num, den)
-
-        return write
+    def write(blocks, indices, total, rows, col0, ranks):
+        mons, supports = _monomials(nv, total), _supports(nv, total)
+        columns_of: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+        for col, r in enumerate(ranks, col0):
+            columns_of.setdefault(supports[r], []).append((col, r))
+        for support, cols in columns_of.items():
+            den, targets = merged(indices, support)
+            for jdx, e2, c0, parts in targets:
+                if jdx not in blocks or blocks[jdx][1] != total + sum(e2):
+                    raise AssertionError(
+                        f"differential left the slice: a column of {indices} has a target "
+                        f"of {jdx} and total {total + sum(e2)}"
+                    )
+                offset, shift = blocks[jdx][0], shifted_ranks(total, e2)
+                for col, r in cols:
+                    if num := c0 + sum(map(operator.mul, mons[r], parts)):
+                        if (pos := shift[r]) < 0:
+                            raise AssertionError("derivative left the polynomial log-plus span")
+                        rows[offset + pos][col] = linalg.exact(num, den)
 
     cx = WeightSlicedComplex("logplus", vs, (0, vs.total_vars), weight_cap)
-    return _fill_slices(cx, machine.coord, False, columns)
+    return _fill_slices(cx, machine.coord, False, write)
 
 
 def _koszul_tables(p: PoissonStructure):
     """The closed form of the bracket differential on labels (M, E), as
-    (lams, insertions, columns).
+    (lams, insertions, write).
 
     The label (M, E) maps to sum_{j not in M} s_j lambda_j (M + {j}, E + e_j)
     with lambda = (E - 1_M) A = E A - 1_M A and s_j the sign of
@@ -711,7 +690,7 @@ def _koszul_tables(p: PoissonStructure):
     plus the row t of D A, t the first variable of E, so each row costs one
     vector addition.  ``insertions(M)`` is the table
     [(j - 1, s_j < 0, M + {j}, D (1_M A)_j)] for each j not in M, computed
-    once per index set.  ``columns`` is the writer of ``_fill_slices``: the
+    once per index set.  ``write`` is the writer of ``_fill_slices``: the
     table of a total read per j, and per entry one integer subtraction,
     D lambda_j = D (E A)_j - D (1_M A)_j, one store at the position
     offset(M + {j}) + rank(E + e_j) (``_raised``), and one cached pair of
@@ -757,18 +736,15 @@ def _koszul_tables(p: PoissonStructure):
                 table.append((j - 1, sign < 0, key, shift))
         return table
 
-    def columns(blocks):
-        def write(indices, total, rows, col0, ranks):
-            lam_of, raised = lam_columns(total), _raised(nv, total)
-            for j, negative, key, shift in insertions(indices):
-                offset, lam_j, raised_j = blocks[key][0], lam_of[j], raised[j]
-                for col, r in enumerate(ranks, col0):
-                    if lam := lam_j[r] - shift:
-                        rows[offset + raised_j[r]][col] = value(lam)[negative]
+    def write(blocks, indices, total, rows, col0, ranks):
+        lam_of, raised = lam_columns(total), _raised(nv, total)
+        for j, negative, key, shift in insertions(indices):
+            offset, lam_j, raised_j = blocks[key][0], lam_of[j], raised[j]
+            for col, r in enumerate(ranks, col0):
+                if lam := lam_j[r] - shift:
+                    rows[offset + raised_j[r]][col] = value(lam)[negative]
 
-        return write
-
-    return lams, insertions, columns
+    return lams, insertions, write
 
 
 def build_bracket_complex(p: PoissonStructure, weight_cap: int) -> WeightSlicedComplex:
@@ -779,9 +755,8 @@ def build_bracket_complex(p: PoissonStructure, weight_cap: int) -> WeightSlicedC
     Schouten bracket itself is the test oracle for it.
     """
     vs = p.var_spec
-    columns = _koszul_tables(p)[2]
     cx = WeightSlicedComplex("bracket", vs, (0, vs.total_vars), weight_cap)
-    return _fill_slices(cx, coordinate_frame(vs), False, columns)
+    return _fill_slices(cx, coordinate_frame(vs), False, _koszul_tables(p)[2])
 
 
 def conjugation_report(p: PoissonStructure, weight_cap: int, max_degree: int) -> dict:

@@ -1,5 +1,6 @@
 import copy
 import functools
+import hashlib
 import itertools
 import json
 import math
@@ -838,6 +839,24 @@ class TestSliceLayout:
         with pytest.raises(AssertionError, match="left the polynomial log-plus span"):
             build_logplus_complex(toric, 1)
 
+    def test_logplus_target_leaving_the_slice_raises(self, toric, monkeypatch):
+        # the first target of each piece raised by e_1, and the certificate
+        # passed: that target weighs one more than the column, so it lies in
+        # a block of the wrong total or in none of the target slice
+        real_sharp = _PlusMachine.sharp_numerators
+
+        def raised_sharp(machine, form):
+            den, nums = real_sharp(machine, form)
+            if nums:
+                (kdx, exps), n = nums[0]
+                nums = [((kdx, (exps[0] + 1, *exps[1:])), n), *nums[1:]]
+            return den, nums
+
+        monkeypatch.setattr(_PlusMachine, "sharp_numerators", raised_sharp)
+        monkeypatch.setattr(_PlusMachine, "certifies", lambda machine, form, den, nums: True)
+        with pytest.raises(AssertionError, match="left the slice"):
+            build_logplus_complex(toric, 1)
+
 
 class TestCohomologyMachinery:
     def test_rank_cross_checked_by_reversed_elimination(self, toric):
@@ -1452,3 +1471,79 @@ class TestLambdaTables:
             for exps in _monomials(4, total):
                 brute = tuple(sum(e * scaled[i][j] for i, e in enumerate(exps)) for j in range(4))
                 assert lams(exps) == brute, exps
+
+
+# -- pinned matrices ---------------------------------------------------------------
+
+
+def tagged(value) -> str:
+    """A stored value with its type, so the normal form is pinned too."""
+    return f"{type(value).__name__}:{value}"
+
+
+def matrices_digest(cx: WeightSlicedComplex) -> tuple[str, str]:
+    """sha256 of the canonical JSON of ``basis`` and of ``diffs``: slices
+    sorted by (degree, weight), each row as its (column, tagged value)
+    pairs sorted by column."""
+    basis = [[k, w, [[list(i), list(e)] for i, e in labels]] for (k, w), labels in sorted(cx.basis.items())]
+    diffs = [
+        [k, w, [sorted([c, tagged(v)] for c, v in row.items()) for row in rows]]
+        for (k, w), rows in sorted(cx.diffs.items())
+    ]
+    return tuple(
+        hashlib.sha256(json.dumps(doc, separators=(",", ":")).encode()).hexdigest()
+        for doc in (basis, diffs)
+    )
+
+
+PINNED_COMPLEXES = {
+    "log_4_2_cap2": lambda: build_log_complex(VarSpec(4, 2), 2),
+    "log_6_6_cap1": lambda: build_log_complex(VarSpec(6, 6), 1),
+    "bracket_fixture_cap3": lambda: build_bracket_complex(toric_structure(EXPLICIT_GRID), 3),
+    "logplus_fixture_cap2": lambda: build_logplus_complex(toric_structure(EXPLICIT_GRID), 2),
+    "logplus_fractional_cap2": lambda: build_logplus_complex(fractional_2general_structure(11), 2),
+    "qi_fixture_12_cap3": lambda: build_qi(toric_structure(EXPLICIT_GRID), (1, 2), 3),
+    "qi_resonant_34_cap2": lambda: build_qi(load_structure(RESONANT_STRUCTURE), (3, 4), 2),
+}
+
+# (basis digest, diffs digest) of each complex above
+PINNED_DIGESTS = {
+    "log_4_2_cap2": (
+        "b13cbce15700eb5ccb29a10a20ceecf209880d291fd016e6d6f2538f3078e70f",
+        "4b21b6da3d780654c341b1fbd2f9befe24872a4fdfe958a9dd66b49abadda9d1",
+    ),
+    "log_6_6_cap1": (
+        "8e448ca39342413a001e99319f06425d4528113a104c32dfcdbcbb39de218915",
+        "4710f9ff3e610f4c919b5609177f452692a5f61658e6f9619f4918a3cc5e5dc7",
+    ),
+    "bracket_fixture_cap3": (
+        "22de6ca19aeec867a41403a1e37588494c003612b45843b15725b136870da5d4",
+        "84a98a6d53feb7cab5ecd0089302c640fa881f5554c272717ba91993647d07f1",
+    ),
+    "logplus_fixture_cap2": (
+        "1da5648e7cc894e893a45dec9f584095a8c7008f70da4ddf561167a23aae2381",
+        "facda28aed5a0b899c00b3e616dd83e271fddd81cc55abe04df227938ee9ddfe",
+    ),
+    "logplus_fractional_cap2": (
+        "1da5648e7cc894e893a45dec9f584095a8c7008f70da4ddf561167a23aae2381",
+        "5b32598a8bdb8a74bb538f08c78c27b4d7a20d36abf11960408188a39b9f6a71",
+    ),
+    "qi_fixture_12_cap3": (
+        "ba7f003771aba9de45cdd227093bb6be45a9306000abca83bcee350d15451a49",
+        "321de75aaea95664344f2a372b4aeb97ff25f39d7119109de9f41be7fa156b36",
+    ),
+    "qi_resonant_34_cap2": (
+        "eeaf686edafe70c9e8289b2ac3935f7d1ef04a3370a2182c3b4b4d0441aa2523",
+        "54f507dfce7b4c78756ac99c172692b7cafd3b83cfbcc52adb8e148b7366ebf0",
+    ),
+}
+
+
+class TestPinnedMatrices:
+    """The stored ``basis`` and ``diffs`` of seven complexes, values tagged
+    with their type, hash to fixed digests: a refactor of the assembly must
+    leave every matrix, and the normal form of every entry, as it was."""
+
+    @pytest.mark.parametrize("name", sorted(PINNED_COMPLEXES))
+    def test_digest(self, name):
+        assert matrices_digest(PINNED_COMPLEXES[name]()) == PINNED_DIGESTS[name]
