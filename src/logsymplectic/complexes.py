@@ -70,7 +70,7 @@ F = E - 1_M, so
     lambda = F A = E A - 1_M A:
 
 the first term depends on the exponent vector alone and the second on the
-index set alone, so ``_koszul_tables`` computes D E A once per exponent
+index set alone, so ``_koszul_writer`` computes D E A once per exponent
 vector and folds D 1_M A into the insertion table of M; an entry is one
 integer subtraction.
 ``build_bracket_complex`` and ``build_qi`` assemble their matrices from
@@ -85,9 +85,10 @@ acyclic unless lambda_F vanishes off S, and then adds C(2n - |S|, k - |S|)
 in degree k (Eisenbud, Commutative Algebra, ch. 17).  The graded piece of
 I is the sum of the blocks with S = I, since S is the level set of the
 label.  Each such block has one bottom label, (I, F + 1_I) in degree |I|,
-whose image is empty exactly when lambda_F vanishes off I; ``qi_cohomology``
-counts those labels, without a matrix, against ``build_qi`` and its ranks
-as the oracle.  So Q_I is exact for |I| = 1 (A nonsingular), and for
+whose image is empty exactly when lambda_F vanishes off I.  ``qi_cohomology``
+counts those F on the 2n - |I| variables off I, from D A alone and without
+a matrix; ``build_qi`` and its ranks, which share no table with it, are its
+oracle.  So Q_I is exact for |I| = 1 (A nonsingular), and for
 |I| = 2 unless I is a 2-resonant pair, some F having lambda_F vanish off
 I; 2-general position does not exclude one (fixtures/resonant_structure.json).
 
@@ -138,7 +139,7 @@ with the blocks of the target slice:
 
 * the log complex: per t an insertion (offset(I + {t}), sign), and the
   rank of E (t on the divisor) or of E - e_t (``_lowered``);
-* the bracket complex: per j the insertion table of ``_koszul_tables``,
+* the bracket complex: per j the insertion table of ``_koszul_writer``,
   offset(M + {j}) and the rank of E + e_j (``_raised``);
 * the log-plus complex: per (I, support of E) the merged piece, and per
   total of E and target shift e2 one table of the ranks of E + e2, kept
@@ -678,25 +679,21 @@ def build_logplus_complex(p: PoissonStructure, weight_cap: int) -> WeightSlicedC
     return _fill_slices(cx, machine.coord, False, write)
 
 
-def _koszul_tables(p: PoissonStructure):
-    """The closed form of the bracket differential on labels (M, E), as
-    (lams, insertions, write).
-
-    The label (M, E) maps to sum_{j not in M} s_j lambda_j (M + {j}, E + e_j)
+def _koszul_writer(p: PoissonStructure):
+    """The ``_fill_slices`` writer of the closed-form bracket differential:
+    the label (M, E) maps to sum_{j not in M} s_j lambda_j (M + {j}, E + e_j)
     with lambda = (E - 1_M) A = E A - 1_M A and s_j the sign of
-    ``merge_indices((j,), M)``; the module docstring derives it.  A is
-    scaled once by its common denominator D.  ``lams(E)`` is D E A, read
-    from a table per total: the row of E is the row of E - e_t (``_lowered``)
-    plus the row t of D A, t the first variable of E, so each row costs one
-    vector addition.  ``insertions(M)`` is the table
-    [(j - 1, s_j < 0, M + {j}, D (1_M A)_j)] for each j not in M, computed
-    once per index set.  ``write`` is the writer of ``_fill_slices``: the
-    table of a total read per j, and per entry one integer subtraction,
-    D lambda_j = D (E A)_j - D (1_M A)_j, one store at the position
-    offset(M + {j}) + rank(E + e_j) (``_raised``), and one cached pair of
-    exact values +-(D lambda_j) / D (``linalg.exact``), shared by every entry
-    that carries it.  ``qi_cohomology`` reads ``lams`` and ``insertions``.
-    Raises ValueError outside the invariant model (``_invariant_grid``).
+    ``merge_indices((j,), M)`` (module docstring).  A is scaled once by its
+    common denominator D.  D E A is tabulated per total: the row of E is the
+    row of E - e_t (``_lowered``) plus the row t of D A, t the first variable
+    of E, one vector addition per row.  ``insertions(M)`` is the table
+    [(j - 1, s_j < 0, M + {j}, D (1_M A)_j)] for each j not in M, once per
+    index set.  Per entry the writer does one integer subtraction
+    D lambda_j = D (E A)_j - D (1_M A)_j and one store at
+    offset(M + {j}) + rank(E + e_j) (``_raised``) of a cached exact value
+    +-(D lambda_j) / D (``linalg.exact``).  Its only clients are
+    ``build_bracket_complex`` and ``build_qi``.  Raises ValueError outside
+    the invariant model (``_invariant_grid``).
     """
     den, scaled = _invariant_grid(p)
     nv = p.var_spec.total_vars
@@ -715,10 +712,6 @@ def _koszul_tables(p: PoissonStructure):
             tuple(map(operator.add, prev[lowered[support[0] - 1][r]], scaled[support[0] - 1]))
             for r, support in enumerate(_supports(nv, total))
         ]
-
-    def lams(exps: tuple[int, ...]) -> tuple[int, ...]:
-        total = sum(exps)
-        return lam_rows(total)[_ranks(nv, total)[exps]]
 
     @functools.cache
     def lam_columns(total: int) -> tuple[tuple[int, ...], ...]:
@@ -744,7 +737,7 @@ def _koszul_tables(p: PoissonStructure):
                 if lam := lam_j[r] - shift:
                     rows[offset + raised_j[r]][col] = value(lam)[negative]
 
-    return lams, insertions, write
+    return write
 
 
 def build_bracket_complex(p: PoissonStructure, weight_cap: int) -> WeightSlicedComplex:
@@ -756,7 +749,7 @@ def build_bracket_complex(p: PoissonStructure, weight_cap: int) -> WeightSlicedC
     """
     vs = p.var_spec
     cx = WeightSlicedComplex("bracket", vs, (0, vs.total_vars), weight_cap)
-    return _fill_slices(cx, coordinate_frame(vs), False, _koszul_tables(p)[2])
+    return _fill_slices(cx, coordinate_frame(vs), False, _koszul_writer(p))
 
 
 def conjugation_report(p: PoissonStructure, weight_cap: int, max_degree: int) -> dict:
@@ -799,9 +792,14 @@ def _level_set(indices: IndexSet, exps: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _qi_basis(vs: VarSpec, iset: IndexSet, degree: int, w: int) -> list[Label]:
-    """Monomial model of the slice, sorted: the labels x^(E + 1_K) d_(I + K)
-    of the classes phi_I ^ x^E eta_K with K disjoint from I,
-    |K| = degree - |I|, E vanishing on I and |E| = w + |I|."""
+    """Monomial model of the slice: the labels x^(E + 1_K) d_(I + K) of the
+    classes phi_I ^ x^E eta_K with K disjoint from I, |K| = degree - |I|,
+    E vanishing on I and |E| = w + |I|.  The loops emit them sorted: the K
+    come in lexicographic order, which adding I keeps, since (I + K1) and
+    (I + K2) differ exactly where K1 and K2 do and sorted tuples of one size
+    compare by the least element of that symmetric difference; for one K
+    the E come sorted (``_monomials``), and putting zeros at the positions of
+    I and adding 1_K keeps their order."""
     if degree < len(iset):
         return []
     nv = vs.total_vars
@@ -815,7 +813,7 @@ def _qi_basis(vs: VarSpec, iset: IndexSet, degree: int, w: int) -> list[Label]:
             for var in kset:
                 e[var - 1] += 1
             labels.append((tuple(sorted(iset + kset)), tuple(e)))
-    return sorted(labels)
+    return labels
 
 
 def _index_set(vs: VarSpec, index_set) -> IndexSet:
@@ -872,32 +870,32 @@ def build_qi(p: PoissonStructure, index_set, weight_cap: int) -> WeightSlicedCom
         cx,
         coordinate_frame(vs),
         False,
-        _koszul_tables(p)[2],
+        _koszul_writer(p),
         lambda degree, w: _qi_basis(vs, iset, degree, w),
     )
 
 
 def qi_cohomology(p: PoissonStructure, index_set, weight_cap: int) -> dict[tuple[int, int], int]:
     """(degree, weight) -> cohomology dimension of Q_I at every slice it has,
-    zeros included, by the block rule of the module docstring and without a
-    matrix: each bottom label of weight w whose closed-form image
-    (``_koszul_tables``) is empty adds C(2n - |I|, k - |I|) in degree
-    k = |I|..2n.  Refuses what ``build_qi`` refuses, except a singular A."""
+    zeros included, by the block rule of the module docstring, without a
+    matrix and on the 2n - |I| variables off I: each E' in
+    ``_monomials(2n - |I|, w + |I|)`` with sum_{i not in I} E'_i (D A)[i][j]
+    = sum_{i in I} (D A)[i][j] for every j not in I (lambda_F = 0 off I,
+    F = E' - 1_I) adds C(2n - |I|, k - |I|) in degree k = |I|..2n.  D A is
+    read from ``_invariant_grid`` alone.  Refuses what ``build_qi`` refuses,
+    except a singular A, with the weight cap checked before the model."""
     vs = p.var_spec
     iset = _index_set(vs, index_set)
     if weight_cap < 0:
         raise ValueError("weight_cap must be >= 0")
-    lams, insertions = _koszul_tables(p)[:2]
+    _den, scaled = _invariant_grid(p)
     nv, size = vs.total_vars, len(iset)
-    table = [(j, shift) for j, _negative, _key, shift in insertions(iset)]
+    rest = [i for i in range(nv) if i + 1 not in iset]
+    columns = [([scaled[i][j] for i in rest], sum(scaled[i - 1][j] for i in iset)) for j in rest]
     out = {}
     for w in range(-size, weight_cap + 1):
-        bottoms = _qi_basis(vs, iset, size, w)
-        if bottoms:
-            kept = sum(
-                all(lam[j] == shift for j, shift in table)
-                for lam in (lams(exps) for _i, exps in bottoms)
-            )
+        if mons := _monomials(len(rest), w + size):
+            kept = sum(all(sum(map(operator.mul, e, col)) == t for col, t in columns) for e in mons)
             for k in range(size, nv + 1):
                 out[(k, w)] = kept * math.comb(nv - size, k - size)
     return out
@@ -960,8 +958,10 @@ def filtration_level_of(p: PoissonStructure, form: DiffForm) -> int | None:
 
     Through the sharp identification the filtration splits monomially, so
     this is a direct inspection of the labels of the multivector expansion
-    (``_level``).
+    (``_level``).  Raises TypeError unless the form is a DiffForm.
     """
+    if not isinstance(form, DiffForm):
+        raise TypeError(f"filtration_level_of expects a DiffForm, not {type(form).__name__}")
     return _level(_PlusMachine(p).sharp_numerators(form)[1])
 
 

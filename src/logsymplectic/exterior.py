@@ -335,7 +335,11 @@ def exterior_derivative(w: DiffForm) -> DiffForm:
 
 
 def contract(w: DiffForm, v: MultiVector) -> MultiVector:
-    """Interior product of a 1-form with a multivector (coordinate frame)."""
+    """Interior product of a 1-form with a multivector (coordinate frame).
+    Raises TypeError unless w is a DiffForm and v a MultiVector."""
+    if not (isinstance(w, DiffForm) and isinstance(v, MultiVector)):
+        kinds = f"{type(w).__name__} and {type(v).__name__}"
+        raise TypeError(f"contract expects a DiffForm and a MultiVector, not {kinds}")
     if w.degree != 1:
         raise ValueError("contraction needs a 1-form")
     if v.degree == 0:

@@ -356,7 +356,8 @@ def log_matrix(p: PoissonStructure) -> SkewMatrix:
 
 
 def pi_sharp(p: PoissonStructure, w: DiffForm) -> MultiVector:
-    """Interior multiplication of a 1-form into the bivector."""
+    """Interior multiplication of a 1-form into the bivector; ``contract``
+    raises TypeError unless `w` is a DiffForm."""
     if w.degree != 1:
         raise ValueError("pi_sharp expects a 1-form")
     return contract(change_frame(w, coordinate_frame(p.var_spec)), p.bivector)
@@ -419,8 +420,10 @@ def pi_flat(p: PoissonStructure, v: MultiVector) -> DiffForm:
     """Inverse of pi_sharp on 1-vectors, through B = A^{-1}.
 
     Returns the coordinate-frame expansion of the unique meromorphic 1-form
-    mapping to `v`.
+    mapping to `v`.  Raises TypeError unless `v` is a MultiVector.
     """
+    if not isinstance(v, MultiVector):
+        raise TypeError(f"pi_flat expects a MultiVector, not {type(v).__name__}")
     if v.degree != 1:
         raise ValueError("pi_flat expects a 1-vector")
     return _flat(p.var_spec, inverse_log_matrix(p), v)

@@ -9,6 +9,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logsymplectic import complexes, linalg
 from logsymplectic.complexes import (
@@ -29,6 +31,7 @@ from logsymplectic.complexes import (
     build_qi,
     cohomology_dims,
     conjugation_report,
+    exactness_report,
     filtration_level_of,
     filtration_report,
     qi_cohomology,
@@ -1030,6 +1033,10 @@ class TestFiltration:
         )
         assert filtration_level_of(toric, bad) is None
 
+    def test_multivector_rejected(self, toric):
+        with pytest.raises(TypeError, match="DiffForm"):
+            filtration_level_of(toric, toric.bivector)
+
     def test_report_direct_with_annihilators(self, toric):
         rep = filtration_report(toric, 1, 1, 2)
         assert rep["direct"]
@@ -1354,6 +1361,22 @@ class TestKoszulBlockCount:
         row = {1: 1, 2: 3, 3: 3, 4: 1}
         assert qi_cohomology(p, (3,), 0) == {(k, w): h for w in (-1, 0) for k, h in row.items()}
 
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-4, 4), st.sampled_from([1, 1, 2, 3])), min_size=6, max_size=6))
+    def test_random_grids_2n4(self, entries):
+        # integer and fractional skew grids, singular ones included: the
+        # pieces sum to the bracket cohomology, and when A is nonsingular
+        # each piece matches the ranks of its built complex
+        upper = iter(Fraction(num, den) for num, den in entries)
+        grid = [[Fraction(0)] * 4 for _ in range(4)]
+        for i, j in itertools.combinations(range(4), 2):
+            grid[i][j] = next(upper)
+            grid[j][i] = -grid[i][j]
+        p = toric_structure(grid)
+        assert nonzero_cohomology(build_bracket_complex(p, 2)) == summed_block_count(p, 2)
+        if pfaffian(grid):
+            assert_pieces_match_ranks(p, 2)
+
     def test_no_matrix_and_no_elimination(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("the block count built or ranked a matrix")
@@ -1462,15 +1485,52 @@ class TestClearing:
 
 
 class TestLambdaTables:
+    """The incremental D E A rows of the bracket writer, read back through
+    the degree-0 columns: x^E maps to sum_j (E A)_j x^(E + e_j) d_j."""
+
     @pytest.mark.parametrize("fractional", [False, True])
     def test_incremental_rows_match_brute_force(self, fractional):
         p = fractional_2general_structure(11) if fractional else toric_structure(EXPLICIT_GRID)
-        den, scaled = complexes._invariant_grid(p)
-        lams = complexes._koszul_tables(p)[0]
+        grid = log_matrix(p).constant_grid()
+        cx = build_bracket_complex(p, 5)
         for total in range(6):
-            for exps in _monomials(4, total):
-                brute = tuple(sum(e * scaled[i][j] for i, e in enumerate(exps)) for j in range(4))
-                assert lams(exps) == brute, exps
+            sources, targets = cx.basis[(0, total)], cx.basis[(1, total)]
+            assert sources == [((), exps) for exps in _monomials(4, total)]
+            position = {label: r for r, label in enumerate(targets)}
+            rows = cx.diffs[(0, total)]
+            for col, (_m, exps) in enumerate(sources):
+                column = {r: row[col] for r, row in enumerate(rows) if col in row}
+                brute = {}
+                for j in range(4):
+                    if lam := sum(e * grid[i][j] for i, e in enumerate(exps)):
+                        raised = exps[:j] + (exps[j] + 1,) + exps[j + 1 :]
+                        brute[position[((j + 1,), raised)]] = lam
+                assert column == brute, exps
+
+
+class TestExactnessReport:
+    """``exactness_report`` formats every verdict table, of the CLI and of
+    ``verify_exactness``."""
+
+    def test_empty_table_is_exact(self):
+        assert exactness_report("Q[1]", 3, {}) == {
+            "complex_id": "Q[1]", "weight_cap": 3, "table": [], "verdict": "exact",
+        }
+
+    def test_rows_sorted_by_degree_then_weight(self):
+        dims = {(2, 0): 0, (1, 3): 0, (1, -1): 0, (2, -2): 0}
+        rep = exactness_report("bracket", 3, dims)
+        assert [(r["degree"], r["weight"]) for r in rep["table"]] == [(1, -1), (1, 3), (2, -2), (2, 0)]
+        assert rep["verdict"] == "exact"
+
+    def test_one_nonzero_dimension_is_not_exact(self):
+        rep = exactness_report("Q[3, 4]", 2, {(2, -2): 1, (2, 0): 0, (3, -2): 0})
+        assert rep["verdict"] == "not_exact"
+        assert rep["table"][0] == {"degree": 2, "weight": -2, "dim_cohomology": 1}
+
+    def test_id_and_cap_pass_through(self):
+        rep = exactness_report("logplus", 7, {(0, 0): 0})
+        assert (rep["complex_id"], rep["weight_cap"]) == ("logplus", 7)
 
 
 # -- pinned matrices ---------------------------------------------------------------

@@ -168,6 +168,15 @@ class TestContract:
         with pytest.raises(ValueError):
             contract(coordinate_one_form(VS, 1), f)
 
+    def test_wrong_kinds_rejected(self):
+        # a vector in the form slot would be read as a 1-form, d_1 as dx_1
+        d1, dx1 = coordinate_vector(VS, 1), coordinate_one_form(VS, 1)
+        v12 = vector_monomial(COORD, (1, 2), poly("1"))
+        w12 = wedge(dx1, coordinate_one_form(VS, 2))
+        for w, v in [(d1, v12), (dx1, w12), (d1, w12)]:
+            with pytest.raises(TypeError, match="DiffForm and a MultiVector"):
+                contract(w, v)
+
 
 class TestChangeFrame:
     def test_eta_to_coordinate(self):

@@ -483,6 +483,14 @@ class TestMusicalMaps:
             w = change_frame(DiffForm(coordinate_frame(VS), 1, terms), COORD)
             assert pi_flat(explicit_toric, pi_sharp(explicit_toric, w)) == w
 
+    def test_sharp_rejects_a_vector(self, explicit_toric):
+        with pytest.raises(TypeError, match="DiffForm"):
+            pi_sharp(explicit_toric, coordinate_vector(VS, 1))
+
+    def test_flat_rejects_a_form(self, explicit_toric):
+        with pytest.raises(TypeError, match="MultiVector"):
+            pi_flat(explicit_toric, coordinate_one_form(VS, 1))
+
     def test_flat_requires_invertible(self):
         grid = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
         p = toric_structure(grid)
