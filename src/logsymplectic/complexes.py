@@ -129,13 +129,14 @@ total(I) = w - ``frame_element_weight(I)``.  So the label (I, E) sits at
 
 offset(I) the number of labels of the index sets before I and rank(E) the
 index of E among the sorted monomials of its total; that is its index in
-the sorted ``basis`` list.  Tables keyed by (2n, total) alone, like
-``_monomials``, give rank(E) (``_ranks``), rank(E + e_j) (``_raised``),
-rank(E - e_t) (``_lowered``) and the support of E (``_supports``), so a
-builder finds the position of every target by integer arithmetic and never
-hashes a label.  ``_fill_slices`` walks the columns (I, E) of a slice in
-order and calls each builder's one writer function once per index set I,
-with the blocks of the target slice:
+the sorted ``basis`` list.  Tables keyed by (number of variables, total)
+alone, like ``_monomials``, give rank(E) (``_ranks``), rank(E + e_j)
+(``_raised``), rank(E - e_t) (``_lowered``) and the support of E
+(``_supports``), so a builder finds the position of every target by integer
+arithmetic and never hashes a label.  Each builder hands ``_fill_slices``
+its layout, per slice the blocks I -> (offset(I), total) and the labels,
+and one writer, called once per block I of a source slice with the blocks
+of the target slice:
 
 * the log complex: per t an insertion (offset(I + {t}), sign), and the
   rank of E (t on the divisor) or of E - e_t (``_lowered``);
@@ -144,10 +145,11 @@ with the blocks of the target slice:
 * the log-plus complex: per (I, support of E) the merged piece, and per
   total of E and target shift e2 one table of the ranks of E + e2, kept
   for the whole build;
-* ``build_qi``: the bracket writer on the ``_qi_basis`` labels of each
-  bracket slice.  Rows are allocated only at the positions of those
-  labels; every other position shares one spill row, so an image that
-  leaves the piece lands there, and a non-empty spill row raises.
+* ``build_qi``: its own layout.  Slice (k, w) of Q_I has a block per
+  M = I + K, |K| = k - |I|, holding the F' = E - 1_K of
+  ``_monomials(2n - |I|, w + |I|)`` on the variables off I; (M, F') maps
+  to (M + {j}, F') at the same rank, and a target block the piece lacks
+  raises (``_target_offset``), as a log-plus target off the slice does.
 
 ``merge_indices`` runs once per (I, j) and slice, not once per entry.  No
 generator emits a target twice in one column (its targets are distinct
@@ -317,88 +319,62 @@ def _supports(nvars: int, total: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(i for i, e in enumerate(exps, 1) if e) for exps in _monomials(nvars, total))
 
 
-@dataclass
-class _Slice:
-    """One slice (k, w) in the slice layout: ``blocks`` maps each index set I
-    with monomials there to (offset(I), total), the labels (I, E) taking the
-    positions offset(I) + rank(E), E in ``_monomials(2n, total)``, in
-    ``size`` positions in all.  ``labels`` are the basis of the slice, a
-    sorted subset of the layout, at ``positions``; ``groups`` lists them as
-    (I, total, first column, ranks of their E)."""
-
-    blocks: dict[IndexSet, tuple[int, int]]
-    size: int
-    labels: list[Label]
-    positions: list[int] | range
-    groups: list[tuple[IndexSet, int, int, list[int] | range]]
-
-
-def _slice(frame: Frame, is_form: bool, k: int, w: int, keep) -> _Slice:
+def _slice(frame: Frame, is_form: bool, k: int, w: int):
     """The slice (k, w) of the frame basis (the weight rule of
-    ``exterior.frame_element_weight``), restricted to the sorted labels
-    ``keep(k, w)`` unless ``keep`` is None."""
+    ``exterior.frame_element_weight``) as (blocks, labels), the block of I
+    (offset(I), total) holding the (I, E), E in ``_monomials(2n, total)``."""
     nv = frame.var_spec.total_vars
     blocks: dict[IndexSet, tuple[int, int]] = {}
-    size = 0
+    labels: list[Label] = []
     for indices in itertools.combinations(range(1, nv + 1), k):
         total = w - frame_element_weight(frame, indices, is_form)
-        if count := len(_monomials(nv, total)):
-            blocks[indices] = (size, total)
-            size += count
-    if keep is None:
-        labels = [(i, e) for i, (_o, total) in blocks.items() for e in _monomials(nv, total)]
-        groups = [(i, total, o, range(len(_monomials(nv, total)))) for i, (o, total) in blocks.items()]
-        return _Slice(blocks, size, labels, range(size), groups)
-    labels = keep(k, w)
-    positions, groups = [], []
-    for indices, group in itertools.groupby(labels, operator.itemgetter(0)):
-        offset, total = blocks[indices]
-        ranks = [_ranks(nv, total)[e] for _i, e in group]
-        groups.append((indices, total, len(positions), ranks))
-        positions.extend(offset + r for r in ranks)
-    return _Slice(blocks, size, labels, positions, groups)
+        if mons := _monomials(nv, total):
+            blocks[indices] = (len(labels), total)
+            labels.extend((indices, e) for e in mons)
+    return blocks, labels
 
 
-def _fill_slices(cx: WeightSlicedComplex, frame: Frame, is_form: bool, write, keep=None):
-    """Fill ``cx.basis`` in the slice layout (module docstring) over its
-    degree range and weights -degree..cap (no label weighs less than minus
-    its degree), then ``cx.diffs`` below the top, by position.
+def _target_offset(blocks, source: IndexSet, indices: IndexSet, total: int) -> int:
+    """offset(I) of the block of I and the given total in a target slice;
+    AssertionError if there is none: an image of a column of source left it."""
+    block = blocks.get(indices)
+    if block is None or block[1] != total:
+        target = f"a column of {source} has a target of {indices} and total {total}"
+        raise AssertionError(f"differential left the slice: {target}")
+    return block[0]
 
-    ``write(blocks, indices, total, rows, col0, ranks)`` is called once per
-    group of a source slice, with the target slice's ``_Slice.blocks``: for
-    the i-th rank r in ranks it stores the image of
-    (I, _monomials(2n, total)[r]) as column col0 + i, ``rows[p][col0 + i] =
-    c`` for each target at layout position p, with c nonzero and in normal
-    form (``linalg.exact``).  No generator emits a target twice in one
-    column (its targets are distinct insertions, or distinct labels of a
-    merged piece), so nothing is summed.  Every position outside the
-    target's labels (``keep``) shares one spill row, and a slice that
-    stores into it raises AssertionError."""
+
+def _fill_slices(cx: WeightSlicedComplex, slice_of, write):
+    """Fill ``cx.basis`` over its degree range and weights -degree..cap (no
+    label weighs less than minus its degree), then ``cx.diffs`` below the
+    top, by position.  ``slice_of(k, w)`` is the builder's layout (module
+    docstring): (blocks, labels), blocks mapping I to (offset(I), total).
+    ``write(blocks, indices, total, rows, col0)`` is called once per block
+    of a source slice, with the target's blocks: it stores the image of
+    the r-th label of the block as ``rows[p][col0 + r] = c`` for each
+    target at position p, c nonzero and in normal form (``linalg.exact``).
+    No generator emits a target twice in one column (its targets are
+    distinct insertions, or distinct labels of a merged piece), so nothing
+    is summed."""
     if cx.weight_cap < 0:
         raise ValueError("weight_cap must be >= 0")
     lo, top = cx.degree_range
     slices = {
-        (degree, w): _slice(frame, is_form, degree, w, keep)
+        (degree, w): slice_of(degree, w)
         for degree in range(lo, top + 1)
         for w in range(-degree, cx.weight_cap + 1)
     }
-    for key, sl in slices.items():
-        if sl.labels:
-            cx.basis[key] = sl.labels
-    for (degree, w), src in slices.items():
-        if degree == top or not src.labels:
+    for key, (_blocks, labels) in slices.items():
+        if labels:
+            cx.basis[key] = labels
+    for (degree, w), (blocks, labels) in slices.items():
+        if degree == top or not labels:
             continue
-        tgt = slices[(degree + 1, w)]
-        spill: linalg.Row = {}
-        rows = [spill] * tgt.size
-        for p in tgt.positions:
-            rows[p] = {}
-        for indices, total, col0, ranks in src.groups:
-            write(tgt.blocks, indices, total, rows, col0, ranks)
-        if spill:
-            label = src.labels[min(spill)]
-            raise AssertionError(f"differential left the slice: the column {label} of slice {(degree, w)}")
-        cx.diffs[(degree, w)] = [rows[p] for p in tgt.positions]
+        target, target_labels = slices[(degree + 1, w)]
+        rows: list[linalg.Row] = [{} for _ in target_labels]
+        for indices, (col0, total) in blocks.items():
+            write(target, indices, total, rows, col0)
+        cx.diffs[(degree, w)] = rows
     return cx
 
 
@@ -421,7 +397,7 @@ def build_log_complex(vs: VarSpec, weight_cap: int) -> WeightSlicedComplex:
     """
     nv, m = vs.total_vars, vs.divisor_vars
 
-    def write(blocks, indices, total, rows, col0, ranks):
+    def write(blocks, indices, total, rows, col0):
         # d(x^E eta_I) = sum_t E_t x^E eta_t ^ eta_I: dx_t = x_t eta_t on
         # divisor indices, so E stays put there and drops by e_t otherwise.
         mons = _monomials(nv, total)
@@ -432,12 +408,12 @@ def build_log_complex(vs: VarSpec, weight_cap: int) -> WeightSlicedComplex:
             sign, key = merged
             offset = blocks[key][0]
             target = range(len(mons)) if t <= m else _lowered(nv, total)[t - 1]
-            for col, r in enumerate(ranks, col0):
-                if e := mons[r][t - 1]:
-                    rows[offset + target[r]][col] = sign * e
+            for r, exps in enumerate(mons):
+                if e := exps[t - 1]:
+                    rows[offset + target[r]][col0 + r] = sign * e
 
     cx = WeightSlicedComplex("log", vs, (0, nv), weight_cap)
-    return _fill_slices(cx, log_frame(vs), True, write)
+    return _fill_slices(cx, functools.partial(_slice, log_frame(vs), True), write)
 
 
 # -- shared machinery for the log-plus side -----------------------------------
@@ -655,48 +631,38 @@ def build_logplus_complex(p: PoissonStructure, weight_cap: int) -> WeightSlicedC
         ranks = _ranks(nv, total + sum(e2))
         return [ranks.get(tuple(map(operator.add, e, e2)), -1) for e in _monomials(nv, total)]
 
-    def write(blocks, indices, total, rows, col0, ranks):
-        mons, supports = _monomials(nv, total), _supports(nv, total)
-        columns_of: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-        for col, r in enumerate(ranks, col0):
-            columns_of.setdefault(supports[r], []).append((col, r))
-        for support, cols in columns_of.items():
+    def write(blocks, indices, total, rows, col0):
+        mons, ranks_of = _monomials(nv, total), {}
+        for r, support in enumerate(_supports(nv, total)):
+            ranks_of.setdefault(support, []).append(r)
+        for support, ranks in ranks_of.items():
             den, targets = merged(indices, support)
             for jdx, e2, c0, parts in targets:
-                if jdx not in blocks or blocks[jdx][1] != total + sum(e2):
-                    raise AssertionError(
-                        f"differential left the slice: a column of {indices} has a target "
-                        f"of {jdx} and total {total + sum(e2)}"
-                    )
-                offset, shift = blocks[jdx][0], shifted_ranks(total, e2)
-                for col, r in cols:
+                offset = _target_offset(blocks, indices, jdx, total + sum(e2))
+                shift = shifted_ranks(total, e2)
+                for r in ranks:
                     if num := c0 + sum(map(operator.mul, mons[r], parts)):
                         if (pos := shift[r]) < 0:
                             raise AssertionError("derivative left the polynomial log-plus span")
-                        rows[offset + pos][col] = linalg.exact(num, den)
+                        rows[offset + pos][col0 + r] = linalg.exact(num, den)
 
     cx = WeightSlicedComplex("logplus", vs, (0, vs.total_vars), weight_cap)
-    return _fill_slices(cx, machine.coord, False, write)
+    return _fill_slices(cx, functools.partial(_slice, machine.coord, False), write)
 
 
-def _koszul_writer(p: PoissonStructure):
-    """The ``_fill_slices`` writer of the closed-form bracket differential:
-    the label (M, E) maps to sum_{j not in M} s_j lambda_j (M + {j}, E + e_j)
-    with lambda = (E - 1_M) A = E A - 1_M A and s_j the sign of
-    ``merge_indices((j,), M)`` (module docstring).  A is scaled once by its
-    common denominator D.  D E A is tabulated per total: the row of E is the
-    row of E - e_t (``_lowered``) plus the row t of D A, t the first variable
-    of E, one vector addition per row.  ``insertions(M)`` is the table
-    [(j - 1, s_j < 0, M + {j}, D (1_M A)_j)] for each j not in M, once per
-    index set.  Per entry the writer does one integer subtraction
-    D lambda_j = D (E A)_j - D (1_M A)_j and one store at
-    offset(M + {j}) + rank(E + e_j) (``_raised``) of a cached exact value
-    +-(D lambda_j) / D (``linalg.exact``).  Its only clients are
-    ``build_bracket_complex`` and ``build_qi``.  Raises ValueError outside
-    the invariant model (``_invariant_grid``).
-    """
+def _koszul_tables(p: PoissonStructure, variables):
+    """(value, lam_columns, insertions) for a writer of the closed-form
+    bracket differential (module docstring) on the given variables, A
+    scaled by its common denominator D (``_invariant_grid``, which raises
+    ValueError outside the invariant model).  ``value(lam)`` is the cached
+    pair (lam / D, -lam / D).  ``lam_columns(total)`` gives, per q-th
+    variable j, D (E A)_j for each E of ``_monomials(len(variables), total)``:
+    the row of E is the row of E - e_t (``_lowered``) plus the row of D A of
+    t, the first variable of E.  ``insertions(M, ones)`` is the table
+    [(q, s_j < 0, M + {j}, D (1_ones A)_j)] over the q-th variables j not in M."""
     den, scaled = _invariant_grid(p)
-    nv = p.var_spec.total_vars
+    grid = [[scaled[i - 1][j - 1] for j in variables] for i in variables]
+    nv = len(grid)
 
     @functools.cache
     def value(lam: int) -> tuple[int | Fraction, int | Fraction]:
@@ -704,38 +670,53 @@ def _koszul_writer(p: PoissonStructure):
 
     @functools.cache
     def lam_rows(total: int) -> list[tuple[int, ...]]:
-        """D E A for each E of ``_monomials(2n, total)``."""
         if total == 0:
             return [(0,) * nv]
         prev, lowered = lam_rows(total - 1), _lowered(nv, total)
         return [
-            tuple(map(operator.add, prev[lowered[support[0] - 1][r]], scaled[support[0] - 1]))
+            tuple(map(operator.add, prev[lowered[support[0] - 1][r]], grid[support[0] - 1]))
             for r, support in enumerate(_supports(nv, total))
         ]
 
     @functools.cache
     def lam_columns(total: int) -> tuple[tuple[int, ...], ...]:
-        """Per j - 1, D (E A)_j for each E of ``_monomials(2n, total)``."""
         return tuple(zip(*lam_rows(total)))
 
     @functools.cache
-    def insertions(indices: IndexSet) -> list[tuple[int, bool, IndexSet, int]]:
+    def insertions(indices: IndexSet, ones: IndexSet) -> list[tuple[int, bool, IndexSet, int]]:
         table = []
-        for j in range(1, nv + 1):
+        for q, j in enumerate(variables):
             merged = merge_indices((j,), indices)
             if merged is not None:
                 sign, key = merged
-                shift = sum(scaled[i - 1][j - 1] for i in indices)
-                table.append((j - 1, sign < 0, key, shift))
+                table.append((q, sign < 0, key, sum(scaled[i - 1][j - 1] for i in ones)))
         return table
 
-    def write(blocks, indices, total, rows, col0, ranks):
+    return value, lam_columns, insertions
+
+
+def _koszul_writer(p: PoissonStructure):
+    """The ``_fill_slices`` writer of the closed-form bracket differential:
+    the label (M, E) maps to sum_{j not in M} s_j lambda_j (M + {j}, E + e_j)
+    with lambda = (E - 1_M) A = E A - 1_M A and s_j the sign of
+    ``merge_indices((j,), M)`` (module docstring; tables ``_koszul_tables``
+    on all 2n variables, with ones = M).  Per entry it does one integer
+    subtraction D lambda_j = D (E A)_j - D (1_M A)_j and one store at
+    offset(M + {j}) + rank(E + e_j) (``_raised``) of a cached exact value
+    +-(D lambda_j) / D (``linalg.exact``).  Its only client is
+    ``build_bracket_complex``.  Raises ValueError outside the invariant
+    model (``_invariant_grid``).
+    """
+    nv = p.var_spec.total_vars
+    value, lam_columns, insertions = _koszul_tables(p, range(1, nv + 1))
+
+    def write(blocks, indices, total, rows, col0):
         lam_of, raised = lam_columns(total), _raised(nv, total)
-        for j, negative, key, shift in insertions(indices):
-            offset, lam_j, raised_j = blocks[key][0], lam_of[j], raised[j]
-            for col, r in enumerate(ranks, col0):
-                if lam := lam_j[r] - shift:
-                    rows[offset + raised_j[r]][col] = value(lam)[negative]
+        for j, negative, key, shift in insertions(indices, indices):
+            offset, raised_j = blocks[key][0], raised[j]
+            for r, lam in enumerate(lam_of[j]):
+                if lam := lam - shift:
+                    rows[offset + raised_j[r]][col0 + r] = value(lam)[negative]
 
     return write
 
@@ -749,7 +730,8 @@ def build_bracket_complex(p: PoissonStructure, weight_cap: int) -> WeightSlicedC
     """
     vs = p.var_spec
     cx = WeightSlicedComplex("bracket", vs, (0, vs.total_vars), weight_cap)
-    return _fill_slices(cx, coordinate_frame(vs), False, _koszul_writer(p))
+    layout = functools.partial(_slice, coordinate_frame(vs), False)
+    return _fill_slices(cx, layout, _koszul_writer(p))
 
 
 def conjugation_report(p: PoissonStructure, weight_cap: int, max_degree: int) -> dict:
@@ -804,15 +786,16 @@ def _qi_basis(vs: VarSpec, iset: IndexSet, degree: int, w: int) -> list[Label]:
         return []
     nv = vs.total_vars
     rest = [i for i in range(1, nv + 1) if i not in iset]
+    spread = []
+    for fexp in _monomials(len(rest), w + len(iset)):
+        e = [0] * nv
+        for var, x in zip(rest, fexp):
+            e[var - 1] = x
+        spread.append(e)
     labels = []
     for kset in itertools.combinations(rest, degree - len(iset)):
-        for fexp in _monomials(len(rest), w + len(iset)):
-            e = [0] * nv
-            for var, x in zip(rest, fexp):
-                e[var - 1] = x
-            for var in kset:
-                e[var - 1] += 1
-            labels.append((tuple(sorted(iset + kset)), tuple(e)))
+        indices, ones = tuple(sorted(iset + kset)), [int(i in kset) for i in range(1, nv + 1)]
+        labels.extend((indices, tuple(map(operator.add, e, ones))) for e in spread)
     return labels
 
 
@@ -856,23 +839,39 @@ def build_qi(p: PoissonStructure, index_set, weight_cap: int) -> WeightSlicedCom
 
     Monomial model in degrees D = |I|..2n: the slice at degree D, weight w
     is spanned by x^E d_M with I inside M, E vanishing exactly on I among
-    the indices of M, and |E| = w + D.  The differential is the bracket
-    with the bivector, in the closed form of the module docstring; assembly
-    fails loudly if any generator's image leaves the slice.  The signs of
-    d(phi_I) are checked first (``_dphi_signs``, which also refuses a
-    singular A); they are all -1, so the complex alone is returned.
+    the indices of M, and |E| = w + D.  Its layout is its own (module
+    docstring): (M, E) sits at offset(M) + rank(F'), F' = E - 1_(M - I) on
+    the variables off I.  The differential is the bracket with the
+    bivector in closed form, with F = F' - 1_I: (M, F') maps to
+    sum_{j not in M} s_j lambda_j (M + {j}, F') at the same rank, with
+    D lambda_j = D (F' A)_j - D (1_I A)_j (``_koszul_tables`` on the
+    variables off I); a target block the piece lacks raises AssertionError.
+    The signs of d(phi_I) are checked first (``_dphi_signs``, which also
+    refuses a singular A); they are all -1, so the complex alone is returned.
     """
     vs = p.var_spec
     iset = _index_set(vs, index_set)
     _dphi_signs(p, iset)
+    rest = [j for j in range(1, vs.total_vars + 1) if j not in iset]
+    value, lam_columns, insertions = _koszul_tables(p, rest)
+
+    def slice_of(degree: int, w: int):
+        labels = _qi_basis(vs, iset, degree, w)
+        blocks: dict[IndexSet, tuple[int, int]] = {}
+        for position, (indices, _exps) in enumerate(labels):
+            blocks.setdefault(indices, (position, w + len(iset)))
+        return blocks, labels
+
+    def write(blocks, indices, total, rows, col0):
+        lam_of = lam_columns(total)
+        for q, negative, key, shift in insertions(indices, iset):
+            offset = _target_offset(blocks, indices, key, total)
+            for r, lam in enumerate(lam_of[q]):
+                if lam := lam - shift:
+                    rows[offset + r][col0 + r] = value(lam)[negative]
+
     cx = WeightSlicedComplex(f"Q{list(iset)}", vs, (len(iset), vs.total_vars), weight_cap)
-    return _fill_slices(
-        cx,
-        coordinate_frame(vs),
-        False,
-        _koszul_writer(p),
-        lambda degree, w: _qi_basis(vs, iset, degree, w),
-    )
+    return _fill_slices(cx, slice_of, write)
 
 
 def qi_cohomology(p: PoissonStructure, index_set, weight_cap: int) -> dict[tuple[int, int], int]:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from logsymplectic import complexes, linalg
 from logsymplectic.complexes import (
+    IndexSet,
     WeightSlicedComplex,
     _PlusMachine,
     _dphi_signs,
@@ -761,15 +762,46 @@ class TestGradedPieces:
             build_qi(toric, (1, 1), 1)
 
 
+def assert_qi_layout(p: PoissonStructure, iset: IndexSet) -> None:
+    """Q_I lists the label (M, E) at offset(M) + rank(F'): F' = E - 1_K on
+    the variables off I, K = M - I, ranks among _monomials(2n - |I|, w + |I|),
+    and offset(M) is the index of K among the combinations of the variables
+    off I times the number of those monomials."""
+    cx = build_qi(p, iset, 2)
+    rest = [i for i in range(1, p.var_spec.total_vars + 1) if i not in iset]
+    checked = 0
+    for (k, w), basis in cx.basis.items():
+        mons = _monomials(len(rest), w + len(iset))
+        ksets = list(itertools.combinations(rest, k - len(iset)))
+        for position, (indices, exps) in enumerate(basis):
+            kset = tuple(i for i in indices if i not in iset)
+            assert len(indices) == k and all(exps[i - 1] == 0 for i in iset)
+            fexp = tuple(exps[i - 1] - (i in kset) for i in rest)
+            assert position == ksets.index(kset) * len(mons) + mons.index(fexp)
+            checked += 1
+    assert checked > 0
+
+
+QI_LAYOUT_CASES = {
+    "qi_fixture_12": lambda: (toric_structure(EXPLICIT_GRID), (1, 2)),
+    "qi_resonant_34": lambda: (load_structure(RESONANT_STRUCTURE), (3, 4)),
+    "qi_2n6_1": lambda: (random_2general_toric(random.Random(3), 3).structure, (1,)),
+}
+
+
 class TestSliceLayout:
     """Slice (k, w) lists, for I in combinations order, the monomials of
     |E| = w minus the frame weight of I: the label (I, E) sits at
-    offset(I) + rank(E), its index in the sorted basis."""
+    offset(I) + rank(E), its index in the sorted basis.  Q_I lays out only
+    its own labels, on the variables off I."""
 
     @pytest.mark.parametrize(
-        "which", ["log_4_2", "log_6_3", "logplus", "bracket", "bracket_2n6"]
+        "which", ["log_4_2", "log_6_3", "logplus", "bracket", "bracket_2n6", *QI_LAYOUT_CASES]
     )
     def test_position_is_basis_index(self, toric, which):
+        if which in QI_LAYOUT_CASES:
+            assert_qi_layout(*QI_LAYOUT_CASES[which]())
+            return
         if which.startswith("log_"):
             nv, m = map(int, which.split("_")[1:])
             vs = VarSpec(nv, m)
@@ -781,7 +813,7 @@ class TestSliceLayout:
         nv = cx.var_spec.total_vars
         checked = 0
         for (k, w), basis in cx.basis.items():
-            blocks = _slice(frame, is_form, k, w, None).blocks
+            blocks = _slice(frame, is_form, k, w)[0]
             for indices, exps in basis:
                 offset, total = blocks[indices]
                 assert sum(exps) == total
@@ -804,6 +836,51 @@ class TestSliceLayout:
                     assert down == [
                         e[:j] + (e[j] - 1,) + e[j + 1 :] if e[j] else None for e in mons
                     ]
+
+    @pytest.mark.parametrize("path", ["fixture", "resonant"])
+    def test_qi_is_the_bracket_complex_restricted(self, path):
+        # Q_I's own layout against the bracket complex's, whole columns: for
+        # every I, the bracket columns of the piece's labels have no entry
+        # off the piece, and on it they are the columns of build_qi
+        p = load_structure(FIXTURE_STRUCTURE if path == "fixture" else RESONANT_STRUCTURE)
+        bracket = build_bracket_complex(p, 2)
+        nv = p.var_spec.total_vars
+        compared = 0
+        for size in range(nv + 1):
+            for iset in itertools.combinations(range(1, nv + 1), size):
+                qi = build_qi(p, iset, 2)
+                for (k, w), mat in qi.diffs.items():
+                    position = {lab: c for c, lab in enumerate(bracket.basis[(k, w)])}
+                    columns = [position[lab] for lab in qi.basis[(k, w)]]
+                    targets = qi.basis.get((k + 1, w), [])
+                    restricted = {}
+                    for lab, row in zip(bracket.basis.get((k + 1, w), []), bracket.diffs[(k, w)]):
+                        entries = {q: row[c] for q, c in enumerate(columns) if c in row}
+                        if lab in targets:
+                            restricted[lab] = entries
+                        else:
+                            assert not entries, (iset, (k, w), lab)
+                    assert [restricted[lab] for lab in targets] == mat, (iset, (k, w))
+                    compared += 1
+        assert compared > 0
+
+    def test_qi_tables_stay_off_the_piece(self, toric, monkeypatch):
+        # Q_I builds and reads its monomial tables on the 2n - |I| variables
+        # off I: none of them is called with all 2n variables
+        calls = []
+        for name in ("_monomials", "_ranks", "_lowered", "_supports", "_raised"):
+
+            def record(nvars, total, real=getattr(complexes, name)):
+                calls.append(nvars)
+                return real(nvars, total)
+
+            monkeypatch.setattr(complexes, name, record)
+        cases = [(toric, iset) for size in range(1, 5) for iset in itertools.combinations(range(1, 5), size)]
+        cases.append((random_2general_toric(random.Random(3), 3).structure, (1,)))
+        for p, iset in cases:
+            calls.clear()
+            build_qi(p, iset, 2)
+            assert calls and p.var_spec.total_vars not in calls, iset
 
     def test_qi_image_leaving_the_piece_raises(self, toric, monkeypatch):
         # build_qi keeps the _qi_basis labels of each bracket slice; with the
