@@ -147,7 +147,9 @@ of the target slice:
   for the whole build;
 * ``build_qi``: its own layout.  Slice (k, w) of Q_I has a block per
   M = I + K, |K| = k - |I|, holding the F' = E - 1_K of
-  ``_monomials(2n - |I|, w + |I|)`` on the variables off I; (M, F') maps
+  ``_monomials(2n - |I|, w + |I|)`` on the variables off I, so every
+  block has that size and offset(M) is the index of K in ``combinations``
+  order over the variables off I times it; (M, F') maps
   to (M + {j}, F') at the same rank, and a target block the piece lacks
   raises (``_target_offset``), as a log-plus target off the slice does.
 
@@ -857,9 +859,12 @@ def build_qi(p: PoissonStructure, index_set, weight_cap: int) -> WeightSlicedCom
 
     def slice_of(degree: int, w: int):
         labels = _qi_basis(vs, iset, degree, w)
-        blocks: dict[IndexSet, tuple[int, int]] = {}
-        for position, (indices, _exps) in enumerate(labels):
-            blocks.setdefault(indices, (position, w + len(iset)))
+        if not labels:
+            return {}, labels
+        total = w + len(iset)
+        size = len(_monomials(len(rest), total))
+        ksets = itertools.combinations(rest, degree - len(iset))
+        blocks = {tuple(sorted(iset + kset)): (r * size, total) for r, kset in enumerate(ksets)}
         return blocks, labels
 
     def write(blocks, indices, total, rows, col0):

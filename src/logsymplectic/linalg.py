@@ -15,9 +15,14 @@ is copied as it is, with denominator 1, which is the path the stored
 differentials of ``complexes`` take on an integral log matrix.  One
 elimination loop, ``_eliminate``, serves ``rank``, ``det``, ``inverse`` and
 ``solve_columns``, and ``pivot_columns`` exposes the pivot columns it
-finds.  ``mat_mul`` multiplies Scaled rows and builds a value only for a
-nonzero product entry; ``product_is_zero`` accumulates the same sums and
-builds none.  ``det``, ``inverse`` and ``solve_columns`` return Fractions.
+finds.
+
+One product path serves ``mat_mul`` and ``product_is_zero``: ``_int_rows``
+reads each factor as integer rows over one scale (dict rows of ints as
+they are), and ``_sums`` accumulates each product row as integers.
+``mat_mul`` builds a value only for a nonzero sum; ``product_is_zero``
+builds none and stops at the first nonzero row.  ``det``, ``inverse`` and
+``solve_columns`` return Fractions.
 """
 
 from __future__ import annotations
@@ -75,15 +80,6 @@ def _scaled(row) -> Scaled:
     nums = _nonzero(row)
     den = math.lcm(*(v.denominator for v in nums.values()))
     return {c: v.numerator * (den // v.denominator) for c, v in nums.items()}, den
-
-
-def _view(row) -> Scaled:
-    """A row as a Scaled row for reading only: a dict of ints is returned
-    itself, zeros and all, since a zero term adds nothing to a product; any
-    other row is copied by ``_scaled``."""
-    if isinstance(row, dict) and type(sum(row.values())) is int:
-        return row, 1
-    return _scaled(row)
 
 
 def _clear(nums: dict[int, int], den: int, c: int, pivot: Scaled) -> int:
@@ -166,27 +162,40 @@ def _eliminate(
     return pivots
 
 
-def mat_mul(a, b) -> list[Row]:
-    """The product as sparse rows of values in normal form (``exact``).
-    Products are summed as integers over one denominator per output row,
-    and only nonzero sums become values."""
-    b = [_view(row) for row in b]
-    integral = all(d == 1 for _n, d in b)
-    out = []
+def _int_rows(rows) -> tuple[list[dict[int, int]], int]:
+    """Dense or sparse rows as dicts of ints over one positive scale, the lcm
+    of their denominators: row i is the i-th dict divided by the scale.
+    Dict rows of ints are returned as they are, zeros and all, with scale 1,
+    since a zero term adds nothing to a product; other rows are copied (a
+    sum with a Fraction term is a Fraction, even one with denominator 1)."""
+    rows = [row if isinstance(row, dict) else _nonzero(row) for row in rows]
+    if type(sum(map(sum, map(dict.values, rows)))) is int:
+        return rows, 1
+    scale = math.lcm(*(v.denominator for row in rows for v in row.values()))
+    return [{k: v.numerator * (scale // v.denominator) for k, v in row.items()} for row in rows], scale
+
+
+def _sums(a: list[dict[int, int]], b: list[dict[int, int]]):
+    """Per row x of a, the integer sums of x b as a dict, zeros kept.  Every
+    column of a must index a row of b; the loop does not check it."""
     for row in a:
-        nums, den = _view(row)
-        common = 1 if integral else math.lcm(*[b[t][1] for t in nums])
         acc: dict[int, int] = {}
         get = acc.get
-        for t, x in nums.items():
-            bnums, d = b[t]
-            if d != common:
-                x *= common // d
-            for k, v in bnums.items():
+        for t, x in row.items():
+            for k, v in b[t].items():
                 acc[k] = get(k, 0) + x * v
-        den *= common
-        out.append({k: exact(v, den) for k, v in acc.items() if v})
-    return out
+        yield acc
+
+
+def mat_mul(a, b) -> list[Row]:
+    """The product as sparse rows of values in normal form (``exact``).
+    Both factors are read as integers over one scale each (``_int_rows``),
+    and only nonzero sums become values.  Every column of a must index a
+    row of b; this is not checked."""
+    a, sa = _int_rows(a)
+    b, sb = _int_rows(b)
+    den = sa * sb
+    return [{k: exact(v, den) for k, v in acc.items() if v} for acc in _sums(a, b)]
 
 
 def is_zero_matrix(a) -> bool:
@@ -196,37 +205,14 @@ def is_zero_matrix(a) -> bool:
 def product_is_zero(a, b) -> bool:
     """Whether the product a b is zero, without building it.
 
-    Scaling b by a nonzero constant, or a row of a by one, does not change
-    which rows of the product are zero.  So b is scaled once by the lcm of
-    its denominators and each row x of a by its own, x b is accumulated as
-    integers, and the check stops at the first row with a nonzero sum.  No
-    value is built, and dict rows of ints are not copied."""
-    a, b = _dicts(a), _dicts(b)
-    if not _integral(a):
-        a = [_scaled(row)[0] for row in a]
-    if not _integral(b):
-        scale = math.lcm(*(v.denominator for row in b for v in row.values()))
-        b = [{k: v.numerator * (scale // v.denominator) for k, v in row.items()} for row in b]
-    for row in a:
-        acc: dict[int, int] = {}
-        get = acc.get
-        for t, x in row.items():
-            for k, v in b[t].items():
-                acc[k] = get(k, 0) + x * v
-        if any(acc.values()):
-            return False
-    return True
-
-
-def _dicts(rows) -> list[dict]:
-    """Dense or sparse rows as a list of dicts; a dict row is not copied."""
-    return [row if isinstance(row, dict) else dict(enumerate(row)) for row in rows]
-
-
-def _integral(rows: list[dict]) -> bool:
-    """Whether every value of the dict rows is an int: a sum with a Fraction
-    term is a Fraction, even one with denominator 1."""
-    return type(sum(map(sum, map(dict.values, rows)))) is int
+    Scaling a or b by a nonzero constant does not change which rows of the
+    product are zero, so both are read as integers (``_int_rows``) and the
+    check stops at the first row with a nonzero sum.  No value is built,
+    and dict rows of ints are not copied.  Every column of a must index a
+    row of b; this is not checked."""
+    a, _ = _int_rows(a)
+    b, _ = _int_rows(b)
+    return not any(any(acc.values()) for acc in _sums(a, b))
 
 
 def pivot_columns(a, column_order=None) -> list[int]:

@@ -466,6 +466,37 @@ class TestToricReport:
         assert needle in err
 
 
+SHORT_ROWS_MATRIX = {"size": 4, "entries": [[0, 1], [-1, 0]]}
+NOT_TANGENT_STRUCTURE = {"dimension": 2, "divisor_vars": 2, "terms": [{"i": 1, "j": 2, "coeff": "1"}]}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["pfaffian", "--matrix", "SHORT_ROWS"], "matrix in {SHORT_ROWS} is not 4x4"),
+        (["toric-report", "--matrix", "SHORT_ROWS"], "matrix in {SHORT_ROWS} is not 4x4"),
+        (["genpos", "--structure", "NOT_TANGENT", "--t", "1"],
+         "coefficient of d_1^d_2 is not divisible by its divisor variables; "
+         "the bivector does not lie in the log tangent sheaf"),
+        (["verify-exactness", "--structure", "TORIC", "--I", ",", "--weight-cap", "1"],
+         "empty index set"),
+        (["verify-exactness", "--structure", "TORIC", "--I", "1", "--weight-cap", "-1"],
+         "weight-cap must be >= 0"),
+    ],
+    ids=["pfaffian-size", "toric-report-size", "genpos-not-tangent", "empty-index-set",
+         "negative-weight-cap"],
+)
+def test_refusal_exits_2_with_one_line(files, capsys, argv, message):
+    paths = {"TORIC": files["toric_structure"]}
+    for name, doc in [("SHORT_ROWS", SHORT_ROWS_MATRIX), ("NOT_TANGENT", NOT_TANGENT_STRUCTURE)]:
+        paths[name] = str(files["tmp"] / f"{name.lower()}.json")
+        Path(paths[name]).write_text(json.dumps(doc))
+    argv = [paths.get(a, a) for a in argv]
+    assert main([*argv, "--out", files["out"]]) == 2
+    assert capsys.readouterr().err == f"error: {message.format(**paths)}\n"
+    assert not Path(files["out"]).exists()
+
+
 class TestDeterminism:
     def test_byte_identical_reports(self, files):
         out1 = str(files["tmp"] / "r1.json")
