@@ -212,7 +212,10 @@ def product_is_zero(a, b) -> bool:
     row of b; this is not checked."""
     a, _ = _int_rows(a)
     b, _ = _int_rows(b)
-    return not any(any(acc.values()) for acc in _sums(a, b))
+    for acc in _sums(a, b):
+        if any(acc.values()):
+            return False
+    return True
 
 
 def pivot_columns(a, column_order=None) -> list[int]:
