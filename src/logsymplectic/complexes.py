@@ -33,9 +33,9 @@ Fraction.  Both sides scale A once by its common denominator D.  The
 bracket columns take D lambda below as a difference of two integer vectors,
 one cached per exponent vector and one per index set; a certified log-plus
 piece is integer numerators over the lcm of its denominators, and the
-pieces a column uses are merged once per index set and support of E over
-the lcm of theirs.  Since ``linalg.exact`` normalises, the common
-denominator does not show in the stored values.  On integral A every
+pieces of an index set are merged once over the lcm of theirs.  Since
+``linalg.exact`` normalises, the common denominator does not show in the
+stored values.  On integral A every
 stored entry is an int, and ``linalg`` ranks such rows without building a
 Fraction.
 
@@ -131,9 +131,10 @@ offset(I) the number of labels of the index sets before I and rank(E) the
 index of E among the sorted monomials of its total; that is its index in
 the sorted ``basis`` list.  Tables keyed by (number of variables, total)
 alone, like ``_monomials``, give rank(E) (``_ranks``), rank(E + e_j)
-(``_raised``), rank(E - e_t) (``_lowered``) and the support of E
-(``_supports``), so a builder finds the position of every target by integer
-arithmetic and never hashes a label.  Each builder hands ``_fill_slices``
+(``_raised``), rank(E - e_t) (``_lowered``), the support of E
+(``_supports``) and, t the first variable of E, the pair (t, rank(E - e_t))
+(``_first_lowered``), so a builder finds the position of every target by
+integer arithmetic and never hashes a label.  Each builder hands ``_fill_slices``
 its layout, per slice the blocks I -> (offset(I), total) and the labels,
 and one writer, called once per block I of a source slice with the blocks
 of the target slice:
@@ -142,9 +143,14 @@ of the target slice:
   rank of E (t on the divisor) or of E - e_t (``_lowered``);
 * the bracket complex: per j the insertion table of ``_koszul_writer``,
   offset(M + {j}) and the rank of E + e_j (``_raised``);
-* the log-plus complex: per (I, support of E) the merged piece, and per
-  total of E and target shift e2 one table of the ranks of E + e2, kept
-  for the whole build;
+* the log-plus complex: per I the merged pieces, d(phi_I) and every
+  eta_i ^ phi_I, as targets (J, E2) with integer numerators c_0, ..., c_2n;
+  per target and total one table of c_0 + sum_i E_i c_i over the E of
+  that total, each entry one addition to the entry of E - e_t in the table
+  of the total below (``_first_lowered``), only the last table kept; and
+  per total of E and target shift e2 one table of the ranks of E + e2,
+  kept for the whole build.  A target's block is looked up
+  (``_target_offset``) at its first nonzero entry;
 * ``build_qi``: its own layout.  Slice (k, w) of Q_I has a block per
   M = I + K, |K| = k - |I|, holding the F' = E - 1_K of
   ``_monomials(2n - |I|, w + |I|)`` on the variables off I, so every
@@ -321,6 +327,19 @@ def _supports(nvars: int, total: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(i for i, e in enumerate(exps, 1) if e) for exps in _monomials(nvars, total))
 
 
+@functools.cache
+def _first_lowered(nvars: int, total: int) -> tuple[tuple[int, int], ...]:
+    """(t - 1, rank of E - e_t in ``_monomials(nvars, total - 1)``) for each
+    E of ``_monomials(nvars, total)`` in order, t the first variable of E
+    (``_supports``, ``_lowered``): the step of a table over E built from the
+    table of total - 1.  Empty for total 0."""
+    lowered = _lowered(nvars, total)
+    return tuple(
+        (support[0] - 1, lowered[support[0] - 1][r])
+        for r, support in enumerate(_supports(nvars, total))
+    )
+
+
 def _slice(frame: Frame, is_form: bool, k: int, w: int):
     """The slice (k, w) of the frame basis (the weight rule of
     ``exterior.frame_element_weight``) as (blocks, labels), the block of I
@@ -436,17 +455,29 @@ def _invariant_grid(p: PoissonStructure) -> tuple[int, list[list[int]]]:
     return den, [[int(c * den) for c in row] for row in grid]
 
 
+def _prefix_products(empty, step):
+    """``product(I)``: step(... step(step(empty, i_1), i_2) ..., i_k) over I
+    in order, memoized with every prefix of I.  It extends the longest
+    known prefix in a loop, not by recursion, so no closure refers to
+    itself: the memo is freed with the last reference to ``product``."""
+    known = {(): empty}
+
+    def product(indices: IndexSet):
+        n = len(indices)
+        while indices[:n] not in known:
+            n -= 1
+        for n in range(n + 1, len(indices) + 1):
+            known[indices[:n]] = step(known[indices[: n - 1]], indices[n - 1])
+        return known[indices]
+
+    return product
+
+
 def _wedges(cls, frame: Frame, factors):
     """``product(I)``: the wedge of factors[i - 1] over i in I, in order,
     memoized with every prefix of I."""
-
-    @functools.cache
-    def product(indices: IndexSet):
-        if not indices:
-            return cls(frame, 0, {(): LaurentPoly.const(frame.var_spec, 1)})
-        return product(indices[:-1]).wedge(factors[indices[-1] - 1])
-
-    return product
+    one = cls(frame, 0, {(): LaurentPoly.const(frame.var_spec, 1)})
+    return _prefix_products(one, lambda prefix, i: prefix.wedge(factors[i - 1]))
 
 
 def _compounds(scaled: list[list[int]]):
@@ -457,18 +488,16 @@ def _compounds(scaled: list[list[int]]):
     every prefix of J."""
     nv = len(scaled)
 
-    @functools.cache
-    def minors(indices: IndexSet) -> dict[IndexSet, int]:
-        if not indices:
-            return {(): 1}
-        row = scaled[indices[-1] - 1]
+    def step(prefix: dict[IndexSet, int], t: int) -> dict[IndexSet, int]:
         out: dict[IndexSet, int] = {}
-        for key, minor in minors(indices[:-1]).items():
-            for j, a in enumerate(row, 1):
+        for key, minor in prefix.items():
+            for j, a in enumerate(scaled[t - 1], 1):
                 if a and (merged := merge_indices(key, (j,))) is not None:
                     sign, longer = merged
                     out[longer] = out.get(longer, 0) + sign * a * minor
         return out
+
+    minors = _prefix_products({(): 1}, step)
 
     @functools.cache
     def compound(k: int) -> tuple[dict[IndexSet, int], list[tuple[IndexSet, tuple[int, ...]]]]:
@@ -478,6 +507,16 @@ def _compounds(scaled: list[list[int]]):
         return {jdx: pos for pos, jdx in enumerate(sets)}, columns
 
     return compound
+
+
+def _int_terms(form: DiffForm):
+    """(d, [(idx, [(E, n)])]): the form as int numerators n over the least d."""
+    terms = form.terms
+    d = math.lcm(*(c.denominator for g in terms.values() for c in g.terms.values()))
+    return d, [
+        (idx, [(e, c.numerator * (d // c.denominator)) for e, c in g.terms.items()])
+        for idx, g in terms.items()
+    ]
 
 
 class _PlusMachine:
@@ -491,19 +530,13 @@ class _PlusMachine:
         self.vs = vs
         self.coord = coordinate_frame(vs)
         self.log = log_frame(vs)
-        self.phi_wedge = _wedges(DiffForm, self.coord, phi_forms(p))  # raises when A is singular
-        self.phi_numerators = functools.cache(self._phi_numerators)
+        phi_wedge = _wedges(DiffForm, self.coord, phi_forms(p))  # raises when A is singular
+        self.phi_wedge = phi_wedge
+        # phi_I as int numerators over one denominator (``_int_terms``); the
+        # cache refers to phi_wedge, not to self, so it makes no cycle
+        self.phi_numerators = functools.cache(lambda indices: _int_terms(phi_wedge(indices)))
         self.den = den
         self.compound = _compounds(scaled)
-
-    def _phi_numerators(self, indices: IndexSet):
-        """(d, [(idx, [(E, n)])]): phi_I as int numerators n over the least d."""
-        terms = self.phi_wedge(indices).terms
-        d = math.lcm(*(c.denominator for g in terms.values() for c in g.terms.values()))
-        return d, [
-            (idx, [(e, c.numerator * (d // c.denominator)) for e, c in g.terms.items()])
-            for idx, g in terms.items()
-        ]
 
     def sharp_numerators(self, form: DiffForm) -> tuple[int, list[tuple[Label, int]]]:
         """(N, [((K, E), n)]): the phi-coordinates of the form as int
@@ -583,18 +616,28 @@ def build_logplus_complex(p: PoissonStructure, weight_cap: int) -> WeightSlicedC
 
         d(x^E phi_I) = x^E (d(phi_I) + sum_i E_i eta_i ^ phi_I).
 
-    The pieces a column uses depend on I and on the support of E only, so
-    they are merged once per such pair, over the lcm D of their
-    denominators, into one list of targets (J, E2), each with D c_0 from
-    d(phi_I) and the vector (D c_1, ..., D c_2n) from the eta_i ^ phi_I,
-    zero off the support.  The column then has D c_0 + sum_i E_i D c_i over
-    D (``linalg.exact``) at (J, E2 + E) for each target, one evaluation per
-    target, and must stay in the polynomial span.  The position of
-    (J, E2 + E) is offset(J) plus one table lookup: the ranks of E + E2 are
-    tabulated once per total of E and shift E2 for the whole build (slice
-    layout, module docstring).  A target whose index set J has no block of
-    total |E| + |E2| in the target slice raises AssertionError.  Pieces, and
-    merged pieces, are computed only when a column uses them.
+    The pieces of I, d(phi_I) and eta_i ^ phi_I for every i, are merged
+    once per I, over the lcm D of their denominators, into one list of
+    targets (J, E2), each with D c_0 from d(phi_I) and the vector
+    (D c_1, ..., D c_2n) from the eta_i ^ phi_I; since E_i = 0 off the
+    support of E, the pieces a column does not use add nothing.  So the
+    pieces are computed for every I that has a column.  The column of
+    x^E phi_I has D c_0 + sum_i E_i D c_i over D at (J, E2 + E) for each
+    target, and must stay in the polynomial span.  Per target and total of
+    E these numerators are one table over ``_monomials(2n, total)``, each
+    entry one addition: value(E) = value(E - e_t) + D c_t, t the first
+    variable of E, from the table of the total below (``_first_lowered``).
+    Totals arrive in ascending order for each I (``_fill_slices`` walks the
+    weights upward), so only the last table of each target is kept.  Each
+    value num / D (``linalg.exact``) is cached per numerator.  The position
+    of (J, E2 + E) is offset(J) plus one table lookup: the ranks of E + E2
+    are tabulated once per total of E and shift E2 for the whole build
+    (slice layout, module docstring).  The block of J is looked up at the
+    target's first nonzero entry, so a target whose entries all vanish is
+    skipped; one whose index set J has no block of total |E| + |E2| in the
+    target slice raises AssertionError.  The writer calls neither
+    ``_koszul_tables`` nor ``_koszul_writer``: the monomial tables it
+    shares with the bracket side hold no structure.
     """
     machine = _PlusMachine(p)
     vs = p.var_spec
@@ -613,18 +656,19 @@ def build_logplus_complex(p: PoissonStructure, weight_cap: int) -> WeightSlicedC
         return den, nums
 
     @functools.cache
-    def merged(indices: IndexSet, support: tuple[int, ...]):
-        """(D, [(J, E2, D c_0, (D c_1, ..., D c_2n))]) over the targets of the
-        pieces of I with i = 0 or i in the support, D their lcm; c_i = 0 for
-        the other i."""
-        parts = [(0, piece(0, indices))] + [(i, piece(i, indices)) for i in support]
+    def merged(indices: IndexSet):
+        """([(J, E2, D c_0, (D c_1, ..., D c_2n))], value) over the targets
+        of all pieces of I, D their lcm and c_i = 0 where piece i has no
+        (J, E2); ``value(num)`` is the cached num / D (``linalg.exact``)."""
+        parts = [(i, piece(i, indices)) for i in range(nv + 1)]
         den = math.lcm(*(d for _i, (d, _nums) in parts))
         acc: dict[Label, list[int]] = {}
         for i, (d, nums) in parts:
             scale = den // d
             for lab, num in nums:
                 acc.setdefault(lab, [0] * (nv + 1))[i] = scale * num
-        return den, [(jdx, e2, cs[0], cs[1:]) for (jdx, e2), cs in acc.items()]
+        targets = [(jdx, e2, cs[0], cs[1:]) for (jdx, e2), cs in acc.items()]
+        return targets, functools.cache(functools.partial(linalg.exact, den=den))
 
     @functools.cache
     def shifted_ranks(total: int, e2: tuple[int, ...]) -> list[int]:
@@ -633,20 +677,34 @@ def build_logplus_complex(p: PoissonStructure, weight_cap: int) -> WeightSlicedC
         ranks = _ranks(nv, total + sum(e2))
         return [ranks.get(tuple(map(operator.add, e, e2)), -1) for e in _monomials(nv, total)]
 
+    last: dict[tuple[IndexSet, int], tuple[int, list[int]]] = {}
+
+    def numerators(key, c0: int, cs, total: int) -> list[int]:
+        """D c_0 + sum_i E_i D c_i for each E of ``_monomials(2n, total)``,
+        from the table of total - 1 by one addition per E (``_first_lowered``).
+        Only the last table of each key is kept: the totals of a source
+        block arrive in ascending order, so it is the one the next needs."""
+        done, table = last.get(key, (0, [c0]))
+        if done > total:
+            done, table = 0, [c0]
+        for t in range(done + 1, total + 1):
+            table = [table[r] + cs[i] for i, r in _first_lowered(nv, t)]
+        last[key] = total, table
+        return table
+
     def write(blocks, indices, total, rows, col0):
-        mons, ranks_of = _monomials(nv, total), {}
-        for r, support in enumerate(_supports(nv, total)):
-            ranks_of.setdefault(support, []).append(r)
-        for support, ranks in ranks_of.items():
-            den, targets = merged(indices, support)
-            for jdx, e2, c0, parts in targets:
-                offset = _target_offset(blocks, indices, jdx, total + sum(e2))
-                shift = shifted_ranks(total, e2)
-                for r in ranks:
-                    if num := c0 + sum(map(operator.mul, mons[r], parts)):
-                        if (pos := shift[r]) < 0:
-                            raise AssertionError("derivative left the polynomial log-plus span")
-                        rows[offset + pos][col0 + r] = linalg.exact(num, den)
+        targets, value = merged(indices)
+        for n, (jdx, e2, c0, cs) in enumerate(targets):
+            table = numerators((indices, n), c0, cs, total)
+            if not any(table):
+                continue
+            offset = _target_offset(blocks, indices, jdx, total + sum(e2))
+            shift = shifted_ranks(total, e2)
+            for r, num in enumerate(table):
+                if num:
+                    if (pos := shift[r]) < 0:
+                        raise AssertionError("derivative left the polynomial log-plus span")
+                    rows[offset + pos][col0 + r] = value(num)
 
     cx = WeightSlicedComplex("logplus", vs, (0, vs.total_vars), weight_cap)
     return _fill_slices(cx, functools.partial(_slice, machine.coord, False), write)
@@ -659,8 +717,8 @@ def _koszul_tables(p: PoissonStructure, variables):
     ValueError outside the invariant model).  ``value(lam)`` is the cached
     pair (lam / D, -lam / D).  ``lam_columns(total)`` gives, per q-th
     variable j, D (E A)_j for each E of ``_monomials(len(variables), total)``:
-    the row of E is the row of E - e_t (``_lowered``) plus the row of D A of
-    t, the first variable of E.  ``insertions(M, ones)`` is the table
+    the row of E is the row of E - e_t plus the row of D A of t, the first
+    variable of E (``_first_lowered``).  ``insertions(M, ones)`` is the table
     [(q, s_j < 0, M + {j}, D (1_ones A)_j)] over the q-th variables j not in M."""
     den, scaled = _invariant_grid(p)
     grid = [[scaled[i - 1][j - 1] for j in variables] for i in variables]
@@ -670,15 +728,13 @@ def _koszul_tables(p: PoissonStructure, variables):
     def value(lam: int) -> tuple[int | Fraction, int | Fraction]:
         return linalg.exact(lam, den), linalg.exact(-lam, den)
 
-    @functools.cache
+    rows_of_total = [[(0,) * nv]]
+
     def lam_rows(total: int) -> list[tuple[int, ...]]:
-        if total == 0:
-            return [(0,) * nv]
-        prev, lowered = lam_rows(total - 1), _lowered(nv, total)
-        return [
-            tuple(map(operator.add, prev[lowered[support[0] - 1][r]], grid[support[0] - 1]))
-            for r, support in enumerate(_supports(nv, total))
-        ]
+        while len(rows_of_total) <= total:
+            prev, steps = rows_of_total[-1], _first_lowered(nv, len(rows_of_total))
+            rows_of_total.append([tuple(map(operator.add, prev[r], grid[t])) for t, r in steps])
+        return rows_of_total[total]
 
     @functools.cache
     def lam_columns(total: int) -> tuple[tuple[int, ...], ...]:

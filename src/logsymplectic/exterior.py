@@ -27,7 +27,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .ring import LaurentPoly, VarSpec
+from .ring import LaurentPoly, VarSpec, add_product
 
 IndexSet = tuple[int, ...]
 
@@ -168,17 +168,19 @@ class _GradedElement:
     __hash__ = None
 
     def wedge(self, other):
+        """Exterior product.  Products are summed into one term dict per
+        target index set (``ring.add_product``), and each coefficient is
+        built once."""
         self._same_species(other)
-        out: dict[IndexSet, LaurentPoly] = {}
-        vs = self.frame.var_spec
+        acc: dict[IndexSet, dict] = {}
         for li, lc in self.terms.items():
             for ri, rc in other.terms.items():
                 merged = merge_indices(li, ri)
-                if merged is None:
-                    continue
-                sign, key = merged
-                contrib = lc * rc if sign > 0 else -(lc * rc)
-                out[key] = out[key] + contrib if key in out else contrib
+                if merged is not None:
+                    sign, key = merged
+                    add_product(acc.setdefault(key, {}), lc, rc, sign < 0)
+        vs = self.frame.var_spec
+        out = {key: LaurentPoly._from_sums(vs, sums) for key, sums in acc.items()}
         return type(self)(self.frame, self.degree + other.degree, out)
 
     def serialize(self) -> dict:
@@ -314,23 +316,34 @@ def change_frame(x, target: Frame):
 
 
 def exterior_derivative(w: DiffForm) -> DiffForm:
-    """Exterior derivative in the frame of its input (d eta_i = 0)."""
+    """Exterior derivative in the frame of its input (d eta_i = 0).  Raises
+    TypeError unless w is a DiffForm.
+
+    d(x^E e_I) = sum_t D_t(x^E) e_t ^ e_I, with D_t = d/dx_t, or x_t d/dx_t
+    on a divisor variable in the log frame (dx_t = x_t eta_t there); each
+    term goes straight into one term dict per target index set, and each
+    coefficient is built once."""
+    if not isinstance(w, DiffForm):
+        raise TypeError(f"exterior_derivative expects a DiffForm, not {type(w).__name__}")
     vs = w.frame.var_spec
-    out: dict[IndexSet, LaurentPoly] = {}
-    is_log = w.frame.kind == LOG
+    log_vars = vs.divisor_vars if w.frame.kind == LOG else 0
+    acc: dict[IndexSet, dict] = {}
     for indices, coeff in w.terms.items():
         for t in range(1, vs.total_vars + 1):
-            dc = coeff.partial(t)
-            if dc.is_zero():
-                continue
-            if is_log and vs.is_divisor_index(t):
-                dc = dc * LaurentPoly.variable(vs, t)
             merged = merge_indices((t,), indices)
             if merged is None:
                 continue
             sign, key = merged
-            contrib = dc if sign > 0 else -dc
-            out[key] = out[key] + contrib if key in out else contrib
+            sums = acc.setdefault(key, {})
+            pos, drop = t - 1, t > log_vars
+            for exps, c in coeff.terms.items():
+                if e := exps[pos]:
+                    if drop:
+                        exps = exps[:pos] + (e - 1,) + exps[t:]
+                    prev = sums.get(exps)
+                    c = c * e if sign > 0 else -c * e
+                    sums[exps] = c if prev is None else prev + c
+    out = {key: LaurentPoly._from_sums(vs, sums) for key, sums in acc.items()}
     return DiffForm(w.frame, w.degree + 1, out)
 
 

@@ -480,8 +480,10 @@ class TestLogFrameExtraction:
 
 class TestEveryLogPlusColumn:
     """At 2n = 4, cap 2 every column of the build equals the per-column
-    oracle, so every (I, support of E) the merged pieces are keyed on is
-    checked."""
+    oracle.  The pieces are merged once per index set I, and a column uses
+    those of the i in the support of E; every (I, support of E) below the
+    top degree is checked, so every merged piece is read with each subset
+    of its eta_i ^ phi_I terms switched on."""
 
     def assert_every_column(self, p: PoissonStructure) -> list:
         cx = build_logplus_complex(p, 2)
@@ -868,7 +870,7 @@ class TestSliceLayout:
         # Q_I builds and reads its monomial tables on the 2n - |I| variables
         # off I: none of them is called with all 2n variables
         calls = []
-        for name in ("_monomials", "_ranks", "_lowered", "_supports", "_raised"):
+        for name in ("_monomials", "_ranks", "_lowered", "_supports", "_raised", "_first_lowered"):
 
             def record(nvars, total, real=getattr(complexes, name)):
                 calls.append(nvars)
@@ -936,6 +938,37 @@ class TestSliceLayout:
         monkeypatch.setattr(_PlusMachine, "certifies", lambda machine, form, den, nums: True)
         with pytest.raises(AssertionError, match="left the slice"):
             build_logplus_complex(toric, 1)
+
+    def test_logplus_reads_no_koszul_table(self, toric, monkeypatch):
+        # c04 compares two routes: the log-plus writer shares only the
+        # structure-free monomial tables with the bracket writer
+        bracket = build_bracket_complex(toric, 2)
+
+        def refuse(*args):
+            raise AssertionError("the log-plus build read a Koszul table")
+
+        monkeypatch.setattr(complexes, "_koszul_tables", refuse)
+        monkeypatch.setattr(complexes, "_koszul_writer", refuse)
+        assert build_logplus_complex(toric, 2).diffs == bracket.diffs
+
+    def test_logplus_target_with_no_entry_is_skipped(self, toric, monkeypatch):
+        # the same target off the slice, with numerator 0 next to the real
+        # ones: it adds nothing to any column, so its block is never looked
+        # up and the matrices are unchanged
+        want = build_logplus_complex(toric, 1)
+        real_sharp = _PlusMachine.sharp_numerators
+
+        def with_zero_target(machine, form):
+            den, nums = real_sharp(machine, form)
+            if nums:
+                (kdx, exps), _n = nums[0]
+                nums = [*nums, ((kdx, (exps[0] + 1, *exps[1:])), 0)]
+            return den, nums
+
+        monkeypatch.setattr(_PlusMachine, "sharp_numerators", with_zero_target)
+        monkeypatch.setattr(_PlusMachine, "certifies", lambda machine, form, den, nums: True)
+        got = build_logplus_complex(toric, 1)
+        assert got.basis == want.basis and got.diffs == want.diffs
 
 
 class TestCohomologyMachinery:
