@@ -61,10 +61,9 @@ def rand_form(rng, vs=VS, degree=None, max_terms=2):
 
 # -- the pairwise reference ----------------------------------------------------
 #
-# The product and the derivative as they were first written: one LaurentPoly
-# product per term pair, one partial derivative per (term, t), summed as
-# LaurentPoly values.  The library accumulates into term dicts instead; these
-# are its oracle.
+# Reference product and derivative: one LaurentPoly product per term pair,
+# one partial derivative per (term, t), summed as LaurentPoly values.  The
+# library accumulates into term dicts instead; these are its oracle.
 
 
 def pairwise_wedge(a, b):
