@@ -1,14 +1,21 @@
 """Command-line interface: reproducible reports over JSON fixtures.
 
 Commands: jacobi, pfaffian, genpos, verify-exactness, toric-report.
-Exit codes: 0 success / verdict true, 1 verdict false, 2 input error.
+Exit codes: 0 success / verdict true, 1 verdict false, 2 input error
+(including an ``--out`` report that cannot be written).
 Reports are canonical JSON (sorted keys, no floats, no timestamps), so
 identical inputs produce byte-identical files.
+
+``main`` builds its parser once per process and may be called repeatedly;
+argparse gives every call a fresh namespace, so no option carries over
+from one call to the next.  ``build_parser()`` returns a fresh parser to
+any other caller.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -42,7 +49,10 @@ def canonical_json(doc: dict) -> str:
 
 def _emit(report: dict, out: str | None):
     if out:
-        Path(out).write_text(canonical_json(report))
+        try:
+            Path(out).write_text(canonical_json(report))
+        except OSError as exc:
+            raise InputError(f"cannot write report to {out}: {exc.strerror or exc}") from exc
 
 
 def _load_json(path: str) -> dict:
@@ -280,9 +290,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built once per process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except InputError as exc:

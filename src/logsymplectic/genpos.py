@@ -34,11 +34,14 @@ nonzero minor.
 a foreign ``var_spec`` and shapes other than k x 2k, then recomputes each
 claimed minor of [M(0) | N(0)] by one memoized Laplace expansion, local to
 the call: every witness minor must be nonzero, and every minor of a failing
-column set zero.  Coverage is one comparison for both kinds: the witnessed
-and failing column sets, sorted, must be the first that many column sets in
-lexicographic order, all of them if the certificate is complete, and if it
-is truncated those up to its single failure.  The check shares no
-arithmetic with the verdict; in particular it never calls ``linalg``.
+column set zero.  Each row is scaled to integers by the positive common
+denominator of its entries, so each minor is tested for zero on its scaled
+integer, and the check builds no Fraction per minor.  Coverage is one
+comparison for both kinds: the witnessed and failing column sets, sorted,
+must be the first that many column sets in lexicographic order, all of them
+if the certificate is complete, and if it is truncated those up to its
+single failure.  The check shares no arithmetic with the verdict; in
+particular it never calls ``linalg``.
 Deciding t = 2n by the same minors would be cheap for skew matrices (a
 column set S of A with identity columns T has minor +-det A[T^c, S]), but
 the check would then repeat the verdict's computation instead of
@@ -130,14 +133,16 @@ def _walk(m, n, t: int, all_failures: bool) -> GenPosCertificate:
             vs = vs or p.var_spec
             if p.var_spec != vs:
                 raise ValueError("var_spec mismatch among entries")
-    block = [m_rows[i] + n_rows[i] for i in range(k)]
-    # column j of [M(0) | N(0)] as a sparse row {matrix row r: numerator},
-    # built once in the kernel's integer form: the walk reads only pivot
-    # positions, and a column's numerators span the same line as the column
-    columns = [
-        linalg._scaled({r: row[j].constant_term() for r, row in enumerate(block)})[0]
-        for j in range(2 * k)
+    # [M(0) | N(0)] in the kernel's normal form, ints where integral, so
+    # that an integral column is only copied into integer form below
+    block = [
+        [linalg.exact(c.numerator, c.denominator) for c in map(LaurentPoly.constant_term, mrow + nrow)]
+        for mrow, nrow in zip(m_rows, n_rows)
     ]
+    # column j as a sparse row {matrix row r: numerator}, built once in the
+    # kernel's integer form: the walk reads only pivot positions, and a
+    # column's numerators span the same line as the column
+    columns = [linalg._scaled({r: row[j] for r, row in enumerate(block)})[0] for j in range(2 * k)]
     witnesses: dict[tuple[int, ...], tuple[int, ...]] = {}
     failures: list[tuple[int, ...]] = []
 
@@ -193,21 +198,20 @@ def poisson_t_general(p: PoissonStructure, t: int) -> GenPosCertificate:
     return is_standard_t_general(log_matrix(p), t)
 
 
-def _laplace_minors(grid):
-    """``minor(rows, cols)``: the determinant of a rational grid restricted to
-    the given distinct rows and columns, each taken in increasing order.
+def _scaled_minors(grid):
+    """``(scaled, scales)`` for a rational grid: ``scaled(rows, cols)`` is the
+    minor on the rows and columns in the bit masks ``rows`` and ``cols``
+    (as many of each), times the positive ``scales`` of its rows.
 
     One Laplace expansion along the first row computes every minor: an r x r
     minor comes from the (r - 1) x (r - 1) minors of the remaining rows, and
-    each minor is memoized for the life of the returned function, so column
-    sets that share columns share work.  Each row is scaled by the common
-    denominator of its entries, so that the table holds integers; a minor is
-    its scaled value over the scales of its rows.
+    each minor is memoized for the life of ``scaled``, so column sets that
+    share columns share work.  Each row is scaled by the common denominator
+    of its entries, so that the table holds integers.
     """
     scales = [math.lcm(*(Fraction(x).denominator for x in row)) for row in grid]
     ints = [[int(x * s) for x in row] for row, s in zip(grid, scales)]
 
-    # row and column sets are bit masks
     @functools.cache
     def scaled(rows: int, cols: int) -> int:
         if not rows:
@@ -222,6 +226,15 @@ def _laplace_minors(grid):
                 value += sign * head[c] * scaled(rest, cols ^ low)
             sign, left = -sign, left ^ low
         return value
+
+    return scaled, scales
+
+
+def _laplace_minors(grid):
+    """``minor(rows, cols)``: the determinant of a rational grid restricted to
+    the given distinct rows and columns, each taken in increasing order; a
+    minor is its value in ``_scaled_minors`` over the scales of its rows."""
+    scaled, scales = _scaled_minors(grid)
 
     def minor(rows, cols) -> Fraction:
         rows, cols = set(rows), set(cols)
@@ -283,12 +296,19 @@ def verify_certificate(m, n, cert: GenPosCertificate) -> bool:
             return False
     elif not cert.failures or claimed[-1] != cert.failures[0]:
         return False
-    minor = _laplace_minors([[p.constant_term() for p in row] for row in block])
+    # the row scales are positive, so a minor is zero iff its scaled value is
+    scaled, _ = _scaled_minors([[p.constant_term() for p in row] for row in block])
+
+    def mask(labels) -> int:
+        return sum(1 << (i - 1) for i in labels)
+
     for cols, rows in cert.witnesses.items():
-        if minor([r - 1 for r in rows], [c - 1 for c in cols]) == 0:
+        if not scaled(mask(rows), mask(cols)):
             return False
-    for cols in cert.failures:
-        for row_idx in itertools.combinations(range(k), t):
-            if minor(row_idx, [c - 1 for c in cols]) != 0:
+    if cert.failures:
+        row_sets = [mask(rows) for rows in itertools.combinations(range(1, k + 1), t)]
+        for cols in cert.failures:
+            col_set = mask(cols)
+            if any(scaled(rows, col_set) for rows in row_sets):
                 return False
     return True

@@ -1,10 +1,12 @@
+import errno
 import json
+import os
 from pathlib import Path
 
 import pytest
 
-from logsymplectic import complexes, linalg, poisson
-from logsymplectic.cli import canonical_json, main
+from logsymplectic import cli, complexes, linalg, poisson
+from logsymplectic.cli import build_parser, canonical_json, main
 from test_golden import CASES, GOLDEN
 
 TORIC_MATRIX = {
@@ -514,3 +516,81 @@ class TestDeterminism:
     def test_canonical_json_stable(self):
         doc = {"b": 1, "a": [3, 2], "nested": {"y": "z", "x": "w"}}
         assert canonical_json(doc) == canonical_json(json.loads(canonical_json(doc)))
+
+
+@pytest.mark.parametrize(
+    "argv, out, code",
+    [
+        (["pfaffian", "--matrix", "toric_matrix"], "no_such_dir/r.json", errno.ENOENT),
+        (["jacobi", "--structure", "toric_structure"], ".", errno.EISDIR),
+    ],
+    ids=["missing-directory", "directory"],
+)
+def test_unwritable_report_exits_2_with_one_line(files, capsys, argv, out, code):
+    # exit 1 means a false verdict; a report that cannot be written is an input error
+    path = str(files["tmp"] / out)
+    assert main([*(files.get(a, a) for a in argv), "--out", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write report to {path}: {os.strerror(code)}\n"
+
+
+class TestParserReuse:
+    """``main`` parses with one parser per process, and a call leaves nothing
+    in it that a later call would see: a sequence of calls gives the same
+    exit codes, output and reports as a fresh ``build_parser()`` per call."""
+
+    @staticmethod
+    def calls(files):
+        exactness = [
+            "verify-exactness", "--structure", files["toric_structure"],
+            "--I", "1,2", "--max-degree", "3", "--weight-cap", "2",
+        ]
+        matrix = ["toric-report", "--matrix", files["toric_matrix"]]
+        return [
+            [*exactness, "--verbose"],
+            exactness,
+            ["toric-report", "--random", "--n", "2", "--seed", "5"],
+            matrix,
+            [*matrix, "--seed", "5"],
+            ["genpos", "--structure", files["toric_structure"]],
+            ["genpos", "--structure", files["toric_structure"], "--t", "2"],
+        ]
+
+    def run(self, files, capsys, tag):
+        results = []
+        for i, argv in enumerate(self.calls(files)):
+            out = files["tmp"] / f"{tag}{i}.json"
+            try:
+                code = main([*argv, "--out", str(out)])
+            except SystemExit as exc:
+                code = f"SystemExit {exc.code}"
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err, out.read_bytes() if out.exists() else None))
+        return results
+
+    def test_same_as_a_fresh_parser_per_call(self, files, capsys, monkeypatch):
+        builds = []
+
+        def counting_build():
+            builds.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_parser", counting_build)
+            fresh = self.run(files, capsys, "fresh")
+        assert len(builds) == len(fresh)
+        builds.clear()
+        cli._parser.cache_clear()
+        reused = self.run(files, capsys, "reused")
+        assert len(builds) == 1
+        assert reused == fresh
+        codes = [r[0] for r in reused]
+        assert codes[3:] == [0, 2, "SystemExit 2", 0]
+        # --verbose prints the zero rows, and does not carry over
+        assert reused[0][1] != reused[1][1]
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert build_parser() is not build_parser()
+        assert cli._parser() is cli._parser()

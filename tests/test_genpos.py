@@ -738,3 +738,44 @@ class TestLaplaceMinors:
             is_relative_t_general(*cases[0])
         for (m, n, _), cert in zip(cases, certs):
             assert verify_certificate(m, n, cert)
+
+
+class TestFractionalConstantTerms:
+    """Walks and checks on an M(0) of zeros and proper fractions, so that the
+    walk's columns and the check's rows are scaled from non-integral
+    entries, with N either the identity or drawn the same way."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 4), st.booleans(), st.data())
+    def test_walk_and_check(self, k, identity_n, data):
+        square = st.lists(st.lists(ENTRY, min_size=k, max_size=k), min_size=k, max_size=k)
+        vs = VarSpec(2, 2)
+        m_rows = const_rows(data.draw(square), vs)
+        n_rows = identity_rows(vs, k) if identity_n else const_rows(data.draw(square), vs)
+        block = [[p.constant_term() for p in m + n] for m, n in zip(m_rows, n_rows)]
+        minor = _laplace_minors(block)
+        for t in range(1, k + 1):
+            cert = is_relative_t_general(m_rows, n_rows, t)
+            assert cert.serialize() == lex_scan_oracle(m_rows, n_rows, t).serialize()
+            assert cert.verdict == origin_rank_oracle(m_rows, n_rows, t)
+            assert verify_certificate(m_rows, n_rows, cert)
+            assert_truncated_prefix(m_rows, n_rows, t)
+            for cols, rows in cert.witnesses.items():
+                cols0 = [c - 1 for c in cols]
+                # a witness moved to the failures has a nonzero minor
+                moved = dataclasses.replace(
+                    cert,
+                    verdict=False,
+                    witnesses={c: r for c, r in cert.witnesses.items() if c != cols},
+                    failures=tuple(sorted((*cert.failures, cols))),
+                )
+                assert not verify_certificate(m_rows, n_rows, moved)
+                # a row set with a zero minor is no witness
+                zero = next(
+                    (r for r in itertools.combinations(range(k), t) if minor(r, cols0) == 0), None
+                )
+                if zero is not None:
+                    forged = dataclasses.replace(
+                        cert, witnesses={**cert.witnesses, cols: tuple(r + 1 for r in zero)}
+                    )
+                    assert not verify_certificate(m_rows, n_rows, forged)
