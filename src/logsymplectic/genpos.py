@@ -136,7 +136,7 @@ def _walk(m, n, t: int, all_failures: bool) -> GenPosCertificate:
     # [M(0) | N(0)] in the kernel's normal form, ints where integral, so
     # that an integral column is only copied into integer form below
     block = [
-        [linalg.exact(c.numerator, c.denominator) for c in map(LaurentPoly.constant_term, mrow + nrow)]
+        [linalg.exact(c.numerator, c.denominator) for c in (p.constant_term() for p in mrow + nrow)]
         for mrow, nrow in zip(m_rows, n_rows)
     ]
     # column j as a sparse row {matrix row r: numerator}, built once in the
@@ -305,10 +305,9 @@ def verify_certificate(m, n, cert: GenPosCertificate) -> bool:
     for cols, rows in cert.witnesses.items():
         if not scaled(mask(rows), mask(cols)):
             return False
-    if cert.failures:
-        row_sets = [mask(rows) for rows in itertools.combinations(range(1, k + 1), t)]
-        for cols in cert.failures:
-            col_set = mask(cols)
-            if any(scaled(rows, col_set) for rows in row_sets):
-                return False
+    row_sets = [mask(rows) for rows in itertools.combinations(range(1, k + 1), t)]
+    for cols in cert.failures:
+        col_set = mask(cols)
+        if any(scaled(rows, col_set) for rows in row_sets):
+            return False
     return True
