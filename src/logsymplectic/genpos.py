@@ -32,16 +32,26 @@ nonzero minor.
 
 *Check* (``verify_certificate``): minors.  It rejects entries with a pole or
 a foreign ``var_spec`` and shapes other than k x 2k, then recomputes each
-claimed minor of [M(0) | N(0)] by one memoized Laplace expansion, local to
-the call: every witness minor must be nonzero, and every minor of a failing
-column set zero.  Each row is scaled to integers by the positive common
-denominator of its entries, so each minor is tested for zero on its scaled
-integer, and the check builds no Fraction per minor.  Coverage is one
+claimed minor of [M(0) | N(0)] by one memoized Laplace expansion: every
+witness minor must be nonzero, and every minor of a failing column set
+zero.  Each row is scaled to integers by the positive common denominator
+of its entries, so each minor is tested for zero on its scaled integer,
+and the check builds no Fraction per minor.  Coverage is one
 comparison for both kinds: the witnessed and failing column sets, sorted,
 must be the first that many column sets in lexicographic order, all of them
 if the certificate is complete, and if it is truncated those up to its
 single failure.  The check shares no arithmetic with the verdict; in
 particular it never calls ``linalg``.
+
+*One matrix, many t* (``PreparedPair``): the public functions each prepare
+their pair and use it once; ``toric.certify`` prepares [A(0) | I] once per
+report and decides and checks its four t on it, so the validation, the
+walk's integer columns and the check's memo of scaled minors are each
+built once.  The check's memo is its own table, built from the polynomial
+entries, never from the walk's columns.  The walk and the Laplace
+expansion recurse through module-level functions over explicit tables, so
+no function refers to itself and everything they build is freed by
+reference counting, without the cycle collector.
 Deciding t = 2n by the same minors would be cheap for skew matrices (a
 column set S of A with identity columns T has minor +-det A[T^c, S]), but
 the check would then repeat the verdict's computation instead of
@@ -50,9 +60,9 @@ confirming it, so the two routes stay apart at every t.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -103,90 +113,171 @@ def identity_rows(vs: VarSpec, k: int) -> list[list[LaurentPoly]]:
     return [[one if i == j else zero for j in range(k)] for i in range(k)]
 
 
+class PreparedPair:
+    """The pair (M, N) of k x k matrices over the local ring, validated once
+    for any number of walks (``decide``) and checks (``check``) on it.
+
+    The walk's integer columns of [M(0) | N(0)] and the check's table of
+    scaled minors are each built on first use and kept for later calls, so
+    a report that decides and checks several t reads the matrix once per
+    route.  The check builds its table from the polynomial entries itself,
+    never reads the walk's columns and never calls ``linalg``.  Both are
+    plain lists and dicts: nothing here refers to itself, so a pair and its
+    tables are freed by reference counting, without the cycle collector.
+    """
+
+    __slots__ = ("k", "error", "_block", "_columns", "_ints", "_memo")
+
+    def __init__(self, m, n):
+        m_rows, n_rows = _as_rows(m), _as_rows(n)
+        self.k = len(m_rows)
+        self._block = [mrow + nrow for mrow, nrow in zip(m_rows, n_rows)]
+        self.error = _problem(m_rows, n_rows, self._block)
+        self._columns = self._ints = self._memo = None
+
+    def decide(self, t: int, all_failures: bool) -> GenPosCertificate:
+        """The verdict for t with every failing column set, or with the first
+        only when not ``all_failures``; raises ValueError on an invalid pair
+        or t."""
+        if self.error:
+            raise ValueError(self.error)
+        k = self.k
+        if not 1 <= t <= k:
+            raise ValueError(f"t must satisfy 1 <= t <= {k}")
+        if self._columns is None:
+            # column j of [M(0) | N(0)] as a sparse row {matrix row r:
+            # numerator} in the kernel's integer form: the walk reads only
+            # pivot positions, and a column's numerators span its line
+            constants = [[p.constant_term() for p in row] for row in self._block]
+            self._columns = [
+                linalg._scaled({r: row[j] for r, row in enumerate(constants)})[0]
+                for j in range(2 * k)
+            ]
+        witnesses: dict[tuple[int, ...], tuple[int, ...]] = {}
+        failures: list[tuple[int, ...]] = []
+        _grow(self._columns, t, all_failures, (), {}, witnesses, failures)
+        return GenPosCertificate(
+            verdict=not failures,
+            t=t,
+            column_count=2 * k,
+            witnesses=witnesses,
+            failures=tuple(failures),
+            complete=all_failures or not failures,
+        )
+
+    def check(self, cert: GenPosCertificate) -> bool:
+        """``verify_certificate`` on this pair."""
+        k = self.k
+        if self.error or not k:
+            return False
+        if cert.column_count != 2 * k or not 1 <= cert.t <= k:
+            return False
+        t, width = cert.t, 2 * k
+        claimed = [*cert.witnesses, *cert.failures]
+        if (
+            any(not _increasing(cols, t, width) for cols in claimed)
+            or any(not _increasing(rows, t, k) for rows in cert.witnesses.values())
+            or cert.verdict != (not cert.failures)
+            or any(a >= b for a, b in zip(cert.failures, cert.failures[1:]))
+        ):
+            return False
+        claimed.sort()
+        column_sets = itertools.combinations(range(1, width + 1), t)
+        if claimed != list(itertools.islice(column_sets, len(claimed))):
+            return False
+        if cert.complete:
+            if next(column_sets, None) is not None:
+                return False
+        elif not cert.failures or claimed[-1] != cert.failures[0]:
+            return False
+        if self._memo is None:
+            grid = [[p.constant_term() for p in row] for row in self._block]
+            self._ints = _scaled_minors(grid)[0]
+            self._memo = {}
+        ints, memo = self._ints, self._memo
+
+        # the row scales are positive, so a minor is zero iff its scaled value is
+        bit = [0, *(1 << i for i in range(width))].__getitem__  # label i -> 1 << (i - 1)
+
+        def mask(labels) -> int:
+            return sum(map(bit, labels))
+
+        for cols, rows in cert.witnesses.items():
+            if not _scaled_minor(ints, memo, mask(rows), mask(cols)):
+                return False
+        row_sets = [mask(rows) for rows in itertools.combinations(range(1, k + 1), t)]
+        for cols in cert.failures:
+            col_set = mask(cols)
+            if any(_scaled_minor(ints, memo, rows, col_set) for rows in row_sets):
+                return False
+        return True
+
+
+def _problem(m_rows, n_rows, block) -> str | None:
+    """Why (M, N) is no pair of k x k matrices over one local ring, or None."""
+    k = len(m_rows)
+    if len(n_rows) != k:
+        return "M and N must have the same number of rows"
+    if any(len(r) != k for r in m_rows + n_rows):
+        return "M and N must be square of equal size"
+    vs = block[0][0].var_spec if k else None
+    for row in block:
+        for p in row:
+            if p.has_negative_exponents():
+                return "matrix entries must lie in the local ring (no poles)"
+            if p.var_spec != vs:
+                return "var_spec mismatch among entries"
+    return None
+
+
 def is_relative_t_general(m, n, t: int) -> GenPosCertificate:
     """Relative t-general position of (M, N), with every failing column set;
     see the module docstring."""
-    return _walk(m, n, t, all_failures=True)
+    return PreparedPair(m, n).decide(t, True)
 
 
 def first_failure_t_general(m, n, t: int) -> GenPosCertificate:
     """The verdict of ``is_relative_t_general``, with a certificate that
     stops at the first failing column set (``complete=False``) when the
     verdict is false; see the module docstring."""
-    return _walk(m, n, t, all_failures=False)
+    return PreparedPair(m, n).decide(t, False)
 
 
-def _walk(m, n, t: int, all_failures: bool) -> GenPosCertificate:
-    m_rows, n_rows = _as_rows(m), _as_rows(n)
-    k = len(m_rows)
-    if len(n_rows) != k:
-        raise ValueError("M and N must have the same number of rows")
-    if any(len(r) != k for r in m_rows + n_rows):
-        raise ValueError("M and N must be square of equal size")
-    if not 1 <= t <= k:
-        raise ValueError(f"t must satisfy 1 <= t <= {k}")
-    vs = None
-    for row in m_rows + n_rows:
-        for p in row:
-            if p.has_negative_exponents():
-                raise ValueError("matrix entries must lie in the local ring (no poles)")
-            vs = vs or p.var_spec
-            if p.var_spec != vs:
-                raise ValueError("var_spec mismatch among entries")
-    # [M(0) | N(0)] in the kernel's normal form, ints where integral, so
-    # that an integral column is only copied into integer form below
-    block = [
-        [linalg.exact(c.numerator, c.denominator) for c in (p.constant_term() for p in mrow + nrow)]
-        for mrow, nrow in zip(m_rows, n_rows)
-    ]
-    # column j as a sparse row {matrix row r: numerator}, built once in the
-    # kernel's integer form: the walk reads only pivot positions, and a
-    # column's numerators span the same line as the column
-    columns = [linalg._scaled({r: row[j] for r, row in enumerate(block)})[0] for j in range(2 * k)]
-    witnesses: dict[tuple[int, ...], tuple[int, ...]] = {}
-    failures: list[tuple[int, ...]] = []
+def _label(cols0) -> tuple[int, ...]:
+    return tuple(c + 1 for c in cols0)
 
-    def label(cols0) -> tuple[int, ...]:
-        return tuple(c + 1 for c in cols0)
 
-    def grow(prefix: tuple[int, ...], pivots) -> bool:
-        """Walk the completions of a prefix; True once the walk must stop."""
-        # the children of a prefix in lexicographic order, each leaving room
-        # for the columns that complete it to t
-        first = prefix[-1] + 1 if prefix else 0
-        for c in range(first, 2 * k - t + len(prefix) + 1):
-            cols0 = prefix + (c,)
-            grown = linalg._eliminate([columns[c]], start=pivots)
-            if len(grown) < len(cols0):
-                # column c depends on the prefix, in every completion too
-                rests = itertools.combinations(range(c + 1, 2 * k), t - len(cols0))
-                if not all_failures:
-                    failures.append(label(cols0 + next(rests)))
-                    return True
-                failures.extend(label(cols0 + rest) for rest in rests)
-            elif len(cols0) < t:
-                if grow(cols0, grown):
-                    return True
-            else:
-                witnesses[label(cols0)] = tuple(sorted(r + 1 for r in grown))
-        return False
-
-    grow((), {})
-    return GenPosCertificate(
-        verdict=not failures,
-        t=t,
-        column_count=2 * k,
-        witnesses=witnesses,
-        failures=tuple(failures),
-        complete=all_failures or not failures,
-    )
+def _grow(columns, t: int, all_failures: bool, prefix: tuple[int, ...], pivots,
+          witnesses: dict, failures: list) -> bool:
+    """Walk the completions of a prefix of column indices, adding to
+    ``witnesses`` and ``failures``; True once the walk must stop."""
+    width = len(columns)
+    # the children of a prefix in lexicographic order, each leaving room
+    # for the columns that complete it to t
+    first = prefix[-1] + 1 if prefix else 0
+    for c in range(first, width - t + len(prefix) + 1):
+        cols0 = prefix + (c,)
+        grown = linalg._eliminate([columns[c]], start=pivots)
+        if len(grown) < len(cols0):
+            # column c depends on the prefix, in every completion too
+            rests = itertools.combinations(range(c + 1, width), t - len(cols0))
+            if not all_failures:
+                failures.append(_label(cols0 + next(rests)))
+                return True
+            failures.extend(_label(cols0 + rest) for rest in rests)
+        elif len(cols0) < t:
+            if _grow(columns, t, all_failures, cols0, grown, witnesses, failures):
+                return True
+        else:
+            witnesses[_label(cols0)] = tuple(sorted(r + 1 for r in grown))
+    return False
 
 
 def is_standard_t_general(m, t: int) -> GenPosCertificate:
     """t-general position of M: relative t-general position of (M, identity)."""
     m_rows = _as_rows(m)
     # the identity takes its var_spec from an entry; an M without entries
-    # has no valid shape, and _walk refuses it like any other
+    # has no valid shape, and PreparedPair refuses it like any other
     vs = next((p.var_spec for row in m_rows for p in row), None)
     n_rows = identity_rows(vs, len(m_rows)) if vs is not None else [[] for _ in m_rows]
     return is_relative_t_general(m_rows, n_rows, t)
@@ -198,49 +289,54 @@ def poisson_t_general(p: PoissonStructure, t: int) -> GenPosCertificate:
     return is_standard_t_general(log_matrix(p), t)
 
 
-def _scaled_minors(grid):
-    """``(scaled, scales)`` for a rational grid: ``scaled(rows, cols)`` is the
-    minor on the rows and columns in the bit masks ``rows`` and ``cols``
-    (as many of each), times the positive ``scales`` of its rows.
+def _scaled_minors(grid) -> tuple[list[list[int]], list[int]]:
+    """``(ints, scales)`` for a rational grid of ints and Fractions: each row
+    times the positive common denominator ``scales[r]`` of its entries, so
+    that ``ints`` holds integers."""
+    scales = [math.lcm(*(x.denominator for x in row)) for row in grid]
+    ints = [[x.numerator * (s // x.denominator) for x in row] for row, s in zip(grid, scales)]
+    return ints, scales
+
+
+def _scaled_minor(ints, memo: dict, rows: int, cols: int) -> int:
+    """The minor of ``ints`` on the rows and columns in the bit masks
+    ``rows`` and ``cols`` (as many of each).
 
     One Laplace expansion along the first row computes every minor: an r x r
-    minor comes from the (r - 1) x (r - 1) minors of the remaining rows, and
-    each minor is memoized for the life of ``scaled``, so column sets that
-    share columns share work.  Each row is scaled by the common denominator
-    of its entries, so that the table holds integers.
+    minor comes from the (r - 1) x (r - 1) minors of the remaining rows,
+    each kept in ``memo`` under ``(rows, cols)``, so column sets that share
+    columns share work for as long as the caller keeps the memo.
     """
-    scales = [math.lcm(*(Fraction(x).denominator for x in row)) for row in grid]
-    ints = [[int(x * s) for x in row] for row, s in zip(grid, scales)]
-
-    @functools.cache
-    def scaled(rows: int, cols: int) -> int:
-        if not rows:
-            return 1
-        head = ints[(rows & -rows).bit_length() - 1]
-        rest = rows & (rows - 1)
-        value, sign, left = 0, 1, cols
-        while left:
-            low = left & -left
-            c = low.bit_length() - 1
-            if head[c]:
-                value += sign * head[c] * scaled(rest, cols ^ low)
-            sign, left = -sign, left ^ low
-        return value
-
-    return scaled, scales
+    if not rows:
+        return 1
+    head = ints[(rows & -rows).bit_length() - 1]
+    rest = rows & (rows - 1)
+    value, sign, left = 0, 1, cols
+    while left:
+        low = left & -left
+        x = head[low.bit_length() - 1]
+        if x:
+            sub = cols ^ low
+            minor = memo.get((rest, sub))
+            if minor is None:
+                minor = memo[(rest, sub)] = _scaled_minor(ints, memo, rest, sub)
+            value += sign * x * minor
+        sign, left = -sign, left ^ low
+    return value
 
 
 def _laplace_minors(grid):
     """``minor(rows, cols)``: the determinant of a rational grid restricted to
     the given distinct rows and columns, each taken in increasing order; a
-    minor is its value in ``_scaled_minors`` over the scales of its rows."""
-    scaled, scales = _scaled_minors(grid)
+    minor is its ``_scaled_minor`` over the scales of its rows."""
+    ints, scales = _scaled_minors(grid)
+    memo: dict = {}
 
     def minor(rows, cols) -> Fraction:
         rows, cols = set(rows), set(cols)
         if len(rows) != len(cols):
             raise ValueError("a minor needs as many rows as columns")
-        value = scaled(sum(1 << r for r in rows), sum(1 << c for c in cols))
+        value = _scaled_minor(ints, memo, sum(1 << r for r in rows), sum(1 << c for c in cols))
         return Fraction(value, math.prod(scales[r] for r in rows))
 
     return minor
@@ -251,10 +347,10 @@ def _increasing(seq, t: int, top: int) -> bool:
     return (
         isinstance(seq, tuple)
         and len(seq) == t
-        and all(isinstance(x, int) for x in seq)
-        and all(a < b for a, b in zip(seq, seq[1:]))
+        and all(map(isinstance, seq, itertools.repeat(int)))
         and 1 <= seq[0]
         and seq[-1] <= top
+        and all(map(operator.lt, seq, seq[1:]))
     )
 
 
@@ -268,46 +364,4 @@ def verify_certificate(m, n, cert: GenPosCertificate) -> bool:
     and up to its single failure if it is truncated.  Entries with a pole
     or a foreign ``var_spec``, and M or N not k x k, are rejected, because
     the constant-term test is sound only on the local ring."""
-    m_rows, n_rows = _as_rows(m), _as_rows(n)
-    k = len(m_rows)
-    if k == 0 or len(n_rows) != k or any(len(row) != k for row in m_rows + n_rows):
-        return False
-    block = [m_rows[i] + n_rows[i] for i in range(k)]
-    vs = block[0][0].var_spec
-    if any(p.var_spec != vs or p.has_negative_exponents() for row in block for p in row):
-        return False
-    if cert.column_count != 2 * k or not 1 <= cert.t <= k:
-        return False
-    t, width = cert.t, 2 * k
-    claimed = [*cert.witnesses, *cert.failures]
-    if (
-        any(not _increasing(cols, t, width) for cols in claimed)
-        or any(not _increasing(rows, t, k) for rows in cert.witnesses.values())
-        or cert.verdict != (not cert.failures)
-        or any(a >= b for a, b in zip(cert.failures, cert.failures[1:]))
-    ):
-        return False
-    claimed.sort()
-    column_sets = itertools.combinations(range(1, width + 1), t)
-    if claimed != list(itertools.islice(column_sets, len(claimed))):
-        return False
-    if cert.complete:
-        if next(column_sets, None) is not None:
-            return False
-    elif not cert.failures or claimed[-1] != cert.failures[0]:
-        return False
-    # the row scales are positive, so a minor is zero iff its scaled value is
-    scaled, _ = _scaled_minors([[p.constant_term() for p in row] for row in block])
-
-    def mask(labels) -> int:
-        return sum(1 << (i - 1) for i in labels)
-
-    for cols, rows in cert.witnesses.items():
-        if not scaled(mask(rows), mask(cols)):
-            return False
-    row_sets = [mask(rows) for rows in itertools.combinations(range(1, k + 1), t)]
-    for cols in cert.failures:
-        col_set = mask(cols)
-        if any(scaled(rows, col_set) for rows in row_sets):
-            return False
-    return True
+    return PreparedPair(m, n).check(cert)

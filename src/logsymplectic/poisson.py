@@ -24,7 +24,6 @@ the convention against.  It satisfies
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -92,7 +91,7 @@ class SkewMatrix:
     def is_constant(self) -> bool:
         return all(p.is_constant() for row in self.rows for p in row)
 
-    def constant_grid(self) -> list[list[Fraction]]:
+    def constant_grid(self) -> list[list[int | Fraction]]:
         if not self.is_constant():
             raise ValueError("matrix has non-constant entries")
         return [[p.constant_term() for p in row] for row in self.rows]
@@ -254,7 +253,8 @@ def pfaffian(a) -> Fraction:
     if isinstance(a, SkewMatrix):
         grid = a.constant_grid()
     else:
-        grid = [[Fraction(x) for x in row] for row in a]
+        # in linalg.exact's normal form, as constant_grid gives it
+        grid = [[linalg.exact(x.numerator, x.denominator) for x in map(Fraction, row)] for row in a]
     n = len(grid)
     if any(len(row) != n for row in grid):
         raise ValueError("matrix is not square")
@@ -264,24 +264,25 @@ def pfaffian(a) -> Fraction:
         for j in range(n):
             if grid[i][j] != -grid[j][i]:
                 raise ValueError("matrix is not skew-symmetric")
+    return Fraction(_pfaffian_of(grid, {(): 1}, tuple(range(n))))
 
-    @functools.cache
-    def rec(indices: tuple[int, ...]) -> Fraction:
-        if not indices:
-            return Fraction(1)
-        first = indices[0]
-        total = Fraction(0)
-        for t in range(1, len(indices)):
-            partner = indices[t]
-            coeff = grid[first][partner]
-            if coeff == 0:
-                continue
-            rest = indices[1:t] + indices[t + 1 :]
-            sign = 1 if t % 2 == 1 else -1
-            total += sign * coeff * rec(rest)
+
+def _pfaffian_of(grid, memo: dict, indices: tuple[int, ...]):
+    """The Pfaffian of ``grid`` on ``indices``, memoized in ``memo`` (a
+    module-level recursion, so no closure refers to itself)."""
+    total = memo.get(indices)
+    if total is not None:
         return total
-
-    return rec(tuple(range(n)))
+    first = indices[0]
+    total = 0
+    for t in range(1, len(indices)):
+        coeff = grid[first][indices[t]]
+        if coeff:
+            rest = indices[1:t] + indices[t + 1 :]
+            term = coeff * _pfaffian_of(grid, memo, rest)
+            total = total + term if t % 2 else total - term
+    memo[indices] = total
+    return total
 
 
 def top_power(p: PoissonStructure) -> tuple[LaurentPoly, MultiVector]:

@@ -2,10 +2,16 @@
 
 The coefficient ring for the whole toolkit: the local polynomial ring in
 variables x1..x{2n}, localized at the first `m` "divisor" variables.  A
-polynomial is a map from exponent vectors to nonzero Fractions; exponents
+polynomial is a map from exponent vectors to nonzero rationals; exponents
 may be negative only in the first `m` positions.  All arithmetic is exact
 and equality is structural, so two computations of the same object compare
 equal term by term.
+
+Every coefficient is kept in the normal form of ``linalg.exact``: an
+``int`` when it is integral, otherwise a ``Fraction``, never one with
+denominator 1.  The constructor and ``_from_sums`` bring coefficients into
+that form, so products and sums of integral coefficients, the common case,
+are machine-integer arithmetic and build no Fraction.
 
 Variables are numbered 1..2n in the public interface; exponent vectors are
 0-indexed tuples of length 2n.
@@ -26,6 +32,10 @@ from fractions import Fraction
 from operator import add
 
 Rational = Fraction
+
+# a coefficient in linalg.exact's normal form: an int, or a Fraction whose
+# denominator is not 1
+Coefficient = int | Fraction
 
 Exponents = tuple[int, ...]
 
@@ -59,13 +69,18 @@ class LaurentPoly:
 
     __slots__ = ("var_spec", "terms")
 
-    def __init__(self, var_spec: VarSpec, terms: dict[Exponents, Fraction] | None = None):
-        clean: dict[Exponents, Fraction] = {}
+    def __init__(self, var_spec: VarSpec, terms: dict[Exponents, Coefficient] | None = None):
+        clean: dict[Exponents, Coefficient] = {}
         nv, m = var_spec.total_vars, var_spec.divisor_vars
         for exps, coeff in (terms or {}).items():
-            if isinstance(coeff, float):
-                raise TypeError(f"inexact float coefficient {coeff!r}; use a Fraction or a string")
-            coeff = Fraction(coeff)
+            if type(coeff) is not int:
+                if isinstance(coeff, float):
+                    raise TypeError(
+                        f"inexact float coefficient {coeff!r}; use a Fraction or a string"
+                    )
+                coeff = Fraction(coeff)
+                if coeff.denominator == 1:
+                    coeff = coeff.numerator
             if coeff == 0:
                 continue
             if len(exps) != nv:
@@ -80,13 +95,19 @@ class LaurentPoly:
         object.__setattr__(self, "terms", clean)
 
     @classmethod
-    def _from_sums(cls, var_spec: VarSpec, sums: dict[Exponents, Fraction]) -> "LaurentPoly":
+    def _from_sums(cls, var_spec: VarSpec, sums: dict[Exponents, Coefficient]) -> "LaurentPoly":
         """Trusted constructor for term sums of ring elements of `var_spec`
         (their sums, negatives, products and partial derivatives): keeps the
-        dict's nonzero Fractions without the per-term checks of __init__."""
+        dict's nonzero coefficients without the per-term checks of __init__,
+        turning an integral Fraction (a sum or product of Fractions can be
+        one) into its int."""
         self = object.__new__(cls)
         object.__setattr__(self, "var_spec", var_spec)
-        object.__setattr__(self, "terms", {e: c for e, c in sums.items() if c})
+        object.__setattr__(self, "terms", {
+            e: c if type(c) is int or c.denominator != 1 else c.numerator
+            for e, c in sums.items()
+            if c
+        })
         return self
 
     def __setattr__(self, name, value):
@@ -109,7 +130,7 @@ class LaurentPoly:
             raise IndexError(f"variable index {i} out of range")
         exps = [0] * vs.total_vars
         exps[i - 1] = power
-        return cls(vs, {tuple(exps): Fraction(1)})
+        return cls(vs, {tuple(exps): 1})
 
     @classmethod
     def monomial(cls, vs: VarSpec, exps, coeff=1) -> "LaurentPoly":
@@ -124,8 +145,8 @@ class LaurentPoly:
         zero = (0,) * self.var_spec.total_vars
         return all(e == zero for e in self.terms)
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.var_spec.total_vars, Fraction(0))
+    def constant_term(self) -> Coefficient:
+        return self.terms.get((0,) * self.var_spec.total_vars, 0)
 
     def has_negative_exponents(self) -> bool:
         return any(e < 0 for exps in self.terms for e in exps)
@@ -181,7 +202,7 @@ class LaurentPoly:
 
     def __mul__(self, other) -> "LaurentPoly":
         other = self._coerce(other)
-        out: dict[Exponents, Fraction] = {}
+        out: dict[Exponents, Coefficient] = {}
         add_product(out, self, other, False)
         return LaurentPoly._from_sums(self.var_spec, out)
 
@@ -210,7 +231,7 @@ class LaurentPoly:
         if not 1 <= i <= self.var_spec.total_vars:
             raise IndexError(f"variable index {i} out of range")
         pos = i - 1
-        out: dict[Exponents, Fraction] = {}
+        out: dict[Exponents, Coefficient] = {}
         for exps, coeff in self.terms.items():
             e = exps[pos]
             if e == 0:
@@ -220,12 +241,18 @@ class LaurentPoly:
 
     def shift(self, exps: Exponents) -> "LaurentPoly":
         """Multiply by the monomial x**exps (exps may be negative in divisor
-        positions only, enforced by the constructor).  A shift of the right
-        length with no negative entry past the divisor positions keeps every
-        term in the ring, so its result skips the per-term checks."""
+        positions only, enforced by the constructor).  Raises ValueError
+        unless exps has one entry per variable.  A shift with no negative
+        entry past the divisor positions keeps every term in the ring, so its
+        result skips the per-term checks."""
         vs = self.var_spec
+        if len(exps) != vs.total_vars:
+            raise ValueError(
+                f"exponent vector {tuple(exps)} has wrong length {len(exps)} "
+                f"(want {vs.total_vars})"
+            )
         terms = {tuple(map(add, e, exps)): c for e, c in self.terms.items()}
-        if len(exps) == vs.total_vars and min(exps[vs.divisor_vars :], default=0) >= 0:
+        if min(exps[vs.divisor_vars :], default=0) >= 0:
             return LaurentPoly._from_sums(vs, terms)
         return LaurentPoly(vs, terms)
 
@@ -252,14 +279,14 @@ class LaurentPoly:
 
         q_lead = max(q.terms, key=order_key)
         q_lc = q.terms[q_lead]
-        quotient: dict[Exponents, Fraction] = {}
+        quotient: dict[Exponents, Coefficient] = {}
         r = p
         while not r.is_zero():
             r_lead = max(r.terms, key=order_key)
             t = tuple(a - b for a, b in zip(r_lead, q_lead))
             if any(e < 0 for e in t):
                 raise ValueError("not exactly divisible")
-            c = r.terms[r_lead] / q_lc
+            c = Fraction(r.terms[r_lead]) / q_lc
             quotient[t] = c
             r = r - q.shift(t) * LaurentPoly.const(self.var_spec, c)
         shift = tuple(a - b for a, b in zip(alpha, beta))
@@ -272,7 +299,7 @@ class LaurentPoly:
         return f"LaurentPoly({poly_to_string(self)!r})"
 
 
-def add_product(out: dict[Exponents, Fraction], p: LaurentPoly, q: LaurentPoly, negate: bool):
+def add_product(out: dict[Exponents, Coefficient], p: LaurentPoly, q: LaurentPoly, negate: bool):
     """out += p*q (out -= p*q if `negate`), in place on a term dict.  Sums
     that cancel stay as zero entries; `LaurentPoly._from_sums` drops them."""
     get = out.get
@@ -342,7 +369,7 @@ def poly_from_string(s: str, vs: VarSpec) -> LaurentPoly:
     if not text:
         raise ValueError("empty polynomial string")
     text = text.replace(" - ", " + -").replace("- ", "-")
-    terms: dict[Exponents, Fraction] = {}
+    terms: dict[Exponents, Coefficient] = {}
     for chunk in text.split("+"):
         chunk = chunk.strip()
         if not chunk:
@@ -351,7 +378,7 @@ def poly_from_string(s: str, vs: VarSpec) -> LaurentPoly:
         while chunk.startswith("-"):
             negate = not negate
             chunk = chunk[1:].strip()
-        coeff = Fraction(1)
+        coeff = 1
         exps = [0] * vs.total_vars
         for factor in chunk.split("*"):
             factor = factor.strip()
@@ -373,5 +400,5 @@ def poly_from_string(s: str, vs: VarSpec) -> LaurentPoly:
         if negate:
             coeff = -coeff
         key = tuple(exps)
-        terms[key] = terms.get(key, Fraction(0)) + coeff
+        terms[key] = terms.get(key, 0) + coeff
     return LaurentPoly(vs, terms)

@@ -15,12 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exterior import MultiVector, change_frame, coordinate_frame, log_frame
-from .genpos import (
-    first_failure_t_general,
-    identity_rows,
-    is_standard_t_general,
-    verify_certificate,
-)
+from .genpos import PreparedPair, identity_rows, is_standard_t_general
 from .poisson import (
     DegenerateStructureError,
     PoissonStructure,
@@ -72,13 +67,19 @@ def certify(t: ToricStructure) -> dict:
     for t = 1, 2, 3 and 2n.
 
     The report keeps only the verdicts and whether every certificate
-    verified, so each t is decided by ``first_failure_t_general``: a false
-    verdict is certified by its first failing column set and the witnesses
-    before it, a true one by every witness.  Every skew A fails t = 2n (a
-    column of A with the identity columns of the other indices has minor
-    +-A_ii = 0), and there the first failure in lexicographic order comes
-    after about 2n witnessed column sets, where a complete certificate
-    would cover all C(4n, 2n)."""
+    verified, so each t is decided as by ``first_failure_t_general``: a
+    false verdict is certified by its first failing column set and the
+    witnesses before it, a true one by every witness.  Every skew A fails
+    t = 2n (a column of A with the identity columns of the other indices
+    has minor +-A_ii = 0), and there the first failure in lexicographic
+    order comes after about 2n witnessed column sets, where a complete
+    certificate would cover all C(4n, 2n).
+
+    [A(0) | I] is prepared once per report (``genpos.PreparedPair``): one
+    validation, one set of integer columns for the four walks and one memo
+    of scaled minors for the four checks, which still build their own table
+    from the polynomial entries.  Nothing the report builds refers to
+    itself, so it leaves no garbage for the cycle collector."""
     size = 2 * t.n
     pf = pfaffian(t.matrix)
     report: dict = {
@@ -97,15 +98,14 @@ def certify(t: ToricStructure) -> dict:
     except DegenerateStructureError:
         report["degeneracy_divisor"] = None
 
-    a = log_matrix(t.structure)
-    ident = identity_rows(t.structure.var_spec, size)
+    pair = PreparedPair(log_matrix(t.structure), identity_rows(t.structure.var_spec, size))
     verdicts = {}
     certified = True
     ts = sorted({1, 2, 3, size} & set(range(1, size + 1)))
     for tt in ts:
-        cert = first_failure_t_general(a, ident, tt)
+        cert = pair.decide(tt, False)
         verdicts[str(tt)] = cert.verdict
-        certified = certified and verify_certificate(a, ident, cert)
+        certified = certified and pair.check(cert)
     report["general_position"] = verdicts
     report["certificates_verified"] = certified
     report["log_symplectic_2_general"] = bool(

@@ -231,12 +231,18 @@ class TestExactInput:
         assert LaurentPoly.const(VS, 3) == LaurentPoly.const(VS, Fraction(3))
 
 
+def assert_normal(c):
+    """``linalg.exact``'s normal form: an int, or a Fraction that is not one."""
+    assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
+
+
 def assert_canonical(r: LaurentPoly, vs: VarSpec = VS):
     """What the validating constructor would have produced."""
     assert r.var_spec == vs
     assert LaurentPoly(vs, r.terms) == r
     for exps, c in r.terms.items():
-        assert type(c) is Fraction and c != 0
+        assert_normal(c)
+        assert c != 0
         assert len(exps) == vs.total_vars
         assert all(e >= 0 for e in exps[vs.divisor_vars:])
 
@@ -301,3 +307,128 @@ class TestClosedOperations:
             p.divide_monomial(tuple(-e for e in exps))
         with pytest.raises(ValueError):
             p.divide_exact(LaurentPoly.monomial(VS, tuple(-e for e in exps)))
+
+
+# -- the normal form: int when integral, otherwise a Fraction --------------
+
+
+def fraction_terms(p: LaurentPoly) -> dict:
+    """The terms of p with every coefficient as a Fraction: the reference's
+    view of a polynomial."""
+    return {e: Fraction(c) for e, c in p.terms.items()}
+
+
+def ref_nonzero(terms: dict) -> dict:
+    return {e: c for e, c in terms.items() if c}
+
+
+def ref_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return ref_nonzero(out)
+
+
+def ref_neg(a: dict) -> dict:
+    return {e: -c for e, c in a.items()}
+
+
+def ref_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            key = tuple(x + y for x, y in zip(e1, e2))
+            out[key] = out.get(key, Fraction(0)) + c1 * c2
+    return ref_nonzero(out)
+
+
+def ref_pow(a: dict, k: int) -> dict:
+    out = {(0,) * VS.total_vars: Fraction(1)}
+    for _ in range(k):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_partial(a: dict, i: int) -> dict:
+    pos = i - 1
+    return {
+        e[:pos] + (e[pos] - 1,) + e[pos + 1:]: c * e[pos] for e, c in a.items() if e[pos]
+    }
+
+
+def ref_shift(a: dict, exps) -> dict:
+    return {tuple(x + y for x, y in zip(e, exps)): c for e, c in a.items()}
+
+
+class TestNormalForm:
+    """Every coefficient is in ``linalg.exact``'s normal form, whatever the
+    operation, and equals the value a Fraction-only computation gives."""
+
+    @given(laurent_polys(max_terms=4), laurent_polys(max_terms=4), st.integers(1, 4),
+           st.integers(0, 3), MONOMIAL_EXPONENTS)
+    @settings(max_examples=80, deadline=None)
+    def test_operations_match_a_fraction_reference(self, p, q, i, k, exps):
+        a, b = fraction_terms(p), fraction_terms(q)
+        cases = [
+            (p + q, ref_add(a, b)),
+            (p - q, ref_add(a, ref_neg(b))),
+            (-p, ref_neg(a)),
+            (p * q, ref_mul(a, b)),
+            (p ** k, ref_pow(a, k)),
+            (p.partial(i), ref_partial(a, i)),
+            (p.shift(exps), ref_shift(a, exps)),
+            (p.shift(exps).divide_monomial(exps), a),
+            (p.divide_exact(LaurentPoly.const(VS, Fraction(2, 3))),
+             {e: c * 3 / 2 for e, c in a.items()}),
+            (poly_from_string(poly_to_string(p), VS), a),
+        ]
+        if not q.is_zero():
+            cases.append(((p * q).divide_exact(q), a))
+        for r, ref in cases:
+            assert_canonical(r)
+            assert fraction_terms(r) == ref
+
+    def test_integral_fractions_become_ints(self):
+        p = LaurentPoly(VS, {(1, 0, 0, 0): Fraction(6, 3), (0, 0, 0, 0): "4/2", (0, 1, 0, 0): True})
+        assert p.terms == {(1, 0, 0, 0): 2, (0, 0, 0, 0): 2, (0, 1, 0, 0): 1}
+        assert all(type(c) is int for c in p.terms.values())
+        half = poly("1/2*x1 + 1/2*x3 + 3/1*x4")
+        total = half + half
+        assert total.terms == {(1, 0, 0, 0): 1, (0, 0, 1, 0): 1, (0, 0, 0, 1): 6}
+        assert all(type(c) is int for c in total.terms.values())
+        assert all(type(c) is int for c in poly("4/2*x1 - 3/1 + x2*2/2").terms.values())
+        assert type((half * 2).terms[(1, 0, 0, 0)]) is int
+
+    def test_constant_term_is_normal(self):
+        assert type(poly("x1").constant_term()) is int
+        assert poly("x1").constant_term() == 0
+        assert type(poly("2/1 + x1").constant_term()) is int
+        assert poly("3/4 + x1").constant_term() == Fraction(3, 4)
+
+    def test_divide_exact_gives_a_fraction_never_a_float(self):
+        q = poly("3*x1^2 + 5*x1*x3").divide_exact(poly("2*x1"))
+        assert q == poly("3/2*x1 + 5/2*x3")
+        for c in q.terms.values():
+            assert type(c) is Fraction and c.denominator == 2
+        whole = poly("4*x1 + 6").divide_exact(poly("2"))
+        assert whole.terms == {(1, 0, 0, 0): 2, (0, 0, 0, 0): 3}
+        assert all(type(c) is int for c in whole.terms.values())
+
+
+class TestShiftLength:
+    """A shift or monomial division by an exponent vector of the wrong
+    length is refused, naming both lengths, instead of being cut short."""
+
+    def test_longer_vector_refused(self):
+        p = LaurentPoly.monomial(VarSpec(4, 2), (1, 0, 0, 0), 3)
+        with pytest.raises(ValueError, match=r"length 5 \(want 4\)"):
+            p.shift((1, 0, 0, 0, 5))
+        with pytest.raises(ValueError, match=r"length 5 \(want 4\)"):
+            p.divide_monomial((1, 0, 0, 0, 5))
+
+    def test_shorter_vector_refused(self):
+        p = LaurentPoly.monomial(VarSpec(4, 2), (1, 0, 0, 0), 3)
+        with pytest.raises(ValueError, match=r"length 3 \(want 4\)"):
+            p.shift((1, 0, 0))
+        with pytest.raises(ValueError, match=r"length 2 \(want 4\)"):
+            LaurentPoly.zero(VS).shift((1, 0))

@@ -1,11 +1,21 @@
+import dataclasses
+import gc
 import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from logsymplectic import genpos, linalg
 from logsymplectic.cli import main
-from logsymplectic.genpos import identity_rows, is_standard_t_general, verify_certificate
+from logsymplectic.genpos import (
+    PreparedPair,
+    first_failure_t_general,
+    identity_rows,
+    is_relative_t_general,
+    is_standard_t_general,
+    verify_certificate,
+)
 from logsymplectic.poisson import log_matrix, pfaffian
 from logsymplectic.ring import LaurentPoly, VarSpec, poly_from_string
 from logsymplectic.toric import (
@@ -149,6 +159,125 @@ class TestCertifyAtScale:
         rep = json.loads(out.read_text())
         assert rep["general_position"]["10"] is False
         assert rep["certificates_verified"] is True
+
+
+def move_last_witness(cert):
+    """The certificate with its last witnessed column set claimed as a
+    failure instead: its minor is nonzero, so no check may accept it."""
+    cols = max(cert.witnesses)
+    witnesses = {c: r for c, r in cert.witnesses.items() if c != cols}
+    if cert.complete:
+        return dataclasses.replace(
+            cert, verdict=False, witnesses=witnesses, failures=tuple(sorted((*cert.failures, cols)))
+        )
+    # a truncated certificate claims one failure, after its witnesses
+    return dataclasses.replace(cert, verdict=False, witnesses=witnesses, failures=(cols,))
+
+
+class TestPreparedPair:
+    """``certify`` decides and checks every t on one ``PreparedPair``; its
+    check still rejects forged certificates, from its own table."""
+
+    @pytest.mark.parametrize("forged_t", [1, 2, 6])
+    def test_forged_certificate_fails_the_report(self, monkeypatch, forged_t):
+        t = make_toric(random_skew(random.Random(2), 6))
+        assert certify(t)["certificates_verified"] is True
+        decide = PreparedPair.decide
+
+        def forging(self, tt, all_failures):
+            cert = decide(self, tt, all_failures)
+            return move_last_witness(cert) if tt == forged_t else cert
+
+        monkeypatch.setattr(PreparedPair, "decide", forging)
+        rep = certify(t)
+        assert rep["general_position"][str(forged_t)] is False
+        assert rep["certificates_verified"] is False
+
+    def test_check_reads_its_own_table(self, monkeypatch):
+        t = make_toric(random_skew(random.Random(2), 6))
+        a = log_matrix(t.structure)
+        ident = identity_rows(t.structure.var_spec, 6)
+        pair = PreparedPair(a, ident)
+        certs = [pair.decide(tt, every) for tt in (1, 2, 3, 6) for every in (True, False)]
+        # the walk's columns, garbled, and no elimination at all
+        pair._columns = [{} for _ in pair._columns]
+
+        def no_linalg(*args, **kwargs):
+            raise AssertionError("the check called linalg")
+
+        monkeypatch.setattr(linalg, "_eliminate", no_linalg)
+        monkeypatch.setattr(linalg, "_scaled", no_linalg)
+        for cert in certs:
+            assert pair.check(cert)
+            assert not pair.check(move_last_witness(cert))
+
+    def test_public_functions_agree_with_the_pair(self):
+        t = make_toric(random_skew(random.Random(4), 6))
+        a = log_matrix(t.structure)
+        ident = identity_rows(t.structure.var_spec, 6)
+        pair = PreparedPair(a, ident)
+        for tt in (1, 2, 3, 6):
+            assert pair.decide(tt, True) == is_relative_t_general(a, ident, tt)
+            assert pair.decide(tt, False) == first_failure_t_general(a, ident, tt)
+
+    def test_invalid_pairs(self):
+        vs = VarSpec(4, 4)
+        ident = identity_rows(vs, 4)
+        short = PreparedPair(ident[:3], ident)
+        assert short.error == "M and N must have the same number of rows"
+        with pytest.raises(ValueError, match="same number of rows"):
+            short.decide(1, True)
+        cert = is_relative_t_general(ident, ident, 1)
+        assert short.check(cert) is False
+        pole = [row[:] for row in ident]
+        pole[0][1] = poly_from_string("x1^-1", vs)
+        with pytest.raises(ValueError, match="no poles"):
+            is_relative_t_general(pole, ident, 1)
+        assert verify_certificate(pole, ident, cert) is False
+        with pytest.raises(ValueError, match=r"1 <= t <= 4"):
+            PreparedPair(ident, ident).decide(5, True)
+
+
+def cyclic_garbage(fn) -> int:
+    """Objects that only the cycle collector can free, left by ``fn()``."""
+    gc.collect()
+    gc.disable()
+    try:
+        fn()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+class TestNoReferenceCycles:
+    """The walk, the check, the report and the Pfaffian free everything they
+    build by reference counting: with the collector off, nothing is left
+    for it to find."""
+
+    @pytest.fixture(scope="class")
+    def toric6(self):
+        t = make_toric(random_skew(random.Random(1), 6))
+        a = log_matrix(t.structure)
+        ident = identity_rows(t.structure.var_spec, 6)
+        return t, a, ident, is_relative_t_general(a, ident, 2), first_failure_t_general(a, ident, 6)
+
+    def test_genpos(self, toric6):
+        _, a, ident, cert, truncated = toric6
+        assert cyclic_garbage(lambda: is_relative_t_general(a, ident, 2)) == 0
+        assert cyclic_garbage(lambda: first_failure_t_general(a, ident, 6)) == 0
+        assert cyclic_garbage(lambda: is_standard_t_general(a, 3)) == 0
+        assert cyclic_garbage(lambda: verify_certificate(a, ident, cert)) == 0
+        assert cyclic_garbage(lambda: verify_certificate(a, ident, truncated)) == 0
+        assert cyclic_garbage(lambda: genpos._laplace_minors([[1, 2], [3, 4]])([0, 1], [0, 1])) == 0
+
+    def test_certify(self, toric6):
+        t = toric6[0]
+        assert cyclic_garbage(lambda: certify(t)) == 0
+
+    def test_pfaffian(self, toric6):
+        t = toric6[0]
+        assert cyclic_garbage(lambda: pfaffian(t.matrix)) == 0
+        assert cyclic_garbage(lambda: pfaffian(random_skew(random.Random(1), 6))) == 0
 
 
 class TestDimensionBookkeeping:
