@@ -145,12 +145,12 @@ class PreparedPair:
         if not 1 <= t <= k:
             raise ValueError(f"t must satisfy 1 <= t <= {k}")
         if self._columns is None:
-            # column j of [M(0) | N(0)] as a sparse row {matrix row r:
+            # column j of [M(0) | N(0)] as a sparse row {row label r:
             # numerator} in the kernel's integer form: the walk reads only
             # pivot positions, and a column's numerators span its line
             constants = [[p.constant_term() for p in row] for row in self._block]
             self._columns = [
-                linalg._scaled({r: row[j] for r, row in enumerate(constants)})[0]
+                linalg._scaled({r: row[j] for r, row in enumerate(constants, 1)})[0]
                 for j in range(2 * k)
             ]
         witnesses: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -174,8 +174,12 @@ class PreparedPair:
             return False
         t, width = cert.t, 2 * k
         claimed = [*cert.witnesses, *cert.failures]
+        labels = itertools.chain.from_iterable(claimed)
+        # tuples of ints: then the coverage comparison below also proves each
+        # claimed column set to be t increasing labels in 1..2k
         if (
-            any(not _increasing(cols, t, width) for cols in claimed)
+            not all(map(isinstance, claimed, itertools.repeat(tuple)))
+            or not all(map(isinstance, labels, itertools.repeat(int)))
             or any(not _increasing(rows, t, k) for rows in cert.witnesses.values())
             or cert.verdict != (not cert.failures)
             or any(a >= b for a, b in zip(cert.failures, cert.failures[1:]))
@@ -243,33 +247,30 @@ def first_failure_t_general(m, n, t: int) -> GenPosCertificate:
     return PreparedPair(m, n).decide(t, False)
 
 
-def _label(cols0) -> tuple[int, ...]:
-    return tuple(c + 1 for c in cols0)
-
-
 def _grow(columns, t: int, all_failures: bool, prefix: tuple[int, ...], pivots,
           witnesses: dict, failures: list) -> bool:
-    """Walk the completions of a prefix of column indices, adding to
-    ``witnesses`` and ``failures``; True once the walk must stop."""
+    """Walk the completions of a prefix of column labels, adding to
+    ``witnesses`` and ``failures``; True once the walk must stop.  The
+    pivots are keyed by row label, so a witness is its sorted keys."""
     width = len(columns)
     # the children of a prefix in lexicographic order, each leaving room
     # for the columns that complete it to t
-    first = prefix[-1] + 1 if prefix else 0
-    for c in range(first, width - t + len(prefix) + 1):
-        cols0 = prefix + (c,)
-        grown = linalg._eliminate([columns[c]], start=pivots)
-        if len(grown) < len(cols0):
+    first = prefix[-1] + 1 if prefix else 1
+    for c in range(first, width - t + len(prefix) + 2):
+        cols = prefix + (c,)
+        grown = linalg._eliminate([columns[c - 1]], start=pivots)
+        if len(grown) < len(cols):
             # column c depends on the prefix, in every completion too
-            rests = itertools.combinations(range(c + 1, width), t - len(cols0))
+            rests = itertools.combinations(range(c + 1, width + 1), t - len(cols))
             if not all_failures:
-                failures.append(_label(cols0 + next(rests)))
+                failures.append(cols + next(rests))
                 return True
-            failures.extend(_label(cols0 + rest) for rest in rests)
-        elif len(cols0) < t:
-            if _grow(columns, t, all_failures, cols0, grown, witnesses, failures):
+            failures.extend(cols + rest for rest in rests)
+        elif len(cols) < t:
+            if _grow(columns, t, all_failures, cols, grown, witnesses, failures):
                 return True
         else:
-            witnesses[_label(cols0)] = tuple(sorted(r + 1 for r in grown))
+            witnesses[cols] = tuple(sorted(grown))
     return False
 
 

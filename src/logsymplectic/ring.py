@@ -149,7 +149,7 @@ class LaurentPoly:
         return self.terms.get((0,) * self.var_spec.total_vars, 0)
 
     def has_negative_exponents(self) -> bool:
-        return any(e < 0 for exps in self.terms for e in exps)
+        return bool(self.terms) and min(map(min, self.terms)) < 0
 
     def min_exponents(self) -> Exponents:
         """Componentwise minimum exponent (the monomial content); 0 for the
@@ -386,7 +386,7 @@ def poly_from_string(s: str, vs: VarSpec) -> LaurentPoly:
                 raise ValueError(f"malformed monomial in {s!r}")
             if _RATIONAL.match(factor):
                 try:
-                    coeff *= Fraction(factor)
+                    coeff *= Fraction(factor) if "/" in factor else int(factor)
                 except ZeroDivisionError:
                     raise ValueError(f"zero denominator in {factor!r} in {s!r}") from None
                 continue

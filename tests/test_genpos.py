@@ -610,6 +610,16 @@ class TestFirstFailure:
         assert self.forge(failures=(cols,)) is False
         assert self.forge(failures=cert.failures + (cols,)) is False
 
+    @pytest.mark.parametrize("retype", [list, lambda cols: (float(cols[0]), *cols[1:])],
+                             ids=["list", "float_label"])
+    def test_failure_of_another_type_rejected(self, retype):
+        # equal to the true failure, or a list of its labels: refused, not raised
+        _, _, cert = self.truncated()
+        assert self.forge(failures=(retype(cert.failures[0]),)) is False
+        cols, rows = next(iter(cert.witnesses.items()))
+        witnesses = {**cert.witnesses, cols: tuple(map(float, rows))}
+        assert self.forge(witnesses=witnesses) is False
+
     def test_witness_prefix_checked(self):
         m_rows, ident, cert = self.truncated()
         first = cert.failures[0]
