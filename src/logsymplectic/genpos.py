@@ -42,6 +42,10 @@ must be the first that many column sets in lexicographic order, all of them
 if the certificate is complete, and if it is truncated those up to its
 single failure.  The check shares no arithmetic with the verdict; in
 particular it never calls ``linalg``.
+Deciding t = 2n by the same minors would be cheap for skew matrices (a
+column set S of A with identity columns T has minor +-det A[T^c, S]), but
+the check would then repeat the verdict's computation instead of
+confirming it, so the two routes stay apart at every t.
 
 *One matrix, many t* (``PreparedPair``): the public functions each prepare
 their pair and use it once; ``toric.certify`` prepares [A(0) | I] once per
@@ -52,10 +56,6 @@ entries, never from the walk's columns.  The walk and the Laplace
 expansion recurse through module-level functions over explicit tables, so
 no function refers to itself and everything they build is freed by
 reference counting, without the cycle collector.
-Deciding t = 2n by the same minors would be cheap for skew matrices (a
-column set S of A with identity columns T has minor +-det A[T^c, S]), but
-the check would then repeat the verdict's computation instead of
-confirming it, so the two routes stay apart at every t.
 """
 
 from __future__ import annotations
@@ -115,16 +115,9 @@ def identity_rows(vs: VarSpec, k: int) -> list[list[LaurentPoly]]:
 
 class PreparedPair:
     """The pair (M, N) of k x k matrices over the local ring, validated once
-    for any number of walks (``decide``) and checks (``check``) on it.
-
-    The walk's integer columns of [M(0) | N(0)] and the check's table of
-    scaled minors are each built on first use and kept for later calls, so
-    a report that decides and checks several t reads the matrix once per
-    route.  The check builds its table from the polynomial entries itself,
-    never reads the walk's columns and never calls ``linalg``.  Both are
-    plain lists and dicts: nothing here refers to itself, so a pair and its
-    tables are freed by reference counting, without the cycle collector.
-    """
+    for any number of walks (``decide``) and checks (``check``) on it.  The
+    walk's integer columns and the check's memo of scaled minors are each
+    built on first use and kept; see the module docstring."""
 
     __slots__ = ("k", "error", "_block", "_columns", "_ints", "_memo")
 
