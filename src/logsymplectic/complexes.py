@@ -70,7 +70,7 @@ F = E - 1_M, so
     lambda = F A = E A - 1_M A:
 
 the first term depends on the exponent vector alone and the second on the
-index set alone, so ``_koszul_writer`` computes D E A once per exponent
+index set alone, so ``_koszul_tables`` computes D E A once per exponent
 vector and folds D 1_M A into the insertion table of M; an entry is one
 integer subtraction.
 ``build_bracket_complex`` and ``build_qi`` assemble their matrices from
@@ -130,19 +130,18 @@ total(I) = w - ``frame_element_weight(I)``.  So the label (I, E) sits at
 offset(I) the number of labels of the index sets before I and rank(E) the
 index of E among the sorted monomials of its total; that is its index in
 the sorted ``basis`` list.  Tables keyed by (number of variables, total)
-alone, like ``_monomials``, give rank(E) (``_ranks``), rank(E + e_j)
-(``_raised``), rank(E - e_t) (``_lowered``), the support of E
-(``_supports``) and, t the first variable of E, the pair (t, rank(E - e_t))
-(``_first_lowered``), so a builder finds the position of every target by
-integer arithmetic and never hashes a label.  Each builder hands ``_fill_slices``
-its layout, per slice the blocks I -> (offset(I), total) and the labels,
-and one writer, called once per block I of a source slice with the blocks
-of the target slice:
+alone, like ``_monomials``, give rank(E) (``_ranks``), rank(E + e_j) and
+rank(E - e_t) (``_moved``, step 1 and -1) and, t the first variable of E,
+the pair (t, rank(E - e_t)) (``_first_lowered``), so a builder finds the
+position of every target by integer arithmetic and never hashes a label.
+Each builder hands ``_fill_slices`` its layout, per slice the blocks
+I -> (offset(I), total) and the labels, and one writer, called once per
+block I of a source slice with the blocks of the target slice:
 
 * the log complex: per t an insertion (offset(I + {t}), sign), and the
-  rank of E (t on the divisor) or of E - e_t (``_lowered``);
-* the bracket complex: per j the insertion table of ``_koszul_writer``,
-  offset(M + {j}) and the rank of E + e_j (``_raised``);
+  rank of E (t on the divisor) or of E - e_t (``_moved``);
+* the bracket complex: per j the insertion table of ``_koszul_tables``,
+  offset(M + {j}) and the rank of E + e_j (``_moved``);
 * the log-plus complex: per I the merged pieces, d(phi_I) and every
   eta_i ^ phi_I, as targets (J, E2) with integer numerators c_0, ..., c_2n;
   per target and total one table of c_0 + sum_i E_i c_i over the E of
@@ -301,42 +300,26 @@ def _ranks(nvars: int, total: int) -> dict[tuple[int, ...], int]:
 
 
 @functools.cache
-def _raised(nvars: int, total: int) -> tuple[tuple[int, ...], ...]:
-    """Per variable j - 1, the rank of E + e_j in ``_monomials(nvars, total + 1)``
-    for each E of ``_monomials(nvars, total)`` in order."""
-    up = _ranks(nvars, total + 1)
-    mons = _monomials(nvars, total)
-    return tuple(tuple(up[e[:j] + (e[j] + 1,) + e[j + 1 :]] for e in mons) for j in range(nvars))
-
-
-@functools.cache
-def _lowered(nvars: int, total: int) -> tuple[tuple[int, ...], ...]:
-    """Per variable t - 1, the rank of E - e_t in ``_monomials(nvars, total - 1)``
-    for each E of ``_monomials(nvars, total)`` in order, -1 where E_t = 0."""
-    down = _ranks(nvars, total - 1)
+def _moved(nvars: int, total: int, step: int) -> tuple[tuple[int, ...], ...]:
+    """Per variable j - 1, the rank of E + step e_j (step 1 or -1) in
+    ``_monomials(nvars, total + step)`` for each E of ``_monomials(nvars,
+    total)`` in order, -1 where E + step e_j has a negative entry."""
+    ranks = _ranks(nvars, total + step)
     mons = _monomials(nvars, total)
     return tuple(
-        tuple(down[e[:t] + (e[t] - 1,) + e[t + 1 :]] if e[t] else -1 for e in mons)
-        for t in range(nvars)
+        tuple(ranks.get(e[:j] + (e[j] + step,) + e[j + 1 :], -1) for e in mons)
+        for j in range(nvars)
     )
 
 
 @functools.cache
-def _supports(nvars: int, total: int) -> tuple[tuple[int, ...], ...]:
-    """The support {i : E_i > 0} of each E of ``_monomials(nvars, total)``."""
-    return tuple(tuple(i for i, e in enumerate(exps, 1) if e) for exps in _monomials(nvars, total))
-
-
-@functools.cache
 def _first_lowered(nvars: int, total: int) -> tuple[tuple[int, int], ...]:
-    """(t - 1, rank of E - e_t in ``_monomials(nvars, total - 1)``) for each
-    E of ``_monomials(nvars, total)`` in order, t the first variable of E
-    (``_supports``, ``_lowered``): the step of a table over E built from the
-    table of total - 1.  Empty for total 0."""
-    lowered = _lowered(nvars, total)
+    """(t - 1, rank of E - e_t) for each E of ``_monomials(nvars, total)``,
+    total >= 1, t the first variable of E, so the first with a rank in
+    ``_moved(nvars, total, -1)``: the step of a table over E from total - 1."""
+    lowered = _moved(nvars, total, -1)
     return tuple(
-        (support[0] - 1, lowered[support[0] - 1][r])
-        for r, support in enumerate(_supports(nvars, total))
+        next((t, rank) for t, rank in enumerate(ranks) if rank >= 0) for ranks in zip(*lowered)
     )
 
 
@@ -428,7 +411,7 @@ def build_log_complex(vs: VarSpec, weight_cap: int) -> WeightSlicedComplex:
                 continue  # no x_t to lower when |E| = 0: no block of I + {t}
             sign, key = merged
             offset = blocks[key][0]
-            target = range(len(mons)) if t <= m else _lowered(nv, total)[t - 1]
+            target = range(len(mons)) if t <= m else _moved(nv, total, -1)[t - 1]
             for r, exps in enumerate(mons):
                 if e := exps[t - 1]:
                     rows[offset + target[r]][col0 + r] = sign * e
@@ -621,33 +604,32 @@ def build_logplus_complex(p: PoissonStructure, weight_cap: int) -> WeightSlicedC
     targets (J, E2), each with D c_0 from d(phi_I) and the vector
     (D c_1, ..., D c_2n) from the eta_i ^ phi_I; since E_i = 0 off the
     support of E, the pieces a column does not use add nothing.  So the
-    pieces are computed for every I that has a column.  The column of
-    x^E phi_I has D c_0 + sum_i E_i D c_i over D at (J, E2 + E) for each
-    target, and must stay in the polynomial span.  Per target and total of
-    E these numerators are one table over ``_monomials(2n, total)``, each
-    entry one addition: value(E) = value(E - e_t) + D c_t, t the first
-    variable of E, from the table of the total below (``_first_lowered``).
-    Totals arrive in ascending order for each I (``_fill_slices`` walks the
-    weights upward), so only the last table of each target is kept.  Each
-    value num / D (``linalg.exact``) is cached per numerator.  The position
-    of (J, E2 + E) is offset(J) plus one table lookup: the ranks of E + E2
-    are tabulated once per total of E and shift E2 for the whole build
-    (slice layout, module docstring).  The block of J is looked up at the
-    target's first nonzero entry, so a target whose entries all vanish is
-    skipped; one whose index set J has no block of total |E| + |E2| in the
-    target slice raises AssertionError.  The writer calls neither
-    ``_koszul_tables`` nor ``_koszul_writer``: the monomial tables it
-    shares with the bracket side hold no structure.
+    pieces are computed once each, for every I that has a column, and only
+    their merged targets are kept.  The column of x^E phi_I has
+    D c_0 + sum_i E_i D c_i over D at (J, E2 + E) for each target, and must
+    stay in the polynomial span.  Per target and total of E these numerators
+    are one table over ``_monomials(2n, total)``, each entry one addition:
+    value(E) = value(E - e_t) + D c_t, t the first variable of E, from the
+    table of the total below (``_first_lowered``).  Totals arrive in
+    ascending order for each I (``_fill_slices`` walks the weights upward),
+    so only the last table of each target is kept.  Each value num / D
+    (``linalg.exact``) is cached per numerator.  The position of (J, E2 + E)
+    is offset(J) plus one table lookup: the ranks of E + E2 are tabulated
+    once per total of E and shift E2 for the whole build (slice layout,
+    module docstring).  The block of J is looked up at the target's first
+    nonzero entry, so a target whose entries all vanish is skipped; one
+    whose index set J has no block of total |E| + |E2| in the target slice
+    raises AssertionError.  The writer never calls ``_koszul_tables``: the
+    monomial tables it shares with the bracket side hold no structure.
     """
     machine = _PlusMachine(p)
     vs = p.var_spec
     nv = vs.total_vars
     etas = [change_frame(log_one_form(vs, i), machine.coord) for i in range(1, nv + 1)]
 
-    @functools.cache
     def piece(i: int, indices: IndexSet) -> tuple[int, list[tuple[Label, int]]]:
         """Certified phi-coordinates of d(phi_I) (i = 0) or eta_i ^ phi_I,
-        as (D, [(label, D * c)]) with D the lcm of their denominators."""
+        as (D, [(label, D * c)]), D their least denominator; uncached."""
         phi = machine.phi_wedge(indices)
         form = etas[i - 1].wedge(phi) if i else exterior_derivative(phi)
         den, nums = machine.sharp_numerators(form)
@@ -753,43 +735,32 @@ def _koszul_tables(p: PoissonStructure, variables):
     return value, lam_columns, insertions
 
 
-def _koszul_writer(p: PoissonStructure):
-    """The ``_fill_slices`` writer of the closed-form bracket differential:
-    the label (M, E) maps to sum_{j not in M} s_j lambda_j (M + {j}, E + e_j)
-    with lambda = (E - 1_M) A = E A - 1_M A and s_j the sign of
-    ``merge_indices((j,), M)`` (module docstring; tables ``_koszul_tables``
-    on all 2n variables, with ones = M).  Per entry it does one integer
-    subtraction D lambda_j = D (E A)_j - D (1_M A)_j and one store at
-    offset(M + {j}) + rank(E + e_j) (``_raised``) of a cached exact value
-    +-(D lambda_j) / D (``linalg.exact``).  Its only client is
-    ``build_bracket_complex``.  Raises ValueError outside the invariant
-    model (``_invariant_grid``).
+def build_bracket_complex(p: PoissonStructure, weight_cap: int) -> WeightSlicedComplex:
+    """Polynomial multivectors with the bracket-with-the-bivector
+    differential, on the basis x^E d_I (labels match the log-plus complex).
+
+    The columns come from the closed form of the module docstring, which
+    the Schouten bracket checks in the tests: per entry the writer does one
+    integer subtraction D lambda_j = D (E A)_j - D (1_M A)_j
+    (``_koszul_tables`` on all 2n variables, with ones = M) and one store
+    at offset(M + {j}) + rank(E + e_j) (``_moved``) of a cached exact value
+    +-(D lambda_j) / D.  Raises ValueError outside the invariant model
+    (``_invariant_grid``).
     """
-    nv = p.var_spec.total_vars
+    vs = p.var_spec
+    nv = vs.total_vars
     value, lam_columns, insertions = _koszul_tables(p, range(1, nv + 1))
 
     def write(blocks, indices, total, rows, col0):
-        lam_of, raised = lam_columns(total), _raised(nv, total)
+        lam_of, raised = lam_columns(total), _moved(nv, total, 1)
         for j, negative, key, shift in insertions(indices, indices):
             offset, raised_j = blocks[key][0], raised[j]
             for r, lam in enumerate(lam_of[j]):
                 if lam := lam - shift:
                     rows[offset + raised_j[r]][col0 + r] = value(lam)[negative]
 
-    return write
-
-
-def build_bracket_complex(p: PoissonStructure, weight_cap: int) -> WeightSlicedComplex:
-    """Polynomial multivectors with the bracket-with-the-bivector
-    differential, on the basis x^E d_I (labels match the log-plus complex).
-
-    The columns come from the closed form of the module docstring; the
-    Schouten bracket itself is the test oracle for it.
-    """
-    vs = p.var_spec
-    cx = WeightSlicedComplex("bracket", vs, (0, vs.total_vars), weight_cap)
-    layout = functools.partial(_slice, coordinate_frame(vs), False)
-    return _fill_slices(cx, layout, _koszul_writer(p))
+    cx = WeightSlicedComplex("bracket", vs, (0, nv), weight_cap)
+    return _fill_slices(cx, functools.partial(_slice, coordinate_frame(vs), False), write)
 
 
 def conjugation_report(p: PoissonStructure, weight_cap: int, max_degree: int) -> dict:
@@ -879,12 +850,12 @@ def _dphi_signs(p: PoissonStructure, iset: IndexSet) -> dict[int, Fraction]:
     for the empty I too, and AssertionError if the expansions disagree.
     """
     _invariant_grid(p)
-    vs = p.var_spec
-    coord = coordinate_frame(vs)
-    phi_wedge = _wedges(DiffForm, coord, phi_forms(p))
+    phis = phi_forms(p)
     if not iset:
         return {}
-    phi_i = phi_wedge(iset)
+    vs = p.var_spec
+    coord = coordinate_frame(vs)
+    phi_i = functools.reduce(wedge, [phis[i - 1] for i in iset])
     one = LaurentPoly.const(vs, 1)
     eta_sum = change_frame(DiffForm(log_frame(vs), 1, {(i,): one for i in iset}), coord)
     if exterior_derivative(phi_i) != -wedge(eta_sum, phi_i):

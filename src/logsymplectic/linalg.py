@@ -254,7 +254,7 @@ def _square_size(a) -> int:
 
 def det(a) -> Fraction:
     n = _square_size(a)
-    pivots = _eliminate(a, range(n))
+    pivots = _eliminate(a)
     if len(pivots) < n:
         return Fraction(0)
     # row i changed only by multiples of the rows before it, and is zero left
@@ -295,9 +295,9 @@ def solve_columns(columns: list, target) -> list[Fraction] | None:
     for j, vec in enumerate(vectors):
         for i, v in _nonzero(vec).items():
             rows.setdefault(i, {})[j] = v
-    # the target column comes last in the order: it becomes a pivot exactly
-    # when it is not in the span of the others
-    pivots = _eliminate(rows.values(), range(ncols + 1), reduced=True)
+    # the target column comes last: it becomes a pivot exactly when it is
+    # not in the span of the others
+    pivots = _eliminate(rows.values(), reduced=True)
     if ncols in pivots:
         return None
     return [

@@ -39,7 +39,7 @@ from .exterior import (
     log_frame,
     merge_indices,
 )
-from .ring import LaurentPoly, VarSpec, add_product, poly_from_string, poly_to_string
+from .ring import LaurentPoly, VarSpec, add_product, coefficient, poly_from_string, poly_to_string
 
 
 def _negatives(a: LaurentPoly, b: LaurentPoly) -> bool:
@@ -85,7 +85,7 @@ class SkewMatrix:
     def from_rationals(cls, var_spec: VarSpec, grid) -> "SkewMatrix":
         return cls(
             var_spec,
-            [[LaurentPoly.const(var_spec, Fraction(x)) for x in row] for row in grid],
+            [[LaurentPoly.const(var_spec, x) for x in row] for row in grid],
         )
 
     def is_constant(self) -> bool:
@@ -253,8 +253,8 @@ def pfaffian(a) -> Fraction:
     if isinstance(a, SkewMatrix):
         grid = a.constant_grid()
     else:
-        # in linalg.exact's normal form, as constant_grid gives it
-        grid = [[linalg.exact(x.numerator, x.denominator) for x in map(Fraction, row)] for row in a]
+        # in normal form, as constant_grid gives it; a float raises TypeError
+        grid = [[coefficient(x) for x in row] for row in a]
     n = len(grid)
     if any(len(row) != n for row in grid):
         raise ValueError("matrix is not square")

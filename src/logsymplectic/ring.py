@@ -9,9 +9,10 @@ equal term by term.
 
 Every coefficient is kept in the normal form of ``linalg.exact``: an
 ``int`` when it is integral, otherwise a ``Fraction``, never one with
-denominator 1.  The constructor and ``_from_sums`` bring coefficients into
-that form, so products and sums of integral coefficients, the common case,
-are machine-integer arithmetic and build no Fraction.
+denominator 1.  The constructor (through ``coefficient``, which refuses a
+float) and ``_from_sums`` bring coefficients into that form, so products
+and sums of integral coefficients, the common case, are machine-integer
+arithmetic and build no Fraction.
 
 Variables are numbered 1..2n in the public interface; exponent vectors are
 0-indexed tuples of length 2n.
@@ -38,6 +39,16 @@ Rational = Fraction
 Coefficient = int | Fraction
 
 Exponents = tuple[int, ...]
+
+
+def coefficient(value) -> Coefficient:
+    """An exact rational (an int, a Fraction or a string such as "1/2") in
+    normal form; TypeError for a float, whose binary value is not the
+    decimal it prints as."""
+    if isinstance(value, float):
+        raise TypeError(f"inexact float coefficient {value!r}; use a Fraction or a string")
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 @dataclass(frozen=True)
@@ -74,13 +85,7 @@ class LaurentPoly:
         nv, m = var_spec.total_vars, var_spec.divisor_vars
         for exps, coeff in (terms or {}).items():
             if type(coeff) is not int:
-                if isinstance(coeff, float):
-                    raise TypeError(
-                        f"inexact float coefficient {coeff!r}; use a Fraction or a string"
-                    )
-                coeff = Fraction(coeff)
-                if coeff.denominator == 1:
-                    coeff = coeff.numerator
+                coeff = coefficient(coeff)
             if coeff == 0:
                 continue
             if len(exps) != nv:

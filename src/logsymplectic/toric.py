@@ -46,7 +46,7 @@ def make_toric(a) -> ToricStructure:
     if isinstance(a, SkewMatrix):
         grid = a.constant_grid()
     else:
-        grid = [[Fraction(x) for x in row] for row in a]
+        grid = [list(row) for row in a]
     size = len(grid)
     if size < 2 or size % 2 != 0:
         raise ValueError("toric structures need even dimension >= 2")

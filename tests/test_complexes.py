@@ -1,3 +1,4 @@
+import collections
 import copy
 import functools
 import hashlib
@@ -19,10 +20,9 @@ from logsymplectic.complexes import (
     _PlusMachine,
     _dphi_signs,
     _flatten,
-    _lowered,
     _monomials,
+    _moved,
     _qi_basis,
-    _raised,
     _ranks,
     _slice,
     _wedges,
@@ -829,11 +829,11 @@ class TestSliceLayout:
             for total in range(4):
                 mons = _monomials(nv, total)
                 for j in range(nv):
-                    up = [_monomials(nv, total + 1)[r] for r in _raised(nv, total)[j]]
+                    up = [_monomials(nv, total + 1)[r] for r in _moved(nv, total, 1)[j]]
                     assert up == [e[:j] + (e[j] + 1,) + e[j + 1 :] for e in mons]
                     down = [
                         _monomials(nv, total - 1)[r] if r >= 0 else None
-                        for r in _lowered(nv, total)[j]
+                        for r in _moved(nv, total, -1)[j]
                     ]
                     assert down == [
                         e[:j] + (e[j] - 1,) + e[j + 1 :] if e[j] else None for e in mons
@@ -870,11 +870,11 @@ class TestSliceLayout:
         # Q_I builds and reads its monomial tables on the 2n - |I| variables
         # off I: none of them is called with all 2n variables
         calls = []
-        for name in ("_monomials", "_ranks", "_lowered", "_supports", "_raised", "_first_lowered"):
+        for name in ("_monomials", "_ranks", "_moved", "_first_lowered"):
 
-            def record(nvars, total, real=getattr(complexes, name)):
+            def record(nvars, *args, real=getattr(complexes, name)):
                 calls.append(nvars)
-                return real(nvars, total)
+                return real(nvars, *args)
 
             monkeypatch.setattr(complexes, name, record)
         cases = [(toric, iset) for size in range(1, 5) for iset in itertools.combinations(range(1, 5), size)]
@@ -948,8 +948,33 @@ class TestSliceLayout:
             raise AssertionError("the log-plus build read a Koszul table")
 
         monkeypatch.setattr(complexes, "_koszul_tables", refuse)
-        monkeypatch.setattr(complexes, "_koszul_writer", refuse)
         assert build_logplus_complex(toric, 2).diffs == bracket.diffs
+
+    def test_logplus_extracts_each_piece_once(self, toric, monkeypatch):
+        # the pieces of I, d(phi_I) and the 2n eta_i ^ phi_I, are extracted
+        # while the first block of I is written and never again: the merged
+        # targets are cached per index set, the pieces themselves are not
+        calls, writing = collections.Counter(), [None]
+        real_fill, real_sharp = complexes._fill_slices, _PlusMachine.sharp_numerators
+
+        def fill(cx, slice_of, write):
+            def write_noting_block(blocks, indices, *args):
+                writing[0] = indices
+                write(blocks, indices, *args)
+
+            return real_fill(cx, slice_of, write_noting_block)
+
+        def counted_sharp(machine, form):
+            calls[writing[0]] += 1
+            return real_sharp(machine, form)
+
+        monkeypatch.setattr(complexes, "_fill_slices", fill)
+        monkeypatch.setattr(_PlusMachine, "sharp_numerators", counted_sharp)
+        cx = build_logplus_complex(toric, 2)
+        nv = toric.var_spec.total_vars
+        with_column = {lab[0] for (k, _w), labels in cx.basis.items() if k < nv for lab in labels}
+        assert len(with_column) == 2**nv - 1
+        assert calls == dict.fromkeys(with_column, nv + 1)
 
     def test_logplus_target_with_no_entry_is_skipped(self, toric, monkeypatch):
         # the same target off the slice, with numerator 0 next to the real

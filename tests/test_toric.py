@@ -16,7 +16,7 @@ from logsymplectic.genpos import (
     is_standard_t_general,
     verify_certificate,
 )
-from logsymplectic.poisson import log_matrix, pfaffian
+from logsymplectic.poisson import SkewMatrix, log_matrix, pfaffian
 from logsymplectic.ring import LaurentPoly, VarSpec, poly_from_string
 from logsymplectic.toric import (
     betti_torus,
@@ -50,6 +50,19 @@ class TestMakeToric:
     def test_odd_size_rejected(self):
         with pytest.raises(ValueError):
             make_toric([[0]])
+
+    def test_float_entries_rejected(self):
+        # the float 0.1 is 3602879701896397/36028797018963968, not 1/10: every
+        # path that reads a plain grid refuses it instead of converting it
+        grid = [[0, 0.1], [-0.1, 0]]
+        for build in (make_toric, pfaffian, lambda g: SkewMatrix.from_rationals(VarSpec(2, 2), g)):
+            with pytest.raises(TypeError, match="inexact float coefficient 0.1"):
+                build(grid)
+
+    def test_string_entries_accepted(self):
+        grid = [[0, "1/2"], ["-1/2", 0]]
+        assert make_toric(grid).matrix.constant_grid() == [[0, Fraction(1, 2)], [Fraction(-1, 2), 0]]
+        assert pfaffian(grid) == Fraction(1, 2)
 
     @staticmethod
     def fractional_grid(seed: int, size: int) -> list[list[Fraction]]:
