@@ -25,6 +25,7 @@ from pathlib import Path
 from .complexes import _dphi_signs, exactness_report, qi_cohomology
 from .genpos import poisson_t_general
 from .poisson import PoissonStructure, _field, _int_field, pfaffian, schouten
+from .ring import coefficient
 from .toric import (
     betti_torus,
     certify,
@@ -74,20 +75,14 @@ def _load_structure(path: str) -> PoissonStructure:
         raise InputError(f"bad structure file {path}: {exc}") from exc
 
 
-def _load_matrix(path: str) -> list[list[Fraction]]:
+def _load_matrix(path: str) -> list[list[int | Fraction]]:
     doc = _load_json(path)
     try:
         size = _int_field(doc, "size")
         entries = _field(doc, "entries")
         if not isinstance(entries, list) or not all(isinstance(row, list) for row in entries):
             raise ValueError("'entries' must be an array of arrays")
-        if any(isinstance(x, (float, bool)) for row in entries for x in row):
-            raise ValueError(
-                'entries must be integers or strings such as "1/2", not floats or booleans'
-            )
-        grid = [[Fraction(x) for x in row] for row in entries]
-    except ZeroDivisionError as exc:
-        raise InputError(f"bad matrix file {path}: zero denominator") from exc
+        grid = [[coefficient(x) for x in row] for row in entries]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad matrix file {path}: {exc}") from exc
     if len(grid) != size or any(len(r) != size for r in grid):

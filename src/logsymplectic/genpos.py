@@ -20,15 +20,14 @@ failing column set proves a false verdict, and the witnesses before it prove
 that it is the first; a true verdict has no failure to stop at, so its
 certificate is complete in both modes and keeps every witness.
 
-*Verdict* (both functions): exact elimination.  A column set passes iff
-its columns have rank t.  The column sets are walked in
-lexicographic order as a depth-first search over the tree of their
-prefixes, and each child extends its prefix's pivots by one column, so a
-shared prefix is eliminated once.  A column that reduces to zero against
-its prefix makes every completion of that prefix a failure, without further
-elimination.  A witness is the set of pivot rows, that is the greedy
-independent rows, which is the lexicographically first row set with a
-nonzero minor.
+*Verdict* (both functions): exact elimination.  A column set passes iff its
+columns have rank t.  The column sets are walked in lexicographic order as a
+depth-first search over the tree of their prefixes; each child reduces its
+column against its prefix's pivots with the kernel's row step,
+``linalg._clear``, so a shared prefix is eliminated once.  A column that
+reduces to zero makes every completion of its prefix a failure, without
+further elimination.  A witness is the set of pivot rows, that is the greedy
+independent rows, the lexicographically first row set with a nonzero minor.
 
 *Check* (``verify_certificate``): minors.  It rejects entries with a pole or
 a foreign ``var_spec`` and shapes other than k x 2k, then recomputes each
@@ -251,8 +250,11 @@ def _grow(columns, t: int, all_failures: bool, prefix: tuple[int, ...], pivots,
     first = prefix[-1] + 1 if prefix else 1
     for c in range(first, width - t + len(prefix) + 2):
         cols = prefix + (c,)
-        grown = linalg._eliminate([columns[c - 1]], start=pivots)
-        if len(grown) < len(cols):
+        nums, den = dict(columns[c - 1]), 1
+        while hits := nums.keys() & pivots.keys():
+            r = min(hits)
+            den = linalg._clear(nums, den, r, pivots[r])
+        if not nums:
             # column c depends on the prefix, in every completion too
             rests = itertools.combinations(range(c + 1, width + 1), t - len(cols))
             if not all_failures:
@@ -260,10 +262,11 @@ def _grow(columns, t: int, all_failures: bool, prefix: tuple[int, ...], pivots,
                 return True
             failures.extend(cols + rest for rest in rests)
         elif len(cols) < t:
+            grown = pivots | {min(nums): (nums, den)}
             if _grow(columns, t, all_failures, cols, grown, witnesses, failures):
                 return True
         else:
-            witnesses[cols] = tuple(sorted(grown))
+            witnesses[cols] = tuple(sorted([*pivots, min(nums)]))
     return False
 
 

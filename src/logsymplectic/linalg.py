@@ -15,7 +15,8 @@ is copied as it is, with denominator 1, which is the path the stored
 differentials of ``complexes`` take on an integral log matrix.  One
 elimination loop, ``_eliminate``, serves ``rank``, ``det``, ``inverse`` and
 ``solve_columns``, and ``pivot_columns`` exposes the pivot columns it
-finds.
+finds.  It has no continuation mode: the ``genpos`` walk clears each new
+column of its prefix's pivots itself, with the row step ``_clear``.
 
 One product path serves ``mat_mul`` and ``product_is_zero``: ``_int_rows``
 reads each factor as integer rows over one scale (dict rows of ints as
@@ -115,9 +116,7 @@ def _clear(nums: dict[int, int], den: int, c: int, pivot: Scaled) -> int:
     return den
 
 
-def _eliminate(
-    rows: Iterable, column_order=None, reduced: bool = False, start: dict[int, Scaled] | None = None
-) -> dict[int, Scaled]:
+def _eliminate(rows: Iterable, column_order=None, reduced: bool = False) -> dict[int, Scaled]:
     """Exact Gaussian elimination of ``rows``; returns the pivots.
 
     Only the columns in ``column_order`` (default: every column, in
@@ -129,20 +128,14 @@ def _eliminate(
     normalised: ``nums[c] / den`` is the pivot value of ``pivots[c]``.
 
     With ``reduced`` each new pivot is also cleared from the older pivot
-    rows, so every pivot row is zero in all other pivot columns.
-
-    ``start``, the pivots of an earlier call with the same ``column_order``,
-    continues that elimination: the result is a new dict that begins with
-    them, as if their rows had come first.  The rows of ``start`` are
-    shared but never changed (a reduced update replaces the row in the new
-    dict), so one ``start`` can be extended in several ways.
+    rows, in place, so every pivot row is zero in all other pivot columns.
     """
     if column_order is None:
         pos, first = None, min
     else:
         pos = {c: i for i, c in enumerate(column_order)}
         first = functools.partial(min, key=pos.__getitem__)
-    pivots: dict[int, Scaled] = dict(start) if start else {}
+    pivots: dict[int, Scaled] = {}
     for row in rows:
         nums, den = _scaled(row)
         while hits := nums.keys() & pivots.keys():
@@ -156,7 +149,6 @@ def _eliminate(
         if reduced:
             for c, (onums, oden) in pivots.items():
                 if lead in onums:
-                    onums = dict(onums)
                     pivots[c] = onums, _clear(onums, oden, lead, new)
         pivots[lead] = new
     return pivots

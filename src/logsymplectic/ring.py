@@ -43,11 +43,19 @@ Exponents = tuple[int, ...]
 
 def coefficient(value) -> Coefficient:
     """An exact rational (an int, a Fraction or a string such as "1/2") in
-    normal form; TypeError for a float, whose binary value is not the
-    decimal it prints as."""
-    if isinstance(value, float):
-        raise TypeError(f"inexact float coefficient {value!r}; use a Fraction or a string")
-    value = Fraction(value)
+    normal form.  TypeError for a float, whose binary value is not the
+    decimal it prints as, and for a bool, which is no number; ValueError
+    for a zero denominator."""
+    if isinstance(value, (float, bool)):
+        kind = "inexact float" if isinstance(value, float) else "boolean"
+        raise TypeError(
+            f'{kind} coefficient {value!r}; use an int, a Fraction or a string such as "1/2", '
+            "not floats or booleans"
+        )
+    try:
+        value = Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in coefficient {value!r}") from None
     return value.numerator if value.denominator == 1 else value
 
 
@@ -165,7 +173,8 @@ class LaurentPoly:
         return tuple(min(col) for col in cols)
 
     def evaluate(self, values) -> Fraction:
-        vals = [Fraction(v) for v in values]
+        # exact values only; Fractions, since an int to a negative power is a float
+        vals = [Fraction(coefficient(v)) for v in values]
         if len(vals) != self.var_spec.total_vars:
             raise ValueError("wrong number of values")
         total = Fraction(0)
@@ -222,7 +231,7 @@ class LaurentPoly:
         return result
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             other = LaurentPoly.const(self.var_spec, other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented

@@ -332,11 +332,11 @@ class TestVerifyExactness:
         inversions = []
         eliminate = linalg._eliminate
 
-        def inverse_only(rows, column_order=None, reduced=False, start=None):
+        def inverse_only(rows, column_order=None, reduced=False):
             if not reduced:
                 raise AssertionError("verify-exactness ranked a matrix")
             inversions.append(column_order)
-            return eliminate(rows, column_order, reduced, start)
+            return eliminate(rows, column_order, reduced)
 
         monkeypatch.setattr(complexes, "_fill_slices", refuse)
         monkeypatch.setattr(linalg, "_eliminate", inverse_only)

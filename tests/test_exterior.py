@@ -17,7 +17,6 @@ from logsymplectic.exterior import (
     coordinate_vector,
     exterior_derivative,
     form_monomial,
-    frame_element_weight,
     log_frame,
     log_one_form,
     log_vector,

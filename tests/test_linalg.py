@@ -217,21 +217,15 @@ class TestKernelProperties:
             assert given_a == before
 
     @settings(max_examples=150, deadline=None)
-    @given(matrices(min_rows=1), st.data())
-    def test_start_continues_an_elimination(self, a, data):
-        split = data.draw(st.integers(0, len(a)))
-        prefix = linalg._eliminate(a[:split])
-        frozen = {c: (dict(nums), den) for c, (nums, den) in prefix.items()}
-        continued = linalg._eliminate(a[split:], start=prefix)
-        assert continued == linalg._eliminate(a)
-        assert list(continued) == list(linalg._eliminate(a))
-        # the rows of start are shared and left unchanged
-        assert prefix == frozen
+    @given(matrices(min_rows=1))
+    def test_pivot_rows_in_lowest_terms(self, a):
         # each pivot row is nonzero int numerators over a positive
-        # denominator with no common factor, nonzero in its pivot column
-        for c, (nums, den) in continued.items():
-            assert nums[c] and all(type(v) is int and v for v in nums.values())
-            assert type(den) is int and den > 0 and math.gcd(den, *nums.values()) == 1
+        # denominator with no common factor, nonzero in its pivot column,
+        # also after the in-place updates of the reduced mode
+        for reduced in (False, True):
+            for c, (nums, den) in linalg._eliminate(a, reduced=reduced).items():
+                assert nums[c] and all(type(v) is int and v for v in nums.values())
+                assert type(den) is int and den > 0 and math.gcd(den, *nums.values()) == 1
 
 
 def gauss(a):

@@ -14,7 +14,6 @@ from logsymplectic.exterior import (
     exterior_derivative,
     log_one_form,
     log_vector,
-    vector_monomial,
     wedge,
 )
 from logsymplectic.poisson import (

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from logsymplectic.ring import (
     LaurentPoly,
     VarSpec,
+    coefficient,
     is_unit_local,
     poly_from_string,
     poly_to_string,
@@ -230,6 +231,31 @@ class TestExactInput:
         assert LaurentPoly.const(VS, "1/10").terms == {(0, 0, 0, 0): Fraction(1, 10)}
         assert LaurentPoly.const(VS, 3) == LaurentPoly.const(VS, Fraction(3))
 
+    def test_booleans_rejected(self):
+        # a bool is an int to Python, but no coefficient
+        for value in (True, False):
+            with pytest.raises(TypeError, match="boolean coefficient"):
+                coefficient(value)
+        with pytest.raises(TypeError, match="boolean coefficient"):
+            LaurentPoly.const(VS, True)
+        # comparing with a bool answers instead of raising
+        assert (LaurentPoly.const(VS, 1) == True) is False  # noqa: E712
+        assert (LaurentPoly.zero(VS) != False) is True  # noqa: E712
+
+    def test_zero_denominator_rejected(self):
+        for build in (coefficient, lambda c: LaurentPoly.const(VS, c)):
+            with pytest.raises(ValueError, match="zero denominator"):
+                build("1/0")
+
+    def test_evaluate_reads_exact_values(self):
+        p = poly("x1^-1*x3 + 1/2")
+        with pytest.raises(TypeError, match="inexact float coefficient 0.1"):
+            p.evaluate([0.1, 1, 1, 1])
+        with pytest.raises(TypeError, match="boolean coefficient"):
+            p.evaluate([1, 1, True, 1])
+        value = p.evaluate(["1/10", 1, 3, 0])
+        assert value == Fraction(61, 2) and type(value) is Fraction
+
 
 def assert_normal(c):
     """``linalg.exact``'s normal form: an int, or a Fraction that is not one."""
@@ -389,9 +415,12 @@ class TestNormalForm:
             assert fraction_terms(r) == ref
 
     def test_integral_fractions_become_ints(self):
-        p = LaurentPoly(VS, {(1, 0, 0, 0): Fraction(6, 3), (0, 0, 0, 0): "4/2", (0, 1, 0, 0): True})
+        p = LaurentPoly(VS, {(1, 0, 0, 0): Fraction(6, 3), (0, 0, 0, 0): "4/2", (0, 1, 0, 0): 1})
         assert p.terms == {(1, 0, 0, 0): 2, (0, 0, 0, 0): 2, (0, 1, 0, 0): 1}
         assert all(type(c) is int for c in p.terms.values())
+        # a bool is refused, not read as the int 1
+        with pytest.raises(TypeError, match="boolean coefficient True"):
+            LaurentPoly(VS, {(0, 1, 0, 0): True})
         half = poly("1/2*x1 + 1/2*x3 + 3/1*x4")
         total = half + half
         assert total.terms == {(1, 0, 0, 0): 1, (0, 0, 1, 0): 1, (0, 0, 0, 1): 6}

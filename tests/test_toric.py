@@ -17,7 +17,7 @@ from logsymplectic.genpos import (
     verify_certificate,
 )
 from logsymplectic.poisson import SkewMatrix, log_matrix, pfaffian
-from logsymplectic.ring import LaurentPoly, VarSpec, poly_from_string
+from logsymplectic.ring import VarSpec, poly_from_string
 from logsymplectic.toric import (
     betti_torus,
     certify,
@@ -58,6 +58,15 @@ class TestMakeToric:
         for build in (make_toric, pfaffian, lambda g: SkewMatrix.from_rationals(VarSpec(2, 2), g)):
             with pytest.raises(TypeError, match="inexact float coefficient 0.1"):
                 build(grid)
+
+    def test_bool_and_zero_denominator_entries_rejected(self):
+        # the CLI refuses JSON true and "1/0"; the library paths do the same
+        builds = (make_toric, pfaffian, lambda g: SkewMatrix.from_rationals(VarSpec(2, 2), g))
+        for build in builds:
+            with pytest.raises(TypeError, match="boolean coefficient True"):
+                build([[0, True], [-1, 0]])
+            with pytest.raises(ValueError, match="zero denominator"):
+                build([[0, "1/0"], ["-1/0", 0]])
 
     def test_string_entries_accepted(self):
         grid = [[0, "1/2"], ["-1/2", 0]]
@@ -220,6 +229,7 @@ class TestPreparedPair:
 
         monkeypatch.setattr(linalg, "_eliminate", no_linalg)
         monkeypatch.setattr(linalg, "_scaled", no_linalg)
+        monkeypatch.setattr(linalg, "_clear", no_linalg)
         for cert in certs:
             assert pair.check(cert)
             assert not pair.check(move_last_witness(cert))
@@ -229,9 +239,13 @@ class TestPreparedPair:
         a = log_matrix(t.structure)
         ident = identity_rows(t.structure.var_spec, 6)
         pair = PreparedPair(a, ident)
+        pair.decide(1, True)
+        # the walk clears copies: the prepared columns never change
+        columns = [dict(col) for col in pair._columns]
         for tt in (1, 2, 3, 6):
             assert pair.decide(tt, True) == is_relative_t_general(a, ident, tt)
             assert pair.decide(tt, False) == first_failure_t_general(a, ident, tt)
+        assert pair._columns == columns
 
     def test_invalid_pairs(self):
         vs = VarSpec(4, 4)
