@@ -10,9 +10,9 @@ equal term by term.
 Every coefficient is kept in the normal form of ``linalg.exact``: an
 ``int`` when it is integral, otherwise a ``Fraction``, never one with
 denominator 1.  The constructor (through ``coefficient``, which refuses a
-float) and ``_from_sums`` bring coefficients into that form, so products
-and sums of integral coefficients, the common case, are machine-integer
-arithmetic and build no Fraction.
+float or a bool) and ``_from_sums`` bring coefficients into that form, so
+products and sums of integral coefficients, the common case, are
+machine-integer arithmetic and build no Fraction.
 
 Variables are numbered 1..2n in the public interface; exponent vectors are
 0-indexed tuples of length 2n.
