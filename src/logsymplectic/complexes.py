@@ -14,12 +14,14 @@ Three families are built:
 * the log-plus complex, the image of the polynomial multivector algebra
   under the inverse of the bivector with basis phi_I * monomials, and its
   conjugate, the bracket complex on x^E d_I with the bracket with the
-  bivector.  The log-plus matrix comes from an honest meromorphic exterior
+  bivector.  The log-plus matrix comes from the meromorphic exterior
   derivative, taken once per index set I on the pieces d(phi_I) and
-  eta_i ^ phi_I; the phi-coordinates of every piece are extracted in the
-  log frame (below) and certified by re-expanding them through the phi
-  forms and comparing with the piece, and each column follows from the
-  Leibniz rule d(x^E phi_I) = x^E (d(phi_I) + sum_i E_i eta_i ^ phi_I);
+  eta_i ^ phi_I, each one monomial x^(-1_I) times a constant log form read
+  off integer tables (below); the phi-coordinates of every piece are
+  extracted in the log frame and certified by re-expanding them through
+  the constant forms theta_K of the phi forms and comparing with the piece,
+  and each column follows from the Leibniz rule
+  d(x^E phi_I) = x^E (d(phi_I) + sum_i E_i eta_i ^ phi_I);
 * the graded pieces of the filtration of the log-plus complex by number of
   phi factors.  On the multivector side the filtration splits monomially:
   x^E d_M sits at level #{divisor indices of M with vanishing exponent in
@@ -107,16 +109,23 @@ its sharp in the coordinate frame.  In the log frame the sharp is constant:
 * a form sum_J g_J eta_J goes to sum_K (sum_J g_J det A[J, K]) v_K, and
   v_K = x^(1_K) d_K.
 
-``_PlusMachine.sharp_numerators`` is this recipe: ``change_frame`` to the
-log frame, for each monomial of the coefficients one integer product of
-its row of numerators with the compound of D A (``_compounds``, built once
-per degree), and the label (K, E + 1_K) for the result at x^E v_K.  It
-returns int numerators over one denominator; it extracts and does not
-certify.
-The certificate (``_PlusMachine.certifies``) re-expands the coordinates
-through ``phi_forms`` and compares with the piece, in integers: each phi_J
-as int numerators over one denominator, the sum over their lcm, and the
-piece scaled to match.  It reads neither A nor the compound.
+So are the phi forms: pi_sharp(phi_i) = d_i = x_i^-1 v_i, so phi_i =
+x_i^-1 theta_i with theta_i = sum_j B[i][j] eta_j, B = A^-1, and
+phi_I = x^F theta_I, F = -1_I, theta_I the wedge of the theta_i over I.
+Every piece is x^F times a constant form: eta_i ^ phi_I = x^F (eta_i ^
+theta_I), and d(phi_I) = sum_t F_t x^F eta_t ^ theta_I (x_t d_t x^F = F_t x^F,
+d eta_t = 0).  ``_PlusMachine`` checks that each phi_i of ``phi_forms`` is
+x_i^-1 times constants in the log frame, keeps theta_i as int numerators
+over one T and theta_I over T^|I| (``_minors``), and ``pieces`` gives the
+pieces of I as integer rows, with no form built.  ``sharp_rows`` is the
+recipe above: per monomial x^E one integer product of its row with the
+compound of D A (``_compounds``), and the label (K, E + 1_K); it extracts
+and does not certify.  A piece enters as the single row {F: row};
+``sharp_numerators`` makes the rows of a form by ``change_frame``.  The
+certificate (``certifies``) re-expands sum n x^(E - 1_K) theta_K over the
+labels ((K, E), n), per (monomial, J) over the common denominator, and
+compares with the piece's row in integers: it reads the theta_K, from
+``phi_forms``, and neither A nor the compound.
 
 Slice layout
 ------------
@@ -206,7 +215,6 @@ from .exterior import (
     exterior_derivative,
     frame_element_weight,
     log_frame,
-    log_one_form,
     merge_indices,
     wedge,
 )
@@ -463,24 +471,36 @@ def _wedges(cls, frame: Frame, factors):
     return _prefix_products(one, lambda prefix, i: prefix.wedge(factors[i - 1]))
 
 
-def _compounds(scaled: list[list[int]]):
-    """``compound(k)``: the k-th compound of the integer matrix M, as the
-    position of each row index set J in sorted order and the columns
-    [(K, (det M[J, K] for each J))].  det M[J, K] is the coefficient of v_K
-    in the wedge over t in J, in order, of sum_j M[t][j] v_j, memoized with
-    every prefix of J."""
+@functools.cache
+def _appended(nv: int, key: IndexSet) -> tuple[tuple[int, int, IndexSet], ...]:
+    """(j, *merge_indices(key, (j,))) for the j in 1..nv not in key."""
+    return tuple((j, *merge_indices(key, (j,))) for j in range(1, nv + 1) if j not in key)
+
+
+def _minors(scaled: list[list[int]]):
+    """``minors(J)``: {K: det M[J, K]} for the integer matrix M, the
+    coefficients of the wedge over t in J, in order, of sum_j M[t][j] v_j,
+    memoized with every prefix of J."""
     nv = len(scaled)
 
     def step(prefix: dict[IndexSet, int], t: int) -> dict[IndexSet, int]:
         out: dict[IndexSet, int] = {}
+        row = scaled[t - 1]
         for key, minor in prefix.items():
-            for j, a in enumerate(scaled[t - 1], 1):
-                if a and (merged := merge_indices(key, (j,))) is not None:
-                    sign, longer = merged
+            for j, sign, longer in _appended(nv, key):
+                if a := row[j - 1]:
                     out[longer] = out.get(longer, 0) + sign * a * minor
         return out
 
-    minors = _prefix_products({(): 1}, step)
+    return _prefix_products({(): 1}, step)
+
+
+def _compounds(scaled: list[list[int]]):
+    """``compound(k)``: the k-th compound of the integer matrix M
+    (``_minors``), as the position of each row index set J in sorted order
+    and the columns [(K, (det M[J, K] for each J))]."""
+    nv = len(scaled)
+    minors = _minors(scaled)
 
     @functools.cache
     def compound(k: int) -> tuple[dict[IndexSet, int], list[tuple[IndexSet, tuple[int, ...]]]]:
@@ -492,59 +512,76 @@ def _compounds(scaled: list[list[int]]):
     return compound
 
 
-def _int_terms(form: DiffForm):
-    """(d, [(idx, [(E, n)])]): the form as int numerators n over the least d."""
-    terms = form.terms
-    d = math.lcm(*(c.denominator for g in terms.values() for c in g.terms.values()))
-    return d, [
-        (idx, [(e, c.numerator * (d // c.denominator)) for e, c in g.terms.items()])
-        for idx, g in terms.items()
-    ]
-
-
 class _PlusMachine:
-    """Per-structure caches of ``build_logplus_complex`` and
-    ``filtration_level_of``: the wedges of phi forms, for the certificate,
-    and the compounds of D * A, for the phi-coordinate extraction."""
+    """Per-structure tables of ``build_logplus_complex`` and
+    ``filtration_level_of``: the compounds of D * A, for the phi-coordinate
+    extraction, and the constant log forms theta_I of phi_I = x^(-1_I)
+    theta_I (module docstring), for the pieces and their certificate.  Each
+    phi_i of ``phi_forms`` is read in the log frame once; AssertionError
+    naming i if it is not x_i^-1 times constants."""
 
     def __init__(self, p: PoissonStructure):
         den, scaled = _invariant_grid(p)
         vs = p.var_spec
-        self.vs = vs
-        self.coord = coordinate_frame(vs)
-        self.log = log_frame(vs)
-        phi_wedge = _wedges(DiffForm, self.coord, phi_forms(p))  # raises when A is singular
-        self.phi_wedge = phi_wedge
-        # phi_I as int numerators over one denominator (``_int_terms``); the
-        # cache refers to phi_wedge, not to self, so it makes no cycle
-        self.phi_numerators = functools.cache(lambda indices: _int_terms(phi_wedge(indices)))
-        self.den = den
+        nv = vs.total_vars
+        self.vs, self.log, self.den = vs, log_frame(vs), den
         self.compound = _compounds(scaled)
+        theta = [[Fraction(0)] * nv for _ in range(nv)]
+        for i, phi in enumerate(phi_forms(p), 1):  # raises when A is singular
+            pole = tuple(-int(t == i) for t in range(1, nv + 1))
+            for (j,), g in change_frame(phi, self.log).terms.items():
+                if g.terms.keys() != {pole}:
+                    raise AssertionError(f"phi_{i} is not x_{i}^-1 times a constant log form")
+                theta[i - 1][j - 1] = g.terms[pole]
+        # theta_i = sum_j B[i][j] eta_j as int numerators over T, theta_I over T^|I|
+        self.theta_den = math.lcm(*(c.denominator for row in theta for c in row))
+        self.theta = _minors([[int(c * self.theta_den) for c in row] for row in theta])
+
+    def pieces(self, indices: IndexSet) -> tuple[tuple[int, ...], list[list[int]]]:
+        """(F, rows), F = -1_I: the pieces of phi_I = x^F theta_I in the log
+        frame, as int numerators over T^|I| of the eta_J, |J| = |I| + 1, in
+        sorted order: rows[i] is eta_i ^ phi_I = x^F (eta_i ^ theta_I) for
+        i = 1..2n, and rows[0] is d(phi_I) = sum_t F_t x^F eta_t ^ theta_I."""
+        nv = self.vs.total_vars
+        position = self.compound(len(indices) + 1)[0]
+        rows = [[0] * len(position) for _ in range(nv + 1)]
+        flip = (-1) ** len(indices)
+        for jdx, w in self.theta(indices).items():
+            for i, sign, key in _appended(nv, jdx):
+                rows[i][position[key]] += sign * flip * w
+        for t in indices:
+            rows[0] = list(map(operator.sub, rows[0], rows[t]))
+        return tuple(-int(i in indices) for i in range(1, nv + 1)), rows
 
     def sharp_numerators(self, form: DiffForm) -> tuple[int, list[tuple[Label, int]]]:
-        """(N, [((K, E), n)]): the phi-coordinates of the form as int
-        numerators over the least N > 0 that makes them integral; n / N is
-        the coefficient of x^E phi_K in the form, and of x^E d_K in
-        pi_sharp(form).  In the log frame pi_sharp is the constant compound
-        of A (module docstring), so this is ``change_frame`` to it and one
-        integer product of each monomial's row of numerators with
-        ``compound``; x^E v_K = x^(E + 1_K) d_K gives the coordinate label."""
+        """``sharp_rows`` of the form: ``change_frame`` to the log frame, and
+        per monomial x^E one row of int numerators over one denominator."""
         log = change_frame(form, self.log)
         num_den = math.lcm(*(c.denominator for g in log.terms.values() for c in g.terms.values()))
-        position, columns = self.compound(form.degree)
+        position = self.compound(form.degree)[0]
         rows: dict[tuple[int, ...], list[int]] = {}
         for jdx, g in log.terms.items():
             pos = position[jdx]
             for e, c in g.terms.items():
-                if e not in rows:
-                    rows[e] = [0] * len(position)
-                rows[e][pos] = c.numerator * (num_den // c.denominator)
+                rows.setdefault(e, [0] * len(position))[pos] = c.numerator * (num_den // c.denominator)
+        return self.sharp_rows(form.degree, num_den, rows)
+
+    def sharp_rows(self, degree: int, num_den: int, rows) -> tuple[int, list[tuple[Label, int]]]:
+        """(N, [((K, E), n)]): the phi-coordinates of the log form of the
+        given degree whose coefficient of x^E eta_J is rows[E][position of
+        J] / num_den, as int numerators over the least N > 0 that makes them
+        integral; n / N is the coefficient of x^E phi_K in the form, and of
+        x^E d_K in its pi_sharp.  In the log frame pi_sharp is the constant
+        compound of A (module docstring), so this is one integer product of
+        each row with ``compound``; x^E v_K = x^(E + 1_K) d_K gives the
+        label.  A table piece enters as the single row {F: row}."""
+        columns = self.compound(degree)[1]
         acc: dict[IndexSet, dict[tuple[int, ...], int]] = {}
         for e, row in rows.items():
             for kdx, column in columns:
                 if n := sum(map(operator.mul, row, column)):
                     acc.setdefault(kdx, {})[e] = n
-        den = num_den * self.den**form.degree
+        den = num_den * self.den**degree
         g = math.gcd(den, *(n for sums in acc.values() for n in sums.values()))
         nums = []
         for kdx, sums in acc.items():
@@ -552,50 +589,36 @@ class _PlusMachine:
             nums.extend(((kdx, tuple(map(operator.add, e, ones))), n // g) for e, n in sums.items())
         return den // g, nums
 
-    def certifies(self, form: DiffForm, den: int, nums) -> bool:
-        """Whether sum (n / den) x^E phi_J over the ((J, E), n) in nums
-        equals the coordinate form, in integers: each phi_J is int
-        numerators over one denominator (``phi_numerators``), the sum is
-        accumulated over their lcm L, and the form is scaled by den * L; a
-        coefficient that does not scale to an integer is a mismatch.  It
-        re-expands through ``phi_forms`` and reads neither A nor the
-        compound."""
-        parts = [(lab, n, self.phi_numerators(lab[0])) for lab, n in nums]
-        common = math.lcm(*(d for _lab, _n, (d, _terms) in parts))
-        acc: dict[IndexSet, dict[tuple[int, ...], int]] = {}
-        for (_jdx, exps), n, (d, terms) in parts:
-            n *= common // d
-            for idx, coeffs in terms:
-                sums = acc.setdefault(idx, {})
-                for e, c in coeffs:
-                    key = tuple(map(operator.add, exps, e))
-                    sums[key] = sums.get(key, 0) + n * c
-        scale = den * common
-        want: dict[IndexSet, dict[tuple[int, ...], int]] = {}
-        for idx, poly in form.terms.items():
-            row = {}
-            for e, c in poly.terms.items():
-                q, r = divmod(c.numerator * scale, c.denominator)
-                if r:
-                    return False
-                row[e] = q
-            if row:
-                want[idx] = row
-        got = {idx: row for idx, sums in acc.items() if (row := {e: v for e, v in sums.items() if v})}
-        return got == want
+    def certifies(self, degree: int, pole, row: list[int], den: int, nums) -> bool:
+        """Whether sum (n / den) x^(E - 1_K) theta_K over the ((K, E), n) in
+        nums equals the piece x^pole sum_J row[J] eta_J over T^(degree - 1),
+        the J in sorted order, in integers: the sum is accumulated per
+        (monomial, J) over den T^degree and compared with the row scaled by
+        den T.  It re-expands through the theta_K, which come from
+        ``phi_forms``, and reads neither A nor the compound."""
+        acc: dict[tuple[int, ...], dict[IndexSet, int]] = {}
+        for (kdx, exps), n in nums:
+            sums = acc.setdefault(tuple(e - (i in kdx) for i, e in enumerate(exps, 1)), {})
+            for jdx, t in self.theta(kdx).items():
+                sums[jdx] = sums.get(jdx, 0) + n * t
+        scale = den * self.theta_den
+        sets = itertools.combinations(range(1, self.vs.total_vars + 1), degree)
+        want = {jdx: scale * w for jdx, w in zip(sets, row) if w}
+        got = {mon: kept for mon, sums in acc.items() if (kept := {j: v for j, v in sums.items() if v})}
+        return got == ({pole: want} if want else {})
 
 
 def build_logplus_complex(p: PoissonStructure, weight_cap: int) -> WeightSlicedComplex:
     """The span of the x^E phi_I with the honest exterior derivative.
 
-    The meromorphic derivative is taken once per index set, not once per
-    column.  Its pieces are the coordinate expansions of d(phi_I) and of
-    eta_i ^ phi_I (eta_i = dx_i/x_i).  Each piece's phi-coordinates are
-    extracted in the log frame (``_PlusMachine.sharp_numerators``) as
-    integer numerators over one denominator, and certified: they are
-    re-expanded through the phi forms and compared with the piece for
-    exact equality, in integers (``_PlusMachine.certifies``).  Each column
-    follows from the Leibniz rule
+    The derivative is taken once per index set, not once per column, on
+    the pieces d(phi_I) and eta_i ^ phi_I (eta_i = dx_i/x_i), each
+    x^(-1_I) times a constant log form read off integer tables
+    (``_PlusMachine.pieces``).  Each piece's phi-coordinates are extracted
+    in the log frame (``_PlusMachine.sharp_rows``) as integer numerators
+    over one denominator, and certified: re-expanded through the theta_K,
+    they must equal the piece exactly, in integers
+    (``_PlusMachine.certifies``).  Each column follows from the Leibniz rule
 
         d(x^E phi_I) = x^E (d(phi_I) + sum_i E_i eta_i ^ phi_I).
 
@@ -625,27 +648,22 @@ def build_logplus_complex(p: PoissonStructure, weight_cap: int) -> WeightSlicedC
     machine = _PlusMachine(p)
     vs = p.var_spec
     nv = vs.total_vars
-    etas = [change_frame(log_one_form(vs, i), machine.coord) for i in range(1, nv + 1)]
-
-    def piece(i: int, indices: IndexSet) -> tuple[int, list[tuple[Label, int]]]:
-        """Certified phi-coordinates of d(phi_I) (i = 0) or eta_i ^ phi_I,
-        as (D, [(label, D * c)]), D their least denominator; uncached."""
-        phi = machine.phi_wedge(indices)
-        form = etas[i - 1].wedge(phi) if i else exterior_derivative(phi)
-        den, nums = machine.sharp_numerators(form)
-        if not machine.certifies(form, den, nums):
-            raise AssertionError("phi-coefficient extraction failed to certify")
-        return den, nums
 
     @functools.cache
     def merged(indices: IndexSet):
         """([(J, E2, D c_0, (D c_1, ..., D c_2n))], value) over the targets
         of all pieces of I, D their lcm and c_i = 0 where piece i has no
         (J, E2); ``value(num)`` is the cached num / D (``linalg.exact``)."""
-        parts = [(i, piece(i, indices)) for i in range(nv + 1)]
-        den = math.lcm(*(d for _i, (d, _nums) in parts))
+        degree, (pole, rows) = len(indices) + 1, machine.pieces(indices)
+        parts = []
+        for row in rows:
+            den, nums = machine.sharp_rows(degree, machine.theta_den ** len(indices), {pole: row})
+            if not machine.certifies(degree, pole, row, den, nums):
+                raise AssertionError("phi-coefficient extraction failed to certify")
+            parts.append((den, nums))
+        den = math.lcm(*(d for d, _nums in parts))
         acc: dict[Label, list[int]] = {}
-        for i, (d, nums) in parts:
+        for i, (d, nums) in enumerate(parts):
             scale = den // d
             for lab, num in nums:
                 acc.setdefault(lab, [0] * (nv + 1))[i] = scale * num
@@ -689,7 +707,7 @@ def build_logplus_complex(p: PoissonStructure, weight_cap: int) -> WeightSlicedC
                     rows[offset + pos][col0 + r] = value(num)
 
     cx = WeightSlicedComplex("logplus", vs, (0, vs.total_vars), weight_cap)
-    return _fill_slices(cx, functools.partial(_slice, machine.coord, False), write)
+    return _fill_slices(cx, functools.partial(_slice, coordinate_frame(vs), False), write)
 
 
 def _koszul_tables(p: PoissonStructure, variables):
@@ -951,12 +969,13 @@ def cohomology_dims(cx: WeightSlicedComplex, degree: int) -> dict[int, int]:
 
 def verify_d_squared(cx: WeightSlicedComplex) -> bool:
     """Composition of consecutive differentials vanishes on every slice,
-    checked row by row without building the product
-    (``linalg.product_is_zero``)."""
+    checked as ``linalg.product_is_zero`` does, but with each differential
+    read as integer rows (``linalg._int_rows``) once, not once per product."""
+    ints = functools.cache(lambda key: linalg._int_rows(cx.diffs[key])[0])
     for (k, w), mat in cx.diffs.items():
-        nxt = cx.diffs.get((k + 1, w))
-        if nxt and mat and not linalg.product_is_zero(nxt, mat):
-            return False
+        if mat and cx.diffs.get((k + 1, w)):
+            if any(any(acc.values()) for acc in linalg._sums(ints((k + 1, w)), ints((k, w)))):
+                return False
     return True
 
 

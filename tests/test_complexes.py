@@ -178,7 +178,7 @@ class TestLogPlus:
 
     def test_degree_zero_agrees_with_log_complex(self, toric, plus_w2):
         # on functions both complexes express the same derivative
-        machine = _PlusMachine(toric)
+        route = CoordinateRoute(toric)
         logcx = build_log_complex(VS, 2)
         for w in (0, 1, 2):
             src = plus_w2.basis.get((0, w), [])
@@ -189,7 +189,7 @@ class TestLogPlus:
             tgt_log = logcx.basis.get((1, w), [])
             for col, (idx, exps) in enumerate(src):
                 via_plus = reconstruct_from_phi(
-                    machine,
+                    route,
                     [
                         (tgt_plus[r], mat_plus[r].get(col, 0))
                         for r in range(len(tgt_plus))
@@ -245,16 +245,18 @@ def matrix_columns(cx, k: int, w: int) -> list[dict]:
 
 
 class CoordinateRoute:
-    """The coordinate-frame phi-coordinate extraction, the oracle of
-    ``_PlusMachine.sharp_numerators``: the sharp of a coordinate form is the
-    sum of its coefficients times the wedges of the pi_sharp(dx_t), here
-    with Fraction coefficients."""
+    """The coordinate-frame route, the oracle of the log-frame tables of
+    ``_PlusMachine``: phi_I as the coordinate wedge of the phi forms, and
+    the sharp of a coordinate form as the sum of its coefficients times the
+    wedges of the pi_sharp(dx_t), here with Fraction coefficients."""
 
     def __init__(self, p: PoissonStructure):
         vs = p.var_spec
+        self.vs, self.coord = vs, coordinate_frame(vs)
         self.machine = _PlusMachine(p)
+        self.phi_wedge = _wedges(DiffForm, self.coord, phi_forms(p))
         sharp_dx = [pi_sharp(p, coordinate_one_form(vs, t)) for t in range(1, vs.total_vars + 1)]
-        self.sharp_wedge = _wedges(MultiVector, coordinate_frame(vs), sharp_dx)
+        self.sharp_wedge = _wedges(MultiVector, self.coord, sharp_dx)
 
     def sharp(self, form: DiffForm) -> MultiVector:
         acc: dict = {}
@@ -266,16 +268,16 @@ class CoordinateRoute:
         return MultiVector(coordinate_frame(vs), form.degree, terms)
 
 
-def reconstruct_from_phi(machine: _PlusMachine, coords, degree: int) -> DiffForm:
+def reconstruct_from_phi(route: CoordinateRoute, coords, degree: int) -> DiffForm:
     """Sum of c * x^E phi_J over the ((J, E), c) in coords as a coordinate
     form, in Fractions: the oracle of ``_PlusMachine.certifies``."""
     acc: dict = {}
     for (indices, exps), c in coords:
-        monomial = LaurentPoly.monomial(machine.vs, exps, c)
-        for idx, poly in machine.phi_wedge(indices).terms.items():
+        monomial = LaurentPoly.monomial(route.vs, exps, c)
+        for idx, poly in route.phi_wedge(indices).terms.items():
             add_product(acc.setdefault(idx, {}), monomial, poly, False)
-    terms = {idx: LaurentPoly._from_sums(machine.vs, sums) for idx, sums in acc.items()}
-    return DiffForm(machine.coord, degree, terms)
+    terms = {idx: LaurentPoly._from_sums(route.vs, sums) for idx, sums in acc.items()}
+    return DiffForm(route.coord, degree, terms)
 
 
 def extracted_sharp(machine: _PlusMachine, form: DiffForm) -> MultiVector:
@@ -285,37 +287,57 @@ def extracted_sharp(machine: _PlusMachine, form: DiffForm) -> MultiVector:
     for (kdx, exps), n in nums:
         acc.setdefault(kdx, {})[exps] = Fraction(n, den)
     terms = {kdx: LaurentPoly(machine.vs, sums) for kdx, sums in acc.items()}
-    return MultiVector(machine.coord, form.degree, terms)
+    return MultiVector(coordinate_frame(machine.vs), form.degree, terms)
 
 
 def logplus_column_oracle(route: CoordinateRoute, lab) -> dict:
     """The per-column route: phi-coordinates of d(x^E phi_I), taken by the
     meromorphic derivative of the whole column, extracted in the coordinate
     frame and certified by re-expansion, with the polynomial-span check."""
-    machine = route.machine
     indices, exps = lab
-    omega = machine.phi_wedge(indices).scale(LaurentPoly.monomial(machine.vs, exps, 1))
+    omega = route.phi_wedge(indices).scale(LaurentPoly.monomial(route.vs, exps, 1))
     domega = exterior_derivative(omega)
     coords = _flatten(route.sharp(domega))
     assert all(e >= 0 for (_jdx, e2), _c in coords for e in e2), lab
-    assert reconstruct_from_phi(machine, coords, len(indices) + 1) == domega, lab
+    assert reconstruct_from_phi(route, coords, len(indices) + 1) == domega, lab
     return dict(coords)
 
 
-def piece_forms(machine: _PlusMachine):
-    """Every piece of the log-plus build, (I, i) -> d(phi_I) for i = 0 and
-    eta_i ^ phi_I otherwise, over the index sets below the top degree."""
-    vs = machine.vs
+def piece_forms(route: CoordinateRoute):
+    """Every piece of the log-plus build as a coordinate DiffForm, (I, i) ->
+    d(phi_I) for i = 0 and eta_i ^ phi_I otherwise, over the index sets
+    below the top degree."""
+    vs = route.vs
     nv = vs.total_vars
-    etas = [change_frame(log_one_form(vs, i), machine.coord) for i in range(1, nv + 1)]
+    etas = [change_frame(log_one_form(vs, i), route.coord) for i in range(1, nv + 1)]
     forms = {}
     for size in range(nv):
         for iset in itertools.combinations(range(1, nv + 1), size):
-            phi = machine.phi_wedge(iset)
+            phi = route.phi_wedge(iset)
             forms[(iset, 0)] = exterior_derivative(phi)
             for i, eta in enumerate(etas, 1):
                 forms[(iset, i)] = eta.wedge(phi)
     return forms
+
+
+def table_piece(machine: _PlusMachine, indices: IndexSet, i: int) -> DiffForm:
+    """Piece i of I from the integer tables (``_PlusMachine.pieces``), as a
+    log-frame DiffForm in Fractions."""
+    vs = machine.vs
+    pole, rows = machine.pieces(indices)
+    den, degree = machine.theta_den ** len(indices), len(indices) + 1
+    sets = itertools.combinations(range(1, vs.total_vars + 1), degree)
+    terms = {jdx: LaurentPoly.monomial(vs, pole, Fraction(w, den)) for jdx, w in zip(sets, rows[i]) if w}
+    return DiffForm(log_frame(vs), degree, terms)
+
+
+def table_extraction(machine: _PlusMachine, indices: IndexSet, i: int):
+    """(degree, pole, row, den, nums): piece i of I from the tables, and its
+    phi-coordinates as ``build_logplus_complex`` extracts them."""
+    pole, rows = machine.pieces(indices)
+    degree = len(indices) + 1
+    den, nums = machine.sharp_rows(degree, machine.theta_den ** len(indices), {pole: rows[i]})
+    return degree, pole, rows[i], den, nums
 
 
 class TestLogPlusLeibniz:
@@ -351,16 +373,18 @@ class TestLogPlusLeibniz:
         p = fractional_2general_structure(11)
         route = CoordinateRoute(p)
         machine = route.machine
-        etas = [change_frame(log_one_form(VS, i), machine.coord) for i in range(1, 5)]
+        etas = [change_frame(log_one_form(VS, i), route.coord) for i in range(1, 5)]
 
         def denominator(form):
             return math.lcm(*(c.denominator for _lab, c in _flatten(route.sharp(form))))
 
-        phi = machine.phi_wedge((1, 2, 4))
+        phi = route.phi_wedge((1, 2, 4))
         forms = [exterior_derivative(phi)] + [e.wedge(phi) for e in etas]
         assert [denominator(form) for form in forms] == [2, 2, 2, 1, 2]
-        # the extraction's denominator is the least one
+        # the extraction's denominator is the least one, from a form and
+        # from the tables alike
         assert [machine.sharp_numerators(form)[0] for form in forms] == [2, 2, 2, 1, 2]
+        assert [table_extraction(machine, (1, 2, 4), i)[3] for i in range(5)] == [2, 2, 2, 1, 2]
         cx = build_logplus_complex(p, 2)
         rng = random.Random(43)
         fractional = 0
@@ -377,79 +401,114 @@ class TestLogPlusLeibniz:
     @pytest.mark.parametrize("kind", ["d_phi", "eta_phi"])
     def test_every_piece_is_certified(self, toric, monkeypatch, kind):
         # corrupt the coefficient extraction of one kind of piece only; the
-        # pieces d(phi_I) are the forms that exterior_derivative returned
-        derived = []
-        real_d, real_sharp = complexes.exterior_derivative, _PlusMachine.sharp_numerators
+        # pieces d(phi_I) are the rows 0 that the tables returned
+        d_rows, corrupted = [], []
+        real_pieces, real_sharp = _PlusMachine.pieces, _PlusMachine.sharp_rows
 
-        def recording_d(form):
-            derived.append(real_d(form))
-            return derived[-1]
+        def recording_pieces(machine, indices):
+            pole, rows = real_pieces(machine, indices)
+            d_rows.append(rows[0])
+            return pole, rows
 
-        def corrupt_sharp(machine, form):
-            den, nums = real_sharp(machine, form)
-            if nums and any(form is f for f in derived) == (kind == "d_phi"):
+        def corrupt_sharp(machine, degree, num_den, rows):
+            den, nums = real_sharp(machine, degree, num_den, rows)
+            (row,) = rows.values()
+            if nums and any(row is r for r in d_rows) == (kind == "d_phi"):
                 (lab, n), *rest = nums
                 nums = [(lab, 2 * n), *rest]
+                corrupted.append(row)
             return den, nums
 
-        monkeypatch.setattr(complexes, "exterior_derivative", recording_d)
-        monkeypatch.setattr(_PlusMachine, "sharp_numerators", corrupt_sharp)
+        monkeypatch.setattr(_PlusMachine, "pieces", recording_pieces)
+        monkeypatch.setattr(_PlusMachine, "sharp_rows", corrupt_sharp)
         with pytest.raises(AssertionError, match="failed to certify"):
             build_logplus_complex(toric, 1)
+        assert len(corrupted) == 1
 
 
 class TestLogFrameExtraction:
-    """The phi-coordinates the build certifies come from the log frame; the
-    coordinate-frame wedges of the pi_sharp(dx_t) are their oracle."""
+    """The pieces the build certifies come from integer tables of the
+    theta_I in the log frame, and their phi-coordinates from the log-frame
+    compound; the coordinate DiffForm pieces and the coordinate-frame wedges
+    of the pi_sharp(dx_t) are their oracles."""
 
     def assert_pieces_match(self, p: PoissonStructure) -> int:
         route = CoordinateRoute(p)
         machine = route.machine
-        forms = piece_forms(machine)
-        for key, form in forms.items():
-            den, nums = machine.sharp_numerators(form)
+        lg = log_frame(p.var_spec)
+        forms = piece_forms(route)
+        for (iset, i), form in forms.items():
+            key = (iset, i)
+            # the table piece is the DiffForm piece, read in the log frame
+            assert table_piece(machine, iset, i) == change_frame(form, lg), key
+            degree, pole, row, den, nums = table_extraction(machine, iset, i)
+            assert all(type(w) is int for w in row), key
             oracle = _flatten(route.sharp(form))
             assert len(nums) == len(oracle), key
             assert {lab: Fraction(n, den) for lab, n in nums} == dict(oracle), key
             assert den == math.lcm(*(c.denominator for _lab, c in oracle)), key
             assert all(type(n) is int for _lab, n in nums), key
+            # the form route extracts the same coordinates
+            assert machine.sharp_numerators(form) == (den, nums), key
             # the integer certificate holds, and fails with one numerator off by one
-            assert machine.certifies(form, den, nums), key
+            assert machine.certifies(degree, pole, row, den, nums), key
             if nums:
                 (lab, n), *rest = nums
-                assert not machine.certifies(form, den, [(lab, n + 1), *rest]), key
+                assert not machine.certifies(degree, pole, row, den, [(lab, n + 1), *rest]), key
         return len(forms)
 
     def test_certificate_needs_integral_scaled_coefficients(self):
-        # one coefficient of the piece moved by less than the scaled unit:
-        # it scales to a non-integer whose floor is the true value, and is a
-        # mismatch, not an error
+        # the certificate compares integers over den T^degree, T > 1 here:
+        # the numerators over 7 den are a seventh of the piece and fail, as
+        # does the piece with one entry moved by one unit of T^|I|; the
+        # numerators and den both scaled by 7 are the same coordinates
         machine = _PlusMachine(fractional_2general_structure(11))
-        form = exterior_derivative(machine.phi_wedge((1, 2)))
-        den, nums = machine.sharp_numerators(form)
-        assert machine.certifies(form, den, nums)
-        idx, poly = next(iter(form.terms.items()))
-        exps = next(iter(poly.terms))
-        tiny = LaurentPoly.monomial(machine.vs, exps, Fraction(1, 10**9 + 7))
-        nudged = form + DiffForm(machine.coord, form.degree, {idx: tiny})
-        assert not machine.certifies(nudged, den, nums)
-        seventh = form.scale(LaurentPoly.const(machine.vs, Fraction(1, 7)))
-        assert not machine.certifies(seventh, den, nums)
-        assert machine.certifies(seventh, 7 * den, nums)
+        assert machine.theta_den > 1
+        degree, pole, row, den, nums = table_extraction(machine, (1, 2), 0)
+        assert nums and machine.certifies(degree, pole, row, den, nums)
+        assert not machine.certifies(degree, pole, row, 7 * den, nums)
+        assert machine.certifies(degree, pole, row, 7 * den, [(lab, 7 * n) for lab, n in nums])
+        first = next(r for r, w in enumerate(row) if w)
+        nudged = row[:first] + [row[first] + 1] + row[first + 1 :]
+        assert not machine.certifies(degree, pole, nudged, den, nums)
+        # the same coordinates at another monomial certify another piece
+        moved = [((kdx, (exps[0] + 1, *exps[1:])), n) for (kdx, exps), n in nums]
+        assert not machine.certifies(degree, pole, row, den, moved)
+        assert machine.certifies(degree, (pole[0] + 1, *pole[1:]), row, den, moved)
 
     def test_build_refuses_a_numerator_off_by_one(self, toric, monkeypatch):
-        real_sharp = _PlusMachine.sharp_numerators
+        real_sharp = _PlusMachine.sharp_rows
 
-        def off_by_one(machine, form):
-            den, nums = real_sharp(machine, form)
+        def off_by_one(machine, degree, num_den, rows):
+            den, nums = real_sharp(machine, degree, num_den, rows)
             if nums:
                 (lab, n), *rest = nums
                 nums = [(lab, n + 1), *rest]
             return den, nums
 
-        monkeypatch.setattr(_PlusMachine, "sharp_numerators", off_by_one)
+        monkeypatch.setattr(_PlusMachine, "sharp_rows", off_by_one)
         with pytest.raises(AssertionError, match="failed to certify"):
             build_logplus_complex(toric, 0)
+
+    def test_build_refuses_a_phi_form_that_is_not_a_pole_times_constants(self, toric, monkeypatch):
+        # phi_2 times x_1 is x_1 x_2^-1 times constants in the log frame, and
+        # phi_3 plus dx_1 has a second monomial: the tables refuse both
+        real = complexes.phi_forms
+        vs = toric.var_spec
+        bends = {
+            2: lambda phi: phi.scale(LaurentPoly.variable(vs, 1)),
+            3: lambda phi: phi + coordinate_one_form(vs, 1),
+        }
+        for i, bend in bends.items():
+
+            def bent(p, i=i, bend=bend):
+                return [bend(phi) if j == i else phi for j, phi in enumerate(real(p), 1)]
+
+            monkeypatch.setattr(complexes, "phi_forms", bent)
+            with pytest.raises(AssertionError, match=rf"phi_{i} is not x_{i}\^-1 times a constant log form"):
+                build_logplus_complex(toric, 0)
+        monkeypatch.undo()
+        assert build_logplus_complex(toric, 0).diffs
 
     def test_every_piece_of_the_fixture(self, toric):
         assert self.assert_pieces_match(toric) == 15 * 5
@@ -462,13 +521,15 @@ class TestLogFrameExtraction:
         assert self.assert_pieces_match(fractional_2general_structure(11)) == 15 * 5
 
     def test_piece_above_the_top_degree_is_empty(self, toric):
-        # eta_i ^ phi_I with |I| = 2n is the zero form
-        machine = _PlusMachine(toric)
-        eta = change_frame(log_one_form(VS, 1), machine.coord)
-        form = eta.wedge(machine.phi_wedge((1, 2, 3, 4)))
+        # eta_i ^ phi_I with |I| = 2n is the zero form, and so is its table
+        route = CoordinateRoute(toric)
+        machine = route.machine
+        eta = change_frame(log_one_form(VS, 1), route.coord)
+        form = eta.wedge(route.phi_wedge((1, 2, 3, 4)))
         assert form.is_zero()
         assert machine.sharp_numerators(form) == (1, [])
-        assert machine.certifies(form, 1, [])
+        assert table_extraction(machine, (1, 2, 3, 4), 1) == (5, (-1, -1, -1, -1), [], 1, [])
+        assert machine.certifies(5, (-1, -1, -1, -1), [], 1, [])
 
     def test_filtration_level_reads_the_log_frame(self, toric):
         # a log-frame input is read without a detour through coordinates
@@ -509,10 +570,11 @@ class TestEveryLogPlusColumn:
         # pi_sharp sends it to A[4][4] v_4 ^ d_(1,2,3) = 0
         assert ((1, 3), (0, 0, 0, 0)) in checked and ((), (0, 0, 0, 0)) in checked
         assert ((1, 2, 3), (0, 0, 0, 1)) in checked
-        machine = _PlusMachine(p)
-        eta4 = change_frame(log_one_form(VS, 4), machine.coord)
-        empty = eta4.wedge(machine.phi_wedge((1, 2, 3)))
-        assert empty.is_zero() and machine.sharp_numerators(empty) == (1, [])
+        route = CoordinateRoute(p)
+        eta4 = change_frame(log_one_form(VS, 4), route.coord)
+        empty = eta4.wedge(route.phi_wedge((1, 2, 3)))
+        assert empty.is_zero() and route.machine.sharp_numerators(empty) == (1, [])
+        assert not any(route.machine.pieces((1, 2, 3))[1][4])
 
 
 class TestConjugation:
@@ -898,14 +960,14 @@ class TestSliceLayout:
             build_qi(toric, (1,), 1)
 
     def test_piece_leaving_the_polynomial_span_raises(self, toric, monkeypatch):
-        # one target of each d(phi_I) moved to the label with one exponent
+        # one target of each piece moved to the label with one exponent
         # lowered below zero and another raised (same weight, same slice),
         # and the certificate passed: the column (I, 0) then has a negative
         # exponent
-        real_sharp = _PlusMachine.sharp_numerators
+        real_sharp = _PlusMachine.sharp_rows
 
-        def lowered_sharp(machine, form):
-            den, nums = real_sharp(machine, form)
+        def lowered_sharp(machine, degree, num_den, rows):
+            den, nums = real_sharp(machine, degree, num_den, rows)
             if nums:
                 (kdx, exps), n = nums[0]
                 low = exps.index(0)
@@ -916,8 +978,8 @@ class TestSliceLayout:
                 nums = [((kdx, tuple(moved)), n), *nums[1:]]
             return den, nums
 
-        monkeypatch.setattr(_PlusMachine, "sharp_numerators", lowered_sharp)
-        monkeypatch.setattr(_PlusMachine, "certifies", lambda machine, form, den, nums: True)
+        monkeypatch.setattr(_PlusMachine, "sharp_rows", lowered_sharp)
+        monkeypatch.setattr(_PlusMachine, "certifies", lambda machine, *piece: True)
         with pytest.raises(AssertionError, match="left the polynomial log-plus span"):
             build_logplus_complex(toric, 1)
 
@@ -925,17 +987,17 @@ class TestSliceLayout:
         # the first target of each piece raised by e_1, and the certificate
         # passed: that target weighs one more than the column, so it lies in
         # a block of the wrong total or in none of the target slice
-        real_sharp = _PlusMachine.sharp_numerators
+        real_sharp = _PlusMachine.sharp_rows
 
-        def raised_sharp(machine, form):
-            den, nums = real_sharp(machine, form)
+        def raised_sharp(machine, degree, num_den, rows):
+            den, nums = real_sharp(machine, degree, num_den, rows)
             if nums:
                 (kdx, exps), n = nums[0]
                 nums = [((kdx, (exps[0] + 1, *exps[1:])), n), *nums[1:]]
             return den, nums
 
-        monkeypatch.setattr(_PlusMachine, "sharp_numerators", raised_sharp)
-        monkeypatch.setattr(_PlusMachine, "certifies", lambda machine, form, den, nums: True)
+        monkeypatch.setattr(_PlusMachine, "sharp_rows", raised_sharp)
+        monkeypatch.setattr(_PlusMachine, "certifies", lambda machine, *piece: True)
         with pytest.raises(AssertionError, match="left the slice"):
             build_logplus_complex(toric, 1)
 
@@ -955,7 +1017,7 @@ class TestSliceLayout:
         # while the first block of I is written and never again: the merged
         # targets are cached per index set, the pieces themselves are not
         calls, writing = collections.Counter(), [None]
-        real_fill, real_sharp = complexes._fill_slices, _PlusMachine.sharp_numerators
+        real_fill, real_sharp = complexes._fill_slices, _PlusMachine.sharp_rows
 
         def fill(cx, slice_of, write):
             def write_noting_block(blocks, indices, *args):
@@ -964,12 +1026,12 @@ class TestSliceLayout:
 
             return real_fill(cx, slice_of, write_noting_block)
 
-        def counted_sharp(machine, form):
+        def counted_sharp(machine, *piece):
             calls[writing[0]] += 1
-            return real_sharp(machine, form)
+            return real_sharp(machine, *piece)
 
         monkeypatch.setattr(complexes, "_fill_slices", fill)
-        monkeypatch.setattr(_PlusMachine, "sharp_numerators", counted_sharp)
+        monkeypatch.setattr(_PlusMachine, "sharp_rows", counted_sharp)
         cx = build_logplus_complex(toric, 2)
         nv = toric.var_spec.total_vars
         with_column = {lab[0] for (k, _w), labels in cx.basis.items() if k < nv for lab in labels}
@@ -981,19 +1043,20 @@ class TestSliceLayout:
         # ones: it adds nothing to any column, so its block is never looked
         # up and the matrices are unchanged
         want = build_logplus_complex(toric, 1)
-        real_sharp = _PlusMachine.sharp_numerators
+        real_sharp, added = _PlusMachine.sharp_rows, []
 
-        def with_zero_target(machine, form):
-            den, nums = real_sharp(machine, form)
+        def with_zero_target(machine, degree, num_den, rows):
+            den, nums = real_sharp(machine, degree, num_den, rows)
             if nums:
                 (kdx, exps), _n = nums[0]
                 nums = [*nums, ((kdx, (exps[0] + 1, *exps[1:])), 0)]
+                added.append(kdx)
             return den, nums
 
-        monkeypatch.setattr(_PlusMachine, "sharp_numerators", with_zero_target)
-        monkeypatch.setattr(_PlusMachine, "certifies", lambda machine, form, den, nums: True)
+        monkeypatch.setattr(_PlusMachine, "sharp_rows", with_zero_target)
+        monkeypatch.setattr(_PlusMachine, "certifies", lambda machine, *piece: True)
         got = build_logplus_complex(toric, 1)
-        assert got.basis == want.basis and got.diffs == want.diffs
+        assert added and got.basis == want.basis and got.diffs == want.diffs
 
 
 class TestCohomologyMachinery:
@@ -1106,6 +1169,33 @@ class TestCohomologyMachinery:
             changed += 1
             assert not verify_d_squared(cx), (k, w, i, j)
         assert changed == 3
+
+    @pytest.mark.parametrize("fractional", [False, True])
+    def test_d_squared_prepares_each_differential_once(self, toric, monkeypatch, fractional):
+        # a differential is the second factor of one product and the first
+        # of the next, and is read as integer rows once per check; a changed
+        # entry is still found
+        prepared = collections.Counter()
+        real = linalg._int_rows
+
+        def counted(rows):
+            prepared[id(rows)] += 1
+            return real(rows)
+
+        monkeypatch.setattr(linalg, "_int_rows", counted)
+        cx = build_bracket_complex(fractional_2general_structure(11) if fractional else toric, 2)
+        products = [(k, w) for (k, w), mat in cx.diffs.items() if mat and cx.diffs.get((k + 1, w))]
+        factors = {kw for k, w in products for kw in ((k, w), (k + 1, w))}
+        assert len(factors) < 2 * len(products)
+        assert verify_d_squared(cx)
+        assert prepared == {id(cx.diffs[kw]): 1 for kw in factors}
+        k, w = products[len(products) // 2]
+        mat, hit = cx.diffs[(k, w)], {i for row in cx.diffs[(k + 1, w)] for i in row}
+        i = next(i for i, row in enumerate(mat) if row and i in hit)
+        mat[i][next(iter(mat[i]))] += Fraction(1, 2) if fractional else 1
+        prepared.clear()
+        assert not verify_d_squared(cx)
+        assert set(prepared.values()) == {1}
 
     def test_all_dims_nonnegative(self, toric):
         q = build_qi(toric, (1, 2), 2)
