@@ -654,10 +654,11 @@ def build_logplus_complex(p: PoissonStructure, weight_cap: int) -> WeightSlicedC
         """([(J, E2, D c_0, (D c_1, ..., D c_2n))], value) over the targets
         of all pieces of I, D their lcm and c_i = 0 where piece i has no
         (J, E2); ``value(num)`` is the cached num / D (``linalg.exact``)."""
-        degree, (pole, rows) = len(indices) + 1, machine.pieces(indices)
+        pole, rows = machine.pieces(indices)
+        degree, num_den = len(indices) + 1, machine.theta_den ** len(indices)
         parts = []
         for row in rows:
-            den, nums = machine.sharp_rows(degree, machine.theta_den ** len(indices), {pole: row})
+            den, nums = machine.sharp_rows(degree, num_den, {pole: row})
             if not machine.certifies(degree, pole, row, den, nums):
                 raise AssertionError("phi-coefficient extraction failed to certify")
             parts.append((den, nums))
