@@ -22,7 +22,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .complexes import _dphi_signs, exactness_report, qi_cohomology
+from .complexes import _theta, exactness_report, qi_cohomology
 from .genpos import poisson_t_general
 from .poisson import PoissonStructure, _field, _int_field, pfaffian, schouten
 from .ring import coefficient
@@ -163,8 +163,8 @@ def cmd_verify_exactness(args) -> int:
     if args.max_degree is not None and not len(iset) <= args.max_degree <= nv:
         raise InputError(f"max-degree must lie in {len(iset)}..{nv} (|I|..2n)")
     try:
+        _theta(p)  # the phi-model gate; refuses a singular A
         dims = qi_cohomology(p, iset, args.weight_cap)
-        signs = _dphi_signs(p, iset)  # refuses a singular A
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     top = nv if args.max_degree is None else args.max_degree
@@ -173,7 +173,7 @@ def cmd_verify_exactness(args) -> int:
         "command": "verify-exactness",
         "index_set": list(iset),
         "max_degree": top,
-        "dphi_signs": {str(i): str(c) for i, c in sorted(signs.items())},
+        "dphi_signs": {str(i): "-1" for i in iset},  # the poles F_i = -1 the gate checked
         **exactness_report(f"Q{list(iset)}", args.weight_cap, dims),
     }
     _emit(report, args.out)

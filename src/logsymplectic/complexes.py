@@ -114,11 +114,16 @@ x_i^-1 theta_i with theta_i = sum_j B[i][j] eta_j, B = A^-1, and
 phi_I = x^F theta_I, F = -1_I, theta_I the wedge of the theta_i over I.
 Every piece is x^F times a constant form: eta_i ^ phi_I = x^F (eta_i ^
 theta_I), and d(phi_I) = sum_t F_t x^F eta_t ^ theta_I (x_t d_t x^F = F_t x^F,
-d eta_t = 0).  ``_PlusMachine`` checks that each phi_i of ``phi_forms`` is
-x_i^-1 times constants in the log frame, keeps theta_i as int numerators
-over one T and theta_I over T^|I| (``_minors``), and ``pieces`` gives the
-pieces of I as integer rows, with no form built.  ``sharp_rows`` is the
-recipe above: per monomial x^E one integer product of its row with the
+d eta_t = 0); in particular d(phi_I) = -sum_{i in I} eta_i ^ phi_I, the
+twisted shape of the graded pieces.  One gate, ``_theta``, checks this
+model: it reads each phi_i of ``phi_forms`` in the log frame once, raises
+AssertionError naming i unless it is x_i^-1 times constants, and gives
+theta_i as int numerators over one T.  It has three callers.  ``build_qi``
+and the CLI's ``verify-exactness`` call it first and need only its verdict:
+the pole exponents F_i = -1 it verified are the signs of d(phi_I).
+``_PlusMachine`` keeps theta_I over T^|I| (``_minors``), and ``pieces``
+gives the pieces of I as integer rows, with no form built.  ``sharp_rows``
+is the recipe above: per monomial x^E one integer product of its row with the
 compound of D A (``_compounds``), and the label (K, E + 1_K); it extracts
 and does not certify.  A piece enters as the single row {F: row};
 ``sharp_numerators`` makes the rows of a form by ``change_frame``.  The
@@ -212,11 +217,9 @@ from .exterior import (
     MultiVector,
     change_frame,
     coordinate_frame,
-    exterior_derivative,
     frame_element_weight,
     log_frame,
     merge_indices,
-    wedge,
 )
 from .poisson import PoissonStructure, log_matrix, phi_forms, pi_sharp
 from .ring import LaurentPoly, VarSpec
@@ -446,6 +449,27 @@ def _invariant_grid(p: PoissonStructure) -> tuple[int, list[list[int]]]:
     return den, [[int(c * den) for c in row] for row in grid]
 
 
+def _theta(p: PoissonStructure) -> tuple[int, list[list[int]]]:
+    """The phi-model gate: (T, T * B), theta_i = sum_j B[i][j] eta_j as int
+    numerators over the least T > 0, where phi_i = x_i^-1 theta_i (module
+    docstring).  Runs ``_invariant_grid``, calls ``phi_forms`` (both raise
+    ValueError: outside the model, on a singular A) and reads each phi_i in
+    the log frame once; AssertionError naming i unless phi_i is x_i^-1
+    times constants."""
+    _invariant_grid(p)
+    nv = p.var_spec.total_vars
+    log = log_frame(p.var_spec)
+    theta = [[0] * nv for _ in range(nv)]
+    for i, phi in enumerate(phi_forms(p), 1):
+        pole = tuple(-int(t == i) for t in range(1, nv + 1))
+        for (j,), g in change_frame(phi, log).terms.items():
+            if g.terms.keys() != {pole}:
+                raise AssertionError(f"phi_{i} is not x_{i}^-1 times a constant log form")
+            theta[i - 1][j - 1] = g.terms[pole]
+    den = math.lcm(*(c.denominator for row in theta for c in row))
+    return den, [[int(c * den) for c in row] for row in theta]
+
+
 def _prefix_products(empty, step):
     """``product(I)``: step(... step(step(empty, i_1), i_2) ..., i_k) over I
     in order, memoized with every prefix of I.  It extends the longest
@@ -516,26 +540,18 @@ class _PlusMachine:
     """Per-structure tables of ``build_logplus_complex`` and
     ``filtration_level_of``: the compounds of D * A, for the phi-coordinate
     extraction, and the constant log forms theta_I of phi_I = x^(-1_I)
-    theta_I (module docstring), for the pieces and their certificate.  Each
-    phi_i of ``phi_forms`` is read in the log frame once; AssertionError
-    naming i if it is not x_i^-1 times constants."""
+    theta_I (module docstring), for the pieces and their certificate.  The
+    theta_i come from the phi-model gate ``_theta``, which raises
+    AssertionError naming i if phi_i is not x_i^-1 times constants."""
 
     def __init__(self, p: PoissonStructure):
         den, scaled = _invariant_grid(p)
         vs = p.var_spec
-        nv = vs.total_vars
         self.vs, self.log, self.den = vs, log_frame(vs), den
         self.compound = _compounds(scaled)
-        theta = [[Fraction(0)] * nv for _ in range(nv)]
-        for i, phi in enumerate(phi_forms(p), 1):  # raises when A is singular
-            pole = tuple(-int(t == i) for t in range(1, nv + 1))
-            for (j,), g in change_frame(phi, self.log).terms.items():
-                if g.terms.keys() != {pole}:
-                    raise AssertionError(f"phi_{i} is not x_{i}^-1 times a constant log form")
-                theta[i - 1][j - 1] = g.terms[pole]
-        # theta_i = sum_j B[i][j] eta_j as int numerators over T, theta_I over T^|I|
-        self.theta_den = math.lcm(*(c.denominator for row in theta for c in row))
-        self.theta = _minors([[int(c * self.theta_den) for c in row] for row in theta])
+        # theta_i as int numerators over T, theta_I over T^|I|
+        self.theta_den, theta = _theta(p)
+        self.theta = _minors(theta)
 
     def pieces(self, indices: IndexSet) -> tuple[tuple[int, ...], list[list[int]]]:
         """(F, rows), F = -1_I: the pieces of phi_I = x^F theta_I in the log
@@ -857,31 +873,6 @@ def _index_set(vs: VarSpec, index_set) -> IndexSet:
     return iset
 
 
-def _dphi_signs(p: PoissonStructure, iset: IndexSet) -> dict[int, Fraction]:
-    """Check d(phi_I) = -sum_{i in I} eta_i ^ phi_I exactly, on honest
-    coordinate expansions, and return the signs {i: -1}.
-
-    On the invariant model with A nonsingular, phi_i = x_i^-1 theta_i with
-    theta_i a closed log 1-form with constant coefficients, so
-    d(phi_i) = -eta_i ^ phi_i; in the Leibniz expansion of d(phi_I), moving
-    eta_i to the front cancels the Leibniz sign.  Raises ValueError outside
-    the model (``_invariant_grid``) or when A is singular (``phi_forms``),
-    for the empty I too, and AssertionError if the expansions disagree.
-    """
-    _invariant_grid(p)
-    phis = phi_forms(p)
-    if not iset:
-        return {}
-    vs = p.var_spec
-    coord = coordinate_frame(vs)
-    phi_i = functools.reduce(wedge, [phis[i - 1] for i in iset])
-    one = LaurentPoly.const(vs, 1)
-    eta_sum = change_frame(DiffForm(log_frame(vs), 1, {(i,): one for i in iset}), coord)
-    if exterior_derivative(phi_i) != -wedge(eta_sum, phi_i):
-        raise AssertionError("d(phi_I) is not -sum_{i in I} eta_i ^ phi_I")
-    return {i: Fraction(-1) for i in iset}
-
-
 def build_qi(p: PoissonStructure, index_set, weight_cap: int) -> WeightSlicedComplex:
     """Graded piece of the filtration for a set of divisor indices.
 
@@ -894,12 +885,14 @@ def build_qi(p: PoissonStructure, index_set, weight_cap: int) -> WeightSlicedCom
     sum_{j not in M} s_j lambda_j (M + {j}, F') at the same rank, with
     D lambda_j = D (F' A)_j - D (1_I A)_j (``_koszul_tables`` on the
     variables off I); a target block the piece lacks raises AssertionError.
-    The signs of d(phi_I) are checked first (``_dphi_signs``, which also
-    refuses a singular A); they are all -1, so the complex alone is returned.
+    The phi model is checked first, by the gate ``_theta``, which also
+    refuses a singular A: phi_i = x_i^-1 theta_i with theta_i constant, so
+    d(phi_I) = -sum_{i in I} eta_i ^ phi_I, the twisted shape this closed
+    form is the differential of.
     """
     vs = p.var_spec
     iset = _index_set(vs, index_set)
-    _dphi_signs(p, iset)
+    _theta(p)
     rest = [j for j in range(1, vs.total_vars + 1) if j not in iset]
     value, lam_columns, insertions = _koszul_tables(p, rest)
 

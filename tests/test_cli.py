@@ -325,7 +325,7 @@ class TestVerifyExactness:
     def test_report_counts_blocks_without_ranks(self, tmp_path, monkeypatch, name):
         # the table comes from complexes.qi_cohomology: no matrix is assembled
         # and nothing is ranked; the one elimination left is the inverse of A
-        # behind the d(phi_I) check (linalg.inverse, the only reduced caller)
+        # behind the phi-model gate (linalg.inverse, the only reduced caller)
         def refuse(*args, **kwargs):
             raise AssertionError("verify-exactness assembled a matrix")
 
@@ -347,7 +347,7 @@ class TestVerifyExactness:
         assert inversions == [range(4)]
 
     def test_report_builds_no_plus_machine(self, tmp_path, monkeypatch):
-        # d(phi_I) is checked on phi_forms alone; the log-plus machine is
+        # the phi-model gate reads phi_forms alone; the log-plus machine is
         # not built
         def refuse(*args, **kwargs):
             raise AssertionError("verify-exactness built the log-plus machine")
@@ -359,7 +359,12 @@ class TestVerifyExactness:
                 assert main(argv + ["--out", str(out)]) == code
                 assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
 
-    def test_singular_log_matrix_refused(self, files, capsys):
+    def test_singular_log_matrix_refused(self, files, capsys, monkeypatch):
+        # the phi-model gate refuses the structure before any block is counted
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify-exactness counted blocks of a refused structure")
+
+        monkeypatch.setattr(cli, "qi_cohomology", refuse)
         doc = {
             "dimension": 4,
             "divisor_vars": 4,

@@ -13,18 +13,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logsymplectic import complexes, linalg
+from logsymplectic import cli, complexes, exterior, linalg
 from logsymplectic.complexes import (
     IndexSet,
     WeightSlicedComplex,
     _PlusMachine,
-    _dphi_signs,
     _flatten,
     _monomials,
     _moved,
     _qi_basis,
     _ranks,
     _slice,
+    _theta,
     _wedges,
     build_bracket_complex,
     build_log_complex,
@@ -65,6 +65,7 @@ from logsymplectic.ring import LaurentPoly, VarSpec, add_product, poly_from_stri
 from logsymplectic.toric import make_toric, random_2general_toric
 
 from conftest import EXPLICIT_GRID, toric_structure
+from test_golden import CASES, GOLDEN
 
 VS = VarSpec(4, 4)
 
@@ -280,6 +281,18 @@ def reconstruct_from_phi(route: CoordinateRoute, coords, degree: int) -> DiffFor
     return DiffForm(route.coord, degree, terms)
 
 
+def dphi_signs(route: CoordinateRoute, iset: IndexSet) -> dict[int, Fraction]:
+    """The signs {i: -1} of d(phi_I) = -sum_{i in I} eta_i ^ phi_I, checked
+    exactly on the coordinate wedge of the phi forms: the oracle of what
+    the phi-model gate ``_theta`` implies for the graded pieces."""
+    vs = route.vs
+    one = LaurentPoly.const(vs, 1)
+    eta_sum = change_frame(DiffForm(log_frame(vs), 1, {(i,): one for i in iset}), route.coord)
+    phi = route.phi_wedge(iset)
+    assert exterior_derivative(phi) == -wedge(eta_sum, phi), iset
+    return {i: Fraction(-1) for i in iset}
+
+
 def extracted_sharp(machine: _PlusMachine, form: DiffForm) -> MultiVector:
     """pi_sharp(form) from the log-frame extraction, numerators divided out."""
     den, nums = machine.sharp_numerators(form)
@@ -490,11 +503,21 @@ class TestLogFrameExtraction:
         with pytest.raises(AssertionError, match="failed to certify"):
             build_logplus_complex(toric, 0)
 
-    def test_build_refuses_a_phi_form_that_is_not_a_pole_times_constants(self, toric, monkeypatch):
+    def test_build_refuses_a_phi_form_that_is_not_a_pole_times_constants(
+        self, toric, monkeypatch, tmp_path
+    ):
         # phi_2 times x_1 is x_1 x_2^-1 times constants in the log frame, and
-        # phi_3 plus dx_1 has a second monomial: the tables refuse both
+        # phi_3 plus dx_1 has a second monomial: the phi-model gate refuses
+        # both, for the log-plus build, a graded piece and verify-exactness
         real = complexes.phi_forms
         vs = toric.var_spec
+        structure = tmp_path / "structure.json"
+        structure.write_text(json.dumps(toric.to_json()))
+        entry_points = [
+            lambda: build_logplus_complex(toric, 0),
+            lambda: build_qi(toric, (1, 2), 0),
+            lambda: cli.main(["verify-exactness", "--structure", str(structure), "--I", "1,2"]),
+        ]
         bends = {
             2: lambda phi: phi.scale(LaurentPoly.variable(vs, 1)),
             3: lambda phi: phi + coordinate_one_form(vs, 1),
@@ -505,10 +528,13 @@ class TestLogFrameExtraction:
                 return [bend(phi) if j == i else phi for j, phi in enumerate(real(p), 1)]
 
             monkeypatch.setattr(complexes, "phi_forms", bent)
-            with pytest.raises(AssertionError, match=rf"phi_{i} is not x_{i}\^-1 times a constant log form"):
-                build_logplus_complex(toric, 0)
+            for run in entry_points:
+                with pytest.raises(AssertionError, match=rf"phi_{i} is not x_{i}\^-1 times a constant log form"):
+                    run()
         monkeypatch.undo()
         assert build_logplus_complex(toric, 0).diffs
+        assert build_qi(toric, (1, 2), 0).diffs
+        assert cli.main(["verify-exactness", "--structure", str(structure), "--I", "1,2"]) == 0
 
     def test_every_piece_of_the_fixture(self, toric):
         assert self.assert_pieces_match(toric) == 15 * 5
@@ -662,7 +688,7 @@ def qi_components(p: PoissonStructure, iset, weight_cap: int, max_degree: int) -
     grouped by their divisor-differential label, plus the
     twisted-differential shape check (``twisted_shape_check``)."""
     cx = build_qi(p, iset, weight_cap)
-    signs = _dphi_signs(p, iset)
+    signs = dphi_signs(CoordinateRoute(p), iset)
     vs = p.var_spec
     vector = class_vectors(p)
     classes: dict = {}
@@ -737,18 +763,19 @@ def twisted_shape_check(vs, iset, dmat, classes, target, signs) -> bool:
 
 class TestGradedPieces:
     def test_signs_are_uniform(self, toric):
-        for iset in [(1,), (2, 4), (1, 2, 3)]:
-            assert _dphi_signs(toric, iset) == {i: Fraction(-1) for i in iset}
-        # _dphi_signs raises unless d(phi_I) = -sum_{i in I} eta_i ^ phi_I
-        # holds exactly; check every nonempty I at 2n = 4 and 2n = 6
+        # the gate admits each structure, and what its x_i^-1 theta_i shape
+        # implies, d(phi_I) = -sum_{i in I} eta_i ^ phi_I, holds exactly on
+        # the coordinate wedges for every nonempty I at 2n = 4 and 2n = 6
         structures = [toric] + [
             random_2general_toric(random.Random(seed), 3).structure for seed in (3, 5)
         ]
         for p in structures:
+            _theta(p)
+            route = CoordinateRoute(p)
             nv = p.var_spec.total_vars
             for size in range(1, nv + 1):
                 for iset in itertools.combinations(range(1, nv + 1), size):
-                    assert _dphi_signs(p, iset) == {i: Fraction(-1) for i in iset}
+                    assert dphi_signs(route, iset) == {i: Fraction(-1) for i in iset}
 
     def test_exact_in_low_degrees(self, toric):
         for iset in [(1,), (3,), (1, 2), (2, 4)]:
@@ -811,7 +838,7 @@ class TestGradedPieces:
         # psi = x2, using the computed sign c_1 = -1
         vec_dpsi = vector(iset, (2,), (0, 1, 0, 0), index2)
         vec_eta1psi = vector(iset, (1,), (0, 1, 0, 0), index2)
-        assert _dphi_signs(toric, iset)[1] == Fraction(-1)
+        assert dphi_signs(CoordinateRoute(toric), iset)[1] == Fraction(-1)
         expected = [
             -vec_dpsi.get(c, 0) + vec_eta1psi.get(c, 0) for c in range(len(labels2))
         ]
@@ -1297,6 +1324,7 @@ class TestFiltration:
         isets = [(1,), (2, 4), (1, 2, 3), (1, 2, 3, 4)]
         reports = [filtration_report(toric, level, 2, 4) for level in range(5)]
         pieces = [build_qi(toric, iset, 2) for iset in isets]
+        theta = _theta(toric)
 
         def refuse(*_args, **_kwargs):
             raise AssertionError("the graded-piece side built the log-plus machine")
@@ -1305,16 +1333,34 @@ class TestFiltration:
         assert [filtration_report(toric, level, 2, 4) for level in range(5)] == reports
         assert all(rep["slices"] and rep["annihilator_ok"] for rep in reports)
         assert [build_qi(toric, iset, 2) for iset in isets] == pieces
-        assert _dphi_signs(toric, (1, 3)) == {1: Fraction(-1), 3: Fraction(-1)}
+        assert _theta(toric) == theta
+
+    def test_graded_side_takes_no_coordinate_wedge(self, toric, monkeypatch, tmp_path):
+        # the phi-model gate reads each phi_i in the log frame: no phi_I is
+        # wedged or differentiated in coordinates for a graded piece or a
+        # verify-exactness report (filtration_report's pi_sharp wedges stay)
+        isets = [(1,), (2, 4), (1, 2, 3, 4)]
+        pieces = [build_qi(toric, iset, 2) for iset in isets]
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("the graded-piece side took a coordinate wedge")
+
+        monkeypatch.setattr(exterior._GradedElement, "wedge", refuse)
+        monkeypatch.setattr(exterior, "exterior_derivative", refuse)
+        assert [build_qi(toric, iset, 2) for iset in isets] == pieces
+        for name, argv, code in CASES:
+            if name.startswith("verify_exactness"):
+                out = tmp_path / f"{name}.json"
+                assert cli.main(argv + ["--out", str(out)]) == code
+                assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
 
     def test_singular_matrix_refused_first(self):
-        # the gate, then A's inverse, come before every argument check, and
-        # the empty index set is no exception
+        # the model gate, then A's inverse, come before every argument check
         p = make_toric([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]).structure
         refusals = [
             lambda: filtration_report(p, 7, -1, 0),
             lambda: build_qi(p, (1,), -1),
-            lambda: _dphi_signs(p, ()),
+            lambda: _theta(p),
         ]
         for refusal in refusals:
             with pytest.raises(ValueError, match="log matrix is singular; no inverse bivector"):
@@ -1323,7 +1369,7 @@ class TestFiltration:
         mixed = PoissonStructure(
             vs, MultiVector(coordinate_frame(vs), 2, {(1, 2): poly_from_string("x1*x2", vs)})
         )
-        for refusal in (lambda: filtration_report(mixed, 7, -1, 0), lambda: _dphi_signs(mixed, ())):
+        for refusal in (lambda: filtration_report(mixed, 7, -1, 0), lambda: _theta(mixed)):
             with pytest.raises(ValueError, match="every variable on the divisor"):
                 refusal()
 
