@@ -15,12 +15,13 @@ Three families are built:
   under the inverse of the bivector with basis phi_I * monomials, and its
   conjugate, the bracket complex on x^E d_I with the bracket with the
   bivector.  The log-plus matrix comes from the meromorphic exterior
-  derivative, taken once per index set I on the pieces d(phi_I) and
-  eta_i ^ phi_I, each one monomial x^(-1_I) times a constant log form read
-  off integer tables (below); the phi-coordinates of every piece are
-  extracted in the log frame and certified by re-expanding them through
-  the constant forms theta_K of the phi forms and comparing with the piece,
-  and each column follows from the Leibniz rule
+  derivative, taken once per index set I on the 2n pieces eta_i ^ phi_I,
+  each one monomial x^(-1_I) times a constant log form read off integer
+  tables (below), with d(phi_I) = -sum_{i in I} eta_i ^ phi_I from the
+  phi-model gate; the phi-coordinates of every piece are extracted in the
+  log frame and certified by re-expanding them through the constant forms
+  theta_K of the phi forms and comparing with the piece, and each column
+  follows from the Leibniz rule
   d(x^E phi_I) = x^E (d(phi_I) + sum_i E_i eta_i ^ phi_I);
 * the graded pieces of the filtration of the log-plus complex by number of
   phi factors.  On the multivector side the filtration splits monomially:
@@ -114,15 +115,16 @@ x_i^-1 theta_i with theta_i = sum_j B[i][j] eta_j, B = A^-1, and
 phi_I = x^F theta_I, F = -1_I, theta_I the wedge of the theta_i over I.
 Every piece is x^F times a constant form: eta_i ^ phi_I = x^F (eta_i ^
 theta_I), and d(phi_I) = sum_t F_t x^F eta_t ^ theta_I (x_t d_t x^F = F_t x^F,
-d eta_t = 0); in particular d(phi_I) = -sum_{i in I} eta_i ^ phi_I, the
-twisted shape of the graded pieces.  One gate, ``_theta``, checks this
-model: it reads each phi_i of ``phi_forms`` in the log frame once, raises
-AssertionError naming i unless it is x_i^-1 times constants, and gives
-theta_i as int numerators over one T.  It has three callers.  ``build_qi``
-and the CLI's ``verify-exactness`` call it first and need only its verdict:
-the pole exponents F_i = -1 it verified are the signs of d(phi_I).
-``_PlusMachine`` keeps theta_I over T^|I| (``_minors``), and ``pieces``
-gives the pieces of I as integer rows, with no form built.  ``sharp_rows``
+d eta_t = 0) = -sum_{i in I} eta_i ^ phi_I, the twisted shape of the graded
+pieces, so d(phi_I) needs no piece of its own.  One gate, ``_theta``,
+checks this model: it reads D A (``_invariant_grid``) and each phi_i of
+``phi_forms`` in the log frame once, raises AssertionError naming i unless
+phi_i is x_i^-1 times constants, and gives (D, D A) and theta_i as int
+numerators over one T.  Its three callers read A through it alone.
+``build_qi`` and the CLI's ``verify-exactness`` call it first: the pole
+exponents F_i = -1 it verified are the signs of d(phi_I).  ``_PlusMachine``
+keeps theta_I over T^|I| (``_minors``), and ``pieces`` gives the 2n pieces
+of I as integer rows, with no form built.  ``sharp_rows``
 is the recipe above: per monomial x^E one integer product of its row with the
 compound of D A (``_compounds``), and the label (K, E + 1_K); it extracts
 and does not certify.  A piece enters as the single row {F: row};
@@ -156,16 +158,16 @@ block I of a source slice with the blocks of the target slice:
   rank of E (t on the divisor) or of E - e_t (``_moved``);
 * the bracket complex: per j the insertion table of ``_koszul_tables``,
   offset(M + {j}) and the rank of E + e_j (``_moved``);
-* the log-plus complex: per I the merged pieces, d(phi_I) and every
-  eta_i ^ phi_I, as targets (J, E2) with integer numerators c_0, ..., c_2n;
-  per target and total one table of c_0 + sum_i E_i c_i over the E of
-  that total, each entry one addition to the entry of E - e_t in the table
-  of the total below (``_first_lowered``), only the last table kept; and
-  per total of E and target shift e2 one table of the ranks of E + e2,
-  kept for the whole build.  A target's block is looked up
+* the log-plus complex: per I the merged pieces eta_i ^ phi_I as targets
+  (J, E2) with integer numerators c_1, ..., c_2n and c_0 = -sum_{i in I}
+  c_i for d(phi_I); per target and total one table of c_0 + sum_i E_i c_i
+  over the E of that total, each entry one addition to the entry of E - e_t
+  in the table of the total below (``_first_lowered``), only the last
+  table kept; and per total of E and target shift e2 one table of the
+  ranks of E + e2, kept for the whole build.  A target's block is looked up
   (``_target_offset``) at its first nonzero entry;
-* ``build_qi``: its own layout.  Slice (k, w) of Q_I has a block per
-  M = I + K, |K| = k - |I|, holding the F' = E - 1_K of
+* ``build_qi``: its own layout, ``_qi_slice``.  Slice (k, w) of Q_I has
+  a block per M = I + K, |K| = k - |I|, holding the F' = E - 1_K of
   ``_monomials(2n - |I|, w + |I|)`` on the variables off I, so every
   block has that size and offset(M) is the index of K in ``combinations``
   order over the variables off I times it; (M, F') maps
@@ -449,14 +451,15 @@ def _invariant_grid(p: PoissonStructure) -> tuple[int, list[list[int]]]:
     return den, [[int(c * den) for c in row] for row in grid]
 
 
-def _theta(p: PoissonStructure) -> tuple[int, list[list[int]]]:
-    """The phi-model gate: (T, T * B), theta_i = sum_j B[i][j] eta_j as int
+def _theta(p: PoissonStructure):
+    """The phi-model gate: ((D, D * A), (T, T * B)), the grid of
+    ``_invariant_grid`` it ran and theta_i = sum_j B[i][j] eta_j as int
     numerators over the least T > 0, where phi_i = x_i^-1 theta_i (module
-    docstring).  Runs ``_invariant_grid``, calls ``phi_forms`` (both raise
-    ValueError: outside the model, on a singular A) and reads each phi_i in
-    the log frame once; AssertionError naming i unless phi_i is x_i^-1
-    times constants."""
-    _invariant_grid(p)
+    docstring), so d(phi_I) = -sum_{i in I} eta_i ^ phi_I.  Runs
+    ``_invariant_grid``, calls ``phi_forms`` (both raise ValueError: outside
+    the model, on a singular A) and reads each phi_i in the log frame once;
+    AssertionError naming i unless phi_i is x_i^-1 times constants."""
+    grid = _invariant_grid(p)
     nv = p.var_spec.total_vars
     log = log_frame(p.var_spec)
     theta = [[0] * nv for _ in range(nv)]
@@ -467,7 +470,7 @@ def _theta(p: PoissonStructure) -> tuple[int, list[list[int]]]:
                 raise AssertionError(f"phi_{i} is not x_{i}^-1 times a constant log form")
             theta[i - 1][j - 1] = g.terms[pole]
     den = math.lcm(*(c.denominator for row in theta for c in row))
-    return den, [[int(c * den) for c in row] for row in theta]
+    return grid, (den, [[int(c * den) for c in row] for row in theta])
 
 
 def _prefix_products(empty, step):
@@ -540,33 +543,30 @@ class _PlusMachine:
     """Per-structure tables of ``build_logplus_complex`` and
     ``filtration_level_of``: the compounds of D * A, for the phi-coordinate
     extraction, and the constant log forms theta_I of phi_I = x^(-1_I)
-    theta_I (module docstring), for the pieces and their certificate.  The
-    theta_i come from the phi-model gate ``_theta``, which raises
+    theta_I (module docstring), for the pieces and their certificate.  Both
+    come from one call of the phi-model gate ``_theta``, which raises
     AssertionError naming i if phi_i is not x_i^-1 times constants."""
 
     def __init__(self, p: PoissonStructure):
-        den, scaled = _invariant_grid(p)
-        vs = p.var_spec
-        self.vs, self.log, self.den = vs, log_frame(vs), den
-        self.compound = _compounds(scaled)
         # theta_i as int numerators over T, theta_I over T^|I|
-        self.theta_den, theta = _theta(p)
+        (self.den, scaled), (self.theta_den, theta) = _theta(p)
+        self.vs, self.log = p.var_spec, log_frame(p.var_spec)
+        self.compound = _compounds(scaled)
         self.theta = _minors(theta)
 
     def pieces(self, indices: IndexSet) -> tuple[tuple[int, ...], list[list[int]]]:
-        """(F, rows), F = -1_I: the pieces of phi_I = x^F theta_I in the log
-        frame, as int numerators over T^|I| of the eta_J, |J| = |I| + 1, in
-        sorted order: rows[i] is eta_i ^ phi_I = x^F (eta_i ^ theta_I) for
-        i = 1..2n, and rows[0] is d(phi_I) = sum_t F_t x^F eta_t ^ theta_I."""
+        """(F, rows), F = -1_I: the 2n pieces of phi_I = x^F theta_I in the
+        log frame, as int numerators over T^|I| of the eta_J, |J| = |I| + 1,
+        in sorted order: rows[i - 1] is eta_i ^ phi_I = x^F (eta_i ^
+        theta_I) for i = 1..2n.  d(phi_I) is -sum_{i in I} of them, by the
+        gate (module docstring), and no piece of its own."""
         nv = self.vs.total_vars
         position = self.compound(len(indices) + 1)[0]
-        rows = [[0] * len(position) for _ in range(nv + 1)]
+        rows = [[0] * len(position) for _ in range(nv)]
         flip = (-1) ** len(indices)
         for jdx, w in self.theta(indices).items():
             for i, sign, key in _appended(nv, jdx):
-                rows[i][position[key]] += sign * flip * w
-        for t in indices:
-            rows[0] = list(map(operator.sub, rows[0], rows[t]))
+                rows[i - 1][position[key]] += sign * flip * w
         return tuple(-int(i in indices) for i in range(1, nv + 1)), rows
 
     def sharp_numerators(self, form: DiffForm) -> tuple[int, list[tuple[Label, int]]]:
@@ -628,21 +628,22 @@ def build_logplus_complex(p: PoissonStructure, weight_cap: int) -> WeightSlicedC
     """The span of the x^E phi_I with the honest exterior derivative.
 
     The derivative is taken once per index set, not once per column, on
-    the pieces d(phi_I) and eta_i ^ phi_I (eta_i = dx_i/x_i), each
-    x^(-1_I) times a constant log form read off integer tables
-    (``_PlusMachine.pieces``).  Each piece's phi-coordinates are extracted
-    in the log frame (``_PlusMachine.sharp_rows``) as integer numerators
-    over one denominator, and certified: re-expanded through the theta_K,
-    they must equal the piece exactly, in integers
-    (``_PlusMachine.certifies``).  Each column follows from the Leibniz rule
+    the 2n pieces eta_i ^ phi_I (eta_i = dx_i/x_i), each x^(-1_I) times a
+    constant log form read off integer tables (``_PlusMachine.pieces``).
+    Each piece's phi-coordinates are extracted in the log frame
+    (``_PlusMachine.sharp_rows``) as integer numerators over one
+    denominator, and certified: re-expanded through the theta_K, they must
+    equal the piece exactly, in integers (``_PlusMachine.certifies``).
+    With d(phi_I) = -sum_{i in I} eta_i ^ phi_I from the gate (``_theta``),
+    each column follows from the Leibniz rule
 
         d(x^E phi_I) = x^E (d(phi_I) + sum_i E_i eta_i ^ phi_I).
 
-    The pieces of I, d(phi_I) and eta_i ^ phi_I for every i, are merged
-    once per I, over the lcm D of their denominators, into one list of
-    targets (J, E2), each with D c_0 from d(phi_I) and the vector
-    (D c_1, ..., D c_2n) from the eta_i ^ phi_I; since E_i = 0 off the
-    support of E, the pieces a column does not use add nothing.  So the
+    The 2n pieces of I are merged once per I, over the lcm D of their
+    denominators, into one list of targets (J, E2), each with the vector
+    (D c_1, ..., D c_2n) from the eta_i ^ phi_I and D c_0 = -sum_{i in I}
+    D c_i from d(phi_I); since E_i = 0 off the support of E, the pieces a
+    column does not use add nothing.  So the
     pieces are computed once each, for every I that has a column, and only
     their merged targets are kept.  The column of x^E phi_I has
     D c_0 + sum_i E_i D c_i over D at (J, E2 + E) for each target, and must
@@ -667,9 +668,10 @@ def build_logplus_complex(p: PoissonStructure, weight_cap: int) -> WeightSlicedC
 
     @functools.cache
     def merged(indices: IndexSet):
-        """([(J, E2, D c_0, (D c_1, ..., D c_2n))], value) over the targets
-        of all pieces of I, D their lcm and c_i = 0 where piece i has no
-        (J, E2); ``value(num)`` is the cached num / D (``linalg.exact``)."""
+        """([(J, E2, D c_0, [D c_1, ..., D c_2n])], value) over the targets
+        of the 2n pieces of I, D their lcm, c_i = 0 where piece i has no
+        (J, E2) and c_0 = -sum_{i in I} c_i; ``value(num)`` is the cached
+        num / D (``linalg.exact``)."""
         pole, rows = machine.pieces(indices)
         degree, num_den = len(indices) + 1, machine.theta_den ** len(indices)
         parts = []
@@ -683,8 +685,8 @@ def build_logplus_complex(p: PoissonStructure, weight_cap: int) -> WeightSlicedC
         for i, (d, nums) in enumerate(parts):
             scale = den // d
             for lab, num in nums:
-                acc.setdefault(lab, [0] * (nv + 1))[i] = scale * num
-        targets = [(jdx, e2, cs[0], cs[1:]) for (jdx, e2), cs in acc.items()]
+                acc.setdefault(lab, [0] * nv)[i] = scale * num
+        targets = [(jdx, e2, -sum(cs[i - 1] for i in indices), cs) for (jdx, e2), cs in acc.items()]
         return targets, functools.cache(functools.partial(linalg.exact, den=den))
 
     @functools.cache
@@ -727,17 +729,17 @@ def build_logplus_complex(p: PoissonStructure, weight_cap: int) -> WeightSlicedC
     return _fill_slices(cx, functools.partial(_slice, coordinate_frame(vs), False), write)
 
 
-def _koszul_tables(p: PoissonStructure, variables):
+def _koszul_tables(invariant: tuple[int, list[list[int]]], variables):
     """(value, lam_columns, insertions) for a writer of the closed-form
-    bracket differential (module docstring) on the given variables, A
-    scaled by its common denominator D (``_invariant_grid``, which raises
-    ValueError outside the invariant model).  ``value(lam)`` is the cached
+    bracket differential (module docstring) on the given variables, from
+    the invariant grid (D, D * A) of ``_invariant_grid`` or ``_theta``, A
+    scaled by its common denominator D.  ``value(lam)`` is the cached
     pair (lam / D, -lam / D).  ``lam_columns(total)`` gives, per q-th
     variable j, D (E A)_j for each E of ``_monomials(len(variables), total)``:
     the row of E is the row of E - e_t plus the row of D A of t, the first
     variable of E (``_first_lowered``).  ``insertions(M, ones)`` is the table
     [(q, s_j < 0, M + {j}, D (1_ones A)_j)] over the q-th variables j not in M."""
-    den, scaled = _invariant_grid(p)
+    den, scaled = invariant
     grid = [[scaled[i - 1][j - 1] for j in variables] for i in variables]
     nv = len(grid)
 
@@ -784,7 +786,7 @@ def build_bracket_complex(p: PoissonStructure, weight_cap: int) -> WeightSlicedC
     """
     vs = p.var_spec
     nv = vs.total_vars
-    value, lam_columns, insertions = _koszul_tables(p, range(1, nv + 1))
+    value, lam_columns, insertions = _koszul_tables(_invariant_grid(p), range(1, nv + 1))
 
     def write(blocks, indices, total, rows, col0):
         lam_of, raised = lam_columns(total), _moved(nv, total, 1)
@@ -837,30 +839,35 @@ def _level_set(indices: IndexSet, exps: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(i for i in indices if exps[i - 1] == 0)
 
 
-def _qi_basis(vs: VarSpec, iset: IndexSet, degree: int, w: int) -> list[Label]:
-    """Monomial model of the slice: the labels x^(E + 1_K) d_(I + K) of the
-    classes phi_I ^ x^E eta_K with K disjoint from I, |K| = degree - |I|,
-    E vanishing on I and |E| = w + |I|.  The loops emit them sorted: the K
-    come in lexicographic order, which adding I keeps, since (I + K1) and
-    (I + K2) differ exactly where K1 and K2 do and sorted tuples of one size
-    compare by the least element of that symmetric difference; for one K
-    the E come sorted (``_monomials``), and putting zeros at the positions of
-    I and adding 1_K keeps their order."""
-    if degree < len(iset):
-        return []
-    nv = vs.total_vars
+def _qi_slice(vs: VarSpec, iset: IndexSet, degree: int, w: int):
+    """Slice (degree, w) of Q_I as (blocks, labels), the layout of
+    ``build_qi`` (module docstring).  The labels are the x^(E + 1_K)
+    d_(I + K) of the classes phi_I ^ x^E eta_K with K disjoint from I,
+    |K| = degree - |I|, E vanishing on I and |E| = w + |I|; the block of
+    I + K is (offset, w + |I|), offset the number of labels before it.
+    The loops emit the labels sorted: the K come in lexicographic order,
+    which adding I keeps, since (I + K1) and (I + K2) differ exactly where
+    K1 and K2 do and sorted tuples of one size compare by the least element
+    of that symmetric difference; for one K the E come sorted
+    (``_monomials``), and putting zeros at the positions of I and adding
+    1_K keeps their order."""
+    nv, total = vs.total_vars, w + len(iset)
     rest = [i for i in range(1, nv + 1) if i not in iset]
     spread = []
-    for fexp in _monomials(len(rest), w + len(iset)):
+    for fexp in _monomials(len(rest), total):
         e = [0] * nv
         for var, x in zip(rest, fexp):
             e[var - 1] = x
         spread.append(e)
-    labels = []
+    blocks: dict[IndexSet, tuple[int, int]] = {}
+    labels: list[Label] = []
+    if degree < len(iset) or not spread:
+        return blocks, labels
     for kset in itertools.combinations(rest, degree - len(iset)):
         indices, ones = tuple(sorted(iset + kset)), [int(i in kset) for i in range(1, nv + 1)]
+        blocks[indices] = (len(labels), total)
         labels.extend((indices, tuple(map(operator.add, e, ones))) for e in spread)
-    return labels
+    return blocks, labels
 
 
 def _index_set(vs: VarSpec, index_set) -> IndexSet:
@@ -892,19 +899,9 @@ def build_qi(p: PoissonStructure, index_set, weight_cap: int) -> WeightSlicedCom
     """
     vs = p.var_spec
     iset = _index_set(vs, index_set)
-    _theta(p)
+    grid = _theta(p)[0]
     rest = [j for j in range(1, vs.total_vars + 1) if j not in iset]
-    value, lam_columns, insertions = _koszul_tables(p, rest)
-
-    def slice_of(degree: int, w: int):
-        labels = _qi_basis(vs, iset, degree, w)
-        if not labels:
-            return {}, labels
-        total = w + len(iset)
-        size = len(_monomials(len(rest), total))
-        ksets = itertools.combinations(rest, degree - len(iset))
-        blocks = {tuple(sorted(iset + kset)): (r * size, total) for r, kset in enumerate(ksets)}
-        return blocks, labels
+    value, lam_columns, insertions = _koszul_tables(grid, rest)
 
     def write(blocks, indices, total, rows, col0):
         lam_of = lam_columns(total)
@@ -915,7 +912,7 @@ def build_qi(p: PoissonStructure, index_set, weight_cap: int) -> WeightSlicedCom
                     rows[offset + r][col0 + r] = value(lam)[negative]
 
     cx = WeightSlicedComplex(f"Q{list(iset)}", vs, (len(iset), vs.total_vars), weight_cap)
-    return _fill_slices(cx, slice_of, write)
+    return _fill_slices(cx, functools.partial(_qi_slice, vs, iset), write)
 
 
 def qi_cohomology(p: PoissonStructure, index_set, weight_cap: int) -> dict[tuple[int, int], int]:
@@ -1025,7 +1022,7 @@ def filtration_report(p: PoissonStructure, level: int, weight_cap: int, max_degr
     """The graded quotient at this level as the direct sum of its pieces
     Q_I, |I| = level, slice by slice, with the expected annihilators.
 
-    The slice of Q_I at (degree, w) is ``_qi_basis``: the labels
+    The slice of Q_I at (degree, w) is ``_qi_slice``: the labels
     (I + J, E + 1_J) with J disjoint from I, |J| = degree - |I| =: k, E
     vanishing on I and |E| = w + |I|.  The classes phi_I ^ x^E eta_K,
     |K| = k, span it, so each piece's rank is its slice size:

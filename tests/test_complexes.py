@@ -21,7 +21,7 @@ from logsymplectic.complexes import (
     _flatten,
     _monomials,
     _moved,
-    _qi_basis,
+    _qi_slice,
     _ranks,
     _slice,
     _theta,
@@ -318,8 +318,7 @@ def logplus_column_oracle(route: CoordinateRoute, lab) -> dict:
 
 def piece_forms(route: CoordinateRoute):
     """Every piece of the log-plus build as a coordinate DiffForm, (I, i) ->
-    d(phi_I) for i = 0 and eta_i ^ phi_I otherwise, over the index sets
-    below the top degree."""
+    eta_i ^ phi_I for i = 1..2n, over the index sets below the top degree."""
     vs = route.vs
     nv = vs.total_vars
     etas = [change_frame(log_one_form(vs, i), route.coord) for i in range(1, nv + 1)]
@@ -327,30 +326,30 @@ def piece_forms(route: CoordinateRoute):
     for size in range(nv):
         for iset in itertools.combinations(range(1, nv + 1), size):
             phi = route.phi_wedge(iset)
-            forms[(iset, 0)] = exterior_derivative(phi)
             for i, eta in enumerate(etas, 1):
                 forms[(iset, i)] = eta.wedge(phi)
     return forms
 
 
 def table_piece(machine: _PlusMachine, indices: IndexSet, i: int) -> DiffForm:
-    """Piece i of I from the integer tables (``_PlusMachine.pieces``), as a
-    log-frame DiffForm in Fractions."""
+    """Piece i of I, eta_i ^ phi_I, from the integer tables
+    (``_PlusMachine.pieces``), as a log-frame DiffForm in Fractions."""
     vs = machine.vs
     pole, rows = machine.pieces(indices)
     den, degree = machine.theta_den ** len(indices), len(indices) + 1
     sets = itertools.combinations(range(1, vs.total_vars + 1), degree)
-    terms = {jdx: LaurentPoly.monomial(vs, pole, Fraction(w, den)) for jdx, w in zip(sets, rows[i]) if w}
+    terms = {jdx: LaurentPoly.monomial(vs, pole, Fraction(w, den)) for jdx, w in zip(sets, rows[i - 1]) if w}
     return DiffForm(log_frame(vs), degree, terms)
 
 
 def table_extraction(machine: _PlusMachine, indices: IndexSet, i: int):
-    """(degree, pole, row, den, nums): piece i of I from the tables, and its
-    phi-coordinates as ``build_logplus_complex`` extracts them."""
+    """(degree, pole, row, den, nums): piece i of I, eta_i ^ phi_I, from the
+    tables, and its phi-coordinates as ``build_logplus_complex`` extracts
+    them."""
     pole, rows = machine.pieces(indices)
     degree = len(indices) + 1
-    den, nums = machine.sharp_rows(degree, machine.theta_den ** len(indices), {pole: rows[i]})
-    return degree, pole, rows[i], den, nums
+    den, nums = machine.sharp_rows(degree, machine.theta_den ** len(indices), {pole: rows[i - 1]})
+    return degree, pole, rows[i - 1], den, nums
 
 
 class TestLogPlusLeibniz:
@@ -397,7 +396,7 @@ class TestLogPlusLeibniz:
         # the extraction's denominator is the least one, from a form and
         # from the tables alike
         assert [machine.sharp_numerators(form)[0] for form in forms] == [2, 2, 2, 1, 2]
-        assert [table_extraction(machine, (1, 2, 4), i)[3] for i in range(5)] == [2, 2, 2, 1, 2]
+        assert [table_extraction(machine, (1, 2, 4), i)[3] for i in range(1, 5)] == [2, 2, 1, 2]
         cx = build_logplus_complex(p, 2)
         rng = random.Random(43)
         fractional = 0
@@ -411,28 +410,20 @@ class TestLogPlusLeibniz:
         rep = conjugation_report(p, 2, 4)
         assert rep["verdict"] and len(rep["slices"]) == 25
 
-    @pytest.mark.parametrize("kind", ["d_phi", "eta_phi"])
-    def test_every_piece_is_certified(self, toric, monkeypatch, kind):
-        # corrupt the coefficient extraction of one kind of piece only; the
-        # pieces d(phi_I) are the rows 0 that the tables returned
-        d_rows, corrupted = [], []
-        real_pieces, real_sharp = _PlusMachine.pieces, _PlusMachine.sharp_rows
-
-        def recording_pieces(machine, indices):
-            pole, rows = real_pieces(machine, indices)
-            d_rows.append(rows[0])
-            return pole, rows
+    def test_every_piece_is_certified(self, toric, monkeypatch):
+        # corrupt the coefficient extraction of the first nonempty piece
+        # only: the build refuses before it extracts another
+        corrupted = []
+        real_sharp = _PlusMachine.sharp_rows
 
         def corrupt_sharp(machine, degree, num_den, rows):
             den, nums = real_sharp(machine, degree, num_den, rows)
-            (row,) = rows.values()
-            if nums and any(row is r for r in d_rows) == (kind == "d_phi"):
+            if nums and not corrupted:
                 (lab, n), *rest = nums
                 nums = [(lab, 2 * n), *rest]
-                corrupted.append(row)
+                corrupted.append(rows)
             return den, nums
 
-        monkeypatch.setattr(_PlusMachine, "pieces", recording_pieces)
         monkeypatch.setattr(_PlusMachine, "sharp_rows", corrupt_sharp)
         with pytest.raises(AssertionError, match="failed to certify"):
             build_logplus_complex(toric, 1)
@@ -450,6 +441,13 @@ class TestLogFrameExtraction:
         machine = route.machine
         lg = log_frame(p.var_spec)
         forms = piece_forms(route)
+        # d(phi_I) is no piece: it is -sum_{i in I} of the table pieces, the
+        # identity the phi-model gate stands for
+        for iset in {iset for iset, _i in forms}:
+            d_phi = DiffForm(lg, len(iset) + 1, {})
+            for i in iset:
+                d_phi = d_phi - table_piece(machine, iset, i)
+            assert d_phi == change_frame(exterior_derivative(route.phi_wedge(iset)), lg), iset
         for (iset, i), form in forms.items():
             key = (iset, i)
             # the table piece is the DiffForm piece, read in the log frame
@@ -477,7 +475,7 @@ class TestLogFrameExtraction:
         # numerators and den both scaled by 7 are the same coordinates
         machine = _PlusMachine(fractional_2general_structure(11))
         assert machine.theta_den > 1
-        degree, pole, row, den, nums = table_extraction(machine, (1, 2), 0)
+        degree, pole, row, den, nums = table_extraction(machine, (1, 2), 3)
         assert nums and machine.certifies(degree, pole, row, den, nums)
         assert not machine.certifies(degree, pole, row, 7 * den, nums)
         assert machine.certifies(degree, pole, row, 7 * den, [(lab, 7 * n) for lab, n in nums])
@@ -537,14 +535,14 @@ class TestLogFrameExtraction:
         assert cli.main(["verify-exactness", "--structure", str(structure), "--I", "1,2"]) == 0
 
     def test_every_piece_of_the_fixture(self, toric):
-        assert self.assert_pieces_match(toric) == 15 * 5
+        assert self.assert_pieces_match(toric) == 15 * 4
 
     def test_every_piece_2n6(self):
         p = random_2general_toric(random.Random(3), 3).structure
-        assert self.assert_pieces_match(p) == 63 * 7
+        assert self.assert_pieces_match(p) == 63 * 6
 
     def test_every_piece_fractional(self):
-        assert self.assert_pieces_match(fractional_2general_structure(11)) == 15 * 5
+        assert self.assert_pieces_match(fractional_2general_structure(11)) == 15 * 4
 
     def test_piece_above_the_top_degree_is_empty(self, toric):
         # eta_i ^ phi_I with |I| = 2n is the zero form, and so is its table
@@ -600,7 +598,7 @@ class TestEveryLogPlusColumn:
         eta4 = change_frame(log_one_form(VS, 4), route.coord)
         empty = eta4.wedge(route.phi_wedge((1, 2, 3)))
         assert empty.is_zero() and route.machine.sharp_numerators(empty) == (1, [])
-        assert not any(route.machine.pieces((1, 2, 3))[1][4])
+        assert not any(route.machine.pieces((1, 2, 3))[1][3])
 
 
 class TestConjugation:
@@ -974,15 +972,15 @@ class TestSliceLayout:
             assert calls and p.var_spec.total_vars not in calls, iset
 
     def test_qi_image_leaving_the_piece_raises(self, toric, monkeypatch):
-        # build_qi keeps the _qi_basis labels of each bracket slice; with the
+        # build_qi keeps the _qi_slice labels of each bracket slice; with the
         # degree-2 slices of Q_(1) emptied, the images of degree 1 land
         # outside the kept labels
-        real = complexes._qi_basis
+        real = complexes._qi_slice
 
         def without_degree_2(vs, iset, degree, w):
-            return [] if degree == 2 else real(vs, iset, degree, w)
+            return ({}, []) if degree == 2 else real(vs, iset, degree, w)
 
-        monkeypatch.setattr(complexes, "_qi_basis", without_degree_2)
+        monkeypatch.setattr(complexes, "_qi_slice", without_degree_2)
         with pytest.raises(AssertionError, match="left the slice"):
             build_qi(toric, (1,), 1)
 
@@ -1040,11 +1038,13 @@ class TestSliceLayout:
         assert build_logplus_complex(toric, 2).diffs == bracket.diffs
 
     def test_logplus_extracts_each_piece_once(self, toric, monkeypatch):
-        # the pieces of I, d(phi_I) and the 2n eta_i ^ phi_I, are extracted
-        # while the first block of I is written and never again: the merged
-        # targets are cached per index set, the pieces themselves are not
-        calls, writing = collections.Counter(), [None]
+        # the 2n pieces eta_i ^ phi_I of I, and no d(phi_I), are extracted
+        # and certified while the first block of I is written and never
+        # again: the merged targets are cached per index set, the pieces
+        # themselves are not
+        calls, certified, writing = collections.Counter(), collections.Counter(), [None]
         real_fill, real_sharp = complexes._fill_slices, _PlusMachine.sharp_rows
+        real_certifies = _PlusMachine.certifies
 
         def fill(cx, slice_of, write):
             def write_noting_block(blocks, indices, *args):
@@ -1057,13 +1057,39 @@ class TestSliceLayout:
             calls[writing[0]] += 1
             return real_sharp(machine, *piece)
 
+        def counted_certifies(machine, *piece):
+            certified[writing[0]] += 1
+            return real_certifies(machine, *piece)
+
         monkeypatch.setattr(complexes, "_fill_slices", fill)
         monkeypatch.setattr(_PlusMachine, "sharp_rows", counted_sharp)
+        monkeypatch.setattr(_PlusMachine, "certifies", counted_certifies)
         cx = build_logplus_complex(toric, 2)
         nv = toric.var_spec.total_vars
         with_column = {lab[0] for (k, _w), labels in cx.basis.items() if k < nv for lab in labels}
         assert len(with_column) == 2**nv - 1
-        assert calls == dict.fromkeys(with_column, nv + 1)
+        assert calls == certified == dict.fromkeys(with_column, nv)
+
+    def test_each_builder_reads_the_log_matrix_once(self, toric, monkeypatch):
+        # the phi-model gate hands its callers the grid D A it read, so a
+        # _PlusMachine and a graded piece read A once each
+        calls = []
+        real = complexes.log_matrix
+
+        def counted(p):
+            calls.append(p)
+            return real(p)
+
+        monkeypatch.setattr(complexes, "log_matrix", counted)
+        p6 = random_2general_toric(random.Random(3), 3).structure
+        for p in (toric, p6):
+            calls.clear()
+            _PlusMachine(p)
+            assert calls == [p]
+            for iset in [(), (1,), (2, 3), (1, 2, 3, 4)]:
+                calls.clear()
+                build_qi(p, iset, 2)
+                assert calls == [p], iset
 
     def test_logplus_target_with_no_entry_is_skipped(self, toric, monkeypatch):
         # the same target off the slice, with numerator 0 next to the real
@@ -1234,14 +1260,14 @@ class TestCohomologyMachinery:
 def oracle_slices(p: PoissonStructure, level: int, weight_cap: int, max_degree: int) -> list:
     """``filtration_report``'s slices from the class-vector oracle: the
     classes of each piece Q_I, |I| = level, ranked in its own slice
-    (``_qi_basis``), and asserted to span it."""
+    (``_qi_slice``), and asserted to span it."""
     nv = p.var_spec.total_vars
     vector = class_vectors(p)
     isets = list(itertools.combinations(range(1, nv + 1), level))
     slices = []
     for degree in range(level, min(max_degree, nv) + 1):
         for w in range(-level, weight_cap + 1):
-            bases = [_qi_basis(p.var_spec, iset, degree, w) for iset in isets]
+            bases = [_qi_slice(p.var_spec, iset, degree, w)[1] for iset in isets]
             if not any(bases):
                 continue
             ranks = []
@@ -1406,7 +1432,7 @@ class TestFiltration:
         for s in rep["slices"]:
             assert s["combined_rank"] == sum(s["per_piece_rank"])
             assert s["per_piece_rank"] == [
-                len(_qi_basis(p.var_spec, iset, s["degree"], s["weight"])) for iset in isets
+                len(_qi_slice(p.var_spec, iset, s["degree"], s["weight"])[1]) for iset in isets
             ]
         assert rep["direct"]
         assert rep["annihilator_ok"]
