@@ -4,7 +4,6 @@ from .ring import (
     LaurentPoly,
     Rational,
     VarSpec,
-    is_unit_local,
     poly_from_string,
     poly_to_string,
 )
@@ -21,7 +20,6 @@ from .exterior import (
     log_frame,
     log_one_form,
     log_vector,
-    term_weight,
     wedge,
 )
 from .poisson import (

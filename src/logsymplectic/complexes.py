@@ -959,9 +959,10 @@ def cohomology_dims(cx: WeightSlicedComplex, degree: int) -> dict[int, int]:
 
 
 def verify_d_squared(cx: WeightSlicedComplex) -> bool:
-    """Composition of consecutive differentials vanishes on every slice,
-    checked as ``linalg.product_is_zero`` does, but with each differential
-    read as integer rows (``linalg._int_rows``) once, not once per product."""
+    """Composition of consecutive differentials vanishes on every slice.
+    Each differential is read as integer rows (``linalg._int_rows``) once,
+    and each product row is summed as integers (``linalg._sums``); a scale
+    does not change which rows are zero, so no value is built."""
     ints = functools.cache(lambda key: linalg._int_rows(cx.diffs[key])[0])
     for (k, w), mat in cx.diffs.items():
         if mat and cx.diffs.get((k + 1, w)):

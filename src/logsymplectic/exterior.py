@@ -241,7 +241,7 @@ def log_one_form(vs: VarSpec, i: int) -> DiffForm:
 
 
 def log_vector(vs: VarSpec, i: int) -> MultiVector:
-    """v_i in the log frame.  Public API with no library caller."""
+    """v_i in the log frame."""
     return vector_monomial(log_frame(vs), (i,), LaurentPoly.const(vs, 1))
 
 
@@ -255,31 +255,6 @@ def frame_element_weight(frame: Frame, indices: IndexSet, is_form: bool) -> int:
         if frame.kind == COORDINATE or not vs.is_divisor_index(i):
             total += 1 if is_form else -1
     return total
-
-
-def term_weight(frame: Frame, indices: IndexSet, exps, is_form: bool = True) -> int:
-    """Weight of one monomial term: coefficient degree plus frame weight.
-    Public API with no library caller."""
-    return sum(exps) + frame_element_weight(frame, tuple(indices), is_form)
-
-
-def weight_decomposition(x) -> dict[int, "DiffForm | MultiVector"]:
-    """Split an element into weight-homogeneous pieces.  Public API with no
-    library caller."""
-    is_form = isinstance(x, DiffForm)
-    buckets: dict[int, dict] = {}
-    for indices, coeff in x.terms.items():
-        base = frame_element_weight(x.frame, indices, is_form)
-        for exps, c in coeff.terms.items():
-            w = base + sum(exps)
-            buckets.setdefault(w, {}).setdefault(indices, {})[exps] = c
-    out = {}
-    for w, idx_map in sorted(buckets.items()):
-        terms = {
-            idx: LaurentPoly(x.frame.var_spec, emap) for idx, emap in idx_map.items()
-        }
-        out[w] = type(x)(x.frame, x.degree, terms)
-    return out
 
 
 # -- frame changes -----------------------------------------------------------

@@ -63,7 +63,6 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import linalg
 from .ring import LaurentPoly, VarSpec
@@ -320,23 +319,6 @@ def _scaled_minor(ints, memo: dict, rows: int, cols: int) -> int:
             value += sign * x * minor
         sign, left = -sign, left ^ low
     return value
-
-
-def _laplace_minors(grid):
-    """``minor(rows, cols)``: the determinant of a rational grid restricted to
-    the given distinct rows and columns, each taken in increasing order; a
-    minor is its ``_scaled_minor`` over the scales of its rows."""
-    ints, scales = _scaled_minors(grid)
-    memo: dict = {}
-
-    def minor(rows, cols) -> Fraction:
-        rows, cols = set(rows), set(cols)
-        if len(rows) != len(cols):
-            raise ValueError("a minor needs as many rows as columns")
-        value = _scaled_minor(ints, memo, sum(1 << r for r in rows), sum(1 << c for c in cols))
-        return Fraction(value, math.prod(scales[r] for r in rows))
-
-    return minor
 
 
 def _increasing(seq, t: int, top: int) -> bool:

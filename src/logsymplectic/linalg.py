@@ -18,12 +18,11 @@ elimination loop, ``_eliminate``, serves ``rank``, ``det``, ``inverse`` and
 finds.  It has no continuation mode: the ``genpos`` walk clears each new
 column of its prefix's pivots itself, with the row step ``_clear``.
 
-One product path serves ``mat_mul`` and ``product_is_zero``: ``_int_rows``
-reads each factor as integer rows over one scale (dict rows of ints as
-they are), and ``_sums`` accumulates each product row as integers.
-``mat_mul`` builds a value only for a nonzero sum; ``product_is_zero``
-builds none and stops at the first nonzero row.  ``det``, ``inverse`` and
-``solve_columns`` return Fractions.
+One product path serves ``mat_mul`` and ``complexes.verify_d_squared``:
+``_int_rows`` reads each factor as integer rows over one scale (dict rows
+of ints as they are), and ``_sums`` accumulates each product row as
+integers.  ``mat_mul`` builds a value only for a nonzero sum.  ``det``,
+``inverse`` and ``solve_columns`` return Fractions.
 """
 
 from __future__ import annotations
@@ -192,22 +191,6 @@ def mat_mul(a, b) -> list[Row]:
 
 def is_zero_matrix(a) -> bool:
     return not any(any(row.values() if isinstance(row, dict) else row) for row in a)
-
-
-def product_is_zero(a, b) -> bool:
-    """Whether the product a b is zero, without building it.
-
-    Scaling a or b by a nonzero constant does not change which rows of the
-    product are zero, so both are read as integers (``_int_rows``) and the
-    check stops at the first row with a nonzero sum.  No value is built,
-    and dict rows of ints are not copied.  Every column of a must index a
-    row of b; this is not checked."""
-    a, _ = _int_rows(a)
-    b, _ = _int_rows(b)
-    for acc in _sums(a, b):
-        if any(acc.values()):
-            return False
-    return True
 
 
 def pivot_columns(a, column_order=None) -> list[int]:

@@ -327,17 +327,6 @@ def add_product(out: dict[Exponents, Coefficient], p: LaurentPoly, q: LaurentPol
             out[key] = c1 * c2 if prev is None else prev + c1 * c2
 
 
-def is_unit_local(p: LaurentPoly) -> bool:
-    """Unit of the local ring at the origin: nonzero constant term.
-
-    Only meaningful (and only allowed) for elements without poles.  Public
-    API with no library caller.
-    """
-    if p.has_negative_exponents():
-        raise ValueError("element has poles; not in the local ring")
-    return p.constant_term() != 0
-
-
 # -- serialization ----------------------------------------------------------
 
 _MONO_VAR = re.compile(r"^x(\d+)(?:\^(-?\d+))?$")

@@ -17,14 +17,13 @@ from logsymplectic.exterior import (
     coordinate_vector,
     exterior_derivative,
     form_monomial,
+    frame_element_weight,
     log_frame,
     log_one_form,
     log_vector,
     merge_indices,
-    term_weight,
     vector_monomial,
     wedge,
-    weight_decomposition,
 )
 from logsymplectic.poisson import PoissonStructure, phi_forms, pi_flat, pi_sharp
 from logsymplectic.ring import LaurentPoly, VarSpec, poly_from_string
@@ -362,6 +361,12 @@ class TestChangeFrame:
         assert exterior_derivative(phi1) == -wedge(eta1, phi1)
 
 
+def term_weight(frame, indices, exps, is_form=True):
+    """The weight rule of ``complexes._slice``: the degree of a term's
+    coefficient plus the weight of its frame element."""
+    return sum(exps) + frame_element_weight(frame, tuple(indices), is_form)
+
+
 class TestWeights:
     def test_spec_values(self):
         assert term_weight(COORD, (3,), (2, 0, 0, 0)) == 3
@@ -389,14 +394,27 @@ class TestWeights:
             ) + term_weight(COORD, (j,), e2)
 
     def test_derivative_preserves_weight(self):
+        def by_weight(w: DiffForm) -> dict[int, DiffForm]:
+            buckets: dict[int, dict] = {}
+            for indices, coeff in w.terms.items():
+                for exps, c in coeff.terms.items():
+                    wt = term_weight(w.frame, indices, exps)
+                    buckets.setdefault(wt, {}).setdefault(indices, {})[exps] = c
+            return {
+                wt: DiffForm(w.frame, w.degree, {i: LaurentPoly(VS, e) for i, e in terms.items()})
+                for wt, terms in buckets.items()
+            }
+
         rng = random.Random(19)
         for _ in range(25):
             w = rand_form(rng, degree=rng.randint(0, 3))
-            for wt, piece in weight_decomposition(w).items():
+            pieces = by_weight(w)
+            assert sum(pieces.values(), DiffForm(w.frame, w.degree, {})) == w
+            for wt, piece in pieces.items():
                 dw = exterior_derivative(piece)
                 if dw.is_zero():
                     continue
-                assert set(weight_decomposition(dw)) == {wt}
+                assert set(by_weight(dw)) == {wt}
 
 
 class TestIndexSets:

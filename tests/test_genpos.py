@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -16,7 +17,8 @@ from logsymplectic.genpos import (
     is_standard_t_general,
     poisson_t_general,
     verify_certificate,
-    _laplace_minors,
+    _scaled_minor,
+    _scaled_minors,
 )
 from logsymplectic.poisson import log_matrix, poly_det
 from logsymplectic.ring import LaurentPoly, VarSpec, poly_from_string
@@ -72,6 +74,23 @@ def lex_scan_oracle(m_rows, n_rows, t):
         witnesses=witnesses,
         failures=tuple(failures),
     )
+
+
+def _laplace_minors(grid):
+    """``minor(rows, cols)``: the determinant of a rational grid restricted to
+    the given distinct rows and columns, each taken in increasing order; a
+    minor is its ``_scaled_minor`` over the scales of its rows."""
+    ints, scales = _scaled_minors(grid)
+    memo: dict = {}
+
+    def minor(rows, cols) -> Fraction:
+        rows, cols = set(rows), set(cols)
+        if len(rows) != len(cols):
+            raise ValueError("a minor needs as many rows as columns")
+        value = _scaled_minor(ints, memo, sum(1 << r for r in rows), sum(1 << c for c in cols))
+        return Fraction(value, math.prod(scales[r] for r in rows))
+
+    return minor
 
 
 def from_scratch_reference(m_rows, n_rows, t):

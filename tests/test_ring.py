@@ -9,7 +9,6 @@ from logsymplectic.ring import (
     LaurentPoly,
     VarSpec,
     coefficient,
-    is_unit_local,
     poly_from_string,
     poly_to_string,
 )
@@ -133,27 +132,6 @@ class TestDerivative:
     @settings(max_examples=40, deadline=None)
     def test_leibniz(self, p, q, i):
         assert (p * q).partial(i) == p.partial(i) * q + p * q.partial(i)
-
-
-class TestUnits:
-    def test_one_plus_x(self):
-        assert is_unit_local(poly("1 + x1"))
-
-    def test_vanishing_at_origin(self):
-        assert not is_unit_local(poly("x1"))
-
-    def test_constant_term_rational(self):
-        assert is_unit_local(poly("3/7 - x2*x3"))
-
-    def test_pole_rejected(self):
-        with pytest.raises(ValueError):
-            is_unit_local(poly("x1^-1"))
-
-    @given(laurent_polys(min_exp=0))
-    @settings(max_examples=40, deadline=None)
-    def test_unit_iff_nonzero_at_origin(self, p):
-        origin = p.evaluate([0, 0, 0, 0])
-        assert is_unit_local(p) == (origin != 0)
 
 
 class TestDivision:
