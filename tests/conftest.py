@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from logsymplectic.exterior import MultiVector, coordinate_frame
-from logsymplectic.poisson import PoissonStructure
-from logsymplectic.ring import LaurentPoly, VarSpec
+# The package is imported inside the helpers and fixtures, not here: a
+# package that fails to import then fails the modules that use it, and
+# modules that import nothing from it (the census) still report.
 
 EXPLICIT_GRID = [
     [0, 1, 2, 3],
@@ -15,8 +15,12 @@ EXPLICIT_GRID = [
 ]
 
 
-def toric_structure(grid) -> PoissonStructure:
+def toric_structure(grid):
     """Invariant bivector of a constant skew grid, all variables divisorial."""
+    from logsymplectic.exterior import MultiVector, coordinate_frame
+    from logsymplectic.poisson import PoissonStructure
+    from logsymplectic.ring import LaurentPoly, VarSpec
+
     size = len(grid)
     vs = VarSpec(size, size)
     terms = {}
@@ -44,17 +48,21 @@ def random_skew_grid(rng: random.Random, size: int, lo=-9, hi=9):
 
 
 @pytest.fixture
-def vs4() -> VarSpec:
+def vs4():
+    from logsymplectic.ring import VarSpec
+
     return VarSpec(4, 4)
 
 
 @pytest.fixture
-def vs4_mixed() -> VarSpec:
+def vs4_mixed():
+    from logsymplectic.ring import VarSpec
+
     return VarSpec(4, 2)
 
 
 @pytest.fixture
-def explicit_toric() -> PoissonStructure:
+def explicit_toric():
     return toric_structure(EXPLICIT_GRID)
 
 

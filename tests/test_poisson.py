@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from logsymplectic import linalg
+from logsymplectic import linalg, poisson
 from logsymplectic.exterior import (
     MultiVector,
     change_frame,
@@ -33,6 +33,7 @@ from logsymplectic.poisson import (
     top_power,
 )
 from logsymplectic.ring import LaurentPoly, VarSpec, poly_from_string
+from logsymplectic.toric import certify, make_toric
 
 from conftest import EXPLICIT_GRID, random_skew_grid, toric_structure
 
@@ -305,6 +306,94 @@ class TestDegeneracyDivisor:
         rep = degeneracy_divisor(p)
         assert rep.multiplicities == {1: 2}
         assert not rep.simple_normal_crossings
+
+    def test_matches_top_power_oracle(self):
+        # Pi^n = n! * Pf(pi) * d_1 ^...^ d_2n on arbitrary polynomial
+        # bivectors, divisor variables m < 2n included
+        rng = random.Random(4242)
+        zero, vs = VarSpec(4, 2), VarSpec(4, 1)
+        cases = [
+            PoissonStructure(zero, MultiVector(coordinate_frame(zero), 2, {})),
+            # f = 2*x1*(x1 + x3): not a monomial times a unit
+            PoissonStructure(vs, MultiVector(coordinate_frame(vs), 2, {
+                (1, 2): poly_from_string("x1", vs), (3, 4): poly_from_string("x1 + x3", vs),
+            })),
+        ]
+        for size in (2, 4, 6):
+            for _ in range(12):
+                cases.append(random_polynomial_structure(rng, size, rng.randint(0, size)))
+        outcomes = []
+        for p in cases:
+            outcome = divisor_outcome(p)
+            assert outcome == divisor_oracle(p), p.to_json()
+            outcomes.append(outcome)
+        kinds = {o if isinstance(o, type) else o[2] for o in outcomes}
+        assert kinds == {DegenerateStructureError, NotMonomialTimesUnitError, True, False}
+
+    def test_never_builds_a_wedge(self, monkeypatch):
+        grids = [EXPLICIT_GRID, random_skew_grid(random.Random(6), 6)]
+        reports = [certify(make_toric(grid)) for grid in grids]
+        divisors = [divisor_outcome(toric_structure(grid)) for grid in grids]
+
+        def no_wedge(*args, **kwargs):
+            raise AssertionError("an n-fold wedge was built")
+
+        monkeypatch.setattr(poisson, "top_power", no_wedge)
+        monkeypatch.setattr(MultiVector, "wedge", no_wedge)
+        with pytest.raises(AssertionError):
+            poisson.top_power(toric_structure(EXPLICIT_GRID))
+        for grid, rep, div in zip(grids, reports, divisors):
+            t = make_toric(grid)
+            assert divisor_outcome(t.structure) == div
+            assert certify(t) == rep
+
+
+def random_polynomial_structure(rng, size, m):
+    """A bivector on `size` variables, the first `m` divisorial.  Each
+    coefficient pi_ij is absent, or x_i^k_i * x_j^k_j (weights k in 0..2,
+    drawn once per structure) times a sum of up to three monomials, each
+    constant or of degree <= 2 in each variable.  So the top coefficient is
+    x^k * Pf(u) and is a monomial times a unit about as often as not."""
+    vs = VarSpec(size, m)
+    weights = [rng.choice((0, 1, 1, 2)) for _ in range(size)]
+    terms = {}
+    for i in range(1, size + 1):
+        for j in range(i + 1, size + 1):
+            if rng.random() < 0.2:
+                continue
+            poly = LaurentPoly.zero(vs)
+            for _ in range(rng.choice((1, 1, 2, 3))):
+                if rng.random() < 0.5:
+                    exps = [0] * size
+                else:
+                    exps = [rng.choice((0, 0, 1, 2)) for _ in range(size)]
+                exps[i - 1] += weights[i - 1]
+                exps[j - 1] += weights[j - 1]
+                poly = poly + LaurentPoly.monomial(vs, tuple(exps), rng.choice((-3, -2, -1, 1, 2, 3)))
+            terms[(i, j)] = poly
+    return PoissonStructure(vs, MultiVector(coordinate_frame(vs), 2, terms))
+
+
+def divisor_outcome(p):
+    """What degeneracy_divisor gives: its report's fields, or the class of
+    the refusal."""
+    try:
+        rep = degeneracy_divisor(p)
+    except (DegenerateStructureError, NotMonomialTimesUnitError) as exc:
+        return type(exc)
+    return rep.multiplicities, rep.unit_part, rep.simple_normal_crossings
+
+
+def divisor_oracle(p):
+    """The same outcome read off top_power's coefficient f of d_1 ^...^ d_2n."""
+    f, _ = top_power(p)
+    if f.is_zero():
+        return DegenerateStructureError
+    content = f.min_exponents()
+    unit = f.divide_monomial(content)
+    if unit.constant_term() == 0:
+        return NotMonomialTimesUnitError
+    return {i + 1: e for i, e in enumerate(content) if e}, unit, max(content) <= 1
 
 
 class TestLogMatrix:
