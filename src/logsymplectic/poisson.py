@@ -32,6 +32,19 @@ so the degeneracy divisor D(Pi), the zero locus of Pi^n, is the zero locus
 of Pf(pi).  ``degeneracy_divisor`` takes Pf(pi) over the ring by the same
 matching expansion as the constant ``pfaffian``; ``top_power`` builds the
 n-fold wedge itself and is kept as the oracle the tests compare against.
+
+Inverse of the log matrix
+-------------------------
+
+For a skew A of size 2n with Pf(A) != 0, B = A^{-1} is skew, and for i < j
+
+    B_ij = (-1)^(i+j) * Pf(A_ij) / Pf(A),    B_ji = -B_ij,
+
+where A_ij is A with rows and columns i and j removed (Pf of the empty
+matrix is 1; the sign is the same for 0- and 1-based indices).  For 2n = 2,
+B_12 = -1/A_12.  Since det A = Pf(A)^2, B has entries in the ring exactly
+when Pf(A) is a unit there.  ``inverse_log_matrix`` takes every Pfaffian
+from the matching expansion of ``pfaffian``, so no elimination is run.
 """
 
 from __future__ import annotations
@@ -40,7 +53,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
 from .exterior import (
     COORDINATE,
     DiffForm,
@@ -283,8 +295,9 @@ def pfaffian(a) -> Fraction:
 def _pfaffian_of(grid, memo: dict, indices: tuple[int, ...]):
     """The Pfaffian of ``grid`` on ``indices``, memoized in ``memo`` (a
     module-level recursion, so no closure refers to itself).  It reads the
-    upper triangle only, and runs unchanged over rationals and over
-    ``LaurentPoly`` entries, where a falsy entry (int 0) is skipped."""
+    upper triangle only, and runs unchanged over rationals, over
+    ``LaurentPoly`` entries and over a grid that mixes the two, where a falsy
+    entry (a rational 0) is skipped."""
     total = memo.get(indices)
     if total is not None:
         return total
@@ -394,56 +407,36 @@ def pi_sharp(p: PoissonStructure, w: DiffForm) -> MultiVector:
 
 
 def inverse_log_matrix(p: PoissonStructure) -> SkewMatrix:
-    """B = A^{-1}, the only place the log matrix is inverted.
-
-    Constant A goes through ``linalg.inverse``.  Otherwise B is the adjugate
-    times (det A)^{-1}, which has entries in the ring exactly when det A is
-    a unit there (a monomial in the divisor variables); ValueError if not.
-    """
-    a = log_matrix(p)
+    """B = A^{-1}, the only place the log matrix is inverted, by the
+    sub-Pfaffian formula of the module docstring: one ``_pfaffian_of`` memo,
+    constant entries as rationals and the others as ``LaurentPoly``.
+    ValueError unless Pf(A) is a unit of the ring (a monomial in the
+    divisor variables)."""
     vs = p.var_spec
-    if a.is_constant():
-        grid = a.constant_grid()
-        try:
-            inv = linalg.inverse(grid)
-        except ValueError:
-            raise ValueError("log matrix is singular; no inverse bivector") from None
-        return SkewMatrix.from_rationals(vs, inv)
-    rows, n = a.rows, a.size
-    det = poly_det(rows, vs)
+    grid = [
+        [x.constant_term() if x.is_constant() else x for x in row]
+        for row in log_matrix(p).rows
+    ]
+    size = len(grid)
+    everything = tuple(range(size))
+    memo = {(): 1}
+    one = LaurentPoly.const(vs, 1)
+    pf = one * _pfaffian_of(grid, memo, everything)
+    if pf.is_zero():
+        raise ValueError("log matrix is singular; no inverse bivector")
     try:
-        inv_det = LaurentPoly.const(vs, 1).divide_exact(det)
-    except (ValueError, ZeroDivisionError):
+        inv_pf = one.divide_exact(pf)
+    except ValueError:
         raise ValueError(
-            f"log matrix A is not invertible over the ring: det A = {det} is not a unit"
+            f"log matrix A is not invertible over the ring: det A = {pf * pf} is not a unit"
         ) from None
-
-    def adjugate_entry(i: int, j: int) -> LaurentPoly:
-        minor = [[rows[r][c] for c in range(n) if c != i] for r in range(n) if r != j]
-        cofactor = poly_det(minor, vs)
-        return cofactor if (i + j) % 2 == 0 else -cofactor
-
-    return SkewMatrix(
-        vs, [[adjugate_entry(i, j) * inv_det for j in range(n)] for i in range(n)]
-    )
-
-
-def poly_det(rows, vs: VarSpec) -> LaurentPoly:
-    """Determinant of a square matrix of polynomials, by cofactor expansion
-    along the first row (O(n!) products)."""
-    n = len(rows)
-    if n == 0:
-        return LaurentPoly.const(vs, 1)
-    if n == 1:
-        return rows[0][0]
-    total = LaurentPoly.zero(vs)
-    for c in range(n):
-        if rows[0][c].is_zero():
-            continue
-        minor = [[rows[r][cc] for cc in range(n) if cc != c] for r in range(1, n)]
-        term = rows[0][c] * poly_det(minor, vs)
-        total = total + (term if c % 2 == 0 else -term)
-    return total
+    rows = [[LaurentPoly.zero(vs)] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i + 1, size):
+            rest = everything[:i] + everything[i + 1 : j] + everything[j + 1 :]
+            b = inv_pf * _pfaffian_of(grid, memo, rest)
+            rows[i][j], rows[j][i] = (-b, b) if (i + j) % 2 else (b, -b)
+    return SkewMatrix(vs, rows)
 
 
 def pi_flat(p: PoissonStructure, v: MultiVector) -> DiffForm:

@@ -36,6 +36,27 @@ def toric_structure(grid):
     return PoissonStructure(vs, MultiVector(coordinate_frame(vs), 2, terms))
 
 
+def poly_det(rows, vs):
+    """Determinant of a square matrix of polynomials, by cofactor expansion
+    along the first row (O(n!) products).  The oracle of the genpos minors
+    and of the Pfaffian inverse of the log matrix."""
+    from logsymplectic.ring import LaurentPoly
+
+    n = len(rows)
+    if n == 0:
+        return LaurentPoly.const(vs, 1)
+    if n == 1:
+        return rows[0][0]
+    total = LaurentPoly.zero(vs)
+    for c in range(n):
+        if rows[0][c].is_zero():
+            continue
+        minor = [[rows[r][cc] for cc in range(n) if cc != c] for r in range(1, n)]
+        term = rows[0][c] * poly_det(minor, vs)
+        total = total + (term if c % 2 == 0 else -term)
+    return total
+
+
 def random_skew_grid(rng: random.Random, size: int, lo=-9, hi=9):
     grid = [[Fraction(0)] * size for _ in range(size)]
     values = [v for v in range(lo, hi + 1) if v != 0]

@@ -20,11 +20,11 @@ from logsymplectic.genpos import (
     _scaled_minor,
     _scaled_minors,
 )
-from logsymplectic.poisson import log_matrix, poly_det
+from logsymplectic.poisson import log_matrix
 from logsymplectic.ring import LaurentPoly, VarSpec, poly_from_string
 from logsymplectic.toric import random_2general_toric
 
-from conftest import EXPLICIT_GRID, random_skew_grid, toric_structure
+from conftest import EXPLICIT_GRID, poly_det, random_skew_grid, toric_structure
 
 VS = VarSpec(4, 4)
 

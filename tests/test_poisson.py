@@ -12,6 +12,7 @@ from logsymplectic.exterior import (
     coordinate_one_form,
     coordinate_vector,
     exterior_derivative,
+    log_frame,
     log_one_form,
     log_vector,
     wedge,
@@ -33,9 +34,9 @@ from logsymplectic.poisson import (
     top_power,
 )
 from logsymplectic.ring import LaurentPoly, VarSpec, poly_from_string
-from logsymplectic.toric import certify, make_toric
+from logsymplectic.toric import certify, make_toric, random_2general_toric
 
-from conftest import EXPLICIT_GRID, random_skew_grid, toric_structure
+from conftest import EXPLICIT_GRID, poly_det, random_skew_grid, toric_structure
 
 VS = VarSpec(4, 4)
 COORD = coordinate_frame(VS)
@@ -513,6 +514,50 @@ class TestPartialDivisor:
         assert poles == set(range(1, m + 1))
 
 
+def item4_structure(seed: int, n: int) -> PoissonStructure:
+    """Pi_A0 + x1 * (a ^ b) on a 2-general toric A0, a Poisson structure
+    with a non-constant log matrix: in the log frame
+    A = A0 + x1 * (a e2^T - e2 a^T), with a the first column of A0."""
+    t = random_2general_toric(random.Random(seed), n)
+    vs, a0 = t.structure.var_spec, t.matrix.rows
+    x1 = LaurentPoly.variable(vs, 1)
+    terms = {}
+    for i in range(2 * n):
+        for j in range(i + 1, 2 * n):
+            entry = a0[i][j]
+            if j == 1:
+                entry = entry + x1 * a0[i][0]
+            if i == 1:
+                entry = entry - x1 * a0[j][0]
+            if not entry.is_zero():
+                terms[(i + 1, j + 1)] = entry
+    biv = change_frame(MultiVector(log_frame(vs), 2, terms), coordinate_frame(vs))
+    return PoissonStructure(vs, biv)
+
+
+def cofactor_inverse(a: SkewMatrix) -> SkewMatrix:
+    """A^-1 as the cofactor adjugate over det A, each determinant by
+    ``poly_det``: the oracle of the Pfaffian route."""
+    rows, n, vs = a.rows, a.size, a.var_spec
+    inv_det = LaurentPoly.const(vs, 1).divide_exact(poly_det(rows, vs))
+
+    def entry(i, j):
+        minor = [[rows[r][c] for c in range(n) if c != i] for r in range(n) if r != j]
+        cofactor = poly_det(minor, vs)
+        return (cofactor if (i + j) % 2 == 0 else -cofactor) * inv_det
+
+    return SkewMatrix(vs, [[entry(i, j) for j in range(n)] for i in range(n)])
+
+
+def nonsingular_grids(rng: random.Random, size: int, count: int):
+    grids = []
+    while len(grids) < count:
+        grid = random_skew_grid(rng, size)
+        if pfaffian(grid) != 0:
+            grids.append(grid)
+    return grids
+
+
 class TestMusicalMaps:
     def test_sharp_on_eta_matches_log_matrix(self, explicit_toric):
         a = log_matrix(explicit_toric).constant_grid()
@@ -613,6 +658,75 @@ class TestMusicalMaps:
         p = self.polynomial_log_matrix_structure("x1*x2 + x1*x2*x3")
         with pytest.raises(ValueError, match="not invertible over the ring"):
             inverse_log_matrix(p)
+
+    def test_inverse_sign_at_2n2(self):
+        # B_12 = (-1)^(1+2) * Pf(empty) / Pf(A) = -1/A_12
+        vs = VarSpec(2, 2)
+        p = PoissonStructure(vs, mv(2, {(1, 2): poly("3*x1*x2", vs)}, vs))
+        b = inverse_log_matrix(p).constant_grid()
+        assert b == [[0, Fraction(-1, 3)], [Fraction(1, 3), 0]]
+
+    @pytest.mark.parametrize("n, seed", [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1)])
+    def test_inverse_is_the_cofactor_adjugate(self, n, seed):
+        p = item4_structure(seed, n)
+        a = log_matrix(p)
+        assert jacobi_holds(p) and not a.is_constant()
+        assert inverse_log_matrix(p) == cofactor_inverse(a)
+
+    @pytest.mark.parametrize("c12", ["x1*x2", "x1^2*x2"])
+    def test_polynomial_inverse_is_the_cofactor_adjugate(self, c12):
+        # Pf = 1, and Pf = x1, a unit that is not constant
+        p = self.polynomial_log_matrix_structure(c12)
+        assert inverse_log_matrix(p) == cofactor_inverse(log_matrix(p))
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_inverse_times_log_matrix_is_identity_2n8(self, seed):
+        p = item4_structure(seed, 4)
+        vs, matrix = p.var_spec, log_matrix(p)
+        assert not matrix.is_constant()
+        a, b = matrix.rows, inverse_log_matrix(p).rows
+        for i in range(8):
+            for j in range(8):
+                product = sum((a[i][k] * b[k][j] for k in range(8)), LaurentPoly.zero(vs))
+                assert product == LaurentPoly.const(vs, int(i == j)), (i, j)
+
+    @pytest.mark.parametrize("size", [4, 6, 8, 10])
+    def test_constant_inverse_matches_elimination(self, size):
+        rng = random.Random(size)
+        for grid in nonsingular_grids(rng, size, 3):
+            # D^-1 A D^-1, D diagonal, stays skew and nonsingular: fractional entries
+            d = [rng.randint(1, 7) for _ in range(size)]
+            scaled = [[Fraction(x, d[i] * d[j]) for j, x in enumerate(row)] for i, row in enumerate(grid)]
+            assert any(x.denominator > 1 for row in scaled for x in row)
+            for g in (grid, scaled):
+                p = toric_structure(g)
+                expected = SkewMatrix.from_rationals(p.var_spec, linalg.inverse(g))
+                assert inverse_log_matrix(p) == expected
+
+    @pytest.mark.parametrize("m", range(5))
+    def test_inverse_off_the_divisor_matches_elimination(self, m):
+        # VarSpec(4, m): x_(m+1)..x_4 are not divisor variables
+        p = partial_divisor_structure(m)
+        expected = SkewMatrix.from_rationals(p.var_spec, linalg.inverse(PARTIAL_GRID))
+        assert inverse_log_matrix(p) == expected
+
+    def test_polynomial_with_vanishing_pfaffian_is_singular(self):
+        # A12 = x3, A13 = 1 and A24 = A34 = 0: Pf = 0 although A is not constant
+        p = PoissonStructure(VS, mv(2, {(1, 2): poly("x1*x2*x3"), (1, 3): poly("x1*x3")}))
+        assert not log_matrix(p).is_constant()
+        with pytest.raises(ValueError, match="singular; no inverse bivector"):
+            inverse_log_matrix(p)
+
+    def test_inverse_runs_no_elimination(self, explicit_toric, monkeypatch):
+        cases = [explicit_toric, partial_divisor_structure(2), item4_structure(0, 3)]
+        before = [inverse_log_matrix(p) for p in cases]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("inverse_log_matrix eliminated")
+
+        monkeypatch.setattr(linalg, "inverse", refuse)
+        monkeypatch.setattr(linalg, "_eliminate", refuse)
+        assert [inverse_log_matrix(p) for p in cases] == before
 
     def test_phi_forms_closed_identities(self, explicit_toric):
         phis = phi_forms(explicit_toric)
