@@ -329,8 +329,10 @@ def add_product(out: dict[Exponents, Coefficient], p: LaurentPoly, q: LaurentPol
 
 # -- serialization ----------------------------------------------------------
 
-_MONO_VAR = re.compile(r"^x(\d+)(?:\^(-?\d+))?$")
-_RATIONAL = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+# a sign, except one right after "^", which belongs to its exponent
+_SIGN = re.compile(r"(?<!\^)([+-])")
+# one "*"-separated factor: an integer n, a rational n/d, or a power xK^E
+_FACTOR = re.compile(r"\s*(?:(\d+(?:/\d+)?)|x(\d+)(?:\^(-?\d+))?)\s*")
 
 
 def poly_to_string(p: LaurentPoly) -> str:
@@ -362,46 +364,39 @@ def poly_to_string(p: LaurentPoly) -> str:
 def poly_from_string(s: str, vs: VarSpec) -> LaurentPoly:
     """Parse the serialization format of :func:`poly_to_string`.
 
-    Accepts "+"/"-" separated monomials, each a "*"-separated list of an
-    optional rational coefficient and powers ``xK^E``.  Raises TypeError on a
-    non-string and ValueError on a zero denominator.
+    Monomials are separated by runs of signs: each "+" or "-" outside an
+    exponent, with any spaces between, and the run's minus signs multiply
+    (``"x1 - - x2"`` is x1 + x2, ``"- x1"`` is -x1).  A monomial is a
+    "*"-separated list of factors, each an integer ``n``, a rational
+    ``n/d`` or a power ``xK`` or ``xK^E`` (E may be negative).  Raises
+    TypeError on a non-string, and ValueError on an empty monomial (``""``,
+    ``"+"``, ``"x1 -"``), a signed or other malformed factor
+    (``"2*-3*x1"``), a variable out of range and a zero denominator.
     """
     if not isinstance(s, str):
         raise TypeError(f"polynomial must be given as a string, not {type(s).__name__}")
-    text = s.strip()
-    if not text:
-        raise ValueError("empty polynomial string")
-    text = text.replace(" - ", " + -").replace("- ", "-")
+    pieces = _SIGN.split(s)  # monomial, sign, monomial, ..., monomial
+    if not pieces[-1].strip():
+        raise ValueError(f"{s!r} ends without a monomial")
     terms: dict[Exponents, Coefficient] = {}
-    for chunk in text.split("+"):
-        chunk = chunk.strip()
-        if not chunk:
+    negative = False
+    for sign, piece in zip(["+", *pieces[1::2]], pieces[::2]):
+        negative ^= sign == "-"
+        if not piece.strip():  # a blank inside a run of signs
             continue
-        negate = False
-        while chunk.startswith("-"):
-            negate = not negate
-            chunk = chunk[1:].strip()
-        coeff = 1
+        coeff, negative = (-1 if negative else 1), False
         exps = [0] * vs.total_vars
-        for factor in chunk.split("*"):
-            factor = factor.strip()
-            if not factor:
-                raise ValueError(f"malformed monomial in {s!r}")
-            if _RATIONAL.match(factor):
-                try:
-                    coeff *= Fraction(factor) if "/" in factor else int(factor)
-                except ZeroDivisionError:
-                    raise ValueError(f"zero denominator in {factor!r} in {s!r}") from None
-                continue
-            mv = _MONO_VAR.match(factor)
-            if not mv:
-                raise ValueError(f"malformed factor {factor!r} in {s!r}")
-            idx = int(mv.group(1))
-            if not 1 <= idx <= vs.total_vars:
-                raise ValueError(f"variable x{idx} out of range in {s!r}")
-            exps[idx - 1] += int(mv.group(2)) if mv.group(2) else 1
-        if negate:
-            coeff = -coeff
+        for factor in piece.split("*"):
+            match = _FACTOR.fullmatch(factor)
+            if not match:
+                raise ValueError(f"malformed factor {factor.strip()!r} in {s!r}")
+            number, var, power = match.groups()
+            if number:
+                coeff *= coefficient(number) if "/" in number else int(number)
+            elif 1 <= int(var) <= vs.total_vars:
+                exps[int(var) - 1] += int(power) if power else 1
+            else:
+                raise ValueError(f"variable x{var} out of range in {s!r}")
         key = tuple(exps)
         terms[key] = terms.get(key, 0) + coeff
     return LaurentPoly(vs, terms)

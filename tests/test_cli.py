@@ -1,12 +1,14 @@
 import errno
 import json
 import os
+import random
 from pathlib import Path
 
 import pytest
 
 from logsymplectic import cli, complexes, linalg, poisson
 from logsymplectic.cli import build_parser, canonical_json, main
+from logsymplectic.toric import random_2general_toric
 from test_golden import CASES, GOLDEN
 
 TORIC_MATRIX = {
@@ -130,6 +132,16 @@ class TestInexactOrBrokenNumbers:
         doc = dict(TORIC_STRUCTURE, terms=[{"i": 1, "j": 2, "coeff": "3/0*x1*x2"}])
         path = self.write(files, "zero_den_structure.json", doc)
         self.assert_input_error(["jacobi", "--structure", path], capsys, "zero denominator")
+
+    @pytest.mark.parametrize("term, needle", [
+        ({"i": 2, "j": 2, "coeff": "x2"}, "bivector term with i == j"),
+        ({"i": 1, "j": 2, "coeff": "x1*x2 +"}, "'x1*x2 +' ends without a monomial"),
+    ], ids=["diagonal-term", "trailing-plus"])
+    def test_malformed_structure_term(self, files, capsys, term, needle):
+        # the whole file is refused, not read without the term
+        doc = dict(TORIC_STRUCTURE, terms=[term, {"i": 3, "j": 4, "coeff": "x3*x4"}])
+        path = self.write(files, "bad_term_structure.json", doc)
+        self.assert_input_error(["jacobi", "--structure", path], capsys, needle)
 
     def test_zero_denominator_in_matrix(self, files, capsys):
         doc = {"size": 2, "entries": [["0", "1/0"], ["-1", "0"]]}
@@ -385,6 +397,37 @@ class TestVerifyExactness:
             "verify-exactness", "--structure", files["toric_structure"],
             "--I", "one", "--weight-cap", "1",
         ]) == 2
+
+
+class TestWeightNineClass:
+    """random_2general_toric(Random(16), 2) is 2-general, and Q_(1,4) is exact
+    through weight 8 but carries classes at weight 9, which the default cap
+    of verify-exactness does not reach."""
+
+    GRID = [[0, 3, 7, 7], [-3, 0, 1, 5], [-7, -1, 0, -2], [-7, -5, 2, 0]]
+    TABLE = {(2, 9): 1, (3, 9): 2, (4, 9): 1}
+
+    def structure(self):
+        t = random_2general_toric(random.Random(16), 2)
+        assert [list(row) for row in t.matrix.constant_grid()] == self.GRID
+        return t.structure
+
+    def test_block_count(self):
+        table = complexes.qi_cohomology(self.structure(), (1, 4), 9)
+        assert {kw: h for kw, h in table.items() if h} == self.TABLE
+
+    def test_ranks_agree(self):
+        p = self.structure()
+        cx = complexes.build_qi(p, (1, 4), 9)
+        ranked = {(k, w): h for k in range(2, 5) for w, h in complexes.cohomology_dims(cx, k).items()}
+        assert ranked == complexes.qi_cohomology(p, (1, 4), 9)
+
+    @pytest.mark.parametrize("cap, code", [(None, 0), ("8", 0), ("9", 1)])
+    def test_cli_verdict(self, tmp_path, cap, code):
+        path = tmp_path / "weight9.json"
+        path.write_text(json.dumps(self.structure().to_json()))
+        argv = ["verify-exactness", "--structure", str(path), "--I", "1,4"]
+        assert main(argv + (["--weight-cap", cap] if cap else [])) == code
 
 
 class TestToricReport:

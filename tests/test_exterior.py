@@ -443,3 +443,36 @@ class TestSerialization:
                 {"indices": [2, 3], "coeff": "-1/2*x1^-1"},
             ],
         }
+
+
+DX1, DX2, D1 = coordinate_one_form(VS, 1), coordinate_one_form(VS, 2), coordinate_vector(VS, 1)
+OTHER = VarSpec(4, 4)
+
+
+class TestRefusals:
+    """Degrees out of range, mixed var_specs, frames or degrees, and
+    contractions outside their one case are refused."""
+
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda: DiffForm(COORD, 5, {(1, 2, 3, 4): poly("1")}), "degree 5 out of range",
+                     id="nonzero-terms-above-top-degree"),
+        pytest.param(lambda: MultiVector(COORD, -1), "degree -1 out of range", id="negative-degree"),
+        pytest.param(lambda: DiffForm(COORD, 1, {(1,): poly("1", OTHER)}), "coefficient var_spec mismatch",
+                     id="foreign-coefficient"),
+        pytest.param(lambda: DX1 + wedge(DX1, DX2), "different degree", id="add-across-degrees"),
+        pytest.param(lambda: change_frame(DX1, log_frame(OTHER)), "var_spec mismatch",
+                     id="change-frame-across-var-specs"),
+        pytest.param(lambda: contract(wedge(DX1, DX2), D1), "needs a 1-form", id="contract-2-form"),
+        pytest.param(lambda: contract(log_one_form(VS, 1), D1), "coordinate frame", id="contract-log-form"),
+        pytest.param(lambda: contract(DX1, log_vector(VS, 1)), "coordinate frame", id="contract-log-vector"),
+        pytest.param(lambda: contract(DX1, coordinate_vector(OTHER, 1)), "var_spec mismatch",
+                     id="contract-across-var-specs"),
+    ])
+    def test_refused(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+    def test_zero_added_across_degrees_gives_the_other(self):
+        zero_two = DiffForm(COORD, 2)
+        assert DX1 + zero_two == DX1
+        assert zero_two + DX1 == DX1

@@ -761,3 +761,37 @@ class TestSerialization:
     def test_skew_matrix_validation(self):
         with pytest.raises(ValueError):
             SkewMatrix.from_rationals(VS, [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
+
+
+OTHER = VarSpec(4, 0)
+ONE = LaurentPoly.const(VS, 1)
+
+
+class TestRefusals:
+    """Malformed structures, matrices and arguments are refused, each with
+    its own message."""
+
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda: SkewMatrix(VS, [[0 * ONE, ONE], [-ONE]]), "not square", id="ragged-rows"),
+        pytest.param(lambda: SkewMatrix(VS, [[0 * ONE, poly("x1")], [poly("-x1"), 0 * ONE]]).constant_grid(),
+                     "non-constant", id="constant-grid-of-polynomials"),
+        pytest.param(lambda: PoissonStructure(VS, MultiVector(log_frame(VS), 2, {(1, 2): ONE})),
+                     "coordinate frame", id="log-frame-bivector"),
+        pytest.param(lambda: PoissonStructure(VS, mv(2, {}, OTHER)), "var_spec mismatch",
+                     id="foreign-var-spec"),
+        pytest.param(lambda: PoissonStructure(VS, mv(1, {(1,): ONE})), "degree 2", id="degree-1"),
+        pytest.param(lambda: PoissonStructure(VS, mv(3, {(1, 2, 3): poly("x4")})), "degree 2", id="degree-3"),
+        pytest.param(lambda: PoissonStructure.from_json({
+            "dimension": 4, "divisor_vars": 4, "terms": [{"i": 2, "j": 2, "coeff": "x2"}],
+        }), "i == j", id="from-json-diagonal-term"),
+        pytest.param(lambda: schouten(mv(2, {(1, 2): ONE}), mv(1, {}, OTHER)), "var_spec mismatch",
+                     id="schouten-across-var-specs"),
+        pytest.param(lambda: pfaffian([[0, 1], [-1]]), "not square", id="pfaffian-ragged-grid"),
+        pytest.param(lambda: pi_sharp(toric_structure(EXPLICIT_GRID), wedge(
+            coordinate_one_form(VS, 1), coordinate_one_form(VS, 2))), "1-form", id="pi-sharp-of-2-form"),
+        pytest.param(lambda: pi_flat(toric_structure(EXPLICIT_GRID), mv(2, {(1, 2): ONE})), "1-vector",
+                     id="pi-flat-of-2-vector"),
+    ])
+    def test_refused(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()

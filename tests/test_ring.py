@@ -194,6 +194,38 @@ class TestSerialization:
             poly_from_string(0.5, VS)
 
 
+X1, X2 = (LaurentPoly.variable(VS, i) for i in (1, 2))
+
+
+class TestGrammar:
+    """Monomials are separated by runs of signs, whose minus signs multiply;
+    a factor is n, n/d or xK^E, never signed; an empty monomial is refused."""
+
+    @pytest.mark.parametrize("text, message", [
+        ("+", "ends without a monomial"),
+        ("x1 +", "ends without a monomial"),
+        ("x1 -", "ends without a monomial"),
+        ("2*-3*x1", "malformed factor ''"),
+        ("x1*+2", "malformed factor ''"),
+        ("3/0*x1", "zero denominator"),
+    ])
+    def test_refused(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            poly(text)
+
+    @pytest.mark.parametrize("text, value", [
+        ("x1-x2", X1 - X2),
+        ("x1 -x2", X1 - X2),
+        ("- - x1", X1),
+        ("x1 - - x2", X1 + X2),
+        ("-x1 + -x2", -X1 - X2),
+        ("x1^-1*x3 + 1/2", LaurentPoly.monomial(VS, (-1, 0, 1, 0)) + Fraction(1, 2)),
+        ("4/2*x1 - 3/1 + x2*2/2", 2 * X1 - 3 + X2),
+    ])
+    def test_value(self, text, value):
+        assert poly(text) == value
+
+
 class TestExactInput:
     def test_float_coefficients_rejected(self):
         with pytest.raises(TypeError):
@@ -437,3 +469,22 @@ class TestShiftLength:
             p.shift((1, 0, 0))
         with pytest.raises(ValueError, match=r"length 2 \(want 4\)"):
             LaurentPoly.zero(VS).shift((1, 0))
+
+
+class TestRefusals:
+    """Terms, variable indices, values and powers outside the ring's reach
+    are refused."""
+
+    @pytest.mark.parametrize("call, error, message", [
+        pytest.param(lambda: LaurentPoly(VS, {(1, 0, 0): 1}), ValueError, r"wrong length \(want 4\)",
+                     id="wrong-length-exponents"),
+        pytest.param(lambda: LaurentPoly.variable(VS, 0), IndexError, "variable index 0 out of range",
+                     id="variable-index-0"),
+        pytest.param(lambda: poly("x1 + x3").evaluate([1, 2, 3]), ValueError, "wrong number of values",
+                     id="evaluate-too-few-values"),
+        pytest.param(lambda: poly("x1 + x3") ** -1, ValueError, "non-negative integer powers",
+                     id="negative-power"),
+    ])
+    def test_refused(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()

@@ -73,6 +73,15 @@ class TestMakeToric:
         assert make_toric(grid).matrix.constant_grid() == [[0, Fraction(1, 2)], [Fraction(-1, 2), 0]]
         assert pfaffian(grid) == Fraction(1, 2)
 
+    @pytest.mark.parametrize("grid", [
+        [[0, 1], [-1, 0]],
+        EXPLICIT_GRID,
+        [[0, "1/2", 0, 0], ["-1/2", 0, 0, 0], [0, 0, 0, 3], [0, 0, -3, 0]],
+    ])
+    def test_skew_matrix_input_equals_its_grid(self, grid):
+        vs = VarSpec(len(grid), len(grid))
+        assert make_toric(SkewMatrix.from_rationals(vs, grid)) == make_toric(grid)
+
     @staticmethod
     def fractional_grid(seed: int, size: int) -> list[list[Fraction]]:
         """Seeded skew grid of fractions; about a third of the entries are 0."""
