@@ -152,10 +152,23 @@ the pair (t, rank(E - e_t)) (``_first_lowered``), so a builder finds the
 position of every target by integer arithmetic and never hashes a label.
 Each builder hands ``_fill_slices`` its layout, per slice the blocks
 I -> (offset(I), total) and the labels, and one writer, called once per
-block I of a source slice with the blocks of the target slice:
+block I of a source slice with the blocks of the target slice.
 
-* the log complex: per t an insertion (offset(I + {t}), sign), and the
-  rank of E (t on the divisor) or of E - e_t (``_moved``);
+The layout of the frame basis depends on the shape alone, (frame kind,
+var_spec, is_form, k, w), so ``_slice`` builds it once per shape and keeps
+it for the life of the process, as the monomial tables are kept: every
+later log, log-plus or bracket build of that shape reuses it, and so do
+the two builds of one ``conjugation_report``.  The kept labels are a tuple;
+each complex gets its own ``basis`` list, a copy, and writers only read the
+blocks.  The price is memory: the 265 729 labels of the coordinate frame
+at 2n = 8, cap 0 stay alive after the build, about 16.5 MiB
+(``BENCH_shared_layouts.json``).  The writers:
+
+* the log complex: per t not in I the insertion of ``_appended``,
+  eta_I ^ eta_t with its sign, times (-1)^|I| for eta_t ^ eta_I, and per t
+  the table ``_support`` of the E with E_t > 0: their rank, E_t and the
+  rank of E - e_t (``_moved``).  The target keeps E (t on the divisor) or
+  lowers it by e_t, so the writer visits exactly the entries it stores;
 * the bracket complex: per j the insertion table of ``_koszul_tables``,
   offset(M + {j}) and the rank of E + e_j (``_moved``);
 * the log-plus complex: per I the merged pieces eta_i ^ phi_I as targets
@@ -164,8 +177,9 @@ block I of a source slice with the blocks of the target slice:
   over the E of that total, each entry one addition to the entry of E - e_t
   in the table of the total below (``_first_lowered``), only the last
   table kept; and per total of E and target shift e2 one table of the
-  ranks of E + e2, kept for the whole build.  A target's block is looked up
-  (``_target_offset``) at its first nonzero entry;
+  ranks of E + e2 (``_shifted_ranks``, kept per shape like the layouts).
+  A target's block is looked up (``_target_offset``) at its first nonzero
+  entry;
 * ``build_qi``: its own layout, ``_qi_slice``.  Slice (k, w) of Q_I has
   a block per M = I + K, |K| = k - |I|, holding the F' = E - 1_K of
   ``_monomials(2n - |I|, w + |I|)`` on the variables off I, so every
@@ -174,10 +188,13 @@ block I of a source slice with the blocks of the target slice:
   to (M + {j}, F') at the same rank, and a target block the piece lacks
   raises (``_target_offset``), as a log-plus target off the slice does.
 
-``merge_indices`` runs once per (I, j) and slice, not once per entry.  No
-generator emits a target twice in one column (its targets are distinct
-insertions j or t, or distinct labels of a merged piece), so every entry is
-one store and nothing is summed.
+``merge_indices`` runs once per (I, j) and build of a bracket complex or
+Q_I, and once per (I, j) and process for the log writer (``_appended``),
+not once per entry.  The log writer's tables ``_appended`` and
+``_support``, like the layouts, are keyed by shape and kept for the life of
+the process.  No generator emits a target twice in one column (its
+targets are distinct insertions j or t, or distinct labels of a merged
+piece), so every entry is one store and nothing is summed.
 
 Ranks by clearing
 -----------------
@@ -214,6 +231,8 @@ from fractions import Fraction
 
 from . import linalg
 from .exterior import (
+    COORDINATE,
+    LOG,
     DiffForm,
     Frame,
     MultiVector,
@@ -336,11 +355,36 @@ def _first_lowered(nvars: int, total: int) -> tuple[tuple[int, int], ...]:
     )
 
 
-def _slice(frame: Frame, is_form: bool, k: int, w: int):
-    """The slice (k, w) of the frame basis (the weight rule of
-    ``exterior.frame_element_weight``) as (blocks, labels), the block of I
-    (offset(I), total) holding the (I, E), E in ``_monomials(2n, total)``."""
-    nv = frame.var_spec.total_vars
+@functools.cache
+def _support(nvars: int, total: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """Per variable t - 1, (r, E_t, rank of E - e_t) for the r-th E of
+    ``_monomials(nvars, total)`` with E_t > 0, r ascending: the entries of
+    the log writer's insertion of t."""
+    mons = _monomials(nvars, total)
+    return tuple(
+        tuple((r, e[t], lowered[r]) for r, e in enumerate(mons) if e[t])
+        for t, lowered in enumerate(_moved(nvars, total, -1))
+    )
+
+
+@functools.cache
+def _shifted_ranks(nvars: int, total: int, e2: tuple[int, ...]) -> tuple[int, ...]:
+    """The rank of E + e2 among the monomials of total + |e2| for each E of
+    ``_monomials(nvars, total)``, -1 where it has a negative entry: the
+    positions of a log-plus target within its block."""
+    ranks = _ranks(nvars, total + sum(e2))
+    return tuple(ranks.get(tuple(map(operator.add, e, e2)), -1) for e in _monomials(nvars, total))
+
+
+@functools.cache
+def _slice(kind: str, vs: VarSpec, is_form: bool, k: int, w: int):
+    """The slice (k, w) of the basis of the frame of this kind (the weight
+    rule of ``exterior.frame_element_weight``) as (blocks, labels), the
+    block of I (offset(I), total) holding the (I, E), E in
+    ``_monomials(2n, total)``, and the labels a tuple.  Kept per shape for
+    the life of the process and shared by every build of it: writers only
+    read the blocks, and ``_fill_slices`` copies the labels."""
+    frame, nv = Frame(kind, vs), vs.total_vars
     blocks: dict[IndexSet, tuple[int, int]] = {}
     labels: list[Label] = []
     for indices in itertools.combinations(range(1, nv + 1), k):
@@ -348,7 +392,7 @@ def _slice(frame: Frame, is_form: bool, k: int, w: int):
         if mons := _monomials(nv, total):
             blocks[indices] = (len(labels), total)
             labels.extend((indices, e) for e in mons)
-    return blocks, labels
+    return blocks, tuple(labels)
 
 
 def _target_offset(blocks, source: IndexSet, indices: IndexSet, total: int) -> int:
@@ -383,7 +427,7 @@ def _fill_slices(cx: WeightSlicedComplex, slice_of, write):
     }
     for key, (_blocks, labels) in slices.items():
         if labels:
-            cx.basis[key] = labels
+            cx.basis[key] = list(labels)
     for (degree, w), (blocks, labels) in slices.items():
         if degree == top or not labels:
             continue
@@ -417,20 +461,20 @@ def build_log_complex(vs: VarSpec, weight_cap: int) -> WeightSlicedComplex:
     def write(blocks, indices, total, rows, col0):
         # d(x^E eta_I) = sum_t E_t x^E eta_t ^ eta_I: dx_t = x_t eta_t on
         # divisor indices, so E stays put there and drops by e_t otherwise.
-        mons = _monomials(nv, total)
-        for t in range(1, nv + 1):
-            merged = merge_indices((t,), indices)
-            if merged is None or (t > m and total == 0):
-                continue  # no x_t to lower when |E| = 0: no block of I + {t}
-            sign, key = merged
-            offset = blocks[key][0]
-            target = range(len(mons)) if t <= m else _moved(nv, total, -1)[t - 1]
-            for r, exps in enumerate(mons):
-                if e := exps[t - 1]:
-                    rows[offset + target[r]][col0 + r] = sign * e
+        # eta_t ^ eta_I = (-1)^|I| eta_I ^ eta_t, the insertion of _appended.
+        flip, support = (-1) ** len(indices), _support(nv, total)
+        for t, sign, key in _appended(nv, indices):
+            if entries := support[t - 1]:  # none when |E| = 0
+                offset, sign = blocks[key][0], sign * flip
+                if t <= m:
+                    for r, e, _lowered in entries:
+                        rows[offset + r][col0 + r] = sign * e
+                else:
+                    for r, e, lowered in entries:
+                        rows[offset + lowered][col0 + r] = sign * e
 
     cx = WeightSlicedComplex("log", vs, (0, nv), weight_cap)
-    return _fill_slices(cx, functools.partial(_slice, log_frame(vs), True), write)
+    return _fill_slices(cx, functools.partial(_slice, LOG, vs, True), write)
 
 
 # -- shared machinery for the log-plus side -----------------------------------
@@ -689,13 +733,6 @@ def build_logplus_complex(p: PoissonStructure, weight_cap: int) -> WeightSlicedC
         targets = [(jdx, e2, -sum(cs[i - 1] for i in indices), cs) for (jdx, e2), cs in acc.items()]
         return targets, functools.cache(functools.partial(linalg.exact, den=den))
 
-    @functools.cache
-    def shifted_ranks(total: int, e2: tuple[int, ...]) -> list[int]:
-        """The rank of E + e2 among the monomials of total + |e2| for each E
-        of the given total, -1 where it has a negative entry."""
-        ranks = _ranks(nv, total + sum(e2))
-        return [ranks.get(tuple(map(operator.add, e, e2)), -1) for e in _monomials(nv, total)]
-
     last: dict[tuple[IndexSet, int], tuple[int, list[int]]] = {}
 
     def numerators(key, c0: int, cs, total: int) -> list[int]:
@@ -718,7 +755,7 @@ def build_logplus_complex(p: PoissonStructure, weight_cap: int) -> WeightSlicedC
             if not any(table):
                 continue
             offset = _target_offset(blocks, indices, jdx, total + sum(e2))
-            shift = shifted_ranks(total, e2)
+            shift = _shifted_ranks(nv, total, e2)
             for r, num in enumerate(table):
                 if num:
                     if (pos := shift[r]) < 0:
@@ -726,7 +763,7 @@ def build_logplus_complex(p: PoissonStructure, weight_cap: int) -> WeightSlicedC
                     rows[offset + pos][col0 + r] = value(num)
 
     cx = WeightSlicedComplex("logplus", vs, (0, vs.total_vars), weight_cap)
-    return _fill_slices(cx, functools.partial(_slice, coordinate_frame(vs), False), write)
+    return _fill_slices(cx, functools.partial(_slice, COORDINATE, vs, False), write)
 
 
 def _koszul_tables(invariant: tuple[int, list[list[int]]], variables):
@@ -797,7 +834,7 @@ def build_bracket_complex(p: PoissonStructure, weight_cap: int) -> WeightSlicedC
                     rows[offset + raised_j[r]][col0 + r] = value(lam)[negative]
 
     cx = WeightSlicedComplex("bracket", vs, (0, nv), weight_cap)
-    return _fill_slices(cx, functools.partial(_slice, coordinate_frame(vs), False), write)
+    return _fill_slices(cx, functools.partial(_slice, COORDINATE, vs, False), write)
 
 
 def conjugation_report(p: PoissonStructure, weight_cap: int, max_degree: int) -> dict:

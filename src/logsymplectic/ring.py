@@ -43,10 +43,16 @@ Exponents = tuple[int, ...]
 
 def coefficient(value) -> Coefficient:
     """An exact rational (an int, a Fraction or a string such as "1/2") in
-    normal form.  TypeError for a float, whose binary value is not the
-    decimal it prints as, and for a bool, which is no number; ValueError
-    for a zero denominator."""
-    if isinstance(value, (float, bool)):
+    normal form.  A string is read by the grammar of ``poly_from_string``
+    and must be a constant, so it has the value ``poly_from_string`` gives
+    it: ``"+2"``, ``" -3/4 "`` and ``"1 + 1/2"`` are read, while a decimal
+    point, an exponent, an underscore (``"0.5"``, ``"1e3"``, ``"1_000"``)
+    or a variable raise ValueError naming the string.  TypeError for a
+    float, whose binary value is not the decimal it prints as, and for a
+    bool, which is no number; ValueError for a zero denominator."""
+    if isinstance(value, str):
+        value = sum(_terms(value, 0).values())
+    elif isinstance(value, (float, bool)):
         kind = "inexact float" if isinstance(value, float) else "boolean"
         raise TypeError(
             f'{kind} coefficient {value!r}; use an int, a Fraction or a string such as "1/2", '
@@ -375,28 +381,38 @@ def poly_from_string(s: str, vs: VarSpec) -> LaurentPoly:
     """
     if not isinstance(s, str):
         raise TypeError(f"polynomial must be given as a string, not {type(s).__name__}")
+    return LaurentPoly(vs, _terms(s, vs.total_vars))
+
+
+def _terms(s: str, nvars: int) -> dict[Exponents, int | Fraction]:
+    """The terms of s in the grammar of ``poly_from_string`` on nvars
+    variables, coefficients not yet in normal form; with nvars = 0 every
+    variable is out of range, so s must be a constant."""
     pieces = _SIGN.split(s)  # monomial, sign, monomial, ..., monomial
     if not pieces[-1].strip():
         raise ValueError(f"{s!r} ends without a monomial")
-    terms: dict[Exponents, Coefficient] = {}
+    terms: dict[Exponents, int | Fraction] = {}
     negative = False
     for sign, piece in zip(["+", *pieces[1::2]], pieces[::2]):
         negative ^= sign == "-"
         if not piece.strip():  # a blank inside a run of signs
             continue
         coeff, negative = (-1 if negative else 1), False
-        exps = [0] * vs.total_vars
+        exps = [0] * nvars
         for factor in piece.split("*"):
             match = _FACTOR.fullmatch(factor)
             if not match:
                 raise ValueError(f"malformed factor {factor.strip()!r} in {s!r}")
             number, var, power = match.groups()
             if number:
-                coeff *= coefficient(number) if "/" in number else int(number)
-            elif 1 <= int(var) <= vs.total_vars:
+                num, _, den = number.partition("/")
+                if den and not int(den):
+                    raise ValueError(f"zero denominator in {s!r}")
+                coeff *= Fraction(int(num), int(den)) if den else int(num)
+            elif 1 <= int(var) <= nvars:
                 exps[int(var) - 1] += int(power) if power else 1
             else:
                 raise ValueError(f"variable x{var} out of range in {s!r}")
         key = tuple(exps)
         terms[key] = terms.get(key, 0) + coeff
-    return LaurentPoly(vs, terms)
+    return terms

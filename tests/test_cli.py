@@ -148,6 +148,14 @@ class TestInexactOrBrokenNumbers:
         path = self.write(files, "zero_den_matrix.json", doc)
         self.assert_input_error(["pfaffian", "--matrix", path], capsys, "zero denominator")
 
+    @pytest.mark.parametrize("entry", ["1e3", "-1e3", "0.5", "1_000"])
+    def test_matrix_entry_outside_the_number_grammar(self, files, capsys, entry):
+        # matrix entries are read as polynomial strings are: no decimal
+        # point, exponent or underscore
+        doc = {"size": 2, "entries": [["0", entry], ["-1", "0"]]}
+        path = self.write(files, "decimal_matrix.json", doc)
+        self.assert_input_error(["pfaffian", "--matrix", path], capsys, repr(entry))
+
     def test_float_matrix_entries_rejected(self, files, capsys):
         # JSON booleans are ints to Python; true must not be read as 1.
         for name, entries, needle in [

@@ -147,6 +147,27 @@ class TestLogComplex:
                     )
             assert image == expected
 
+    @pytest.mark.parametrize("vs", [VarSpec(4, 0), VarSpec(4, 2), VarSpec(4, 4), VarSpec(6, 3)], ids=str)
+    def test_every_column_matches_exterior_derivative(self, vs):
+        # the derivative of each label x^E eta_I, as a DiffForm, against its
+        # stored column: t on the divisor keeps E, t off it lowers E by e_t
+        cx = build_log_complex(vs, 2)
+        lg = log_frame(vs)
+        kept = lowered = 0
+        for (k, w), labels in cx.basis.items():
+            targets = cx.basis.get((k + 1, w), [])
+            columns = collections.defaultdict(dict)
+            for target, row in zip(targets, cx.diffs.get((k, w), [])):
+                for c, v in row.items():
+                    columns[c][target] = v
+            for c, (indices, exps) in enumerate(labels):
+                image = exterior_derivative(DiffForm(lg, k, {indices: LaurentPoly.monomial(vs, exps)}))
+                assert dict(_flatten(image)) == columns[c], (k, w, indices, exps)
+                kept += sum(e == exps for (_j, e) in columns[c])
+                lowered += sum(e != exps for (_j, e) in columns[c])
+        assert kept > 0 if vs.divisor_vars else kept == 0
+        assert lowered > 0 if vs.divisor_vars < vs.total_vars else lowered == 0
+
     @pytest.mark.parametrize(
         "build",
         [
@@ -902,7 +923,7 @@ class TestSliceLayout:
         nv = cx.var_spec.total_vars
         checked = 0
         for (k, w), basis in cx.basis.items():
-            blocks = _slice(frame, is_form, k, w)[0]
+            blocks = _slice(frame.kind, frame.var_spec, is_form, k, w)[0]
             for indices, exps in basis:
                 offset, total = blocks[indices]
                 assert sum(exps) == total
@@ -1110,6 +1131,68 @@ class TestSliceLayout:
         monkeypatch.setattr(_PlusMachine, "certifies", lambda machine, *piece: True)
         got = build_logplus_complex(toric, 1)
         assert added and got.basis == want.basis and got.diffs == want.diffs
+
+
+def slice_oracle(frame, is_form: bool, k: int, w: int):
+    """Independent layout: the slice (k, w) of the frame basis as (blocks,
+    labels), built afresh on every call by walking the index sets in
+    ``combinations`` order, each followed by the sorted monomials of its
+    total."""
+    nv = frame.var_spec.total_vars
+    blocks, labels = {}, []
+    for indices in itertools.combinations(range(1, nv + 1), k):
+        total = w - exterior.frame_element_weight(frame, indices, is_form)
+        if mons := _monomials(nv, total):
+            blocks[indices] = (len(labels), total)
+            labels.extend((indices, e) for e in mons)
+    return blocks, labels
+
+
+class TestSharedLayouts:
+    """A slice layout is built once per shape and shared by every build of
+    that shape; each complex gets its own ``basis`` lists."""
+
+    @pytest.mark.parametrize(
+        "frame, is_form",
+        [(log_frame(VarSpec(4, 2)), True), (coordinate_frame(VS), False), (coordinate_frame(VarSpec(6, 6)), False)],
+        ids=["log_4_2", "coordinate_4", "coordinate_6"],
+    )
+    def test_kept_layout_is_the_oracle(self, frame, is_form):
+        nv = frame.var_spec.total_vars
+        compared = 0
+        for k in range(nv + 1):
+            for w in range(-k, 3):
+                blocks, labels = _slice(frame.kind, frame.var_spec, is_form, k, w)
+                assert (blocks, list(labels)) == slice_oracle(frame, is_form, k, w), (k, w)
+                compared += len(labels)
+        assert compared > 0
+
+    @pytest.mark.parametrize("which", ["log", "logplus", "bracket"])
+    def test_builds_get_distinct_equal_bases(self, toric, which):
+        build = {
+            "log": lambda: build_log_complex(VarSpec(4, 2), 2),
+            "logplus": lambda: build_logplus_complex(toric, 2),
+            "bracket": lambda: build_bracket_complex(toric, 2),
+        }[which]
+        first, second = build(), build()
+        assert first.basis == second.basis
+        assert all(first.basis[key] is not second.basis[key] for key in first.basis)
+        appended = (("junk",), ())
+        for labels in first.basis.values():
+            labels.append(appended)
+        third = build()
+        assert third.basis == second.basis and third.diffs == second.diffs
+        assert not any(appended in labels for labels in third.basis.values())
+
+    def test_conjugation_report_computes_each_layout_once(self, toric):
+        # the log-plus and bracket builds of one report share every layout:
+        # each is computed by the first build and found by the second
+        _slice.cache_clear()
+        assert conjugation_report(toric, 2, 4)["verdict"]
+        nv = toric.var_spec.total_vars
+        shapes = sum(2 + k + 1 for k in range(nv + 1))  # weights -k..2 per degree
+        info = _slice.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (shapes, shapes, shapes)
 
 
 class TestCohomologyMachinery:

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -224,6 +225,73 @@ class TestGrammar:
     ])
     def test_value(self, text, value):
         assert poly(text) == value
+
+
+def constant_string(rng: random.Random) -> str:
+    """A string of the constant grammar's pieces (sign runs, spaces, n and
+    n/d factors joined by "*"), now and then with a piece from outside it."""
+    atoms = ["0", "1", "7", "12", "007", "3/2", "4/2", "10/4", "0/3", "1/0"]
+    foreign = ["0.5", ".5", "1.", "1e3", "1E3", "1_000", "e", "", "2 3", "/2", "3/", "3 / 2"]
+    space = lambda: rng.choice(["", " ", "  "])
+
+    def monomial():
+        factors = [rng.choice(atoms if rng.random() < 0.9 else foreign) for _ in range(rng.randint(1, 3))]
+        return "*".join(space() + f + space() for f in factors)
+
+    def signs():
+        return "".join(rng.choice("+-") + space() for _ in range(rng.randint(0, 2)))
+
+    text = signs() + monomial()
+    for _ in range(rng.randint(0, 2)):
+        text += space() + rng.choice("+-") + space() + signs() + monomial()
+    return text
+
+
+class TestOneNumberGrammar:
+    """``coefficient`` reads a string exactly when ``poly_from_string``
+    reads it as a constant, with the same value."""
+
+    @staticmethod
+    def read(reader, text):
+        try:
+            value = reader(text)
+        except ValueError:
+            return "refused"
+        return type(value), value
+
+    def test_readers_agree_on_a_corpus(self):
+        zero = (0,) * VS.total_vars
+
+        def as_constant(text):
+            p = poly(text)
+            assert set(p.terms) <= {zero}, text
+            return p.terms.get(zero, 0)
+
+        rng = random.Random(44)
+        corpus = {constant_string(rng) for _ in range(2000)}
+        outcomes = {text: self.read(coefficient, text) for text in corpus}
+        for text, outcome in outcomes.items():
+            assert outcome == self.read(as_constant, text), text
+        refused = sum(outcome == "refused" for outcome in outcomes.values())
+        assert 200 < refused < len(corpus) - 200
+
+    @pytest.mark.parametrize("text", ["1e3", "-1e3", "1E3", "0.5", ".5", "1.", "1_000", "x1", "3 / 2"])
+    def test_refused_naming_the_string(self, text):
+        with pytest.raises(ValueError, match=re.escape(repr(text))):
+            coefficient(text)
+
+    @pytest.mark.parametrize("text, value", [
+        ("+2", 2),
+        (" 7 ", 7),
+        ("-3/4", Fraction(-3, 4)),
+        ("4/2", 2),
+        ("- -3/6", Fraction(1, 2)),
+        ("1 + 1/2", Fraction(3, 2)),
+        ("2*3", 6),
+    ])
+    def test_read(self, text, value):
+        got = coefficient(text)
+        assert got == value and type(got) is type(value)
 
 
 class TestExactInput:
