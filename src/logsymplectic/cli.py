@@ -3,8 +3,10 @@
 Commands: jacobi, pfaffian, genpos, verify-exactness, toric-report.
 Exit codes: 0 success / verdict true, 1 verdict false, 2 input error
 (including an ``--out`` report that cannot be written).
-Reports are canonical JSON (sorted keys, no floats, no timestamps), so
-identical inputs produce byte-identical files.
+Reports are canonical JSON: sorted keys, no whitespace outside strings,
+no floats (rationals are strings) and no timestamps, so identical inputs
+produce byte-identical files.  Without an indent, ``json.dumps`` runs the
+C encoder; pretty-print a report with ``python3 -m json.tool``.
 
 ``main`` builds its parser once per process and may be called repeatedly;
 argparse gives every call a fresh namespace, so no option carries over
@@ -45,7 +47,7 @@ class InputError(Exception):
 
 
 def canonical_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _emit(report: dict, out: str | None):

@@ -117,8 +117,9 @@ Every piece is x^F times a constant form: eta_i ^ phi_I = x^F (eta_i ^
 theta_I), and d(phi_I) = sum_t F_t x^F eta_t ^ theta_I (x_t d_t x^F = F_t x^F,
 d eta_t = 0) = -sum_{i in I} eta_i ^ phi_I, the twisted shape of the graded
 pieces, so d(phi_I) needs no piece of its own.  One gate, ``_theta``,
-checks this model: it reads D A (``_invariant_grid``) and each phi_i of
-``phi_forms`` in the log frame once, raises AssertionError naming i unless
+checks this model: it reads D A once (``_invariant_grid``), builds each
+phi_i from its inverse as ``phi_forms`` does and reads it in the log frame
+once, raises AssertionError naming i unless
 phi_i is x_i^-1 times constants, and gives (D, D A) and theta_i as int
 numerators over one T.  Its three callers read A through it alone.
 ``build_qi`` and the CLI's ``verify-exactness`` call it first: the pole
@@ -242,7 +243,7 @@ from .exterior import (
     log_frame,
     merge_indices,
 )
-from .poisson import PoissonStructure, log_matrix, phi_forms, pi_sharp
+from .poisson import PoissonStructure, _inverse, _phi_forms, log_matrix, phi_forms, pi_sharp
 from .ring import LaurentPoly, VarSpec
 
 IndexSet = tuple[int, ...]
@@ -500,14 +501,18 @@ def _theta(p: PoissonStructure):
     ``_invariant_grid`` it ran and theta_i = sum_j B[i][j] eta_j as int
     numerators over the least T > 0, where phi_i = x_i^-1 theta_i (module
     docstring), so d(phi_I) = -sum_{i in I} eta_i ^ phi_I.  Runs
-    ``_invariant_grid``, calls ``phi_forms`` (both raise ValueError: outside
-    the model, on a singular A) and reads each phi_i in the log frame once;
-    AssertionError naming i unless phi_i is x_i^-1 times constants."""
+    ``_invariant_grid``, inverts that grid's A and builds the phi_i from it
+    as ``phi_forms`` does (both raise ValueError: outside the model, on a
+    singular A), so A is read once, and reads each phi_i in the log frame
+    once; AssertionError naming i unless phi_i is x_i^-1 times constants."""
     grid = _invariant_grid(p)
-    nv = p.var_spec.total_vars
-    log = log_frame(p.var_spec)
+    d, scaled = grid
+    vs = p.var_spec
+    nv = vs.total_vars
+    log = log_frame(vs)
     theta = [[0] * nv for _ in range(nv)]
-    for i, phi in enumerate(phi_forms(p), 1):
+    b = _inverse(vs, [[Fraction(c, d) for c in row] for row in scaled])
+    for i, phi in enumerate(_phi_forms(vs, b), 1):
         pole = tuple(-int(t == i) for t in range(1, nv + 1))
         for (j,), g in change_frame(phi, log).terms.items():
             if g.terms.keys() != {pole}:

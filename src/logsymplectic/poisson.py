@@ -218,7 +218,11 @@ def _strip_right(indices: tuple[int, ...], a: int) -> tuple[int, tuple[int, ...]
 
 
 def schouten(p: MultiVector, q: MultiVector) -> MultiVector:
-    """Schouten bracket of homogeneous multivectors (coordinate frame)."""
+    """Schouten bracket of homogeneous multivectors (coordinate frame).
+
+    For the self-bracket (``p is q``) only the first sum is taken: its term
+    at (X, Y) is -twist times the second sum's term at (Y, X), so [P, P] is
+    twice the first sum for P of even degree and zero for odd degree."""
     if p.frame.kind != COORDINATE or q.frame.kind != COORDINATE:
         raise ValueError("schouten expects coordinate-frame multivectors")
     vs = p.frame.var_spec
@@ -227,6 +231,9 @@ def schouten(p: MultiVector, q: MultiVector) -> MultiVector:
     dp, dq = p.degree, q.degree
     out_degree = max(dp + dq - 1, 0)
     twist = -1 if ((dp - 1) * (dq - 1)) % 2 == 1 else 1
+    self_bracket = p is q
+    if self_bracket and twist == 1:
+        return MultiVector(p.frame, out_degree, {})
     acc: dict[tuple[int, ...], dict] = {}
     # Each partial derivative of a coefficient is taken once per call.
     q_partials: dict[tuple[tuple[int, ...], int], LaurentPoly] = {}
@@ -250,6 +257,8 @@ def schouten(p: MultiVector, q: MultiVector) -> MultiVector:
                     continue
                 sgn, rest = _strip_right(pi, a)
                 accumulate(twist * sgn, rest, qi, pc, dg)
+            if self_bracket:
+                continue
             for b in qi:
                 df = p_partials.get((pi, b))
                 if df is None:
@@ -258,6 +267,8 @@ def schouten(p: MultiVector, q: MultiVector) -> MultiVector:
                     continue
                 sgn, rest = _strip_right(qi, b)
                 accumulate(-sgn, rest, pi, qc, df)
+    if self_bracket:
+        acc = {key: {e: 2 * c for e, c in sums.items()} for key, sums in acc.items()}
     out = {key: LaurentPoly._from_sums(vs, sums) for key, sums in acc.items()}
     return MultiVector(p.frame, out_degree, out)
 
@@ -412,11 +423,16 @@ def inverse_log_matrix(p: PoissonStructure) -> SkewMatrix:
     constant entries as rationals and the others as ``LaurentPoly``.
     ValueError unless Pf(A) is a unit of the ring (a monomial in the
     divisor variables)."""
-    vs = p.var_spec
     grid = [
         [x.constant_term() if x.is_constant() else x for x in row]
         for row in log_matrix(p).rows
     ]
+    return _inverse(p.var_spec, grid)
+
+
+def _inverse(vs: VarSpec, grid) -> SkewMatrix:
+    """The body of ``inverse_log_matrix`` on a skew grid of rationals and
+    ``LaurentPoly`` entries of `vs`, with its refusals."""
     size = len(grid)
     everything = tuple(range(size))
     memo = {(): 1}
@@ -469,6 +485,9 @@ def _flat(vs: VarSpec, b: SkewMatrix, v: MultiVector) -> DiffForm:
 def phi_forms(p: PoissonStructure) -> list[DiffForm]:
     """The 1-forms phi_i = pi_flat(d/dx_i), i = 1..2n, in coordinates; A is
     inverted once for all of them."""
-    vs = p.var_spec
-    b = inverse_log_matrix(p)
+    return _phi_forms(p.var_spec, inverse_log_matrix(p))
+
+
+def _phi_forms(vs: VarSpec, b: SkewMatrix) -> list[DiffForm]:
+    """``phi_forms`` given B = A^{-1}."""
     return [_flat(vs, b, coordinate_vector(vs, i)) for i in range(1, vs.total_vars + 1)]

@@ -1,7 +1,9 @@
 import errno
+import gc
 import json
 import os
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -563,8 +565,38 @@ class TestDeterminism:
         assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
     def test_canonical_json_stable(self):
-        doc = {"b": 1, "a": [3, 2], "nested": {"y": "z", "x": "w"}}
-        assert canonical_json(doc) == canonical_json(json.loads(canonical_json(doc)))
+        doc = {"b": 1, "a": [3, 2], "nested": {"y": "z", "x": "w v", "q": "\\\" ,: "}}
+        text = canonical_json(doc)
+        assert text == canonical_json(json.loads(text))
+        # compact: no whitespace outside strings, one newline at the end
+        assert text.endswith("}\n")
+        assert not re.search(r"\s", re.sub(r'"(?:[^"\\]|\\.)*"', "", text[:-1]))
+        assert '"w v"' in text
+
+
+class TestNoReferenceCycles:
+    """A second run of each command (the first fills the caches) frees
+    everything it builds by reference counting, the report writer included."""
+
+    @pytest.mark.parametrize("name", [
+        "jacobi_broken_structure",
+        "pfaffian_toric_matrix",
+        "genpos_toric_structure_t3",
+        "verify_exactness_I1",
+        "toric_report_random_n2_seed7",
+    ])
+    def test_second_run_leaves_no_cyclic_garbage(self, name, tmp_path, capsys):
+        argv, code = next((argv, code) for case, argv, code in CASES if case == name)
+        argv = [*argv, "--out", str(tmp_path / "report.json")]
+        assert main(argv) == code
+        gc.collect()
+        gc.disable()
+        try:
+            assert main(argv) == code
+            left = gc.collect()
+        finally:
+            gc.enable()
+        assert left == 0
 
 
 @pytest.mark.parametrize(

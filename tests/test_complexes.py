@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logsymplectic import cli, complexes, exterior, linalg
+from logsymplectic import cli, complexes, exterior, linalg, poisson
 from logsymplectic.complexes import (
     IndexSet,
     WeightSlicedComplex,
@@ -55,6 +55,7 @@ from logsymplectic.exterior import (
 from logsymplectic.genpos import is_standard_t_general, poisson_t_general
 from logsymplectic.poisson import (
     PoissonStructure,
+    inverse_log_matrix,
     log_matrix,
     pfaffian,
     phi_forms,
@@ -528,7 +529,7 @@ class TestLogFrameExtraction:
         # phi_2 times x_1 is x_1 x_2^-1 times constants in the log frame, and
         # phi_3 plus dx_1 has a second monomial: the phi-model gate refuses
         # both, for the log-plus build, a graded piece and verify-exactness
-        real = complexes.phi_forms
+        real = complexes._phi_forms
         vs = toric.var_spec
         structure = tmp_path / "structure.json"
         structure.write_text(json.dumps(toric.to_json()))
@@ -543,10 +544,10 @@ class TestLogFrameExtraction:
         }
         for i, bend in bends.items():
 
-            def bent(p, i=i, bend=bend):
-                return [bend(phi) if j == i else phi for j, phi in enumerate(real(p), 1)]
+            def bent(vs, b, i=i, bend=bend):
+                return [bend(phi) if j == i else phi for j, phi in enumerate(real(vs, b), 1)]
 
-            monkeypatch.setattr(complexes, "phi_forms", bent)
+            monkeypatch.setattr(complexes, "_phi_forms", bent)
             for run in entry_points:
                 with pytest.raises(AssertionError, match=rf"phi_{i} is not x_{i}\^-1 times a constant log form"):
                     run()
@@ -1090,6 +1091,27 @@ class TestSliceLayout:
         with_column = {lab[0] for (k, _w), labels in cx.basis.items() if k < nv for lab in labels}
         assert len(with_column) == 2**nv - 1
         assert calls == certified == dict.fromkeys(with_column, nv)
+
+    def test_gate_reads_the_log_matrix_once(self, toric, monkeypatch):
+        # the gate inverts the grid D A it read: neither it nor the inverse
+        # behind phi_forms reads A a second time
+        calls = []
+        real = poisson.log_matrix
+
+        def counted(p):
+            calls.append(p)
+            return real(p)
+
+        monkeypatch.setattr(poisson, "log_matrix", counted)
+        monkeypatch.setattr(complexes, "log_matrix", counted)
+        p6 = random_2general_toric(random.Random(3), 3).structure
+        for p in (toric, p6):
+            calls.clear()
+            grid, (den, theta) = _theta(p)
+            assert calls == [p]
+            assert [[Fraction(c, den) for c in row] for row in theta] == (
+                inverse_log_matrix(p).constant_grid()
+            )
 
     def test_each_builder_reads_the_log_matrix_once(self, toric, monkeypatch):
         # the phi-model gate hands its callers the grid D A it read, so a

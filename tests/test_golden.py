@@ -2,11 +2,12 @@
 byte-identical to the one committed under tests/golden/, with the same exit
 code.  Regenerate a file only when a report is meant to change."""
 
+import json
 from pathlib import Path
 
 import pytest
 
-from logsymplectic.cli import main
+from logsymplectic.cli import canonical_json, main
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -47,3 +48,10 @@ def test_report_matches_golden(name, argv, code, tmp_path, capsys):
 
 def test_every_golden_file_is_checked():
     assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(c[0] for c in CASES)
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.stem)
+def test_golden_file_is_canonical(path):
+    # a fixed point of the writer: re-encoding what it reads changes no byte
+    text = path.read_bytes().decode()
+    assert canonical_json(json.loads(text)) == text

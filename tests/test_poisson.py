@@ -1,6 +1,8 @@
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -175,6 +177,50 @@ class TestSchouten:
         bad = MultiVector(log_frame(VS), 1, {(1,): poly("1")})
         with pytest.raises(ValueError):
             schouten(bad, bad)
+
+
+def distinct_copy(m: MultiVector) -> MultiVector:
+    """An equal multivector that is not `m`: ``schouten(m, distinct_copy(m))``
+    runs both sums of the bracket."""
+    return MultiVector(m.frame, m.degree, dict(m.terms))
+
+
+class TestSelfBracket:
+    """``schouten(P, P)`` takes the first sum only, doubled for even degree
+    and dropped for odd degree; the same bracket on a distinct copy is the
+    full double loop it must match."""
+
+    @pytest.mark.parametrize("size", [2, 4, 6])
+    def test_bivectors_match_the_full_bracket(self, size):
+        rng = random.Random(size)
+        nonzero = 0
+        for _ in range(12):
+            structure = random_polynomial_structure(rng, size, rng.randint(0, size))
+            grid = random_skew_grid(rng, size)
+            for p in (structure.bivector, toric_structure(grid).bivector):
+                br = schouten(p, p)
+                assert br == schouten(p, distinct_copy(p))
+                nonzero += not br.is_zero()
+        # every bivector on 2 variables is Poisson; above, non-Poisson ones occur
+        assert nonzero >= 6 if size > 2 else nonzero == 0
+
+    def test_broken_fixture(self):
+        doc = json.loads((Path(__file__).resolve().parents[1] / "fixtures" / "broken_structure.json").read_text())
+        p = PoissonStructure.from_json(doc).bivector
+        br = schouten(p, p)
+        assert br == schouten(p, distinct_copy(p)) == oracle_schouten(p, p)
+        assert br.serialize()["terms"] == [{"indices": [1, 2, 4], "coeff": "2"}]
+
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    def test_multivectors_of_each_degree(self, rng, degree):
+        vs = VarSpec(6, 3)
+        for _ in range(10):
+            p = rand_mv(rng, degree, vs, max_terms=4)
+            br = schouten(p, p)
+            assert br == schouten(p, distinct_copy(p))
+            assert br.degree == schouten(p, distinct_copy(p)).degree
+            if degree % 2:
+                assert br.is_zero()
 
 
 class TestJacobi:
