@@ -2,7 +2,8 @@
 
 Commands: jacobi, pfaffian, genpos, verify-exactness, toric-report.
 Exit codes: 0 success / verdict true, 1 verdict false, 2 input error
-(including an ``--out`` report that cannot be written).
+(including an ``--out`` report that cannot be written, and an integer
+option or ``--I`` entry that is not an optional "-" and ASCII digits).
 Reports are canonical JSON: sorted keys, no whitespace outside strings,
 no floats (rationals are strings) and no timestamps, so identical inputs
 produce byte-identical files.  Without an indent, ``json.dumps`` runs the
@@ -20,6 +21,7 @@ import argparse
 import functools
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -44,6 +46,18 @@ EXIT_INPUT = 2
 
 class InputError(Exception):
     pass
+
+
+# an integer option or --I entry: an optional "-" and ASCII digits, spaces
+# around allowed; int() alone would also take "+", "_" and other digits
+_INTEGER = re.compile(r"\s*-?[0-9]+\s*")
+
+
+def _integer(raw: str) -> int:
+    """raw read by ``_INTEGER``; argparse exits 2 on its ArgumentTypeError."""
+    if not _INTEGER.fullmatch(raw):
+        raise argparse.ArgumentTypeError(f"not an integer: {raw!r}")
+    return int(raw)
 
 
 def canonical_json(doc: dict) -> str:
@@ -148,8 +162,8 @@ def cmd_genpos(args) -> int:
 
 def _parse_index_set(raw: str) -> tuple[int, ...]:
     try:
-        parts = tuple(sorted(int(x) for x in raw.split(",") if x.strip()))
-    except ValueError as exc:
+        parts = tuple(sorted(_integer(x) for x in raw.split(",") if x.strip()))
+    except argparse.ArgumentTypeError as exc:
         raise InputError(f"bad index set {raw!r}") from exc
     if not parts:
         raise InputError("empty index set")
@@ -253,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("genpos", help="t-general position test with certificate")
     p.add_argument("--structure", required=True)
-    p.add_argument("--t", type=int, required=True)
+    p.add_argument("--t", type=_integer, required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_genpos)
 
@@ -271,8 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--structure", required=True)
     p.add_argument("--I", dest="index_set", required=True, help="comma-separated divisor indices")
-    p.add_argument("--max-degree", type=int, default=None)
-    p.add_argument("--weight-cap", type=int, default=4)
+    p.add_argument("--max-degree", type=_integer, default=None)
+    p.add_argument("--weight-cap", type=_integer, default=4)
     p.add_argument("--verbose", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify_exactness)
@@ -280,8 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("toric-report", help="full certification report of an invariant structure")
     p.add_argument("--matrix")
     p.add_argument("--random", action="store_true", help="draw a random matrix instead")
-    p.add_argument("--n", type=int, default=None, help="half-dimension for --random")
-    p.add_argument("--seed", type=int, default=None, help="seed for --random (default 0)")
+    p.add_argument("--n", type=_integer, default=None, help="half-dimension for --random")
+    p.add_argument("--seed", type=_integer, default=None, help="seed for --random (default 0)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_toric_report)
     return ap

@@ -121,9 +121,11 @@ checks this model: it reads D A once (``_invariant_grid``), builds each
 phi_i from its inverse as ``phi_forms`` does and reads it in the log frame
 once, raises AssertionError naming i unless
 phi_i is x_i^-1 times constants, and gives (D, D A) and theta_i as int
-numerators over one T.  Its three callers read A through it alone.
+numerators over one T.  Its four callers read A through it alone.
 ``build_qi`` and the CLI's ``verify-exactness`` call it first: the pole
-exponents F_i = -1 it verified are the signs of d(phi_I).  ``_PlusMachine``
+exponents F_i = -1 it verified are the signs of d(phi_I).
+``filtration_report`` checks pi_sharp(phi_i) = d_i as (T theta) (D A) =
+T D 1 in integers, with no form built.  ``_PlusMachine``
 keeps theta_I over T^|I| (``_minors``), and ``pieces`` gives the 2n pieces
 of I as integer rows, with no form built.  ``sharp_rows``
 is the recipe above: per monomial x^E one integer product of its row with the
@@ -236,15 +238,13 @@ from .exterior import (
     LOG,
     DiffForm,
     Frame,
-    MultiVector,
     change_frame,
-    coordinate_frame,
     frame_element_weight,
     log_frame,
     merge_indices,
 )
-from .poisson import PoissonStructure, _inverse, _phi_forms, log_matrix, phi_forms, pi_sharp
-from .ring import LaurentPoly, VarSpec
+from .poisson import PoissonStructure, _inverse, _phi_forms, log_matrix
+from .ring import VarSpec
 
 IndexSet = tuple[int, ...]
 Label = tuple[IndexSet, tuple[int, ...]]  # (frame indices, coefficient exponents)
@@ -440,14 +440,6 @@ def _fill_slices(cx: WeightSlicedComplex, slice_of, write):
     return cx
 
 
-def _flatten(element) -> list[tuple[Label, Fraction]]:
-    out = []
-    for indices, poly in element.terms.items():
-        for exps, c in poly.terms.items():
-            out.append(((indices, exps), c))
-    return out
-
-
 # -- the log complex ----------------------------------------------------------
 
 
@@ -504,7 +496,9 @@ def _theta(p: PoissonStructure):
     ``_invariant_grid``, inverts that grid's A and builds the phi_i from it
     as ``phi_forms`` does (both raise ValueError: outside the model, on a
     singular A), so A is read once, and reads each phi_i in the log frame
-    once; AssertionError naming i unless phi_i is x_i^-1 times constants."""
+    once; AssertionError naming i unless phi_i is x_i^-1 times constants.
+    Its callers, ``_PlusMachine``, ``build_qi``, ``filtration_report`` and
+    the CLI's ``verify-exactness``, read A through it alone."""
     grid = _invariant_grid(p)
     d, scaled = grid
     vs = p.var_spec
@@ -538,13 +532,6 @@ def _prefix_products(empty, step):
         return known[indices]
 
     return product
-
-
-def _wedges(cls, frame: Frame, factors):
-    """``product(I)``: the wedge of factors[i - 1] over i in I, in order,
-    memoized with every prefix of I."""
-    one = cls(frame, 0, {(): LaurentPoly.const(frame.var_spec, 1)})
-    return _prefix_products(one, lambda prefix, i: prefix.wedge(factors[i - 1]))
 
 
 @functools.cache
@@ -875,12 +862,6 @@ def conjugation_report(p: PoissonStructure, weight_cap: int, max_degree: int) ->
 # -- graded pieces of the phi-count filtration ---------------------------------
 
 
-def _level_set(indices: IndexSet, exps: tuple[int, ...]) -> tuple[int, ...]:
-    """Indices of the frame monomial whose coefficient exponent vanishes (all
-    on the divisor on the invariant model): the filtration level of x^E d_M."""
-    return tuple(i for i in indices if exps[i - 1] == 0)
-
-
 def _qi_slice(vs: VarSpec, iset: IndexSet, degree: int, w: int):
     """Slice (degree, w) of Q_I as (blocks, labels), the layout of
     ``build_qi`` (module docstring).  The labels are the x^(E + 1_K)
@@ -1041,23 +1022,18 @@ def filtration_level_of(p: PoissonStructure, form: DiffForm) -> int | None:
     not in the polynomial log-plus span at all.
 
     Through the sharp identification the filtration splits monomially, so
-    this is a direct inspection of the labels of the multivector expansion
-    (``_level``).  Raises TypeError unless the form is a DiffForm.
+    this is a direct inspection of the labels x^E d_M of the multivector
+    expansion: the largest level set {i in M : E_i = 0} (every variable is
+    on the divisor in the invariant model), or None if an exponent is
+    negative.  Raises TypeError unless the form is a DiffForm.
     """
     if not isinstance(form, DiffForm):
         raise TypeError(f"filtration_level_of expects a DiffForm, not {type(form).__name__}")
-    return _level(_PlusMachine(p).sharp_numerators(form)[1])
-
-
-def _level(coords) -> int | None:
-    """The largest level set (``_level_set``) among the labels of the
-    (label, value) pairs of a coordinate multivector, or None if a
-    coefficient exponent is negative."""
     level = 0
-    for (indices, exps), _c in coords:
+    for (indices, exps), _n in _PlusMachine(p).sharp_numerators(form)[1]:
         if any(e < 0 for e in exps):
             return None
-        level = max(level, len(_level_set(indices, exps)))
+        level = max(level, sum(exps[i - 1] == 0 for i in indices))
     return level
 
 
@@ -1075,31 +1051,27 @@ def filtration_report(p: PoissonStructure, level: int, weight_cap: int, max_degr
       (I + J, E + 1_J), over J disjoint from I with |J| = k;
     * for a fixed E these vectors are the rows of the k-th compound of the
       columns of A off I, with signs on its columns; A is nonsingular
-      (``phi_forms`` refuses it otherwise), so those columns are
+      (the gate ``_theta`` refuses it otherwise), so those columns are
       independent and the compound has rank C(2n - |I|, k);
     * different E, and different I, land on disjoint labels, since every
-      label has level set I (``_level_set``).
+      label has level set I (``filtration_level_of``).
 
     So each piece at (degree, w) has rank
     len(_monomials(2n - |I|, w + |I|)) * C(2n - |I|, k), the same for every
     I at this level, and a slice is listed when that number is nonzero;
     the pieces are direct by construction.  The class vectors themselves
-    are a test oracle.  The annihilator check computes filtration levels
-    (``_level``) of each piece's generator phi_I and of x_r phi_I for r in
-    I through the sharp map: the first must be |I|, and each multiple must
-    drop to |I| - 1, so x_r kills the class of phi_I in the graded quotient.
-    The sharp map extended to forms is multiplicative, so pi_sharp(phi_I)
-    is the wedge of the pi_sharp(phi_i), and pi_sharp(x_r phi_I) is x_r
-    times it.  Raises ValueError outside the invariant model, when A is
-    singular (``phi_forms``), and unless 0 <= level <= 2n, weight_cap >= 0
-    and max_degree >= level, in that order.
+    are a test oracle.  x_r, r in I, kills the class of phi_I when
+    pi_sharp(phi_i) = d_i for every i: then pi_sharp(phi_I) = d_I has level
+    |I| and x_r d_I level |I| - 1.  pi_sharp(phi_i) = x_i^-1 sum_k
+    (theta A)_ik v_k (module docstring), so the annihilator check is
+    theta A = 1, in the gate's integers (T theta) (D A) = T D 1; it holds
+    vacuously at level 0, which has no phi_i.  Raises ValueError outside
+    the invariant model and when A is singular (the gate ``_theta``), and
+    unless 0 <= level <= 2n, weight_cap >= 0 and max_degree >= level, in
+    that order.
     """
-    _invariant_grid(p)
-    vs = p.var_spec
-    nv = vs.total_vars
-    sharp_phi = _wedges(
-        MultiVector, coordinate_frame(vs), [pi_sharp(p, phi) for phi in phi_forms(p)]
-    )
+    (den, scaled), (theta_den, theta) = _theta(p)
+    nv = p.var_spec.total_vars
     if not 0 <= level <= nv:
         raise ValueError(f"filtration level must lie in 0..{nv}")
     if weight_cap < 0:
@@ -1122,12 +1094,10 @@ def filtration_report(p: PoissonStructure, level: int, weight_cap: int, max_degr
                         "direct": True,
                     }
                 )
-    ann_ok = all(
-        _level(_flatten(sharp_phi(iset))) == len(iset)
-        and all(
-            _level(_flatten(sharp_phi(iset).scale(LaurentPoly.variable(vs, r)))) == len(iset) - 1
-            for r in iset
-        )
-        for iset in isets
+    unit = theta_den * den
+    ann_ok = level == 0 or all(
+        sum(map(operator.mul, row, column)) == unit * (i == j)
+        for i, row in enumerate(theta)
+        for j, column in enumerate(zip(*scaled))
     )
     return {"level": level, "slices": slices, "direct": True, "annihilator_ok": ann_ok}

@@ -161,6 +161,10 @@ class PreparedPair:
         k = self.k
         if self.error or not k:
             return False
+        # exact types: True == 1 and 8.0 == 8 pass the comparisons below
+        fields = (cert.t, cert.column_count, cert.verdict, cert.complete)
+        if tuple(map(type, fields)) != (int, int, bool, bool):
+            return False
         if cert.column_count != 2 * k or not 1 <= cert.t <= k:
             return False
         t, width = cert.t, 2 * k
@@ -342,5 +346,7 @@ def verify_certificate(m, n, cert: GenPosCertificate) -> bool:
     in lexicographic order: all C(2k, t) if the certificate is complete,
     and up to its single failure if it is truncated.  Entries with a pole
     or a foreign ``var_spec``, and M or N not k x k, are rejected, because
-    the constant-term test is sound only on the local ring."""
+    the constant-term test is sound only on the local ring.  So is a
+    mistyped field: ``t`` and ``column_count`` must be ints and not bools,
+    ``verdict`` and ``complete`` bools."""
     return PreparedPair(m, n).check(cert)

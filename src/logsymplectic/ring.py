@@ -46,10 +46,11 @@ def coefficient(value) -> Coefficient:
     normal form.  A string is read by the grammar of ``poly_from_string``
     and must be a constant, so it has the value ``poly_from_string`` gives
     it: ``"+2"``, ``" -3/4 "`` and ``"1 + 1/2"`` are read, while a decimal
-    point, an exponent, an underscore (``"0.5"``, ``"1e3"``, ``"1_000"``)
-    or a variable raise ValueError naming the string.  TypeError for a
-    float, whose binary value is not the decimal it prints as, and for a
-    bool, which is no number; ValueError for a zero denominator."""
+    point, an exponent, an underscore, a digit other than ASCII 0-9
+    (``"0.5"``, ``"1e3"``, ``"1_000"``, ``"３"``) or a variable raise
+    ValueError naming the string.  TypeError for a float, whose binary
+    value is not the decimal it prints as, and for a bool, which is no
+    number; ValueError for a zero denominator."""
     if isinstance(value, str):
         value = sum(_terms(value, 0).values())
     elif isinstance(value, (float, bool)):
@@ -337,8 +338,9 @@ def add_product(out: dict[Exponents, Coefficient], p: LaurentPoly, q: LaurentPol
 
 # a sign, except one right after "^", which belongs to its exponent
 _SIGN = re.compile(r"(?<!\^)([+-])")
-# one "*"-separated factor: an integer n, a rational n/d, or a power xK^E
-_FACTOR = re.compile(r"\s*(?:(\d+(?:/\d+)?)|x(\d+)(?:\^(-?\d+))?)\s*")
+# one "*"-separated factor: an integer n, a rational n/d, or a power xK^E,
+# in ASCII digits ("\d" would also take other scripts' digits, as int does)
+_FACTOR = re.compile(r"\s*(?:([0-9]+(?:/[0-9]+)?)|x([0-9]+)(?:\^(-?[0-9]+))?)\s*")
 
 
 def poly_to_string(p: LaurentPoly) -> str:
@@ -374,10 +376,11 @@ def poly_from_string(s: str, vs: VarSpec) -> LaurentPoly:
     exponent, with any spaces between, and the run's minus signs multiply
     (``"x1 - - x2"`` is x1 + x2, ``"- x1"`` is -x1).  A monomial is a
     "*"-separated list of factors, each an integer ``n``, a rational
-    ``n/d`` or a power ``xK`` or ``xK^E`` (E may be negative).  Raises
-    TypeError on a non-string, and ValueError on an empty monomial (``""``,
-    ``"+"``, ``"x1 -"``), a signed or other malformed factor
-    (``"2*-3*x1"``), a variable out of range and a zero denominator.
+    ``n/d`` or a power ``xK`` or ``xK^E`` (E may be negative), every
+    number in ASCII digits 0-9.  Raises TypeError on a non-string, and
+    ValueError on an empty monomial (``""``, ``"+"``, ``"x1 -"``), a signed
+    or other malformed factor (``"2*-3*x1"``), a variable out of range and
+    a zero denominator.
     """
     if not isinstance(s, str):
         raise TypeError(f"polynomial must be given as a string, not {type(s).__name__}")

@@ -138,7 +138,8 @@ class TestInexactOrBrokenNumbers:
     @pytest.mark.parametrize("term, needle", [
         ({"i": 2, "j": 2, "coeff": "x2"}, "bivector term with i == j"),
         ({"i": 1, "j": 2, "coeff": "x1*x2 +"}, "'x1*x2 +' ends without a monomial"),
-    ], ids=["diagonal-term", "trailing-plus"])
+        ({"i": 1, "j": 2, "coeff": "x\u0661*x2"}, "malformed factor 'x\u0661'"),
+    ], ids=["diagonal-term", "trailing-plus", "arabic-indic-digit"])
     def test_malformed_structure_term(self, files, capsys, term, needle):
         # the whole file is refused, not read without the term
         doc = dict(TORIC_STRUCTURE, terms=[term, {"i": 3, "j": 4, "coeff": "x3*x4"}])
@@ -438,6 +439,48 @@ class TestWeightNineClass:
         path.write_text(json.dumps(self.structure().to_json()))
         argv = ["verify-exactness", "--structure", str(path), "--I", "1,4"]
         assert main(argv + (["--weight-cap", cap] if cap else [])) == code
+
+
+class TestIntegerOptions:
+    """Integer options and --I entries are an optional "-" and ASCII digits,
+    spaces around allowed; int() alone would also read "+2", "0_2" and the
+    digits of other scripts."""
+
+    FOREIGN = ["0_2", "+2", "\uff13", "\u0661", "2.0", "", "- 2"]
+
+    @pytest.mark.parametrize("raw", FOREIGN)
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["genpos", "--structure", "TORIC", "--t", "RAW"],
+            ["verify-exactness", "--structure", "TORIC", "--I", "1", "--weight-cap", "RAW"],
+            ["verify-exactness", "--structure", "TORIC", "--I", "1", "--max-degree", "RAW"],
+            ["toric-report", "--random", "--n", "RAW"],
+            ["toric-report", "--random", "--n", "2", "--seed", "RAW"],
+        ],
+        ids=["t", "weight-cap", "max-degree", "n", "seed"],
+    )
+    def test_option_refused(self, files, capsys, argv, raw):
+        argv = [{"TORIC": files["toric_structure"], "RAW": raw}.get(a, a) for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"not an integer: {raw!r}" in capsys.readouterr().err
+
+    # an empty entry is skipped, as in "1,": the set is {1}
+    @pytest.mark.parametrize("raw", [raw for raw in FOREIGN if raw])
+    def test_index_entry_refused(self, files, capsys, raw):
+        argv = ["verify-exactness", "--structure", files["toric_structure"], "--I", f"1,{raw}"]
+        assert main(argv + ["--weight-cap", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error: bad index set")
+
+    def test_spaces_and_minus_read(self, files, capsys):
+        structure = files["toric_structure"]
+        assert main(["genpos", "--structure", structure, "--t", " 2 "]) == 0
+        argv = ["verify-exactness", "--structure", structure, "--I", " 1 , 2"]
+        assert main(argv + ["--weight-cap", " 0"]) == 0
+        assert main(argv + ["--weight-cap", "-1"]) == 2
+        assert capsys.readouterr().err.endswith("error: weight-cap must be >= 0\n")
 
 
 class TestToricReport:

@@ -17,15 +17,15 @@ from logsymplectic import cli, complexes, exterior, linalg, poisson
 from logsymplectic.complexes import (
     IndexSet,
     WeightSlicedComplex,
+    Label,
     _PlusMachine,
-    _flatten,
     _monomials,
     _moved,
+    _prefix_products,
     _qi_slice,
     _ranks,
     _slice,
     _theta,
-    _wedges,
     build_bracket_complex,
     build_log_complex,
     build_logplus_complex,
@@ -41,6 +41,7 @@ from logsymplectic.complexes import (
 )
 from logsymplectic.exterior import (
     DiffForm,
+    Frame,
     MultiVector,
     change_frame,
     coordinate_frame,
@@ -69,6 +70,21 @@ from conftest import EXPLICIT_GRID, toric_structure
 from test_golden import CASES, GOLDEN
 
 VS = VarSpec(4, 4)
+
+
+def _flatten(element) -> list[tuple[Label, Fraction]]:
+    out = []
+    for indices, poly in element.terms.items():
+        for exps, c in poly.terms.items():
+            out.append(((indices, exps), c))
+    return out
+
+
+def _wedges(cls, frame: Frame, factors):
+    """``product(I)``: the wedge of factors[i - 1] over i in I, in order,
+    memoized with every prefix of I."""
+    one = cls(frame, 0, {(): LaurentPoly.const(frame.var_spec, 1)})
+    return _prefix_products(one, lambda prefix, i: prefix.wedge(factors[i - 1]))
 
 
 class TestMonomials:
@@ -1429,27 +1445,51 @@ class TestFiltration:
         assert rep2["annihilator_ok"]
 
     def test_annihilator_check_can_fail(self, toric, monkeypatch):
-        # with each phi_i replaced by x_i phi_i the generators sit at level 0
-        real = complexes.phi_forms
-        monkeypatch.setattr(
-            complexes,
-            "phi_forms",
-            lambda p: [
-                phi.scale(LaurentPoly.variable(p.var_spec, i)) for i, phi in enumerate(real(p), 1)
-            ],
-        )
-        for level in (1, 2):
-            assert not filtration_report(toric, level, 0, 2)["annihilator_ok"]
+        # with B doubled each phi_i is still x_i^-1 times constants, so the
+        # gate's pole check passes, but pi_sharp(phi_i) = 2 d_i; level 0 has
+        # no phi_i to check
+        real = complexes._inverse
 
-    def test_annihilator_check_fails_with_corrupted_sharp(self, toric, monkeypatch):
-        # pi_sharp scaled by x_1 sends phi_I to x_1^|I| d_I, whose level drops
-        # to |I| - 1 when 1 is in I; level 0 has no generator to corrupt
-        real = complexes.pi_sharp
-        x1 = LaurentPoly.variable(VS, 1)
-        monkeypatch.setattr(complexes, "pi_sharp", lambda p, w: real(p, w).scale(x1))
+        def doubled(vs, grid):
+            return poisson.SkewMatrix(vs, [[b + b for b in row] for row in real(vs, grid).rows])
+
+        monkeypatch.setattr(complexes, "_inverse", doubled)
         for level in range(1, 5):
             assert not filtration_report(toric, level, 0, 4)["annihilator_ok"], level
         assert filtration_report(toric, 0, 0, 4)["annihilator_ok"]
+
+    def test_annihilator_check_fails_with_corrupted_sharp(self, toric, monkeypatch):
+        # the gate hands back 2 D A: read through it, pi_sharp(phi_i) is
+        # 2 d_i, the sharp that a check of filtration levels alone would pass
+        real = complexes._theta
+
+        def corrupted(p):
+            (den, scaled), theta = real(p)
+            return (den, [[2 * c for c in row] for row in scaled]), theta
+
+        monkeypatch.setattr(complexes, "_theta", corrupted)
+        for level in range(1, 5):
+            assert not filtration_report(toric, level, 0, 4)["annihilator_ok"], level
+        assert filtration_report(toric, 0, 0, 4)["annihilator_ok"]
+
+    def test_report_reads_the_log_matrix_once(self, toric, monkeypatch):
+        # the report takes D A and theta from the phi-model gate, which reads
+        # A once, and reads no phi form of its own
+        calls = []
+        real = poisson.log_matrix
+
+        def counted(p):
+            calls.append(p)
+            return real(p)
+
+        monkeypatch.setattr(poisson, "log_matrix", counted)
+        monkeypatch.setattr(complexes, "log_matrix", counted)
+        p6 = random_2general_toric(random.Random(3), 3).structure
+        for p in (toric, p6):
+            for level in range(p.var_spec.total_vars + 1):
+                calls.clear()
+                filtration_report(p, level, 1, level)
+                assert calls == [p], level
 
     def test_graded_side_builds_no_plus_machine(self, toric, monkeypatch):
         isets = [(1,), (2, 4), (1, 2, 3), (1, 2, 3, 4)]
@@ -1468,17 +1508,23 @@ class TestFiltration:
 
     def test_graded_side_takes_no_coordinate_wedge(self, toric, monkeypatch, tmp_path):
         # the phi-model gate reads each phi_i in the log frame: no phi_I is
-        # wedged or differentiated in coordinates for a graded piece or a
-        # verify-exactness report (filtration_report's pi_sharp wedges stay)
+        # wedged or differentiated in coordinates, and nothing is contracted
+        # into the bivector, for a graded piece, a filtration report or a
+        # verify-exactness report
         isets = [(1,), (2, 4), (1, 2, 3, 4)]
         pieces = [build_qi(toric, iset, 2) for iset in isets]
+        reports = [filtration_report(toric, level, 2, 4) for level in range(5)]
 
         def refuse(*_args, **_kwargs):
             raise AssertionError("the graded-piece side took a coordinate wedge")
 
         monkeypatch.setattr(exterior._GradedElement, "wedge", refuse)
         monkeypatch.setattr(exterior, "exterior_derivative", refuse)
+        monkeypatch.setattr(exterior, "contract", refuse)
+        monkeypatch.setattr(poisson, "pi_sharp", refuse)
         assert [build_qi(toric, iset, 2) for iset in isets] == pieces
+        assert [filtration_report(toric, level, 2, 4) for level in range(5)] == reports
+        assert all(rep["annihilator_ok"] for rep in reports)
         for name, argv, code in CASES:
             if name.startswith("verify_exactness"):
                 out = tmp_path / f"{name}.json"

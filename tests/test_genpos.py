@@ -1,8 +1,10 @@
 import dataclasses
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,7 @@ from logsymplectic.genpos import (
     _scaled_minor,
     _scaled_minors,
 )
-from logsymplectic.poisson import log_matrix
+from logsymplectic.poisson import PoissonStructure, log_matrix
 from logsymplectic.ring import LaurentPoly, VarSpec, poly_from_string
 from logsymplectic.toric import random_2general_toric
 
@@ -395,6 +397,22 @@ class TestCertificates:
             verdict=True, t=t, column_count=4, witnesses=witnesses, failures=()
         )
         assert not verify_certificate(rows, identity_rows(VS2, 2), forged)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("t", True), ("column_count", 8.0), ("verdict", 1), ("complete", 1)],
+        ids=["t_bool", "column_count_float", "verdict_int", "complete_int"],
+    )
+    def test_mistyped_field_rejected(self, field, value):
+        # each equals its true value to Python (True == 1, 8.0 == 8, 1 ==
+        # True), and is refused as the kit's readers of ints refuse it
+        path = Path(__file__).resolve().parent.parent / "fixtures" / "toric_structure.json"
+        p = PoissonStructure.from_json(json.loads(path.read_text()))
+        a, ident = log_matrix(p), identity_rows(p.var_spec, 4)
+        cert = poisson_t_general(p, 1)
+        assert (cert.t, cert.column_count, cert.verdict) == (1, 8, True)
+        assert verify_certificate(a, ident, cert)
+        assert not verify_certificate(a, ident, dataclasses.replace(cert, **{field: value}))
 
     def test_wrong_column_count_rejected(self):
         rows = const_rows(EXPLICIT_GRID)

@@ -209,6 +209,8 @@ class TestGrammar:
         ("2*-3*x1", "malformed factor ''"),
         ("x1*+2", "malformed factor ''"),
         ("3/0*x1", "zero denominator"),
+        ("x\u0661 + \u0662*x2", "malformed factor 'x\u0661'"),
+        ("x1^\uff12", "malformed factor 'x1"),
     ])
     def test_refused(self, text, message):
         with pytest.raises(ValueError, match=message):
@@ -275,7 +277,10 @@ class TestOneNumberGrammar:
         refused = sum(outcome == "refused" for outcome in outcomes.values())
         assert 200 < refused < len(corpus) - 200
 
-    @pytest.mark.parametrize("text", ["1e3", "-1e3", "1E3", "0.5", ".5", "1.", "1_000", "x1", "3 / 2"])
+    @pytest.mark.parametrize(
+        "text",
+        ["1e3", "-1e3", "1E3", "0.5", ".5", "1.", "1_000", "x1", "3 / 2", "\u0661\u0662", "\uff13"],
+    )
     def test_refused_naming_the_string(self, text):
         with pytest.raises(ValueError, match=re.escape(repr(text))):
             coefficient(text)
