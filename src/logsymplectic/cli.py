@@ -54,7 +54,7 @@ _INTEGER = re.compile(r"\s*-?[0-9]+\s*")
 
 
 def _integer(raw: str) -> int:
-    """raw read by ``_INTEGER``; argparse exits 2 on its ArgumentTypeError."""
+    """raw read by ``_INTEGER``; ``main`` returns 2 on its ArgumentTypeError."""
     if not _INTEGER.fullmatch(raw):
         raise argparse.ArgumentTypeError(f"not an integer: {raw!r}")
     return int(raw)
@@ -248,8 +248,17 @@ def cmd_toric_report(args) -> int:
     return EXIT_TRUE if ok else EXIT_FALSE
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that refuses through ``InputError``, so ``main``
+    returns 2 with one error line instead of exiting with the usage text;
+    its sub-command parsers are of this class too."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="logsymplectic",
         description="Exact checks for log-symplectic Poisson structures in local coordinates",
     )
@@ -308,8 +317,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

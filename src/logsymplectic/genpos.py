@@ -161,9 +161,10 @@ class PreparedPair:
         k = self.k
         if self.error or not k:
             return False
-        # exact types: True == 1 and 8.0 == 8 pass the comparisons below
-        fields = (cert.t, cert.column_count, cert.verdict, cert.complete)
-        if tuple(map(type, fields)) != (int, int, bool, bool):
+        # exact types: True == 1 and 8.0 == 8 pass the comparisons below, and
+        # the unpacking below raises on a witnesses or failures of None
+        fields = (cert.t, cert.column_count, cert.verdict, cert.complete, cert.witnesses, cert.failures)
+        if tuple(map(type, fields)) != (int, int, bool, bool, dict, tuple):
             return False
         if cert.column_count != 2 * k or not 1 <= cert.t <= k:
             return False

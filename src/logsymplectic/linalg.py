@@ -14,9 +14,10 @@ that form on entry, so the caller's rows are never changed; a row of ints
 is copied as it is, with denominator 1, which is the path the stored
 differentials of ``complexes`` take on an integral log matrix.  One
 elimination loop, ``_eliminate``, serves ``rank``, ``det``, ``inverse`` and
-``solve_columns``, and ``pivot_columns`` exposes the pivot columns it
-finds.  It has no continuation mode: the ``genpos`` walk clears each new
-column of its prefix's pivots itself, with the row step ``_clear``.
+``solve_columns``; ``pivot_columns`` (so ``rank`` in the default order)
+skips it when the rows' leading columns are pairwise distinct, as such rows
+are already in echelon form.  It has no continuation mode: the ``genpos``
+walk clears each new column of its prefix's pivots itself, with ``_clear``.
 
 One product path serves ``mat_mul`` and ``complexes.verify_d_squared``:
 ``_int_rows`` reads each factor as integer rows over one scale (dict rows
@@ -196,7 +197,21 @@ def is_zero_matrix(a) -> bool:
 def pivot_columns(a, column_order=None) -> list[int]:
     """The pivot columns of one exact elimination of the rows of ``a``
     (``_eliminate``), in the order the rows produced them.  Only columns in
-    ``column_order``, when it is given, can become pivots."""
+    ``column_order``, when it is given, can become pivots.
+
+    Without ``column_order``, if the nonempty rows are dicts with no zero
+    value and pairwise distinct least columns (leads), the leads in row
+    order are that list and nothing is eliminated.  Proof: a row meeting a
+    pivot at c is cleared by a multiple of its row, whose columns are >= c;
+    c, an earlier row's lead and a column of this row, is above this row's
+    lead, so the row keeps its lead, gains nothing below it, and becomes the
+    pivot there.  Other input, a dense row or a stored zero, is eliminated."""
+    if column_order is None:
+        a = [row for row in a if row]
+        if all(isinstance(row, dict) and 0 not in row.values() for row in a):
+            leads = list(map(min, a))
+            if len(set(leads)) == len(leads):
+                return leads
     return list(_eliminate(a, column_order))
 
 

@@ -462,10 +462,8 @@ class TestIntegerOptions:
     )
     def test_option_refused(self, files, capsys, argv, raw):
         argv = [{"TORIC": files["toric_structure"], "RAW": raw}.get(a, a) for a in argv]
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        assert f"not an integer: {raw!r}" in capsys.readouterr().err
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: argument {argv[-2]}: not an integer: {raw!r}\n"
 
     # an empty entry is skipped, as in "1,": the set is {1}
     @pytest.mark.parametrize("raw", [raw for raw in FOREIGN if raw])
@@ -578,9 +576,12 @@ NOT_TANGENT_STRUCTURE = {"dimension": 2, "divisor_vars": 2, "terms": [{"i": 1, "
          "empty index set"),
         (["verify-exactness", "--structure", "TORIC", "--I", "1", "--weight-cap", "-1"],
          "weight-cap must be >= 0"),
+        (["genpos", "--structure", "TORIC", "--t", "0_2"], "argument --t: not an integer: '0_2'"),
+        (["genpos", "--structure", "TORIC"], "the following arguments are required: --t"),
+        (["jacobi", "--structure", "TORIC", "--bogus"], "unrecognized arguments: --bogus"),
     ],
     ids=["pfaffian-size", "toric-report-size", "genpos-not-tangent", "empty-index-set",
-         "negative-weight-cap"],
+         "negative-weight-cap", "bad-integer-option", "missing-option", "unknown-option"],
 )
 def test_refusal_exits_2_with_one_line(files, capsys, argv, message):
     paths = {"TORIC": files["toric_structure"]}
@@ -591,6 +592,28 @@ def test_refusal_exits_2_with_one_line(files, capsys, argv, message):
     assert main([*argv, "--out", files["out"]]) == 2
     assert capsys.readouterr().err == f"error: {message.format(**paths)}\n"
     assert not Path(files["out"]).exists()
+
+
+# argparse lists the choices in a format that varies across Python versions
+@pytest.mark.parametrize(
+    "argv, needle",
+    [(["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+     ([], "the following arguments are required: command")],
+    ids=["unknown-command", "no-command"],
+)
+def test_command_refusal_exits_2_with_one_line(capsys, argv, needle):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {needle}") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["genpos", "--help"]], ids=["main", "genpos"])
+def test_help_still_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: logsymplectic")
 
 
 class TestDeterminism:
@@ -711,7 +734,7 @@ class TestParserReuse:
         assert len(builds) == 1
         assert reused == fresh
         codes = [r[0] for r in reused]
-        assert codes[3:] == [0, 2, "SystemExit 2", 0]
+        assert codes[3:] == [0, 2, 2, 0]
         # --verbose prints the zero rows, and does not carry over
         assert reused[0][1] != reused[1][1]
 

@@ -1892,6 +1892,19 @@ class TestClearing:
     def test_ranks_match_plain_elimination(self, case):
         assert assert_clearing_matches_plain_ranks(CLEARING_CASES[case]())
 
+    @pytest.mark.parametrize("case", CLEARING_CASES)
+    def test_cleared_ranks_need_no_elimination(self, case, monkeypatch):
+        # after clearing, the rows of every differential have distinct
+        # leading columns, so linalg.pivot_columns eliminates nothing; the
+        # ranks so taken are then checked against reversed-order elimination
+        cx = CLEARING_CASES[case]()
+        lo, hi = cx.degree_range
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "_eliminate", lambda *args, **kwargs: pytest.fail("eliminated"))
+            all_degrees(cx, range(lo, hi + 1))
+        assert any(cx.rank(k, w) for k, w in cx.diffs)
+        assert assert_clearing_matches_plain_ranks(cx)
+
     @pytest.mark.parametrize("path", [FIXTURE_STRUCTURE, RESONANT_STRUCTURE], ids=["fixture", "resonant"])
     def test_every_piece_ranks_match_plain_elimination(self, path):
         p = load_structure(path)

@@ -400,12 +400,15 @@ class TestCertificates:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("t", True), ("column_count", 8.0), ("verdict", 1), ("complete", 1)],
-        ids=["t_bool", "column_count_float", "verdict_int", "complete_int"],
+        [("t", True), ("column_count", 8.0), ("verdict", 1), ("complete", 1),
+         ("witnesses", None), ("failures", None)],
+        ids=["t_bool", "column_count_float", "verdict_int", "complete_int",
+             "witnesses_none", "failures_none"],
     )
     def test_mistyped_field_rejected(self, field, value):
-        # each equals its true value to Python (True == 1, 8.0 == 8, 1 ==
-        # True), and is refused as the kit's readers of ints refuse it
+        # the first four equal their true values to Python (True == 1, 8.0 ==
+        # 8, 1 == True), and are refused as the kit's readers of ints refuse
+        # them; a witnesses or failures of None is refused, not a TypeError
         path = Path(__file__).resolve().parent.parent / "fixtures" / "toric_structure.json"
         p = PoissonStructure.from_json(json.loads(path.read_text()))
         a, ident = log_matrix(p), identity_rows(p.var_spec, 4)

@@ -416,3 +416,141 @@ class TestProductIsZero:
         assert has_empty_rows([{0: third, 1: 1}], [{0: 3}, {0: -1}])
         assert not has_empty_rows([{0: third, 1: 1}], [{0: 3}, {0: Fraction(-1, big)}])
         assert has_empty_rows([], [[1]]) and has_empty_rows([[]], [])
+
+
+# nonzero ints, and Fractions with and without a denominator
+NONZERO = {
+    "ints": st.integers(-6, 6).filter(bool),
+    "fractions": st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 4)),
+}
+
+
+@st.composite
+def distinct_lead_rows(draw, entry, max_rows=6, max_cols=9):
+    """Sparse rows with no zero value whose least columns are pairwise
+    distinct, in any order, with empty rows among them."""
+    ncols = draw(st.integers(1, max_cols))
+    leads = draw(st.lists(st.integers(0, ncols - 1), min_size=1, max_size=max_rows, unique=True))
+    rows = []
+    for lead in leads:
+        above = draw(st.sets(st.integers(lead + 1, ncols)).map(sorted))
+        rows.append({c: draw(entry) for c in [lead, *above]})
+        if draw(st.booleans()):
+            rows.append({})
+    return rows
+
+
+class Eliminations:
+    """Counts the calls of ``linalg._eliminate`` while active; with
+    ``forbid`` a call raises instead."""
+
+    def __init__(self, forbid=False):
+        self.calls, self.forbid, self.real = 0, forbid, linalg._eliminate
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        if self.forbid:
+            raise AssertionError("eliminated")
+        return self.real(*args, **kwargs)
+
+    def __enter__(self):
+        linalg._eliminate = self
+        return self
+
+    def __exit__(self, *exc):
+        linalg._eliminate = self.real
+
+
+class TestLeadShortcut:
+    """``pivot_columns`` without a column order returns the rows' leads when
+    they are distinct, and eliminates otherwise; either way its list is the
+    one ``_eliminate`` finds."""
+
+    @pytest.mark.parametrize("kind", NONZERO)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_distinct_leads_take_no_elimination(self, kind, data):
+        rows = data.draw(distinct_lead_rows(NONZERO[kind]))
+        expected = list(linalg._eliminate(rows))
+        leads = [min(row) for row in rows if row]
+        assert expected == leads
+        with Eliminations(forbid=True):
+            assert linalg.pivot_columns(rows) == expected
+            assert linalg.pivot_columns(iter(rows)) == expected
+            assert linalg.rank(rows) == len(leads)
+
+    @pytest.mark.parametrize("kind", NONZERO)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_lead_collision_eliminates(self, kind, data):
+        rows = data.draw(distinct_lead_rows(NONZERO[kind]))
+        twin = data.draw(st.sampled_from([row for row in rows if row]))
+        # a row with twin's lead: a multiple of twin plus a row above its lead
+        factor, extra = data.draw(NONZERO[kind]), data.draw(NONZERO[kind])
+        collision = {c: factor * v for c, v in twin.items()}
+        collision[max(twin) + 1] = extra
+        rows.insert(data.draw(st.integers(0, len(rows))), collision)
+        expected = list(linalg._eliminate(rows))
+        with Eliminations() as seen:
+            assert linalg.pivot_columns(rows) == expected
+        assert seen.calls == 1
+
+    @pytest.mark.parametrize("kind", NONZERO)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_stored_zero_or_dense_rows_eliminate(self, kind, data):
+        rows = data.draw(distinct_lead_rows(NONZERO[kind]))
+        ncols = 1 + max(max(row) for row in rows if row)
+        dense = [[row.get(c, 0) for c in range(ncols)] for row in rows]
+        # a stored zero at a column of a row that holds no entry there, left
+        # of its lead or right of it
+        i = data.draw(st.integers(0, len(rows) - 1))
+        zeroed = [dict(row) for row in rows]
+        free = [c for c in range(ncols + 1) if c not in rows[i]]
+        zeroed[i][data.draw(st.sampled_from(free))] = 0 * data.draw(NONZERO[kind])
+        expected = list(linalg._eliminate(rows))
+        for given_rows in (dense, zeroed):
+            assert list(linalg._eliminate(given_rows)) == expected
+            with Eliminations() as seen:
+                assert linalg.pivot_columns(given_rows) == expected
+            assert seen.calls == 1
+
+    @pytest.mark.parametrize(
+        "rows, expected",
+        [
+            ([{0: 0, 3: 5}, {1: 2}], [3, 1]),
+            ([{0: Fraction(0), 3: Fraction(1, 2)}], [3]),
+            ([{2: 0}, {}, {1: 1}], [1]),
+            ([[0, 0, 4], [], [0, 1, 1]], [2, 1]),
+            ([[0, 0], [0, 0]], []),
+            ([{1: 1, 2: 1}, {}, {1: 1, 2: 2}], [1, 2]),
+            ([{1: 1, 2: 1}, {1: 2, 2: 2}, {}], [1]),
+        ],
+        ids=["stored-zero", "stored-fraction-zero", "zero-row", "dense", "dense-zero",
+             "collision", "collision-dependent"],
+    )
+    def test_fallbacks(self, rows, expected):
+        assert list(linalg._eliminate(rows)) == expected
+        with Eliminations() as seen:
+            assert linalg.pivot_columns(rows) == expected
+            assert linalg.rank(rows) == len(expected)
+        assert seen.calls == 2
+
+    def test_empty_rows_are_dropped(self):
+        with Eliminations(forbid=True):
+            assert linalg.pivot_columns([]) == []
+            assert linalg.pivot_columns([{}, {}, []]) == []
+            assert linalg.pivot_columns([{}, {4: 1, 5: 2}, [], {0: -1}]) == [4, 0]
+
+    def test_other_entry_points_still_eliminate(self):
+        # rows with distinct leads: only pivot_columns and rank in the
+        # default order take the shortcut
+        rows = [{2: 1, 3: 1}, {0: 2, 3: 1}, {1: 3}, {3: 1}]
+        dense = [[row.get(c, 0) for c in range(4)] for row in rows]
+        with Eliminations() as seen:
+            assert linalg.rank(rows) == 4 and seen.calls == 0
+            assert linalg.rank(rows, [3, 2, 1, 0]) == 4 and seen.calls == 1
+            assert linalg.pivot_columns(rows, [3, 2, 1, 0]) == [3, 2, 1, 0] and seen.calls == 2
+            assert linalg.det(rows) == linalg.det(dense) == 6 and seen.calls == 4
+            assert linalg.inverse(rows) == linalg.inverse(dense) and seen.calls == 6
+            assert linalg.solve_columns(dense, [1, 1, 1, 1]) is not None and seen.calls == 7
