@@ -61,7 +61,9 @@ def _integer(raw: str) -> int:
 
 
 def canonical_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    # reports are trees built fresh for each call, so the encoder need not
+    # look for reference cycles
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"
 
 
 def _emit(report: dict, out: str | None):

@@ -22,11 +22,17 @@ certificate is complete in both modes and keeps every witness.
 
 *Verdict* (both functions): exact elimination.  A column set passes iff its
 columns have rank t.  The column sets are walked in lexicographic order as a
-depth-first search over the tree of their prefixes; each child reduces its
-column against its prefix's pivots with the kernel's row step,
-``linalg._clear``, so a shared prefix is eliminated once.  A column that
-reduces to zero makes every completion of its prefix a failure, without
-further elimination.  A witness is the set of pivot rows, that is the greedy
+depth-first search over the tree of their prefixes.  Each node carries its
+later columns already cleared of its prefix's pivots; a child takes its
+column's least row r as its pivot row and clears each later column of
+that one pivot with the kernel's row step, ``linalg._clear``, once, copying
+only the columns with an entry in row r.  The nodes at depth t - 1 build
+no such list: a later column with entries y in row r and the pivot's x
+there clears to x * column - y * pivot, whose least row, the first row where
+those two differ, is the leaf's last pivot row, and a leaf without such a
+row fails.  So t = 1 and t = 2 clear nothing.  A column that reduces to
+zero makes every completion of its prefix a failure, without further
+elimination.  A witness is the set of pivot rows, that is the greedy
 independent rows, the lexicographically first row set with a nonzero minor.
 
 *Check* (``verify_certificate``): minors.  It rejects entries with a pole or
@@ -146,7 +152,8 @@ class PreparedPair:
             ]
         witnesses: dict[tuple[int, ...], tuple[int, ...]] = {}
         failures: list[tuple[int, ...]] = []
-        _grow(self._columns, t, all_failures, (), {}, witnesses, failures)
+        later = [(nums, 1) for nums in self._columns]
+        _grow(later, t, all_failures, (), (), witnesses, failures)
         return GenPosCertificate(
             verdict=not failures,
             t=t,
@@ -171,11 +178,12 @@ class PreparedPair:
         t, width = cert.t, 2 * k
         claimed = [*cert.witnesses, *cert.failures]
         labels = itertools.chain.from_iterable(claimed)
-        # tuples of ints: then the coverage comparison below also proves each
-        # claimed column set to be t increasing labels in 1..2k
+        # tuples of exact ints (True == 1 would pass as label 1): then the
+        # coverage comparison below also proves each claimed column set to be
+        # t increasing labels in 1..2k
         if (
             not all(map(isinstance, claimed, itertools.repeat(tuple)))
-            or not all(map(isinstance, labels, itertools.repeat(int)))
+            or not {int}.issuperset(map(type, labels))
             or any(not _increasing(rows, t, k) for rows in cert.witnesses.values())
             or cert.verdict != (not cert.failures)
             or any(a >= b for a, b in zip(cert.failures, cert.failures[1:]))
@@ -243,35 +251,79 @@ def first_failure_t_general(m, n, t: int) -> GenPosCertificate:
     return PreparedPair(m, n).decide(t, False)
 
 
-def _grow(columns, t: int, all_failures: bool, prefix: tuple[int, ...], pivots,
+def _grow(later, t: int, all_failures: bool, prefix: tuple[int, ...], rows: tuple[int, ...],
           witnesses: dict, failures: list) -> bool:
     """Walk the completions of a prefix of column labels, adding to
-    ``witnesses`` and ``failures``; True once the walk must stop.  The
-    pivots are keyed by row label, so a witness is its sorted keys."""
-    width = len(columns)
+    ``witnesses`` and ``failures``; True once the walk must stop.  ``later``
+    holds the columns after the prefix's last label as Scaled rows, each
+    cleared of the prefix's pivots, and ``rows`` their pivot rows."""
+    first = prefix[-1] + 1 if prefix else 1
+    width = first + len(later) - 1
+    depth = len(prefix) + 1
+    # when the children are the leaves' parents, each later column's least
+    # row is its pivot row in every leaf that leaves it as it is
+    leads = [min(nums, default=None) for nums, _ in later] if depth == t - 1 else None
     # the children of a prefix in lexicographic order, each leaving room
     # for the columns that complete it to t
-    first = prefix[-1] + 1 if prefix else 1
-    for c in range(first, width - t + len(prefix) + 2):
+    for i in range(width - t + depth - first + 1):
+        c = first + i
         cols = prefix + (c,)
-        nums, den = dict(columns[c - 1]), 1
-        while hits := nums.keys() & pivots.keys():
-            r = min(hits)
-            den = linalg._clear(nums, den, r, pivots[r])
+        pivot = later[i]
+        nums = pivot[0]
         if not nums:
             # column c depends on the prefix, in every completion too
-            rests = itertools.combinations(range(c + 1, width + 1), t - len(cols))
+            rests = itertools.combinations(range(c + 1, width + 1), t - depth)
             if not all_failures:
                 failures.append(cols + next(rests))
                 return True
             failures.extend(cols + rest for rest in rests)
-        elif len(cols) < t:
-            grown = pivots | {min(nums): (nums, den)}
-            if _grow(columns, t, all_failures, cols, grown, witnesses, failures):
+            continue
+        r = min(nums)
+        if depth == t:
+            witnesses[cols] = tuple(sorted((*rows, r)))
+        elif depth < t - 1:
+            child = [_cleared(col, r, pivot) if r in col[0] else col for col in later[i + 1:]]
+            if _grow(child, t, all_failures, cols, (*rows, r), witnesses, failures):
+                return True
+        elif _leaves(later, leads, i, cols, (*rows, r), all_failures, witnesses, failures):
+            return True
+    return False
+
+
+def _leaves(later, leads, i: int, cols: tuple[int, ...], rows: tuple[int, ...], all_failures: bool,
+            witnesses: dict, failures: list) -> bool:
+    """The leaves under ``cols``, whose last column ``later[i]`` has its
+    pivot at ``rows[-1]``, like ``_grow`` but without clearing: later
+    column j minus y / x times the pivot, with x and y their entries in
+    that row, has its pivot at the first row q where x * column[q] !=
+    y * pivot[q], and at its lead (``leads[j]``) when y is zero."""
+    nums = later[i][0]
+    r, label = rows[-1], cols[-1] - i
+    x = nums[r]
+    for j in range(i + 1, len(later)):
+        column = later[j][0]
+        y = column.get(r)
+        if y is None:
+            q = leads[j]
+        else:
+            for q in sorted(column.keys() | nums.keys()):
+                if x * column.get(q, 0) != y * nums.get(q, 0):
+                    break
+            else:
+                q = None
+        if q is None:
+            failures.append(cols + (label + j,))
+            if not all_failures:
                 return True
         else:
-            witnesses[cols] = tuple(sorted([*pivots, min(nums)]))
+            witnesses[cols + (label + j,)] = tuple(sorted((*rows, q)))
     return False
+
+
+def _cleared(column, r: int, pivot):
+    """A copy of a Scaled column cleared of the pivot at row r."""
+    nums = dict(column[0])
+    return nums, linalg._clear(nums, column[1], r, pivot)
 
 
 def is_standard_t_general(m, t: int) -> GenPosCertificate:
@@ -327,11 +379,12 @@ def _scaled_minor(ints, memo: dict, rows: int, cols: int) -> int:
 
 
 def _increasing(seq, t: int, top: int) -> bool:
-    """Whether ``seq`` is a tuple of t >= 1 strictly increasing integers in 1..top."""
+    """Whether ``seq`` is a tuple of t >= 1 strictly increasing ints, not
+    bools, in 1..top."""
     return (
         isinstance(seq, tuple)
         and len(seq) == t
-        and all(map(isinstance, seq, itertools.repeat(int)))
+        and {int}.issuperset(map(type, seq))
         and 1 <= seq[0]
         and seq[-1] <= top
         and all(map(operator.lt, seq, seq[1:]))

@@ -78,8 +78,11 @@ def certify(t: ToricStructure) -> dict:
     [A(0) | I] is prepared once per report (``genpos.PreparedPair``): one
     validation, one set of integer columns for the four walks and one memo
     of scaled minors for the four checks, which still build their own table
-    from the polynomial entries.  Nothing the report builds refers to
-    itself, so it leaves no garbage for the cycle collector."""
+    from the polynomial entries.  Each walk clears a later column once per
+    prefix, of the prefix's newest pivot, and reads each leaf's last pivot
+    row off its parent's columns, so t = 1 and t = 2 eliminate nothing.
+    Nothing the report builds refers to itself, so it leaves no garbage for
+    the cycle collector."""
     size = 2 * t.n
     pf = pfaffian(t.matrix)
     report: dict = {

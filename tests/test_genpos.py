@@ -492,6 +492,29 @@ class TestCertificates:
         }[case]
         assert verify_certificate(m_rows, ident, forged) is False
 
+    @pytest.mark.parametrize("case", ["witness_rows", "witness_columns", "failure"])
+    def test_bool_label_rejected(self, case):
+        # True == 1 and hashes as 1, so a label True equals the true label 1
+        if case == "failure":
+            rows, ident, cert = self.three_failures()
+            assert cert.failures[0] == (1, 5)
+            forged = dataclasses.replace(cert, failures=((True, 5), *cert.failures[1:]))
+        else:
+            path = Path(__file__).resolve().parent.parent / "fixtures" / "toric_structure.json"
+            p = PoissonStructure.from_json(json.loads(path.read_text()))
+            rows, ident = log_matrix(p), identity_rows(p.var_spec, 4)
+            cert = poisson_t_general(p, 2)
+            assert cert.verdict and cert.witnesses[(1, 2)][0] == 1
+            if case == "witness_rows":
+                witnesses = {**cert.witnesses, (1, 2): (True, *cert.witnesses[(1, 2)][1:])}
+            else:
+                # built afresh: updating the dict would keep its key (1, 2)
+                witnesses = {((True, 2) if c == (1, 2) else c): r for c, r in cert.witnesses.items()}
+            forged = dataclasses.replace(cert, witnesses=witnesses)
+        assert verify_certificate(rows, ident, cert)
+        assert forged == cert
+        assert verify_certificate(rows, ident, forged) is False
+
     def test_serialize_shape(self):
         cert = is_standard_t_general(const_rows(EXPLICIT_GRID), 2)
         doc = cert.serialize()
@@ -546,6 +569,71 @@ class TestPrefixSharedWalk:
         cert = is_relative_t_general(m_rows, ident, t)
         assert cert.serialize() == from_scratch_reference(m_rows, ident, t).serialize()
         assert verify_certificate(m_rows, ident, cert)
+
+
+def assert_walk_matches_reference(m_rows, n_rows, t):
+    """Both certificates of the walk against eliminating every column set
+    from scratch, witnesses in insertion order: the complete one equal to
+    the reference, the truncated one its prefix through the first failure."""
+    ref = from_scratch_reference(m_rows, n_rows, t)
+    full = is_relative_t_general(m_rows, n_rows, t)
+    assert list(full.witnesses.items()) == list(ref.witnesses.items())
+    assert full.failures == ref.failures and full.verdict == ref.verdict
+    cert = first_failure_t_general(m_rows, n_rows, t)
+    stop = ref.failures[:1]
+    before = [(c, r) for c, r in ref.witnesses.items() if not stop or c < stop[0]]
+    assert list(cert.witnesses.items()) == before and cert.failures == stop
+    assert cert.verdict == origin_rank_oracle(m_rows, n_rows, t)
+    assert verify_certificate(m_rows, n_rows, full) and verify_certificate(m_rows, n_rows, cert)
+    return full
+
+
+class TestLeafWalk:
+    """The walk clears each later column of a prefix's new pivot once, and
+    reads the leaves' pivot rows without clearing: no ``linalg._clear`` at
+    t <= 2, at most one per pair of columns at t = 3, and the same
+    certificates as eliminating every column set from scratch."""
+
+    @staticmethod
+    def clears(monkeypatch, m_rows, n_rows, t):
+        """The number of ``linalg._clear`` calls in the complete walk."""
+        calls = []
+        clear = linalg._clear
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "_clear", lambda *args: calls.append(1) or clear(*args))
+            is_relative_t_general(m_rows, n_rows, t)
+        return len(calls)
+
+    def test_clear_calls(self, monkeypatch):
+        m_rows, ident = toric_rows(8, 11)
+        for t in (1, 2, 3):
+            assert_walk_matches_reference(m_rows, ident, t)
+        assert self.clears(monkeypatch, m_rows, ident, 1) == 0
+        assert self.clears(monkeypatch, m_rows, ident, 2) == 0
+        assert 0 < self.clears(monkeypatch, m_rows, ident, 3) <= math.comb(16, 2)
+
+    def test_dependent_only_at_the_leaf(self, monkeypatch):
+        # column 3 = column 1 + column 2 in a fractional M(0), N not the
+        # identity: (1, 3) and (2, 3) pass, and (1, 2, 3) fails at its leaf
+        m_rows = const_rows([["1/2", 0, "1/2"], [0, "1/3", "1/3"], [1, 1, 2]], VS)
+        n_rows = const_rows([[2, 1, 0], [0, "1/2", 1], [1, 0, 1]], VS)
+        assert assert_walk_matches_reference(m_rows, n_rows, 2).verdict
+        assert self.clears(monkeypatch, m_rows, n_rows, 2) == 0
+        cert = assert_walk_matches_reference(m_rows, n_rows, 3)
+        assert cert.failures[0] == (1, 2, 3)
+
+    def test_random_pairs(self, rng):
+        # fractional M(0) and N with zeros drawn often, so that columns
+        # vanish at every depth and leaves fail with and without clearing
+        entries = [0, 0, 0, 1, -1, Fraction(1, 2), Fraction(-2, 3), 3]
+        for _ in range(30):
+            k = rng.choice([2, 3, 4, 5])
+            m_rows, n_rows = (
+                const_rows([[rng.choice(entries) for _ in range(k)] for _ in range(k)])
+                for _ in range(2)
+            )
+            for t in range(1, k + 1):
+                assert_walk_matches_reference(m_rows, n_rows, t)
 
 
 def assert_truncated_prefix(m_rows, n_rows, t):
@@ -785,8 +873,9 @@ class TestLaplaceMinors:
 
         monkeypatch.setattr(linalg, "_eliminate", no_elimination)
         monkeypatch.setattr(linalg, "_clear", no_elimination)
+        # the t = 2 walk reads its leaves without clearing; the t = 6 walk clears
         with pytest.raises(AssertionError):
-            is_relative_t_general(*cases[0])
+            is_relative_t_general(*cases[1])
         for (m, n, _), cert in zip(cases, certs):
             assert verify_certificate(m, n, cert)
 
