@@ -55,10 +55,10 @@ from .complexes import (
     exactness_report,
     filtration_level_of,
     filtration_report,
-    qi_cohomology,
     verify_d_squared,
     verify_exactness,
 )
+from .koszul import qi_cohomology
 from .toric import (
     ToricStructure,
     betti_torus,

@@ -26,8 +26,9 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .complexes import _theta, exactness_report, qi_cohomology
+from .complexes import _theta, exactness_report
 from .genpos import poisson_t_general
+from .koszul import _index_set, qi_cohomology
 from .poisson import PoissonStructure, _field, _int_field, pfaffian, schouten
 from .ring import coefficient
 from .toric import (
@@ -178,9 +179,10 @@ def cmd_verify_exactness(args) -> int:
     p = _load_structure(args.structure)
     iset = _parse_index_set(args.index_set)
     nv = p.var_spec.total_vars
-    if args.max_degree is not None and not len(iset) <= args.max_degree <= nv:
-        raise InputError(f"max-degree must lie in {len(iset)}..{nv} (|I|..2n)")
     try:
+        _index_set(p.var_spec, iset)  # before the max-degree range, which reads |I|
+        if args.max_degree is not None and not len(iset) <= args.max_degree <= nv:
+            raise InputError(f"max-degree must lie in {len(iset)}..{nv} (|I|..2n)")
         _theta(p)  # the phi-model gate; refuses a singular A
         dims = qi_cohomology(p, iset, args.weight_cap)
     except ValueError as exc:

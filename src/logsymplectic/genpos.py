@@ -142,18 +142,17 @@ class PreparedPair:
         if not 1 <= t <= k:
             raise ValueError(f"t must satisfy 1 <= t <= {k}")
         if self._columns is None:
-            # column j of [M(0) | N(0)] as a sparse row {row label r:
-            # numerator} in the kernel's integer form: the walk reads only
-            # pivot positions, and a column's numerators span its line
+            # column j of [M(0) | N(0)] as the Scaled row ({row label r:
+            # numerator}, 1) that the walk reads and never changes: it reads
+            # only pivot positions, and a column's numerators span its line
             constants = [[p.constant_term() for p in row] for row in self._block]
             self._columns = [
-                linalg._scaled({r: row[j] for r, row in enumerate(constants, 1)})[0]
+                (linalg._scaled({r: row[j] for r, row in enumerate(constants, 1)})[0], 1)
                 for j in range(2 * k)
             ]
         witnesses: dict[tuple[int, ...], tuple[int, ...]] = {}
         failures: list[tuple[int, ...]] = []
-        later = [(nums, 1) for nums in self._columns]
-        _grow(later, t, all_failures, (), (), witnesses, failures)
+        _grow(self._columns, t, all_failures, (), (), witnesses, failures)
         return GenPosCertificate(
             verdict=not failures,
             t=t,

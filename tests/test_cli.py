@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from logsymplectic import cli, complexes, linalg, poisson
+from logsymplectic import cli, complexes, koszul, linalg, poisson
 from logsymplectic.cli import build_parser, canonical_json, main
 from logsymplectic.toric import random_2general_toric
 from test_golden import CASES, GOLDEN
@@ -346,7 +346,7 @@ class TestVerifyExactness:
 
     @pytest.mark.parametrize("name", ["verify_exactness_I1", "verify_exactness_I1_2"])
     def test_report_counts_blocks_without_ranks(self, tmp_path, monkeypatch, name):
-        # the table comes from complexes.qi_cohomology: no matrix is assembled
+        # the table comes from koszul.qi_cohomology: no matrix is assembled
         # and nothing is eliminated, not even the inverse of A behind the
         # phi-model gate, which poisson takes by sub-Pfaffians
         def refuse(*args, **kwargs):
@@ -355,12 +355,32 @@ class TestVerifyExactness:
         def no_elimination(*args, **kwargs):
             raise AssertionError("verify-exactness eliminated")
 
-        monkeypatch.setattr(complexes, "_fill_slices", refuse)
+        # nor is any part of the graded-piece builder, its oracle
+        for attr in ("_fill_slices", "build_qi", "_qi_slice", "_koszul_tables"):
+            monkeypatch.setattr(complexes, attr, refuse)
         monkeypatch.setattr(linalg, "_eliminate", no_elimination)
         argv = next(argv for case, argv, _code in CASES if case == name)
         out = tmp_path / f"{name}.json"
         assert main(argv + ["--out", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+    @pytest.mark.parametrize("name", ["verify_exactness_I1", "verify_exactness_I1_2"])
+    def test_ranks_give_the_golden_table_without_the_count(self, monkeypatch, name):
+        # the reverse: build_qi and its ranks reach the golden table with the
+        # block count patched to raise
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle called the block count")
+
+        monkeypatch.setattr(koszul, "qi_cohomology", refuse)
+        argv = next(argv for case, argv, _code in CASES if case == name)
+        p = cli._load_structure(argv[argv.index("--structure") + 1])
+        doc = json.loads((GOLDEN / f"{name}.json").read_bytes())
+        iset, cap = tuple(doc["index_set"]), doc["weight_cap"]
+        cx = complexes.build_qi(p, iset, cap)
+        degrees = range(len(iset), doc["max_degree"] + 1)
+        dims = {(k, w): h for k in degrees for w, h in complexes.cohomology_dims(cx, k).items()}
+        report = complexes.exactness_report(doc["complex_id"], cap, dims)
+        assert report == {key: doc[key] for key in report}
 
     def test_report_builds_no_plus_machine(self, tmp_path, monkeypatch):
         # the phi-model gate reads phi_forms alone; the log-plus machine is
@@ -424,14 +444,21 @@ class TestWeightNineClass:
         return t.structure
 
     def test_block_count(self):
-        table = complexes.qi_cohomology(self.structure(), (1, 4), 9)
+        table = koszul.qi_cohomology(self.structure(), (1, 4), 9)
         assert {kw: h for kw, h in table.items() if h} == self.TABLE
 
-    def test_ranks_agree(self):
+    def test_ranks_agree(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle called the block count")
+
         p = self.structure()
+        counted = koszul.qi_cohomology(p, (1, 4), 9)
+        # the oracle reaches the pinned table with the count patched to raise
+        monkeypatch.setattr(koszul, "qi_cohomology", refuse)
         cx = complexes.build_qi(p, (1, 4), 9)
         ranked = {(k, w): h for k in range(2, 5) for w, h in complexes.cohomology_dims(cx, k).items()}
-        assert ranked == complexes.qi_cohomology(p, (1, 4), 9)
+        assert ranked == counted
+        assert {kw: h for kw, h in ranked.items() if h} == self.TABLE
 
     @pytest.mark.parametrize("cap, code", [(None, 0), ("8", 0), ("9", 1)])
     def test_cli_verdict(self, tmp_path, cap, code):
@@ -576,12 +603,17 @@ NOT_TANGENT_STRUCTURE = {"dimension": 2, "divisor_vars": 2, "terms": [{"i": 1, "
          "empty index set"),
         (["verify-exactness", "--structure", "TORIC", "--I", "1", "--weight-cap", "-1"],
          "weight-cap must be >= 0"),
+        (["verify-exactness", "--structure", "TORIC", "--I", "1,2,3,4,5", "--max-degree", "4"],
+         "index set must consist of divisor indices"),
+        (["verify-exactness", "--structure", "TORIC", "--I", "1,1", "--max-degree", "1"],
+         "index set has repeats"),
         (["genpos", "--structure", "TORIC", "--t", "0_2"], "argument --t: not an integer: '0_2'"),
         (["genpos", "--structure", "TORIC"], "the following arguments are required: --t"),
         (["jacobi", "--structure", "TORIC", "--bogus"], "unrecognized arguments: --bogus"),
     ],
     ids=["pfaffian-size", "toric-report-size", "genpos-not-tangent", "empty-index-set",
-         "negative-weight-cap", "bad-integer-option", "missing-option", "unknown-option"],
+         "negative-weight-cap", "index-off-the-divisor", "index-repeated", "bad-integer-option",
+         "missing-option", "unknown-option"],
 )
 def test_refusal_exits_2_with_one_line(files, capsys, argv, message):
     paths = {"TORIC": files["toric_structure"]}

@@ -1,3 +1,4 @@
+import ast
 import collections
 import copy
 import functools
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logsymplectic import cli, complexes, exterior, linalg, poisson
+from logsymplectic import cli, complexes, exterior, koszul, linalg, poisson
 from logsymplectic.complexes import (
     IndexSet,
     WeightSlicedComplex,
@@ -35,7 +36,6 @@ from logsymplectic.complexes import (
     exactness_report,
     filtration_level_of,
     filtration_report,
-    qi_cohomology,
     verify_d_squared,
     verify_exactness,
 )
@@ -54,6 +54,7 @@ from logsymplectic.exterior import (
     wedge,
 )
 from logsymplectic.genpos import is_standard_t_general, poisson_t_general
+from logsymplectic.koszul import qi_cohomology
 from logsymplectic.poisson import (
     PoissonStructure,
     inverse_log_matrix,
@@ -1119,7 +1120,7 @@ class TestSliceLayout:
             return real(p)
 
         monkeypatch.setattr(poisson, "log_matrix", counted)
-        monkeypatch.setattr(complexes, "log_matrix", counted)
+        monkeypatch.setattr(koszul, "log_matrix", counted)
         p6 = random_2general_toric(random.Random(3), 3).structure
         for p in (toric, p6):
             calls.clear()
@@ -1133,13 +1134,13 @@ class TestSliceLayout:
         # the phi-model gate hands its callers the grid D A it read, so a
         # _PlusMachine and a graded piece read A once each
         calls = []
-        real = complexes.log_matrix
+        real = koszul.log_matrix
 
         def counted(p):
             calls.append(p)
             return real(p)
 
-        monkeypatch.setattr(complexes, "log_matrix", counted)
+        monkeypatch.setattr(koszul, "log_matrix", counted)
         p6 = random_2general_toric(random.Random(3), 3).structure
         for p in (toric, p6):
             calls.clear()
@@ -1483,7 +1484,7 @@ class TestFiltration:
             return real(p)
 
         monkeypatch.setattr(poisson, "log_matrix", counted)
-        monkeypatch.setattr(complexes, "log_matrix", counted)
+        monkeypatch.setattr(koszul, "log_matrix", counted)
         p6 = random_2general_toric(random.Random(3), 3).structure
         for p in (toric, p6):
             for level in range(p.var_spec.total_vars + 1):
@@ -1833,6 +1834,24 @@ class TestKoszulBlockCount:
         monkeypatch.setattr(complexes, "_fill_slices", refuse)
         monkeypatch.setattr(linalg, "_eliminate", refuse)
         assert nonzero(qi_cohomology(p, (1, 2), 4)) == {}
+
+    def test_koszul_imports_nothing_from_complexes(self):
+        # the count and its oracle share no code: koszul never imports
+        # complexes, which takes only the A-independent helpers from koszul
+        def imported(module) -> dict[str, set[str]]:
+            out: dict[str, set[str]] = {}
+            for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+                if isinstance(node, ast.ImportFrom):
+                    out.setdefault(node.module or "", set()).update(a.name for a in node.names)
+                elif isinstance(node, ast.Import):
+                    out.update((a.name, set()) for a in node.names)
+            return out
+
+        names = imported(koszul)
+        assert not any("complexes" in module for module in names), names
+        assert not any("complexes" in name for found in names.values() for name in found), names
+        assert imported(complexes)["koszul"] == {"_index_set", "_invariant_grid", "_monomials"}
+        assert not hasattr(complexes, "qi_cohomology")
 
     def test_refusals(self):
         p = PoissonStructure.from_json(json.loads(FIXTURE_STRUCTURE.read_text()))

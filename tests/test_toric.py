@@ -231,7 +231,7 @@ class TestPreparedPair:
         pair = PreparedPair(a, ident)
         certs = [pair.decide(tt, every) for tt in (1, 2, 3, 6) for every in (True, False)]
         # the walk's columns, garbled, and no elimination at all
-        pair._columns = [{} for _ in pair._columns]
+        pair._columns = [({}, 1) for _ in pair._columns]
 
         def no_linalg(*args, **kwargs):
             raise AssertionError("the check called linalg")
@@ -250,7 +250,7 @@ class TestPreparedPair:
         pair = PreparedPair(a, ident)
         pair.decide(1, True)
         # the walk clears copies: the prepared columns never change
-        columns = [dict(col) for col in pair._columns]
+        columns = [(dict(nums), den) for nums, den in pair._columns]
         for tt in (1, 2, 3, 6):
             assert pair.decide(tt, True) == is_relative_t_general(a, ident, tt)
             assert pair.decide(tt, False) == first_failure_t_general(a, ident, tt)
