@@ -193,7 +193,8 @@ def cmd_verify_exactness(args) -> int:
         "command": "verify-exactness",
         "index_set": list(iset),
         "max_degree": top,
-        "dphi_signs": {str(i): "-1" for i in iset},  # the poles F_i = -1 the gate checked
+        # the poles of phi_i = x_i^-1 theta_i on the model the gate admits
+        "dphi_signs": {str(i): "-1" for i in iset},
         **exactness_report(f"Q{list(iset)}", args.weight_cap, dims),
     }
     _emit(report, args.out)

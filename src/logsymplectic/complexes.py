@@ -104,13 +104,12 @@ Every piece is x^F times a constant form: eta_i ^ phi_I = x^F (eta_i ^
 theta_I), and d(phi_I) = sum_t F_t x^F eta_t ^ theta_I (x_t d_t x^F = F_t x^F,
 d eta_t = 0) = -sum_{i in I} eta_i ^ phi_I, the twisted shape of the graded
 pieces, so d(phi_I) needs no piece of its own.  One gate, ``_theta``,
-checks this model: it reads D A once (``_invariant_grid``), builds each
-phi_i from its inverse as ``phi_forms`` does and reads it in the log frame
-once, raises AssertionError naming i unless
-phi_i is x_i^-1 times constants, and gives (D, D A) and theta_i as int
-numerators over one T.  Its four callers read A through it alone.
-``build_qi`` and the CLI's ``verify-exactness`` call it first: the pole
-exponents F_i = -1 it verified are the signs of d(phi_I).
+admits this model: it reads D A once (``_invariant_grid``) and gives
+(D, D A) and the rows theta_i of its inverse B as int numerators over one T,
+with no form built; ``phi_forms`` (pi_flat(d_i) from B) is the tests'
+oracle for phi_i = x_i^-1 theta_i.  Its four callers read A through it
+alone.  ``build_qi`` and the CLI's ``verify-exactness`` call it first: the
+poles F_i = -1 of phi_i = x_i^-1 theta_i are the signs of d(phi_I).
 ``filtration_report`` checks pi_sharp(phi_i) = d_i as (T theta) (D A) =
 T D 1 in integers, with no form built.  ``_PlusMachine``
 keeps theta_I over T^|I| (``_minors``), and ``pieces`` gives the 2n pieces
@@ -121,8 +120,8 @@ and does not certify.  A piece enters as the single row {F: row};
 ``sharp_numerators`` makes the rows of a form by ``change_frame``.  The
 certificate (``certifies``) re-expands sum n x^(E - 1_K) theta_K over the
 labels ((K, E), n), per (monomial, J) over the common denominator, and
-compares with the piece's row in integers: it reads the theta_K, from
-``phi_forms``, and neither A nor the compound.
+compares with the piece's row in integers: it reads the theta_K, minors
+of the inverse, and neither A nor the compound.
 
 Slice layout
 ------------
@@ -239,7 +238,7 @@ from .exterior import (
     merge_indices,
 )
 from .koszul import _index_set, _invariant_grid, _monomials
-from .poisson import PoissonStructure, _inverse, _phi_forms
+from .poisson import PoissonStructure, _inverse
 from .ring import VarSpec
 
 Label = tuple[IndexSet, tuple[int, ...]]  # (frame indices, coefficient exponents)
@@ -459,26 +458,12 @@ def _theta(p: PoissonStructure):
     """The phi-model gate: ((D, D * A), (T, T * B)), the grid of
     ``_invariant_grid`` it ran and theta_i = sum_j B[i][j] eta_j as int
     numerators over the least T > 0, where phi_i = x_i^-1 theta_i (module
-    docstring), so d(phi_I) = -sum_{i in I} eta_i ^ phi_I.  Runs
-    ``_invariant_grid``, inverts that grid's A and builds the phi_i from it
-    as ``phi_forms`` does (both raise ValueError: outside the model, on a
-    singular A), so A is read once, and reads each phi_i in the log frame
-    once; AssertionError naming i unless phi_i is x_i^-1 times constants.
-    Its callers, ``_PlusMachine``, ``build_qi``, ``filtration_report`` and
-    the CLI's ``verify-exactness``, read A through it alone."""
+    docstring), so d(phi_I) = -sum_{i in I} eta_i ^ phi_I.  B is the
+    inverse of that grid's A, so A is read once, and no form is built; both
+    steps raise ValueError, outside the model and on a singular A."""
     grid = _invariant_grid(p)
     d, scaled = grid
-    vs = p.var_spec
-    nv = vs.total_vars
-    log = log_frame(vs)
-    theta = [[0] * nv for _ in range(nv)]
-    b = _inverse(vs, [[Fraction(c, d) for c in row] for row in scaled])
-    for i, phi in enumerate(_phi_forms(vs, b), 1):
-        pole = tuple(-int(t == i) for t in range(1, nv + 1))
-        for (j,), g in change_frame(phi, log).terms.items():
-            if g.terms.keys() != {pole}:
-                raise AssertionError(f"phi_{i} is not x_{i}^-1 times a constant log form")
-            theta[i - 1][j - 1] = g.terms[pole]
+    theta = _inverse(p.var_spec, [[Fraction(c, d) for c in row] for row in scaled]).constant_grid()
     den = math.lcm(*(c.denominator for row in theta for c in row))
     return grid, (den, [[int(c * den) for c in row] for row in theta])
 
@@ -547,8 +532,8 @@ class _PlusMachine:
     ``filtration_level_of``: the compounds of D * A, for the phi-coordinate
     extraction, and the constant log forms theta_I of phi_I = x^(-1_I)
     theta_I (module docstring), for the pieces and their certificate.  Both
-    come from one call of the phi-model gate ``_theta``, which raises
-    AssertionError naming i if phi_i is not x_i^-1 times constants."""
+    come from one call of the phi-model gate ``_theta``, which gives D A
+    and theta = A^-1 over T."""
 
     def __init__(self, p: PoissonStructure):
         # theta_i as int numerators over T, theta_I over T^|I|
@@ -613,8 +598,8 @@ class _PlusMachine:
         nums equals the piece x^pole sum_J row[J] eta_J over T^(degree - 1),
         the J in sorted order, in integers: the sum is accumulated per
         (monomial, J) over den T^degree and compared with the row scaled by
-        den T.  It re-expands through the theta_K, which come from
-        ``phi_forms``, and reads neither A nor the compound."""
+        den T.  It re-expands through the theta_K, minors of the inverse
+        the gate computed, and reads neither A nor the compound."""
         acc: dict[tuple[int, ...], dict[IndexSet, int]] = {}
         for (kdx, exps), n in nums:
             sums = acc.setdefault(tuple(e - (i in kdx) for i, e in enumerate(exps, 1)), {})
@@ -872,8 +857,8 @@ def build_qi(p: PoissonStructure, index_set, weight_cap: int) -> WeightSlicedCom
     sum_{j not in M} s_j lambda_j (M + {j}, F') at the same rank, with
     D lambda_j = D (F' A)_j - D (1_I A)_j (``_koszul_tables`` on the
     variables off I); a target block the piece lacks raises AssertionError.
-    The phi model is checked first, by the gate ``_theta``, which also
-    refuses a singular A: phi_i = x_i^-1 theta_i with theta_i constant, so
+    The gate ``_theta`` runs first and refuses a singular A; on the model
+    it admits phi_i = x_i^-1 theta_i with theta_i constant, so
     d(phi_I) = -sum_{i in I} eta_i ^ phi_I, the twisted shape this closed
     form is the differential of.
     """

@@ -135,9 +135,11 @@ class PreparedPair:
     def decide(self, t: int, all_failures: bool) -> GenPosCertificate:
         """The verdict for t with every failing column set, or with the first
         only when not ``all_failures``; raises ValueError on an invalid pair
-        or t."""
+        or t, and TypeError unless t is an int other than a bool."""
         if self.error:
             raise ValueError(self.error)
+        if type(t) is not int:
+            raise TypeError(f"t must be an integer, not {type(t).__name__}")
         k = self.k
         if not 1 <= t <= k:
             raise ValueError(f"t must satisfy 1 <= t <= {k}")

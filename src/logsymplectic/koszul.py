@@ -58,9 +58,9 @@ def _invariant_grid(p: PoissonStructure) -> tuple[int, list[list[int]]]:
 
 
 def _index_set(vs: VarSpec, index_set) -> IndexSet:
-    """The sorted index set; ValueError unless of distinct divisor indices."""
+    """The sorted index set; ValueError unless of distinct int divisor indices."""
     iset = tuple(sorted(index_set))
-    if any(not vs.is_divisor_index(i) for i in iset):
+    if any(type(i) is not int or not vs.is_divisor_index(i) for i in iset):
         raise ValueError("index set must consist of divisor indices")
     if len(set(iset)) != len(iset):
         raise ValueError("index set has repeats")

@@ -485,9 +485,5 @@ def _flat(vs: VarSpec, b: SkewMatrix, v: MultiVector) -> DiffForm:
 def phi_forms(p: PoissonStructure) -> list[DiffForm]:
     """The 1-forms phi_i = pi_flat(d/dx_i), i = 1..2n, in coordinates; A is
     inverted once for all of them."""
-    return _phi_forms(p.var_spec, inverse_log_matrix(p))
-
-
-def _phi_forms(vs: VarSpec, b: SkewMatrix) -> list[DiffForm]:
-    """``phi_forms`` given B = A^{-1}."""
+    vs, b = p.var_spec, inverse_log_matrix(p)
     return [_flat(vs, b, coordinate_vector(vs, i)) for i in range(1, vs.total_vars + 1)]

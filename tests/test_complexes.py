@@ -540,39 +540,6 @@ class TestLogFrameExtraction:
         with pytest.raises(AssertionError, match="failed to certify"):
             build_logplus_complex(toric, 0)
 
-    def test_build_refuses_a_phi_form_that_is_not_a_pole_times_constants(
-        self, toric, monkeypatch, tmp_path
-    ):
-        # phi_2 times x_1 is x_1 x_2^-1 times constants in the log frame, and
-        # phi_3 plus dx_1 has a second monomial: the phi-model gate refuses
-        # both, for the log-plus build, a graded piece and verify-exactness
-        real = complexes._phi_forms
-        vs = toric.var_spec
-        structure = tmp_path / "structure.json"
-        structure.write_text(json.dumps(toric.to_json()))
-        entry_points = [
-            lambda: build_logplus_complex(toric, 0),
-            lambda: build_qi(toric, (1, 2), 0),
-            lambda: cli.main(["verify-exactness", "--structure", str(structure), "--I", "1,2"]),
-        ]
-        bends = {
-            2: lambda phi: phi.scale(LaurentPoly.variable(vs, 1)),
-            3: lambda phi: phi + coordinate_one_form(vs, 1),
-        }
-        for i, bend in bends.items():
-
-            def bent(vs, b, i=i, bend=bend):
-                return [bend(phi) if j == i else phi for j, phi in enumerate(real(vs, b), 1)]
-
-            monkeypatch.setattr(complexes, "_phi_forms", bent)
-            for run in entry_points:
-                with pytest.raises(AssertionError, match=rf"phi_{i} is not x_{i}\^-1 times a constant log form"):
-                    run()
-        monkeypatch.undo()
-        assert build_logplus_complex(toric, 0).diffs
-        assert build_qi(toric, (1, 2), 0).diffs
-        assert cli.main(["verify-exactness", "--structure", str(structure), "--I", "1,2"]) == 0
-
     def test_every_piece_of_the_fixture(self, toric):
         assert self.assert_pieces_match(toric) == 15 * 4
 
@@ -888,6 +855,10 @@ class TestGradedPieces:
             build_qi(toric, (5,), 1)
         with pytest.raises(ValueError):
             build_qi(toric, (1, 1), 1)
+        # True == 1 and 1.0 == 1 to Python; neither is a divisor index
+        for iset in [(True,), (True, 2), (1.0,)]:
+            with pytest.raises(ValueError, match="divisor indices"):
+                build_qi(toric, iset, 1)
 
 
 def assert_qi_layout(p: PoissonStructure, iset: IndexSet) -> None:
@@ -1110,8 +1081,9 @@ class TestSliceLayout:
         assert calls == certified == dict.fromkeys(with_column, nv)
 
     def test_gate_reads_the_log_matrix_once(self, toric, monkeypatch):
-        # the gate inverts the grid D A it read: neither it nor the inverse
-        # behind phi_forms reads A a second time
+        # the gate inverts the grid D A it read and does not read A a second
+        # time; theta / T is that inverse, and phi_forms, the symbolic route
+        # the gate does not run, gives phi_i = x_i^-1 theta_i / T
         calls = []
         real = poisson.log_matrix
 
@@ -1122,13 +1094,53 @@ class TestSliceLayout:
         monkeypatch.setattr(poisson, "log_matrix", counted)
         monkeypatch.setattr(koszul, "log_matrix", counted)
         p6 = random_2general_toric(random.Random(3), 3).structure
-        for p in (toric, p6):
+        for p in (toric, p6, fractional_2general_structure(11)):
             calls.clear()
             grid, (den, theta) = _theta(p)
             assert calls == [p]
             assert [[Fraction(c, den) for c in row] for row in theta] == (
                 inverse_log_matrix(p).constant_grid()
             )
+            vs = p.var_spec
+            lg = log_frame(vs)
+            for i, phi in enumerate(phi_forms(p), 1):
+                pole = tuple(-int(t == i) for t in range(1, vs.total_vars + 1))
+                terms = {
+                    (j,): LaurentPoly.monomial(vs, pole, Fraction(c, den))
+                    for j, c in enumerate(theta[i - 1], 1)
+                    if c
+                }
+                assert change_frame(phi, lg) == DiffForm(lg, 1, terms), (p, i)
+
+    def test_gate_builds_no_form(self, toric, monkeypatch, tmp_path):
+        # theta is read off the inverse, so with pi_flat's body refused the
+        # gate and everything behind it give what they gave before
+        structures = [toric, random_2general_toric(random.Random(3), 3).structure,
+                      fractional_2general_structure(11)]
+        isets = [(1,), (2, 4), (1, 2, 3, 4)]
+
+        def run():
+            return (
+                [_theta(p) for p in structures],
+                [build_qi(toric, iset, 2) for iset in isets],
+                [filtration_report(toric, level, 2, 4) for level in range(5)],
+                [build_logplus_complex(p, 1) for p in (toric, structures[2])],
+            )
+
+        before = run()
+
+        def refuse(*_args):
+            raise AssertionError("a phi form was built")
+
+        monkeypatch.setattr(poisson, "_flat", refuse)
+        with pytest.raises(AssertionError, match="a phi form was built"):
+            phi_forms(toric)
+        assert run() == before
+        for name, argv, code in CASES:
+            if name.startswith("verify_exactness"):
+                out = tmp_path / f"{name}.json"
+                assert cli.main(argv + ["--out", str(out)]) == code
+                assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
 
     def test_each_builder_reads_the_log_matrix_once(self, toric, monkeypatch):
         # the phi-model gate hands its callers the grid D A it read, so a
@@ -1446,9 +1458,9 @@ class TestFiltration:
         assert rep2["annihilator_ok"]
 
     def test_annihilator_check_can_fail(self, toric, monkeypatch):
-        # with B doubled each phi_i is still x_i^-1 times constants, so the
-        # gate's pole check passes, but pi_sharp(phi_i) = 2 d_i; level 0 has
-        # no phi_i to check
+        # with B doubled the gate reads theta = 2 B off the inverse, so
+        # pi_sharp(phi_i) = 2 d_i and theta A = 1 fails; level 0 has no phi_i
+        # to check
         real = complexes._inverse
 
         def doubled(vs, grid):
@@ -1856,6 +1868,7 @@ class TestKoszulBlockCount:
     def test_refusals(self):
         p = PoissonStructure.from_json(json.loads(FIXTURE_STRUCTURE.read_text()))
         for iset, message in [((5,), "divisor indices"), ((0,), "divisor indices"),
+                              ((True,), "divisor indices"), ((1.0,), "divisor indices"),
                               ((1, 1), "repeats")]:
             with pytest.raises(ValueError, match=message):
                 qi_cohomology(p, iset, 1)

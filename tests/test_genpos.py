@@ -164,6 +164,10 @@ class TestRelative:
             is_relative_t_general(rows, rows, 0)
         with pytest.raises(ValueError):
             is_relative_t_general(rows, rows, 3)
+        # True == 1 and 2.0 == 2 to Python; neither is read as t
+        for t in (True, 2.0):
+            with pytest.raises(TypeError, match=f"not {type(t).__name__}"):
+                is_relative_t_general(rows, rows, t)
 
     def test_pole_rejected(self):
         rows = poly_rows([["x1^-1", "0"], ["0", "1"]], VS2)
